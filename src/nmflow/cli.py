@@ -47,8 +47,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _grid(cfg) -> np.ndarray:
-    if cfg.step <= 0 or cfg.t_max <= 0:
-        raise ConfigParseError("need step > 0 and t_max > 0")
+    if not (0 < cfg.step < np.inf and 0 < cfg.t_max < np.inf):  # also rejects NaN
+        raise ConfigParseError(f"need finite step > 0 and t_max > 0, got step={cfg.step}, "
+                               f"t_max={cfg.t_max}")
     return np.arange(0.0, cfg.t_max + cfg.step / 2, cfg.step)
 
 
@@ -163,7 +164,7 @@ def run_gadc_scan(cfg, out):
         lo, hi = res.interval if res.interval else (float("nan"), float("nan"))
         rows.append((lo, hi, res.mi_max, res.eps))
         print(f"eps={res.eps:g}: increase interval = {res.interval}")
-    write_csv(out / "gadc-scan.csv", ["t", "value", "derivative", "flag"], rows)
+    write_csv(out / "gadc-scan.csv", ["t_start", "t_end", "mi_max", "eps"], rows)
     landmark = None
     if sorted(eps_list, reverse=True) == [1e-3, 1e-4, 1e-5]:
         ordered = sorted(results, key=lambda r: -r.eps)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channels import AffineQubitMap, RateChannel, apply_map, choi
-from .errors import BadIntervalError
+from .errors import BadIntervalError, UnphysicalError
 from .numutil import bisect_root, fibonacci_sphere
 from .qmat import maximally_entangled
 
@@ -96,8 +96,8 @@ def is_p_qubit(qmap: AffineQubitMap, tol: float = P_TOL) -> bool:
 def physicality_threshold(alpha: float) -> float:
     """T(alpha) = (1/2) log(2^(1/alpha) - 1): the quasi-eternal family with
     offset t0 is CPTP for all times iff t0 >= T(alpha)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:  # also rejects NaN
+        raise UnphysicalError(f"alpha must be positive and finite, got {alpha}")
     return 0.5 * float(np.log(2.0 ** (1.0 / alpha) - 1.0))
 
 

@@ -10,8 +10,12 @@ Writing the POVM as {(1+X)/2, (1-X)/2} with -1 <= X <= 1 and Tr(rho_A X) = 0,
 optimized here by a monotone see-saw with exact subproblem solutions:
 given X, the trace norm's sign operator Y is read off an eigendecomposition;
 given Y, Tr(X M) with M = Tr_B[rho_AB (1 (x) Y)] is maximized over the X
-polytope in the eigenbasis of M - mu rho_A, with a scalar bisection on the
-multiplier mu enforcing the maximal-entropy constraint.
+polytope in the eigenbasis of M - mu rho_A. The multiplier mu of the
+maximal-entropy constraint is found exactly: for full-rank rho_A, at a
+generalized eigenvalue of the pencil (M, rho_A) where Tr rho_A sign(M - mu rho_A)
+jumps across zero, or else by safeguarded Newton steps inside the smooth
+segment between two such breakpoints; for singular rho_A, by the same Newton
+steps inside a bracket found by doubling.
 
 Also here: the outcome-count bound for ME-POVM optimization, and the
 classical-quantum probe state of the quasi-eternal family whose C backflow
@@ -47,6 +51,10 @@ ME_TOL = 1e-9
 SEESAW_GAIN_TOL = 1e-10
 SEESAW_MAX_ITER = 400
 DEFAULT_RESTARTS = 16
+BREAKPOINT_TOL = 1e-12   # relative gap below which pencil eigenvalues form one breakpoint
+MU_G_TOL = 1e-14         # |Tr(rho_A X)| that ends the multiplier search
+MU_WIDTH_TOL = 1e-13     # bracket width, relative to ||m||_2 + 1, that ends it too
+MU_MAX_STEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +171,12 @@ class C2Result:
 
 def _steered_difference(rho4: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Tr_A[rho (X (x) 1)] for rho reshaped to (dA, dB, dA, dB).
-    return np.einsum("aicj,ca->ij", rho4, x, optimize=True)
+    return np.einsum("aicj,ca->ij", rho4, x)
 
 
 def _back_operator(rho4: np.ndarray, y: np.ndarray) -> np.ndarray:
     # Tr_B[rho (1 (x) Y)].
-    return np.einsum("aibk,ki->ab", rho4, y, optimize=True)
+    return np.einsum("aibk,ki->ab", rho4, y)
 
 
 def _sign_trace(m: np.ndarray, rho_a: np.ndarray, mu: float) -> float:
@@ -178,71 +186,130 @@ def _sign_trace(m: np.ndarray, rho_a: np.ndarray, mu: float) -> float:
     return float(np.sum(s * r))
 
 
-def _solve_x(m: np.ndarray, rho_a: np.ndarray, rho_a_min: float | None = None) -> np.ndarray:
-    """Maximize Tr(X m) over Hermitian -1 <= X <= 1 with Tr(rho_a X) = 0.
+def _newton_multiplier(m: np.ndarray, rho_a: np.ndarray, lo: float, hi: float,
+                       g_lo: float, g_hi: float,
+                       scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of m - mu rho_a at the root mu of
+    g(mu) = Tr rho_a sign(m - mu rho_a) in (lo, hi), given g(lo+) = g_lo > 0
+    and g(hi-) = g_hi < 0.
 
-    The optimum is X = sign(m - mu rho_a) for the multiplier mu that zeroes
-    Tr(rho_a X); at the crossing, the weight on (near-)kernel eigenvectors is
-    chosen fractionally to meet the constraint exactly.
+    Newton steps use the exact slope
+    g'(mu) = -4 sum_{i in +, j in -} |(V^dag rho_a V)_ij|^2 / (lambda_i - lambda_j)
+    from the same eigendecomposition; a step that would leave the shrinking
+    bracket is replaced by bisection, so jumps of g inside (lo, hi) only slow
+    the search down. Where g is steep, the root may not be representable to
+    MU_G_TOL, so the evaluation with the smallest |g| is returned.
     """
-    m = (m + m.conj().T) / 2.0
-    scale = float(np.linalg.norm(m, 2)) + 1.0
-    if rho_a_min is None:
-        rho_a_min = float(np.linalg.eigvalsh(rho_a)[0])
-    if rho_a_min > 1e-12:
-        # m - mu rho_a is definite beyond |mu| = ||m||_2 / lambda_min(rho_a).
-        hi = scale / rho_a_min
-        lo = -hi
-    else:
-        lo, hi = -scale, scale
-        for _ in range(80):
-            if _sign_trace(m, rho_a, lo) > 0:
-                break
-            lo *= 2.0
-        for _ in range(80):
-            if _sign_trace(m, rho_a, hi) < 0:
-                break
-            hi *= 2.0
-        if _sign_trace(m, rho_a, lo) < 0 or _sign_trace(m, rho_a, hi) > 0:
-            lo = hi = 0.0  # constraint trivially satisfiable by sign(m)
-    mu = 0.5 * (lo + hi)
-    for _ in range(44):
-        g = _sign_trace(m, rho_a, mu)
-        if g == 0.0 or hi - lo <= 1e-13 * scale:
+    mu = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+    best_g, best = np.inf, None
+    for _ in range(MU_MAX_STEPS):
+        vals, vecs = np.linalg.eigh(m - mu * rho_a)
+        rv = vecs.conj().T @ rho_a @ vecs
+        n = int(np.searchsorted(vals, 0.0))  # sign -1 on vals[:n], +1 on vals[n:]
+        r = rv.diagonal().real
+        g = float(r[n:].sum() - r[:n].sum())
+        if abs(g) < best_g:
+            best_g, best = abs(g), (vals, vecs)
+        if best_g <= MU_G_TOL:
             break
         if g > 0:
             lo = mu
         else:
             hi = mu
-        mu = 0.5 * (lo + hi)
+        slope = -4.0 * float((np.abs(rv[n:, :n]) ** 2 / (vals[n:, None] - vals[:n])).sum())
+        step = mu - g / slope if slope < 0.0 else np.nan
+        if step == mu or hi - lo <= MU_WIDTH_TOL * scale:
+            break  # g is resolved as finely as mu can be
+        mu = step if lo < step < hi else 0.5 * (lo + hi)
+    return best
 
-    vals, vecs = np.linalg.eigh(m - mu * rho_a)
-    r = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), rho_a, vecs))
-    eps_free = 1e-9 * scale
-    x_diag = np.where(vals >= 0.0, 1.0, -1.0)
-    for _ in range(3):
-        free = np.abs(vals) <= eps_free
-        fixed_sum = float(np.sum(x_diag[~free] * r[~free]))
-        target = -fixed_sum
-        x_new = x_diag.copy()
-        remaining = target
-        order = np.argsort(-r)
-        for k in order:
-            if not free[k]:
-                continue
-            if r[k] <= 1e-14:
-                x_new[k] = 0.0
-                continue
-            take = float(np.clip(remaining / r[k], -1.0, 1.0))
-            x_new[k] = take
-            remaining -= take * r[k]
-        if abs(remaining) <= 1e-11:
-            x_diag = x_new
-            break
-        eps_free *= 100.0  # widen the free set and retry
+
+def _pencil_multiplier(m: np.ndarray, rho_a: np.ndarray,
+                       scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of m - mu rho_a at the exact multiplier, for
+    positive-definite rho_a.
+
+    g(mu) = Tr rho_a sign(m - mu rho_a) falls from +1 to -1 and jumps only
+    at the generalized eigenvalues nu of the pencil (m, rho_a). By Sylvester's
+    law of inertia, m - nu rho_a has as many negative eigenvalues as there are
+    breakpoints below nu, so one eigendecomposition at nu gives both one-sided
+    limits of g. A bisection over the (clustered) breakpoints finds either a
+    breakpoint whose jump straddles zero, where mu = nu exactly, or the
+    smooth segment between two breakpoints that holds the root.
+    """
+    l_inv = np.linalg.inv(np.linalg.cholesky(rho_a))
+    nus = np.linalg.eigvalsh(l_inv @ m @ l_inv.conj().T).tolist()
+    tol = BREAKPOINT_TOL * (scale + max(-nus[0], nus[-1]))
+    starts = [0] + [i for i in range(1, len(nus)) if nus[i] - nus[i - 1] > tol]
+    ends = starts[1:] + [len(nus)]
+    lo, hi = -1, len(starts)
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        a, b = starts[k], ends[k]
+        nu = 0.5 * (nus[a] + nus[b - 1])
+        vals, vecs = np.linalg.eigh(m - nu * rho_a)
+        r = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), rho_a, vecs)).tolist()
+        below, at, above = sum(r[:a]), sum(r[a:b]), sum(r[b:])
+        if above - at - below > 0.0:
+            lo, g_lo, nu_lo = k, above - at - below, nu
+        elif above + at - below < 0.0:
+            hi, g_hi, nu_hi = k, above + at - below, nu
+        else:
+            return vals, vecs
+    # g = +1 below the lowest breakpoint and -1 above the highest, so the
+    # root lies strictly between two probed breakpoints.
+    return _newton_multiplier(m, rho_a, nu_lo, nu_hi, g_lo, g_hi, scale)
+
+
+def _solve_x(m: np.ndarray, rho_a: np.ndarray, rho_a_min: float | None = None) -> np.ndarray:
+    """Maximize Tr(X m) over Hermitian -1 <= X <= 1 with Tr(rho_a X) = 0.
+
+    The optimum is X = sign(m - mu rho_a) for the multiplier mu that zeroes
+    Tr(rho_a X); where g(mu) = Tr rho_a sign(m - mu rho_a) jumps across zero,
+    the weight on the kernel eigenvectors is chosen fractionally to meet the
+    constraint exactly.
+    """
+    m = (m + m.conj().T) / 2.0
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(m)))) + 1.0  # ||m||_2 + 1
+    if rho_a_min is None:
+        rho_a_min = float(np.linalg.eigvalsh(rho_a)[0])
+    if rho_a_min > 1e-12:
+        vals, vecs = _pencil_multiplier(m, rho_a, scale)
     else:
-        x_diag = x_new
-    return (vecs * x_diag) @ vecs.conj().T
+        lo, hi = -scale, scale
+        g_lo, g_hi = _sign_trace(m, rho_a, lo), _sign_trace(m, rho_a, hi)
+        for _ in range(80):
+            if g_lo > 0:
+                break
+            lo *= 2.0
+            g_lo = _sign_trace(m, rho_a, lo)
+        for _ in range(80):
+            if g_hi < 0:
+                break
+            hi *= 2.0
+            g_hi = _sign_trace(m, rho_a, hi)
+        if g_lo > 0 > g_hi:
+            vals, vecs = _newton_multiplier(m, rho_a, lo, hi, g_lo, g_hi, scale)
+        else:  # no sign change found; the finish below still meets the constraint
+            vals, vecs = np.linalg.eigh(m)
+
+    # In the eigenbasis of m - mu rho_a, sign(vals) maximizes Tr(X m); the
+    # constraint's residual is then removed at least cost: weights move away
+    # from their sign in order of |val_k| / r_k, a fractional knapsack that is
+    # exact for the diagonal problem. At a kink only the kernel weights
+    # (val_k ~ 0) move.
+    r = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), rho_a, vecs))
+    x = np.where(vals >= 0.0, 1.0, -1.0)
+    excess = float(x @ r)
+    side = np.sign(excess)
+    movable = np.flatnonzero((x == side) & (r > 0.0))
+    for k in movable[np.argsort(np.abs(vals[movable]) / r[movable])]:
+        shift = min(2.0, side * excess / r[k])
+        x[k] -= side * shift
+        excess -= side * shift * r[k]
+        if shift < 2.0:
+            break
+    return (vecs * x) @ vecs.conj().T
 
 
 def _seesaw_once(rho4: np.ndarray, rho_a: np.ndarray, x0: np.ndarray,

@@ -86,6 +86,8 @@ def test_gadc_scan_cli(tmp_path):
     assert main(["gadc-scan", "--eps", "1e-3", "--out", str(tmp_path)]) == 0
     summary = read_summary(tmp_path, "gadc-scan")
     assert summary["results"][0]["interval"] is not None
+    header = (tmp_path / "gadc-scan.csv").read_text().splitlines()[0]
+    assert header == "t_start,t_end,mi_max,eps"
 
 
 def test_hessian_check_cli(tmp_path):
@@ -104,6 +106,16 @@ def test_cli_error_exit_codes(tmp_path):
     mismatched = tmp_path / "mismatch.json"
     mismatched.write_text(json.dumps({"experiment": "eb-time"}))
     assert main(["physicality", "--config", str(mismatched)]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["physicality", "--alpha", "-1"],
+    ["physicality", "--alpha", "nan"],
+    ["mi-scan", "--t-max", "nan"],
+])
+def test_cli_rejects_bad_numbers(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_check_failure_exits_2(tmp_path):

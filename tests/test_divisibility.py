@@ -16,6 +16,7 @@ from nmflow.divisibility import (
     physicality_threshold,
     rhp_g,
 )
+from nmflow.errors import UnphysicalError
 
 
 
@@ -91,6 +92,12 @@ def test_physicality_threshold_values():
     assert cptp_conditions(ch, 40.0)[0] >= -1e-9
     with pytest.raises(ValueError):
         physicality_threshold(0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_physicality_threshold_rejects_bad_alpha(alpha):
+    with pytest.raises(UnphysicalError):
+        physicality_threshold(alpha)
 
 
 def test_cptp_conditions():

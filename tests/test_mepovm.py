@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import probe_pair_at_tau, random_density, random_pure_vector
+from helpers import (
+    probe_pair_at_tau,
+    random_density,
+    random_hermitian,
+    random_pure_vector,
+    random_unitary,
+)
 from nmflow import channels, mepovm, qmat
 from nmflow.errors import DimMismatchError, NotYetNonMarkovianError, UnphysicalProbeError
 from nmflow.mepovm import (
@@ -135,6 +141,114 @@ def test_c2_local_optimality_guard():
         h = (h + h.conj().T) / 2
         x = mepovm._solve_x(h, rho_a)  # random feasible vertex of the X polytope
         assert res.value >= objective(x) - 1e-9
+
+
+def _bisection_sign_trace(m, rho_a, mu):
+    vals, vecs = np.linalg.eigh(m - mu * rho_a)
+    s = np.where(vals >= 0.0, 1.0, -1.0)
+    r = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), rho_a, vecs))
+    return float(np.sum(s * r))
+
+
+def _bisection_multiplier(m, rho_a):
+    """Reference multiplier for `mepovm._solve_x`: bisection on
+    g(mu) = Tr rho_a sign(m - mu rho_a) over [-1, 1] (||m||_2 + 1) / lambda_min
+    for full-rank rho_a, or over a bracket found by doubling otherwise.
+
+    It bisects until the bracket stops shrinking. A cap of 44 steps leaves
+    Tr(X m) up to ~4e-10 away from the optimum on random 6x6 problems, an
+    error that would otherwise be charged to the code under test.
+    """
+    scale = float(np.linalg.norm(m, 2)) + 1.0
+    rho_a_min = float(np.linalg.eigvalsh(rho_a)[0])
+    if rho_a_min > 1e-12:
+        hi = scale / rho_a_min
+        lo = -hi
+    else:
+        lo, hi = -scale, scale
+        for _ in range(80):
+            if _bisection_sign_trace(m, rho_a, lo) > 0:
+                break
+            lo *= 2.0
+        for _ in range(80):
+            if _bisection_sign_trace(m, rho_a, hi) < 0:
+                break
+            hi *= 2.0
+    mu = 0.5 * (lo + hi)
+    while lo < mu < hi:
+        g = _bisection_sign_trace(m, rho_a, mu)
+        if g == 0.0:
+            break
+        if g > 0:
+            lo = mu
+        else:
+            hi = mu
+        mu = 0.5 * (lo + hi)
+    return mu
+
+
+def _solve_x_cases():
+    """(label, m, rho_a) triples covering each branch of the multiplier step."""
+    rng = np.random.default_rng(47)
+    cases = []
+    for d in (2, 3, 6):
+        for _ in range(12):
+            m = random_hermitian(rng, d)
+            cases.append((f"full rank d={d}", m / np.linalg.norm(m, 2), random_density(rng, d)))
+        # Ill-conditioned but full rank: the pencil's breakpoints spread to ~1e9.
+        u = random_unitary(rng, d)
+        spectrum = np.append(1e-9, rng.uniform(0.2, 1.0, d - 1))
+        rho = (u * (spectrum / spectrum.sum())) @ u.conj().T
+        cases.append((f"ill-conditioned d={d}", random_hermitian(rng, d), rho))
+        # Kinks: every breakpoint coincides (m = c rho_a), the marginal of a
+        # product state, and a classical-quantum state.
+        rho = random_density(rng, d)
+        cases.append((f"m = c rho_a d={d}", float(rng.normal()) * rho, rho))
+        y = random_hermitian(rng, 2)
+        prod = np.kron(rho, random_density(rng, 2)).reshape(d, 2, d, 2)
+        cases.append((f"product d={d}", mepovm._back_operator(prod, y), rho))
+        weights = rng.dirichlet(np.ones(d))
+        cq = sum(w * np.kron(np.diag(np.eye(d)[i]), random_density(rng, 2))
+                 for i, w in enumerate(weights)).reshape(d, 2, d, 2)
+        cases.append((f"classical-quantum d={d}", mepovm._back_operator(cq, y),
+                      np.diag(weights).astype(complex)))
+        # Near-degenerate breakpoints: merged into one (1e-13), two kinks or
+        # a sliver of smooth segment between them (1e-11), well apart (1e-6).
+        for gap in (1e-13, 1e-11, 1e-6):
+            chol = np.linalg.cholesky(random_density(rng, d))
+            nus = rng.normal(size=d)
+            nus[1] = nus[0] + gap
+            cases.append((f"gap {gap:g} d={d}", (chol * nus) @ chol.conj().T,
+                          chol @ chol.conj().T))
+    for _ in range(12):
+        cases.append(("singular d=3 rank 2", random_hermitian(rng, 3), random_density(rng, 3, rank=2)))
+    return cases
+
+
+@pytest.mark.parametrize("label,m,rho_a", _solve_x_cases())
+def test_solve_x_matches_bisection(label, m, rho_a):
+    # By strong duality the optimum of Tr(X m) equals Tr|m - mu rho_a| at the
+    # multiplier, so the reference value needs no X rebuilt at mu.
+    m = (m + m.conj().T) / 2.0
+    x = mepovm._solve_x(m, rho_a)
+    mu = _bisection_multiplier(m, rho_a)
+    optimum = float(np.sum(np.abs(np.linalg.eigvalsh(m - mu * rho_a))))
+    assert float(np.real(np.trace(x @ m))) == pytest.approx(optimum, abs=1e-10)
+    assert abs(float(np.real(np.trace(rho_a @ x)))) <= 1e-10
+    eig = np.linalg.eigvalsh((x + x.conj().T) / 2.0)
+    assert -1.0 - 1e-12 <= eig[0] and eig[-1] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("label,m,rho_a", [
+    case for case in _solve_x_cases() if case[0].startswith(("product", "classical-quantum"))])
+def test_solve_x_lands_on_kinks_directly(monkeypatch, label, m, rho_a):
+    # Product and classical-quantum marginals put the multiplier exactly on a
+    # breakpoint; the bisection over at most 7 breakpoints probes 3 of them.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    mepovm._solve_x(m, rho_a)
+    assert len(calls) <= 3
 
 
 def test_c2_returned_povm_achieves_value():
