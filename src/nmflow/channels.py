@@ -11,13 +11,16 @@ Choi matrices, and operator-basis transfer components.
 Conventions: subsystem order is (ancillas..., system); channels act on the
 last subsystem unless told otherwise. A qubit map is stored by its diagonal
 Pauli action lambda = (lx, ly, lz) plus an affine Bloch translation, so that
-rho = (1 + v.sigma)/2 maps to (1 + (diag(lambda) v + w).sigma)/2.
+rho = (1 + v.sigma)/2 maps to (1 + (diag(lambda) v + w).sigma)/2. Every map
+exposes its superoperator K[a, b, c, e] = Lambda(|c><e|)[a, b], and one kernel
+applies stacks of superoperators to stacks of states.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,8 +91,8 @@ class QuasiEternalZRate(RateSpec):
 class TabulatedRate(RateSpec):
     """Piecewise-linear interpolation of (t, gamma) samples, clamped outside.
 
-    Integrals run adaptive Simpson (abs tol 1e-10) on panels aligned with the
-    sample knots, where the quadrature is exact for the linear interpolant.
+    Integrals are the trapezoid sum over the knots inside [t1, t2] plus the
+    two ends, which is exact for the piecewise-linear interpolant.
     """
 
     samples: tuple[tuple[float, float], ...]
@@ -108,13 +111,9 @@ class TabulatedRate(RateSpec):
         return float(np.interp(t, self._ts, self._gs))
 
     def integral(self, t1: float, t2: float) -> float:
-        if t1 == t2:
-            return 0.0
-        knots = [t1] + [float(t) for t in self._ts if t1 < t < t2] + [t2]
-        total = 0.0
-        for a, b in zip(knots[:-1], knots[1:]):
-            total += adaptive_simpson(self.rate, a, b, tol=1e-10 / max(1, len(knots) - 1))
-        return total
+        inner = self._ts[(self._ts > t1) & (self._ts < t2)]
+        knots = np.concatenate(([t1], inner, [t2]))
+        return float(np.trapezoid(np.interp(knots, self._ts, self._gs), knots))
 
 
 @dataclass(frozen=True)
@@ -148,6 +147,13 @@ def as_rate_spec(obj) -> RateSpec:
 # Qubit maps: affine (Pauli-diagonal + translation) and Kraus
 # ---------------------------------------------------------------------------
 
+# Row (i, j) holds sigma_i[a, b] sigma_j[e, c] / 2 over (a, b, c, e), for the
+# entries R_00, R_10, R_20, R_30, R_11, R_22, R_33 that an affine qubit map's
+# Pauli transfer matrix R can have nonzero: K = sum over rows of R_ij * row.
+_PAULI_SUPEROP = 0.5 * np.einsum("iab,jec->ijabce", PAULIS, PAULIS).reshape(4, 4, 16)[
+    (0, 1, 2, 3, 1, 2, 3), (0, 0, 0, 0, 1, 2, 3)]
+
+
 @dataclass(frozen=True)
 class AffineQubitMap:
     """Trace-preserving qubit map with diagonal Pauli action and a Bloch shift.
@@ -164,16 +170,12 @@ class AffineQubitMap:
     def is_unital(self) -> bool:
         return all(w == 0.0 for w in self.translation)
 
-    def apply_operator(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (2, 2):
-            raise DimMismatchError(f"affine qubit map acts on 2x2 operators, got {x.shape}")
-        tr = np.trace(x)
-        out = 0.5 * tr * np.eye(2, dtype=complex)
-        for i in range(3):
-            sig = PAULIS[i + 1]
-            out += 0.5 * (tr * self.translation[i] + self.lambdas[i] * np.trace(x @ sig)) * sig
-        return out
+    @property
+    def superop(self) -> np.ndarray:
+        """K[a, b, c, e] = Lambda(|c><e|)[a, b], from the Pauli transfer matrix R
+        with R_00 = 1, R_i0 = translation_i and R_ii = lambdas_i."""
+        r = np.array((1.0, *self.translation, *self.lambdas))
+        return (r @ _PAULI_SUPEROP).reshape(2, 2, 2, 2)
 
     def compose(self, inner: "AffineQubitMap") -> "AffineQubitMap":
         """self after inner: linear parts multiply, translations compose."""
@@ -210,27 +212,29 @@ class KrausChannel:
         object.__setattr__(self, "kraus", ops)
 
     @property
-    def dim(self) -> int:
-        return self.kraus[0].shape[1]
-
-    def apply_operator(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        out = np.zeros_like(x)
-        for k in self.kraus:
-            out += k @ x @ k.conj().T
-        return out
+    def superop(self) -> np.ndarray:
+        """K[a, b, c, e] = Lambda(|c><e|)[a, b] = sum_k K_k[a, c] conj(K_k[b, e])."""
+        ops = np.array(self.kraus)
+        return np.einsum("kac,kbe->abce", ops, ops.conj())
 
 
-def elementary_tensor(qmap, d: int) -> np.ndarray:
-    """K[a, b, c, e] = Lambda(|c><e|)[a, b]: the map's action on matrix units."""
-    k = np.zeros((d, d, d, d), dtype=complex)
-    unit = np.zeros((d, d), dtype=complex)
-    for c in range(d):
-        for e in range(d):
-            unit[c, e] = 1.0
-            k[:, :, c, e] = qmap.apply_operator(unit)
-            unit[c, e] = 0.0
-    return k
+def _apply_superops(k: np.ndarray, states: np.ndarray, dims: tuple[int, ...],
+                    subsystem: int) -> np.ndarray:
+    """out[t, n] = (1 (x) ... (x) Lambda_t (x) ... (x) 1)(states[n]), with Lambda_t
+    given by the superoperator k[t] acting on subsystem `subsystem` of `dims`.
+
+    k has shape (T, d, d, d, d) with d = dims[subsystem], states (N, D, D); the
+    result has shape (T, N, D, D). Each state's (c, e) index pair moves to the
+    front, so the states form one (d^2, N pre^2 post^2) matrix that the
+    (T, d^2, d^2) stack multiplies.
+    """
+    d = dims[subsystem]
+    pre, post = prod(dims[:subsystem]), prod(dims[subsystem + 1:])
+    n, big = states.shape[0], states.shape[-1]
+    cols = states.reshape(n, pre, d, post, pre, d, post).transpose(2, 5, 0, 1, 3, 4, 6)
+    out = k.reshape(-1, d * d, d * d) @ cols.reshape(d * d, -1)
+    out = out.reshape(-1, d, d, n, pre, post, pre, post)
+    return out.transpose(0, 3, 4, 1, 5, 6, 2, 7).reshape(-1, n, big, big)
 
 
 def apply_map(qmap, rho, dims: Sequence[int] | None = None, subsystem: int | None = None):
@@ -253,23 +257,19 @@ def apply_map(qmap, rho, dims: Sequence[int] | None = None, subsystem: int | Non
         subsystem = n - 1
     if subsystem < 0 or subsystem >= n:
         raise DimMismatchError(f"subsystem {subsystem} out of range")
-    d = dims[subsystem]
-    pre = int(np.prod(dims[:subsystem], dtype=int)) if subsystem else 1
-    post = int(np.prod(dims[subsystem + 1:], dtype=int)) if subsystem < n - 1 else 1
-    k = elementary_tensor(qmap, d)
-    t = m.reshape(pre, d, post, pre, d, post)
-    out = np.einsum("abce,icjkel->iajkbl", k, t, optimize=True)
-    return out.reshape(m.shape)
+    k = qmap.superop
+    if k.shape[0] != dims[subsystem]:
+        raise DimMismatchError(f"map acts on dimension {k.shape[0]}, subsystem {subsystem} "
+                               f"has dimension {dims[subsystem]}")
+    return _apply_superops(k[None], m[None], dims, subsystem)[0, 0]
 
 
 def choi(qmap, dim: int) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) Lambda(|i><j|); identity map gives dim * phi+."""
-    k = elementary_tensor(qmap, dim)
-    c = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            c[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = k[:, :, i, j]
-    return c
+    k = qmap.superop
+    if k.shape[0] != dim:
+        raise DimMismatchError(f"map acts on dimension {k.shape[0]}, not {dim}")
+    return k.transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim)
 
 
 def transfer(qmap, basis: qmat.OperatorBasis) -> np.ndarray:
@@ -328,23 +328,23 @@ class RateChannel:
     def rates(self, t: float) -> tuple[float, float, float]:
         return tuple(s.rate(t) for s in self.specs)
 
-    def pair_integral(self, i: int, j: int, t1: float, t2: float) -> float:
-        return self.specs[i].integral(t1, t2) + self.specs[j].integral(t1, t2)
+    def _factors(self, t1: float, t2: float) -> tuple[float, float, float]:
+        """(A_yz, A_zx, A_xy) over [t1, t2], A_jk = exp(-2 int (gamma_j + gamma_k)),
+        from the three per-axis integrals, each computed once."""
+        ix, iy, iz = (spec.integral(t1, t2) for spec in self.specs)
+        return (float(np.exp(-2.0 * (iy + iz))), float(np.exp(-2.0 * (iz + ix))),
+                float(np.exp(-2.0 * (ix + iy))))
 
     def a(self, i, j, t: float) -> float:
         """A_ij(t) = exp(-2 int_0^t (gamma_i + gamma_j)), i != j."""
         ii, jj = _axis(i), _axis(j)
         if ii == jj:
             raise BadAxisError("A_ij requires two distinct axes")
-        return float(np.exp(-2.0 * self.pair_integral(ii, jj, 0.0, t)))
+        return self.contractions(t)[3 - ii - jj]
 
     def contractions(self, t: float) -> tuple[float, float, float]:
         """Pauli contraction factors of the dynamical map: (A_yz, A_zx, A_xy)."""
-        return (
-            float(np.exp(-2.0 * self.pair_integral(1, 2, 0.0, t))),
-            float(np.exp(-2.0 * self.pair_integral(2, 0, 0.0, t))),
-            float(np.exp(-2.0 * self.pair_integral(0, 1, 0.0, t))),
-        )
+        return self._factors(0.0, t)
 
     def lambdas(self, t: float) -> tuple[float, float, float]:
         """(lambda_x, lambda_y, lambda_z) with lambda_i = sqrt(A_jk), cyclic."""
@@ -357,36 +357,26 @@ class RateChannel:
         """V_{s,t} with Lambda_s = V_{s,t} Lambda_t; requires 0 <= t <= s."""
         if not (0.0 <= t <= s):
             raise BadIntervalError(f"need 0 <= t <= s, got t={t}, s={s}")
-        return AffineQubitMap((
-            float(np.exp(-2.0 * self.pair_integral(1, 2, t, s))),
-            float(np.exp(-2.0 * self.pair_integral(2, 0, t, s))),
-            float(np.exp(-2.0 * self.pair_integral(0, 1, t, s))),
-        ))
-
-    def _a_triple(self, t: float) -> tuple[float, float, float]:
-        axy = float(np.exp(-2.0 * self.pair_integral(0, 1, 0.0, t)))
-        axz = float(np.exp(-2.0 * self.pair_integral(0, 2, 0.0, t)))
-        ayz = float(np.exp(-2.0 * self.pair_integral(1, 2, 0.0, t)))
-        return axy, axz, ayz
+        return AffineQubitMap(self._factors(t, s))
 
     def probs(self, t: float) -> tuple[float, float, float, float]:
         """Mixing weights (p_0, p_x, p_y, p_z) of the random-unitary form."""
-        axy, axz, ayz = self._a_triple(t)
-        p = (0.25 * (1 + axy + axz + ayz), 0.25 * (1 - axy - axz + ayz),
-             0.25 * (1 - axy + axz - ayz), 0.25 * (1 + axy - axz - ayz))
+        ayz, azx, axy = self.contractions(t)
+        p = (0.25 * (1 + axy + azx + ayz), 0.25 * (1 - axy - azx + ayz),
+             0.25 * (1 - axy + azx - ayz), 0.25 * (1 + axy - azx - ayz))
         if min(p) < -PROB_SLACK:
             raise UnphysicalError(f"p_k(t={t}) = {p}: channel not CPTP here")
         return p
 
     def probs_derivative(self, t: float) -> tuple[float, float, float, float]:
         """d/dt of (p_0, p_x, p_y, p_z) via dA_ij/dt = -2(gamma_i+gamma_j) A_ij."""
-        axy, axz, ayz = self._a_triple(t)
+        ayz, azx, axy = self.contractions(t)
         gx, gy, gz = self.rates(t)
         daxy = -2.0 * (gx + gy) * axy
-        daxz = -2.0 * (gx + gz) * axz
+        dazx = -2.0 * (gx + gz) * azx
         dayz = -2.0 * (gy + gz) * ayz
-        return (0.25 * (daxy + daxz + dayz), 0.25 * (-daxy - daxz + dayz),
-                0.25 * (-daxy + daxz - dayz), 0.25 * (daxy - daxz - dayz))
+        return (0.25 * (daxy + dazx + dayz), 0.25 * (-daxy - dazx + dayz),
+                0.25 * (-daxy + dazx - dayz), 0.25 * (daxy - dazx - dayz))
 
 
 def quasi_eternal(alpha: float, t0: float) -> RateChannel:
@@ -546,14 +536,6 @@ class GadcChannel:
         return toward0, toward1
 
 
-def gadc_kraus(t: float) -> KrausChannel:
-    return GadcChannel().kraus(t)
-
-
-def gadc_rates(t: float) -> tuple[float, float]:
-    return GadcChannel().rates(t)
-
-
 # ---------------------------------------------------------------------------
 # JSON channel descriptions
 # ---------------------------------------------------------------------------
@@ -588,8 +570,3 @@ def channel_from_json(obj):
         raise ConfigParseError(f"bad parameters for channel family {family!r}: {exc}") from exc
     raise ConfigParseError(f"unknown channel family {family!r}")
 
-
-def evolve(channel, rho, dims: Sequence[int] | None = None, subsystem: int | None = None,
-           t: float = 0.0):
-    """State at time t under 1 (x) ... (x) Lambda_t acting on one subsystem."""
-    return apply_map(channel.as_affine(t), rho, dims, subsystem)

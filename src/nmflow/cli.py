@@ -46,11 +46,23 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigParseError(message)
 
 
-def _grid(cfg) -> np.ndarray:
-    if not (0 < cfg.step < np.inf and 0 < cfg.t_max < np.inf):  # also rejects NaN
-        raise ConfigParseError(f"need finite step > 0 and t_max > 0, got step={cfg.step}, "
-                               f"t_max={cfg.t_max}")
-    return np.arange(0.0, cfg.t_max + cfg.step / 2, cfg.step)
+def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    """np.arange(start, stop, step), rejecting numbers that give fewer than two points."""
+    if not (0 < step < np.inf and start + step < stop < np.inf):  # also rejects NaN
+        raise ConfigParseError(f"need a finite step > 0 and at least two grid points, "
+                               f"got start={start}, stop={stop}, step={step}")
+    return np.arange(start, stop, step)
+
+
+def _eps_list(text: str) -> list[float]:
+    try:
+        values = [float(e) for e in text.split(",")]
+    except ValueError as exc:
+        raise ConfigParseError(f"--eps must be comma-separated numbers: {exc}") from exc
+    bad = [e for e in values if not 0 < e <= 1]  # also rejects NaN
+    if bad:
+        raise ConfigParseError(f"--eps entries must lie in (0, 1], got {bad}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +84,7 @@ def run_physicality(cfg, out):
 
 def run_divisibility_scan(cfg, out):
     channel = channel_from_json(cfg.channel) if cfg.channel else quasi_eternal(cfg.alpha, cfg.t0)
-    grid = _grid(cfg)
+    grid = _grid(0.0, cfg.t_max + cfg.step / 2, cfg.step)
     rows = []
     for t in grid:
         t = float(t)
@@ -102,7 +114,7 @@ def run_eb_time(cfg, out):
     t_eb = witness.find_t_eb(channel, tol=cfg.tol, t_max=cfg.t_max)
     print(f"t_EB(alpha={cfg.alpha}, t0={cfg.t0}) = {t_eb:.4f}")
     phi = maximally_entangled(2)
-    grid = np.arange(0.0, t_eb + 0.5, max(cfg.step, 1e-3))
+    grid = _grid(0.0, t_eb + 0.5, max(cfg.step, 1e-3))
     traj = witness.Trajectory(phi, channel, (2, 2), grid)
     rows = [(float(t), correlations.negativity(traj.state_at(float(t)), (2, 2))) for t in grid]
     write_csv(out / "eb-time.csv", ["t", "value"], rows)
@@ -115,7 +127,7 @@ def run_eb_time(cfg, out):
 
 def run_mi_scan(cfg, out):
     channel = quasi_eternal(cfg.alpha, cfg.t0)
-    grid = _grid(cfg)
+    grid = _grid(0.0, cfg.t_max + cfg.step / 2, cfg.step)
     landmark = None
     if cfg.random:
         onset, state, onsets = witness.min_t_nm_scan(channel, cfg.random, grid, seed=cfg.seed)
@@ -156,8 +168,8 @@ def run_mi_scan(cfg, out):
 
 
 def run_gadc_scan(cfg, out):
-    eps_list = [float(e) for e in cfg.eps.split(",")]
-    grid = np.arange(0.10, 0.35 + 1e-12, cfg.step)
+    eps_list = _eps_list(cfg.eps)
+    grid = _grid(0.10, 0.35 + 1e-12, cfg.step)
     results = witness.gadc_epsilon_scan(eps_list, grid=grid)
     rows = []
     for res in results:
@@ -187,7 +199,7 @@ def run_gadc_scan(cfg, out):
 def run_probe_backflow(cfg, out):
     probe = mepovm.build_probe(cfg.alpha, cfg.t0, cfg.tau, cfg.p)
     t_max = cfg.t_max if cfg.t_max > cfg.tau else cfg.tau + 1.0
-    grid = np.arange(0.0, t_max + cfg.step / 2, cfg.step)
+    grid = _grid(0.0, t_max + cfg.step / 2, cfg.step)
     values = np.array([probe.closed_c2(float(t)) for t in grid])
     rows = []
     diffs = np.diff(values, prepend=values[0])

@@ -98,7 +98,10 @@ def physicality_threshold(alpha: float) -> float:
     offset t0 is CPTP for all times iff t0 >= T(alpha)."""
     if not 0 < alpha < np.inf:  # also rejects NaN
         raise UnphysicalError(f"alpha must be positive and finite, got {alpha}")
-    return 0.5 * float(np.log(2.0 ** (1.0 / alpha) - 1.0))
+    # log(2^(1/alpha) - 1) = x + log(1 - e^-x) with x = log(2)/alpha: no overflow
+    # for small alpha, no cancellation for large alpha.
+    x = np.log(2.0) / alpha
+    return 0.5 * float(x + np.log(-np.expm1(-x)))
 
 
 def cptp_conditions(ch: RateChannel, t: float) -> tuple[float, float, float]:

@@ -354,14 +354,15 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
     """
     m, d_a, d_b = _bipartite(rho, dims, cut)
     rho_a = partial_trace(m, (d_a, d_b), keep=0)
-    rank = int(np.sum(np.linalg.eigvalsh(rho_a) > 1e-12))
+    eig_a = np.linalg.eigvalsh(rho_a)
+    rank = int(np.sum(eig_a > 1e-12))
     if rank <= 1:
         # Pure marginal: rho_AB is a product, every ME-POVM steers identical
         # states and the measure vanishes.
         return C2Result(value=0.0, povm=construct_me_povm(rho_a),
                         x=np.zeros((d_a, d_a)), iterations=0, pure_marginal=True)
     rho4 = m.reshape(d_a, d_b, d_a, d_b)
-    rho_a_min = float(np.linalg.eigvalsh(rho_a)[0])
+    rho_a_min = float(eig_a[0])
 
     app_f = construct_me_povm(rho_a)
     starts = [app_f.effects[0] - app_f.effects[1]]

@@ -154,13 +154,6 @@ class DensityState:
         return DensityState(sub, tuple(self.dims[k] for k in keep))
 
 
-def pure_state(vec, dims: Sequence[int]) -> DensityState:
-    """|psi><psi| as a DensityState (vector is normalized first)."""
-    v = np.asarray(vec, dtype=complex).ravel()
-    v = v / np.linalg.norm(v)
-    return DensityState(np.outer(v, v.conj()), dims)
-
-
 def maximally_entangled(d: int) -> np.ndarray:
     """Projector onto (1/sqrt(d)) sum_i |ii> on a d x d bipartite space."""
     v = np.eye(d, dtype=complex).ravel() / np.sqrt(d)

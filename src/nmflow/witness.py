@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import correlations, qmat
-from .channels import GadcChannel, apply_map
+from .channels import GadcChannel, _apply_superops, apply_map
 from .errors import (
     BoundaryStateError,
     CrossingTooCloseError,
@@ -34,8 +34,6 @@ from .qmat import PAULIS, DensityState, maximally_entangled
 ONSET_MARGIN = 1e-10
 ONSET_REFINE_TOL = 1e-4
 EPS_MACHINE = float(np.finfo(float).eps)
-
-_PAULI_PROD = np.array([np.kron(PAULIS[i], PAULIS[j]) for i in range(4) for j in range(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +199,6 @@ def sample_pure(dims: Sequence[int], count: int, seed: int) -> list[DensityState
     return [DensityState(np.outer(v, v.conj()), dims) for v in vecs]
 
 
-def pauli_coords(states: np.ndarray) -> np.ndarray:
-    """Tr(rho sigma_i (x) sigma_j)/4 coordinates of stacked two-qubit states."""
-    return np.real(np.einsum("...ab,kba->...k", states, _PAULI_PROD)) / 4.0
-
-
-def pauli_states(coords: np.ndarray) -> np.ndarray:
-    return np.einsum("...k,kab->...ab", coords.astype(complex), _PAULI_PROD)
-
-
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
     x = np.clip(x, 0.0, 1.0)
     out = np.zeros_like(x)
@@ -219,36 +208,18 @@ def _binary_entropy(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _map_arrays(channel, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lam = np.empty((grid.size, 3))
-    w = np.empty((grid.size, 3))
-    for k, t in enumerate(grid):
-        qmap = channel.as_affine(float(t))
-        lam[k] = qmap.lambdas
-        w[k] = qmap.translation
-    return lam, w
+def _qubit_entropy(m: np.ndarray) -> np.ndarray:
+    # Entropy of stacked 2x2 density matrices from the Bloch length
+    # r = sqrt((rho00 - rho11)^2 + 4 |rho01|^2): eigenvalues (1 +- r)/2.
+    r = np.sqrt(np.real(m[..., 0, 0] - m[..., 1, 1]) ** 2 + 4.0 * np.abs(m[..., 0, 1]) ** 2)
+    return _binary_entropy((1.0 + r) / 2.0)
 
 
-def _evolve_coords(coords: np.ndarray, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # coords (N, 16) -> (T, N, 4, 4) with the channel acting on the second
-    # (system) Pauli index: a_{i,j} -> lam_j a_{i,j} + w_j a_{i,0}.
-    n = coords.shape[0]
-    c = coords.reshape(n, 4, 4)
-    t = lam.shape[0]
-    lfull = np.ones((t, 4))
-    lfull[:, 1:] = lam
-    wfull = np.zeros((t, 4))
-    wfull[:, 1:] = w
-    return c[None, :, :, :] * lfull[:, None, None, :] + wfull[:, None, None, :] * c[None, :, :, :1]
-
-
-def _mi_from_coords4(coords4: np.ndarray) -> np.ndarray:
-    # coords4 (..., 4, 4) -> mutual information (...,)
-    w_a = 4.0 * np.linalg.norm(coords4[..., 1:, 0], axis=-1)
-    w_s = 4.0 * np.linalg.norm(coords4[..., 0, 1:], axis=-1)
-    s_a = _binary_entropy((1.0 + w_a) / 2.0)
-    s_s = _binary_entropy((1.0 + w_s) / 2.0)
-    states = pauli_states(coords4.reshape(*coords4.shape[:-2], 16))
+def _two_qubit_mi(states: np.ndarray) -> np.ndarray:
+    # states (..., 4, 4) -> mutual information (...,)
+    r4 = states.reshape(*states.shape[:-2], 2, 2, 2, 2)
+    s_a = _qubit_entropy(r4[..., :, 0, :, 0] + r4[..., :, 1, :, 1])
+    s_s = _qubit_entropy(r4[..., 0, :, 0, :] + r4[..., 1, :, 1, :])
     vals = np.linalg.eigvalsh(states)
     safe = np.where(vals > 1e-14, vals, 1.0)
     s_joint = -np.sum(np.where(vals > 1e-14, vals * np.log(safe), 0.0), axis=-1)
@@ -261,14 +232,12 @@ def mi_series(channel, vectors: np.ndarray, grid: np.ndarray, chunk: int = 128,
     under 1 (x) Lambda_t; returns an array of shape (len(grid), n_states)."""
     grid = np.asarray(grid, dtype=float)
     states0 = np.einsum("na,nb->nab", vectors, vectors.conj())
-    coords = pauli_coords(states0)
-    lam, w = _map_arrays(channel, grid)
-    out = np.empty((grid.size, coords.shape[0]))
+    superops = np.stack([channel.as_affine(float(t)).superop for t in grid])
+    out = np.empty((grid.size, states0.shape[0]))
 
     def run(piece):
         lo, hi = piece
-        coords_t = _evolve_coords(coords, lam[lo:hi], w[lo:hi])
-        out[lo:hi] = _mi_from_coords4(coords_t)
+        out[lo:hi] = _two_qubit_mi(_apply_superops(superops[lo:hi], states0, (2, 2), 1))
 
     parallel_map(run, list(chunk_indices(grid.size, chunk)),
                  workers=workers if workers is not None else thread_count())

@@ -1,7 +1,9 @@
+from math import prod
+
 import numpy as np
 import pytest
 
-from helpers import random_density
+from helpers import apply_kraus, random_density, random_kraus
 from nmflow import channels, qmat
 from nmflow.channels import (
     AffineQubitMap,
@@ -27,7 +29,7 @@ from nmflow.errors import (
     UnphysicalError,
 )
 from nmflow.numutil import bisect_root
-from nmflow.qmat import SIGMA_X, SIGMA_Z
+from nmflow.qmat import SIGMA_X, SIGMA_Z, maximally_entangled
 
 
 def test_a_ij_initial_value():
@@ -128,7 +130,7 @@ def test_intermediate_identity_at_equal_times():
 def test_dephasing_intermediate_preserves_sigma_z():
     ch = dephasing(ConstantRate(0.9))
     v = ch.intermediate(0.4, 2.2)
-    np.testing.assert_allclose(v.apply_operator(SIGMA_Z), SIGMA_Z, atol=1e-14)
+    np.testing.assert_allclose(apply_map(v, SIGMA_Z, (2,)), SIGMA_Z, atol=1e-14)
     assert v.lambdas[2] == pytest.approx(1.0, abs=1e-14)
 
 
@@ -232,8 +234,8 @@ def test_gadc_kraus_matches_affine():
     rng = np.random.default_rng(13)
     for t in (0.1, 0.37, 1.1):
         rho = random_density(rng, 2)
-        via_kraus = gadc.kraus(t).apply_operator(rho)
-        via_affine = gadc.as_affine(t).apply_operator(rho)
+        via_kraus = apply_map(gadc.kraus(t), rho, (2,))
+        via_affine = apply_map(gadc.as_affine(t), rho, (2,))
         np.testing.assert_allclose(via_kraus, via_affine, atol=1e-12)
 
 
@@ -265,7 +267,7 @@ def test_gadc_generator_rk4_agrees_with_kraus():
         current = current + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t = (n + 1) * h
         if round(t, 10) in checkpoints:
-            target = gadc.kraus(t).apply_operator(rho)
+            target = apply_map(gadc.kraus(t), rho, (2,))
             dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(current - target)))
             assert dist < 1e-5
 
@@ -409,3 +411,53 @@ def test_apply_map_kraus_on_subsystem():
     out_a = apply_map(gadc.as_affine(t), rho, (2, 2), subsystem=1)
     np.testing.assert_allclose(out_k, out_a, atol=1e-12)
     assert np.trace(out_k) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_tabulated_rate_integral_is_exact():
+    # Knots (0, 1), (1, 3), (2, -1), (4, 0); the rate is clamped to 1 before
+    # t = 0 and to 0 after t = 4. Areas by hand: 1 on [-1, 0], 2 on [0, 1],
+    # 1 on [1, 2], -1 on [2, 4], 0 on [4, 5].
+    rate = TabulatedRate(((2.0, -1.0), (0.0, 1.0), (4.0, 0.0), (1.0, 3.0)))
+    assert rate.integral(-1.0, 5.0) == pytest.approx(3.0, abs=1e-14)
+    # g(0.5) = 2 and g(3) = -0.5: 1.25 + 1 - 0.75 across three knots.
+    assert rate.integral(0.5, 3.0) == pytest.approx(1.5, abs=1e-14)
+    assert rate.integral(1.25, 1.75) == pytest.approx(0.5, abs=1e-14)  # g = 2 -> 0
+    assert rate.integral(-3.0, -1.0) == pytest.approx(2.0, abs=1e-14)
+    assert rate.integral(2.5, 2.5) == 0.0
+
+
+def _embedded(kraus, dims, subsystem):
+    pre = np.eye(prod(dims[:subsystem]))
+    post = np.eye(prod(dims[subsystem + 1:]))
+    return [np.kron(np.kron(pre, k), post) for k in kraus]
+
+
+@pytest.mark.parametrize("dims, subsystem", [
+    ((2, 2), 0), ((2, 2), 1), ((3, 2), 1), ((2, 6), 1), ((2, 2, 2), 1),
+])
+def test_superop_kernel_matches_dense_kraus_sum(dims, subsystem):
+    # Reference: the Kraus sum on the full space with each Kraus operator
+    # embedded by np.kron. Affine maps (with a translation) are checked
+    # through the GADC, whose Kraus operators are known.
+    rng = np.random.default_rng(17)
+    d = dims[subsystem]
+    maps = []
+    for _ in range(3):
+        ops = random_kraus(rng, d)
+        maps.append((KrausChannel(ops), ops))
+    if d == 2:
+        gadc = GadcChannel()
+        maps += [(gadc.as_affine(t), gadc.kraus(t).kraus) for t in (0.1, 0.37, 1.1)]
+    states = np.stack([random_density(rng, prod(dims)) for _ in range(4)])
+    batched = channels._apply_superops(np.stack([m.superop for m, _ in maps]), states,
+                                       dims, subsystem)
+    assert batched.shape == (len(maps),) + states.shape
+    for i, (qmap, ops) in enumerate(maps):
+        big = _embedded(ops, dims, subsystem)
+        for n, rho in enumerate(states):
+            single = apply_map(qmap, rho, dims, subsystem)
+            np.testing.assert_allclose(single, apply_kraus(big, rho), atol=1e-13)
+            np.testing.assert_allclose(batched[i, n], single, rtol=0, atol=1e-15)
+        phi = maximally_entangled(d)
+        np.testing.assert_allclose(choi(qmap, d),
+                                   d * apply_kraus(_embedded(ops, (d, d), 1), phi), atol=1e-13)

@@ -18,6 +18,9 @@ def test_physicality_cli(tmp_path):
     summary = read_summary(tmp_path, "physicality")
     assert summary["landmark"]["pass"] is True
     assert summary["threshold"] == pytest.approx(0.7686, abs=1e-3)
+    # 2^(1/alpha) overflows a double here; the threshold itself does not.
+    assert main(["physicality", "--alpha", "0.0005", "--out", str(tmp_path)]) == 0
+    assert read_summary(tmp_path, "physicality")["threshold"] == pytest.approx(693.147, abs=1e-3)
 
 
 def test_povm_bound_cli(tmp_path):
@@ -112,6 +115,15 @@ def test_cli_error_exit_codes(tmp_path):
     ["physicality", "--alpha", "-1"],
     ["physicality", "--alpha", "nan"],
     ["mi-scan", "--t-max", "nan"],
+    ["mi-scan", "--t-max", "1e-9"],
+    ["gadc-scan", "--step", "nan"],
+    ["eb-time", "--step", "nan"],
+    ["probe-backflow", "--step", "nan"],
+    ["probe-backflow", "--step", "0"],
+    ["gadc-scan", "--eps", "1e-3,abc"],
+    ["gadc-scan", "--eps", "nan"],
+    ["gadc-scan", "--eps", "0"],
+    ["gadc-scan", "--eps", "2"],
 ])
 def test_cli_rejects_bad_numbers(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 1

@@ -92,6 +92,17 @@ def test_physicality_threshold_values():
     assert cptp_conditions(ch, 40.0)[0] >= -1e-9
     with pytest.raises(ValueError):
         physicality_threshold(0.0)
+    # The log-space form keeps the direct closed form at alpha = 0.4.
+    assert physicality_threshold(0.4) == pytest.approx(0.5 * np.log(2.0 ** 2.5 - 1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 5e-4, 0.4, 10.0])
+def test_physicality_threshold_against_mpmath(alpha):
+    # 2^(1/alpha) overflows a double for alpha below ~1/1024.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = float(mpmath.log(mpmath.power(2, 1 / mpmath.mpf(alpha)) - 1) / 2)
+    assert physicality_threshold(alpha) == pytest.approx(exact, rel=1e-14, abs=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import random_density, random_hermitian
 from nmflow import correlations, qmat, witness
-from nmflow.channels import ConstantRate, RateChannel, quasi_eternal
+from nmflow.channels import ConstantRate, GadcChannel, RateChannel, quasi_eternal
 from nmflow.correlations import mutual_information, negativity, trace_distance
 from nmflow.errors import (
     BoundaryStateError,
@@ -169,13 +169,27 @@ def test_mi_series_matches_generic_application():
                 assert series[k] == pytest.approx(direct, abs=1e-11)
 
 
-def test_pauli_coords_round_trip():
-    from helpers import random_density
-    rng = np.random.default_rng(61)
-    states = np.stack([random_density(rng, 4) for _ in range(10)])
-    coords = witness.pauli_coords(states)
-    back = witness.pauli_states(coords)
-    np.testing.assert_allclose(back, states, atol=1e-14)
+def test_mi_series_independent_of_workers_and_chunks():
+    vectors = witness.sample_pure_vectors((2, 2), 60, seed=5)
+    grid = np.arange(0.0, 3.0, 0.01)
+    for channel in (quasi_eternal(0.4, 1.0), GadcChannel()):
+        ref = witness.mi_series(channel, vectors, grid, workers=1)
+        for workers in (1, 2):
+            for chunk in (1, 7, 128):
+                got = witness.mi_series(channel, vectors, grid, chunk=chunk, workers=workers)
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+
+
+def test_min_t_nm_scan_independent_of_thread_count(monkeypatch):
+    grid = np.arange(0.0, 3.0 + 1e-12, 0.01)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NMFLOW_THREADS", threads)
+        runs.append(witness.min_t_nm_scan(quasi_eternal(0.4, 1.0), 80, grid, seed=6))
+    (onset1, vec1, onsets1), (onset2, vec2, onsets2) = runs
+    np.testing.assert_array_equal(onsets1, onsets2)
+    assert onset1 == onset2
+    np.testing.assert_array_equal(vec1, vec2)
 
 
 def test_trajectory_grid_validation():
