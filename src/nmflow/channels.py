@@ -167,10 +167,6 @@ class AffineQubitMap:
     translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     @property
-    def is_unital(self) -> bool:
-        return all(w == 0.0 for w in self.translation)
-
-    @property
     def superop(self) -> np.ndarray:
         """K[a, b, c, e] = Lambda(|c><e|)[a, b], from the Pauli transfer matrix R
         with R_00 = 1, R_i0 = translation_i and R_ii = lambdas_i."""
@@ -382,10 +378,10 @@ class RateChannel:
 def quasi_eternal(alpha: float, t0: float) -> RateChannel:
     """Rates (alpha/2) * (1, 1, -tanh(t - t0)): CP-divisible until t0, P-divisible
     but not CP-divisible afterwards (when physical)."""
-    if alpha <= 0:
-        raise ConfigParseError("quasi_eternal needs alpha > 0")
-    if t0 < 0:
-        raise ConfigParseError("quasi_eternal needs t0 >= 0")
+    if not 0 < alpha < np.inf:  # also rejects NaN
+        raise ConfigParseError(f"quasi_eternal needs 0 < alpha < inf, got {alpha}")
+    if not 0 <= t0 < np.inf:
+        raise ConfigParseError(f"quasi_eternal needs 0 <= t0 < inf, got {t0}")
     half = ConstantRate(0.5 * alpha)
     return RateChannel(half, half, QuasiEternalZRate(alpha, t0))
 

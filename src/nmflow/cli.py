@@ -129,6 +129,8 @@ def run_mi_scan(cfg, out):
     channel = quasi_eternal(cfg.alpha, cfg.t0)
     grid = _grid(0.0, cfg.t_max + cfg.step / 2, cfg.step)
     landmark = None
+    if cfg.random < 0:
+        raise ConfigParseError(f"--random must be >= 0, got {cfg.random}")
     if cfg.random:
         onset, state, onsets = witness.min_t_nm_scan(channel, cfg.random, grid, seed=cfg.seed)
         detected = int(np.sum(~np.isnan(onsets)))
@@ -226,6 +228,8 @@ def run_probe_backflow(cfg, out):
 
 
 def run_hessian_check(cfg, out):
+    if cfg.draws < 1:
+        raise ConfigParseError(f"--draws must be >= 1, got {cfg.draws}")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = 0.0

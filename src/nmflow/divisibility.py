@@ -1,7 +1,7 @@
 """CP/P classification of qubit maps and divisibility criteria.
 
-Complete positivity via the minimum Choi eigenvalue, positivity of affine
-qubit maps via a Bloch-sphere search, the CPTP combinations
+Complete positivity via the minimum Choi eigenvalue, exact positivity of
+affine qubit maps via the trust-region secular equation, the CPTP combinations
 B_ijk = 1 + A_ij - A_jk - A_ki for rate channels, the physicality threshold
 T(alpha) = (1/2) log(2^(1/alpha) - 1) of the quasi-eternal family, the
 trace-norm witness g(t), and a scan classifier that splits single-parameter
@@ -15,16 +15,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import AffineQubitMap, RateChannel, apply_map, choi
 from .errors import BadIntervalError, UnphysicalError
-from .numutil import bisect_root, fibonacci_sphere
+from .numutil import bisect_root
 from .qmat import maximally_entangled
 
 CP_TOL = 1e-9
 P_TOL = 1e-9
-P_GRID_POINTS = 4096
+P_MAX_STEPS = 60
 
 
 class DivisibilityLabel(str, Enum):
@@ -59,38 +58,50 @@ def is_cp(qmap, dim: int, tol: float = CP_TOL) -> tuple[bool, float]:
     return m >= -tol, m
 
 
-def _bloch_image_norm(qmap: AffineQubitMap, n: np.ndarray) -> np.ndarray:
-    lam = np.asarray(qmap.lambdas)
-    w = np.asarray(qmap.translation)
-    return np.linalg.norm(n * lam + w, axis=-1)
-
-
 def is_p_qubit(qmap: AffineQubitMap, tol: float = P_TOL) -> bool:
-    """Positivity of an affine qubit map.
-
-    Unital diagonal maps are positive iff max |lambda_i| <= 1. Otherwise the
-    minimum output eigenvalue (1 - ||diag(lambda) n + w||)/2 is minimized over
-    pure-state Bloch vectors n on a 4096-point Fibonacci grid and polished by
-    Nelder-Mead; the map is positive when that minimum stays above -tol.
+    """Positivity of an affine qubit map: the minimum output eigenvalue
+    (1 - sqrt(h*))/2 stays above -tol, where h* = max over unit n of
+    ||diag(lambda) n + w||^2 is found exactly as a trust-region step
+    (More & Sorensen 1983). With d = lambda^2, b = |lambda w| and
+    gap = max d - d, h(s) = |w|^2 + max d + s + sum b^2 / (s + gap) >= h* for
+    s >= 0, with equality at s = 0 in the hard case (b = 0 where gap = 0 and
+    sum b^2 / gap^2 <= 1, every unital map included) and otherwise at the root
+    of the secular equation sum b^2 / (s + gap)^2 = 1.
     """
-    if qmap.is_unital:
-        return max(abs(l) for l in qmap.lambdas) <= 1.0 + 2.0 * tol
-    grid = fibonacci_sphere(P_GRID_POINTS)
-    norms = _bloch_image_norm(qmap, grid)
-    n0 = grid[int(np.argmax(norms))]
-    theta0 = np.arccos(np.clip(n0[2], -1.0, 1.0))
-    phi0 = np.arctan2(n0[1], n0[0])
+    lam = np.asarray(qmap.lambdas, dtype=float)
+    w = np.asarray(qmap.translation, dtype=float)
+    d = lam * lam
+    b = np.abs(lam * w)
+    keep = b > 0.0  # axes with b_i = 0 drop out of h(s) and the secular equation
+    b, gap = b[keep], d.max() - d[keep]
+    s = 0.0
+    if np.any(gap == 0.0) or np.sum((b / gap) ** 2) > 1.0:
+        s = _secular_root(b, gap)
+    h = float(w @ w + d.max() + s + np.sum(b * b / (s + gap)))
+    return 0.5 * (1.0 - np.sqrt(h)) >= -tol
 
-    def neg_norm(ang):
-        th, ph = ang
-        n = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-        return -_bloch_image_norm(qmap, n)
 
-    res = minimize(neg_norm, x0=[theta0, phi0], method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
-    worst = max(float(np.max(norms)), float(-res.fun))
-    min_eig = 0.5 * (1.0 - worst)
-    return min_eig >= -tol
+def _secular_root(b: np.ndarray, gap: np.ndarray) -> float:
+    """Root of phi(s) = sum (b / (s + gap))^2 = 1, where phi falls from >= 1 at
+    max(0, max(b - gap)) to <= 1 at |b|. Newton steps on the concave, increasing
+    1/sqrt(phi) - 1 climb from the lower end without overshooting; a step that
+    rounding pushes out of the shrinking bracket is replaced by bisection.
+    """
+    lo, hi = max(0.0, float(np.max(b - gap))), float(np.sqrt(b @ b))
+    s = lo
+    for _ in range(P_MAX_STEPS):
+        q = b / (s + gap)
+        phi = float(q @ q)
+        psi = 1.0 / np.sqrt(phi) - 1.0
+        if psi == 0.0:
+            break
+        lo, hi = (s, hi) if psi < 0.0 else (lo, s)
+        step = s - psi * phi ** 1.5 / float(np.sum(q * q / (s + gap)))
+        s_next = step if lo < step < hi else 0.5 * (lo + hi)
+        if s_next == s:
+            break
+        s = s_next
+    return s
 
 
 def physicality_threshold(alpha: float) -> float:

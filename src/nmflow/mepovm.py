@@ -224,10 +224,10 @@ def _newton_multiplier(m: np.ndarray, rho_a: np.ndarray, lo: float, hi: float,
     return best
 
 
-def _pencil_multiplier(m: np.ndarray, rho_a: np.ndarray,
+def _pencil_multiplier(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray,
                        scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of m - mu rho_a at the exact multiplier, for
-    positive-definite rho_a.
+    positive-definite rho_a with inverse Cholesky factor l_inv.
 
     g(mu) = Tr rho_a sign(m - mu rho_a) falls from +1 to -1 and jumps only
     at the generalized eigenvalues nu of the pencil (m, rho_a). By Sylvester's
@@ -237,7 +237,6 @@ def _pencil_multiplier(m: np.ndarray, rho_a: np.ndarray,
     breakpoint whose jump straddles zero, where mu = nu exactly, or the
     smooth segment between two breakpoints that holds the root.
     """
-    l_inv = np.linalg.inv(np.linalg.cholesky(rho_a))
     nus = np.linalg.eigvalsh(l_inv @ m @ l_inv.conj().T).tolist()
     tol = BREAKPOINT_TOL * (scale + max(-nus[0], nus[-1]))
     starts = [0] + [i for i in range(1, len(nus)) if nus[i] - nus[i - 1] > tol]
@@ -261,20 +260,30 @@ def _pencil_multiplier(m: np.ndarray, rho_a: np.ndarray,
     return _newton_multiplier(m, rho_a, nu_lo, nu_hi, g_lo, g_hi, scale)
 
 
-def _solve_x(m: np.ndarray, rho_a: np.ndarray, rho_a_min: float | None = None) -> np.ndarray:
+def _whitening(rho_a: np.ndarray, rho_a_min: float) -> np.ndarray | None:
+    """Inverse Cholesky factor of rho_a, or None when rho_a is singular
+    (smallest eigenvalue rho_a_min at most 1e-12)."""
+    return np.linalg.inv(np.linalg.cholesky(rho_a)) if rho_a_min > 1e-12 else None
+
+
+_WHITEN_HERE = object()
+
+
+def _solve_x(m: np.ndarray, rho_a: np.ndarray, l_inv=_WHITEN_HERE) -> np.ndarray:
     """Maximize Tr(X m) over Hermitian -1 <= X <= 1 with Tr(rho_a X) = 0.
 
     The optimum is X = sign(m - mu rho_a) for the multiplier mu that zeroes
     Tr(rho_a X); where g(mu) = Tr rho_a sign(m - mu rho_a) jumps across zero,
     the weight on the kernel eigenvectors is chosen fractionally to meet the
-    constraint exactly.
+    constraint exactly. l_inv is `_whitening(rho_a, min eigenvalue)`; c2_A
+    computes it once per run, and by default it is computed here.
     """
     m = (m + m.conj().T) / 2.0
     scale = float(np.max(np.abs(np.linalg.eigvalsh(m)))) + 1.0  # ||m||_2 + 1
-    if rho_a_min is None:
-        rho_a_min = float(np.linalg.eigvalsh(rho_a)[0])
-    if rho_a_min > 1e-12:
-        vals, vecs = _pencil_multiplier(m, rho_a, scale)
+    if l_inv is _WHITEN_HERE:
+        l_inv = _whitening(rho_a, float(np.linalg.eigvalsh(rho_a)[0]))
+    if l_inv is not None:
+        vals, vecs = _pencil_multiplier(m, rho_a, l_inv, scale)
     else:
         lo, hi = -scale, scale
         g_lo, g_hi = _sign_trace(m, rho_a, lo), _sign_trace(m, rho_a, hi)
@@ -313,7 +322,7 @@ def _solve_x(m: np.ndarray, rho_a: np.ndarray, rho_a_min: float | None = None) -
 
 
 def _seesaw_once(rho4: np.ndarray, rho_a: np.ndarray, x0: np.ndarray,
-                 rho_a_min: float) -> tuple[float, np.ndarray, int]:
+                 l_inv: np.ndarray | None) -> tuple[float, np.ndarray, int]:
     x = x0
     value = -np.inf
     for it in range(1, SEESAW_MAX_ITER + 1):
@@ -326,7 +335,7 @@ def _seesaw_once(rho4: np.ndarray, rho_a: np.ndarray, x0: np.ndarray,
             return value, x, it
         value = new_value
         y = (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
-        x = _solve_x(_back_operator(rho4, y), rho_a, rho_a_min)
+        x = _solve_x(_back_operator(rho4, y), rho_a, l_inv)
     return value, x, SEESAW_MAX_ITER
 
 
@@ -362,7 +371,7 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
         return C2Result(value=0.0, povm=construct_me_povm(rho_a),
                         x=np.zeros((d_a, d_a)), iterations=0, pure_marginal=True)
     rho4 = m.reshape(d_a, d_b, d_a, d_b)
-    rho_a_min = float(eig_a[0])
+    l_inv = _whitening(rho_a, float(eig_a[0]))
 
     app_f = construct_me_povm(rho_a)
     starts = [app_f.effects[0] - app_f.effects[1]]
@@ -373,16 +382,16 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
         delta0 = (delta0 + delta0.conj().T) / 2.0
         vals0, vecs0 = np.linalg.eigh(delta0)
         y0 = (vecs0 * np.where(vals0 >= 0.0, 1.0, -1.0)) @ vecs0.conj().T
-        starts.append(_solve_x(_back_operator(rho4, y0), rho_a, rho_a_min))
+        starts.append(_solve_x(_back_operator(rho4, y0), rho_a, l_inv))
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
         h = rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))
         h = (h + h.conj().T) / 2.0
         vals, vecs = np.linalg.eigh(h)
         y = (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
-        starts.append(_solve_x(_back_operator(rho4, y), rho_a, rho_a_min))
+        starts.append(_solve_x(_back_operator(rho4, y), rho_a, l_inv))
 
-    runs = parallel_map(lambda x: _seesaw_once(rho4, rho_a, x, rho_a_min), starts,
+    runs = parallel_map(lambda x: _seesaw_once(rho4, rho_a, x, l_inv), starts,
                         workers=workers)
     best_value, best_x, best_it = -np.inf, None, 0
     for value, x, it in runs:

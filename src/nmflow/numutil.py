@@ -1,5 +1,5 @@
-"""Small numeric helpers: bisection, adaptive Simpson quadrature, sphere grids,
-and a thread-pool map with deterministic merge order."""
+"""Small numeric helpers: bisection, adaptive Simpson quadrature, and a
+thread-pool map with deterministic merge order."""
 
 from __future__ import annotations
 
@@ -7,15 +7,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 
 def bisect_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10,
                 max_iter: int = 200) -> float:
     """Locate a sign change of f in [a, b] by bisection.
 
     Requires f(a) and f(b) to have opposite signs (zero endpoints are returned
-    directly). Returns the midpoint of the final bracket of width <= tol.
+    directly). Returns the midpoint of the final bracket of width <= tol, or
+    of two adjacent floats when tol is below their spacing.
     """
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -25,9 +24,9 @@ def bisect_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e
     if fa * fb > 0:
         raise ValueError(f"root not bracketed on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
     for _ in range(max_iter):
-        if b - a <= tol:
-            break
         m = 0.5 * (a + b)
+        if b - a <= tol or not a < m < b:
+            break
         fm = f(m)
         if fm == 0.0:
             return m
@@ -36,22 +35,6 @@ def bisect_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
-
-
-def bracket_roots(f: Callable[[float], float], a: float, b: float, step: float) -> list[tuple[float, float]]:
-    """Scan [a, b] with the given step and return all sign-change brackets."""
-    brackets = []
-    t0 = a
-    f0 = f(t0)
-    while t0 < b:
-        t1 = min(t0 + step, b)
-        f1 = f(t1)
-        if f0 == 0.0:
-            brackets.append((t0, t0))
-        elif f0 * f1 < 0:
-            brackets.append((t0, t1))
-        t0, f0 = t1, f1
-    return brackets
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -80,15 +63,6 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     fm = f(m)
     whole = _simpson(fa, fm, fb, b - a)
     return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n approximately uniform unit vectors on the 2-sphere (Fibonacci lattice)."""
-    i = np.arange(n, dtype=float) + 0.5
-    phi = np.pi * (3.0 - np.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * i / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
 def thread_count() -> int:

@@ -23,17 +23,24 @@ from . import correlations, qmat
 from .channels import GadcChannel, _apply_superops, apply_map
 from .errors import (
     BoundaryStateError,
+    ConfigParseError,
     CrossingTooCloseError,
     NeverBreakingError,
     PrecisionLossWarning,
     ZeroVectorError,
 )
-from .numutil import chunk_indices, parallel_map, thread_count
+from .numutil import bisect_root, chunk_indices, parallel_map, thread_count
 from .qmat import PAULIS, DensityState, maximally_entangled
 
 ONSET_MARGIN = 1e-10
 ONSET_REFINE_TOL = 1e-4
 EPS_MACHINE = float(np.finfo(float).eps)
+
+
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not 0 < value < np.inf:  # also rejects NaN
+            raise ConfigParseError(f"{name} must be positive and finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +119,7 @@ def scan_backflow(measure: Callable, traj: Trajectory, margin: float = ONSET_MAR
     bisection on the local (central-difference) time derivative to refine_tol.
     Empty report on CP-divisible dynamics.
     """
+    _check_positive(refine_tol=refine_tol)
     series = traj.measure_series(measure)
     raw, max_deriv = _increase_intervals(traj.grid, series, margin)
     onsets = []
@@ -139,6 +147,8 @@ def _refine_onset(measure: Callable, traj: Trajectory, idx: int, tol: float) -> 
         return float(grid[idx])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the bracket is down to adjacent floats
         if deriv(mid) > 0:
             hi = mid
         else:
@@ -153,6 +163,7 @@ def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0, coarse: float = 0
     Coarse scan followed by bisection to tol; raises NeverBreakingError when
     the negativity stays positive up to t_max.
     """
+    _check_positive(tol=tol, coarse=coarse, t_max=t_max)
     phi = maximally_entangled(2)
 
     def neg(t: float) -> float:
@@ -166,14 +177,7 @@ def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0, coarse: float = 0
         if n_t <= floor:
             if n_prev <= floor:
                 return t_prev  # already separable at the previous point
-            lo, hi = t_prev, t
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if neg(mid) > floor:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
+            return bisect_root(lambda s: neg(s) - floor, t_prev, t, tol=tol)
         t_prev, n_prev = t, n_t
         t += coarse
     raise NeverBreakingError(f"negativity still {n_prev:.3e} at t = {t_max}")
@@ -271,6 +275,7 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0,
     threshold would systematically delay their detected onsets, while 1e-12
     still sits three decades above the arithmetic noise of the scan.
     """
+    _check_positive(refine_tol=refine_tol)
     grid = np.asarray(grid, dtype=float)
     vectors = sample_pure_vectors((2, 2), count, seed)
     series = mi_series(channel, vectors, grid, workers=workers)

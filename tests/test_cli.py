@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmflow
 from nmflow.cli import main
 
 
@@ -124,10 +129,35 @@ def test_cli_error_exit_codes(tmp_path):
     ["gadc-scan", "--eps", "nan"],
     ["gadc-scan", "--eps", "0"],
     ["gadc-scan", "--eps", "2"],
+    ["eb-time", "--tol", "0"],
+    ["eb-time", "--tol", "-1e-3"],
+    ["eb-time", "--tol", "nan"],
+    ["eb-time", "--tol", "inf"],
+    ["eb-time", "--alpha", "0.2", "--t0", "0.5", "--t-max", "inf"],
+    ["eb-time", "--alpha", "nan"],
+    ["mi-scan", "--alpha", "nan"],
+    ["mi-scan", "--alpha", "inf"],
+    ["mi-scan", "--t0", "nan"],
+    ["mi-scan", "--t0", "inf"],
+    ["divisibility-scan", "--alpha", "nan"],
+    ["mi-scan", "--random", "-5"],
+    ["hessian-check", "--draws", "0"],
+    ["hessian-check", "--draws", "-1", "--check"],
 ])
 def test_cli_rejects_bad_numbers(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_imports_no_scipy():
+    # nmflow needs numpy only; scipy.optimize alone used to dominate the
+    # start-up time and memory of every CLI run.
+    code = ("import sys, nmflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(nmflow.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_check_failure_exits_2(tmp_path):

@@ -65,16 +65,37 @@ def test_is_p_affine_map():
     assert not is_p_qubit(bad)
 
 
+# Hard-case and degenerate maps for the sampling oracle: w orthogonal to the
+# top axis (hard case, positive and not, and one that still needs the
+# secular equation), degenerate lambdas, w = 0, |lambda| > 1 with w != 0, and
+# a near-hard case whose top-axis shift is 1e-9.
+_EXTRA_AFFINE_MAPS = [
+    ((0.9, 0.5, 0.3), (0.0, 0.3, 0.2)),
+    ((0.5, -0.95, 0.3), (0.4, 0.0, 0.3)),
+    ((0.9, 0.85, 0.1), (0.0, 0.3, 0.0)),
+    ((0.8, 0.8, 0.3), (0.1, 0.1, 0.2)),
+    ((0.7, -0.7, 0.7), (0.2, 0.0, 0.3)),
+    ((0.6, 0.6, 0.6), (0.0, 0.0, 0.3)),
+    ((0.6, 0.6, 0.6), (0.0, 0.0, 0.5)),
+    ((0.99, -0.5, 0.2), (0.0, 0.0, 0.0)),
+    ((1.01, 0.3, 0.3), (0.0, 0.0, 0.0)),
+    ((1.2, 0.3, 0.1), (0.0, 0.1, 0.1)),
+    ((-1.1, 0.4, 0.2), (0.05, 0.0, 0.0)),
+    ((0.9, 0.3, 0.2), (1e-9, 0.2, 0.1)),
+]
+
+
 def test_is_p_affine_against_dense_sampling():
     # Oracle: for an affine qubit map, positivity is max_n ||diag(l) n + w|| <= 1
-    # over unit Bloch vectors; compare the grid + refinement verdict against a
-    # dense random sample of directions.
+    # over unit Bloch vectors; compare the verdict against a dense random
+    # sample of directions.
     rng = np.random.default_rng(23)
     n_dirs = rng.normal(size=(200_000, 3))
     n_dirs /= np.linalg.norm(n_dirs, axis=1, keepdims=True)
-    for _ in range(50):
-        lam = rng.uniform(-1.0, 1.0, size=3)
-        w = rng.uniform(-0.5, 0.5, size=3) * rng.uniform(0.0, 1.0)
+    random_maps = [(rng.uniform(-1.0, 1.0, size=3),
+                    rng.uniform(-0.5, 0.5, size=3) * rng.uniform(0.0, 1.0)) for _ in range(50)]
+    for lam, w in random_maps + _EXTRA_AFFINE_MAPS:
+        lam, w = np.asarray(lam), np.asarray(w)
         qmap = AffineQubitMap(tuple(lam), tuple(w))
         worst = float(np.max(np.linalg.norm(n_dirs * lam + w, axis=1)))
         if abs(worst - 1.0) < 1e-4:

@@ -7,6 +7,7 @@ from nmflow.channels import ConstantRate, GadcChannel, RateChannel, quasi_eterna
 from nmflow.correlations import mutual_information, negativity, trace_distance
 from nmflow.errors import (
     BoundaryStateError,
+    ConfigParseError,
     CrossingTooCloseError,
     NeverBreakingError,
     ZeroVectorError,
@@ -94,6 +95,34 @@ def test_gadc_window_boundary_matches_choi_route():
     rate_root = bisect_root(lambda t: gadc.rates(t)[0], 0.05, 0.2, tol=1e-7)
     choi_root = bisect_root(min_eig, 0.05, 0.2, tol=1e-7)
     assert choi_root == pytest.approx(rate_root, abs=1e-4)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, float("nan"), float("inf")])
+def test_tolerances_reject_bad_values(bad):
+    ch = quasi_eternal(0.4, 2.0)
+    traj = Trajectory(maximally_entangled(2), ch, (2, 2), np.arange(0.0, 1.0, 0.1))
+    with pytest.raises(ConfigParseError):
+        find_t_eb(ch, tol=bad)
+    with pytest.raises(ConfigParseError):
+        find_t_eb(ch, coarse=bad)
+    with pytest.raises(ConfigParseError):
+        find_t_eb(ch, t_max=bad)
+    with pytest.raises(ConfigParseError):
+        scan_backflow(neg_measure, traj, refine_tol=bad)
+    with pytest.raises(ConfigParseError):
+        min_t_nm_scan(ch, 2, np.arange(0.0, 1.0, 0.1), refine_tol=bad)
+
+
+def test_bisections_stop_at_adjacent_floats():
+    # A tolerance below the spacing of doubles near the root still ends
+    # both bisections.
+    ch = quasi_eternal(0.4, 2.0)
+    assert find_t_eb(ch, tol=1e-300) == pytest.approx(find_t_eb(ch, tol=1e-9), abs=1e-8)
+    traj = Trajectory(maximally_entangled(2), quasi_eternal(0.4, 1.0), (2, 2),
+                      np.arange(0.0, 4.0, 1e-2))
+    fine = scan_backflow(mi_measure, traj, refine_tol=1e-300)
+    coarse = scan_backflow(mi_measure, traj, refine_tol=1e-9)
+    assert fine.onsets == pytest.approx(coarse.onsets, abs=1e-8)
 
 
 def test_find_t_eb_never_breaking():
