@@ -103,6 +103,8 @@ class TabulatedRate(RateSpec):
         pts = sorted((float(t), float(g)) for t, g in self.samples)
         if len(pts) < 2:
             raise ConfigParseError("tabulated rate needs at least two samples")
+        if not np.all(np.isfinite(pts)):
+            raise ConfigParseError(f"tabulated rate samples must be finite, got {pts}")
         object.__setattr__(self, "samples", tuple(pts))
         object.__setattr__(self, "_ts", np.array([p[0] for p in pts]))
         object.__setattr__(self, "_gs", np.array([p[1] for p in pts]))

@@ -18,6 +18,7 @@ import numpy as np
 from . import correlations, divisibility, mepovm, witness
 from .channels import DEFAULT_SCAN_STEP, GadcChannel, channel_from_json, quasi_eternal
 from .errors import ConfigParseError, NmflowError, UnknownExperimentError
+from .numutil import thread_count
 from .qmat import maximally_entangled
 
 T1_MINUS = (0.13437, 0.31416)
@@ -408,6 +409,7 @@ def main(argv=None) -> int:
         if args.experiment not in RUNNERS:
             raise UnknownExperimentError(args.experiment)
         _apply_config(args)
+        thread_count()  # a malformed NMFLOW_THREADS fails here, before any work
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         summary = RUNNERS[args.experiment](args, out)

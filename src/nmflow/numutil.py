@@ -7,6 +7,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
+from .errors import ConfigParseError
+
 
 def bisect_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10,
                 max_iter: int = 200) -> float:
@@ -66,14 +68,14 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
 
 
 def thread_count() -> int:
-    """Worker count for parallel scans; capped by the NMFLOW_THREADS env variable."""
+    """Worker count for parallel scans; capped by the integer env variable NMFLOW_THREADS."""
     n = os.cpu_count() or 1
     cap = os.environ.get("NMFLOW_THREADS")
     if cap is not None:
         try:
             n = max(1, min(n, int(cap)))
         except ValueError:
-            pass
+            raise ConfigParseError(f"NMFLOW_THREADS must be an integer, got {cap!r}") from None
     return n
 
 

@@ -20,12 +20,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import correlations, qmat
-from .channels import GadcChannel, _apply_superops, apply_map
+from .channels import GadcChannel, _apply_superops, apply_map, choi
 from .errors import (
     BoundaryStateError,
     ConfigParseError,
     CrossingTooCloseError,
     NeverBreakingError,
+    NmflowError,
     PrecisionLossWarning,
     ZeroVectorError,
 )
@@ -230,13 +231,32 @@ def _two_qubit_mi(states: np.ndarray) -> np.ndarray:
     return s_a + s_s - s_joint
 
 
+def _real_representatives(vectors: np.ndarray) -> np.ndarray:
+    # (U_A (x) R_z) psi as a real vector: R_z turns rho_S's Bloch vector to
+    # (|w_perp|, 0, w_z), i.e. rho_S -> |rho_S| entrywise, and
+    # sum_k sqrt(mu_k) |k>|e_k> purifies that real rho_S.
+    psi = vectors.reshape(-1, 2, 2)
+    mu, e = np.linalg.eigh(np.abs(np.einsum("nas,nat->nst", psi, psi.conj())))
+    return (e * np.sqrt(np.maximum(mu, 0.0))[:, None, :]).transpose(0, 2, 1).reshape(-1, 4)
+
+
 def mi_series(channel, vectors: np.ndarray, grid: np.ndarray, chunk: int = 128,
               workers: int | None = None) -> np.ndarray:
     """Mutual information I(t) for a batch of two-qubit pure initial states
-    under 1 (x) Lambda_t; returns an array of shape (len(grid), n_states)."""
+    under 1 (x) Lambda_t; returns an array of shape (len(grid), n_states).
+
+    When every map on the grid commutes with rotations about z (lambda_x ==
+    lambda_y, no x or y translation: every family of the package) and has a
+    real superoperator, each psi becomes the real (U_A (x) R_z) psi, which has
+    the same I(t), and the scan runs in float64; otherwise in complex.
+    """
     grid = np.asarray(grid, dtype=float)
+    maps = [channel.as_affine(float(t)) for t in grid]
+    superops = np.stack([m.superop for m in maps])
+    about_z = all(m.lambdas[0] == m.lambdas[1] and not any(m.translation[:2]) for m in maps)
+    if about_z and not superops.imag.any():
+        superops, vectors = superops.real, _real_representatives(vectors)
     states0 = np.einsum("na,nb->nab", vectors, vectors.conj())
-    superops = np.stack([channel.as_affine(float(t)).superop for t in grid])
     out = np.empty((grid.size, states0.shape[0]))
 
     def run(piece):
@@ -248,13 +268,15 @@ def mi_series(channel, vectors: np.ndarray, grid: np.ndarray, chunk: int = 128,
     return out
 
 
-def _first_onset_indices(series: np.ndarray, margin: float) -> np.ndarray:
-    # series (T, N): first index i per column with series[i+1]-series[i] > margin.
-    rising = np.diff(series, axis=0) > margin
-    any_rise = rising.any(axis=0)
-    first = rising.argmax(axis=0).astype(float)
-    first[~any_rise] = np.nan
-    return first
+def _non_cp_steps(channel, grid: np.ndarray) -> np.ndarray:
+    # Steps [t_i, t_i+1] whose intermediate map is not strictly CP: smallest
+    # Choi eigenvalue <= 0 (the CP boundary included) or NaN, or no such map.
+    try:
+        chois = np.array([choi(channel.intermediate(float(a), float(b)), 2)
+                          for a, b in zip(grid[:-1], grid[1:])]).reshape(-1, 4, 4)
+    except NmflowError:
+        return np.ones(grid.size - 1, dtype=bool)
+    return ~(np.linalg.eigvalsh(chois)[:, 0] > 0.0)
 
 
 SCAN_MARGIN = 1e-12
@@ -267,7 +289,10 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0,
 
     Returns (min onset time, argmin state vector, per-state onset times with
     NaN for states showing no backflow). The argmin onset is refined by
-    bisection; the rest are grid-resolution values.
+    bisection; the rest are grid-resolution values. A state's onset is its
+    first step that rises by more than margin. I(t) cannot rise across a step
+    whose intermediate map is CP (data processing), so the states are only
+    evaluated at the ends of steps whose smallest Choi eigenvalue is <= 0.
 
     The increase margin defaults to 1e-12 rather than the generic 1e-10 of
     scan_backflow: the earliest-onset states are nearly product states whose
@@ -278,9 +303,15 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0,
     _check_positive(refine_tol=refine_tol)
     grid = np.asarray(grid, dtype=float)
     vectors = sample_pure_vectors((2, 2), count, seed)
-    series = mi_series(channel, vectors, grid, workers=workers)
-    idx = _first_onset_indices(series, margin)
-    onsets = np.where(np.isnan(idx), np.nan, grid[np.nan_to_num(idx, nan=0.0).astype(int)])
+    steps = np.flatnonzero(_non_cp_steps(channel, grid))
+    if steps.size == 0:
+        return float("nan"), None, np.full(count, np.nan)
+    points = np.union1d(steps, steps + 1)
+    series = mi_series(channel, vectors, grid[points], workers=workers)
+    at = np.searchsorted(points, steps)
+    rising = series[at + 1] - series[at] > margin
+    idx = steps[rising.argmax(axis=0)]
+    onsets = np.where(rising.any(axis=0), grid[idx], np.nan)
     if np.all(np.isnan(onsets)):
         return float("nan"), None, onsets
     best = int(np.nanargmin(onsets))

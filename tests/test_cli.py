@@ -143,10 +143,19 @@ def test_cli_error_exit_codes(tmp_path):
     ["mi-scan", "--random", "-5"],
     ["hessian-check", "--draws", "0"],
     ["hessian-check", "--draws", "-1", "--check"],
+    ["divisibility-scan", "--channel", '{"family":"dephasing","gamma":[[0,1],[5,NaN]]}'],
+    ["divisibility-scan", "--channel", '{"family":"dephasing","gamma":[[0,1],[Infinity,1]]}'],
 ])
 def test_cli_rejects_bad_numbers(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_rejects_malformed_thread_count(tmp_path, capsys, monkeypatch):
+    # Checked up front, also by experiments that start no worker threads.
+    monkeypatch.setenv("NMFLOW_THREADS", "abc")
+    assert main(["physicality", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: NMFLOW_THREADS")
 
 
 def test_cli_imports_no_scipy():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nmflow.errors import ConfigParseError
 from nmflow.numutil import (
     adaptive_simpson,
     bisect_root,
@@ -34,8 +35,12 @@ def test_adaptive_simpson_known_integrals():
 def test_thread_count_env_cap(monkeypatch):
     monkeypatch.setenv("NMFLOW_THREADS", "1")
     assert thread_count() == 1
-    monkeypatch.setenv("NMFLOW_THREADS", "not-a-number")
-    assert thread_count() >= 1
+    monkeypatch.setenv("NMFLOW_THREADS", "0")
+    assert thread_count() == 1
+    for bad in ("not-a-number", "", "1.5"):
+        monkeypatch.setenv("NMFLOW_THREADS", bad)
+        with pytest.raises(ConfigParseError):
+            thread_count()
 
 
 def test_parallel_map_preserves_order():

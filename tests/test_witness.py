@@ -3,7 +3,14 @@ import pytest
 
 from helpers import random_density, random_hermitian
 from nmflow import correlations, qmat, witness
-from nmflow.channels import ConstantRate, GadcChannel, RateChannel, quasi_eternal
+from nmflow.channels import (
+    ConstantRate,
+    GadcChannel,
+    RateChannel,
+    dephasing,
+    depolarizing,
+    quasi_eternal,
+)
 from nmflow.correlations import mutual_information, negativity, trace_distance
 from nmflow.errors import (
     BoundaryStateError,
@@ -178,24 +185,86 @@ def test_min_t_nm_scan_eternal_no_onset():
     assert np.all(np.isnan(onsets))
 
 
-def test_mi_series_matches_generic_application():
-    # The vectorized coordinate evolution (including the affine translation)
-    # agrees with applying the map to the full matrix.
-    from helpers import random_pure_vector
-    from nmflow.channels import GadcChannel, apply_map
+def test_mi_series_matches_generic_application(monkeypatch):
+    # The vectorized superoperator scan (real or complex, including the affine
+    # translation) agrees with applying the map to the full matrix, on random
+    # states and on the fragile regimes: near-product states with Schmidt
+    # tails 1e-9 and 1e-6, phi+ (degenerate rho_S) and product states
+    # (singular marginal).
+    from helpers import random_pure_vector, random_unitary
+    from nmflow.channels import apply_map
+    real_calls = []
+    real = witness._real_representatives
+    monkeypatch.setattr(witness, "_real_representatives",
+                        lambda v: real_calls.append(len(v)) or real(v))
     rng = np.random.default_rng(60)
     gadc = GadcChannel()
     ch_ru = quasi_eternal(0.4, 1.0)
-    grid = np.array([0.0, 0.15, 0.4, 1.1])
-    for channel in (gadc, ch_ru):
-        for _ in range(5):
-            v = random_pure_vector(rng, 4)
+    anisotropic = RateChannel(ConstantRate(0.1), ConstantRate(0.3), ConstantRate(0.2))
+    grid = np.array([0.0, 0.15, 0.4, 1.1, 2.5])
+    for channel in (gadc, ch_ru, dephasing(0.3), depolarizing(0.3), anisotropic):
+        vectors = [random_pure_vector(rng, 4) for _ in range(5)]
+        vectors.append(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+        for tail in (1e-9, 1e-6, 0.0):
+            local = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+            vectors.append(local @ np.array([np.sqrt(1.0 - tail * tail), 0.0, 0.0, tail]))
+        real_calls.clear()
+        for v in vectors:
             series = witness.mi_series(channel, v[None, :], grid, workers=1)[:, 0]
             rho0 = np.outer(v, v.conj())
             for k, t in enumerate(grid):
                 direct = mutual_information(
                     apply_map(channel.as_affine(float(t)), rho0, (2, 2)), (2, 2))
                 assert series[k] == pytest.approx(direct, abs=1e-11)
+        # gamma_x != gamma_y breaks the rotation symmetry: complex path only.
+        assert len(real_calls) == (0 if channel is anisotropic else len(vectors))
+
+
+def _first_onset_indices(series: np.ndarray, margin: float) -> np.ndarray:
+    # series (T, N): first index i per column with series[i+1]-series[i] > margin.
+    rising = np.diff(series, axis=0) > margin
+    first = rising.argmax(axis=0).astype(float)
+    first[~rising.any(axis=0)] = np.nan
+    return first
+
+
+@pytest.mark.parametrize("channel, grid, count, seed, evaluated", [
+    (quasi_eternal(0.4, 1.0), np.arange(0.0, 3.0 + 1e-12, 2e-3), 300, 24, 1000),
+    (GadcChannel(), np.arange(0.0, 0.6 + 1e-12, 2e-3), 200, 7, 202),
+    (dephasing(0.3), np.arange(0.0, 3.0 + 1e-12, 1e-2), 100, 3, 300),
+    # No intermediate map starts before t = 0, so every step is evaluated.
+    (quasi_eternal(0.4, 1.0), np.arange(-0.5, 3.0 + 1e-12, 1e-2), 100, 5, 350),
+])
+def test_min_t_nm_scan_skips_only_cp_steps(channel, grid, count, seed, evaluated):
+    # Skipping the steps with a strictly CP intermediate map gives the onsets
+    # of the full-grid scan. GADC on [0, 0.6] alternates CP and non-CP
+    # stretches; dephasing sits on the CP boundary, whose smallest Choi
+    # eigenvalue is exactly 0, so none of its steps is skipped.
+    non_cp = witness._non_cp_steps(channel, grid)
+    assert np.count_nonzero(non_cp) == evaluated
+    if isinstance(channel, GadcChannel):
+        assert np.count_nonzero(np.diff(non_cp.astype(int))) >= 3
+    onset, state, onsets = min_t_nm_scan(channel, count, grid, seed=seed)
+    vectors = sample_pure_vectors((2, 2), count, seed)
+    idx = _first_onset_indices(witness.mi_series(channel, vectors, grid), witness.SCAN_MARGIN)
+    expected = np.where(np.isnan(idx), np.nan, grid[np.nan_to_num(idx).astype(int)])
+    np.testing.assert_array_equal(onsets, expected)
+    if np.all(np.isnan(expected)):
+        assert np.isnan(onset) and state is None
+    else:
+        assert abs(onset - np.nanmin(onsets)) <= grid[1] - grid[0] + 1e-12
+
+
+def test_min_t_nm_scan_cp_channels(monkeypatch):
+    grid = np.arange(0.0, 3.0 + 1e-12, 1e-2)
+    # Dephasing: every step on the CP boundary, evaluated, no onset.
+    onset, state, onsets = min_t_nm_scan(dephasing(0.3), 50, grid, seed=4)
+    assert np.isnan(onset) and state is None and np.all(np.isnan(onsets))
+    # Depolarizing: every step strictly CP, so no state is evaluated at all.
+    monkeypatch.setattr(witness, "mi_series", lambda *a, **k: pytest.fail("mi_series called"))
+    onset, state, onsets = min_t_nm_scan(depolarizing(0.3), 50, grid, seed=4)
+    assert np.isnan(onset) and state is None
+    assert onsets.shape == (50,) and np.all(np.isnan(onsets))
 
 
 def test_mi_series_independent_of_workers_and_chunks():
