@@ -6,7 +6,9 @@ gamma = (alpha/2)(1, 1, -tanh(t - t0)), pure dephasing, generalized amplitude
 damping with either a fixed decay profile G(t) or the two-parameter
 s(t) = cos^2(5t), r(t) = exp(-t) family, plus application to subsystems,
 composition/inversion of affine qubit maps, intermediate maps V_{s,t},
-Choi matrices, and operator-basis transfer components.
+Choi matrices, and operator-basis transfer components. Every family's
+`as_affine` and `intermediate` also take 1-D arrays of times and then return
+one map whose components are arrays over the times.
 
 Conventions: subsystem order is (ancillas..., system); channels act on the
 last subsystem unless told otherwise. A qubit map is stored by its diagonal
@@ -43,9 +45,22 @@ PROB_SLACK = 1e-8
 DEFAULT_SCAN_STEP = 1e-3
 
 
-def _log_cosh(x: float) -> float:
-    ax = abs(x)
+def _log_cosh(x):
+    ax = np.abs(x)
     return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
+
+
+def _elementwise(fn: Callable, *args):
+    """fn over the broadcast scalar arguments: a float for scalars, else an array."""
+    if np.ndarray not in map(type, args):
+        return float(fn(*args))
+    b = np.broadcast(*args)
+    return np.fromiter((fn(*map(float, xs)) for xs in b), float, b.size).reshape(b.shape)
+
+
+def _check_interval(t, s) -> None:
+    if not np.all((0.0 <= t) & (t <= s)):  # also rejects NaN
+        raise BadIntervalError(f"need 0 <= t <= s, got t={t}, s={s}")
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +68,8 @@ def _log_cosh(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 class RateSpec:
-    """A real rate function of time, evaluable and integrable on [t1, t2]."""
+    """A real rate function of time, evaluable and integrable on [t1, t2]
+    (floats or arrays of interval ends)."""
 
     def rate(self, t: float) -> float:
         raise NotImplementedError
@@ -91,13 +107,15 @@ class QuasiEternalZRate(RateSpec):
 class TabulatedRate(RateSpec):
     """Piecewise-linear interpolation of (t, gamma) samples, clamped outside.
 
-    Integrals are the trapezoid sum over the knots inside [t1, t2] plus the
-    two ends, which is exact for the piecewise-linear interpolant.
+    Integrals are differences of the exact antiderivative of the interpolant:
+    the trapezoid sum up to the last knot at or below t, plus the trapezoid
+    from that knot to t.
     """
 
     samples: tuple[tuple[float, float], ...]
     _ts: np.ndarray = field(init=False, repr=False)
     _gs: np.ndarray = field(init=False, repr=False)
+    _cum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = sorted((float(t), float(g)) for t, g in self.samples)
@@ -108,20 +126,26 @@ class TabulatedRate(RateSpec):
         object.__setattr__(self, "samples", tuple(pts))
         object.__setattr__(self, "_ts", np.array([p[0] for p in pts]))
         object.__setattr__(self, "_gs", np.array([p[1] for p in pts]))
+        steps = np.diff(self._ts) * (self._gs[1:] + self._gs[:-1]) / 2.0
+        object.__setattr__(self, "_cum", np.concatenate(([0.0], np.cumsum(steps))))
 
     def rate(self, t: float) -> float:
         return float(np.interp(t, self._ts, self._gs))
 
-    def integral(self, t1: float, t2: float) -> float:
-        inner = self._ts[(self._ts > t1) & (self._ts < t2)]
-        knots = np.concatenate(([t1], inner, [t2]))
-        return float(np.trapezoid(np.interp(knots, self._ts, self._gs), knots))
+    def _antiderivative(self, t):
+        k = np.clip(np.searchsorted(self._ts, t, side="right") - 1, 0, self._ts.size - 1)
+        g = np.interp(t, self._ts, self._gs)
+        return self._cum[k] + (t - self._ts[k]) * (self._gs[k] + g) / 2.0
+
+    def integral(self, t1, t2):
+        return self._antiderivative(t2) - self._antiderivative(t1)
 
 
 @dataclass(frozen=True)
 class CallableRate(RateSpec):
     """Rate given by an arbitrary callable; integral by adaptive Simpson unless
-    a closed-form antiderivative-style integral callable is supplied."""
+    a closed-form antiderivative-style integral callable is supplied, element
+    by element over arrays."""
 
     fn: Callable[[float], float]
     integral_fn: Callable[[float, float], float] | None = None
@@ -129,10 +153,10 @@ class CallableRate(RateSpec):
     def rate(self, t: float) -> float:
         return float(self.fn(t))
 
-    def integral(self, t1: float, t2: float) -> float:
+    def integral(self, t1, t2):
         if self.integral_fn is not None:
-            return float(self.integral_fn(t1, t2))
-        return adaptive_simpson(self.rate, t1, t2, tol=1e-10)
+            return _elementwise(self.integral_fn, t1, t2)
+        return _elementwise(lambda a, b: adaptive_simpson(self.rate, a, b, tol=1e-10), t1, t2)
 
 
 def as_rate_spec(obj) -> RateSpec:
@@ -162,7 +186,7 @@ class AffineQubitMap:
 
     Lambda(sigma_i) = lambdas[i] * sigma_i and
     Lambda(1) = 1 + translation . sigma, so Bloch vectors map as
-    v -> diag(lambdas) v + translation.
+    v -> diag(lambdas) v + translation. Components may be arrays over times.
     """
 
     lambdas: tuple[float, float, float]
@@ -171,9 +195,13 @@ class AffineQubitMap:
     @property
     def superop(self) -> np.ndarray:
         """K[a, b, c, e] = Lambda(|c><e|)[a, b], from the Pauli transfer matrix R
-        with R_00 = 1, R_i0 = translation_i and R_ii = lambdas_i."""
-        r = np.array((1.0, *self.translation, *self.lambdas))
-        return (r @ _PAULI_SUPEROP).reshape(2, 2, 2, 2)
+        with R_00 = 1, R_i0 = translation_i and R_ii = lambdas_i; a (T, 2, 2, 2, 2)
+        stack when the components are arrays over T times."""
+        entries = (1.0, *self.translation, *self.lambdas)
+        r = np.empty(np.broadcast(*entries).shape + (7,))
+        for i, entry in enumerate(entries):
+            r[..., i] = entry
+        return (r @ _PAULI_SUPEROP).reshape(r.shape[:-1] + (2, 2, 2, 2))
 
     def compose(self, inner: "AffineQubitMap") -> "AffineQubitMap":
         """self after inner: linear parts multiply, translations compose."""
@@ -182,7 +210,7 @@ class AffineQubitMap:
         return AffineQubitMap(lam, w)
 
     def inverse(self) -> "AffineQubitMap":
-        if any(l == 0.0 for l in self.lambdas):
+        if any(np.any(l == 0.0) for l in self.lambdas):
             raise SingularMapError("map is not bijective: a Pauli component vanishes")
         inv = tuple(1.0 / l for l in self.lambdas)
         w = tuple(-li * wi for li, wi in zip(inv, self.translation))
@@ -263,11 +291,13 @@ def apply_map(qmap, rho, dims: Sequence[int] | None = None, subsystem: int | Non
 
 
 def choi(qmap, dim: int) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) Lambda(|i><j|); identity map gives dim * phi+."""
+    """Choi matrix sum_ij |i><j| (x) Lambda(|i><j|); identity map gives dim * phi+.
+    A map over T times gives a (T, dim^2, dim^2) stack."""
     k = qmap.superop
-    if k.shape[0] != dim:
-        raise DimMismatchError(f"map acts on dimension {k.shape[0]}, not {dim}")
-    return k.transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim)
+    if k.shape[-1] != dim:
+        raise DimMismatchError(f"map acts on dimension {k.shape[-1]}, not {dim}")
+    n = k.ndim - 4
+    return k.transpose(*range(n), n + 2, n, n + 3, n + 1).reshape(k.shape[:n] + (dim * dim,) * 2)
 
 
 def transfer(qmap, basis: qmat.OperatorBasis) -> np.ndarray:
@@ -326,12 +356,11 @@ class RateChannel:
     def rates(self, t: float) -> tuple[float, float, float]:
         return tuple(s.rate(t) for s in self.specs)
 
-    def _factors(self, t1: float, t2: float) -> tuple[float, float, float]:
+    def _factors(self, t1, t2) -> tuple:
         """(A_yz, A_zx, A_xy) over [t1, t2], A_jk = exp(-2 int (gamma_j + gamma_k)),
         from the three per-axis integrals, each computed once."""
         ix, iy, iz = (spec.integral(t1, t2) for spec in self.specs)
-        return (float(np.exp(-2.0 * (iy + iz))), float(np.exp(-2.0 * (iz + ix))),
-                float(np.exp(-2.0 * (ix + iy))))
+        return np.exp(-2.0 * (iy + iz)), np.exp(-2.0 * (iz + ix)), np.exp(-2.0 * (ix + iy))
 
     def a(self, i, j, t: float) -> float:
         """A_ij(t) = exp(-2 int_0^t (gamma_i + gamma_j)), i != j."""
@@ -348,13 +377,12 @@ class RateChannel:
         """(lambda_x, lambda_y, lambda_z) with lambda_i = sqrt(A_jk), cyclic."""
         return tuple(float(np.sqrt(c)) for c in self.contractions(t))
 
-    def as_affine(self, t: float) -> AffineQubitMap:
+    def as_affine(self, t) -> AffineQubitMap:
         return AffineQubitMap(self.contractions(t))
 
-    def intermediate(self, t: float, s: float) -> AffineQubitMap:
+    def intermediate(self, t, s) -> AffineQubitMap:
         """V_{s,t} with Lambda_s = V_{s,t} Lambda_t; requires 0 <= t <= s."""
-        if not (0.0 <= t <= s):
-            raise BadIntervalError(f"need 0 <= t <= s, got t={t}, s={s}")
+        _check_interval(t, s)
         return AffineQubitMap(self._factors(t, s))
 
     def probs(self, t: float) -> tuple[float, float, float, float]:
@@ -416,12 +444,12 @@ def depolarizing(gamma) -> RateChannel:
 # Generalized amplitude damping
 # ---------------------------------------------------------------------------
 
-def amp_damp_map(g: float, p: float) -> AffineQubitMap:
-    """Generalized amplitude damping map at decay value G:
+def amp_damp_map(g, p: float) -> AffineQubitMap:
+    """Generalized amplitude damping map at decay value G (or an array of them):
     sigma_x, sigma_y -> G sigma_xy, sigma_z -> G^2 sigma_z,
     1 -> 1 + (2p-1)(1-G^2) sigma_z."""
-    if not (0.0 < g <= 1.0):
-        if g == 0.0:
+    if not np.all((0.0 < g) & (g <= 1.0)):
+        if np.any(g == 0.0):
             raise SingularMapError("G = 0: map is many-to-one")
         raise UnphysicalError(f"G must lie in (0, 1], got {g}")
     if not (0.0 <= p <= 1.0):
@@ -429,7 +457,7 @@ def amp_damp_map(g: float, p: float) -> AffineQubitMap:
     return _gad_affine(g, p)
 
 
-def _gad_affine(g: float, p: float) -> AffineQubitMap:
+def _gad_affine(g, p: float) -> AffineQubitMap:
     return AffineQubitMap((g, g, g * g), (0.0, 0.0, (2.0 * p - 1.0) * (1.0 - g * g)))
 
 
@@ -448,8 +476,8 @@ class AmpDampChannel:
     p: float
     dg_dt: Callable[[float], float] | None = None
 
-    def g(self, t: float) -> float:
-        return float(self.g_of_t(t))
+    def g(self, t):
+        return _elementwise(self.g_of_t, t)
 
     def gamma(self, t: float, h: float = 1e-6) -> float:
         if self.dg_dt is not None:
@@ -459,18 +487,17 @@ class AmpDampChannel:
             dg = (self.g(t + h) - self.g(lo)) / (t + h - lo)
         return amp_damp_gamma(self.g(t), dg)
 
-    def as_affine(self, t: float) -> AffineQubitMap:
+    def as_affine(self, t) -> AffineQubitMap:
         return amp_damp_map(self.g(t), self.p)
 
-    def intermediate(self, t: float, s: float) -> AffineQubitMap:
-        if not (0.0 <= t <= s):
-            raise BadIntervalError(f"need 0 <= t <= s, got t={t}, s={s}")
+    def intermediate(self, t, s) -> AffineQubitMap:
+        """V_{s,t}; the identity where G(t) = G(s) = 0."""
+        _check_interval(t, s)
         gt, gs = self.g(t), self.g(s)
-        if gt == 0.0:
-            if gs == 0.0:
-                return IDENTITY_MAP
+        if np.any((gt == 0.0) & (gs != 0.0)):
             raise SingularMapError("G(t) = 0 with G(s) != 0: intermediate map does not exist")
-        return _gad_affine(gs / gt, self.p)
+        ratio = np.divide(gs, gt, out=np.ones(np.shape(gt)), where=gt != 0.0)
+        return _gad_affine(ratio[()], self.p)
 
 
 def _tabulated_callable(samples: Sequence[Sequence[float]]) -> Callable[[float], float]:
@@ -493,12 +520,12 @@ class GadcChannel:
     """
 
     @staticmethod
-    def s(t: float) -> float:
-        return float(np.cos(5.0 * t) ** 2)
+    def s(t):
+        return np.square(np.cos(5.0 * t))  # not ** 2: that differs for numpy scalars
 
     @staticmethod
-    def r(t: float) -> float:
-        return float(np.exp(-t))
+    def r(t):
+        return np.exp(-t)
 
     def kraus(self, t: float) -> KrausChannel:
         s, r = self.s(t), self.r(t)
@@ -515,14 +542,13 @@ class GadcChannel:
         gm = float(np.cos(5.0 * t) ** 2 - drive)
         return gm, 1.0 - gm
 
-    def as_affine(self, t: float) -> AffineQubitMap:
+    def as_affine(self, t) -> AffineQubitMap:
         s, r = self.s(t), self.r(t)
         return AffineQubitMap((np.sqrt(r), np.sqrt(r), r),
                               (0.0, 0.0, (2.0 * s - 1.0) * (1.0 - r)))
 
-    def intermediate(self, t: float, s: float) -> AffineQubitMap:
-        if not (0.0 <= t <= s):
-            raise BadIntervalError(f"need 0 <= t <= s, got t={t}, s={s}")
+    def intermediate(self, t, s) -> AffineQubitMap:
+        _check_interval(t, s)
         return self.as_affine(s).compose(self.as_affine(t).inverse())
 
     @staticmethod

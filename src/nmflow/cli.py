@@ -116,8 +116,8 @@ def run_eb_time(cfg, out):
     print(f"t_EB(alpha={cfg.alpha}, t0={cfg.t0}) = {t_eb:.4f}")
     phi = maximally_entangled(2)
     grid = _grid(0.0, t_eb + 0.5, max(cfg.step, 1e-3))
-    traj = witness.Trajectory(phi, channel, (2, 2), grid)
-    rows = [(float(t), correlations.negativity(traj.state_at(float(t)), (2, 2))) for t in grid]
+    values = witness.Trajectory(phi, channel, (2, 2), grid).measure_series(correlations.negativity)
+    rows = list(zip(map(float, grid), map(float, values)))
     write_csv(out / "eb-time.csv", ["t", "value"], rows)
     landmark = None
     if abs(cfg.alpha - 0.4) < 1e-12 and abs(cfg.t0 - 2.0) < 1e-12:

@@ -4,7 +4,8 @@ the commuting-ensemble closed form with dual certificate), the one-sided
 singlet fraction of classical-quantum states, and the Bell-diagonal mutual
 information derivative of random-unitary qubit channels.
 
-All entropies use natural logarithms (nats).
+All entropies use natural logarithms (nats). Entropy, mutual information and
+negativity map one matrix to a float and a (..., D, D) stack to an array.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ PROB_TOL = 1e-10
 COMM_TOL = 1e-9
 
 
-def entropy(rho) -> float:
-    """Von Neumann entropy -Tr(rho ln rho); eigenvalues below 1e-14 contribute 0."""
+def entropy(rho):
+    """Von Neumann entropy -Tr(rho ln rho); eigenvalues below 1e-14 contribute 0.
+    A float for one matrix, an array of entropies for a (..., D, D) stack."""
     vals = np.linalg.eigvalsh(_as_matrix(rho))
-    vals = vals[vals > EIG_FLOOR]
-    return float(-np.sum(vals * np.log(vals)))
+    return -np.sum(vals * np.log(np.where(vals > EIG_FLOOR, vals, 1.0)), axis=-1)
 
 
 def _dims_of(rho, dims) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -44,9 +45,9 @@ def _dims_of(rho, dims) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.asarray(rho, dtype=complex), tuple(int(d) for d in dims)
 
 
-def mutual_information(rho, dims: Sequence[int] | None = None, cut: int = 1) -> float:
+def mutual_information(rho, dims: Sequence[int] | None = None, cut: int = 1):
     """I = S(rho_A) + S(rho_B) - S(rho_AB) across the bipartition that puts the
-    first `cut` subsystems on side A."""
+    first `cut` subsystems on side A; per matrix of a (..., D, D) stack."""
     m, dims = _dims_of(rho, dims)
     if not 0 < cut < len(dims):
         raise DimMismatchError(f"cut {cut} does not bipartition {len(dims)} subsystems")
@@ -55,13 +56,13 @@ def mutual_information(rho, dims: Sequence[int] | None = None, cut: int = 1) -> 
     return entropy(left) + entropy(right) - entropy(m)
 
 
-def negativity(rho, dims: Sequence[int] | None = None, transpose: int = 0) -> float:
+def negativity(rho, dims: Sequence[int] | None = None, transpose: int = 0):
     """N = (||rho^(Gamma)||_1 - 1)/2 with the partial transpose on the given
-    subsystem; clamped at 0 against rounding."""
+    subsystem; clamped at 0 against rounding; per matrix of a (..., D, D) stack."""
     m, dims = _dims_of(rho, dims)
     pt = partial_transpose(m, dims, transpose)
-    norm1 = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
-    return max(0.0, 0.5 * (norm1 - 1.0))
+    norm1 = np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=-1)
+    return np.maximum(0.0, 0.5 * (norm1 - 1.0))
 
 
 def trace_distance(rho, sigma) -> float:

@@ -1,9 +1,10 @@
 """Dense complex-Hermitian matrix kernel.
 
-Eigendecomposition, tensor products, partial trace/transpose, trace norm, and
-coordinates of states over an orthogonal Hermitian operator basis normalized to
-Tr(e_i e_j) = delta_ij * prod(dims), with e_0 = identity. Everything here is
-pure and operates on small dense arrays (dims <= 64 total).
+Eigendecomposition, tensor products, partial trace/transpose (also of
+(..., D, D) stacks), trace norm, and coordinates of states over an orthogonal
+Hermitian operator basis normalized to Tr(e_i e_j) = delta_ij * prod(dims),
+with e_0 = identity. Everything here is pure and operates on small dense
+arrays (dims <= 64 total).
 """
 
 from __future__ import annotations
@@ -79,45 +80,47 @@ def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d <= 0 for d in dims):
         raise DimMismatchError(f"subsystem dimensions must be positive, got {dims}")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if prod(dims) != m.shape[0]:
-        raise DimMismatchError(f"prod{dims} = {prod(dims)} != matrix dim {m.shape[0]}")
+    if prod(dims) != m.shape[-1]:
+        raise DimMismatchError(f"prod{dims} = {prod(dims)} != matrix dim {m.shape[-1]}")
     return dims
 
 
 def partial_trace(m, dims: Sequence[int], keep: int | Iterable[int]) -> np.ndarray:
-    """Trace out every subsystem not listed in `keep`.
+    """Trace out every subsystem not listed in `keep`, of one matrix or of
+    each matrix of a (..., D, D) stack.
 
     Kept subsystems retain their original order. `keep` may be a single index
     or an iterable of indices.
     """
     m = _as_matrix(m)
     dims = _check_dims(m, dims)
-    n = len(dims)
+    n, lead = len(dims), m.shape[:-2]
     if isinstance(keep, (int, np.integer)):
         keep = (int(keep),)
     keep = tuple(sorted(set(int(k) for k in keep)))
     if any(k < 0 or k >= n for k in keep):
         raise DimMismatchError(f"keep indices {keep} out of range for {n} subsystems")
-    t = m.reshape(dims + dims)
+    t = m.reshape(lead + dims + dims)
     remaining = n
     for i in [i for i in range(n) if i not in keep][::-1]:
-        t = np.trace(t, axis1=i, axis2=i + remaining)
+        t = np.trace(t, axis1=len(lead) + i, axis2=len(lead) + i + remaining)
         remaining -= 1
     d_keep = prod(dims[k] for k in keep) if keep else 1
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(lead + (d_keep, d_keep))
 
 
 def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:
-    """Transpose a single subsystem of a multipartite operator."""
+    """Transpose a single subsystem of a multipartite operator, or of each
+    operator of a (..., D, D) stack."""
     m = _as_matrix(m)
     dims = _check_dims(m, dims)
-    n = len(dims)
+    n, lead = len(dims), m.shape[:-2]
     if subsystem < 0 or subsystem >= n:
         raise DimMismatchError(f"subsystem {subsystem} out of range for {n} subsystems")
-    t = m.reshape(dims + dims)
-    t = np.swapaxes(t, subsystem, subsystem + n)
+    t = m.reshape(lead + dims + dims)
+    t = np.swapaxes(t, len(lead) + subsystem, len(lead) + subsystem + n)
     return t.reshape(m.shape)
 
 
@@ -131,6 +134,8 @@ class DensityState:
     def __init__(self, matrix, dims: Sequence[int]):
         matrix = np.asarray(matrix, dtype=complex)
         dims = _check_dims(matrix, dims)
+        if matrix.ndim != 2:
+            raise DimMismatchError(f"expected one matrix, got shape {matrix.shape}")
         if herm_defect(matrix) > HERM_TOL:
             raise NonHermitianError(f"density matrix not Hermitian within {HERM_TOL:.1e}")
         tr = float(np.real(np.trace(matrix)))

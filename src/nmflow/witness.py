@@ -25,6 +25,7 @@ from .errors import (
     BoundaryStateError,
     ConfigParseError,
     CrossingTooCloseError,
+    DimMismatchError,
     NeverBreakingError,
     NmflowError,
     PrecisionLossWarning,
@@ -35,6 +36,7 @@ from .qmat import PAULIS, DensityState, maximally_entangled
 
 ONSET_MARGIN = 1e-10
 ONSET_REFINE_TOL = 1e-4
+CHUNK_MATRICES = 2 ** 17  # states per mi_series chunk, summed over its times
 EPS_MACHINE = float(np.finfo(float).eps)
 
 
@@ -50,7 +52,12 @@ def _check_positive(**values: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """An initial state, the channel evolving one subsystem, and a time grid."""
+    """An initial state, the channel evolving one subsystem, and a finite,
+    strictly increasing time grid (checked when built).
+
+    A measure maps (states, dims) to values: `measure_series` calls it once on
+    the (T, D, D) stack of the grid states, `measure_at` on a single matrix.
+    """
 
     initial: np.ndarray
     channel: object
@@ -60,15 +67,18 @@ class Trajectory:
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing with >= 2 points")
+        if (grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid))
+                or np.any(np.diff(grid) <= 0)):
+            raise ConfigParseError("grid must be finite and strictly increasing with >= 2 points")
+        initial = qmat._as_matrix(self.initial)
+        dims = qmat._check_dims(initial, self.dims)
+        if initial.ndim != 2 or not -len(dims) <= self.subsystem < len(dims):
+            raise DimMismatchError(f"need one matrix and a subsystem of {dims}, got shape "
+                                   f"{initial.shape} and subsystem {self.subsystem}")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "initial", qmat._as_matrix(self.initial))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        sub = self.subsystem
-        if sub < 0:
-            sub += len(self.dims)
-        object.__setattr__(self, "subsystem", sub)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "subsystem", self.subsystem % len(dims))
 
     def state_at(self, t: float) -> np.ndarray:
         return apply_map(self.channel.as_affine(t), self.initial, self.dims, self.subsystem)
@@ -77,7 +87,12 @@ class Trajectory:
         return float(measure(self.state_at(t), self.dims))
 
     def measure_series(self, measure: Callable) -> np.ndarray:
-        return np.array([self.measure_at(measure, t) for t in self.grid])
+        k = self.channel.as_affine(self.grid).superop
+        if k.shape[-1] != self.dims[self.subsystem]:
+            raise DimMismatchError(f"a map on dimension {k.shape[-1]} cannot act on subsystem "
+                                   f"{self.subsystem} of {self.dims}")
+        states = _apply_superops(k, self.initial[None], self.dims, self.subsystem)[:, 0]
+        return np.asarray(measure(states, self.dims), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -95,19 +110,12 @@ class BackflowReport:
 
 
 def _increase_intervals(grid: np.ndarray, series: np.ndarray, margin: float):
+    # Maximal runs of steps that rise by more than margin, as (start time, end
+    # time, index of the first step), plus the largest difference quotient.
     diffs = np.diff(series)
-    rising = diffs > margin
-    intervals = []
-    i = 0
-    n = rising.size
-    while i < n:
-        if rising[i]:
-            j = i
-            while j + 1 < n and rising[j + 1]:
-                j += 1
-            intervals.append((float(grid[i]), float(grid[j + 1]), i))
-            i = j + 1
-        i += 1
+    edges = np.diff(np.concatenate(([0], (diffs > margin).astype(np.int8), [0])))
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    intervals = [(float(grid[i]), float(grid[j]), int(i)) for i, j in zip(starts, stops)]
     max_deriv = float(np.max(diffs / np.diff(grid))) if diffs.size else 0.0
     return intervals, max_deriv
 
@@ -116,9 +124,11 @@ def scan_backflow(measure: Callable, traj: Trajectory, margin: float = ONSET_MAR
                   refine_tol: float = ONSET_REFINE_TOL, name: str | None = None) -> BackflowReport:
     """Locate intervals where a correlation measure increases along a trajectory.
 
-    Onsets are the first grid times of each increase interval, refined by
-    bisection on the local (central-difference) time derivative to refine_tol.
-    Empty report on CP-divisible dynamics.
+    The measure is evaluated once on the trajectory's (T, D, D) state stack
+    (see Trajectory). Onsets are the first grid times of each increase
+    interval, refined by bisection on the local (central-difference) time
+    derivative to refine_tol, with single-matrix calls of the measure. Empty
+    report on CP-divisible dynamics.
     """
     _check_positive(refine_tol=refine_tol)
     series = traj.measure_series(measure)
@@ -245,19 +255,22 @@ def mi_series(channel, vectors: np.ndarray, grid: np.ndarray, chunk: int = 128,
     """Mutual information I(t) for a batch of two-qubit pure initial states
     under 1 (x) Lambda_t; returns an array of shape (len(grid), n_states).
 
-    When every map on the grid commutes with rotations about z (lambda_x ==
-    lambda_y, no x or y translation: every family of the package) and has a
-    real superoperator, each psi becomes the real (U_A (x) R_z) psi, which has
-    the same I(t), and the scan runs in float64; otherwise in complex.
+    The maps come from one `as_affine(grid)` call. When every map on the grid
+    commutes with rotations about z (lambda_x == lambda_y, no x or y
+    translation: every family of the package) and has a real superoperator,
+    each psi becomes the real (U_A (x) R_z) psi, which has the same I(t), and
+    the scan runs in float64; otherwise in complex. A chunk holds at most
+    `chunk` times and CHUNK_MATRICES states.
     """
     grid = np.asarray(grid, dtype=float)
-    maps = [channel.as_affine(float(t)) for t in grid]
-    superops = np.stack([m.superop for m in maps])
-    about_z = all(m.lambdas[0] == m.lambdas[1] and not any(m.translation[:2]) for m in maps)
+    maps = channel.as_affine(grid)
+    superops = maps.superop
+    about_z = np.all(maps.lambdas[0] == maps.lambdas[1]) and not np.any(maps.translation[:2])
     if about_z and not superops.imag.any():
         superops, vectors = superops.real, _real_representatives(vectors)
     states0 = np.einsum("na,nb->nab", vectors, vectors.conj())
     out = np.empty((grid.size, states0.shape[0]))
+    chunk = max(1, min(chunk, CHUNK_MATRICES // max(1, states0.shape[0])))
 
     def run(piece):
         lo, hi = piece
@@ -272,8 +285,7 @@ def _non_cp_steps(channel, grid: np.ndarray) -> np.ndarray:
     # Steps [t_i, t_i+1] whose intermediate map is not strictly CP: smallest
     # Choi eigenvalue <= 0 (the CP boundary included) or NaN, or no such map.
     try:
-        chois = np.array([choi(channel.intermediate(float(a), float(b)), 2)
-                          for a, b in zip(grid[:-1], grid[1:])]).reshape(-1, 4, 4)
+        chois = choi(channel.intermediate(grid[:-1], grid[1:]), 2)
     except NmflowError:
         return np.ones(grid.size - 1, dtype=bool)
     return ~(np.linalg.eigvalsh(chois)[:, 0] > 0.0)

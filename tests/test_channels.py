@@ -8,9 +8,11 @@ from nmflow import channels, qmat
 from nmflow.channels import (
     AffineQubitMap,
     AmpDampChannel,
+    CallableRate,
     ConstantRate,
     GadcChannel,
     KrausChannel,
+    RateChannel,
     TabulatedRate,
     amp_damp_gamma,
     amp_damp_map,
@@ -18,6 +20,7 @@ from nmflow.channels import (
     channel_from_json,
     choi,
     dephasing,
+    depolarizing,
     quasi_eternal,
     transfer,
 )
@@ -461,3 +464,72 @@ def test_superop_kernel_matches_dense_kraus_sum(dims, subsystem):
         phi = maximally_entangled(d)
         np.testing.assert_allclose(choi(qmap, d),
                                    d * apply_kraus(_embedded(ops, (d, d), 1), phi), atol=1e-13)
+
+
+TIME_FAMILIES = {
+    "quasi_eternal": quasi_eternal(0.4, 1.0),
+    "depolarizing": depolarizing(0.3),
+    "gadc": GadcChannel(),
+    "amp_damp, callable G": AmpDampChannel(
+        lambda t: float(np.exp(-t) * (1 + 0.2 * np.sin(4 * t))), p=0.25),
+    "callable rates": RateChannel(CallableRate(lambda t: 0.3 + 0.1 * np.cos(t)),
+                                  ConstantRate(0.1),
+                                  CallableRate(lambda t: -0.2 * np.tanh(t - 1.0) + 0.05,
+                                               integral_fn=lambda a, b: 0.05 * (b - a)
+                                               - 0.2 * (np.log(np.cosh(b - 1.0))
+                                                        - np.log(np.cosh(a - 1.0))))),
+    # Knots at 0, 1, 2 and 4: the grid below hits each and runs past the last.
+    "tabulated dephasing": dephasing(TabulatedRate(((0.0, 1.0), (1.0, 3.0), (2.0, -1.0),
+                                                    (4.0, 0.0)))),
+}
+
+
+@pytest.mark.parametrize("name", list(TIME_FAMILIES))
+def test_maps_over_time_arrays_match_per_time_calls(name):
+    # Oracle: one scalar as_affine / intermediate call per time, stacked.
+    ch = TIME_FAMILIES[name]
+    grid = np.linspace(0.0, 5.0, 41)
+    single = ch.as_affine(1.0)
+    assert all(np.ndim(c) == 0 for c in single.lambdas + single.translation)
+    batched = ch.as_affine(grid).superop
+    assert batched.shape == (grid.size, 2, 2, 2, 2)
+    dense = np.stack([ch.as_affine(float(t)).superop for t in grid])
+    np.testing.assert_allclose(batched, dense, rtol=0, atol=1e-15)
+    rng = np.random.default_rng(18)
+    for t, s in ((grid[:-1], grid[1:]), (grid, grid + rng.uniform(0.0, 2.0, grid.size))):
+        batched = ch.intermediate(t, s)
+        dense = [ch.intermediate(float(a), float(b)) for a, b in zip(t, s)]
+        np.testing.assert_allclose(batched.superop, np.stack([m.superop for m in dense]),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(choi(batched, 2), np.stack([choi(m, 2) for m in dense]),
+                                   rtol=0, atol=1e-15)
+    with pytest.raises(BadIntervalError):
+        ch.intermediate(grid[1:], grid[:-1])
+    with pytest.raises(BadIntervalError):
+        ch.intermediate(np.array([0.0, np.nan]), np.array([1.0, 2.0]))
+
+
+def test_rate_integrals_over_arrays():
+    rate = TabulatedRate(((2.0, -1.0), (0.0, 1.0), (4.0, 0.0), (1.0, 3.0)))
+    t1 = np.array([-3.0, -1.0, 0.0, 0.5, 1.25, 2.5, 4.0, 4.5])
+    t2 = np.array([-1.0, 5.0, 1.0, 3.0, 1.75, 2.5, 6.0, 4.5])
+    np.testing.assert_allclose(rate.integral(t1, t2), [2.0, 3.0, 2.0, 1.5, 0.5, 0.0, 0.0, 0.0],
+                               rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(rate.integral(t1, t2),
+                                  [rate.integral(a, b) for a, b in zip(t1, t2)])
+    simpson = CallableRate(lambda t: t * t)
+    got = simpson.integral(0.0, np.array([1.0, 2.0]))
+    assert got.shape == (2,)
+    np.testing.assert_allclose(got, [1.0 / 3.0, 8.0 / 3.0], rtol=1e-10)
+    assert isinstance(simpson.integral(0.0, 1.0), float)
+
+
+def test_amp_damp_intermediate_over_arrays_checks_every_step():
+    ch = AmpDampChannel(lambda t: max(0.0, 1.0 - t), p=0.5)
+    v = ch.intermediate(np.array([0.2, 1.0]), np.array([0.5, 1.5]))
+    np.testing.assert_allclose(v.lambdas[0], [0.625, 1.0], rtol=1e-15)
+    with pytest.raises(SingularMapError):
+        AmpDampChannel(lambda t: abs(1.0 - t), p=0.5).intermediate(np.array([0.2, 1.0]),
+                                                                   np.array([0.5, 1.5]))
+    with pytest.raises(SingularMapError):
+        ch.as_affine(np.array([0.5, 1.0]))

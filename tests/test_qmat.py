@@ -204,3 +204,26 @@ def test_partial_trace_preserves_trace_and_linearity():
     lin = qmat.partial_trace(2.0 * m1 - 0.5 * m2, (2, 3, 2), keep=(0, 2))
     np.testing.assert_allclose(lin, 2.0 * t1 - 0.5 * qmat.partial_trace(m2, (2, 3, 2), keep=(0, 2)),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3, 2)])
+def test_partial_trace_and_transpose_of_stacks(dims):
+    # Each matrix of a (2, 3, D, D) stack gives what it gives on its own.
+    rng = np.random.default_rng(9)
+    d = int(np.prod(dims))
+    stack = np.stack([[random_hermitian(rng, d) for _ in range(3)] for _ in range(2)])
+    for keep in (0, (0, len(dims) - 1), ()):
+        got = qmat.partial_trace(stack, dims, keep)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(got[i, j], qmat.partial_trace(stack[i, j], dims, keep))
+    for sub in range(len(dims)):
+        got = qmat.partial_transpose(stack, dims, sub)
+        assert got.shape == stack.shape
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(got[i, j], qmat.partial_transpose(stack[i, j], dims, sub))
+    with pytest.raises(DimMismatchError):
+        qmat.partial_trace(stack[..., :-1], dims, 0)
+    with pytest.raises(DimMismatchError):
+        qmat.DensityState(np.stack([np.eye(d) / d] * 2), dims)

@@ -16,6 +16,7 @@ from nmflow.errors import (
     BoundaryStateError,
     ConfigParseError,
     CrossingTooCloseError,
+    DimMismatchError,
     NeverBreakingError,
     ZeroVectorError,
 )
@@ -294,6 +295,166 @@ def test_trajectory_grid_validation():
     with pytest.raises(ValueError):
         witness.Trajectory(maximally_entangled(2), quasi_eternal(0.4, 1.0), (2, 2),
                            np.array([0.0, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize("grid", [
+    [0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0],
+    [0.0], [[0.0, 1.0]],
+])
+def test_trajectory_rejects_bad_grids(grid):
+    with pytest.raises(ConfigParseError):
+        Trajectory(maximally_entangled(2), quasi_eternal(0.4, 1.0), (2, 2), np.array(grid))
+
+
+def test_trajectory_rejects_bad_dims():
+    phi, ch, grid = maximally_entangled(2), quasi_eternal(0.4, 1.0), np.arange(0.0, 1.0, 0.1)
+    for dims, subsystem in (((2, 3), -1), ((2, 2, 2), -1), ((2, 2), 2), ((2, 2), -3)):
+        with pytest.raises(DimMismatchError):
+            Trajectory(phi, ch, dims, grid, subsystem)
+    with pytest.raises(DimMismatchError):
+        Trajectory(np.stack([phi, phi]), ch, (2, 2), grid)
+    assert Trajectory(phi, ch, (2, 2), grid, -2).subsystem == 0
+    # A qubit channel on the qutrit of (3, 2) fails at the first measure.
+    traj = Trajectory(np.eye(6) / 6, ch, (3, 2), grid, 0)
+    with pytest.raises(DimMismatchError):
+        traj.measure_series(mi_measure)
+    with pytest.raises(DimMismatchError):
+        traj.measure_at(mi_measure, 0.5)
+
+
+def _pure(v: np.ndarray) -> np.ndarray:
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+@pytest.mark.parametrize("dims, subsystem", [((2, 2), 0), ((2, 2), 1), ((3, 2), 1)])
+def test_measure_series_matches_measure_at(dims, subsystem):
+    # Oracle: one measure_at per grid point (apply_map of as_affine(t), then
+    # the single-matrix functional). States: phi+ (on the first two levels),
+    # a product state, a Schmidt tail of 1e-9, a singular marginal (pure
+    # ancilla, mixed system, and the reverse) and a random mixed state.
+    from helpers import random_pure_vector, random_unitary
+    rng = np.random.default_rng(63)
+    d_a, d_s = dims
+    local = np.kron(random_unitary(rng, d_a), random_unitary(rng, d_s))
+    phi = np.zeros(d_a * d_s)
+    phi[[0, d_s + 1]] = 1.0
+    tail = np.zeros(d_a * d_s)
+    tail[[0, d_s + 1]] = np.sqrt(1.0 - 1e-18), 1e-9
+    states = [
+        _pure(phi),
+        np.kron(_pure(random_pure_vector(rng, d_a)), _pure(random_pure_vector(rng, d_s))),
+        _pure(local @ tail),
+        np.kron(_pure(random_pure_vector(rng, d_a)), random_density(rng, d_s)),
+        np.kron(random_density(rng, d_a), np.diag(np.eye(d_s)[0]).astype(complex)),
+        random_density(rng, d_a * d_s),
+    ]
+    grid = np.concatenate(([0.0], np.linspace(0.05, 3.5, 70)))
+    for channel in (quasi_eternal(0.4, 1.0), GadcChannel(), dephasing(0.3)):
+        for rho in states:
+            traj = Trajectory(rho, channel, dims, grid, subsystem)
+            for measure in (mi_measure, neg_measure):
+                series = traj.measure_series(measure)
+                assert series.shape == grid.shape
+                direct = [traj.measure_at(measure, float(t)) for t in grid]
+                np.testing.assert_allclose(series, direct, rtol=0, atol=1e-14)
+
+
+def test_functionals_keep_floats_for_single_matrices():
+    rho = maximally_entangled(2)
+    for value in (correlations.entropy(rho), mutual_information(rho, (2, 2)),
+                  negativity(rho, (2, 2))):
+        assert isinstance(value, float) and np.ndim(value) == 0
+    stack = np.stack([rho, np.eye(4) / 4, rho])
+    np.testing.assert_allclose(mutual_information(stack, (2, 2)),
+                               [2 * np.log(2), 0.0, 2 * np.log(2)], atol=1e-14)
+    np.testing.assert_allclose(negativity(stack, (2, 2)), [0.5, 0.0, 0.5], atol=1e-14)
+    np.testing.assert_allclose(correlations.entropy(stack), [0.0, np.log(4), 0.0], atol=1e-14)
+
+
+def test_scan_backflow_measures_the_grid_once():
+    # Criterion 04's trajectory: one call with the whole (2000, 4, 4) stack,
+    # then only the single-matrix calls of the onset refinement, two per
+    # bisection step plus two for the bracket's lower end.
+    traj = Trajectory(maximally_entangled(2), quasi_eternal(0.4, 1.0), (2, 2),
+                      np.arange(0.0, 4.0, 2e-3))
+    shapes = []
+
+    def measure(m, dims):
+        shapes.append(np.shape(m))
+        return mutual_information(m, dims)
+
+    report = scan_backflow(measure, traj)
+    assert report.onsets[0] == pytest.approx(2.741, abs=5e-3)
+    assert shapes[0] == (2000, 4, 4)
+    assert all(shape == (4, 4) for shape in shapes[1:])
+    steps = int(np.ceil(np.log2(2 * 2e-3 / witness.ONSET_REFINE_TOL)))
+    assert len(shapes) - 1 <= 2 * (steps + 1) * len(report.onsets)
+
+
+@pytest.mark.parametrize("channel", [quasi_eternal(0.4, 1.0), GadcChannel()])
+def test_mi_series_makes_one_as_affine_call(monkeypatch, channel):
+    calls = []
+    original = type(channel).as_affine
+    monkeypatch.setattr(type(channel), "as_affine",
+                        lambda self, t: calls.append(np.shape(t)) or original(self, t))
+    grid = np.arange(0.0, 2.0, 0.01)
+    witness.mi_series(channel, sample_pure_vectors((2, 2), 20, seed=9), grid, chunk=7, workers=2)
+    assert calls == [grid.shape]
+
+
+def test_mi_series_caps_matrices_per_chunk(monkeypatch):
+    sizes = []
+    kernel = witness._apply_superops
+    monkeypatch.setattr(witness, "_apply_superops",
+                        lambda k, states, *rest: sizes.append((k.shape[0], states.shape[0]))
+                        or kernel(k, states, *rest))
+    grid = np.linspace(0.0, 3.0, 301)
+    channel = quasi_eternal(0.4, 1.0)
+    for count, per_chunk in ((3000, witness.CHUNK_MATRICES // 3000), (1000, 128)):
+        sizes.clear()
+        witness.mi_series(channel, sample_pure_vectors((2, 2), count, seed=8), grid, workers=1)
+        assert sum(t for t, _ in sizes) == grid.size
+        assert all(n == count and t * n <= witness.CHUNK_MATRICES for t, n in sizes)
+        assert max(t for t, _ in sizes) == per_chunk
+    assert witness.CHUNK_MATRICES // 3000 == 43
+
+
+def _increase_intervals_loop(grid, series, margin):
+    # The former per-step loop, kept as the oracle of the vectorized version.
+    diffs = np.diff(series)
+    rising = diffs > margin
+    intervals = []
+    i = 0
+    n = rising.size
+    while i < n:
+        if rising[i]:
+            j = i
+            while j + 1 < n and rising[j + 1]:
+                j += 1
+            intervals.append((float(grid[i]), float(grid[j + 1]), i))
+            i = j + 1
+        i += 1
+    max_deriv = float(np.max(diffs / np.diff(grid))) if diffs.size else 0.0
+    return intervals, max_deriv
+
+
+def test_increase_intervals_matches_loop():
+    rng = np.random.default_rng(64)
+    n = 30
+    grid = np.cumsum(rng.uniform(0.1, 1.0, n))
+    edge_cases = [np.arange(n, dtype=float), -np.arange(n, dtype=float), np.zeros(n),
+                  np.r_[0.0, np.ones(n - 1)], np.r_[np.zeros(n - 1), 1.0],
+                  np.r_[0.0, 1.0, np.zeros(n - 3), 1.0]]
+    randoms = [np.cumsum(rng.choice([-1.0, 1.0], n)) for _ in range(100)]
+    for series in edge_cases + randoms:
+        for margin in (0.0, 0.5):
+            assert witness._increase_intervals(grid, series, margin) \
+                == _increase_intervals_loop(grid, series, margin)
+    for size in (1, 2):
+        series = np.arange(size, dtype=float)
+        assert witness._increase_intervals(grid[:size], series, 0.0) \
+            == _increase_intervals_loop(grid[:size], series, 0.0)
 
 
 def test_gadc_epsilon_scan_nesting():
