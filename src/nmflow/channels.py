@@ -5,10 +5,10 @@ Random-unitary qubit channels built from three time-dependent rates
 gamma = (alpha/2)(1, 1, -tanh(t - t0)), pure dephasing, generalized amplitude
 damping with either a fixed decay profile G(t) or the two-parameter
 s(t) = cos^2(5t), r(t) = exp(-t) family, plus application to subsystems,
-composition/inversion of affine qubit maps, intermediate maps V_{s,t},
-Choi matrices, and operator-basis transfer components. Every family's
-`as_affine` and `intermediate` also take 1-D arrays of times and then return
-one map whose components are arrays over the times.
+composition/inversion of affine qubit maps, intermediate maps V_{s,t} and
+Choi matrices. Every family's `as_affine` and `intermediate` also take 1-D
+arrays of times and then return one map whose components are arrays over the
+times.
 
 Conventions: subsystem order is (ancillas..., system); channels act on the
 last subsystem unless told otherwise. A qubit map is stored by its diagonal
@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import qmat
 from .errors import (
     BadAxisError,
     BadIntervalError,
@@ -43,6 +42,7 @@ AXES = {"x": 0, "y": 1, "z": 2}
 KRAUS_TOL = 1e-10
 PROB_SLACK = 1e-8
 DEFAULT_SCAN_STEP = 1e-3
+GAMMA_FD_STEP = 1e-6  # finite-difference step of AmpDampChannel.gamma without dG/dt
 
 
 def _log_cosh(x):
@@ -300,22 +300,6 @@ def choi(qmap, dim: int) -> np.ndarray:
     return k.transpose(*range(n), n + 2, n, n + 3, n + 1).reshape(k.shape[:n] + (dim * dim,) * 2)
 
 
-def transfer(qmap, basis: qmat.OperatorBasis) -> np.ndarray:
-    """Components V_ij = Tr[e_i (1 (x) Lambda)(e_j)] / prod(dims).
-
-    The map acts on the last subsystem of the basis; trace preservation forces
-    V_00 = 1 and V_0j = 0 for j != 0.
-    """
-    dims = basis.dims
-    n = basis.size
-    v = np.zeros((n, n))
-    for j, ej in enumerate(basis.elements):
-        mapped = apply_map(qmap, ej, dims, subsystem=len(dims) - 1)
-        for i, ei in enumerate(basis.elements):
-            v[i, j] = float(np.real(np.trace(ei @ mapped))) / basis.total_dim
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Random-unitary qubit channels from rate triples
 # ---------------------------------------------------------------------------
@@ -479,10 +463,11 @@ class AmpDampChannel:
     def g(self, t):
         return _elementwise(self.g_of_t, t)
 
-    def gamma(self, t: float, h: float = 1e-6) -> float:
+    def gamma(self, t: float) -> float:
         if self.dg_dt is not None:
             dg = float(self.dg_dt(t))
         else:
+            h = GAMMA_FD_STEP
             lo = max(0.0, t - h)
             dg = (self.g(t + h) - self.g(lo)) / (t + h - lo)
         return amp_damp_gamma(self.g(t), dg)

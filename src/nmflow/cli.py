@@ -155,7 +155,7 @@ def run_mi_scan(cfg, out):
     phi_vec = np.array([[1.0, 0.0, 0.0, 1.0]]) / np.sqrt(2.0)
     series = witness.mi_series(channel, phi_vec, grid, workers=1)[:, 0]
     report = witness.scan_backflow(lambda m, dims: correlations.mutual_information(m, dims),
-                                   traj, name="mutual_information")
+                                   traj)
     rows = []
     diffs = np.gradient(series, grid)
     for t, v, d in zip(grid, series, diffs):

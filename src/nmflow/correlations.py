@@ -1,8 +1,6 @@
 """Correlation functionals: von Neumann entropy, mutual information,
-negativity, trace distance, guessing probabilities (two-state closed form and
-the commuting-ensemble closed form with dual certificate), the one-sided
-singlet fraction of classical-quantum states, and the Bell-diagonal mutual
-information derivative of random-unitary qubit channels.
+negativity, and the closed-form guessing probability of commuting ensembles
+with its dual certificate.
 
 All entropies use natural logarithms (nats). Entropy, mutual information and
 negativity map one matrix to a float and a (..., D, D) stack to an array.
@@ -11,19 +9,12 @@ negativity map one matrix to a float and a (..., D, D) stack to an array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Sequence
 
 import numpy as np
 
-from .channels import RateChannel
-from .errors import (
-    DegenerateLogError,
-    DimMismatchError,
-    NonCommutingError,
-    NotClassicalQuantumError,
-)
-from .qmat import DensityState, _as_matrix, operator_basis, partial_trace, partial_transpose
+from .errors import DimMismatchError, NonCommutingError
+from .qmat import DensityState, _as_matrix, partial_trace, partial_transpose
 
 EIG_FLOOR = 1e-14
 PROB_TOL = 1e-10
@@ -63,28 +54,6 @@ def negativity(rho, dims: Sequence[int] | None = None, transpose: int = 0):
     pt = partial_transpose(m, dims, transpose)
     norm1 = np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=-1)
     return np.maximum(0.0, 0.5 * (norm1 - 1.0))
-
-
-def trace_distance(rho, sigma) -> float:
-    """D(rho, sigma) = ||rho - sigma||_1 / 2."""
-    a, b = _as_matrix(rho), _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
-
-
-def guessing_two(rho1, rho2) -> float:
-    """Guessing probability of two equiprobable states:
-    P_g = (2 + ||rho1 - rho2||_1) / 4, between 1/2 and 1."""
-    return 0.5 + 0.5 * trace_distance(rho1, rho2)
-
-
-def helstrom_two(p1: float, rho1, p2: float, rho2) -> float:
-    """Binary discrimination with priors: P_g = (1 + ||p1 rho1 - p2 rho2||_1)/2."""
-    a, b = _as_matrix(rho1), _as_matrix(rho2)
-    if a.shape != b.shape:
-        raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return 0.5 * (1.0 + float(np.sum(np.abs(np.linalg.eigvalsh(p1 * a - p2 * b)))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +111,7 @@ def _common_eigenbasis(mats: Sequence[np.ndarray], tol: float) -> np.ndarray:
     raise NonCommutingError("no common eigenbasis found within tolerance")
 
 
-def guessing_commuting(ens: Ensemble, comm_tol: float = COMM_TOL) -> GuessingResult:
+def guessing_commuting(ens: Ensemble) -> GuessingResult:
     """Closed-form guessing probability for pairwise-commuting states.
 
     In the common eigenbasis, P_g = sum_j max_i p_i lambda_{i,j}; the dual
@@ -154,10 +123,10 @@ def guessing_commuting(ens: Ensemble, comm_tol: float = COMM_TOL) -> GuessingRes
         for j in range(i + 1, len(states)):
             comm = states[i] @ states[j] - states[j] @ states[i]
             defect = float(np.max(np.abs(comm)))
-            if defect > comm_tol:
+            if defect > COMM_TOL:
                 raise NonCommutingError(
                     f"states {i} and {j} do not commute (defect {defect:.3e})")
-    u = _common_eigenbasis(states, comm_tol)
+    u = _common_eigenbasis(states, COMM_TOL)
     lam = np.stack([np.real(np.diag(u.conj().T @ s @ u)) for s in states])
     weighted = np.asarray(ens.probs)[:, None] * lam
     winners = np.argmax(weighted, axis=0)
@@ -171,87 +140,3 @@ def guessing_commuting(ens: Ensemble, comm_tol: float = COMM_TOL) -> GuessingRes
                                                                           dtype=complex)
         povm.append(p_i)
     return GuessingResult(value=value, certificate=certificate, povm=tuple(povm))
-
-
-def _cq_blocks(m: np.ndarray, d_cls: int, d_q: int, tol: float) -> list[tuple[float, np.ndarray]] | None:
-    blocks = m.reshape(d_cls, d_q, d_cls, d_q)
-    off = 0.0
-    for i in range(d_cls):
-        for j in range(d_cls):
-            if i != j:
-                off = max(off, float(np.max(np.abs(blocks[i, :, j, :]))))
-    if off > tol:
-        return None
-    out = []
-    for i in range(d_cls):
-        b = blocks[i, :, i, :]
-        p = float(np.real(np.trace(b)))
-        if p > 1e-12:
-            out.append((p, b / p))
-    return out
-
-
-def singlet_fraction_cq(rho, dims: Sequence[int] | None = None, tol: float = 1e-9) -> float:
-    """One-sided singlet fraction of a classical-quantum state
-    sum_i p_i |i><i| (x) rho_i: equals the guessing probability of {p_i, rho_i}.
-
-    The classical register is the first subsystem; the block basis may be any
-    orthonormal basis (searched for if the computational one fails). Branches
-    with three or more mutually non-commuting states raise NonCommutingError.
-    """
-    m, dims = _dims_of(rho, dims)
-    if len(dims) < 2:
-        raise DimMismatchError("need a classical register plus a quantum part")
-    d_cls = dims[0]
-    d_q = prod(dims[1:])
-    branches = _cq_blocks(m, d_cls, d_q, tol)
-    if branches is None:
-        # Try to rotate the register: top operators Tr_q[rho (1 (x) sigma)] must
-        # commute for classical-quantum states, and their common eigenbasis
-        # diagonalizes the register blocks.
-        tops = []
-        for sigma in operator_basis((d_q,)).elements:
-            tops.append(partial_trace(m @ np.kron(np.eye(d_cls), sigma), (d_cls, d_q), keep=0))
-        herm = []
-        for tM in tops:
-            herm.append((tM + tM.conj().T) / 2.0)
-            herm.append((tM - tM.conj().T) / 2.0j)
-        try:
-            u = _common_eigenbasis(herm, tol)
-        except NonCommutingError as exc:
-            raise NotClassicalQuantumError("register blocks cannot be diagonalized") from exc
-        rot = np.kron(u.conj().T, np.eye(d_q)) @ m @ np.kron(u, np.eye(d_q))
-        branches = _cq_blocks(rot, d_cls, d_q, tol)
-        if branches is None:
-            raise NotClassicalQuantumError("state is not classical-quantum within tolerance")
-    if len(branches) == 1:
-        return 1.0
-    if len(branches) == 2:
-        (p1, r1), (p2, r2) = branches
-        return helstrom_two(p1, r1, p2, r2)
-    ens = Ensemble([p for p, _ in branches], [r for _, r in branches])
-    return guessing_commuting(ens).value
-
-
-def bell_mi_derivative(ch: RateChannel, t: float) -> float:
-    """d/dt of the mutual information of an evolved maximally entangled pair,
-    sum_k (dp_k/dt) ln(p_k / p_0) over k in {x, y, z}.
-
-    Returns -inf when some p_k vanishes while dp_k/dt > 0 (the entropy grows
-    with unbounded slope, e.g. at t = 0)."""
-    p = ch.probs(t)
-    dp = ch.probs_derivative(t)
-    if p[0] <= EIG_FLOOR:
-        raise DegenerateLogError(f"p_0(t={t}) = {p[0]}: derivative formula undefined")
-    total = 0.0
-    for k in (1, 2, 3):
-        if p[k] <= EIG_FLOOR:
-            # Weight pinned at zero (e.g. p_z of the eternal model): no
-            # contribution; a genuinely growing weight makes the slope -inf.
-            if abs(dp[k]) <= 1e-10:
-                continue
-            if dp[k] > 0:
-                return float("-inf")
-            raise DegenerateLogError(f"p_{k}(t={t}) = 0 with negative derivative")
-        total += dp[k] * np.log(p[k] / p[0])
-    return float(total)

@@ -1,11 +1,10 @@
 """CP/P classification of qubit maps and divisibility criteria.
 
 Complete positivity via the minimum Choi eigenvalue, exact positivity of
-affine qubit maps via the trust-region secular equation, the CPTP combinations
-B_ijk = 1 + A_ij - A_jk - A_ki for rate channels, the physicality threshold
-T(alpha) = (1/2) log(2^(1/alpha) - 1) of the quasi-eternal family, the
-trace-norm witness g(t), and a scan classifier that splits single-parameter
-evolutions into CP-divisible and not-P intervals.
+affine qubit maps via the trust-region secular equation, the physicality
+threshold T(alpha) = (1/2) log(2^(1/alpha) - 1) of the quasi-eternal family,
+pointwise divisibility from rates, and a scan classifier that splits
+single-parameter evolutions into CP-divisible and not-P intervals.
 """
 
 from __future__ import annotations
@@ -16,14 +15,14 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import AffineQubitMap, RateChannel, apply_map, choi
+from .channels import AffineQubitMap, choi
 from .errors import BadIntervalError, UnphysicalError
 from .numutil import bisect_root
-from .qmat import maximally_entangled
 
 CP_TOL = 1e-9
 P_TOL = 1e-9
 P_MAX_STEPS = 60
+BOUNDARY_TOL = 1e-6  # bisection width of classify_intervals' interval boundaries
 
 
 class DivisibilityLabel(str, Enum):
@@ -115,15 +114,6 @@ def physicality_threshold(alpha: float) -> float:
     return 0.5 * float(x + np.log(-np.expm1(-x)))
 
 
-def cptp_conditions(ch: RateChannel, t: float) -> tuple[float, float, float]:
-    """(B_xyz, B_yzx, B_zxy) with B_ijk = 1 + A_ij - A_jk - A_ki; the channel
-    is CPTP at t iff all three are nonnegative."""
-    axy = ch.a("x", "y", t)
-    ayz = ch.a("y", "z", t)
-    azx = ch.a("z", "x", t)
-    return (1.0 + axy - ayz - azx, 1.0 + ayz - azx - axy, 1.0 + azx - axy - ayz)
-
-
 def divisibility_rates(gx: float, gy: float, gz: float) -> dict:
     """Pointwise divisibility from the instantaneous rates: CP needs all rates
     nonnegative, P needs all pairwise sums nonnegative (so cp implies p)."""
@@ -132,24 +122,13 @@ def divisibility_rates(gx: float, gy: float, gz: float) -> dict:
     return {"cp": cp, "p": p}
 
 
-def rhp_g(channel, t: float, dt: float = 1e-6) -> float:
-    """Trace-norm witness g(t): the normalized growth rate of
-    ||(1 (x) V_{t+dt,t})(phi+)||_1, positive iff V_{t+dt,t} is not CP."""
-    v = channel.intermediate(t, t + dt)
-    phi = maximally_entangled(2)
-    out = apply_map(v, phi, (2, 2), subsystem=1)
-    out = (out + out.conj().T) / 2.0
-    norm1 = float(np.sum(np.abs(np.linalg.eigvalsh(out))))
-    return (norm1 - 1.0) / dt
-
-
 def classify_intervals(gamma, t_max: float, step: float = 1e-2,
-                       boundary_tol: float = 1e-6, channel=None) -> list[IntervalClass]:
+                       channel=None) -> list[IntervalClass]:
     """Split [0, t_max] into CP-divisible (gamma >= 0) and not-P (gamma < 0)
     intervals for a single-parameter evolution with rate function gamma(t).
 
     Interval boundaries are located by a coarse scan followed by bisection to
-    boundary_tol. Rates oscillating faster than the scan step are out of
+    BOUNDARY_TOL. Rates oscillating faster than the scan step are out of
     scope. When `channel` (providing intermediate(t, s)) is passed, each
     interval midpoint is cross-checked: a map that is P but not CP would
     falsify the two-label classification and triggers a warning.
@@ -165,7 +144,7 @@ def classify_intervals(gamma, t_max: float, step: float = 1e-2,
         if g_prev == 0.0:
             ts.append(t)
         elif g_prev * g_next < 0:
-            ts.append(bisect_root(gamma, t, t_next, tol=boundary_tol))
+            ts.append(bisect_root(gamma, t, t_next, tol=BOUNDARY_TOL))
         t, g_prev = t_next, g_next
     ts = sorted(set(ts))
 

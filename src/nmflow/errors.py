@@ -37,14 +37,6 @@ class NonCommutingError(NmflowError, ValueError):
     """Ensemble states do not commute pairwise; closed-form guessing unavailable."""
 
 
-class NotClassicalQuantumError(NmflowError, ValueError):
-    """State lacks the classical-quantum block structure sum_i p_i |i><i| (x) rho_i."""
-
-
-class DegenerateLogError(NmflowError, ValueError):
-    """Bell-diagonal derivative undefined because the identity weight p_0 vanishes."""
-
-
 class UnphysicalProbeError(NmflowError, ValueError):
     """Probe parameters violate the physicality constraint p < exp(-alpha*tau)."""
 
@@ -63,10 +55,6 @@ class CrossingTooCloseError(NmflowError, ValueError):
 
 class BoundaryStateError(NmflowError, ValueError):
     """Stationary-state parameter |a12| >= 1/4 lies on the state-space boundary."""
-
-
-class ZeroVectorError(NmflowError, ValueError):
-    """Coordinate vector is identically zero."""
 
 
 class ConfigParseError(NmflowError, ValueError):

@@ -1,5 +1,5 @@
 """Maximally-entropic two-outcome measurements and the distinguishability
-correlation measures C_A, C_B, C (two-outcome versions).
+correlation measures C_A and C_B (two-outcome versions).
 
 C_A(rho_AB) is the best guessing probability, minus 1/2, of the two-state
 equiprobable ensemble that a 2-outcome ME-POVM on side A steers on side B.
@@ -24,6 +24,7 @@ is equivalent to non-CP intermediate dynamics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import prod
 from typing import Sequence
@@ -33,7 +34,6 @@ import numpy as np
 from .channels import quasi_eternal
 from .divisibility import physicality_threshold
 from .errors import DimMismatchError, NotYetNonMarkovianError, UnphysicalProbeError
-from .numutil import parallel_map
 from .qmat import (
     DensityState,
     SIGMA_X,
@@ -78,10 +78,6 @@ class Povm:
         if float(np.max(np.abs(total - np.eye(d)))) > COMPLETENESS_TOL:
             raise DimMismatchError("POVM effects do not sum to the identity")
         object.__setattr__(self, "effects", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.effects[0].shape[0]
 
     @property
     def size(self) -> int:
@@ -355,7 +351,7 @@ def _bipartite(rho, dims, cut):
 
 def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
          restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-         x0: np.ndarray | None = None, workers: int | None = 1) -> C2Result:
+         x0: np.ndarray | None = None) -> C2Result:
     """Maximize the steered distinguishability over 2-outcome ME-POVMs on the
     A side (first `cut` subsystems). Returns the best see-saw result over a
     deterministic start (the eigenbasis ME-POVM) plus `restarts` seeded random
@@ -391,8 +387,7 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
         y = (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
         starts.append(_solve_x(_back_operator(rho4, y), rho_a, l_inv))
 
-    runs = parallel_map(lambda x: _seesaw_once(rho4, rho_a, x, l_inv), starts,
-                        workers=workers)
+    runs = [_seesaw_once(rho4, rho_a, x, l_inv) for x in starts]
     best_value, best_x, best_it = -np.inf, None, 0
     for value, x, it in runs:
         if value > best_value:
@@ -410,11 +405,6 @@ def c2_B(rho, dims: Sequence[int] | None = None, cut: int = 1, **kwargs) -> C2Re
     """Same optimization with the ME-POVM on the B side."""
     m, d_a, d_b = _bipartite(rho, dims, cut)
     return c2_A(_swap_sides(m, d_a, d_b), (d_b, d_a), cut=1, **kwargs)
-
-
-def c2(rho, dims: Sequence[int] | None = None, cut: int = 1, **kwargs) -> float:
-    """Symmetrized measure: max of the A-side and B-side optima."""
-    return max(c2_A(rho, dims, cut, **kwargs).value, c2_B(rho, dims, cut, **kwargs).value)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +450,7 @@ class ProbeState:
             raise UnphysicalProbeError(
                 f"need 0 < p < exp(-alpha tau) = {lam_z:.6f}, got p = {self.p}")
 
-    @property
+    @functools.cached_property
     def channel(self):
         return quasi_eternal(self.alpha, self.t0)
 
@@ -468,9 +458,13 @@ class ProbeState:
         lx, _, lz = self.channel.lambdas(t)
         return lx, lz
 
+    @functools.cached_property
+    def _lambdas_tau(self) -> tuple[float, float]:
+        return self._lambdas(self.tau)
+
     def pair_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(rho1_B(t), rho2_B(t)) on the qutrit (x) qubit side."""
-        lxy_tau, lz_tau = self._lambdas(self.tau)
+        lxy_tau, lz_tau = self._lambdas_tau
         lxy_t, lz_t = self._lambdas(t)
         cxy = self.p * lxy_t / lxy_tau
         cz = self.p * lz_t / lz_tau

@@ -9,9 +9,11 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigParseError
 
+BISECT_MAX_ITER = 200
+SIMPSON_MAX_DEPTH = 40
 
-def bisect_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10,
-                max_iter: int = 200) -> float:
+
+def bisect_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
     """Locate a sign change of f in [a, b] by bisection.
 
     Requires f(a) and f(b) to have opposite signs (zero endpoints are returned
@@ -25,7 +27,7 @@ def bisect_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e
         return b
     if fa * fb > 0:
         raise ValueError(f"root not bracketed on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         m = 0.5 * (a + b)
         if b - a <= tol or not a < m < b:
             break
@@ -56,7 +58,7 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-10, max_depth: int = 40) -> float:
+                     tol: float = 1e-10) -> float:
     """Adaptive Simpson quadrature of f over [a, b] with absolute tolerance tol."""
     if a == b:
         return 0.0
@@ -64,7 +66,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     m = 0.5 * (a + b)
     fm = f(m)
     whole = _simpson(fa, fm, fb, b - a)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, SIMPSON_MAX_DEPTH)
 
 
 def thread_count() -> int:

@@ -1,10 +1,9 @@
 """Dense complex-Hermitian matrix kernel.
 
-Eigendecomposition, tensor products, partial trace/transpose (also of
-(..., D, D) stacks), trace norm, and coordinates of states over an orthogonal
-Hermitian operator basis normalized to Tr(e_i e_j) = delta_ij * prod(dims),
-with e_0 = identity. Everything here is pure and operates on small dense
-arrays (dims <= 64 total).
+Eigendecomposition, partial trace/transpose (also of (..., D, D) stacks),
+trace norm, validated density states, and an orthogonal Hermitian operator
+basis normalized to Tr(e_i e_j) = delta_ij * prod(dims), with e_0 = identity.
+Everything here is pure and operates on small dense arrays (dims <= 64 total).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .errors import DimMismatchError, NonHermitianError, NotAStateError
 HERM_TOL = 1e-10
 PSD_SLACK = 1e-10
 TRACE_TOL = 1e-10
-ROUNDTRIP_TOL = 1e-12
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -38,42 +36,37 @@ def herm_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise NonHermitianError("matrix has non-finite entries")
     defect = herm_defect(m)
-    if defect > tol:
-        raise NonHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance {tol:.1e}")
+    if defect > HERM_TOL:
+        raise NonHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance {HERM_TOL:.1e}")
     return m
 
 
-def herm_eig(m, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues sorted descending, eigenvectors as matching columns).
-    Raises NonHermitianError if the symmetry defect exceeds tol.
+    Raises NonHermitianError if the symmetry defect exceeds HERM_TOL.
     """
-    m = require_hermitian(_as_matrix(m), tol)
+    m = require_hermitian(_as_matrix(m))
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 
 
-def herm_eigvals(m, tol: float = HERM_TOL) -> np.ndarray:
+def herm_eigvals(m) -> np.ndarray:
     """Descending eigenvalues of a Hermitian matrix."""
-    m = require_hermitian(_as_matrix(m), tol)
+    m = require_hermitian(_as_matrix(m))
     return np.linalg.eigvalsh(m)[::-1]
 
 
-def trace_norm(m, tol: float = HERM_TOL) -> float:
+def trace_norm(m) -> float:
     """Trace norm ||M||_1 of a Hermitian matrix: sum of |eigenvalues|."""
-    return float(np.sum(np.abs(herm_eigvals(m, tol))))
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product A (x) B."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
+    return float(np.sum(np.abs(herm_eigvals(m))))
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
@@ -126,7 +119,8 @@ def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityState:
-    """Hermitian, unit-trace, PSD matrix together with its subsystem dimensions."""
+    """Finite, Hermitian, unit-trace, PSD matrix together with its subsystem
+    dimensions."""
 
     matrix: np.ndarray
     dims: tuple[int, ...]
@@ -136,8 +130,7 @@ class DensityState:
         dims = _check_dims(matrix, dims)
         if matrix.ndim != 2:
             raise DimMismatchError(f"expected one matrix, got shape {matrix.shape}")
-        if herm_defect(matrix) > HERM_TOL:
-            raise NonHermitianError(f"density matrix not Hermitian within {HERM_TOL:.1e}")
+        require_hermitian(matrix)
         tr = float(np.real(np.trace(matrix)))
         if abs(tr - 1.0) > TRACE_TOL:
             raise NotAStateError(f"trace {tr} deviates from 1 beyond {TRACE_TOL:.1e}")
@@ -146,10 +139,6 @@ class DensityState:
             raise NotAStateError(f"minimum eigenvalue {min_eig:.3e} below -{PSD_SLACK:.1e}")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def reduced(self, keep: int | Iterable[int]) -> "DensityState":
         if isinstance(keep, (int, np.integer)):
@@ -226,29 +215,3 @@ def operator_basis(dims: Sequence[int]) -> OperatorBasis:
     for nxt in sites[1:]:
         elements = [np.kron(a, b) for a in elements for b in nxt]
     return OperatorBasis(dims=dims, elements=tuple(elements))
-
-
-def coords(rho, basis: OperatorBasis) -> np.ndarray:
-    """Coordinates a_i = Tr(rho e_i) / prod(dims); a_0 = 1/prod(dims) for states."""
-    m = _as_matrix(rho)
-    if isinstance(rho, DensityState) and rho.dims != basis.dims:
-        raise DimMismatchError(f"state dims {rho.dims} != basis dims {basis.dims}")
-    if m.shape[0] != basis.total_dim:
-        raise DimMismatchError(f"matrix dim {m.shape[0]} != basis dim {basis.total_dim}")
-    d = basis.total_dim
-    return np.array([np.real(np.trace(m @ e)) / d for e in basis.elements])
-
-
-def from_coords(a, basis: OperatorBasis) -> DensityState:
-    """Inverse of coords: sum_i a_i e_i, validated as a density matrix.
-
-    Raises NotAStateError when the reconstruction fails the trace or PSD checks
-    (the offending operator is reported, never silently clamped).
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (basis.size,):
-        raise DimMismatchError(f"expected {basis.size} coordinates, got {a.shape}")
-    m = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-    for ai, e in zip(a, basis.elements):
-        m += ai * e
-    return DensityState(m, basis.dims)

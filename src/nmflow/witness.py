@@ -2,12 +2,11 @@
 
 Backflow detection over a time grid with bisection-refined onsets, the
 entanglement-breaking time of an evolved maximally entangled pair, Haar
-sampling of pure states with a vectorized mutual-information scan, the
+sampling of pure state vectors with a vectorized mutual-information scan, the
 generalized-amplitude-damping scan over weakly entangled probes, a spectral
 first/second-derivative toolkit for functions of parametrized Hermitian
-families, the closed-form Hessian spectrum of the mutual-information rate at
-stationary states of random-unitary qubit dynamics, and the zero-eigenspace
-coordinate-length derivative.
+families, and the closed-form Hessian spectrum of the mutual-information rate
+at stationary states of random-unitary qubit dynamics.
 """
 
 from __future__ import annotations
@@ -29,14 +28,17 @@ from .errors import (
     NeverBreakingError,
     NmflowError,
     PrecisionLossWarning,
-    ZeroVectorError,
 )
-from .numutil import bisect_root, chunk_indices, parallel_map, thread_count
+from .numutil import bisect_root, chunk_indices, parallel_map
 from .qmat import PAULIS, DensityState, maximally_entangled
 
 ONSET_MARGIN = 1e-10
 ONSET_REFINE_TOL = 1e-4
+EB_FLOOR = 1e-12  # negativity at or below which find_t_eb counts the pair as separable
+CHUNK_TIMES = 128  # times per mi_series chunk
 CHUNK_MATRICES = 2 ** 17  # states per mi_series chunk, summed over its times
+DEG_TOL = 1e-12  # eigenvalue gap within which spectral_derivs groups a degenerate pair
+CROSS_TOL = 1e-8  # smallest gap spectral_derivs accepts between ungrouped eigenvalues
 EPS_MACHINE = float(np.finfo(float).eps)
 
 
@@ -52,8 +54,8 @@ def _check_positive(**values: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """An initial state, the channel evolving one subsystem, and a finite,
-    strictly increasing time grid (checked when built).
+    """An initial density matrix, the channel evolving one subsystem, and a
+    finite, strictly increasing time grid (all checked when built).
 
     A measure maps (states, dims) to values: `measure_series` calls it once on
     the (T, D, D) stack of the grid states, `measure_at` on a single matrix.
@@ -70,13 +72,12 @@ class Trajectory:
         if (grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid))
                 or np.any(np.diff(grid) <= 0)):
             raise ConfigParseError("grid must be finite and strictly increasing with >= 2 points")
-        initial = qmat._as_matrix(self.initial)
-        dims = qmat._check_dims(initial, self.dims)
-        if initial.ndim != 2 or not -len(dims) <= self.subsystem < len(dims):
-            raise DimMismatchError(f"need one matrix and a subsystem of {dims}, got shape "
-                                   f"{initial.shape} and subsystem {self.subsystem}")
+        state = DensityState(qmat._as_matrix(self.initial), self.dims)
+        dims = state.dims
+        if not -len(dims) <= self.subsystem < len(dims):
+            raise DimMismatchError(f"subsystem {self.subsystem} out of range for {dims}")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "initial", state.matrix)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "subsystem", self.subsystem % len(dims))
 
@@ -99,7 +100,6 @@ class Trajectory:
 class BackflowReport:
     """Detected increase intervals of a correlation measure along a trajectory."""
 
-    measure: str
     onsets: tuple[float, ...]
     intervals: tuple[tuple[float, float], ...]
     max_derivative: float
@@ -121,7 +121,7 @@ def _increase_intervals(grid: np.ndarray, series: np.ndarray, margin: float):
 
 
 def scan_backflow(measure: Callable, traj: Trajectory, margin: float = ONSET_MARGIN,
-                  refine_tol: float = ONSET_REFINE_TOL, name: str | None = None) -> BackflowReport:
+                  refine_tol: float = ONSET_REFINE_TOL) -> BackflowReport:
     """Locate intervals where a correlation measure increases along a trajectory.
 
     The measure is evaluated once on the trajectory's (T, D, D) state stack
@@ -138,8 +138,7 @@ def scan_backflow(measure: Callable, traj: Trajectory, margin: float = ONSET_MAR
     for (start, end, idx) in raw:
         onsets.append(_refine_onset(measure, traj, idx, refine_tol))
         intervals.append((start, end))
-    label = name or getattr(measure, "__name__", "measure")
-    return BackflowReport(measure=label, onsets=tuple(onsets), intervals=tuple(intervals),
+    return BackflowReport(onsets=tuple(onsets), intervals=tuple(intervals),
                           max_derivative=max_deriv)
 
 
@@ -167,8 +166,7 @@ def _refine_onset(measure: Callable, traj: Trajectory, idx: int, tol: float) -> 
     return 0.5 * (lo + hi)
 
 
-def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0, coarse: float = 0.05,
-              floor: float = 1e-12) -> float:
+def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0, coarse: float = 0.05) -> float:
     """First time the negativity of the evolved maximally entangled pair hits 0.
 
     Coarse scan followed by bisection to tol; raises NeverBreakingError when
@@ -185,10 +183,10 @@ def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0, coarse: float = 0
     t = coarse
     while t <= t_max + 1e-12:
         n_t = neg(t)
-        if n_t <= floor:
-            if n_prev <= floor:
+        if n_t <= EB_FLOOR:
+            if n_prev <= EB_FLOOR:
                 return t_prev  # already separable at the previous point
-            return bisect_root(lambda s: neg(s) - floor, t_prev, t, tol=tol)
+            return bisect_root(lambda s: neg(s) - EB_FLOOR, t_prev, t, tol=tol)
         t_prev, n_prev = t, n_t
         t += coarse
     raise NeverBreakingError(f"negativity still {n_prev:.3e} at t = {t_max}")
@@ -205,13 +203,6 @@ def sample_pure_vectors(dims: Sequence[int], count: int, seed: int) -> np.ndarra
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def sample_pure(dims: Sequence[int], count: int, seed: int) -> list[DensityState]:
-    """Haar-random pure DensityStates (see sample_pure_vectors)."""
-    dims = tuple(int(x) for x in dims)
-    vecs = sample_pure_vectors(dims, count, seed)
-    return [DensityState(np.outer(v, v.conj()), dims) for v in vecs]
 
 
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
@@ -250,7 +241,7 @@ def _real_representatives(vectors: np.ndarray) -> np.ndarray:
     return (e * np.sqrt(np.maximum(mu, 0.0))[:, None, :]).transpose(0, 2, 1).reshape(-1, 4)
 
 
-def mi_series(channel, vectors: np.ndarray, grid: np.ndarray, chunk: int = 128,
+def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
               workers: int | None = None) -> np.ndarray:
     """Mutual information I(t) for a batch of two-qubit pure initial states
     under 1 (x) Lambda_t; returns an array of shape (len(grid), n_states).
@@ -260,7 +251,7 @@ def mi_series(channel, vectors: np.ndarray, grid: np.ndarray, chunk: int = 128,
     translation: every family of the package) and has a real superoperator,
     each psi becomes the real (U_A (x) R_z) psi, which has the same I(t), and
     the scan runs in float64; otherwise in complex. A chunk holds at most
-    `chunk` times and CHUNK_MATRICES states.
+    CHUNK_TIMES times and CHUNK_MATRICES states.
     """
     grid = np.asarray(grid, dtype=float)
     maps = channel.as_affine(grid)
@@ -270,14 +261,13 @@ def mi_series(channel, vectors: np.ndarray, grid: np.ndarray, chunk: int = 128,
         superops, vectors = superops.real, _real_representatives(vectors)
     states0 = np.einsum("na,nb->nab", vectors, vectors.conj())
     out = np.empty((grid.size, states0.shape[0]))
-    chunk = max(1, min(chunk, CHUNK_MATRICES // max(1, states0.shape[0])))
+    chunk = max(1, min(CHUNK_TIMES, CHUNK_MATRICES // max(1, states0.shape[0])))
 
     def run(piece):
         lo, hi = piece
         out[lo:hi] = _two_qubit_mi(_apply_superops(superops[lo:hi], states0, (2, 2), 1))
 
-    parallel_map(run, list(chunk_indices(grid.size, chunk)),
-                 workers=workers if workers is not None else thread_count())
+    parallel_map(run, list(chunk_indices(grid.size, chunk)), workers=workers)
     return out
 
 
@@ -295,8 +285,7 @@ SCAN_MARGIN = 1e-12
 
 
 def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0,
-                  margin: float = SCAN_MARGIN, refine_tol: float = ONSET_REFINE_TOL,
-                  workers: int | None = None):
+                  margin: float = SCAN_MARGIN, refine_tol: float = ONSET_REFINE_TOL):
     """Minimum mutual-information backflow onset over Haar-random pure states.
 
     Returns (min onset time, argmin state vector, per-state onset times with
@@ -319,7 +308,7 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0,
     if steps.size == 0:
         return float("nan"), None, np.full(count, np.nan)
     points = np.union1d(steps, steps + 1)
-    series = mi_series(channel, vectors, grid[points], workers=workers)
+    series = mi_series(channel, vectors, grid[points])
     at = np.searchsorted(points, steps)
     rising = series[at + 1] - series[at] > margin
     idx = steps[rising.argmax(axis=0)]
@@ -345,14 +334,14 @@ class EpsilonScanResult:
     precision_loss: bool
 
 
-def gadc_epsilon_scan(eps_list: Sequence[float], grid: np.ndarray | None = None,
-                      margin: float | None = None) -> list[EpsilonScanResult]:
+def gadc_epsilon_scan(eps_list: Sequence[float],
+                      grid: np.ndarray | None = None) -> list[EpsilonScanResult]:
     """Mutual-information increase intervals of sqrt(1-eps^2)|00> + eps|11>
     under the two-parameter generalized amplitude damping, per eps.
 
     Valid for eps >= 1e-6 in double precision; results carry a precision-loss
     flag when the whole signal sits within 1e3 machine epsilons of zero. The
-    increase margin scales with the eps^2 signal size unless given.
+    increase margin scales with the eps^2 signal size.
     """
     gadc = GadcChannel()
     if grid is None:
@@ -370,9 +359,8 @@ def gadc_epsilon_scan(eps_list: Sequence[float], grid: np.ndarray | None = None,
         if loss:
             warnings.warn(f"eps = {eps}: mutual information at machine-noise level",
                           PrecisionLossWarning)
-        use_margin = margin if margin is not None else max(1e-14, 1e-4 * eps * eps
-                                                           * float(np.mean(np.diff(grid))) / 1e-3)
-        raw, _ = _increase_intervals(grid, series, use_margin)
+        margin = max(1e-14, 1e-4 * eps * eps * float(np.mean(np.diff(grid))) / 1e-3)
+        raw, _ = _increase_intervals(grid, series, margin)
         interval = None
         if raw:
             interval = (raw[0][0], raw[-1][1])
@@ -395,7 +383,9 @@ class SpectralFunction:
     hess: Callable[[np.ndarray], np.ndarray]
 
 
-def entropy_spectral(floor: float = 1e-14) -> SpectralFunction:
+def entropy_spectral() -> SpectralFunction:
+    floor = correlations.EIG_FLOOR
+
     def value(lam):
         lam = np.asarray(lam)
         safe = np.where(lam > floor, lam, 1.0)
@@ -410,30 +400,16 @@ def entropy_spectral(floor: float = 1e-14) -> SpectralFunction:
     return SpectralFunction(value=value, grad=grad, hess=hess)
 
 
-def trace_spectral() -> SpectralFunction:
-    return SpectralFunction(value=lambda lam: float(np.sum(lam)),
-                            grad=lambda lam: np.ones_like(lam),
-                            hess=lambda lam: np.zeros((lam.size, lam.size)))
-
-
-def sum_squares_spectral() -> SpectralFunction:
-    return SpectralFunction(value=lambda lam: float(np.sum(lam ** 2)),
-                            grad=lambda lam: 2.0 * np.asarray(lam),
-                            hess=lambda lam: 2.0 * np.eye(lam.size))
-
-
-def spectral_derivs(fn: SpectralFunction, a: np.ndarray, da: Sequence[np.ndarray],
-                    d2a: dict | None = None, deg_tol: float = 1e-12,
-                    cross_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def spectral_derivs(fn: SpectralFunction, a: np.ndarray,
+                    da: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of f(A(a)) at a point, from the eigensystem of A.
 
     df/da_i = sum_k f'_k u_k^dag (dA/da_i) u_k, and the second derivatives add
     the eigenvector-rotation terms with energy denominators (restricted to
     non-degenerate pairs) plus the degenerate-pair correction weighted by
-    f''. Exactly degenerate eigenvalues (within deg_tol) are grouped; a pair
-    closer than cross_tol but not grouped raises CrossingTooCloseError.
-    d2a maps index pairs (i, j) to the constant second-derivative matrices
-    (omitted pairs are zero, which covers linear families).
+    f''. Exactly degenerate eigenvalues (within DEG_TOL) are grouped; a pair
+    closer than CROSS_TOL but not grouped raises CrossingTooCloseError.
+    A(a) is linear in a, so no second derivatives of A enter.
     """
     a = np.asarray(a, dtype=complex)
     vals, vecs = np.linalg.eigh(a)
@@ -441,12 +417,12 @@ def spectral_derivs(fn: SpectralFunction, a: np.ndarray, da: Sequence[np.ndarray
     # Group exactly-degenerate eigenvalues (sorted ascending).
     group = np.zeros(n, dtype=int)
     for k in range(1, n):
-        group[k] = group[k - 1] + (0 if vals[k] - vals[k - 1] <= deg_tol else 1)
+        group[k] = group[k - 1] + (0 if vals[k] - vals[k - 1] <= DEG_TOL else 1)
     for k in range(1, n):
         gap = vals[k] - vals[k - 1]
-        if group[k] != group[k - 1] and gap < cross_tol:
+        if group[k] != group[k - 1] and gap < CROSS_TOL:
             raise CrossingTooCloseError(
-                f"eigenvalue gap {gap:.3e} below {cross_tol:.1e} but above {deg_tol:.1e}")
+                f"eigenvalue gap {gap:.3e} below {CROSS_TOL:.1e} but above {DEG_TOL:.1e}")
 
     w = np.stack([vecs.conj().T @ np.asarray(m, dtype=complex) @ vecs for m in da])
     h1 = np.real(np.einsum("ikk->ik", w))
@@ -465,13 +441,6 @@ def spectral_derivs(fn: SpectralFunction, a: np.ndarray, da: Sequence[np.ndarray
     d_weights = np.where(same_upper, np.diag(f2)[:, None], 0.0)
     hess = hess + 2.0 * np.real(np.einsum("kl,ikl,jkl->ij", d_weights, w, w.conj(),
                                           optimize=True))
-    if d2a:
-        for (i, j), m in d2a.items():
-            term = float(np.sum(f1 * np.real(np.einsum("ik,ij,jk->k", vecs.conj(),
-                                                       np.asarray(m, dtype=complex), vecs))))
-            hess[i, j] += term
-            if i != j:
-                hess[j, i] += term
     return gradient, (hess + hess.T) / 2.0
 
 
@@ -542,34 +511,3 @@ def hessian_eigs_closed(gx: float, gy: float, gz: float, a12: float) -> np.ndarr
     for p in pairs:
         vals.extend([-8.0 * p * t, -8.0 * p * t])
     return np.array(vals)
-
-
-def zero_space_lambda_deriv(a1: float, a2: float, a3: float,
-                            gx: float, gy: float, gz: float) -> float:
-    """Time derivative of the coordinate length sqrt(a1^2 + a2^2 + a3^2) in
-    the Hessian zero eigenspace: nonpositive whenever the pairwise rate sums
-    are nonnegative."""
-    norm_sq = a1 * a1 + a2 * a2 + a3 * a3
-    if norm_sq == 0.0:
-        raise ZeroVectorError("coordinate vector is zero")
-    num = a1 * a1 * (gz + gy) + a2 * a2 * (gx + gz) + a3 * a3 * (gx + gy)
-    return -num / float(np.sqrt(norm_sq))
-
-
-def unital_witness_state(phi_vec, p: float) -> DensityState:
-    """Correlated mixing state (1/2)|0><0| (x) (p|phi><phi| + (1-p) 1/2)
-    + (1/2)|1><1| (x) (p|phi_perp><phi_perp| + (1-p) 1/2): both reduced states
-    are maximally mixed, and it lies in the image of any bijective unital
-    qubit evolution for small enough p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got {p}")
-    v = np.asarray(phi_vec, dtype=complex).ravel()
-    if v.shape != (2,):
-        raise ValueError("phi must be a qubit state vector")
-    v = v / np.linalg.norm(v)
-    v_perp = np.array([-np.conj(v[1]), np.conj(v[0])])
-    eye2 = np.eye(2, dtype=complex)
-    block0 = p * np.outer(v, v.conj()) + (1.0 - p) * eye2 / 2.0
-    block1 = p * np.outer(v_perp, v_perp.conj()) + (1.0 - p) * eye2 / 2.0
-    full = 0.5 * (np.kron(np.diag([1.0, 0.0]), block0) + np.kron(np.diag([0.0, 1.0]), block1))
-    return DensityState(full, (2, 2))

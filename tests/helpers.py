@@ -5,6 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 from nmflow import qmat
+from nmflow.errors import DimMismatchError, NonHermitianError, NotAStateError
+from nmflow.qmat import _as_matrix
+
+
+# 4x4 matrices that are not density matrices, with the error each must raise.
+NOT_STATES = {
+    "nan": (np.full((4, 4), np.nan), NonHermitianError),
+    "inf": (np.diag([np.inf, 0.0, 0.0, 0.0]), NonHermitianError),
+    "trace 2": (np.eye(4) / 2, NotAStateError),
+    "non-Hermitian": (np.eye(4) / 4 + np.triu(np.full((4, 4), 0.1), 1), NonHermitianError),
+    "negative eigenvalue": (np.diag([0.6, 0.5, 0.2, -0.3]), NotAStateError),
+}
 
 
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
@@ -69,3 +81,11 @@ def probe_pair_at_tau(p: float) -> tuple[np.ndarray, np.ndarray]:
     rho1 = np.kron(q2, eye2) / 4.0 + p * (xx - yy + zz) / 4.0
     rho2 = np.kron((1.0 - p) * q2 / 2.0 + p * proj2, eye2 / 2.0)
     return rho1, rho2
+
+
+def trace_distance(rho, sigma) -> float:
+    """D(rho, sigma) = ||rho - sigma||_1 / 2."""
+    a, b = _as_matrix(rho), _as_matrix(sigma)
+    if a.shape != b.shape:
+        raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))

@@ -22,7 +22,6 @@ from nmflow.channels import (
     dephasing,
     depolarizing,
     quasi_eternal,
-    transfer,
 )
 from nmflow.errors import (
     BadAxisError,
@@ -33,6 +32,22 @@ from nmflow.errors import (
 )
 from nmflow.numutil import bisect_root
 from nmflow.qmat import SIGMA_X, SIGMA_Z, maximally_entangled
+
+
+def transfer(qmap, basis: qmat.OperatorBasis) -> np.ndarray:
+    """Components V_ij = Tr[e_i (1 (x) Lambda)(e_j)] / prod(dims).
+
+    The map acts on the last subsystem of the basis; trace preservation forces
+    V_00 = 1 and V_0j = 0 for j != 0.
+    """
+    dims = basis.dims
+    n = basis.size
+    v = np.zeros((n, n))
+    for j, ej in enumerate(basis.elements):
+        mapped = apply_map(qmap, ej, dims, subsystem=len(dims) - 1)
+        for i, ei in enumerate(basis.elements):
+            v[i, j] = float(np.real(np.trace(ei @ mapped))) / basis.total_dim
+    return v
 
 
 def test_a_ij_initial_value():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nmflow
+from nmflow.channels import GadcChannel, channel_from_json
 from nmflow.cli import main
 
 
@@ -78,6 +79,41 @@ def test_divisibility_scan_cli_with_channel_json(tmp_path):
     assert lines[0] == "t,value,flag"
     labels = {line.split(",")[2] for line in lines[1:]}
     assert labels == {"CPDivisible", "NotP"}
+
+
+def _divisibility_scan_rows(tmp_path, channel):
+    """(t, value, flag) rows of divisibility-scan on its default grid."""
+    assert main(["divisibility-scan", "--channel", json.dumps(channel),
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "divisibility-scan.csv").read_text().splitlines()
+    grid = np.arange(0.0, 5.0 + 5e-4, 1e-3)
+    assert lines[0] == "t,value,flag" and len(lines) == grid.size + 1
+    return [(float(t), *line.split(",")[1:]) for t, line in zip(grid, lines[1:])]
+
+
+def test_divisibility_scan_cli_gadc(tmp_path):
+    gadc = GadcChannel()
+    rows = _divisibility_scan_rows(tmp_path, {"family": "gadc"})
+    for t, value, flag in rows:
+        gm, gp = gadc.rates(t)
+        assert value == f"{min(gm, gp):.12g}"
+        assert flag == ("CPDivisible" if gm >= 0 and gp >= 0 else "NotP")
+    assert {flag for *_, flag in rows} == {"CPDivisible", "NotP"}
+
+
+def test_divisibility_scan_cli_amp_damp(tmp_path):
+    spec = {"family": "amp_damp", "p": 0.3, "G": [[0, 1], [1, 0.5], [2, 0.7], [3, 0.3]]}
+    channel = channel_from_json(spec)
+    slopes = {0: -0.5, 1: 0.2, 2: -0.4}  # of the interpolated G, constant past t = 3
+    rows = _divisibility_scan_rows(tmp_path, spec)
+    for t, value, flag in rows:
+        gamma = channel.gamma(t)
+        assert value == f"{gamma:.12g}"
+        assert flag == ("CPDivisible" if gamma >= 0 else "NotP")
+        if min(abs(t - knot) for knot in (1, 2, 3)) > 1e-5:  # gamma = -2 G'/G off the knots
+            g = np.interp(t, [0, 1, 2, 3], [1, 0.5, 0.7, 0.3])
+            assert gamma == pytest.approx(-2.0 * slopes.get(int(t), 0.0) / g, rel=1e-8)
+    assert {flag for *_, flag in rows} == {"CPDivisible", "NotP"}
 
 
 def test_probe_backflow_cli(tmp_path):

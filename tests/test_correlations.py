@@ -1,3 +1,6 @@
+from math import prod
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -7,24 +10,129 @@ from helpers import (
     random_density,
     random_kraus,
     random_pure_vector,
-)
-from nmflow import channels, correlations, qmat
-from nmflow.channels import AffineQubitMap, apply_map, quasi_eternal
-from nmflow.correlations import (
-    Ensemble,
-    bell_mi_derivative,
-    entropy,
-    guessing_commuting,
-    guessing_two,
-    helstrom_two,
-    mutual_information,
-    negativity,
-    singlet_fraction_cq,
     trace_distance,
 )
-from nmflow.errors import DimMismatchError, NonCommutingError, NotClassicalQuantumError
+from nmflow import channels, correlations, qmat
+from nmflow.channels import AffineQubitMap, RateChannel, apply_map, quasi_eternal
+from nmflow.correlations import (
+    EIG_FLOOR,
+    Ensemble,
+    _common_eigenbasis,
+    _dims_of,
+    entropy,
+    guessing_commuting,
+    mutual_information,
+    negativity,
+)
+from nmflow.errors import DimMismatchError, NmflowError, NonCommutingError
 from nmflow.numutil import bisect_root
-from nmflow.qmat import SIGMA_X, maximally_entangled
+from nmflow.qmat import SIGMA_X, _as_matrix, maximally_entangled, operator_basis, partial_trace
+
+
+class NotClassicalQuantumError(NmflowError, ValueError):
+    """State lacks the classical-quantum block structure sum_i p_i |i><i| (x) rho_i."""
+
+
+class DegenerateLogError(NmflowError, ValueError):
+    """Bell-diagonal derivative undefined because the identity weight p_0 vanishes."""
+
+
+def guessing_two(rho1, rho2) -> float:
+    """Guessing probability of two equiprobable states:
+    P_g = (2 + ||rho1 - rho2||_1) / 4, between 1/2 and 1."""
+    return 0.5 + 0.5 * trace_distance(rho1, rho2)
+
+
+def helstrom_two(p1: float, rho1, p2: float, rho2) -> float:
+    """Binary discrimination with priors: P_g = (1 + ||p1 rho1 - p2 rho2||_1)/2."""
+    a, b = _as_matrix(rho1), _as_matrix(rho2)
+    if a.shape != b.shape:
+        raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+    return 0.5 * (1.0 + float(np.sum(np.abs(np.linalg.eigvalsh(p1 * a - p2 * b)))))
+
+
+def _cq_blocks(m: np.ndarray, d_cls: int, d_q: int, tol: float) -> list[tuple[float, np.ndarray]] | None:
+    blocks = m.reshape(d_cls, d_q, d_cls, d_q)
+    off = 0.0
+    for i in range(d_cls):
+        for j in range(d_cls):
+            if i != j:
+                off = max(off, float(np.max(np.abs(blocks[i, :, j, :]))))
+    if off > tol:
+        return None
+    out = []
+    for i in range(d_cls):
+        b = blocks[i, :, i, :]
+        p = float(np.real(np.trace(b)))
+        if p > 1e-12:
+            out.append((p, b / p))
+    return out
+
+
+def singlet_fraction_cq(rho, dims: Sequence[int] | None = None, tol: float = 1e-9) -> float:
+    """One-sided singlet fraction of a classical-quantum state
+    sum_i p_i |i><i| (x) rho_i: equals the guessing probability of {p_i, rho_i}.
+
+    The classical register is the first subsystem; the block basis may be any
+    orthonormal basis (searched for if the computational one fails). Branches
+    with three or more mutually non-commuting states raise NonCommutingError.
+    """
+    m, dims = _dims_of(rho, dims)
+    if len(dims) < 2:
+        raise DimMismatchError("need a classical register plus a quantum part")
+    d_cls = dims[0]
+    d_q = prod(dims[1:])
+    branches = _cq_blocks(m, d_cls, d_q, tol)
+    if branches is None:
+        # Try to rotate the register: top operators Tr_q[rho (1 (x) sigma)] must
+        # commute for classical-quantum states, and their common eigenbasis
+        # diagonalizes the register blocks.
+        tops = []
+        for sigma in operator_basis((d_q,)).elements:
+            tops.append(partial_trace(m @ np.kron(np.eye(d_cls), sigma), (d_cls, d_q), keep=0))
+        herm = []
+        for tM in tops:
+            herm.append((tM + tM.conj().T) / 2.0)
+            herm.append((tM - tM.conj().T) / 2.0j)
+        try:
+            u = _common_eigenbasis(herm, tol)
+        except NonCommutingError as exc:
+            raise NotClassicalQuantumError("register blocks cannot be diagonalized") from exc
+        rot = np.kron(u.conj().T, np.eye(d_q)) @ m @ np.kron(u, np.eye(d_q))
+        branches = _cq_blocks(rot, d_cls, d_q, tol)
+        if branches is None:
+            raise NotClassicalQuantumError("state is not classical-quantum within tolerance")
+    if len(branches) == 1:
+        return 1.0
+    if len(branches) == 2:
+        (p1, r1), (p2, r2) = branches
+        return helstrom_two(p1, r1, p2, r2)
+    ens = Ensemble([p for p, _ in branches], [r for _, r in branches])
+    return guessing_commuting(ens).value
+
+
+def bell_mi_derivative(ch: RateChannel, t: float) -> float:
+    """d/dt of the mutual information of an evolved maximally entangled pair,
+    sum_k (dp_k/dt) ln(p_k / p_0) over k in {x, y, z}.
+
+    Returns -inf when some p_k vanishes while dp_k/dt > 0 (the entropy grows
+    with unbounded slope, e.g. at t = 0)."""
+    p = ch.probs(t)
+    dp = ch.probs_derivative(t)
+    if p[0] <= EIG_FLOOR:
+        raise DegenerateLogError(f"p_0(t={t}) = {p[0]}: derivative formula undefined")
+    total = 0.0
+    for k in (1, 2, 3):
+        if p[k] <= EIG_FLOOR:
+            # Weight pinned at zero (e.g. p_z of the eternal model): no
+            # contribution; a genuinely growing weight makes the slope -inf.
+            if abs(dp[k]) <= 1e-10:
+                continue
+            if dp[k] > 0:
+                return float("-inf")
+            raise DegenerateLogError(f"p_{k}(t={t}) = 0 with negative derivative")
+        total += dp[k] * np.log(p[k] / p[0])
+    return float(total)
 
 
 def test_entropy_pure_and_mixed():

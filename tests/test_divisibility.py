@@ -3,21 +3,39 @@ import pytest
 
 from helpers import random_density
 from nmflow import channels, divisibility
-from nmflow.channels import AffineQubitMap, AmpDampChannel, ConstantRate, GadcChannel, dephasing, \
-    depolarizing, quasi_eternal
+from nmflow.channels import AffineQubitMap, AmpDampChannel, ConstantRate, GadcChannel, RateChannel, \
+    apply_map, dephasing, depolarizing, quasi_eternal
 from nmflow.correlations import mutual_information
 from nmflow.divisibility import (
     DivisibilityLabel,
     classify_intervals,
-    cptp_conditions,
     divisibility_rates,
     is_cp,
     is_p_qubit,
     physicality_threshold,
-    rhp_g,
 )
 from nmflow.errors import UnphysicalError
+from nmflow.qmat import maximally_entangled
 
+
+def cptp_conditions(ch: RateChannel, t: float) -> tuple[float, float, float]:
+    """(B_xyz, B_yzx, B_zxy) with B_ijk = 1 + A_ij - A_jk - A_ki; the channel
+    is CPTP at t iff all three are nonnegative."""
+    axy = ch.a("x", "y", t)
+    ayz = ch.a("y", "z", t)
+    azx = ch.a("z", "x", t)
+    return (1.0 + axy - ayz - azx, 1.0 + ayz - azx - axy, 1.0 + azx - axy - ayz)
+
+
+def rhp_g(channel, t: float, dt: float = 1e-6) -> float:
+    """Trace-norm witness g(t): the normalized growth rate of
+    ||(1 (x) V_{t+dt,t})(phi+)||_1, positive iff V_{t+dt,t} is not CP."""
+    v = channel.intermediate(t, t + dt)
+    phi = maximally_entangled(2)
+    out = apply_map(v, phi, (2, 2), subsystem=1)
+    out = (out + out.conj().T) / 2.0
+    norm1 = float(np.sum(np.abs(np.linalg.eigvalsh(out))))
+    return (norm1 - 1.0) / dt
 
 
 def test_is_cp_identity():

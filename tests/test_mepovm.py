@@ -1,3 +1,5 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from nmflow.mepovm import (
     MePovm2,
     Povm,
     build_probe,
-    c2,
     c2_A,
     c2_B,
     c2_closed_probe,
@@ -22,6 +23,11 @@ from nmflow.mepovm import (
     povm_count_bound,
 )
 from nmflow.qmat import maximally_entangled
+
+
+def c2(rho, dims: Sequence[int] | None = None, cut: int = 1, **kwargs) -> float:
+    """Symmetrized measure: max of the A-side and B-side optima."""
+    return max(c2_A(rho, dims, cut, **kwargs).value, c2_B(rho, dims, cut, **kwargs).value)
 
 
 def outcome_probs(povm: MePovm2, rho: np.ndarray) -> tuple[float, float]:
@@ -363,3 +369,16 @@ def test_weak_correlation_probe_still_detects():
     assert v_after > v_tau + 1e-9
     res = c2_A(probe.state_at(3.0), cut=1, restarts=4)
     assert res.value == pytest.approx(v_tau, abs=1e-7)
+
+
+def test_probe_closed_c2_computes_tau_once(monkeypatch):
+    calls = []
+    for cls in (channels.ConstantRate, channels.QuasiEternalZRate):
+        monkeypatch.setattr(cls, "integral", lambda self, t1, t2, f=cls.integral:
+                            calls.append(t2) or f(self, t1, t2))
+    probe = build_probe(0.4, 2.0, 3.0, 0.2)
+    grid = np.arange(0.0, 4.0 + 5e-3, 1e-2)  # probe-backflow's default grid
+    for t in grid:
+        probe.closed_c2(float(t))
+    # Three rate integrals per point, and three once for the factors at tau.
+    assert grid.size == 401 and len(calls) == 3 * (grid.size + 1)

