@@ -68,8 +68,8 @@ def _check_interval(t, s) -> None:
 # ---------------------------------------------------------------------------
 
 class RateSpec:
-    """A real rate function of time, evaluable and integrable on [t1, t2]
-    (floats or arrays of interval ends)."""
+    """A real rate function of time, evaluable at a time or an array of times
+    and integrable on [t1, t2] (floats or arrays of interval ends)."""
 
     def rate(self, t: float) -> float:
         raise NotImplementedError
@@ -83,7 +83,7 @@ class ConstantRate(RateSpec):
     value: float
 
     def rate(self, t: float) -> float:
-        return self.value
+        return np.full(np.shape(t), self.value)[()]
 
     def integral(self, t1: float, t2: float) -> float:
         return self.value * (t2 - t1)
@@ -130,7 +130,7 @@ class TabulatedRate(RateSpec):
         object.__setattr__(self, "_cum", np.concatenate(([0.0], np.cumsum(steps))))
 
     def rate(self, t: float) -> float:
-        return float(np.interp(t, self._ts, self._gs))
+        return np.interp(t, self._ts, self._gs)
 
     def _antiderivative(self, t):
         k = np.clip(np.searchsorted(self._ts, t, side="right") - 1, 0, self._ts.size - 1)
@@ -151,7 +151,7 @@ class CallableRate(RateSpec):
     integral_fn: Callable[[float, float], float] | None = None
 
     def rate(self, t: float) -> float:
-        return float(self.fn(t))
+        return _elementwise(self.fn, t)
 
     def integral(self, t1, t2):
         if self.integral_fn is not None:
@@ -358,8 +358,9 @@ class RateChannel:
         return self._factors(0.0, t)
 
     def lambdas(self, t: float) -> tuple[float, float, float]:
-        """(lambda_x, lambda_y, lambda_z) with lambda_i = sqrt(A_jk), cyclic."""
-        return tuple(float(np.sqrt(c)) for c in self.contractions(t))
+        """(lambda_x, lambda_y, lambda_z) with lambda_i = sqrt(A_jk), cyclic;
+        arrays over the times for an array t."""
+        return tuple(np.sqrt(c) for c in self.contractions(t))
 
     def as_affine(self, t) -> AffineQubitMap:
         return AffineQubitMap(self.contractions(t))
@@ -446,10 +447,11 @@ def _gad_affine(g, p: float) -> AffineQubitMap:
 
 
 def amp_damp_gamma(g: float, dg_dt: float) -> float:
-    """Single rate gamma(t) = -(2/G) dG/dt of the amplitude-damping generator."""
-    if g == 0.0:
+    """Single rate gamma(t) = -(2/G) dG/dt of the amplitude-damping generator
+    (elementwise over arrays); +0.0, not -0.0, where G is flat."""
+    if np.any(g == 0.0):
         raise SingularMapError("gamma undefined at G = 0")
-    return -2.0 * dg_dt / g
+    return -2.0 * dg_dt / g + 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,11 +466,13 @@ class AmpDampChannel:
         return _elementwise(self.g_of_t, t)
 
     def gamma(self, t: float) -> float:
+        """The rate at a time, or at each time of an array; a central
+        difference of G when no dG/dt is given."""
         if self.dg_dt is not None:
-            dg = float(self.dg_dt(t))
+            dg = _elementwise(self.dg_dt, t)
         else:
             h = GAMMA_FD_STEP
-            lo = max(0.0, t - h)
+            lo = np.maximum(0.0, t - h)
             dg = (self.g(t + h) - self.g(lo)) / (t + h - lo)
         return amp_damp_gamma(self.g(t), dg)
 
@@ -485,11 +489,18 @@ class AmpDampChannel:
         return _gad_affine(ratio[()], self.p)
 
 
-def _tabulated_callable(samples: Sequence[Sequence[float]]) -> Callable[[float], float]:
+def _tabulated_callable(samples: Sequence[Sequence[float]]) -> tuple[Callable, Callable]:
+    """The piecewise-linear interpolant of (t, G) samples, clamped outside, and
+    its exact derivative: the slope of the segment starting at or before t (the
+    right-hand slope at a knot), +0.0 before the first and from the last knot."""
     pts = sorted((float(a), float(b)) for a, b in samples)
     ts = np.array([q[0] for q in pts])
     vs = np.array([q[1] for q in pts])
-    return lambda t: float(np.interp(t, ts, vs))
+    widths = np.diff(ts)
+    slopes = np.zeros(ts.size + 1)
+    np.divide(np.diff(vs), widths, out=slopes[1:-1], where=widths > 0.0)
+    return (lambda t: float(np.interp(t, ts, vs)),
+            lambda t: float(slopes[np.searchsorted(ts, t, side="right")]))
 
 
 @dataclass(frozen=True)
@@ -524,7 +535,7 @@ class GadcChannel:
 
     def rates(self, t: float) -> tuple[float, float]:
         drive = 5.0 * (1.0 - np.exp(-t)) * np.sin(10.0 * t)
-        gm = float(np.cos(5.0 * t) ** 2 - drive)
+        gm = self.s(t) - drive
         return gm, 1.0 - gm
 
     def as_affine(self, t) -> AffineQubitMap:
@@ -574,7 +585,8 @@ def channel_from_json(obj):
         if family == "dephasing":
             return dephasing(TabulatedRate(tuple((float(a), float(b)) for a, b in obj["gamma"])))
         if family == "amp_damp":
-            return AmpDampChannel(_tabulated_callable(obj["G"]), float(obj["p"]))
+            g, dg_dt = _tabulated_callable(obj["G"])
+            return AmpDampChannel(g, float(obj["p"]), dg_dt)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"bad parameters for channel family {family!r}: {exc}") from exc
     raise ConfigParseError(f"unknown channel family {family!r}")

@@ -24,16 +24,13 @@ from .qmat import maximally_entangled
 T1_MINUS = (0.13437, 0.31416)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """One line per row, floats at 12 significant digits; every row has the
+    column types of the first."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    if rows:
+        template = ",".join("%.12g" if isinstance(x, float) else "%s" for x in rows[0])
+        lines.extend(template % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -86,27 +83,22 @@ def run_physicality(cfg, out):
 def run_divisibility_scan(cfg, out):
     channel = channel_from_json(cfg.channel) if cfg.channel else quasi_eternal(cfg.alpha, cfg.t0)
     grid = _grid(0.0, cfg.t_max + cfg.step / 2, cfg.step)
-    rows = []
-    for t in grid:
-        t = float(t)
-        if isinstance(channel, GadcChannel):
-            gm, gp = channel.rates(t)
-            rates = (gm, gp, 0.0)
-            value = min(gm, gp)
-        elif hasattr(channel, "rates"):
-            rates = channel.rates(t)
-            value = min(rates)
-        else:  # amplitude damping: single rate
-            g = channel.gamma(t)
-            rates = (g, g, g)
-            value = g
-        flags = divisibility.divisibility_rates(*rates)
-        label = "CPDivisible" if flags["cp"] else ("PNotCP" if flags["p"] else "NotP")
-        rows.append((t, value, label))
+    if isinstance(channel, GadcChannel):
+        gm, gp = channel.rates(grid)
+        rates, value = (gm, gp, 0.0), np.minimum(gm, gp)
+    elif hasattr(channel, "rates"):
+        rates = channel.rates(grid)
+        value = np.minimum.reduce(rates)
+    else:  # amplitude damping: single rate
+        g = channel.gamma(grid)
+        rates, value = (g, g, g), g
+    flags = divisibility.divisibility_rates(*rates)
+    labels = np.where(flags["cp"], "CPDivisible", np.where(flags["p"], "PNotCP", "NotP"))
+    rows = list(zip(grid.tolist(), value.tolist(), labels.tolist()))
     write_csv(out / "divisibility-scan.csv", ["t", "value", "flag"], rows)
-    labels = [r[2] for r in rows]
+    names, counts = np.unique(labels, return_counts=True)
     return {"experiment": "divisibility-scan",
-            "fractions": {lab: labels.count(lab) / len(labels) for lab in set(labels)},
+            "fractions": {str(lab): int(n) / labels.size for lab, n in zip(names, counts)},
             "landmark": None}
 
 
@@ -117,7 +109,7 @@ def run_eb_time(cfg, out):
     phi = maximally_entangled(2)
     grid = _grid(0.0, t_eb + 0.5, max(cfg.step, 1e-3))
     values = witness.Trajectory(phi, channel, (2, 2), grid).measure_series(correlations.negativity)
-    rows = list(zip(map(float, grid), map(float, values)))
+    rows = list(zip(grid.tolist(), values.tolist()))
     write_csv(out / "eb-time.csv", ["t", "value"], rows)
     landmark = None
     if abs(cfg.alpha - 0.4) < 1e-12 and abs(cfg.t0 - 2.0) < 1e-12:
@@ -139,7 +131,7 @@ def run_mi_scan(cfg, out):
               f"({detected} detected)")
         if state is not None:
             series = witness.mi_series(channel, state[None, :], grid, workers=1)[:, 0]
-            rows = list(zip((float(t) for t in grid), series))
+            rows = list(zip(grid.tolist(), series.tolist()))
         else:
             rows = []
         write_csv(out / "mi-scan.csv", ["t", "value"], rows)
@@ -156,10 +148,7 @@ def run_mi_scan(cfg, out):
     series = witness.mi_series(channel, phi_vec, grid, workers=1)[:, 0]
     report = witness.scan_backflow(lambda m, dims: correlations.mutual_information(m, dims),
                                    traj)
-    rows = []
-    diffs = np.gradient(series, grid)
-    for t, v, d in zip(grid, series, diffs):
-        rows.append((float(t), float(v), float(d)))
+    rows = list(zip(grid.tolist(), series.tolist(), np.gradient(series, grid).tolist()))
     write_csv(out / "mi-scan.csv", ["t", "value", "derivative"], rows)
     onset = report.onsets[0] if report.onsets else float("nan")
     print(f"MI backflow onset (maximally entangled probe): {onset:.4f}")
@@ -203,11 +192,10 @@ def run_probe_backflow(cfg, out):
     probe = mepovm.build_probe(cfg.alpha, cfg.t0, cfg.tau, cfg.p)
     t_max = cfg.t_max if cfg.t_max > cfg.tau else cfg.tau + 1.0
     grid = _grid(0.0, t_max + cfg.step / 2, cfg.step)
-    values = np.array([probe.closed_c2(float(t)) for t in grid])
-    rows = []
+    values = probe.closed_c2(grid)
     diffs = np.diff(values, prepend=values[0])
-    for t, v, d in zip(grid, values, diffs):
-        rows.append((float(t), float(v), float(d), int(d > 1e-10 and t > cfg.tau)))
+    flags = ((diffs > 1e-10) & (grid > cfg.tau)).astype(int)
+    rows = list(zip(grid.tolist(), values.tolist(), diffs.tolist(), flags.tolist()))
     write_csv(out / "probe-backflow.csv", ["t", "value", "derivative", "flag"], rows)
     opt = mepovm.c2_A(probe.state_at(cfg.tau), cut=1, seed=cfg.seed)
     early = values[grid <= cfg.t0]
@@ -232,20 +220,16 @@ def run_hessian_check(cfg, out):
     if cfg.draws < 1:
         raise ConfigParseError(f"--draws must be >= 1, got {cfg.draws}")
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    worst = 0.0
-    for k in range(cfg.draws):
-        gx, gy, gz = rng.uniform(-0.5, 1.5, size=3)
-        a12 = float(rng.uniform(-0.2, 0.2))
-        if abs(a12) < 1e-6:
-            a12 = 0.05
-        numeric = np.sort(np.linalg.eigvalsh(witness.mi_rate_hessian(gx, gy, gz, a12)))
-        closed = np.sort(np.concatenate([witness.hessian_eigs_closed(gx, gy, gz, a12),
-                                         np.zeros(6)]))
-        scale = max(1.0, float(np.max(np.abs(closed))))
-        dev = float(np.max(np.abs(numeric - closed) / scale))
-        worst = max(worst, dev)
-        rows.append((float(k), dev))
+    draws = np.array([(*rng.uniform(-0.5, 1.5, size=3), rng.uniform(-0.2, 0.2))
+                      for _ in range(cfg.draws)])
+    draws[np.abs(draws[:, 3]) < 1e-6, 3] = 0.05
+    numeric = np.linalg.eigvalsh(witness.mi_rate_hessian(*draws.T))
+    closed = np.sort([np.concatenate([witness.hessian_eigs_closed(*draw), np.zeros(6)])
+                      for draw in draws])
+    scale = np.maximum(1.0, np.max(np.abs(closed), axis=1))
+    devs = np.max(np.abs(numeric - closed) / scale[:, None], axis=1)
+    worst = float(np.max(devs))
+    rows = list(zip(map(float, range(cfg.draws)), devs.tolist()))
     write_csv(out / "hessian-check.csv", ["t", "value"], rows)
     print(f"max relative Hessian deviation over {cfg.draws} draws: {worst:.3e}")
     landmark = {"name": "hessian_closed_forms", "value": worst, "target": "<= 1e-3",

@@ -116,9 +116,10 @@ def physicality_threshold(alpha: float) -> float:
 
 def divisibility_rates(gx: float, gy: float, gz: float) -> dict:
     """Pointwise divisibility from the instantaneous rates: CP needs all rates
-    nonnegative, P needs all pairwise sums nonnegative (so cp implies p)."""
-    cp = gx >= 0.0 and gy >= 0.0 and gz >= 0.0
-    p = gx + gy >= 0.0 and gy + gz >= 0.0 and gz + gx >= 0.0
+    nonnegative, P needs all pairwise sums nonnegative (so cp implies p).
+    Elementwise over arrays of rates."""
+    cp = (gx >= 0.0) & (gy >= 0.0) & (gz >= 0.0)
+    p = (gx + gy >= 0.0) & (gy + gz >= 0.0) & (gz + gx >= 0.0)
     return {"cp": cp, "p": p}
 
 

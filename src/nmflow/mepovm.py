@@ -131,8 +131,9 @@ def construct_me_povm(rho_a) -> MePovm2:
     return MePovm2((p1, np.eye(d) - p1), ref)
 
 
-def c2_closed_probe(rho1, rho2) -> float:
-    """C of the classical-quantum probe in closed form: ||rho1 - rho2||_1 / 4."""
+def c2_closed_probe(rho1, rho2):
+    """C of the classical-quantum probe in closed form: ||rho1 - rho2||_1 / 4;
+    an array of values for (..., n, n) stacks."""
     a, b = _as_matrix(rho1), _as_matrix(rho2)
     if a.shape != b.shape:
         raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
@@ -454,7 +455,7 @@ class ProbeState:
     def channel(self):
         return quasi_eternal(self.alpha, self.t0)
 
-    def _lambdas(self, t: float) -> tuple[float, float]:
+    def _lambdas(self, t):
         lx, _, lz = self.channel.lambdas(t)
         return lx, lz
 
@@ -462,17 +463,18 @@ class ProbeState:
     def _lambdas_tau(self) -> tuple[float, float]:
         return self._lambdas(self.tau)
 
-    def pair_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(rho1_B(t), rho2_B(t)) on the qutrit (x) qubit side."""
+    def pair_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(rho1_B(t), rho2_B(t)) on the qutrit (x) qubit side; (T, 6, 6) stacks
+        for a 1-D array of T times."""
         lxy_tau, lz_tau = self._lambdas_tau
         lxy_t, lz_t = self._lambdas(t)
-        cxy = self.p * lxy_t / lxy_tau
-        cz = self.p * lz_t / lz_tau
+        cxy = np.asarray(self.p * lxy_t / lxy_tau)[..., None, None]
+        cz = np.asarray(self.p * lz_t / lz_tau)[..., None, None]
         rho1 = np.kron(_Q2, np.eye(2, dtype=complex)) / 4.0 \
             + cxy * (_XX - _YY) / 4.0 + cz * _ZZ / 4.0
         rho2 = np.kron((1.0 - self.p) * _Q2 / 2.0 + self.p * _PROJ2,
                        np.eye(2, dtype=complex) / 2.0)
-        return rho1, rho2
+        return rho1, np.broadcast_to(rho2, rho1.shape)
 
     def state_at(self, t: float) -> DensityState:
         rho1, rho2 = self.pair_at(t)
@@ -481,7 +483,9 @@ class ProbeState:
         full = 0.5 * (np.kron(e00, rho1) + np.kron(e11, rho2))
         return DensityState(full, (2, 3, 2))
 
-    def closed_c2(self, t: float) -> float:
+    def closed_c2(self, t):
+        """C of the probe at time t, or at each time of a 1-D array (one
+        contraction call and one batched eigvalsh for the whole array)."""
         rho1, rho2 = self.pair_at(t)
         return c2_closed_probe(rho1, rho2)
 

@@ -31,9 +31,9 @@ def _as_matrix(obj) -> np.ndarray:
 
 
 def herm_defect(m: np.ndarray) -> float:
-    """Max-abs entrywise deviation from M = M^dagger."""
+    """Max-abs entrywise deviation from M = M^dagger, over a whole stack."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)))) if m.size else 0.0
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
@@ -59,14 +59,16 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def herm_eigvals(m) -> np.ndarray:
-    """Descending eigenvalues of a Hermitian matrix."""
+    """Descending eigenvalues of a Hermitian matrix, or of each matrix of a stack."""
     m = require_hermitian(_as_matrix(m))
-    return np.linalg.eigvalsh(m)[::-1]
+    return np.linalg.eigvalsh(m)[..., ::-1]
 
 
-def trace_norm(m) -> float:
-    """Trace norm ||M||_1 of a Hermitian matrix: sum of |eigenvalues|."""
-    return float(np.sum(np.abs(herm_eigvals(m))))
+def trace_norm(m):
+    """Trace norm ||M||_1 of a Hermitian matrix: sum of |eigenvalues|; an array
+    of norms for an (..., n, n) stack."""
+    norms = np.sum(np.abs(herm_eigvals(m)), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:

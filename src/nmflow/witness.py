@@ -35,6 +35,7 @@ from .qmat import PAULIS, DensityState, maximally_entangled
 ONSET_MARGIN = 1e-10
 ONSET_REFINE_TOL = 1e-4
 EB_FLOOR = 1e-12  # negativity at or below which find_t_eb counts the pair as separable
+EB_CHUNK = 1024  # coarse-scan points per find_t_eb stack
 CHUNK_TIMES = 128  # times per mi_series chunk
 CHUNK_MATRICES = 2 ** 17  # states per mi_series chunk, summed over its times
 DEG_TOL = 1e-12  # eigenvalue gap within which spectral_derivs groups a degenerate pair
@@ -169,27 +170,34 @@ def _refine_onset(measure: Callable, traj: Trajectory, idx: int, tol: float) -> 
 def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0, coarse: float = 0.05) -> float:
     """First time the negativity of the evolved maximally entangled pair hits 0.
 
-    Coarse scan followed by bisection to tol; raises NeverBreakingError when
-    the negativity stays positive up to t_max.
+    Coarse scan over the accumulated points 0, coarse, coarse + coarse, ...
+    up to t_max, evaluated in stacks of at most EB_CHUNK points, followed by
+    bisection to tol between the last point above EB_FLOOR and the first at or
+    below it; raises NeverBreakingError when the negativity stays positive up
+    to t_max.
     """
     _check_positive(tol=tol, coarse=coarse, t_max=t_max)
-    phi = maximally_entangled(2)
+    phi = maximally_entangled(2)[None]
 
-    def neg(t: float) -> float:
-        state = apply_map(channel.as_affine(t), phi, (2, 2), subsystem=1)
-        return correlations.negativity(state, (2, 2), transpose=0)
+    def neg(ts: np.ndarray) -> np.ndarray:
+        states = _apply_superops(channel.as_affine(ts).superop, phi, (2, 2), 1)[:, 0]
+        return correlations.negativity(states, (2, 2), transpose=0)
 
-    t_prev, n_prev = 0.0, neg(0.0)
-    t = coarse
-    while t <= t_max + 1e-12:
-        n_t = neg(t)
-        if n_t <= EB_FLOOR:
-            if n_prev <= EB_FLOOR:
-                return t_prev  # already separable at the previous point
-            return bisect_root(lambda s: neg(s) - EB_FLOOR, t_prev, t, tol=tol)
-        t_prev, n_prev = t, n_t
-        t += coarse
-    raise NeverBreakingError(f"negativity still {n_prev:.3e} at t = {t_max}")
+    start = 0.0
+    while True:
+        ts = np.cumsum(np.concatenate(([start], np.full(EB_CHUNK, coarse))))
+        ts = ts[ts <= t_max + 1e-12]
+        values = neg(ts)
+        hits = np.flatnonzero(values[1:] <= EB_FLOOR)
+        if hits.size:
+            k = int(hits[0]) + 1
+            if values[k - 1] <= EB_FLOOR:
+                return float(ts[k - 1])  # already separable at the previous point
+            return bisect_root(lambda s: float(neg(np.array([s]))[0]) - EB_FLOOR,
+                               float(ts[k - 1]), float(ts[k]), tol=tol)
+        if ts.size <= EB_CHUNK:
+            raise NeverBreakingError(f"negativity still {values[-1]:.3e} at t = {t_max}")
+        start = float(ts[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +383,10 @@ def gadc_epsilon_scan(eps_list: Sequence[float],
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    """A symmetric function of eigenvalues with its gradient and Hessian in
-    the eigenvalues."""
+    """A separable function f(lam) = sum_k g(lam_k) of eigenvalues: its value,
+    its gradient g'(lam_k) and its Hessian diagonal g''(lam_k) (the Hessian in
+    the eigenvalues is diagonal). grad and hess act elementwise on (..., n)
+    stacks of spectra."""
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
@@ -395,71 +405,85 @@ def entropy_spectral() -> SpectralFunction:
         return -(np.log(np.maximum(lam, floor)) + 1.0)
 
     def hess(lam):
-        return np.diag(-1.0 / np.maximum(lam, floor))
+        return -1.0 / np.maximum(lam, floor)
 
     return SpectralFunction(value=value, grad=grad, hess=hess)
 
 
+def _weighted_gram(weights: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # Re sum_kl weights[..., k, l] w[..., i, k, l] conj(w[..., j, k, l]) -> (..., i, j)
+    flat = w.reshape(w.shape[:-2] + (-1,))
+    scaled = flat * weights.reshape(weights.shape[:-2] + (1, -1))
+    return np.real(scaled @ np.swapaxes(flat.conj(), -1, -2))
+
+
 def spectral_derivs(fn: SpectralFunction, a: np.ndarray,
-                    da: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+                    da: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of f(A(a)) at a point, from the eigensystem of A.
+
+    a is one (n, n) matrix or an (..., n, n) stack; da holds the p derivative
+    matrices dA/da_i as a (p, n, n) array shared by the stack, or (..., p, n, n)
+    per matrix. Returns the (..., p) gradients and (..., p, p) Hessians.
 
     df/da_i = sum_k f'_k u_k^dag (dA/da_i) u_k, and the second derivatives add
     the eigenvector-rotation terms with energy denominators (restricted to
     non-degenerate pairs) plus the degenerate-pair correction weighted by
     f''. Exactly degenerate eigenvalues (within DEG_TOL) are grouped; a pair
-    closer than CROSS_TOL but not grouped raises CrossingTooCloseError.
-    A(a) is linear in a, so no second derivatives of A enter.
+    closer than CROSS_TOL but not grouped, in any matrix of the stack, raises
+    CrossingTooCloseError. A(a) is linear in a, so no second derivatives of A
+    enter.
     """
     a = np.asarray(a, dtype=complex)
     vals, vecs = np.linalg.eigh(a)
-    n = vals.size
-    # Group exactly-degenerate eigenvalues (sorted ascending).
-    group = np.zeros(n, dtype=int)
-    for k in range(1, n):
-        group[k] = group[k - 1] + (0 if vals[k] - vals[k - 1] <= DEG_TOL else 1)
-    for k in range(1, n):
-        gap = vals[k] - vals[k - 1]
-        if group[k] != group[k - 1] and gap < CROSS_TOL:
-            raise CrossingTooCloseError(
-                f"eigenvalue gap {gap:.3e} below {CROSS_TOL:.1e} but above {DEG_TOL:.1e}")
+    n = vals.shape[-1]
+    # Group exactly-degenerate eigenvalues (sorted ascending), per matrix.
+    gaps = np.diff(vals, axis=-1)
+    split = gaps > DEG_TOL
+    close = split & (gaps < CROSS_TOL)
+    if np.any(close):
+        raise CrossingTooCloseError(
+            f"eigenvalue gap {np.min(gaps[close]):.3e} below {CROSS_TOL:.1e} "
+            f"but above {DEG_TOL:.1e}")
+    group = np.concatenate((np.zeros(vals.shape[:-1] + (1,), dtype=int),
+                            np.cumsum(split, axis=-1)), axis=-1)
 
-    w = np.stack([vecs.conj().T @ np.asarray(m, dtype=complex) @ vecs for m in da])
-    h1 = np.real(np.einsum("ikk->ik", w))
+    vecs = vecs[..., None, :, :]
+    w = np.swapaxes(vecs.conj(), -1, -2) @ np.asarray(da, dtype=complex) @ vecs
+    h1 = np.real(np.diagonal(w, axis1=-2, axis2=-1))
     f1 = np.asarray(fn.grad(vals), dtype=float)
     f2 = np.asarray(fn.hess(vals), dtype=float)
-    gradient = h1 @ f1
+    gradient = (h1 @ f1[..., None])[..., 0]
 
-    hess = h1 @ f2 @ h1.T
-    diff = vals[:, None] - vals[None, :]
-    distinct = group[:, None] != group[None, :]
+    hess = (h1 * f2[..., None, :]) @ np.swapaxes(h1, -1, -2)
+    diff = vals[..., :, None] - vals[..., None, :]
+    distinct = group[..., :, None] != group[..., None, :]
     # Cross term of h_ij^k: sum over l outside k's group of alpha_ij^{kl}
     # divided by (lam_k - lam_l), weighted by f'_k.
-    b = f1[:, None] * np.where(distinct, 1.0 / np.where(distinct, diff, 1.0), 0.0)
-    hess = hess + 2.0 * np.real(np.einsum("kl,ikl,jkl->ij", b, w, w.conj(), optimize=True))
+    b = f1[..., :, None] * np.where(distinct, 1.0 / np.where(distinct, diff, 1.0), 0.0)
+    hess = hess + 2.0 * _weighted_gram(b, w)
     same_upper = (~distinct) & (np.arange(n)[:, None] < np.arange(n)[None, :])
-    d_weights = np.where(same_upper, np.diag(f2)[:, None], 0.0)
-    hess = hess + 2.0 * np.real(np.einsum("kl,ikl,jkl->ij", d_weights, w, w.conj(),
-                                          optimize=True))
-    return gradient, (hess + hess.T) / 2.0
+    d_weights = np.where(same_upper, f2[..., :, None], 0.0)
+    hess = hess + 2.0 * _weighted_gram(d_weights, w)
+    return gradient, (hess + np.swapaxes(hess, -1, -2)) / 2.0
 
 
 # ---------------------------------------------------------------------------
 # Mutual-information rate Hessian at stationary states
 # ---------------------------------------------------------------------------
 
-def _contraction_rates(gx: float, gy: float, gz: float) -> np.ndarray:
+def _contraction_rates(gx, gy, gz) -> np.ndarray:
     # Decay rate c_i of coordinate a_{i_A, i_S} in the convention of the
     # closed-form Hessian spectrum: a system Pauli index contracts at the
-    # pairwise rate sum, the identity not at all.
-    per_pauli = np.array([0.0, gy + gz, gx + gz, gx + gy])
-    return np.tile(per_pauli, 4)[1:]
+    # pairwise rate sum, the identity not at all. Shape (..., 15).
+    per_pauli = np.stack(np.broadcast_arrays(0.0, gy + gz, gx + gz, gx + gy), axis=-1)
+    return np.tile(per_pauli, 4)[..., 1:]
 
 
-def mi_rate_hessian(gx: float, gy: float, gz: float, a12: float) -> np.ndarray:
+def mi_rate_hessian(gx, gy, gz, a12) -> np.ndarray:
     """Numeric Hessian (15 x 15) of d/dt I at the stationary state
     rho = 1/4 (1 (x) 1) + a12 (sigma_z (x) 1), over the 15 traceless
-    coordinates, via the spectral-derivative toolkit.
+    coordinates, via the spectral-derivative toolkit. The arguments broadcast
+    against each other; the result has shape (..., 15, 15).
 
     The derivative convention matches the closed-form spectrum: coordinates
     contract as da_i/ds = -c_i a_i with c_i the pairwise rate sum of the
@@ -467,27 +491,27 @@ def mi_rate_hessian(gx: float, gy: float, gz: float, a12: float) -> np.ndarray:
     d/dt I = -sum_i c_i a_i dI/da_i reduces to
     H_jk = -(c_j + c_k) d2I/da_j da_k, needing only second derivatives of I.
     """
-    basis = qmat.operator_basis((2, 2))
-    e = basis.elements
+    a12 = np.asarray(a12, dtype=float)[..., None, None]
+    e = np.array(qmat.operator_basis((2, 2)).elements)
     fn = entropy_spectral()
     rho0 = 0.25 * np.eye(4, dtype=complex) + a12 * e[12]
-    da_joint = [e[i] for i in range(1, 16)]
-    _, h_joint = spectral_derivs(fn, rho0, da_joint)
+    _, h_joint = spectral_derivs(fn, rho0, e[1:])
 
-    zero2 = np.zeros((2, 2), dtype=complex)
     # The system marginal depends on coordinates 1..3, the ancilla marginal on
     # 4, 8, 12; all other coordinate derivatives vanish.
-    rho_s = 0.5 * np.eye(2, dtype=complex)
-    da_s = [2.0 * PAULIS[k] if k in (1, 2, 3) else zero2 for k in range(1, 16)]
-    _, h_s = spectral_derivs(fn, rho_s, da_s)
+    paulis = np.array(PAULIS)
+    da_s = np.zeros((15, 2, 2), dtype=complex)
+    da_s[:3] = 2.0 * paulis[1:]
+    _, h_s = spectral_derivs(fn, 0.5 * np.eye(2, dtype=complex), da_s)
 
     rho_a = 0.5 * np.eye(2, dtype=complex) + 2.0 * a12 * PAULIS[3]
-    da_a = [2.0 * PAULIS[k // 4] if k in (4, 8, 12) else zero2 for k in range(1, 16)]
+    da_a = np.zeros((15, 2, 2), dtype=complex)
+    da_a[[3, 7, 11]] = 2.0 * paulis[1:]
     _, h_a = spectral_derivs(fn, rho_a, da_a)
 
     h_mi = h_a + h_s - h_joint
     c = _contraction_rates(gx, gy, gz)
-    return -np.add.outer(c, c) * h_mi
+    return -(c[..., :, None] + c[..., None, :]) * h_mi
 
 
 def hessian_eigs_closed(gx: float, gy: float, gz: float, a12: float) -> np.ndarray:

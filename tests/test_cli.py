@@ -8,8 +8,13 @@ import numpy as np
 import pytest
 
 import nmflow
-from nmflow.channels import GadcChannel, channel_from_json
+from nmflow import channels, cli
+from nmflow.channels import GadcChannel, channel_from_json, quasi_eternal
 from nmflow.cli import main
+from nmflow.divisibility import divisibility_rates
+
+EXPERIMENTS = ("physicality", "divisibility-scan", "eb-time", "mi-scan", "gadc-scan",
+               "probe-backflow", "hessian-check", "povm-bound", "pg-counterexample")
 
 
 def read_summary(out, name):
@@ -114,6 +119,111 @@ def test_divisibility_scan_cli_amp_damp(tmp_path):
             g = np.interp(t, [0, 1, 2, 3], [1, 0.5, 0.7, 0.3])
             assert gamma == pytest.approx(-2.0 * slopes.get(int(t), 0.0) / g, rel=1e-8)
     assert {flag for *_, flag in rows} == {"CPDivisible", "NotP"}
+
+
+def divisibility_rows_loop(channel, grid) -> list[str]:
+    """Per-point oracle for divisibility-scan's CSV rows: the rates at one time
+    per call, through the family ladder."""
+    lines = []
+    for t in grid:
+        t = float(t)
+        if isinstance(channel, GadcChannel):
+            gm, gp = channel.rates(t)
+            rates, value = (gm, gp, 0.0), min(gm, gp)
+        elif hasattr(channel, "rates"):
+            rates = channel.rates(t)
+            value = min(rates)
+        else:
+            g = channel.gamma(t)
+            rates, value = (g, g, g), g
+        flags = divisibility_rates(*rates)
+        label = "CPDivisible" if flags["cp"] else ("PNotCP" if flags["p"] else "NotP")
+        lines.append(f"{t:.12g},{value:.12g},{label}")
+    return lines
+
+
+@pytest.mark.parametrize("spec", [
+    None,
+    {"family": "gadc"},
+    {"family": "dephasing", "gamma": [[0, 1], [5, -0.3]]},
+    {"family": "amp_damp", "p": 0.3, "G": [[0, 1], [1, 0.5], [2, 0.7], [3, 0.3]]},
+])
+def test_divisibility_scan_matches_per_point_ladder(tmp_path, spec):
+    argv = ["divisibility-scan", "--out", str(tmp_path)]
+    if spec is not None:
+        argv += ["--channel", json.dumps(spec)]
+    assert main(argv) == 0
+    lines = (tmp_path / "divisibility-scan.csv").read_text().splitlines()
+    channel = quasi_eternal(0.4, 1.0) if spec is None else channel_from_json(spec)
+    assert lines[1:] == divisibility_rows_loop(channel, np.arange(0.0, 5.0 + 5e-4, 1e-3))
+
+
+def test_divisibility_scan_amp_damp_exact_at_knots(tmp_path):
+    # G knots (0, 1), (1, 0.5), (2, 0.7), (3, 0.3): at a knot the rate is the
+    # right-hand one, -2 G'/G, and G is flat from the last knot on.
+    spec = {"family": "amp_damp", "p": 0.3, "G": [[0, 1], [1, 0.5], [2, 0.7], [3, 0.3]]}
+    rows = dict((t, (value, flag)) for t, value, flag in _divisibility_scan_rows(tmp_path, spec))
+    assert rows[1.0] == ("-0.8", "NotP")
+    assert rows[2.0] == (f"{0.8 / 0.7:.12g}", "CPDivisible")
+    assert rows[3.0] == ("0", "CPDivisible")
+    assert not [t for t, (value, _) in rows.items() if value == "-0"]
+    channel = channel_from_json(spec)
+    assert channel.gamma(0.5) == -2.0 * -0.5 / 0.75
+    assert channel.gamma(-1.0) == 0.0 and channel.gamma(4.0) == 0.0
+
+
+def _count_kernel_calls(monkeypatch, argv, tmp_path) -> dict:
+    counts = dict.fromkeys(("eigh", "eigvalsh", "integral"), 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for name in ("eigh", "eigvalsh"):
+            m.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        for cls in (channels.ConstantRate, channels.QuasiEternalZRate, channels.TabulatedRate,
+                    channels.CallableRate, channels.ScaledRate):
+            m.setattr(cls, "integral", counted("integral", cls.integral))
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    return counts
+
+
+@pytest.mark.parametrize("small, large", [
+    (["hessian-check", "--draws", "5"], ["hessian-check", "--draws", "50"]),
+    (["probe-backflow", "--step", "1e-2"], ["probe-backflow", "--step", "2.5e-3"]),
+])
+def test_kernel_calls_do_not_grow_with_the_grid(monkeypatch, tmp_path, small, large):
+    # One stacked call per grid: eigendecompositions and rate integrals are
+    # independent of the number of draws or grid points.
+    assert (_count_kernel_calls(monkeypatch, small, tmp_path)
+            == _count_kernel_calls(monkeypatch, large, tmp_path))
+
+
+def test_experiments_independent_of_thread_count(monkeypatch, tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NMFLOW_THREADS", threads)
+        out = tmp_path / threads
+        for name in EXPERIMENTS:
+            assert main([name, "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 2 * len(EXPERIMENTS)
+    assert outputs[0] == outputs[1]
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    rows = [(0.0, np.float64(1.0) / 3.0, 7, "CPDivisible", -0.0),
+            (1e-300, float("nan"), -3, "NotP", float("inf")),
+            (123456789012.345678, np.float64(-2.5e-17), 0, "PNotCP", 1.0)]
+    cli.write_csv(tmp_path / "x.csv", ["a", "b", "c", "d", "e"], rows)
+    fmt = lambda x: f"{x:.12g}" if isinstance(x, float) else str(x)
+    expected = ["a,b,c,d,e"] + [",".join(fmt(x) for x in row) for row in rows]
+    assert (tmp_path / "x.csv").read_text() == "\n".join(expected) + "\n"
+    cli.write_csv(tmp_path / "empty.csv", ["t", "value"], [])
+    assert (tmp_path / "empty.csv").read_text() == "t,value\n"
 
 
 def test_probe_backflow_cli(tmp_path):

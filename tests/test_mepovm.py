@@ -382,3 +382,26 @@ def test_probe_closed_c2_computes_tau_once(monkeypatch):
         probe.closed_c2(float(t))
     # Three rate integrals per point, and three once for the factors at tau.
     assert grid.size == 401 and len(calls) == 3 * (grid.size + 1)
+
+
+def test_probe_closed_c2_over_a_grid_matches_pointwise_calls():
+    probe = build_probe(0.4, 2.0, 3.0, 0.2)
+    grid = np.arange(0.0, 4.0 + 5e-3, 1e-2)
+    values = probe.closed_c2(grid)
+    assert values.shape == grid.shape
+    assert np.array_equal(values, [probe.closed_c2(float(t)) for t in grid])
+    rho1, rho2 = probe.pair_at(grid)
+    assert rho1.shape == rho2.shape == (grid.size, 6, 6)
+    ref1, ref2 = probe.pair_at(float(grid[7]))
+    assert np.array_equal(rho1[7], ref1) and np.array_equal(rho2[7], ref2)
+
+
+def test_probe_closed_c2_over_a_grid_integrates_once(monkeypatch):
+    calls = []
+    for cls in (channels.ConstantRate, channels.QuasiEternalZRate):
+        monkeypatch.setattr(cls, "integral", lambda self, t1, t2, f=cls.integral:
+                            calls.append(t2) or f(self, t1, t2))
+    probe = build_probe(0.4, 2.0, 3.0, 0.2)
+    probe.closed_c2(np.arange(0.0, 4.0 + 5e-3, 1e-2))
+    # Three rate integrals for the whole grid, and three for the factors at tau.
+    assert len(calls) == 6

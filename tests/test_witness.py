@@ -9,6 +9,7 @@ from nmflow.channels import (
     ConstantRate,
     GadcChannel,
     RateChannel,
+    apply_map,
     dephasing,
     depolarizing,
     quasi_eternal,
@@ -22,6 +23,7 @@ from nmflow.errors import (
     NeverBreakingError,
     NmflowError,
 )
+from nmflow.numutil import bisect_root
 from nmflow.qmat import DensityState, maximally_entangled
 from nmflow.witness import (
     SpectralFunction,
@@ -52,13 +54,13 @@ def sample_pure(dims: Sequence[int], count: int, seed: int) -> list[DensityState
 def trace_spectral() -> SpectralFunction:
     return SpectralFunction(value=lambda lam: float(np.sum(lam)),
                             grad=lambda lam: np.ones_like(lam),
-                            hess=lambda lam: np.zeros((lam.size, lam.size)))
+                            hess=lambda lam: np.zeros_like(lam))
 
 
 def sum_squares_spectral() -> SpectralFunction:
     return SpectralFunction(value=lambda lam: float(np.sum(lam ** 2)),
                             grad=lambda lam: 2.0 * np.asarray(lam),
-                            hess=lambda lam: 2.0 * np.eye(lam.size))
+                            hess=lambda lam: 2.0 * np.ones_like(lam))
 
 
 def zero_space_lambda_deriv(a1: float, a2: float, a3: float,
@@ -189,6 +191,46 @@ def test_find_t_eb_never_breaking():
     identity_channel = RateChannel(ConstantRate(0.0), ConstantRate(0.0), ConstantRate(0.0))
     with pytest.raises(NeverBreakingError):
         find_t_eb(identity_channel, t_max=5.0)
+
+
+def find_t_eb_loop(channel, tol: float = 1e-3, t_max: float = 20.0,
+                   coarse: float = 0.05) -> float:
+    """Per-point oracle for find_t_eb: one apply_map and negativity per coarse step."""
+    phi = maximally_entangled(2)
+
+    def neg(t):
+        return negativity(apply_map(channel.as_affine(t), phi, (2, 2), subsystem=1), (2, 2))
+
+    t_prev, n_prev = 0.0, neg(0.0)
+    t = coarse
+    while t <= t_max + 1e-12:
+        n_t = neg(t)
+        if n_t <= witness.EB_FLOOR:
+            if n_prev <= witness.EB_FLOOR:
+                return t_prev
+            return bisect_root(lambda s: neg(s) - witness.EB_FLOOR, t_prev, t, tol=tol)
+        t_prev, n_prev = t, n_t
+        t += coarse
+    raise NeverBreakingError(f"negativity still {n_prev:.3e} at t = {t_max}")
+
+
+@pytest.mark.parametrize("alpha, t0", [(0.4, 2.0), (0.4, 1.0), (1.0, 0.5)])
+def test_find_t_eb_matches_per_point_scan(alpha, t0):
+    ch = quasi_eternal(alpha, t0)
+    for tol in (1e-3, 1e-9):
+        assert find_t_eb(ch, tol=tol) == find_t_eb_loop(ch, tol=tol)
+    # A step fine enough that the bracket lies past the first stack of points.
+    fine = 0.5 * find_t_eb(ch) / witness.EB_CHUNK
+    assert find_t_eb(ch, coarse=fine) == find_t_eb_loop(ch, coarse=fine)
+
+
+def test_find_t_eb_never_breaking_over_several_stacks():
+    identity_channel = RateChannel(ConstantRate(0.0), ConstantRate(0.0), ConstantRate(0.0))
+    t_max = 2.5 * witness.EB_CHUNK * 0.05
+    with pytest.raises(NeverBreakingError, match="negativity still 5.000e-01"):
+        find_t_eb(identity_channel, t_max=t_max)
+    with pytest.raises(NeverBreakingError):
+        find_t_eb_loop(identity_channel, t_max=t_max)
 
 
 def test_find_t_eb_depolarizing_oracle():
@@ -601,6 +643,83 @@ def test_spectral_derivs_crossing_guard():
     da = [random_hermitian(np.random.default_rng(53), 3)]
     with pytest.raises(CrossingTooCloseError):
         spectral_derivs(fn, a, da)
+
+
+def spectral_derivs_loop(fn: SpectralFunction, a: np.ndarray, da) -> tuple:
+    """Per-matrix oracle for spectral_derivs: one eigendecomposition, a Python
+    loop over the eigenvalues for the degenerate groups and einsum contractions."""
+    a = np.asarray(a, dtype=complex)
+    vals, vecs = np.linalg.eigh(a)
+    n = vals.size
+    group = np.zeros(n, dtype=int)
+    for k in range(1, n):
+        group[k] = group[k - 1] + (0 if vals[k] - vals[k - 1] <= witness.DEG_TOL else 1)
+    for k in range(1, n):
+        if group[k] != group[k - 1] and vals[k] - vals[k - 1] < witness.CROSS_TOL:
+            raise CrossingTooCloseError("gap")
+    w = np.stack([vecs.conj().T @ np.asarray(m, dtype=complex) @ vecs for m in da])
+    h1 = np.real(np.einsum("ikk->ik", w))
+    f1 = np.asarray(fn.grad(vals), dtype=float)
+    f2 = np.diag(np.asarray(fn.hess(vals), dtype=float))
+    hess = h1 @ f2 @ h1.T
+    diff = vals[:, None] - vals[None, :]
+    distinct = group[:, None] != group[None, :]
+    b = f1[:, None] * np.where(distinct, 1.0 / np.where(distinct, diff, 1.0), 0.0)
+    hess = hess + 2.0 * np.real(np.einsum("kl,ikl,jkl->ij", b, w, w.conj()))
+    same_upper = (~distinct) & (np.arange(n)[:, None] < np.arange(n)[None, :])
+    d_weights = np.where(same_upper, np.diag(f2)[:, None], 0.0)
+    hess = hess + 2.0 * np.real(np.einsum("kl,ikl,jkl->ij", d_weights, w, w.conj()))
+    return h1 @ f1, (hess + hess.T) / 2.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_spectral_derivs_stack_matches_per_matrix(d):
+    rng = np.random.default_rng(60 + d)
+    fn = entropy_spectral()
+    stack = np.array([[random_density(rng, d) for _ in range(3)] for _ in range(2)])
+    # An exactly degenerate member: the maximally mixed state.
+    stack[1, 2] = np.eye(d) / d
+    shared = np.array([random_hermitian(rng, d) for _ in range(5)])
+    per_matrix = np.array([[[random_hermitian(rng, d) for _ in range(5)] for _ in range(3)]
+                           for _ in range(2)])
+    for da in (shared, per_matrix):
+        grad, hess = spectral_derivs(fn, stack, da)
+        assert grad.shape == (2, 3, 5) and hess.shape == (2, 3, 5, 5)
+        for i in range(2):
+            for j in range(3):
+                ref_grad, ref_hess = spectral_derivs_loop(
+                    fn, stack[i, j], da if da.ndim == 3 else da[i, j])
+                scale = max(1.0, float(np.max(np.abs(ref_hess))))
+                np.testing.assert_allclose(grad[i, j], ref_grad, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(hess[i, j], ref_hess, rtol=0, atol=1e-12 * scale)
+
+
+def test_spectral_derivs_crossing_guard_in_a_stack():
+    # One matrix of the stack with a gap inside (DEG_TOL, CROSS_TOL) trips the guard.
+    fn = entropy_spectral()
+    rng = np.random.default_rng(63)
+    stack = np.array([random_density(rng, 3) for _ in range(4)])
+    da = np.array([random_hermitian(rng, 3)])
+    spectral_derivs(fn, stack, da)
+    stack[2] = np.diag([0.2, 0.2 + 1e-9, 0.6 - 1e-9])
+    with pytest.raises(CrossingTooCloseError):
+        spectral_derivs_loop(fn, stack[2], da)
+    with pytest.raises(CrossingTooCloseError):
+        spectral_derivs(fn, stack, da)
+
+
+def test_mi_rate_hessian_broadcasts_bit_identically():
+    rng = np.random.default_rng(64)
+    gx, gy, gz = rng.uniform(-0.5, 1.5, size=(3, 20))
+    a12 = rng.uniform(-0.2, 0.2, size=20)
+    stacked = mi_rate_hessian(gx, gy, gz, a12)
+    assert stacked.shape == (20, 15, 15)
+    singles = np.array([mi_rate_hessian(float(x), float(y), float(z), float(a))
+                        for x, y, z, a in zip(gx, gy, gz, a12)])
+    np.testing.assert_array_equal(stacked, singles)
+    # Scalar rates broadcast against an array of states.
+    np.testing.assert_array_equal(mi_rate_hessian(0.3, 0.5, 0.7, a12[:4])[3],
+                                  mi_rate_hessian(0.3, 0.5, 0.7, a12[3]))
 
 
 def test_hessian_closed_form_values():
