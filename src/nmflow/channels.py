@@ -449,7 +449,9 @@ def _gad_affine(g, p: float) -> AffineQubitMap:
 def amp_damp_gamma(g: float, dg_dt: float) -> float:
     """Single rate gamma(t) = -(2/G) dG/dt of the amplitude-damping generator
     (elementwise over arrays); +0.0, not -0.0, where G is flat."""
-    if np.any(g == 0.0):
+    # A float compares directly: np.any costs microseconds on a scalar, and
+    # classify_intervals calls this once per scan point and bisection step.
+    if g == 0.0 if isinstance(g, float) else np.any(g == 0.0):
         raise SingularMapError("gamma undefined at G = 0")
     return -2.0 * dg_dt / g + 0.0
 

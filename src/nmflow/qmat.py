@@ -33,7 +33,7 @@ def _as_matrix(obj) -> np.ndarray:
 def herm_defect(m: np.ndarray) -> float:
     """Max-abs entrywise deviation from M = M^dagger, over a whole stack."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)))) if m.size else 0.0
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:

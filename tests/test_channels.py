@@ -310,6 +310,22 @@ def test_amp_damp_gamma_constant_for_exponential():
         assert ch.gamma(t) == pytest.approx(1.0, rel=1e-5)
 
 
+def test_amp_damp_gamma_over_arrays():
+    # Elementwise over arrays, with the G = 0 check on scalars and on any entry.
+    g = np.array([1.0, 0.5, 0.25])
+    dg = np.array([-0.5, 0.0, 0.1])
+    np.testing.assert_array_equal(amp_damp_gamma(g, dg),
+                                  [amp_damp_gamma(float(a), float(b)) for a, b in zip(g, dg)])
+    assert str(amp_damp_gamma(0.5, 0.0)) == "0.0"  # flat G: +0.0, not -0.0
+    with pytest.raises(SingularMapError):
+        amp_damp_gamma(0.0, 1.0)
+    with pytest.raises(SingularMapError):
+        amp_damp_gamma(np.array([0.5, 0.0]), np.array([1.0, 1.0]))
+    ch = AmpDampChannel(lambda t: float(np.exp(-t / 2)), p=0.3)
+    ts = np.array([0.1, 1.0, 2.5])
+    np.testing.assert_array_equal(ch.gamma(ts), [ch.gamma(float(t)) for t in ts])
+
+
 def test_amp_damp_singular():
     with pytest.raises(SingularMapError):
         amp_damp_map(0.0, 0.5)
