@@ -10,12 +10,17 @@ Writing the POVM as {(1+X)/2, (1-X)/2} with -1 <= X <= 1 and Tr(rho_A X) = 0,
 optimized here by a monotone see-saw with exact subproblem solutions:
 given X, the trace norm's sign operator Y is read off an eigendecomposition;
 given Y, Tr(X M) with M = Tr_B[rho_AB (1 (x) Y)] is maximized over the X
-polytope in the eigenbasis of M - mu rho_A. The multiplier mu of the
-maximal-entropy constraint is found exactly: for full-rank rho_A, at a
-generalized eigenvalue of the pencil (M, rho_A) where Tr rho_A sign(M - mu rho_A)
-jumps across zero, or else by safeguarded Newton steps inside the smooth
-segment between two such breakpoints; for singular rho_A, by the same Newton
-steps inside a bracket found by doubling.
+polytope. For a qubit A side that step has a closed form: in Bloch
+coordinates the feasible X form the meet of two spheroids, and the optimum is
+a support point of one or lies on their seam. Otherwise it is
+sign(M - mu rho_A), with the multiplier mu of the maximal-entropy constraint
+found exactly: for full-rank rho_A, at a generalized eigenvalue of the pencil
+(M, rho_A) where Tr rho_A sign(M - mu rho_A) jumps across zero, or else by
+safeguarded Newton steps inside the smooth segment between two such
+breakpoints; for singular rho_A, by the same Newton steps inside a bracket
+found by doubling. The eigenbasis start, an optional warm start and the
+seeded random starts run in lockstep as one stack: each round is one batched
+eigendecomposition and one X step for every start still gaining.
 
 Also here: the outcome-count bound for ME-POVM optimization, and the
 classical-quantum probe state of the quasi-eternal family whose C backflow
@@ -33,9 +38,11 @@ import numpy as np
 
 from .channels import quasi_eternal
 from .divisibility import physicality_threshold
-from .errors import DimMismatchError, NotYetNonMarkovianError, UnphysicalProbeError
+from .errors import (ConfigParseError, DimMismatchError, NotYetNonMarkovianError,
+                     UnphysicalProbeError)
 from .qmat import (
     DensityState,
+    PAULIS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -167,13 +174,21 @@ class C2Result:
 
 
 def _steered_difference(rho4: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Tr_A[rho (X (x) 1)] for rho reshaped to (dA, dB, dA, dB).
-    return np.einsum("aicj,ca->ij", rho4, x)
+    # Tr_A[rho (X (x) 1)] for rho reshaped to (dA, dB, dA, dB), for one X or a stack.
+    return np.einsum("aicj,...ca->...ij", rho4, x)
 
 
 def _back_operator(rho4: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Tr_B[rho (1 (x) Y)].
-    return np.einsum("aibk,ki->ab", rho4, y)
+    # Tr_B[rho (1 (x) Y)], for one Y or a stack.
+    return np.einsum("aibk,...ki->...ab", rho4, y)
+
+
+def _sign_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the Hermitian part of each matrix of a stack, and the sign
+    operator of that part (+1 on its kernel)."""
+    vals, vecs = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2.0)
+    signs = np.where(vals >= 0.0, 1.0, -1.0)[..., None, :]
+    return vals, (vecs * signs) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _sign_trace(m: np.ndarray, rho_a: np.ndarray, mu: float) -> float:
@@ -257,28 +272,16 @@ def _pencil_multiplier(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray,
     return _newton_multiplier(m, rho_a, nu_lo, nu_hi, g_lo, g_hi, scale)
 
 
-def _whitening(rho_a: np.ndarray, rho_a_min: float) -> np.ndarray | None:
-    """Inverse Cholesky factor of rho_a, or None when rho_a is singular
-    (smallest eigenvalue rho_a_min at most 1e-12)."""
-    return np.linalg.inv(np.linalg.cholesky(rho_a)) if rho_a_min > 1e-12 else None
-
-
-_WHITEN_HERE = object()
-
-
-def _solve_x(m: np.ndarray, rho_a: np.ndarray, l_inv=_WHITEN_HERE) -> np.ndarray:
-    """Maximize Tr(X m) over Hermitian -1 <= X <= 1 with Tr(rho_a X) = 0.
+def _pencil_x(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray | None) -> np.ndarray:
+    """`_solve_x` for one Hermitian m in any dimension, where l_inv is the
+    inverse Cholesky factor of rho_a, or None when rho_a is singular.
 
     The optimum is X = sign(m - mu rho_a) for the multiplier mu that zeroes
     Tr(rho_a X); where g(mu) = Tr rho_a sign(m - mu rho_a) jumps across zero,
     the weight on the kernel eigenvectors is chosen fractionally to meet the
-    constraint exactly. l_inv is `_whitening(rho_a, min eigenvalue)`; c2_A
-    computes it once per run, and by default it is computed here.
+    constraint exactly.
     """
-    m = (m + m.conj().T) / 2.0
     scale = float(np.max(np.abs(np.linalg.eigvalsh(m)))) + 1.0  # ||m||_2 + 1
-    if l_inv is _WHITEN_HERE:
-        l_inv = _whitening(rho_a, float(np.linalg.eigvalsh(rho_a)[0]))
     if l_inv is not None:
         vals, vecs = _pencil_multiplier(m, rho_a, l_inv, scale)
     else:
@@ -318,36 +321,69 @@ def _solve_x(m: np.ndarray, rho_a: np.ndarray, l_inv=_WHITEN_HERE) -> np.ndarray
     return (vecs * x) @ vecs.conj().T
 
 
-def _seesaw_once(rho4: np.ndarray, rho_a: np.ndarray, x0: np.ndarray,
-                 l_inv: np.ndarray | None) -> tuple[float, np.ndarray, int]:
-    x = x0
-    value = -np.inf
-    for it in range(1, SEESAW_MAX_ITER + 1):
-        delta = _steered_difference(rho4, x)
-        delta = (delta + delta.conj().T) / 2.0
-        vals, vecs = np.linalg.eigh(delta)
-        new_value = 0.5 * float(np.sum(np.abs(vals)))
-        if new_value <= value + SEESAW_GAIN_TOL:
-            value = max(value, new_value)
-            return value, x, it
-        value = new_value
-        y = (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
-        x = _solve_x(_back_operator(rho4, y), rho_a, l_inv)
-    return value, x, SEESAW_MAX_ITER
+def _qubit_x(m: np.ndarray, rho_a: np.ndarray,
+             one_minus_e2: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_solve_x` in closed form for d = 2, for each m of an (S, 2, 2) stack;
+    returns the X stack and the mask of rows solved (those with c != 0).
+
+    With rho_a = (1 + r.sigma)/2, m = a + b.sigma and X = -(r.x) + x.sigma, the
+    task is max c.x, c = b - a r, over the meet of E+- = {|x| +- r.x <= 1}.
+    The support point of E+ (E-) is optimal if r.x >= 0 (<= 0) there, which
+    needs c.u > 0 (< 0); else x = c_perp / q on the seam u.x = 0, |x| = 1. With
+    e = |r|, u = r / e, c_u = c.u, q = |c_perp| = |c - c_u u| and
+    R^2 = c_u^2 + (1 - e^2) q^2 the support point is c_perp / R plus
+    u.x = sign(c_u) (c_u^2 - e^2 q^2) / (R (|c_u| + e R)), with 1 - e^2 from
+    eigvalsh(rho_a) as 4 lambda_0 lambda_1: no cancellation near pure rho_a.
+    """
+    coef = np.einsum("sjk,ikj->si", m, PAULIS).real / 2.0  # (a, b)
+    r = np.einsum("jk,ikj->i", rho_a, PAULIS[1:]).real
+    c = coef[:, 1:] - coef[:, :1] * r
+    e = float(np.linalg.norm(r))
+    u = r / e if e > 0.0 else r
+    c_u = np.sum(c * u, axis=1)  # row by row, so a row's X does not depend on the stack
+    c_perp = c - c_u[:, None] * u
+    q2 = np.einsum("si,si->s", c_perp, c_perp)
+    big_r = np.sqrt(c_u ** 2 + one_minus_e2 * q2)
+    num, den = np.maximum(c_u ** 2 - e * e * q2, 0.0), big_r * (np.abs(c_u) + e * big_r)
+    s = np.sign(c_u) * np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    norm = np.maximum(big_r, np.sqrt(q2))  # R when a support point holds, else q
+    solved = norm > 0.0
+    x = s[:, None] * u + c_perp / np.where(solved, norm, 1.0)[:, None]
+    coords = np.concatenate([-np.sum(x * r, axis=1, keepdims=True), x], axis=1)
+    return np.einsum("si,ijk->sjk", coords, PAULIS), solved
+
+
+def _solve_x(m: np.ndarray, rho_a: np.ndarray, eig_a: np.ndarray | None = None) -> np.ndarray:
+    """Maximize Tr(X m) over Hermitian -1 <= X <= 1 with Tr(rho_a X) = 0, for
+    one m or for each m of an (S, d, d) stack; eig_a are the ascending
+    eigenvalues of rho_a (computed here by default).
+
+    For d = 2 the optimum has a closed form (`_qubit_x`); other dimensions,
+    and the rows with c = 0 where every feasible X is optimal, take the
+    multiplier search of `_pencil_x`.
+    """
+    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    eig_a = np.linalg.eigvalsh(rho_a) if eig_a is None else eig_a
+    stack = m.reshape((-1,) + m.shape[-2:])
+    x, solved = np.empty_like(stack), np.zeros(len(stack), dtype=bool)
+    if len(eig_a) == 2:
+        x, solved = _qubit_x(stack, rho_a, 4.0 * float(eig_a[0] * eig_a[1]))
+    rest = np.flatnonzero(~solved)
+    if rest.size:
+        l_inv = np.linalg.inv(np.linalg.cholesky(rho_a)) if eig_a[0] > 1e-12 else None
+        for k in rest:
+            x[k] = _pencil_x(stack[k], rho_a, l_inv)
+    return x.reshape(m.shape)
 
 
 def _bipartite(rho, dims, cut):
-    m, dims = (rho.matrix, rho.dims) if isinstance(rho, DensityState) else \
-        (np.asarray(rho, dtype=complex), tuple(int(d) for d in dims or ()))
-    if not dims:
-        raise DimMismatchError("dims required")
-    if not 0 < cut < len(dims):
-        raise DimMismatchError(f"cut {cut} does not bipartition {len(dims)} subsystems")
-    d_a = prod(dims[:cut])
-    d_b = prod(dims[cut:])
-    if d_a * d_b != m.shape[0]:
-        raise DimMismatchError("dims inconsistent with matrix")
-    return m, d_a, d_b
+    if not isinstance(rho, DensityState):
+        if not dims:
+            raise DimMismatchError("dims required")
+        rho = DensityState(rho, dims)
+    if not 0 < cut < len(rho.dims):
+        raise DimMismatchError(f"cut {cut} does not bipartition {len(rho.dims)} subsystems")
+    return rho.matrix, prod(rho.dims[:cut]), prod(rho.dims[cut:])
 
 
 def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
@@ -356,46 +392,51 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
     """Maximize the steered distinguishability over 2-outcome ME-POVMs on the
     A side (first `cut` subsystems). Returns the best see-saw result over a
     deterministic start (the eigenbasis ME-POVM) plus `restarts` seeded random
-    starts; `x0` adds a caller-supplied warm start.
+    starts; `x0` adds a caller-supplied warm start. The starts run in lockstep,
+    each until its gain is at most SEESAW_GAIN_TOL; the first best one wins.
     """
+    if restarts < 0:
+        raise ConfigParseError(f"restarts must be >= 0, got {restarts}")
     m, d_a, d_b = _bipartite(rho, dims, cut)
     rho_a = partial_trace(m, (d_a, d_b), keep=0)
     eig_a = np.linalg.eigvalsh(rho_a)
-    rank = int(np.sum(eig_a > 1e-12))
-    if rank <= 1:
+    if int(np.sum(eig_a > 1e-12)) <= 1:
         # Pure marginal: rho_AB is a product, every ME-POVM steers identical
         # states and the measure vanishes.
         return C2Result(value=0.0, povm=construct_me_povm(rho_a),
                         x=np.zeros((d_a, d_a)), iterations=0, pure_marginal=True)
     rho4 = m.reshape(d_a, d_b, d_a, d_b)
-    l_inv = _whitening(rho_a, float(eig_a[0]))
 
-    app_f = construct_me_povm(rho_a)
-    starts = [app_f.effects[0] - app_f.effects[1]]
+    # Each start after the eigenbasis ME-POVM projects a B-side Hermitian to a
+    # feasible X: the warm start's steered difference, then one seeded random
+    # Hermitian per restart.
+    g = np.random.default_rng(seed).normal(size=(restarts, 2, d_b, d_b))
+    h = g[:, 0] + 1j * g[:, 1]
     if x0 is not None:
-        # Route the warm start through one dual/primal projection so the
-        # see-saw begins at a feasible ME-POVM.
-        delta0 = _steered_difference(rho4, np.asarray(x0, dtype=complex))
-        delta0 = (delta0 + delta0.conj().T) / 2.0
-        vals0, vecs0 = np.linalg.eigh(delta0)
-        y0 = (vecs0 * np.where(vals0 >= 0.0, 1.0, -1.0)) @ vecs0.conj().T
-        starts.append(_solve_x(_back_operator(rho4, y0), rho_a, l_inv))
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        h = rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))
-        h = (h + h.conj().T) / 2.0
-        vals, vecs = np.linalg.eigh(h)
-        y = (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
-        starts.append(_solve_x(_back_operator(rho4, y), rho_a, l_inv))
+        h = np.concatenate([_steered_difference(rho4, np.asarray(x0, dtype=complex))[None], h])
+    app_f = construct_me_povm(rho_a)
+    x = np.concatenate([[app_f.effects[0] - app_f.effects[1]],
+                        _solve_x(_back_operator(rho4, _sign_split(h)[1]), rho_a, eig_a)])
 
-    runs = [_seesaw_once(rho4, rho_a, x, l_inv) for x in starts]
-    best_value, best_x, best_it = -np.inf, None, 0
-    for value, x, it in runs:
-        if value > best_value:
-            best_value, best_x, best_it = value, x, it
-    p1 = (np.eye(d_a) + best_x) / 2.0
+    value = np.full(len(x), -np.inf)
+    best_x, iterations = x.copy(), np.full(len(x), SEESAW_MAX_ITER)
+    active = np.arange(len(x))
+    for it in range(1, SEESAW_MAX_ITER + 1):
+        vals, y = _sign_split(_steered_difference(rho4, x))
+        new_value, old_value = 0.5 * np.sum(np.abs(vals), axis=-1), value[active]
+        best_x[active[new_value > old_value]] = x[new_value > old_value]  # the X behind each value
+        value[active] = np.maximum(old_value, new_value)
+        grows = new_value > old_value + SEESAW_GAIN_TOL
+        iterations[active[~grows]] = it
+        active = active[grows]
+        if not active.size:
+            break
+        x = _solve_x(_back_operator(rho4, y[grows]), rho_a, eig_a)
+    best = int(np.argmax(value))
+    p1 = (np.eye(d_a) + best_x[best]) / 2.0
     povm = MePovm2((p1, np.eye(d_a) - p1), rho_a)
-    return C2Result(value=float(best_value), povm=povm, x=best_x, iterations=best_it)
+    return C2Result(value=float(value[best]), povm=povm, x=best_x[best],
+                    iterations=int(iterations[best]))
 
 
 def _swap_sides(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

@@ -97,11 +97,10 @@ def partial_trace(m, dims: Sequence[int], keep: int | Iterable[int]) -> np.ndarr
     keep = tuple(sorted(set(int(k) for k in keep)))
     if any(k < 0 or k >= n for k in keep):
         raise DimMismatchError(f"keep indices {keep} out of range for {n} subsystems")
-    t = m.reshape(lead + dims + dims)
-    remaining = n
-    for i in [i for i in range(n) if i not in keep][::-1]:
-        t = np.trace(t, axis1=len(lead) + i, axis2=len(lead) + i + remaining)
-        remaining -= 1
+    # One contraction: a traced subsystem shares its row and column label.
+    cols = [n + i if i in keep else i for i in range(n)]
+    t = np.einsum(m.reshape(lead + dims + dims), [..., *range(n), *cols],
+                  [..., *keep, *(n + k for k in keep)])
     d_keep = prod(dims[k] for k in keep) if keep else 1
     return t.reshape(lead + (d_keep, d_keep))
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from nmflow import qmat
+from nmflow import mepovm, qmat
 from nmflow.errors import DimMismatchError, NonHermitianError, NotAStateError
 from nmflow.qmat import _as_matrix
 
@@ -89,3 +89,43 @@ def trace_distance(rho, sigma) -> float:
     if a.shape != b.shape:
         raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
+def seesaw_reference(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: int = 0,
+                     x0: np.ndarray | None = None) -> tuple[float, int]:
+    """(value, iterations) of C_A by the per-start see-saw that `mepovm.c2_A`
+    runs for all starts at once: the eigenbasis ME-POVM, the warm start `x0`
+    and `restarts` seeded random starts, each run on its own; the first start
+    with the largest value wins."""
+    rho4 = np.asarray(rho, dtype=complex).reshape(d_a, d_b, d_a, d_b)
+    rho_a = np.einsum("aibi->ab", rho4)
+
+    def sign(h):
+        vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+        return vals, (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
+
+    def project(h):  # one dual/primal step from a B-side Hermitian to a feasible X
+        return mepovm._solve_x(mepovm._back_operator(rho4, sign(h)[1]), rho_a)
+
+    app_f = mepovm.construct_me_povm(rho_a)
+    starts = [app_f.effects[0] - app_f.effects[1]]
+    if x0 is not None:
+        starts.append(project(mepovm._steered_difference(rho4, np.asarray(x0, dtype=complex))))
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        starts.append(project(rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))))
+
+    best_value, best_it = -np.inf, 0
+    for x in starts:
+        value = -np.inf
+        for it in range(1, mepovm.SEESAW_MAX_ITER + 1):
+            vals, y = sign(mepovm._steered_difference(rho4, x))
+            new_value = 0.5 * float(np.sum(np.abs(vals)))
+            if new_value <= value + mepovm.SEESAW_GAIN_TOL:
+                value = max(value, new_value)
+                break
+            value = new_value
+            x = mepovm._solve_x(mepovm._back_operator(rho4, y), rho_a)
+        if value > best_value:
+            best_value, best_it = value, it
+    return best_value, best_it

@@ -9,9 +9,16 @@ from helpers import (
     random_hermitian,
     random_pure_vector,
     random_unitary,
+    seesaw_reference,
 )
 from nmflow import channels, mepovm, qmat
-from nmflow.errors import DimMismatchError, NotYetNonMarkovianError, UnphysicalProbeError
+from nmflow.errors import (
+    ConfigParseError,
+    DimMismatchError,
+    NotAStateError,
+    NotYetNonMarkovianError,
+    UnphysicalProbeError,
+)
 from nmflow.mepovm import (
     MePovm2,
     Povm,
@@ -228,7 +235,35 @@ def _solve_x_cases():
                           chol @ chol.conj().T))
     for _ in range(12):
         cases.append(("singular d=3 rank 2", random_hermitian(rng, 3), random_density(rng, 3, rank=2)))
+    # Qubit cases of the closed form: nearly pure rho_a, rho_a = 1/2 (no
+    # Bloch axis), c parallel to r, optima on the seam u.x = 0, and c = 0.
+    for lam in (1e-9, 1e-11):
+        rho = _qubit_rho(rng, 1.0 - 2.0 * lam)
+        for _ in range(4):
+            cases.append((f"lambda_min {lam:g} d=2", random_hermitian(rng, 2), rho))
+        cases.append((f"m = c rho_a lambda_min {lam:g} d=2", float(rng.normal()) * rho, rho))
+    for _ in range(4):
+        cases.append(("rho_a = 1/2 d=2", random_hermitian(rng, 2), np.eye(2, dtype=complex) / 2))
+    for e in (0.3, 0.9, 1.0 - 2e-9):
+        rho = _qubit_rho(rng, e)
+        r = np.array([np.real(np.trace(rho @ p)) for p in qmat.PAULIS[1:]])
+        perp = np.cross(r, rng.normal(size=3))
+        for label, c in (("c parallel to r", rng.normal() * r),
+                         ("seam", perp / np.linalg.norm(perp) + 0.1 * e * r)):
+            cases.append((f"{label} e={e:g} d=2", _qubit_m(rng, c, r), rho))
     return cases
+
+
+def _qubit_rho(rng, e):
+    """Qubit state with a random Bloch vector of length e."""
+    r = rng.normal(size=3)
+    return (np.eye(2) + sum(x * p for x, p in zip(e * r / np.linalg.norm(r), qmat.PAULIS[1:]))) / 2
+
+
+def _qubit_m(rng, c, r):
+    """m = a 1 + b.sigma with b = c + a r for a random a: the objective vector c."""
+    a = rng.normal()
+    return a * np.eye(2) + sum(b * p for b, p in zip(c + a * r, qmat.PAULIS[1:]))
 
 
 @pytest.mark.parametrize("label,m,rho_a", _solve_x_cases())
@@ -250,11 +285,51 @@ def test_solve_x_matches_bisection(label, m, rho_a):
 def test_solve_x_lands_on_kinks_directly(monkeypatch, label, m, rho_a):
     # Product and classical-quantum marginals put the multiplier exactly on a
     # breakpoint; the bisection over at most 7 breakpoints probes 3 of them.
+    # A qubit side takes the closed form and no eigendecomposition at all.
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
     mepovm._solve_x(m, rho_a)
-    assert len(calls) <= 3
+    assert len(calls) <= (0 if len(m) == 2 else 3)
+
+
+def test_seesaw_matches_per_start_reference():
+    # All starts in lockstep give what each start gives on its own.
+    rng = np.random.default_rng(48)
+    for k in range(66):
+        d_a, d_b = ((2, 2), (2, 3), (2, 6))[k % 3]
+        rho = random_density(rng, d_a * d_b)
+        if k % 4 == 0:  # near-product
+            rho = 0.999 * np.kron(random_density(rng, d_a), random_density(rng, d_b)) + 0.001 * rho
+        x0 = random_hermitian(rng, d_a) if k % 5 == 0 else None
+        res = c2_A(rho, (d_a, d_b), restarts=3, seed=k, x0=x0)
+        assert res.value == pytest.approx(seesaw_reference(rho, d_a, d_b, 3, k, x0)[0], abs=1e-9)
+        swapped = rho.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2).reshape(rho.shape)
+        assert c2_B(rho, (d_a, d_b), restarts=3, seed=k).value == pytest.approx(
+            seesaw_reference(swapped, d_b, d_a, 3, k)[0], abs=1e-9)
+
+
+def test_more_restarts_never_lose():
+    # The starts for fewer restarts are a prefix of those for more.
+    rng = np.random.default_rng(49)
+    for dims in ((2, 2), (2, 3), (2, 6)):
+        for _ in range(4):
+            rho = random_density(rng, dims[0] * dims[1])
+            values = [c2_A(rho, dims, restarts=r, seed=3).value for r in (0, 1, 2, 5, 9)]
+            assert values == sorted(values)
+
+
+@pytest.mark.parametrize("measure", [c2_A, c2_B])
+def test_c2_rejects_bad_input_up_front(monkeypatch, measure):
+    calls = []
+    monkeypatch.setattr(mepovm, "_solve_x", lambda *a: calls.append(a))
+    with pytest.raises(NotAStateError):  # trace 2
+        measure(2 * maximally_entangled(2), (2, 2))
+    with pytest.raises(NotAStateError):  # negative eigenvalue
+        measure(np.diag([0.7, 0.5, -0.1, -0.1]), (2, 2))
+    with pytest.raises(ConfigParseError):
+        measure(maximally_entangled(2), (2, 2), restarts=-2)
+    assert not calls
 
 
 def test_c2_returned_povm_achieves_value():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,34 @@ def test_partial_trace_preserves_trace_and_linearity():
     lin = qmat.partial_trace(2.0 * m1 - 0.5 * m2, (2, 3, 2), keep=(0, 2))
     np.testing.assert_allclose(lin, 2.0 * t1 - 0.5 * qmat.partial_trace(m2, (2, 3, 2), keep=(0, 2)),
                                atol=1e-12)
+
+
+def _partial_trace_axis_by_axis(m, dims, keep):
+    """Trace the subsystems out one at a time, last first, with np.trace."""
+    lead, n = m.shape[:-2], len(dims)
+    t, remaining = m.reshape(lead + dims + dims), n
+    for i in [i for i in range(n) if i not in keep][::-1]:
+        t = np.trace(t, axis1=len(lead) + i, axis2=len(lead) + i + remaining)
+        remaining -= 1
+    d_keep = int(np.prod([dims[k] for k in keep]))
+    return t.reshape(lead + (d_keep, d_keep))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2)])
+def test_partial_trace_matches_axis_by_axis_traces(dims):
+    # Equal for every keep; where several subsystems are traced out the sums
+    # run in another order, so the last bits may differ.
+    rng = np.random.default_rng(10)
+    d = int(np.prod(dims))
+    stack = np.stack([random_hermitian(rng, d) for _ in range(5)])
+    for size in range(len(dims) + 1):
+        for keep in itertools.combinations(range(len(dims)), size):
+            got = qmat.partial_trace(stack, dims, keep)
+            want = _partial_trace_axis_by_axis(stack, dims, keep)
+            if len(dims) - size <= 1:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3, 2)])

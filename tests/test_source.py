@@ -35,3 +35,44 @@ def test_unused_imports_detects_leftovers():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_names(source: str) -> set[str]:
+    """Module-level names starting with a single underscore that a module defines."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {target.id for target in targets if isinstance(target, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a module reads, looks up as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def unreferenced_private_names(sources: list[str]) -> list[str]:
+    defined = set().union(*map(private_names, sources))
+    return sorted(defined - set().union(*map(referenced_names, sources)))
+
+
+def test_unreferenced_private_names_detects_leftovers():
+    sources = ["_USED = 1\n_UNUSED = 2\ndef _helper():\n    return _USED\n",
+               "def _dead():\n    pass\n", "from .a import _helper\n"]
+    assert unreferenced_private_names(sources) == ["_UNUSED", "_dead"]
+
+
+def test_every_private_name_is_referenced():
+    # A refactor that leaves a private helper without callers leaves dead code.
+    assert unreferenced_private_names([path.read_text(encoding="utf-8") for path in MODULES]) == []
