@@ -371,12 +371,15 @@ class RateChannel:
         return AffineQubitMap(self._factors(t, s))
 
     def probs(self, t: float) -> tuple[float, float, float, float]:
-        """Mixing weights (p_0, p_x, p_y, p_z) of the random-unitary form."""
+        """Mixing weights (p_0, p_x, p_y, p_z) of the random-unitary form; arrays
+        over the times for an array t."""
         ayz, azx, axy = self.contractions(t)
         p = (0.25 * (1 + axy + azx + ayz), 0.25 * (1 - axy - azx + ayz),
              0.25 * (1 - axy + azx - ayz), 0.25 * (1 + axy - azx - ayz))
-        if min(p) < -PROB_SLACK:
-            raise UnphysicalError(f"p_k(t={t}) = {p}: channel not CPTP here")
+        low = min(p) if isinstance(ayz, float) else np.min(p)  # np.min: microseconds on floats
+        if low < -PROB_SLACK:
+            at = np.ravel(t)[np.argmin(np.min(p, axis=0))]
+            raise UnphysicalError(f"mixing weight {low:.3e} < 0 at t = {at}: channel not CPTP")
         return p
 
     def probs_derivative(self, t: float) -> tuple[float, float, float, float]:

@@ -19,7 +19,6 @@ from . import correlations, divisibility, mepovm, witness
 from .channels import DEFAULT_SCAN_STEP, GadcChannel, channel_from_json, quasi_eternal
 from .errors import ConfigParseError, NmflowError, UnknownExperimentError
 from .numutil import thread_count
-from .qmat import maximally_entangled
 
 T1_MINUS = (0.13437, 0.31416)
 
@@ -106,10 +105,8 @@ def run_eb_time(cfg, out):
     channel = quasi_eternal(cfg.alpha, cfg.t0)
     t_eb = witness.find_t_eb(channel, tol=cfg.tol, t_max=cfg.t_max)
     print(f"t_EB(alpha={cfg.alpha}, t0={cfg.t0}) = {t_eb:.4f}")
-    phi = maximally_entangled(2)
     grid = _grid(0.0, t_eb + 0.5, max(cfg.step, 1e-3))
-    values = witness.Trajectory(phi, channel, (2, 2), grid).measure_series(correlations.negativity)
-    rows = list(zip(grid.tolist(), values.tolist()))
+    rows = list(zip(grid.tolist(), witness.phi_plus_negativity(channel, grid).tolist()))
     write_csv(out / "eb-time.csv", ["t", "value"], rows)
     landmark = None
     if abs(cfg.alpha - 0.4) < 1e-12 and abs(cfg.t0 - 2.0) < 1e-12:
@@ -142,12 +139,8 @@ def run_mi_scan(cfg, out):
         return {"experiment": "mi-scan", "mode": f"random:{cfg.random}",
                 "min_onset": onset, "detected": detected, "seed": cfg.seed,
                 "landmark": landmark}
-    phi = maximally_entangled(2)
-    traj = witness.Trajectory(phi, channel, (2, 2), grid)
-    phi_vec = np.array([[1.0, 0.0, 0.0, 1.0]]) / np.sqrt(2.0)
-    series = witness.mi_series(channel, phi_vec, grid, workers=1)[:, 0]
-    report = witness.scan_backflow(lambda m, dims: correlations.mutual_information(m, dims),
-                                   traj)
+    series = witness.phi_plus_mi(channel, grid)
+    report = witness.series_backflow(grid, series, lambda t: witness.phi_plus_mi(channel, t))
     rows = list(zip(grid.tolist(), series.tolist(), np.gradient(series, grid).tolist()))
     write_csv(out / "mi-scan.csv", ["t", "value", "derivative"], rows)
     onset = report.onsets[0] if report.onsets else float("nan")
@@ -287,11 +280,39 @@ RUNNERS = {
 }
 
 
-def build_parser() -> _Parser:
+# Each experiment's own options as (flag, type, default[, help]); argparse
+# stores --t-max as t_max.
+OPTIONS = {
+    "physicality": [("--alpha", float, 0.4)],
+    "divisibility-scan": [("--alpha", float, 0.4), ("--t0", float, 1.0),
+                          ("--channel", str, None, "channel JSON string"),
+                          ("--t-max", float, 5.0), ("--step", float, DEFAULT_SCAN_STEP)],
+    "eb-time": [("--alpha", float, 0.4), ("--t0", float, 2.0), ("--tol", float, 1e-3),
+                ("--t-max", float, 20.0), ("--step", float, 1e-2)],
+    "mi-scan": [("--alpha", float, 0.4), ("--t0", float, 1.0),
+                ("--random", int, 0,
+                 "number of Haar-random initial states (0: maximally entangled)"),
+                ("--t-max", float, 4.0), ("--step", float, DEFAULT_SCAN_STEP)],
+    "gadc-scan": [("--eps", str, "1e-3,1e-4,1e-5", "comma-separated list"),
+                  ("--step", float, 2.5e-4)],
+    "probe-backflow": [("--alpha", float, 0.4), ("--t0", float, 2.0), ("--tau", float, 3.0),
+                       ("--p", float, 0.2), ("--t-max", float, 4.0), ("--step", float, 1e-2)],
+    "hessian-check": [("--draws", int, 50)],
+    "povm-bound": [("--da", int, 2), ("--db", int, 2)],
+    "pg-counterexample": [("--p1", float, 0.4), ("--p2", float, 0.15), ("--p3", float, 0.45)],
+}
+
+
+def build_parser(only: str | None = None) -> _Parser:
+    """The parser with a subparser per experiment; when `only` names an
+    experiment, just that one's subparser, which parses its arguments alike
+    and is cheaper to build."""
     parser = _Parser(prog="nmflow", description=__doc__)
     sub = parser.add_subparsers(dest="experiment")
-
-    def common(p):
+    for name in [only] if only in RUNNERS else RUNNERS:
+        p = sub.add_parser(name)
+        for flag, kind, default, *text in OPTIONS[name]:
+            p.add_argument(flag, type=kind, default=default, help=text[0] if text else None)
         p.add_argument("--out", default=".", help="output directory for CSV/JSON")
         p.add_argument("--config", default=None, help="JSON experiment config file")
         p.add_argument("--check", action="store_true",
@@ -299,64 +320,6 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=24,
                        help="RNG seed; the default reproduces the recorded landmarks, "
                             "including the random-state scan minimum")
-
-    p = sub.add_parser("physicality")
-    p.add_argument("--alpha", type=float, default=0.4)
-    common(p)
-
-    p = sub.add_parser("divisibility-scan")
-    p.add_argument("--alpha", type=float, default=0.4)
-    p.add_argument("--t0", type=float, default=1.0)
-    p.add_argument("--channel", default=None, help="channel JSON string")
-    p.add_argument("--t-max", dest="t_max", type=float, default=5.0)
-    p.add_argument("--step", type=float, default=DEFAULT_SCAN_STEP)
-    common(p)
-
-    p = sub.add_parser("eb-time")
-    p.add_argument("--alpha", type=float, default=0.4)
-    p.add_argument("--t0", type=float, default=2.0)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--t-max", dest="t_max", type=float, default=20.0)
-    p.add_argument("--step", type=float, default=1e-2)
-    common(p)
-
-    p = sub.add_parser("mi-scan")
-    p.add_argument("--alpha", type=float, default=0.4)
-    p.add_argument("--t0", type=float, default=1.0)
-    p.add_argument("--random", type=int, default=0,
-                   help="number of Haar-random initial states (0: maximally entangled)")
-    p.add_argument("--t-max", dest="t_max", type=float, default=4.0)
-    p.add_argument("--step", type=float, default=DEFAULT_SCAN_STEP)
-    common(p)
-
-    p = sub.add_parser("gadc-scan")
-    p.add_argument("--eps", default="1e-3,1e-4,1e-5", help="comma-separated list")
-    p.add_argument("--step", type=float, default=2.5e-4)
-    common(p)
-
-    p = sub.add_parser("probe-backflow")
-    p.add_argument("--alpha", type=float, default=0.4)
-    p.add_argument("--t0", type=float, default=2.0)
-    p.add_argument("--tau", type=float, default=3.0)
-    p.add_argument("--p", type=float, default=0.2)
-    p.add_argument("--t-max", dest="t_max", type=float, default=4.0)
-    p.add_argument("--step", type=float, default=1e-2)
-    common(p)
-
-    p = sub.add_parser("hessian-check")
-    p.add_argument("--draws", type=int, default=50)
-    common(p)
-
-    p = sub.add_parser("povm-bound")
-    p.add_argument("--da", type=int, default=2)
-    p.add_argument("--db", type=int, default=2)
-    common(p)
-
-    p = sub.add_parser("pg-counterexample")
-    p.add_argument("--p1", type=float, default=0.4)
-    p.add_argument("--p2", type=float, default=0.15)
-    p.add_argument("--p3", type=float, default=0.45)
-    common(p)
     return parser
 
 
@@ -385,7 +348,8 @@ def _apply_config(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.experiment is None:

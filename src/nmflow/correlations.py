@@ -21,11 +21,16 @@ PROB_TOL = 1e-10
 COMM_TOL = 1e-9
 
 
+def shannon(p: np.ndarray):
+    """Shannon entropy -sum_k p_k ln p_k of probability vectors along the last
+    axis; weights <= 0 contribute 0 (p ln p -> 0 is continuous, so no floor)."""
+    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
+
+
 def entropy(rho):
-    """Von Neumann entropy -Tr(rho ln rho); eigenvalues below 1e-14 contribute 0.
+    """Von Neumann entropy -Tr(rho ln rho), the Shannon entropy of the spectrum.
     A float for one matrix, an array of entropies for a (..., D, D) stack."""
-    vals = np.linalg.eigvalsh(_as_matrix(rho))
-    return -np.sum(vals * np.log(np.where(vals > EIG_FLOOR, vals, 1.0)), axis=-1)
+    return shannon(np.linalg.eigvalsh(_as_matrix(rho)))
 
 
 def _dims_of(rho, dims) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -4,7 +4,6 @@ thread-pool map with deterministic merge order."""
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigParseError
@@ -88,6 +87,7 @@ def parallel_map(fn: Callable, items: Sequence, workers: int | None = None) -> l
     workers = max(1, min(workers, len(items) or 1))
     if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -1,7 +1,8 @@
 """Time-scan drivers and analysis tools for correlation backflows.
 
 Backflow detection over a time grid with bisection-refined onsets, the
-entanglement-breaking time of an evolved maximally entangled pair, Haar
+entanglement-breaking time of an evolved maximally entangled pair and its
+mutual information and negativity in closed form under Pauli channels, Haar
 sampling of pure state vectors with a vectorized mutual-information scan, the
 generalized-amplitude-damping scan over weakly entangled probes, a spectral
 first/second-derivative toolkit for functions of parametrized Hermitian
@@ -126,32 +127,37 @@ def scan_backflow(measure: Callable, traj: Trajectory, margin: float = ONSET_MAR
     """Locate intervals where a correlation measure increases along a trajectory.
 
     The measure is evaluated once on the trajectory's (T, D, D) state stack
-    (see Trajectory). Onsets are the first grid times of each increase
-    interval, refined by bisection on the local (central-difference) time
-    derivative to refine_tol, with single-matrix calls of the measure. Empty
-    report on CP-divisible dynamics.
+    (see Trajectory); onsets are refined with single-matrix calls of the
+    measure (see series_backflow). Empty report on CP-divisible dynamics.
+    """
+    return series_backflow(traj.grid, traj.measure_series(measure),
+                           lambda t: traj.measure_at(measure, t), margin, refine_tol)
+
+
+def series_backflow(grid: np.ndarray, series: np.ndarray, at: Callable[[float], float],
+                    margin: float = ONSET_MARGIN,
+                    refine_tol: float = ONSET_REFINE_TOL) -> BackflowReport:
+    """Increase intervals of a series sampled on a grid: maximal runs of steps
+    that rise by more than margin. Onsets are the first grid times of each
+    interval, refined to refine_tol by bisection on the local
+    (central-difference) time derivative of at(t), the series as a scalar
+    function of time.
     """
     _check_positive(refine_tol=refine_tol)
-    series = traj.measure_series(measure)
-    raw, max_deriv = _increase_intervals(traj.grid, series, margin)
-    onsets = []
-    intervals = []
-    for (start, end, idx) in raw:
-        onsets.append(_refine_onset(measure, traj, idx, refine_tol))
-        intervals.append((start, end))
-    return BackflowReport(onsets=tuple(onsets), intervals=tuple(intervals),
+    raw, max_deriv = _increase_intervals(grid, series, margin)
+    return BackflowReport(onsets=tuple(_refine_onset(at, grid, i, refine_tol) for _, _, i in raw),
+                          intervals=tuple((start, end) for start, end, _ in raw),
                           max_derivative=max_deriv)
 
 
-def _refine_onset(measure: Callable, traj: Trajectory, idx: int, tol: float) -> float:
-    grid = traj.grid
+def _refine_onset(at: Callable[[float], float], grid: np.ndarray, idx: int,
+                  tol: float) -> float:
     if idx == 0:
         return float(grid[0])
     delta = min(1e-5, float(grid[idx] - grid[idx - 1]) / 4.0)
 
     def deriv(t: float) -> float:
-        lo = max(t - delta, float(grid[0]))
-        return traj.measure_at(measure, t + delta) - traj.measure_at(measure, lo)
+        return at(t + delta) - at(max(t - delta, float(grid[0])))
 
     lo, hi = float(grid[idx - 1]), float(grid[idx + 1] if idx + 1 < grid.size else grid[idx])
     if deriv(lo) > 0:
@@ -200,6 +206,19 @@ def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0, coarse: float = 0
         start = float(ts[-1])
 
 
+def phi_plus_mi(channel, t):
+    """Mutual information of phi+ with one half under a Pauli channel, at a time
+    or an array of times: the state is Bell-diagonal with the weights
+    p = channel.probs(t), so I = 2 ln 2 - H(p)."""
+    return 2.0 * np.log(2.0) - correlations.shannon(np.stack(channel.probs(t), axis=-1))
+
+
+def phi_plus_negativity(channel, t):
+    """Negativity of the same state, max(0, max_k p_k - 1/2): a Bell-diagonal
+    state is entangled iff a weight exceeds 1/2 (Horodecki, PRA 54, 1838)."""
+    return np.maximum(0.0, np.max(channel.probs(t), axis=0) - 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Random pure states and vectorized mutual-information scans
 # ---------------------------------------------------------------------------
@@ -214,12 +233,9 @@ def sample_pure_vectors(dims: Sequence[int], count: int, seed: int) -> np.ndarra
 
 
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, 1.0)
-    out = np.zeros_like(x)
-    for y in (x, 1.0 - x):
-        mask = y > 1e-14
-        out = out - np.where(mask, y * np.log(np.where(mask, y, 1.0)), 0.0)
-    return out
+    # H((x, 1 - x)) as two one-weight terms: stacking the pair costs a copy.
+    x = np.clip(x, 0.0, 1.0)[..., None]
+    return correlations.shannon(x) + correlations.shannon(1.0 - x)
 
 
 def _qubit_entropy(m: np.ndarray) -> np.ndarray:
@@ -234,10 +250,7 @@ def _two_qubit_mi(states: np.ndarray) -> np.ndarray:
     r4 = states.reshape(*states.shape[:-2], 2, 2, 2, 2)
     s_a = _qubit_entropy(r4[..., :, 0, :, 0] + r4[..., :, 1, :, 1])
     s_s = _qubit_entropy(r4[..., 0, :, 0, :] + r4[..., 1, :, 1, :])
-    vals = np.linalg.eigvalsh(states)
-    safe = np.where(vals > 1e-14, vals, 1.0)
-    s_joint = -np.sum(np.where(vals > 1e-14, vals * np.log(safe), 0.0), axis=-1)
-    return s_a + s_s - s_joint
+    return s_a + s_s - correlations.shannon(np.linalg.eigvalsh(states))
 
 
 def _real_representatives(vectors: np.ndarray) -> np.ndarray:
@@ -325,8 +338,8 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0,
         return float("nan"), None, onsets
     best = int(np.nanargmin(onsets))
     traj = Trajectory(np.outer(vectors[best], vectors[best].conj()), channel, (2, 2), grid)
-    refined = _refine_onset(lambda m, dims: correlations.mutual_information(m, dims), traj,
-                            int(idx[best]), refine_tol)
+    refined = _refine_onset(lambda t: traj.measure_at(correlations.mutual_information, t),
+                            grid, int(idx[best]), refine_tol)
     return float(refined), vectors[best], onsets
 
 

@@ -213,6 +213,31 @@ def test_probs_unphysical_raises():
         ch.probs(20.0)
 
 
+@pytest.mark.parametrize("ch", [
+    quasi_eternal(0.4, 1.0), depolarizing(0.3),
+    dephasing(TabulatedRate(((0.0, 1.0), (5.0, -0.3)))),
+    RateChannel(ConstantRate(0.1), ConstantRate(0.3), ConstantRate(0.2)),
+])
+def test_probs_over_an_array_matches_per_time(ch):
+    grid = np.linspace(0.0, 5.0, 101)
+    stacked = ch.probs(grid)
+    assert len(stacked) == 4 and all(np.shape(p) == grid.shape for p in stacked)
+    per_time = np.array([ch.probs(float(t)) for t in grid]).T
+    np.testing.assert_allclose(np.array(stacked), per_time, rtol=0, atol=1e-15)
+    assert all(isinstance(p, float) for p in ch.probs(1.0))
+
+
+def test_probs_over_an_array_raises_on_any_negative_weight():
+    # t0 = 0.5 lies below the physicality threshold ~0.769: p_z turns
+    # negative near t = 1.97 and keeps falling.
+    ch = quasi_eternal(0.4, 0.5)
+    ch.probs(np.array([0.0, 1.0, 1.9]))
+    with pytest.raises(UnphysicalError, match="at t = 20.0"):
+        ch.probs(np.array([0.0, 1.0, 20.0, 1.9]))
+    with pytest.raises(UnphysicalError, match="at t = 20.0"):
+        ch.probs(20.0)
+
+
 def test_gadc_kraus_identity_at_zero():
     k = GadcChannel().kraus(0.0)
     np.testing.assert_allclose(k.kraus[0], np.eye(2), atol=1e-14)

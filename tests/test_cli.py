@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nmflow
-from nmflow import channels, cli
+from nmflow import channels, cli, witness
 from nmflow.channels import GadcChannel, channel_from_json, quasi_eternal
 from nmflow.cli import main
 from nmflow.divisibility import divisibility_rates
@@ -202,6 +202,17 @@ def test_kernel_calls_do_not_grow_with_the_grid(monkeypatch, tmp_path, small, la
             == _count_kernel_calls(monkeypatch, large, tmp_path))
 
 
+def test_phi_plus_series_need_no_density_matrices(monkeypatch, tmp_path):
+    # Both series come from probs(t) in closed form: mi-scan diagonalizes
+    # nothing, and eb-time only inside find_t_eb.
+    assert _count_kernel_calls(monkeypatch, ["mi-scan"], tmp_path)["eigvalsh"] == 0
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", lambda a, f=np.linalg.eigvalsh: calls.append(1) or f(a))
+        witness.find_t_eb(quasi_eternal(0.4, 2.0), tol=1e-3, t_max=20.0)
+    assert _count_kernel_calls(monkeypatch, ["eb-time"], tmp_path)["eigvalsh"] == len(calls)
+
+
 def test_experiments_independent_of_thread_count(monkeypatch, tmp_path):
     outputs = []
     for threads in ("1", "2"):
@@ -287,6 +298,7 @@ def test_cli_error_exit_codes(tmp_path):
     ["mi-scan", "--t0", "inf"],
     ["divisibility-scan", "--alpha", "nan"],
     ["mi-scan", "--random", "-5"],
+    ["mi-scan", "--t0", "0.5"],  # below the physicality threshold: negative weights
     ["hessian-check", "--draws", "0"],
     ["hessian-check", "--draws", "-1", "--check"],
     ["divisibility-scan", "--channel", '{"family":"dephasing","gamma":[[0,1],[5,NaN]]}'],
@@ -313,6 +325,42 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_imports_no_thread_pool():
+    # Single-threaded runs never start a pool, so they do not pay for importing one.
+    code = "import sys, nmflow.cli; print('concurrent.futures' in sys.modules)"
+    src = str(Path(nmflow.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+# One option per experiment, set away from its default.
+OVERRIDES = {"physicality": ["--alpha", "0.5"], "divisibility-scan": ["--t-max", "3"],
+             "eb-time": ["--tol", "1e-4"], "mi-scan": ["--random", "7"],
+             "gadc-scan": ["--eps", "1e-3"], "probe-backflow": ["--p", "0.3"],
+             "hessian-check": ["--draws", "3"], "povm-bound": ["--db", "6"],
+             "pg-counterexample": ["--p3", "0.5"]}
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_parser_of_one_experiment_parses_alike(name):
+    for argv in ([name], [name, *OVERRIDES[name]], [name, "--seed", "3", "--check"]):
+        full = cli.build_parser().parse_args(argv)
+        assert cli.build_parser(only=name).parse_args(argv) == full
+    assert full.seed == 3 and full.check
+    assert cli.build_parser(only=name).parse_args([name, *OVERRIDES[name]]) \
+        != cli.build_parser().parse_args([name])
+
+
+def test_parser_of_one_experiment_keeps_every_choice_otherwise():
+    # Anything but an experiment name gets all nine subparsers, so --help and
+    # a wrong or missing name read as before.
+    for only in (None, "no-such-experiment", "--help"):
+        choices = cli.build_parser(only)._subparsers._group_actions[0].choices
+        assert list(choices) == list(EXPERIMENTS)
+    assert list(cli.build_parser("eb-time")._subparsers._group_actions[0].choices) == ["eb-time"]
 
 
 def test_cli_check_failure_exits_2(tmp_path):

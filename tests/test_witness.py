@@ -6,9 +6,11 @@ import pytest
 from helpers import NOT_STATES, random_density, random_hermitian, trace_distance
 from nmflow import correlations, qmat, witness
 from nmflow.channels import (
+    AffineQubitMap,
     ConstantRate,
     GadcChannel,
     RateChannel,
+    TabulatedRate,
     apply_map,
     dephasing,
     depolarizing,
@@ -34,8 +36,11 @@ from nmflow.witness import (
     hessian_eigs_closed,
     mi_rate_hessian,
     min_t_nm_scan,
+    phi_plus_mi,
+    phi_plus_negativity,
     sample_pure_vectors,
     scan_backflow,
+    series_backflow,
     spectral_derivs,
 )
 
@@ -124,6 +129,220 @@ def test_scan_backflow_negativity_eb_empty():
                       np.arange(0.0, 6.0, 5e-3))
     report = scan_backflow(neg_measure, traj)
     assert not report.detected
+
+
+def scan_backflow_unsplit(measure, traj: Trajectory, margin: float = witness.ONSET_MARGIN,
+                          refine_tol: float = witness.ONSET_REFINE_TOL) -> witness.BackflowReport:
+    """Reference for scan_backflow in one piece: the onset bisection calls the
+    measure on the trajectory's states directly, with no series/at split."""
+    grid = traj.grid
+    raw, max_deriv = witness._increase_intervals(grid, traj.measure_series(measure), margin)
+    onsets = []
+    for _, _, idx in raw:
+        if idx == 0:
+            onsets.append(float(grid[0]))
+            continue
+        delta = min(1e-5, float(grid[idx] - grid[idx - 1]) / 4.0)
+
+        def deriv(t):
+            return (traj.measure_at(measure, t + delta)
+                    - traj.measure_at(measure, max(t - delta, float(grid[0]))))
+
+        lo, hi = float(grid[idx - 1]), float(grid[min(idx + 1, grid.size - 1)])
+        if deriv(lo) > 0:
+            onsets.append(float(grid[idx]))
+            continue
+        while hi - lo > refine_tol and lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if deriv(mid) > 0 else (mid, hi)
+        onsets.append(0.5 * (lo + hi))
+    return witness.BackflowReport(onsets=tuple(onsets),
+                                  intervals=tuple((a, b) for a, b, _ in raw),
+                                  max_derivative=max_deriv)
+
+
+TABULATED_DEPHASING = dephasing(TabulatedRate(((0.0, 1.0), (5.0, -0.3))))
+
+
+@pytest.mark.parametrize("channel, grid", [
+    (TABULATED_DEPHASING, np.arange(0.0, 5.0, 4e-3)),
+    (quasi_eternal(0.4, 1.0), np.arange(0.0, 4.0, 2e-3)),
+    (quasi_eternal(0.4, 1.0), np.arange(0.0, 4.0, 0.1)),
+])
+def test_split_scan_backflow_reports_as_before(channel, grid):
+    # The tabulated rate turns negative at 5/1.3, where MI starts to rise.
+    traj = Trajectory(maximally_entangled(2), channel, (2, 2), grid)
+    report = scan_backflow(mi_measure, traj)
+    assert report.detected
+    assert report == scan_backflow_unsplit(mi_measure, traj)
+    # The closed form gives the same intervals and onsets within the bisection
+    # tolerance.
+    closed = series_backflow(grid, phi_plus_mi(channel, grid), lambda t: phi_plus_mi(channel, t))
+    assert closed.intervals == report.intervals
+    assert closed.onsets == pytest.approx(report.onsets, abs=witness.ONSET_REFINE_TOL)
+    assert closed.max_derivative == pytest.approx(report.max_derivative, rel=1e-9)
+
+
+def test_series_backflow_onset_at_the_grid_start():
+    grid = np.linspace(0.0, 1.0, 11)
+    report = series_backflow(grid, grid ** 2, lambda t: t * t)
+    assert report.onsets == (0.0,) and report.intervals == ((0.0, 1.0),)
+
+
+PHI_PLUS_CHANNELS = {
+    "quasi_eternal": quasi_eternal(0.4, 1.0),
+    "dephasing": dephasing(0.7),
+    "depolarizing": depolarizing(0.3),
+    "tabulated dephasing": TABULATED_DEPHASING,
+    "anisotropic": RateChannel(ConstantRate(0.1), ConstantRate(0.3), ConstantRate(0.2)),
+}
+
+
+@pytest.mark.parametrize("complex_path", [False, True])
+@pytest.mark.parametrize("name", PHI_PLUS_CHANNELS)
+def test_phi_plus_closed_forms_match_dense(monkeypatch, name, complex_path):
+    channel = PHI_PLUS_CHANNELS[name]
+    if complex_path:
+        # A 1e-300j part moves no value but makes mi_series take its complex path.
+        superop = AffineQubitMap.superop.fget
+        monkeypatch.setattr(AffineQubitMap, "superop", property(lambda m: superop(m) + 1e-300j))
+    real_calls = []
+    real = witness._real_representatives
+    monkeypatch.setattr(witness, "_real_representatives",
+                        lambda v: real_calls.append(len(v)) or real(v))
+    grid = np.arange(0.0, 5.0, 0.01)
+    phi_vec = np.array([[1.0, 0.0, 0.0, 1.0]]) / np.sqrt(2.0)
+    mi, neg = phi_plus_mi(channel, grid), phi_plus_negativity(channel, grid)
+    series = witness.mi_series(channel, phi_vec, grid, workers=1)[:, 0]
+    assert bool(real_calls) == (not complex_path and name != "anisotropic")
+    traj = Trajectory(maximally_entangled(2), channel, (2, 2), grid)
+    for closed, dense in ((mi, series), (mi, traj.measure_series(mutual_information)),
+                          (neg, traj.measure_series(negativity))):
+        np.testing.assert_allclose(closed, dense, rtol=0, atol=1e-13)
+    for k in (0, 137, grid.size - 1):
+        assert phi_plus_mi(channel, float(grid[k])) == pytest.approx(mi[k], abs=1e-15)
+        assert phi_plus_negativity(channel, float(grid[k])) == pytest.approx(neg[k], abs=1e-15)
+
+
+def mp_pauli_weights(mp, ix, iy, iz) -> list:
+    """(p_0, p_x, p_y, p_z) of a Pauli channel from its rate integrals int_0^t gamma_k."""
+    ayz, azx, axy = mp.exp(-2 * (iy + iz)), mp.exp(-2 * (iz + ix)), mp.exp(-2 * (ix + iy))
+    return [(1 + axy + azx + ayz) / 4, (1 - axy - azx + ayz) / 4,
+            (1 - axy + azx - ayz) / 4, (1 + axy - azx - ayz) / 4]
+
+
+def mp_quasi_eternal_weights(mp, alpha: float, t0: float, t: float) -> list:
+    a, t0, t = mp.mpf(alpha), mp.mpf(t0), mp.mpf(t)
+    iz = a / 2 * (mp.log(mp.cosh(t0)) - mp.log(mp.cosh(t - t0)))
+    return mp_pauli_weights(mp, a * t / 2, a * t / 2, iz)
+
+
+def mp_shannon(mp, weights):
+    return -mp.fsum(w * mp.log(w) for w in weights if w > 0)
+
+
+def test_phi_plus_closed_forms_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    times = np.array([0.0, 0.3, 1.4676, 2.741, 3.9])
+    with mpmath.workdps(40):
+        # The tabulated dephasing rate 1 - 0.26 t integrates to t - 0.13 t^2,
+        # and dephasing halves it on gamma_z.
+        weights = {
+            "quasi_eternal": [mp_quasi_eternal_weights(mpmath, 0.4, 1.0, t) for t in times],
+            "tabulated dephasing": [
+                mp_pauli_weights(mpmath, 0, 0, (mpmath.mpf(t) - mpmath.mpf("0.13") * t * t) / 2)
+                for t in times]}
+        for name, ws in weights.items():
+            channel = PHI_PLUS_CHANNELS[name]
+            mi = [float(2 * mpmath.log(2) - mp_shannon(mpmath, w)) for w in ws]
+            neg = [float(max(mpmath.mpf(0), max(w) - mpmath.mpf(1) / 2)) for w in ws]
+            np.testing.assert_allclose(phi_plus_mi(channel, times), mi, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(phi_plus_negativity(channel, times), neg, rtol=0,
+                                       atol=1e-15)
+            for t, m, n in zip(times, mi, neg):
+                assert phi_plus_mi(channel, float(t)) == pytest.approx(m, abs=1e-15)
+                assert phi_plus_negativity(channel, float(t)) == pytest.approx(n, abs=1e-15)
+
+
+def mp_gadc_probe_mi(mp, eps: float, t: float):
+    """MI of a|00> + b|11>, a = sqrt(1 - eps^2) and b = eps, with GADC on the
+    second qubit.
+
+    In Pauli coordinates c_ij = Tr[rho s_i (x) s_j] the map keeps c_30 = a^2 - b^2,
+    sends c_03 -> r c_03 + w c_00 and c_33 -> r c_33 + w c_30 with the Bloch shift
+    w = (2s - 1)(1 - r), and scales the |00><11| coherence a b to a b sqrt(r).
+    The result is an X state: diagonal |01>, |10> and one 2x2 block.
+    """
+    e, t = mp.mpf(eps), mp.mpf(t)
+    s, r = mp.cos(5 * t) ** 2, mp.exp(-t)
+    c30 = 1 - 2 * e * e
+    w = (2 * s - 1) * (1 - r)
+    c03, c33 = r * c30 + w, r + w * c30
+    d00, d01 = (1 + c30 + c03 + c33) / 4, (1 + c30 - c03 - c33) / 4
+    d10, d11 = (1 - c30 + c03 - c33) / 4, (1 - c30 - c03 + c33) / 4
+    mean = (d00 + d11) / 2
+    half = mp.sqrt(((d00 - d11) / 2) ** 2 + (1 - e * e) * e * e * r)
+    return (mp_shannon(mp, [(1 + c30) / 2, (1 - c30) / 2])
+            + mp_shannon(mp, [(1 + c03) / 2, (1 - c03) / 2])
+            - mp_shannon(mp, [d01, d10, mean + half, mean - half]))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_gadc_probe_mi_against_mpmath(eps):
+    # Joint eigenvalues of these near-pure states cross 1e-14 on the grid; a
+    # floor that drops them costs ~3e-13 there.
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.arange(0.10, 0.35 + 1e-12, 2.5e-4)
+    vec = np.array([[np.sqrt(1.0 - eps * eps), 0.0, 0.0, eps]])
+    series = witness.mi_series(GadcChannel(), vec, grid, workers=1)[:, 0]
+    with mpmath.workdps(40):
+        exact = [float(mp_gadc_probe_mi(mpmath, eps, t)) for t in grid]
+    np.testing.assert_allclose(series, exact, rtol=0, atol=1e-14)
+
+
+def mp_pauli_mi(mp, vec: np.ndarray, weights: list):
+    """MI of the pure state vec with the Pauli channel of the given weights on
+    the second qubit, from 40-digit spectra."""
+    paulis = [mp.matrix(np.asarray(p).tolist()) for p in qmat.PAULIS]
+    v = mp.matrix([mp.mpc(complex(x)) for x in vec])
+    v = v / mp.sqrt(mp.fsum(abs(x) ** 2 for x in v))
+    rho = mp.zeros(4, 4)
+    for p, pauli in zip(weights, paulis):
+        u = mp.zeros(4, 4)
+        for i in range(4):
+            for j in range(4):
+                if i // 2 == j // 2:
+                    u[i, j] = pauli[i % 2, j % 2]
+        rho += p * (u * v) * (u * v).H
+    rho_a = mp.matrix([[rho[0, 0] + rho[1, 1], rho[0, 2] + rho[1, 3]],
+                       [rho[2, 0] + rho[3, 1], rho[2, 2] + rho[3, 3]]])
+    rho_s = mp.matrix([[rho[0, 0] + rho[2, 2], rho[0, 1] + rho[2, 3]],
+                       [rho[1, 0] + rho[3, 2], rho[1, 1] + rho[3, 3]]])
+    return sum(sign * mp_shannon(mp, mp.eighe(m, eigvals_only=True))
+               for sign, m in ((1, rho_a), (1, rho_s), (-1, rho)))
+
+
+def test_schmidt_tail_mi_against_mpmath():
+    # Near-product states with Schmidt coefficient 1e-6: joint eigenvalues of
+    # ~1e-14 early on, where a 1e-14 floor cost up to 5e-13. What is left is
+    # eigvalsh's ~1e-16 absolute error per eigenvalue times |ln lambda| ~ 30,
+    # up to ~1.1e-14 here, so the bound is 2e-14.
+    from helpers import random_unitary
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(15)
+    channel = quasi_eternal(0.4, 1.0)
+    grid = np.linspace(0.0, 0.2, 21)
+    with mpmath.workdps(40):
+        weights = [mp_quasi_eternal_weights(mpmath, 0.4, 1.0, t) for t in grid]
+        for _ in range(6):
+            local = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+            vec = local @ np.array([np.sqrt(1.0 - 1e-12), 0.0, 0.0, 1e-6])
+            exact = [float(mp_pauli_mi(mpmath, vec, w)) for w in weights]
+            series = witness.mi_series(channel, vec[None], grid, workers=1)[:, 0]
+            dense = Trajectory(np.outer(vec, vec.conj()), channel, (2, 2),
+                               grid).measure_series(mutual_information)
+            np.testing.assert_allclose(series, exact, rtol=0, atol=2e-14)
+            np.testing.assert_allclose(dense, exact, rtol=0, atol=2e-14)
 
 
 def test_find_t_eb_quasi_eternal():
