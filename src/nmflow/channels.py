@@ -376,7 +376,7 @@ class RateChannel:
         ayz, azx, axy = self.contractions(t)
         p = (0.25 * (1 + axy + azx + ayz), 0.25 * (1 - axy - azx + ayz),
              0.25 * (1 - axy + azx - ayz), 0.25 * (1 + axy - azx - ayz))
-        low = min(p) if isinstance(ayz, float) else np.min(p)  # np.min: microseconds on floats
+        low = np.min(p)
         if low < -PROB_SLACK:
             at = np.ravel(t)[np.argmin(np.min(p, axis=0))]
             raise UnphysicalError(f"mixing weight {low:.3e} < 0 at t = {at}: channel not CPTP")

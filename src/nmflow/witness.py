@@ -232,24 +232,11 @@ def sample_pure_vectors(dims: Sequence[int], count: int, seed: int) -> np.ndarra
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _binary_entropy(x: np.ndarray) -> np.ndarray:
-    # H((x, 1 - x)) as two one-weight terms: stacking the pair costs a copy.
-    x = np.clip(x, 0.0, 1.0)[..., None]
-    return correlations.shannon(x) + correlations.shannon(1.0 - x)
-
-
-def _qubit_entropy(m: np.ndarray) -> np.ndarray:
-    # Entropy of stacked 2x2 density matrices from the Bloch length
-    # r = sqrt((rho00 - rho11)^2 + 4 |rho01|^2): eigenvalues (1 +- r)/2.
-    r = np.sqrt(np.real(m[..., 0, 0] - m[..., 1, 1]) ** 2 + 4.0 * np.abs(m[..., 0, 1]) ** 2)
-    return _binary_entropy((1.0 + r) / 2.0)
-
-
 def _two_qubit_mi(states: np.ndarray) -> np.ndarray:
     # states (..., 4, 4) -> mutual information (...,)
     r4 = states.reshape(*states.shape[:-2], 2, 2, 2, 2)
-    s_a = _qubit_entropy(r4[..., :, 0, :, 0] + r4[..., :, 1, :, 1])
-    s_s = _qubit_entropy(r4[..., 0, :, 0, :] + r4[..., 1, :, 1, :])
+    s_a = correlations.qubit_entropy(r4[..., :, 0, :, 0] + r4[..., :, 1, :, 1])
+    s_s = correlations.qubit_entropy(r4[..., 0, :, 0, :] + r4[..., 1, :, 1, :])
     return s_a + s_s - correlations.shannon(np.linalg.eigvalsh(states))
 
 

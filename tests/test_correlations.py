@@ -143,6 +143,40 @@ def test_entropy_pure_and_mixed():
     assert entropy(np.eye(6) / 6) == pytest.approx(np.log(6), rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_entropy_matches_the_eigvalsh_spectrum(d):
+    rng = np.random.default_rng(31 + d)
+    stack = np.stack([random_density(rng, d, rank) for rank in (1, 2, d) for _ in range(20)])
+    expected = correlations.shannon(np.linalg.eigvalsh(stack))
+    np.testing.assert_allclose(entropy(stack), expected, rtol=0, atol=1e-13)
+    assert entropy(stack[7]) == pytest.approx(expected[7], abs=1e-13)
+
+
+def test_qubit_entropy_keeps_the_small_eigenvalue_against_mpmath():
+    # Near-pure qubit states, nearly diagonal, smaller eigenvalue 1e-14..1e-10:
+    # (tr - r)/2 would leave it ~1e-16 off, up to ~2e-15 of entropy here.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(33)
+    small = 10.0 ** rng.uniform(-14.0, -10.0, 200)
+    off = np.sqrt(small) * rng.uniform(0.0, 0.9, 200) * np.exp(2j * np.pi * rng.uniform(size=200))
+    m = np.array([[[1.0 - s, b], [np.conj(b), s]] for s, b in zip(small, off)])
+    with mpmath.workdps(40):
+        exact = [-mpmath.fsum(w * mpmath.log(w) for w in mpmath.eighe(
+            mpmath.matrix(x.tolist()), eigvals_only=True) if w > 0) for x in m]
+    np.testing.assert_allclose(correlations.qubit_entropy(m), np.array(exact, dtype=float),
+                               rtol=0, atol=2e-16)
+
+
+def test_entropy_of_pure_states_stays_near_zero():
+    # eigvalsh leaves noise eigenvalues of ~1e-16 (up to 1.5e-14 of entropy on
+    # these states); the Rayleigh quotients keep them at the entries' rounding.
+    rng = np.random.default_rng(32)
+    for d in (3, 4, 6, 12):
+        v = rng.normal(size=(500, d)) + 1j * rng.normal(size=(500, d))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.max(np.abs(entropy(np.einsum("na,nb->nab", v, v.conj())))) <= 1e-14
+
+
 def test_entropy_bell_diagonal_matches_weights():
     ch = quasi_eternal(0.4, 1.0)
     phi = maximally_entangled(2)

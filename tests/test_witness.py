@@ -131,36 +131,6 @@ def test_scan_backflow_negativity_eb_empty():
     assert not report.detected
 
 
-def scan_backflow_unsplit(measure, traj: Trajectory, margin: float = witness.ONSET_MARGIN,
-                          refine_tol: float = witness.ONSET_REFINE_TOL) -> witness.BackflowReport:
-    """Reference for scan_backflow in one piece: the onset bisection calls the
-    measure on the trajectory's states directly, with no series/at split."""
-    grid = traj.grid
-    raw, max_deriv = witness._increase_intervals(grid, traj.measure_series(measure), margin)
-    onsets = []
-    for _, _, idx in raw:
-        if idx == 0:
-            onsets.append(float(grid[0]))
-            continue
-        delta = min(1e-5, float(grid[idx] - grid[idx - 1]) / 4.0)
-
-        def deriv(t):
-            return (traj.measure_at(measure, t + delta)
-                    - traj.measure_at(measure, max(t - delta, float(grid[0]))))
-
-        lo, hi = float(grid[idx - 1]), float(grid[min(idx + 1, grid.size - 1)])
-        if deriv(lo) > 0:
-            onsets.append(float(grid[idx]))
-            continue
-        while hi - lo > refine_tol and lo < 0.5 * (lo + hi) < hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if deriv(mid) > 0 else (mid, hi)
-        onsets.append(0.5 * (lo + hi))
-    return witness.BackflowReport(onsets=tuple(onsets),
-                                  intervals=tuple((a, b) for a, b, _ in raw),
-                                  max_derivative=max_deriv)
-
-
 TABULATED_DEPHASING = dephasing(TabulatedRate(((0.0, 1.0), (5.0, -0.3))))
 
 
@@ -169,14 +139,13 @@ TABULATED_DEPHASING = dephasing(TabulatedRate(((0.0, 1.0), (5.0, -0.3))))
     (quasi_eternal(0.4, 1.0), np.arange(0.0, 4.0, 2e-3)),
     (quasi_eternal(0.4, 1.0), np.arange(0.0, 4.0, 0.1)),
 ])
-def test_split_scan_backflow_reports_as_before(channel, grid):
-    # The tabulated rate turns negative at 5/1.3, where MI starts to rise.
+def test_series_backflow_of_the_closed_form_matches_scan_backflow(channel, grid):
+    # The tabulated rate turns negative at 5/1.3, where MI starts to rise. The
+    # closed form gives the same intervals, and onsets within the bisection
+    # tolerance.
     traj = Trajectory(maximally_entangled(2), channel, (2, 2), grid)
     report = scan_backflow(mi_measure, traj)
     assert report.detected
-    assert report == scan_backflow_unsplit(mi_measure, traj)
-    # The closed form gives the same intervals and onsets within the bisection
-    # tolerance.
     closed = series_backflow(grid, phi_plus_mi(channel, grid), lambda t: phi_plus_mi(channel, t))
     assert closed.intervals == report.intervals
     assert closed.onsets == pytest.approx(report.onsets, abs=witness.ONSET_REFINE_TOL)
@@ -324,9 +293,8 @@ def mp_pauli_mi(mp, vec: np.ndarray, weights: list):
 
 def test_schmidt_tail_mi_against_mpmath():
     # Near-product states with Schmidt coefficient 1e-6: joint eigenvalues of
-    # ~1e-14 early on, where a 1e-14 floor cost up to 5e-13. What is left is
-    # eigvalsh's ~1e-16 absolute error per eigenvalue times |ln lambda| ~ 30,
-    # up to ~1.1e-14 here, so the bound is 2e-14.
+    # ~1e-14 early on, where a 1e-14 floor cost up to 5e-13, and reduced
+    # states with an eigenvalue of 1e-12 that 1 - r would leave ~1e-16 off.
     from helpers import random_unitary
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(15)
@@ -341,8 +309,8 @@ def test_schmidt_tail_mi_against_mpmath():
             series = witness.mi_series(channel, vec[None], grid, workers=1)[:, 0]
             dense = Trajectory(np.outer(vec, vec.conj()), channel, (2, 2),
                                grid).measure_series(mutual_information)
-            np.testing.assert_allclose(series, exact, rtol=0, atol=2e-14)
-            np.testing.assert_allclose(dense, exact, rtol=0, atol=2e-14)
+            np.testing.assert_allclose(series, exact, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(dense, exact, rtol=0, atol=1e-14)
 
 
 def test_find_t_eb_quasi_eternal():
