@@ -6,9 +6,9 @@ gamma = (alpha/2)(1, 1, -tanh(t - t0)), pure dephasing, generalized amplitude
 damping with either a fixed decay profile G(t) or the two-parameter
 s(t) = cos^2(5t), r(t) = exp(-t) family, plus application to subsystems,
 composition/inversion of affine qubit maps, intermediate maps V_{s,t} and
-Choi matrices. Every family's `as_affine` and `intermediate` also take 1-D
-arrays of times and then return one map whose components are arrays over the
-times.
+Choi matrices. Every family's `as_affine`, `intermediate` and
+`divisibility` (its CP/P criterion) also take 1-D arrays of times, and then
+return arrays over the times.
 
 Conventions: subsystem order is (ancillas..., system); channels act on the
 last subsystem unless told otherwise. A qubit map is stored by its diagonal
@@ -42,7 +42,7 @@ AXES = {"x": 0, "y": 1, "z": 2}
 KRAUS_TOL = 1e-10
 PROB_SLACK = 1e-8
 DEFAULT_SCAN_STEP = 1e-3
-GAMMA_FD_STEP = 1e-6  # finite-difference step of AmpDampChannel.gamma without dG/dt
+SLOPE_FD_STEP = 1e-6  # finite-difference step of the default RateSpec.slope
 
 
 def _log_cosh(x):
@@ -77,6 +77,11 @@ class RateSpec:
     def integral(self, t1: float, t2: float) -> float:
         raise NotImplementedError
 
+    def slope(self, t):
+        """d rate/dt by a central difference, one-sided near t = 0."""
+        lo = np.maximum(0.0, t - SLOPE_FD_STEP)
+        return (self.rate(t + SLOPE_FD_STEP) - self.rate(lo)) / (t + SLOPE_FD_STEP - lo)
+
 
 @dataclass(frozen=True)
 class ConstantRate(RateSpec):
@@ -109,13 +114,15 @@ class TabulatedRate(RateSpec):
 
     Integrals are differences of the exact antiderivative of the interpolant:
     the trapezoid sum up to the last knot at or below t, plus the trapezoid
-    from that knot to t.
+    from that knot to t. The slope is exact too: the right-hand one at a
+    knot, +0.0 before the first knot and from the last one.
     """
 
     samples: tuple[tuple[float, float], ...]
     _ts: np.ndarray = field(init=False, repr=False)
     _gs: np.ndarray = field(init=False, repr=False)
     _cum: np.ndarray = field(init=False, repr=False)
+    _slopes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = sorted((float(t), float(g)) for t, g in self.samples)
@@ -126,11 +133,17 @@ class TabulatedRate(RateSpec):
         object.__setattr__(self, "samples", tuple(pts))
         object.__setattr__(self, "_ts", np.array([p[0] for p in pts]))
         object.__setattr__(self, "_gs", np.array([p[1] for p in pts]))
-        steps = np.diff(self._ts) * (self._gs[1:] + self._gs[:-1]) / 2.0
+        widths = np.diff(self._ts)
+        steps = widths * (self._gs[1:] + self._gs[:-1]) / 2.0
         object.__setattr__(self, "_cum", np.concatenate(([0.0], np.cumsum(steps))))
+        object.__setattr__(self, "_slopes", np.zeros(self._ts.size + 1))
+        np.divide(np.diff(self._gs), widths, out=self._slopes[1:-1], where=widths > 0.0)
 
     def rate(self, t: float) -> float:
         return np.interp(t, self._ts, self._gs)
+
+    def slope(self, t):
+        return self._slopes[np.searchsorted(self._ts, t, side="right")]
 
     def _antiderivative(self, t):
         k = np.clip(np.searchsorted(self._ts, t, side="right") - 1, 0, self._ts.size - 1)
@@ -365,6 +378,13 @@ class RateChannel:
     def as_affine(self, t) -> AffineQubitMap:
         return AffineQubitMap(self.contractions(t))
 
+    def divisibility(self, t):
+        """(smallest rate, CP, P): CP iff every rate is >= 0, P iff every pair sum is."""
+        gx, gy, gz = self.rates(t)
+        cp = (gx >= 0.0) & (gy >= 0.0) & (gz >= 0.0)
+        p = (gx + gy >= 0.0) & (gy + gz >= 0.0) & (gz + gx >= 0.0)
+        return np.minimum(np.minimum(gx, gy), gz), cp, p
+
     def intermediate(self, t, s) -> AffineQubitMap:
         """V_{s,t} with Lambda_s = V_{s,t} Lambda_t; requires 0 <= t <= s."""
         _check_interval(t, s)
@@ -461,51 +481,40 @@ def amp_damp_gamma(g: float, dg_dt: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class AmpDampChannel:
-    """Amplitude damping with decay profile G(t) and fixed excitation weight p."""
+    """Amplitude damping with decay profile G(t) and fixed excitation weight p;
+    G and dG/dt (G's `slope` when not given) are rates, as in `as_rate_spec`."""
 
-    g_of_t: Callable[[float], float]
+    g_of_t: RateSpec
     p: float
-    dg_dt: Callable[[float], float] | None = None
+    dg_dt: RateSpec | None = None
 
-    def g(self, t):
-        return _elementwise(self.g_of_t, t)
+    def __post_init__(self):
+        if not 0.0 <= self.p <= 1.0:  # also rejects NaN
+            raise UnphysicalError(f"p must lie in [0, 1], got {self.p}")
+        object.__setattr__(self, "g_of_t", as_rate_spec(self.g_of_t))
+        object.__setattr__(self, "dg_dt", None if self.dg_dt is None else as_rate_spec(self.dg_dt))
 
     def gamma(self, t: float) -> float:
-        """The rate at a time, or at each time of an array; a central
-        difference of G when no dG/dt is given."""
-        if self.dg_dt is not None:
-            dg = _elementwise(self.dg_dt, t)
-        else:
-            h = GAMMA_FD_STEP
-            lo = np.maximum(0.0, t - h)
-            dg = (self.g(t + h) - self.g(lo)) / (t + h - lo)
-        return amp_damp_gamma(self.g(t), dg)
+        """The rate at a time, or at each time of an array."""
+        dg = self.g_of_t.slope(t) if self.dg_dt is None else self.dg_dt.rate(t)
+        return amp_damp_gamma(self.g_of_t.rate(t), dg)
+
+    def divisibility(self, t):
+        """(gamma, CP, P): CP and P iff gamma >= 0."""
+        gamma = self.gamma(t)
+        return gamma, gamma >= 0.0, gamma >= 0.0
 
     def as_affine(self, t) -> AffineQubitMap:
-        return amp_damp_map(self.g(t), self.p)
+        return amp_damp_map(self.g_of_t.rate(t), self.p)
 
     def intermediate(self, t, s) -> AffineQubitMap:
         """V_{s,t}; the identity where G(t) = G(s) = 0."""
         _check_interval(t, s)
-        gt, gs = self.g(t), self.g(s)
+        gt, gs = self.g_of_t.rate(t), self.g_of_t.rate(s)
         if np.any((gt == 0.0) & (gs != 0.0)):
             raise SingularMapError("G(t) = 0 with G(s) != 0: intermediate map does not exist")
         ratio = np.divide(gs, gt, out=np.ones(np.shape(gt)), where=gt != 0.0)
         return _gad_affine(ratio[()], self.p)
-
-
-def _tabulated_callable(samples: Sequence[Sequence[float]]) -> tuple[Callable, Callable]:
-    """The piecewise-linear interpolant of (t, G) samples, clamped outside, and
-    its exact derivative: the slope of the segment starting at or before t (the
-    right-hand slope at a knot), +0.0 before the first and from the last knot."""
-    pts = sorted((float(a), float(b)) for a, b in samples)
-    ts = np.array([q[0] for q in pts])
-    vs = np.array([q[1] for q in pts])
-    widths = np.diff(ts)
-    slopes = np.zeros(ts.size + 1)
-    np.divide(np.diff(vs), widths, out=slopes[1:-1], where=widths > 0.0)
-    return (lambda t: float(np.interp(t, ts, vs)),
-            lambda t: float(slopes[np.searchsorted(ts, t, side="right")]))
 
 
 @dataclass(frozen=True)
@@ -542,6 +551,12 @@ class GadcChannel:
         drive = 5.0 * (1.0 - np.exp(-t)) * np.sin(10.0 * t)
         gm = self.s(t) - drive
         return gm, 1.0 - gm
+
+    def divisibility(self, t):
+        """(min(gamma_minus, gamma_plus), CP, P): CP and P iff both rates are >= 0."""
+        gm, gp = self.rates(t)
+        ok = (gm >= 0.0) & (gp >= 0.0)
+        return np.minimum(gm, gp), ok, ok
 
     def as_affine(self, t) -> AffineQubitMap:
         s, r = self.s(t), self.r(t)
@@ -588,10 +603,13 @@ def channel_from_json(obj):
         if family == "gadc":
             return GadcChannel()
         if family == "dephasing":
-            return dephasing(TabulatedRate(tuple((float(a), float(b)) for a, b in obj["gamma"])))
+            return dephasing(TabulatedRate(tuple(obj["gamma"])))
         if family == "amp_damp":
-            g, dg_dt = _tabulated_callable(obj["G"])
-            return AmpDampChannel(g, float(obj["p"]), dg_dt)
+            g = TabulatedRate(tuple(obj["G"]))
+            bad = [v for _, v in g.samples if not 0.0 <= v <= 1.0]
+            if bad:
+                raise ConfigParseError(f"amp_damp G samples must lie in [0, 1], got {bad}")
+            return AmpDampChannel(g, float(obj["p"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"bad parameters for channel family {family!r}: {exc}") from exc
     raise ConfigParseError(f"unknown channel family {family!r}")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import correlations, divisibility, mepovm, witness
-from .channels import DEFAULT_SCAN_STEP, GadcChannel, channel_from_json, quasi_eternal
+from .channels import DEFAULT_SCAN_STEP, channel_from_json, quasi_eternal
 from .errors import ConfigParseError, NmflowError, UnknownExperimentError
 from .numutil import thread_count
 
@@ -82,17 +82,8 @@ def run_physicality(cfg, out):
 def run_divisibility_scan(cfg, out):
     channel = channel_from_json(cfg.channel) if cfg.channel else quasi_eternal(cfg.alpha, cfg.t0)
     grid = _grid(0.0, cfg.t_max + cfg.step / 2, cfg.step)
-    if isinstance(channel, GadcChannel):
-        gm, gp = channel.rates(grid)
-        rates, value = (gm, gp, 0.0), np.minimum(gm, gp)
-    elif hasattr(channel, "rates"):
-        rates = channel.rates(grid)
-        value = np.minimum.reduce(rates)
-    else:  # amplitude damping: single rate
-        g = channel.gamma(grid)
-        rates, value = (g, g, g), g
-    flags = divisibility.divisibility_rates(*rates)
-    labels = np.where(flags["cp"], "CPDivisible", np.where(flags["p"], "PNotCP", "NotP"))
+    value, cp, p = channel.divisibility(grid)
+    labels = np.where(cp, "CPDivisible", np.where(p, "PNotCP", "NotP"))
     rows = list(zip(grid.tolist(), value.tolist(), labels.tolist()))
     write_csv(out / "divisibility-scan.csv", ["t", "value", "flag"], rows)
     names, counts = np.unique(labels, return_counts=True)
@@ -330,20 +321,28 @@ def _apply_config(args) -> None:
         cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigParseError(f"cannot read config: {exc}") from exc
+    grid = cfg.get("grid", {}) if isinstance(cfg, dict) else None
+    if not isinstance(grid, dict):
+        raise ConfigParseError("config and its 'grid' must be JSON objects")
     name = cfg.get("experiment")
     if name is not None and name != args.experiment:
         raise ConfigParseError(
             f"config is for experiment {name!r}, invoked {args.experiment!r}")
     if "channel" in cfg and hasattr(args, "channel"):
         args.channel = json.dumps(cfg["channel"])
-    grid = cfg.get("grid", {})
-    if "t_max" in grid and hasattr(args, "t_max"):
-        args.t_max = float(grid["t_max"])
-    if "step" in grid and hasattr(args, "step"):
-        args.step = float(grid["step"])
+    for key in ("t_max", "step"):
+        if key in grid and hasattr(args, key):
+            try:
+                setattr(args, key, float(grid[key]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigParseError(f"config grid {key} must be a number: {exc}") from exc
     if "seed" in cfg:
-        args.seed = int(cfg["seed"])
+        if type(cfg["seed"]) is not int:  # bool and 1.7 are not seeds
+            raise ConfigParseError(f"config seed must be an integer, got {cfg['seed']!r}")
+        args.seed = cfg["seed"]
     if "output" in cfg:
+        if not isinstance(cfg["output"], str):
+            raise ConfigParseError(f"config output must be a path, got {cfg['output']!r}")
         args.out = cfg["output"]
 
 

@@ -3,8 +3,9 @@
 Complete positivity via the minimum Choi eigenvalue, exact positivity of
 affine qubit maps via the trust-region secular equation, the physicality
 threshold T(alpha) = (1/2) log(2^(1/alpha) - 1) of the quasi-eternal family,
-pointwise divisibility from rates, and a scan classifier that splits
-single-parameter evolutions into CP-divisible and not-P intervals.
+and a scan classifier that splits single-parameter evolutions into
+CP-divisible and not-P intervals. Pointwise divisibility from a family's rates
+is the family's own `divisibility(t)` in `channels`.
 """
 
 from __future__ import annotations
@@ -112,15 +113,6 @@ def physicality_threshold(alpha: float) -> float:
     # for small alpha, no cancellation for large alpha.
     x = np.log(2.0) / alpha
     return 0.5 * float(x + np.log(-np.expm1(-x)))
-
-
-def divisibility_rates(gx: float, gy: float, gz: float) -> dict:
-    """Pointwise divisibility from the instantaneous rates: CP needs all rates
-    nonnegative, P needs all pairwise sums nonnegative (so cp implies p).
-    Elementwise over arrays of rates."""
-    cp = (gx >= 0.0) & (gy >= 0.0) & (gz >= 0.0)
-    p = (gx + gy >= 0.0) & (gy + gz >= 0.0) & (gz + gx >= 0.0)
-    return {"cp": cp, "p": p}
 
 
 def classify_intervals(gamma, t_max: float, step: float = 1e-2,

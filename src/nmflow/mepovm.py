@@ -409,9 +409,11 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
 
     # Each start after the eigenbasis ME-POVM projects a B-side Hermitian to a
     # feasible X: the warm start's steered difference, then one seeded random
-    # Hermitian per restart.
+    # Hermitian per restart, made traceless: a definite one would give Y = +-1,
+    # M = +-rho_A, and every feasible X would be optimal.
     g = np.random.default_rng(seed).normal(size=(restarts, 2, d_b, d_b))
-    h = g[:, 0] + 1j * g[:, 1]
+    trace = np.trace(g[:, 0], axis1=1, axis2=2)[:, None, None]
+    h = g[:, 0] + 1j * g[:, 1] - trace / d_b * np.eye(d_b)
     if x0 is not None:
         h = np.concatenate([_steered_difference(rho4, np.asarray(x0, dtype=complex))[None], h])
     app_f = construct_me_povm(rho_a)

@@ -83,6 +83,15 @@ def probe_pair_at_tau(p: float) -> tuple[np.ndarray, np.ndarray]:
     return rho1, rho2
 
 
+def divisibility_rates(gx, gy, gz) -> dict:
+    """Pointwise divisibility of a Pauli generator from its three rates: CP
+    needs every rate nonnegative, P every pairwise sum (so cp implies p).
+    Elementwise over arrays of rates."""
+    cp = (gx >= 0.0) & (gy >= 0.0) & (gz >= 0.0)
+    p = (gx + gy >= 0.0) & (gy + gz >= 0.0) & (gz + gx >= 0.0)
+    return {"cp": cp, "p": p}
+
+
 def trace_distance(rho, sigma) -> float:
     """D(rho, sigma) = ||rho - sigma||_1 / 2."""
     a, b = _as_matrix(rho), _as_matrix(sigma)
@@ -112,8 +121,9 @@ def seesaw_reference(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: i
     if x0 is not None:
         starts.append(project(mepovm._steered_difference(rho4, np.asarray(x0, dtype=complex))))
     rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        starts.append(project(rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))))
+    for _ in range(restarts):  # traceless, so never definite
+        h = rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))
+        starts.append(project(h - np.trace(h).real / d_b * np.eye(d_b)))
 
     best_value, best_it = -np.inf, 0
     for x in starts:

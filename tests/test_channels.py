@@ -351,6 +351,12 @@ def test_amp_damp_gamma_over_arrays():
     np.testing.assert_array_equal(ch.gamma(ts), [ch.gamma(float(t)) for t in ts])
 
 
+@pytest.mark.parametrize("p", [-0.1, 1.5, np.nan, np.inf])
+def test_amp_damp_rejects_p_outside_unit_interval(p):
+    with pytest.raises(UnphysicalError):
+        AmpDampChannel(lambda t: 1.0, p=p)
+
+
 def test_amp_damp_singular():
     with pytest.raises(SingularMapError):
         amp_damp_map(0.0, 0.5)
@@ -528,6 +534,9 @@ TIME_FAMILIES = {
     "gadc": GadcChannel(),
     "amp_damp, callable G": AmpDampChannel(
         lambda t: float(np.exp(-t) * (1 + 0.2 * np.sin(4 * t))), p=0.25),
+    # Knots at 0, 1, 2 and 3, as in a JSON table.
+    "amp_damp, tabulated G": AmpDampChannel(
+        TabulatedRate(((0.0, 1.0), (1.0, 0.5), (2.0, 0.7), (3.0, 0.3))), p=0.3),
     "callable rates": RateChannel(CallableRate(lambda t: 0.3 + 0.1 * np.cos(t)),
                                   ConstantRate(0.1),
                                   CallableRate(lambda t: -0.2 * np.tanh(t - 1.0) + 0.05,
@@ -542,9 +551,15 @@ TIME_FAMILIES = {
 
 @pytest.mark.parametrize("name", list(TIME_FAMILIES))
 def test_maps_over_time_arrays_match_per_time_calls(name):
-    # Oracle: one scalar as_affine / intermediate call per time, stacked.
+    # Oracle: one scalar as_affine / intermediate / divisibility call per time, stacked.
     ch = TIME_FAMILIES[name]
     grid = np.linspace(0.0, 5.0, 41)
+    value, cp, p = ch.divisibility(grid)
+    single = [ch.divisibility(float(t)) for t in grid]
+    assert all(np.ndim(x) == 0 for x in single[0])
+    np.testing.assert_allclose(value, [v for v, _, _ in single], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(cp, [c for _, c, _ in single])
+    np.testing.assert_array_equal(p, [q for _, _, q in single])
     single = ch.as_affine(1.0)
     assert all(np.ndim(c) == 0 for c in single.lambdas + single.translation)
     batched = ch.as_affine(grid).superop

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import nmflow
+from helpers import divisibility_rates
 from nmflow import channels, cli, witness
 from nmflow.channels import GadcChannel, channel_from_json, quasi_eternal
 from nmflow.cli import main
-from nmflow.divisibility import divisibility_rates
 
 EXPERIMENTS = ("physicality", "divisibility-scan", "eb-time", "mi-scan", "gadc-scan",
                "probe-backflow", "hessian-check", "povm-bound", "pg-counterexample")
@@ -119,6 +119,17 @@ def test_divisibility_scan_cli_amp_damp(tmp_path):
             g = np.interp(t, [0, 1, 2, 3], [1, 0.5, 0.7, 0.3])
             assert gamma == pytest.approx(-2.0 * slopes.get(int(t), 0.0) / g, rel=1e-8)
     assert {flag for *_, flag in rows} == {"CPDivisible", "NotP"}
+
+
+def test_divisibility_scan_amp_damp_table_evaluates_the_grid_at_once(monkeypatch, tmp_path):
+    # A tabulated G and its slope take the whole grid in one call each, never
+    # one scalar evaluation per time.
+    calls = []
+    elementwise = channels._elementwise
+    monkeypatch.setattr(channels, "_elementwise",
+                        lambda *args: calls.append(args) or elementwise(*args))
+    _divisibility_scan_rows(tmp_path, {"family": "amp_damp", "p": 0.3, "G": [[0, 1], [3, 0.3]]})
+    assert calls == []
 
 
 def divisibility_rows_loop(channel, grid) -> list[str]:
@@ -303,10 +314,36 @@ def test_cli_error_exit_codes(tmp_path):
     ["hessian-check", "--draws", "-1", "--check"],
     ["divisibility-scan", "--channel", '{"family":"dephasing","gamma":[[0,1],[5,NaN]]}'],
     ["divisibility-scan", "--channel", '{"family":"dephasing","gamma":[[0,1],[Infinity,1]]}'],
+    ["divisibility-scan", "--channel", '{"family":"amp_damp","p":1.5,"G":[[0,1],[2,0.5]]}'],
+    ["divisibility-scan", "--channel", '{"family":"amp_damp","p":NaN,"G":[[0,1],[2,0.5]]}'],
+    ["divisibility-scan", "--channel", '{"family":"amp_damp","p":0.3,"G":[[0,1],[2,1.5]]}'],
+    ["divisibility-scan", "--channel", '{"family":"amp_damp","p":0.3,"G":[[0,1],[2,-0.1]]}'],
+    ["divisibility-scan", "--channel", '{"family":"amp_damp","p":0.3,"G":[[0,1],[2,NaN]]}'],
+    ["divisibility-scan", "--channel", '{"family":"amp_damp","p":0.3,"G":[[0,1],[Infinity,1]]}'],
+    ["divisibility-scan", "--channel", '{"family":"amp_damp","p":0.3,"G":[]}'],
 ])
 def test_cli_rejects_bad_numbers(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": "abc"},
+    {"seed": 1.7},
+    {"seed": True},
+    [1, 2],
+    {"grid": {"t_max": "x"}},
+    {"grid": {"step": None}},
+    {"grid": 5},
+    {"output": 5},
+], ids=json.dumps)
+def test_cli_rejects_malformed_config(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["divisibility-scan", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_cli_rejects_malformed_thread_count(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_density
+from helpers import divisibility_rates, random_density
 from nmflow import channels, divisibility
 from nmflow.channels import AffineQubitMap, AmpDampChannel, ConstantRate, GadcChannel, RateChannel, \
     apply_map, dephasing, depolarizing, quasi_eternal
@@ -9,7 +9,6 @@ from nmflow.correlations import mutual_information
 from nmflow.divisibility import (
     DivisibilityLabel,
     classify_intervals,
-    divisibility_rates,
     is_cp,
     is_p_qubit,
     physicality_threshold,
@@ -168,6 +167,16 @@ def test_divisibility_rates():
     assert gz < 0
     assert divisibility_rates(gx, gy, gz) == {"cp": False, "p": True}
     assert divisibility_rates(1.0, 1.0, -3.0) == {"cp": False, "p": False}
+    # Each Pauli family's own criterion, over a grid, against the rate oracle.
+    grid = np.linspace(0.0, 5.0, 101)
+    for family in (ch, depolarizing(lambda t: float(np.cos(t))), dephasing(lambda t: 0.5 - t)):
+        value, cp, p = family.divisibility(grid)
+        rates = family.rates(grid)
+        flags = divisibility_rates(*rates)
+        np.testing.assert_array_equal(value, np.min(rates, axis=0))
+        np.testing.assert_array_equal(cp, flags["cp"])
+        np.testing.assert_array_equal(p, flags["p"])
+        assert not np.all(cp)
 
 
 def test_cp_implies_p_random_diagonal_maps():

@@ -309,6 +309,34 @@ def test_seesaw_matches_per_start_reference():
             seesaw_reference(swapped, d_b, d_a, 3, k)[0], abs=1e-9)
 
 
+def test_restarts_never_start_from_y_plus_minus_one(monkeypatch):
+    # A definite restart Hermitian gives Y = +-1, so M = +-rho_A and every
+    # feasible X is optimal: rounding noise, not the seed, picks the start.
+    # Index 60 of these near-product and generic states is a (2, 2) state whose
+    # seed-60 normal draw holds definite Hermitians until their trace is removed.
+    rng = np.random.default_rng(3)
+    for k in range(61):
+        d_a, d_b = ((2, 2), (2, 3), (2, 6))[k % 3]
+        rho = random_density(rng, d_a * d_b)
+        if k % 5 == 0:
+            rho = 0.999 * np.kron(random_density(rng, d_a), random_density(rng, d_b)) + 0.001 * rho
+    sign_split, ys = mepovm._sign_split, []
+
+    def recorded(h):
+        vals, y = sign_split(h)
+        ys.append(y)
+        return vals, y
+
+    monkeypatch.setattr(mepovm, "_sign_split", recorded)
+    for seed in [60, *range(40)]:
+        ys.clear()
+        c2_A(rho, (2, 2), restarts=5, seed=seed)
+        # The first split projects the five restart Hermitians. Y = +-1 has
+        # |Tr Y| = 2; the sign of a traceless draw has Tr Y = 0.
+        assert ys[0].shape == (5, 2, 2)
+        np.testing.assert_allclose(np.trace(ys[0], axis1=1, axis2=2), 0.0, atol=1e-12)
+
+
 def test_more_restarts_never_lose():
     # The starts for fewer restarts are a prefix of those for more.
     rng = np.random.default_rng(49)

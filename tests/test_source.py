@@ -1,13 +1,18 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import nmflow
+from nmflow import channels
 
-MODULES = sorted(Path(nmflow.__file__).parent.glob("*.py"))
+PACKAGE = Path(nmflow.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -76,3 +81,39 @@ def test_unreferenced_private_names_detects_leftovers():
 def test_every_private_name_is_referenced():
     # A refactor that leaves a private helper without callers leaves dead code.
     assert unreferenced_private_names([path.read_text(encoding="utf-8") for path in MODULES]) == []
+
+
+def test_cli_references_no_channel_class():
+    # The CLI asks every family the same questions (as_affine, divisibility),
+    # so it needs no family dispatch and no channel class.
+    tree = ast.parse((PACKAGE / "channels.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert {"RateChannel", "GadcChannel", "AmpDampChannel", "TabulatedRate"} <= classes
+    cli_source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert referenced_names(cli_source) & classes == set()
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_patch_points_resolve():
+    # The benchmark's tracer wraps these names from the outside; a rename in
+    # nmflow would leave its per-layer metrics silently at zero.
+    tracer = load_tracer()
+    for module, name in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"nmflow.{module}"), name)), (module, name)
+    source = TRACER.read_text(encoding="utf-8")
+    families = {node.attr for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "channels"} - {"RateSpec"}
+    assert families >= {"RateChannel", "AmpDampChannel", "GadcChannel"}
+    for name in families:
+        assert "as_affine" in vars(getattr(channels, name)), name
+    subclasses = list(tracer._subclasses(channels.RateSpec))
+    assert {cls.__name__ for cls in subclasses} >= {"ConstantRate", "TabulatedRate", "CallableRate"}
+    for cls in subclasses:
+        assert cls.integral is not channels.RateSpec.integral, cls.__name__
