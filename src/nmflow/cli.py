@@ -297,24 +297,27 @@ OPTIONS = {
 def build_parser(only: str | None = None) -> _Parser:
     """The parser with a subparser per experiment; when `only` names an
     experiment, just that one's subparser, which parses its arguments alike
-    and is cheaper to build."""
+    and is cheaper to build. Options left off the command line parse as None,
+    so that `main` can tell them from explicit flags."""
     parser = _Parser(prog="nmflow", description=__doc__)
     sub = parser.add_subparsers(dest="experiment")
     for name in [only] if only in RUNNERS else RUNNERS:
         p = sub.add_parser(name)
-        for flag, kind, default, *text in OPTIONS[name]:
-            p.add_argument(flag, type=kind, default=default, help=text[0] if text else None)
-        p.add_argument("--out", default=".", help="output directory for CSV/JSON")
-        p.add_argument("--config", default=None, help="JSON experiment config file")
+        for flag, kind, _, *text in OPTIONS[name]:
+            p.add_argument(flag, type=kind, help=text[0] if text else None)
+        p.add_argument("--out", help="output directory for CSV/JSON")
+        p.add_argument("--config", help="JSON experiment config file")
         p.add_argument("--check", action="store_true",
                        help="exit 2 when a registered landmark check fails")
-        p.add_argument("--seed", type=int, default=24,
+        p.add_argument("--seed", type=int,
                        help="RNG seed; the default reproduces the recorded landmarks, "
                             "including the random-state scan minimum")
     return parser
 
 
 def _apply_config(args) -> None:
+    """Options left off the command line (None) take their --config file
+    value: explicit flags win over the file."""
     if not args.config:
         return
     try:
@@ -328,22 +331,35 @@ def _apply_config(args) -> None:
     if name is not None and name != args.experiment:
         raise ConfigParseError(
             f"config is for experiment {name!r}, invoked {args.experiment!r}")
-    if "channel" in cfg and hasattr(args, "channel"):
+    if "channel" in cfg and hasattr(args, "channel") and args.channel is None:
         args.channel = json.dumps(cfg["channel"])
     for key in ("t_max", "step"):
         if key in grid and hasattr(args, key):
             try:
-                setattr(args, key, float(grid[key]))
+                value = float(grid[key])
             except (TypeError, ValueError) as exc:
                 raise ConfigParseError(f"config grid {key} must be a number: {exc}") from exc
+            if getattr(args, key) is None:
+                setattr(args, key, value)
     if "seed" in cfg:
         if type(cfg["seed"]) is not int:  # bool and 1.7 are not seeds
             raise ConfigParseError(f"config seed must be an integer, got {cfg['seed']!r}")
-        args.seed = cfg["seed"]
+        if args.seed is None:
+            args.seed = cfg["seed"]
     if "output" in cfg:
         if not isinstance(cfg["output"], str):
             raise ConfigParseError(f"config output must be a path, got {cfg['output']!r}")
-        args.out = cfg["output"]
+        if args.out is None:
+            args.out = cfg["output"]
+
+
+def _apply_defaults(args) -> None:
+    """Options still None take their defaults from OPTIONS (--out and --seed: "." and 24)."""
+    defaults = {flag[2:].replace("-", "_"): default
+                for flag, _, default, *_ in OPTIONS[args.experiment]}
+    for key, default in {**defaults, "out": ".", "seed": 24}.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
 
 
 def main(argv=None) -> int:
@@ -356,6 +372,7 @@ def main(argv=None) -> int:
         if args.experiment not in RUNNERS:
             raise UnknownExperimentError(args.experiment)
         _apply_config(args)
+        _apply_defaults(args)
         thread_count()  # a malformed NMFLOW_THREADS fails here, before any work
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

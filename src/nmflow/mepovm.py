@@ -22,6 +22,14 @@ found by doubling. The eigenbasis start, an optional warm start and the
 seeded random starts run in lockstep as one stack: each round is one batched
 eigendecomposition and one X step for every start still gaining.
 
+On a qubit A side (and so for C_B with a qubit B side) the rounds run in
+Pauli coordinates: each start is the real xi with X = xi.sigma, and with
+B_mu = Tr_A[rho (sigma_mu (x) 1)] computed once, a round is the product
+xi @ B, the batched eigendecomposition of that steered difference, one
+product of the sign operators Y with the B_mu that gives the Pauli
+coefficients Tr(B_mu Y) / 2 of M, and the closed-form X step on those
+coefficients. X is built as a matrix once, for the result.
+
 Also here: the outcome-count bound for ME-POVM optimization, and the
 classical-quantum probe state of the quasi-eternal family whose C backflow
 is equivalent to non-CP intermediate dynamics.
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import prod
+from math import prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -166,6 +174,14 @@ def povm_count_bound(d_a: int, d_b: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class C2Result:
+    """The best see-saw value, its ME-POVM {(1 + x)/2, (1 - x)/2} and x itself.
+
+    `iterations` is the round in which the winning start stopped gaining: the
+    first round whose value exceeded the start's best so far by at most
+    SEESAW_GAIN_TOL (SEESAW_MAX_ITER if none did). Round 1 evaluates the start
+    itself. `pure_marginal` marks the product shortcut (value 0, no rounds).
+    """
+
     value: float
     povm: MePovm2
     x: np.ndarray = field(repr=False)
@@ -272,6 +288,11 @@ def _pencil_multiplier(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray,
     return _newton_multiplier(m, rho_a, nu_lo, nu_hi, g_lo, g_hi, scale)
 
 
+def _inverse_cholesky(rho_a: np.ndarray, eig_a: np.ndarray) -> np.ndarray | None:
+    # The l_inv argument of `_pencil_x`: None when rho_a is singular.
+    return np.linalg.inv(np.linalg.cholesky(rho_a)) if eig_a[0] > 1e-12 else None
+
+
 def _pencil_x(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray | None) -> np.ndarray:
     """`_solve_x` for one Hermitian m in any dimension, where l_inv is the
     inverse Cholesky factor of rho_a, or None when rho_a is singular.
@@ -321,36 +342,55 @@ def _pencil_x(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray | None) -> np.
     return (vecs * x) @ vecs.conj().T
 
 
-def _qubit_x(m: np.ndarray, rho_a: np.ndarray,
-             one_minus_e2: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_solve_x` in closed form for d = 2, for each m of an (S, 2, 2) stack;
-    returns the X stack and the mask of rows solved (those with c != 0).
+_SIGMA = np.array(PAULIS)  # (4, 2, 2): 1, sigma_x, sigma_y, sigma_z
 
-    With rho_a = (1 + r.sigma)/2, m = a + b.sigma and X = -(r.x) + x.sigma, the
-    task is max c.x, c = b - a r, over the meet of E+- = {|x| +- r.x <= 1}.
-    The support point of E+ (E-) is optimal if r.x >= 0 (<= 0) there, which
-    needs c.u > 0 (< 0); else x = c_perp / q on the seam u.x = 0, |x| = 1. With
-    e = |r|, u = r / e, c_u = c.u, q = |c_perp| = |c - c_u u| and
+
+def _pauli_coords(x: np.ndarray) -> np.ndarray:
+    # The real xi with x = xi.sigma, for one Hermitian 2x2 matrix or a stack.
+    return np.einsum("...jk,ikj->...i", x, _SIGMA).real / 2.0
+
+
+def _pauli_matrix(xi: np.ndarray) -> np.ndarray:
+    # xi.sigma, for one coordinate vector or an (S, 4) stack.
+    return (xi @ _SIGMA.reshape(4, 4)).reshape(xi.shape[:-1] + (2, 2))
+
+
+def _qubit_x(coef: np.ndarray, rho_a: np.ndarray, eig_a: np.ndarray,
+             r: np.ndarray) -> np.ndarray:
+    """`_solve_x` for d = 2 in Pauli coordinates: for each row (a, b) of an
+    (S, 4) stack of m = a + b.sigma, the coordinates xi of the optimal
+    X = xi.sigma; r is the Bloch vector of rho_a and eig_a its ascending
+    eigenvalues.
+
+    With rho_a = (1 + r.sigma)/2 and X = -(r.x) + x.sigma, the task is
+    max c.x, c = b - a r, over the meet of E+- = {|x| +- r.x <= 1}. The
+    support point of E+ (E-) is optimal if r.x >= 0 (<= 0) there, which
+    needs c.u > 0 (< 0); else x = c_perp / q on the seam u.x = 0, |x| = 1.
+    With e = |r|, u = r / e, c_u = c.u, q = |c_perp| = |c - c_u u| and
     R^2 = c_u^2 + (1 - e^2) q^2 the support point is c_perp / R plus
     u.x = sign(c_u) (c_u^2 - e^2 q^2) / (R (|c_u| + e R)), with 1 - e^2 from
-    eigvalsh(rho_a) as 4 lambda_0 lambda_1: no cancellation near pure rho_a.
+    eig_a as 4 lambda_0 lambda_1: no cancellation near pure rho_a. Rows with
+    c = 0, where every feasible X is optimal, take `_pencil_x`.
     """
-    coef = np.einsum("sjk,ikj->si", m, PAULIS).real / 2.0  # (a, b)
-    r = np.einsum("jk,ikj->i", rho_a, PAULIS[1:]).real
     c = coef[:, 1:] - coef[:, :1] * r
-    e = float(np.linalg.norm(r))
+    e = sqrt(r @ r)
     u = r / e if e > 0.0 else r
-    c_u = np.sum(c * u, axis=1)  # row by row, so a row's X does not depend on the stack
+    c_u = (c * u).sum(axis=1)  # row by row, so a row's X does not depend on the stack
     c_perp = c - c_u[:, None] * u
     q2 = np.einsum("si,si->s", c_perp, c_perp)
-    big_r = np.sqrt(c_u ** 2 + one_minus_e2 * q2)
+    big_r = np.sqrt(c_u ** 2 + 4.0 * float(eig_a[0] * eig_a[1]) * q2)
     num, den = np.maximum(c_u ** 2 - e * e * q2, 0.0), big_r * (np.abs(c_u) + e * big_r)
-    s = np.sign(c_u) * np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    s = np.sign(c_u) * np.divide(num, den, out=np.zeros(len(c)), where=den > 0.0)
     norm = np.maximum(big_r, np.sqrt(q2))  # R when a support point holds, else q
     solved = norm > 0.0
-    x = s[:, None] * u + c_perp / np.where(solved, norm, 1.0)[:, None]
-    coords = np.concatenate([-np.sum(x * r, axis=1, keepdims=True), x], axis=1)
-    return np.einsum("si,ijk->sjk", coords, PAULIS), solved
+    xi = np.empty((len(c), 4))
+    xi[:, 1:] = s[:, None] * u + c_perp / np.where(solved, norm, 1.0)[:, None]
+    xi[:, 0] = -(xi[:, 1:] * r).sum(axis=1)
+    if not solved.all():
+        l_inv = _inverse_cholesky(rho_a, eig_a)
+        for k in np.flatnonzero(~solved):
+            xi[k] = _pauli_coords(_pencil_x(_pauli_matrix(coef[k]), rho_a, l_inv))
+    return xi
 
 
 def _solve_x(m: np.ndarray, rho_a: np.ndarray, eig_a: np.ndarray | None = None) -> np.ndarray:
@@ -358,21 +398,19 @@ def _solve_x(m: np.ndarray, rho_a: np.ndarray, eig_a: np.ndarray | None = None) 
     one m or for each m of an (S, d, d) stack; eig_a are the ascending
     eigenvalues of rho_a (computed here by default).
 
-    For d = 2 the optimum has a closed form (`_qubit_x`); other dimensions,
-    and the rows with c = 0 where every feasible X is optimal, take the
-    multiplier search of `_pencil_x`.
+    For d = 2 the optimum has a closed form in Pauli coordinates
+    (`_qubit_x`); other dimensions take the multiplier search of `_pencil_x`.
     """
     m = (m + m.conj().swapaxes(-1, -2)) / 2.0
     eig_a = np.linalg.eigvalsh(rho_a) if eig_a is None else eig_a
     stack = m.reshape((-1,) + m.shape[-2:])
-    x, solved = np.empty_like(stack), np.zeros(len(stack), dtype=bool)
     if len(eig_a) == 2:
-        x, solved = _qubit_x(stack, rho_a, 4.0 * float(eig_a[0] * eig_a[1]))
-    rest = np.flatnonzero(~solved)
-    if rest.size:
-        l_inv = np.linalg.inv(np.linalg.cholesky(rho_a)) if eig_a[0] > 1e-12 else None
-        for k in rest:
-            x[k] = _pencil_x(stack[k], rho_a, l_inv)
+        r = 2.0 * _pauli_coords(rho_a)[1:]
+        return _pauli_matrix(_qubit_x(_pauli_coords(stack), rho_a, eig_a, r)).reshape(m.shape)
+    l_inv = _inverse_cholesky(rho_a, eig_a)
+    x = np.empty_like(stack)
+    for k in range(len(stack)):
+        x[k] = _pencil_x(stack[k], rho_a, l_inv)
     return x.reshape(m.shape)
 
 
@@ -417,27 +455,51 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
     if x0 is not None:
         h = np.concatenate([_steered_difference(rho4, np.asarray(x0, dtype=complex))[None], h])
     app_f = construct_me_povm(rho_a)
-    x = np.concatenate([[app_f.effects[0] - app_f.effects[1]],
-                        _solve_x(_back_operator(rho4, _sign_split(h)[1]), rho_a, eig_a)])
+    x = app_f.effects[0] - app_f.effects[1]
+    if d_a == 2:
+        # Pauli coordinates xi of X = xi.sigma. With B_mu = Tr_A[rho (sigma_mu (x) 1)]
+        # the steered difference is xi @ B, and M = Tr_B[rho (1 (x) Y)] has the
+        # coordinates Tr(M sigma_mu) / 2 = Tr(B_mu Y) / 2. Both products go row
+        # by row, so that a start's rounds do not depend on the stack.
+        b = _steered_difference(rho4, _SIGMA).reshape(4, d_b * d_b)
+        b_y = b.reshape(4, d_b, d_b).swapaxes(1, 2).reshape(4, d_b * d_b).T
+        r = 2.0 * _pauli_coords(rho_a)[1:]
+
+        def steer(xi):
+            return (xi[:, None] @ b).reshape(len(xi), d_b, d_b)
+
+        def step(y):
+            coef = (y.reshape(len(y), 1, d_b * d_b) @ b_y)[:, 0].real / 2.0
+            return _qubit_x(coef, rho_a, eig_a, r)
+
+        x = _pauli_coords(x)
+    else:
+        steer = functools.partial(_steered_difference, rho4)
+
+        def step(y):
+            return _solve_x(_back_operator(rho4, y), rho_a, eig_a)
+    x = np.concatenate([x[None], step(_sign_split(h)[1])])
 
     value = np.full(len(x), -np.inf)
     best_x, iterations = x.copy(), np.full(len(x), SEESAW_MAX_ITER)
     active = np.arange(len(x))
     for it in range(1, SEESAW_MAX_ITER + 1):
-        vals, y = _sign_split(_steered_difference(rho4, x))
-        new_value, old_value = 0.5 * np.sum(np.abs(vals), axis=-1), value[active]
-        best_x[active[new_value > old_value]] = x[new_value > old_value]  # the X behind each value
+        vals, y = _sign_split(steer(x))
+        new_value, old_value = 0.5 * np.abs(vals).sum(axis=-1), value[active]
+        up = new_value > old_value
+        best_x[active[up]] = x[up]  # the X behind each value
         value[active] = np.maximum(old_value, new_value)
         grows = new_value > old_value + SEESAW_GAIN_TOL
         iterations[active[~grows]] = it
         active = active[grows]
         if not active.size:
             break
-        x = _solve_x(_back_operator(rho4, y[grows]), rho_a, eig_a)
+        x = step(y[grows])
     best = int(np.argmax(value))
-    p1 = (np.eye(d_a) + best_x[best]) / 2.0
+    x = _pauli_matrix(best_x[best]) if d_a == 2 else best_x[best]
+    p1 = (np.eye(d_a) + x) / 2.0
     povm = MePovm2((p1, np.eye(d_a) - p1), rho_a)
-    return C2Result(value=float(value[best]), povm=povm, x=best_x[best],
+    return C2Result(value=float(value[best]), povm=povm, x=x,
                     iterations=int(iterations[best]))
 
 

@@ -349,26 +349,28 @@ def gadc_epsilon_scan(eps_list: Sequence[float],
 
     Valid for eps >= 1e-6 in double precision; results carry a precision-loss
     flag when the whole signal sits within 1e3 machine epsilons of zero. The
-    increase margin scales with the eps^2 signal size.
+    increase margin scales with the eps^2 signal size. One `mi_series` call
+    scans the states of every eps as one stack.
     """
-    gadc = GadcChannel()
     if grid is None:
         grid = np.arange(0.10, 0.35 + 1e-12, 2.5e-4)
     grid = np.asarray(grid, dtype=float)
+    eps_arr = np.asarray(eps_list, dtype=float)
+    if not eps_arr.size:
+        return []
+    vecs = np.zeros((eps_arr.size, 4), dtype=complex)
+    vecs[:, 0] = np.sqrt(1.0 - eps_arr * eps_arr)
+    vecs[:, 3] = eps_arr
+    series = mi_series(GadcChannel(), vecs, grid, workers=1)
     results = []
-    for eps in eps_list:
-        eps = float(eps)
-        vec = np.zeros(4, dtype=complex)
-        vec[0] = np.sqrt(1.0 - eps * eps)
-        vec[3] = eps
-        series = mi_series(gadc, vec[None, :], grid, workers=1)[:, 0]
-        mi_max = float(np.max(series))
+    for eps, column in zip(eps_arr.tolist(), series.T):
+        mi_max = float(np.max(column))
         loss = mi_max < 1e3 * EPS_MACHINE
         if loss:
             warnings.warn(f"eps = {eps}: mutual information at machine-noise level",
                           PrecisionLossWarning)
         margin = max(1e-14, 1e-4 * eps * eps * float(np.mean(np.diff(grid))) / 1e-3)
-        raw, _ = _increase_intervals(grid, series, margin)
+        raw, _ = _increase_intervals(grid, column, margin)
         interval = None
         if raw:
             interval = (raw[0][0], raw[-1][1])

@@ -103,9 +103,17 @@ def trace_distance(rho, sigma) -> float:
 def seesaw_reference(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: int = 0,
                      x0: np.ndarray | None = None) -> tuple[float, int]:
     """(value, iterations) of C_A by the per-start see-saw that `mepovm.c2_A`
-    runs for all starts at once: the eigenbasis ME-POVM, the warm start `x0`
-    and `restarts` seeded random starts, each run on its own; the first start
-    with the largest value wins."""
+    runs for all starts at once: the first start with the largest value of
+    `seesaw_reference_starts` wins."""
+    starts = seesaw_reference_starts(rho, d_a, d_b, restarts, seed, x0)
+    return max(starts, key=lambda start: start[0])
+
+
+def seesaw_reference_starts(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: int = 0,
+                            x0: np.ndarray | None = None) -> list[tuple[float, int]]:
+    """(value, iterations) of each start of `mepovm.c2_A`, each run on its own:
+    the eigenbasis ME-POVM, the warm start `x0` and `restarts` seeded random
+    starts."""
     rho4 = np.asarray(rho, dtype=complex).reshape(d_a, d_b, d_a, d_b)
     rho_a = np.einsum("aibi->ab", rho4)
 
@@ -125,7 +133,7 @@ def seesaw_reference(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: i
         h = rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))
         starts.append(project(h - np.trace(h).real / d_b * np.eye(d_b)))
 
-    best_value, best_it = -np.inf, 0
+    results = []
     for x in starts:
         value = -np.inf
         for it in range(1, mepovm.SEESAW_MAX_ITER + 1):
@@ -136,6 +144,5 @@ def seesaw_reference(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: i
                 break
             value = new_value
             x = mepovm._solve_x(mepovm._back_operator(rho4, y), rho_a)
-        if value > best_value:
-            best_value, best_it = value, it
-    return best_value, best_it
+        results.append((value, it))
+    return results

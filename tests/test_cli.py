@@ -422,3 +422,20 @@ def test_cli_config_file(tmp_path):
     # Rates turn negative past t0 = 1 while pair sums stay nonnegative.
     flags = [line.split(",")[2] for line in lines[1:]]
     assert "PNotCP" in flags and "CPDivisible" in flags
+
+
+def test_cli_flags_win_over_config_file(tmp_path):
+    # --t-max and --out come from the command line, step and seed from the file.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": {"t_max": 3.0, "step": 0.01}, "seed": 3,
+                                  "output": str(tmp_path / "file")}))
+    assert main(["divisibility-scan", "--t-max", "1", "--out", str(tmp_path / "flag"),
+                 "--config", str(config)]) == 0
+    times = [float(line.split(",")[0]) for line in
+             (tmp_path / "flag" / "divisibility-scan.csv").read_text().splitlines()[1:]]
+    assert len(times) == 101 and times[-1] == 1.0
+    assert not (tmp_path / "file").exists()
+    for argv, seed in ((["--seed", "5"], 5), ([], 3)):
+        assert main(["mi-scan", "--random", "2", "--t-max", "1.5", *argv,
+                     "--out", str(tmp_path / "seed"), "--config", str(config)]) == 0
+        assert json.loads((tmp_path / "seed" / "mi-scan.json").read_text())["seed"] == seed

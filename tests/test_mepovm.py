@@ -10,6 +10,7 @@ from helpers import (
     random_pure_vector,
     random_unitary,
     seesaw_reference,
+    seesaw_reference_starts,
 )
 from nmflow import channels, mepovm, qmat
 from nmflow.errors import (
@@ -307,6 +308,56 @@ def test_seesaw_matches_per_start_reference():
         swapped = rho.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2).reshape(rho.shape)
         assert c2_B(rho, (d_a, d_b), restarts=3, seed=k).value == pytest.approx(
             seesaw_reference(swapped, d_b, d_a, 3, k)[0], abs=1e-9)
+
+
+def _qubit_side_cases():
+    """(label, rho, dims, measure, x0) where the see-saw runs on a qubit side in
+    Pauli coordinates, in the regimes where its rounding is most fragile."""
+    rng = np.random.default_rng(50)
+    cases = []
+    for d_b in (2, 3, 6):
+        # Near-pure rho_A: a Schmidt weight of 1e-9, so 1 - e^2 is ~4e-9.
+        u_a, u_b = random_unitary(rng, 2), random_unitary(rng, d_b)
+        psi = np.sqrt(1.0 - 1e-9) * np.kron(u_a[:, 0], u_b[:, 0]) \
+            + np.sqrt(1e-9) * np.kron(u_a[:, 1], u_b[:, 1])
+        cases.append(("near-pure rho_A", np.outer(psi, psi.conj()), (2, d_b), c2_A, None))
+        generic = random_density(rng, 2 * d_b)
+        near = (1.0 - 1e-6) * np.kron(random_density(rng, 2), random_density(rng, d_b)) \
+            + 1e-6 * generic
+        cases.append(("near-product", near, (2, d_b), c2_A, None))
+        r1, r2 = random_density(rng, d_b), random_density(rng, d_b)
+        cq = 0.3 * np.kron(np.diag([1.0, 0.0]), r1) + 0.7 * np.kron(np.diag([0.0, 1.0]), r2)
+        cases.append(("classical-quantum", cq, (2, d_b), c2_A, None))
+        # A diagonal rho_A gives M = Tr(rho_B Y) rho_A exactly, so c = 0.
+        prod = np.kron(np.diag([0.7, 0.3]), random_density(rng, d_b))
+        cases.append(("product", prod, (2, d_b), c2_A, None))
+        # Warm start from the optimum of a nearby state.
+        x0 = c2_A(0.99 * generic + 0.01 * random_density(rng, 2 * d_b), (2, d_b), restarts=1).x
+        cases.append(("warm start", generic, (2, d_b), c2_A, x0))
+    for d_a in (3, 6):
+        cases.append(("B side", random_density(rng, 2 * d_a), (d_a, 2), c2_B, None))
+    return cases
+
+
+@pytest.mark.parametrize("label,rho,dims,measure,x0", _qubit_side_cases())
+def test_qubit_side_rounds_match_per_start_reference(monkeypatch, label, rho, dims, measure, x0):
+    # Same value to 1e-12 and the same winning round as the per-start matrix
+    # see-saw, whose qubit X step is the same closed form. Where starts reach
+    # one optimum to within rounding (every start does near a pure rho_A),
+    # rounding picks the first best, so any of them may win.
+    pencil, calls = mepovm._pencil_x, []
+    monkeypatch.setattr(mepovm, "_pencil_x", lambda *a: calls.append(a) or pencil(*a))
+    res = measure(rho, dims, restarts=3, seed=5, x0=x0)
+    d_a, d_b = dims
+    if measure is c2_B:
+        rho = rho.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2).reshape(rho.shape)
+        d_a, d_b = d_b, d_a
+    starts = seesaw_reference_starts(rho, d_a, d_b, 3, 5, x0)
+    best = max(value for value, _ in starts)
+    assert abs(res.value - best) <= 1e-12
+    assert res.iterations in {it for value, it in starts if value >= best - 1e-15}
+    if label == "product":  # the rows with c = 0 took the multiplier search
+        assert calls
 
 
 def test_restarts_never_start_from_y_plus_minus_one(monkeypatch):
