@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    BadAxisError,
     BadIntervalError,
     ConfigParseError,
     DimMismatchError,
@@ -38,11 +37,9 @@ from .errors import (
 from .numutil import adaptive_simpson
 from .qmat import PAULIS, DensityState
 
-AXES = {"x": 0, "y": 1, "z": 2}
 KRAUS_TOL = 1e-10
 PROB_SLACK = 1e-8
 DEFAULT_SCAN_STEP = 1e-3
-SLOPE_FD_STEP = 1e-6  # finite-difference step of the default RateSpec.slope
 
 
 def _log_cosh(x):
@@ -76,11 +73,6 @@ class RateSpec:
 
     def integral(self, t1: float, t2: float) -> float:
         raise NotImplementedError
-
-    def slope(self, t):
-        """d rate/dt by a central difference, one-sided near t = 0."""
-        lo = np.maximum(0.0, t - SLOPE_FD_STEP)
-        return (self.rate(t + SLOPE_FD_STEP) - self.rate(lo)) / (t + SLOPE_FD_STEP - lo)
 
 
 @dataclass(frozen=True)
@@ -230,9 +222,6 @@ class AffineQubitMap:
         return AffineQubitMap(inv, w)
 
 
-IDENTITY_MAP = AffineQubitMap((1.0, 1.0, 1.0))
-
-
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Channel given by Kraus operators with sum_k K_k^dag K_k = 1."""
@@ -317,17 +306,6 @@ def choi(qmap, dim: int) -> np.ndarray:
 # Random-unitary qubit channels from rate triples
 # ---------------------------------------------------------------------------
 
-def _axis(i) -> int:
-    if isinstance(i, str):
-        if i not in AXES:
-            raise BadAxisError(f"axis {i!r} not in x, y, z")
-        return AXES[i]
-    i = int(i)
-    if i < 0 or i > 2:
-        raise BadAxisError(f"axis index {i} not in 0..2")
-    return i
-
-
 @dataclass(frozen=True)
 class RateChannel:
     """Qubit random-unitary (unital) channel defined by three rate functions.
@@ -358,13 +336,6 @@ class RateChannel:
         from the three per-axis integrals, each computed once."""
         ix, iy, iz = (spec.integral(t1, t2) for spec in self.specs)
         return np.exp(-2.0 * (iy + iz)), np.exp(-2.0 * (iz + ix)), np.exp(-2.0 * (ix + iy))
-
-    def a(self, i, j, t: float) -> float:
-        """A_ij(t) = exp(-2 int_0^t (gamma_i + gamma_j)), i != j."""
-        ii, jj = _axis(i), _axis(j)
-        if ii == jj:
-            raise BadAxisError("A_ij requires two distinct axes")
-        return self.contractions(t)[3 - ii - jj]
 
     def contractions(self, t: float) -> tuple[float, float, float]:
         """Pauli contraction factors of the dynamical map: (A_yz, A_zx, A_xy)."""
@@ -482,7 +453,8 @@ def amp_damp_gamma(g: float, dg_dt: float) -> float:
 @dataclass(frozen=True, eq=False)
 class AmpDampChannel:
     """Amplitude damping with decay profile G(t) and fixed excitation weight p;
-    G and dG/dt (G's `slope` when not given) are rates, as in `as_rate_spec`."""
+    G and dG/dt are rates, as in `as_rate_spec`. dG/dt may be left out only
+    when G is a TabulatedRate, whose exact slope then serves."""
 
     g_of_t: RateSpec
     p: float
@@ -492,6 +464,8 @@ class AmpDampChannel:
         if not 0.0 <= self.p <= 1.0:  # also rejects NaN
             raise UnphysicalError(f"p must lie in [0, 1], got {self.p}")
         object.__setattr__(self, "g_of_t", as_rate_spec(self.g_of_t))
+        if self.dg_dt is None and not isinstance(self.g_of_t, TabulatedRate):
+            raise ConfigParseError("amp_damp needs dG/dt unless G is a TabulatedRate")
         object.__setattr__(self, "dg_dt", None if self.dg_dt is None else as_rate_spec(self.dg_dt))
 
     def gamma(self, t: float) -> float:
@@ -522,8 +496,9 @@ class GadcChannel:
     """Two-parameter generalized amplitude damping with s(t) = cos^2(5t) and
     r(t) = exp(-t).
 
-    Defined primarily by its Kraus operators; the equivalent generator has
-    jump operators |0><1| and |1><0| with rates
+    The map scales the Bloch vector by (sqrt(r), sqrt(r), r) and shifts its z
+    component by (2s - 1)(1 - r). Its generator has jump operators |0><1| and
+    |1><0| with rates
     gamma_minus(t) = cos^2(5t) - 5 (1 - e^-t) sin(10t) and
     gamma_plus(t)  = sin^2(5t) + 5 (1 - e^-t) sin(10t),
     which sum to 1 for all t.
@@ -536,16 +511,6 @@ class GadcChannel:
     @staticmethod
     def r(t):
         return np.exp(-t)
-
-    def kraus(self, t: float) -> KrausChannel:
-        s, r = self.s(t), self.r(t)
-        sq_s, sq_1s = np.sqrt(s), np.sqrt(1.0 - s)
-        sq_r, sq_1r = np.sqrt(r), np.sqrt(1.0 - r)
-        k1 = sq_s * np.array([[1.0, 0.0], [0.0, sq_r]], dtype=complex)
-        k2 = sq_s * np.array([[0.0, sq_1r], [0.0, 0.0]], dtype=complex)
-        k3 = sq_1s * np.array([[sq_r, 0.0], [0.0, 1.0]], dtype=complex)
-        k4 = sq_1s * np.array([[0.0, 0.0], [sq_1r, 0.0]], dtype=complex)
-        return KrausChannel((k1, k2, k3, k4))
 
     def rates(self, t: float) -> tuple[float, float]:
         drive = 5.0 * (1.0 - np.exp(-t)) * np.sin(10.0 * t)
@@ -566,14 +531,6 @@ class GadcChannel:
     def intermediate(self, t, s) -> AffineQubitMap:
         _check_interval(t, s)
         return self.as_affine(s).compose(self.as_affine(t).inverse())
-
-    @staticmethod
-    def generator_ops() -> tuple[np.ndarray, np.ndarray]:
-        """Jump operators paired with (gamma_minus, gamma_plus): decay toward
-        |0> and toward |1> respectively."""
-        toward0 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        toward1 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-        return toward0, toward1
 
 
 # ---------------------------------------------------------------------------

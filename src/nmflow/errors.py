@@ -17,10 +17,6 @@ class NotAStateError(NmflowError, ValueError):
     """Reconstructed operator fails the density-matrix checks (trace/PSD)."""
 
 
-class BadAxisError(NmflowError, ValueError):
-    """Pauli axis label outside {x, y, z} or repeated where distinct axes are required."""
-
-
 class BadIntervalError(NmflowError, ValueError):
     """Time interval violates 0 <= t <= s."""
 

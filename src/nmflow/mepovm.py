@@ -57,6 +57,7 @@ from .qmat import (
     _as_matrix,
     herm_eig,
     partial_trace,
+    require_hermitian,
     trace_norm,
 )
 
@@ -430,12 +431,16 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
     """Maximize the steered distinguishability over 2-outcome ME-POVMs on the
     A side (first `cut` subsystems). Returns the best see-saw result over a
     deterministic start (the eigenbasis ME-POVM) plus `restarts` seeded random
-    starts; `x0` adds a caller-supplied warm start. The starts run in lockstep,
-    each until its gain is at most SEESAW_GAIN_TOL; the first best one wins.
+    starts; `x0` adds a caller-supplied warm start, a Hermitian (d_A, d_A)
+    matrix. The starts run in lockstep, each until its gain is at most
+    SEESAW_GAIN_TOL; the first best one wins.
     """
     if restarts < 0:
         raise ConfigParseError(f"restarts must be >= 0, got {restarts}")
     m, d_a, d_b = _bipartite(rho, dims, cut)
+    if x0 is not None and np.shape(x0) != (d_a, d_a):
+        raise DimMismatchError(f"x0 must have shape {(d_a, d_a)}, got {np.shape(x0)}")
+    x0 = x0 if x0 is None else require_hermitian(x0)
     rho_a = partial_trace(m, (d_a, d_b), keep=0)
     eig_a = np.linalg.eigvalsh(rho_a)
     if int(np.sum(eig_a > 1e-12)) <= 1:
@@ -447,13 +452,13 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
 
     # Each start after the eigenbasis ME-POVM projects a B-side Hermitian to a
     # feasible X: the warm start's steered difference, then one seeded random
-    # Hermitian per restart, made traceless: a definite one would give Y = +-1,
-    # M = +-rho_A, and every feasible X would be optimal.
+    # Hermitian per restart, each made traceless: a definite one would give
+    # Y = +-1, M = +-rho_A, and every feasible X would be optimal.
     g = np.random.default_rng(seed).normal(size=(restarts, 2, d_b, d_b))
-    trace = np.trace(g[:, 0], axis1=1, axis2=2)[:, None, None]
-    h = g[:, 0] + 1j * g[:, 1] - trace / d_b * np.eye(d_b)
+    h = g[:, 0] + 1j * g[:, 1]
     if x0 is not None:
-        h = np.concatenate([_steered_difference(rho4, np.asarray(x0, dtype=complex))[None], h])
+        h = np.concatenate([_steered_difference(rho4, x0)[None], h])
+    h -= np.trace(h, axis1=1, axis2=2).real[:, None, None] / d_b * np.eye(d_b)
     app_f = construct_me_povm(rho_a)
     x = app_f.effects[0] - app_f.effects[1]
     if d_a == 2:

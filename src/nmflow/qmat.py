@@ -1,14 +1,13 @@
 """Dense complex-Hermitian matrix kernel.
 
 Eigendecomposition, partial trace/transpose (also of (..., D, D) stacks),
-trace norm, validated density states, and an orthogonal Hermitian operator
-basis normalized to Tr(e_i e_j) = delta_ij * prod(dims), with e_0 = identity.
+trace norm, validated density states and the Pauli matrices.
 Everything here is pure and operates on small dense arrays (dims <= 64 total).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
 
@@ -141,78 +140,8 @@ class DensityState:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "dims", dims)
 
-    def reduced(self, keep: int | Iterable[int]) -> "DensityState":
-        if isinstance(keep, (int, np.integer)):
-            keep = (int(keep),)
-        keep = tuple(sorted(set(int(k) for k in keep)))
-        sub = partial_trace(self.matrix, self.dims, keep)
-        return DensityState(sub, tuple(self.dims[k] for k in keep))
-
 
 def maximally_entangled(d: int) -> np.ndarray:
     """Projector onto (1/sqrt(d)) sum_i |ii> on a d x d bipartite space."""
     v = np.eye(d, dtype=complex).ravel() / np.sqrt(d)
     return np.outer(v, v.conj())
-
-
-def _gell_mann(d: int) -> list[np.ndarray]:
-    """Traceless Hermitian basis of dimension d, normalized to Tr(g_i g_j) = d*delta_ij.
-
-    For d = 2 this reduces exactly to (sigma_x, sigma_y, sigma_z).
-    """
-    scale = np.sqrt(d / 2.0)
-    out: list[np.ndarray] = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1.0
-            out.append(scale * m)
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            out.append(scale * m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        for j in range(l):
-            m[j, j] = 1.0
-        m[l, l] = -float(l)
-        out.append(scale * np.sqrt(2.0 / (l * (l + 1))) * m)
-    return out
-
-
-def _site_elements(d: int) -> list[np.ndarray]:
-    if d == 2:
-        # Fixed qubit ordering: identity, sigma_x, sigma_y, sigma_z.
-        return [p.copy() for p in PAULIS]
-    return [np.eye(d, dtype=complex)] + _gell_mann(d)
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorBasis:
-    """Ordered Hermitian operator basis e_i on a tensor-product space.
-
-    e_0 is the identity, Tr(e_i e_j) = delta_ij * prod(dims), and elements are
-    lexicographic tensor products of per-site bases (identity first at each
-    site). For qubit (x) qubit this is the 16-element Pauli-product table with
-    the second factor varying fastest.
-    """
-
-    dims: tuple[int, ...]
-    elements: tuple[np.ndarray, ...] = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @property
-    def total_dim(self) -> int:
-        return prod(self.dims)
-
-
-def operator_basis(dims: Sequence[int]) -> OperatorBasis:
-    dims = tuple(int(d) for d in dims)
-    sites = [_site_elements(d) for d in dims]
-    elements = sites[0]
-    for nxt in sites[1:]:
-        elements = [np.kron(a, b) for a in elements for b in nxt]
-    return OperatorBasis(dims=dims, elements=tuple(elements))

@@ -50,6 +50,15 @@ def _check_positive(**values: float) -> None:
             raise ConfigParseError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_grid(grid) -> np.ndarray:
+    """The grid as a float array, checked to be 1-D, finite and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if (grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid))
+            or np.any(np.diff(grid) <= 0)):
+        raise ConfigParseError("grid must be finite and strictly increasing with >= 2 points")
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # Trajectories and backflow reports
 # ---------------------------------------------------------------------------
@@ -70,10 +79,7 @@ class Trajectory:
     subsystem: int = -1
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        if (grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid))
-                or np.any(np.diff(grid) <= 0)):
-            raise ConfigParseError("grid must be finite and strictly increasing with >= 2 points")
+        grid = _check_grid(self.grid)
         state = DensityState(qmat._as_matrix(self.initial), self.dims)
         dims = state.dims
         if not -len(dims) <= self.subsystem < len(dims):
@@ -105,10 +111,6 @@ class BackflowReport:
     onsets: tuple[float, ...]
     intervals: tuple[tuple[float, float], ...]
     max_derivative: float
-
-    @property
-    def detected(self) -> bool:
-        return bool(self.intervals)
 
 
 def _increase_intervals(grid: np.ndarray, series: np.ndarray, margin: float):
@@ -261,7 +263,11 @@ def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
     the scan runs in float64; otherwise in complex. A chunk holds at most
     CHUNK_TIMES times and CHUNK_MATRICES states.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid, vectors = np.asarray(grid, dtype=float), np.asarray(vectors)
+    if vectors.ndim != 2 or vectors.shape[1] != 4:
+        raise DimMismatchError(f"need (N, 4) state vectors, got shape {vectors.shape}")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(vectors))):
+        raise ConfigParseError("grid and state vectors must be finite")
     maps = channel.as_affine(grid)
     superops = maps.superop
     about_z = np.all(maps.lambdas[0] == maps.lambdas[1]) and not np.any(maps.translation[:2])
@@ -310,7 +316,9 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0,
     still sits three decades above the arithmetic noise of the scan.
     """
     _check_positive(refine_tol=refine_tol)
-    grid = np.asarray(grid, dtype=float)
+    if not count >= 1:
+        raise ConfigParseError(f"count must be >= 1, got {count}")
+    grid = _check_grid(grid)
     vectors = sample_pure_vectors((2, 2), count, seed)
     steps = np.flatnonzero(_non_cp_steps(channel, grid))
     if steps.size == 0:
@@ -352,10 +360,10 @@ def gadc_epsilon_scan(eps_list: Sequence[float],
     increase margin scales with the eps^2 signal size. One `mi_series` call
     scans the states of every eps as one stack.
     """
-    if grid is None:
-        grid = np.arange(0.10, 0.35 + 1e-12, 2.5e-4)
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(np.arange(0.10, 0.35 + 1e-12, 2.5e-4) if grid is None else grid)
     eps_arr = np.asarray(eps_list, dtype=float)
+    if not np.all((0.0 <= eps_arr) & (eps_arr <= 1.0)):  # also rejects NaN
+        raise ConfigParseError(f"eps must lie in [0, 1], got {eps_list}")
     if not eps_arr.size:
         return []
     vecs = np.zeros((eps_arr.size, 4), dtype=complex)
@@ -385,12 +393,11 @@ def gadc_epsilon_scan(eps_list: Sequence[float],
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    """A separable function f(lam) = sum_k g(lam_k) of eigenvalues: its value,
-    its gradient g'(lam_k) and its Hessian diagonal g''(lam_k) (the Hessian in
-    the eigenvalues is diagonal). grad and hess act elementwise on (..., n)
-    stacks of spectra."""
+    """A separable function f(lam) = sum_k g(lam_k) of eigenvalues, given by its
+    gradient g'(lam_k) and its Hessian diagonal g''(lam_k) (the Hessian in the
+    eigenvalues is diagonal). grad and hess act elementwise on (..., n) stacks
+    of spectra."""
 
-    value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
 
@@ -398,18 +405,13 @@ class SpectralFunction:
 def entropy_spectral() -> SpectralFunction:
     floor = correlations.EIG_FLOOR
 
-    def value(lam):
-        lam = np.asarray(lam)
-        safe = np.where(lam > floor, lam, 1.0)
-        return float(-np.sum(np.where(lam > floor, lam * np.log(safe), 0.0)))
-
     def grad(lam):
         return -(np.log(np.maximum(lam, floor)) + 1.0)
 
     def hess(lam):
         return -1.0 / np.maximum(lam, floor)
 
-    return SpectralFunction(value=value, grad=grad, hess=hess)
+    return SpectralFunction(grad=grad, hess=hess)
 
 
 def _weighted_gram(weights: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -494,14 +496,15 @@ def mi_rate_hessian(gx, gy, gz, a12) -> np.ndarray:
     H_jk = -(c_j + c_k) d2I/da_j da_k, needing only second derivatives of I.
     """
     a12 = np.asarray(a12, dtype=float)[..., None, None]
-    e = np.array(qmat.operator_basis((2, 2)).elements)
+    paulis = np.array(PAULIS)
+    # The 16 Pauli products sigma_i (x) sigma_j, the second factor varying fastest.
+    e = np.einsum("iab,jcd->ijacbd", paulis, paulis).reshape(16, 4, 4)
     fn = entropy_spectral()
     rho0 = 0.25 * np.eye(4, dtype=complex) + a12 * e[12]
     _, h_joint = spectral_derivs(fn, rho0, e[1:])
 
     # The system marginal depends on coordinates 1..3, the ancilla marginal on
     # 4, 8, 12; all other coordinate derivatives vanish.
-    paulis = np.array(PAULIS)
     da_s = np.zeros((15, 2, 2), dtype=complex)
     da_s[:3] = 2.0 * paulis[1:]
     _, h_s = spectral_derivs(fn, 0.5 * np.eye(2, dtype=complex), da_s)

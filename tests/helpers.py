@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from math import prod
+from typing import Sequence
+
 import numpy as np
 
 from nmflow import mepovm, qmat
+from nmflow.channels import GadcChannel, KrausChannel
 from nmflow.errors import DimMismatchError, NonHermitianError, NotAStateError
-from nmflow.qmat import _as_matrix
+from nmflow.qmat import PAULIS, _as_matrix
 
 
 # 4x4 matrices that are not density matrices, with the error each must raise.
@@ -124,14 +129,18 @@ def seesaw_reference_starts(rho: np.ndarray, d_a: int, d_b: int, restarts: int, 
     def project(h):  # one dual/primal step from a B-side Hermitian to a feasible X
         return mepovm._solve_x(mepovm._back_operator(rho4, sign(h)[1]), rho_a)
 
+    def traceless(h):  # so never definite
+        return h - np.trace(h).real / d_b * np.eye(d_b)
+
     app_f = mepovm.construct_me_povm(rho_a)
     starts = [app_f.effects[0] - app_f.effects[1]]
     if x0 is not None:
-        starts.append(project(mepovm._steered_difference(rho4, np.asarray(x0, dtype=complex))))
+        h = mepovm._steered_difference(rho4, np.asarray(x0, dtype=complex))
+        starts.append(project(traceless(h)))
     rng = np.random.default_rng(seed)
-    for _ in range(restarts):  # traceless, so never definite
+    for _ in range(restarts):
         h = rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))
-        starts.append(project(h - np.trace(h).real / d_b * np.eye(d_b)))
+        starts.append(project(traceless(h)))
 
     results = []
     for x in starts:
@@ -146,3 +155,86 @@ def seesaw_reference_starts(rho: np.ndarray, d_a: int, d_b: int, restarts: int, 
             x = mepovm._solve_x(mepovm._back_operator(rho4, y), rho_a)
         results.append((value, it))
     return results
+
+
+def _gell_mann(d: int) -> list[np.ndarray]:
+    """Traceless Hermitian basis of dimension d, normalized to Tr(g_i g_j) = d*delta_ij.
+
+    For d = 2 this reduces exactly to (sigma_x, sigma_y, sigma_z).
+    """
+    scale = np.sqrt(d / 2.0)
+    out: list[np.ndarray] = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = m[k, j] = 1.0
+            out.append(scale * m)
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1.0j
+            m[k, j] = 1.0j
+            out.append(scale * m)
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        for j in range(l):
+            m[j, j] = 1.0
+        m[l, l] = -float(l)
+        out.append(scale * np.sqrt(2.0 / (l * (l + 1))) * m)
+    return out
+
+
+def _site_elements(d: int) -> list[np.ndarray]:
+    if d == 2:
+        # Fixed qubit ordering: identity, sigma_x, sigma_y, sigma_z.
+        return [p.copy() for p in PAULIS]
+    return [np.eye(d, dtype=complex)] + _gell_mann(d)
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorBasis:
+    """Ordered Hermitian operator basis e_i on a tensor-product space.
+
+    e_0 is the identity, Tr(e_i e_j) = delta_ij * prod(dims), and elements are
+    lexicographic tensor products of per-site bases (identity first at each
+    site). For qubit (x) qubit this is the 16-element Pauli-product table with
+    the second factor varying fastest.
+    """
+
+    dims: tuple[int, ...]
+    elements: tuple[np.ndarray, ...] = field(repr=False)
+
+    @property
+    def size(self) -> int:
+        return len(self.elements)
+
+    @property
+    def total_dim(self) -> int:
+        return prod(self.dims)
+
+
+def operator_basis(dims: Sequence[int]) -> OperatorBasis:
+    dims = tuple(int(d) for d in dims)
+    sites = [_site_elements(d) for d in dims]
+    elements = sites[0]
+    for nxt in sites[1:]:
+        elements = [np.kron(a, b) for a in elements for b in nxt]
+    return OperatorBasis(dims=dims, elements=tuple(elements))
+
+
+def gadc_kraus(t: float) -> KrausChannel:
+    """Kraus operators of `GadcChannel` at time t, the reference for its affine form."""
+    s, r = GadcChannel.s(t), GadcChannel.r(t)
+    sq_s, sq_1s = np.sqrt(s), np.sqrt(1.0 - s)
+    sq_r, sq_1r = np.sqrt(r), np.sqrt(1.0 - r)
+    k1 = sq_s * np.array([[1.0, 0.0], [0.0, sq_r]], dtype=complex)
+    k2 = sq_s * np.array([[0.0, sq_1r], [0.0, 0.0]], dtype=complex)
+    k3 = sq_1s * np.array([[sq_r, 0.0], [0.0, 1.0]], dtype=complex)
+    k4 = sq_1s * np.array([[0.0, 0.0], [sq_1r, 0.0]], dtype=complex)
+    return KrausChannel((k1, k2, k3, k4))
+
+
+def gadc_generator_ops() -> tuple[np.ndarray, np.ndarray]:
+    """Jump operators of `GadcChannel` paired with (gamma_minus, gamma_plus):
+    decay toward |0> and toward |1> respectively."""
+    toward0 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    toward1 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    return toward0, toward1

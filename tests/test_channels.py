@@ -3,7 +3,8 @@ from math import prod
 import numpy as np
 import pytest
 
-from helpers import apply_kraus, random_density, random_kraus
+from helpers import (OperatorBasis, apply_kraus, gadc_generator_ops, gadc_kraus, operator_basis,
+                     random_density, random_kraus)
 from nmflow import channels, qmat
 from nmflow.channels import (
     AffineQubitMap,
@@ -24,7 +25,6 @@ from nmflow.channels import (
     quasi_eternal,
 )
 from nmflow.errors import (
-    BadAxisError,
     BadIntervalError,
     ConfigParseError,
     SingularMapError,
@@ -34,7 +34,7 @@ from nmflow.numutil import bisect_root
 from nmflow.qmat import SIGMA_X, SIGMA_Z, maximally_entangled
 
 
-def transfer(qmap, basis: qmat.OperatorBasis) -> np.ndarray:
+def transfer(qmap, basis: OperatorBasis) -> np.ndarray:
     """Components V_ij = Tr[e_i (1 (x) Lambda)(e_j)] / prod(dims).
 
     The map acts on the last subsystem of the basis; trace preservation forces
@@ -50,17 +50,18 @@ def transfer(qmap, basis: qmat.OperatorBasis) -> np.ndarray:
     return v
 
 
+# contractions(t) = (A_yz, A_zx, A_xy), A_ij = exp(-2 int_0^t (gamma_i + gamma_j)).
+
 def test_a_ij_initial_value():
     ch = quasi_eternal(0.4, 2.0)
-    for i, j in (("x", "y"), ("y", "z"), ("z", "x")):
-        assert ch.a(i, j, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert ch.contractions(0.0) == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
 
 
 def test_a_xy_closed_form():
     ch = quasi_eternal(0.4, 2.0)
-    assert ch.a("x", "y", 1.0) == pytest.approx(np.exp(-0.8), rel=1e-12)
+    assert ch.contractions(1.0)[2] == pytest.approx(np.exp(-0.8), rel=1e-12)
     for t in (0.3, 1.7, 5.0):
-        assert ch.a("x", "y", t) == pytest.approx(np.exp(-2 * 0.4 * t), rel=1e-12)
+        assert ch.contractions(t)[2] == pytest.approx(np.exp(-2 * 0.4 * t), rel=1e-12)
 
 
 def test_a_yz_closed_form():
@@ -68,16 +69,9 @@ def test_a_yz_closed_form():
     ch = quasi_eternal(alpha, t0)
     for t in (0.5, 2.0, 4.0, 9.0):
         expected = (np.exp(-t) * np.cosh(t - t0) / np.cosh(t0)) ** alpha
-        assert ch.a("y", "z", t) == pytest.approx(expected, rel=1e-11)
-        assert ch.a("z", "x", t) == pytest.approx(expected, rel=1e-11)
-
-
-def test_a_ij_bad_axis():
-    ch = quasi_eternal(0.4, 2.0)
-    with pytest.raises(BadAxisError):
-        ch.a("x", "x", 1.0)
-    with pytest.raises(BadAxisError):
-        ch.a("q", "y", 1.0)
+        ayz, azx, _ = ch.contractions(t)
+        assert ayz == pytest.approx(expected, rel=1e-11)
+        assert azx == pytest.approx(expected, rel=1e-11)
 
 
 def test_lambdas():
@@ -115,7 +109,7 @@ def test_contractions_are_squared_lambdas():
 def test_apply_identity_map():
     rng = np.random.default_rng(10)
     rho = random_density(rng, 4)
-    out = apply_map(channels.IDENTITY_MAP, rho, (2, 2))
+    out = apply_map(AffineQubitMap((1.0, 1.0, 1.0)), rho, (2, 2))
     np.testing.assert_allclose(out, rho, atol=1e-15)
 
 
@@ -239,16 +233,15 @@ def test_probs_over_an_array_raises_on_any_negative_weight():
 
 
 def test_gadc_kraus_identity_at_zero():
-    k = GadcChannel().kraus(0.0)
+    k = gadc_kraus(0.0)
     np.testing.assert_allclose(k.kraus[0], np.eye(2), atol=1e-14)
     for op in k.kraus[1:]:
         np.testing.assert_allclose(op, 0.0, atol=1e-14)
 
 
 def test_gadc_kraus_completeness():
-    gadc = GadcChannel()
     for t in np.linspace(0.0, 2.0, 41):
-        k = gadc.kraus(float(t))
+        k = gadc_kraus(float(t))
         comp = sum(op.conj().T @ op for op in k.kraus)
         np.testing.assert_allclose(comp, np.eye(2), atol=1e-10)
 
@@ -277,7 +270,7 @@ def test_gadc_kraus_matches_affine():
     rng = np.random.default_rng(13)
     for t in (0.1, 0.37, 1.1):
         rho = random_density(rng, 2)
-        via_kraus = apply_map(gadc.kraus(t), rho, (2,))
+        via_kraus = apply_map(gadc_kraus(t), rho, (2,))
         via_affine = apply_map(gadc.as_affine(t), rho, (2,))
         np.testing.assert_allclose(via_kraus, via_affine, atol=1e-12)
 
@@ -286,7 +279,7 @@ def test_gadc_generator_rk4_agrees_with_kraus():
     # Time-stepping the generator with rates (gamma_-, gamma_+) must match the
     # Kraus map within 1e-5 trace distance on [0, 0.5], away from s(t) in {0,1}.
     gadc = GadcChannel()
-    low, up = GadcChannel.generator_ops()
+    low, up = gadc_generator_ops()
 
     def dissipator(op, rho):
         k = op.conj().T @ op
@@ -310,7 +303,7 @@ def test_gadc_generator_rk4_agrees_with_kraus():
         current = current + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t = (n + 1) * h
         if round(t, 10) in checkpoints:
-            target = apply_map(gadc.kraus(t), rho, (2,))
+            target = apply_map(gadc_kraus(t), rho, (2,))
             dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(current - target)))
             assert dist < 1e-5
 
@@ -330,9 +323,13 @@ def test_amp_damp_gamma_constant_for_exponential():
     for t in (0.0, 0.5, 2.0):
         g = np.exp(-t / 2)
         assert amp_damp_gamma(g, -0.5 * g) == pytest.approx(1.0, rel=1e-12)
-    ch = AmpDampChannel(lambda t: float(np.exp(-t / 2)), p=0.3)
+    ch = AmpDampChannel(lambda t: float(np.exp(-t / 2)), p=0.3,
+                        dg_dt=lambda t: float(-0.5 * np.exp(-t / 2)))
     for t in (0.1, 1.0, 2.5):
-        assert ch.gamma(t) == pytest.approx(1.0, rel=1e-5)
+        assert ch.gamma(t) == pytest.approx(1.0, rel=1e-12)
+    # Only a tabulated G has an exact slope of its own; no slope is guessed.
+    with pytest.raises(ConfigParseError):
+        AmpDampChannel(lambda t: float(np.exp(-t / 2)), p=0.3)
 
 
 def test_amp_damp_gamma_over_arrays():
@@ -346,30 +343,36 @@ def test_amp_damp_gamma_over_arrays():
         amp_damp_gamma(0.0, 1.0)
     with pytest.raises(SingularMapError):
         amp_damp_gamma(np.array([0.5, 0.0]), np.array([1.0, 1.0]))
-    ch = AmpDampChannel(lambda t: float(np.exp(-t / 2)), p=0.3)
+    ch = AmpDampChannel(lambda t: float(np.exp(-t / 2)), p=0.3,
+                        dg_dt=lambda t: float(-0.5 * np.exp(-t / 2)))
     ts = np.array([0.1, 1.0, 2.5])
     np.testing.assert_array_equal(ch.gamma(ts), [ch.gamma(float(t)) for t in ts])
+
+
+# Slopes of G(t) = |1 - t| and of G(t) = max(0, 1 - t).
+V_SLOPE = lambda t: -float(np.sign(1.0 - t))
+RAMP_SLOPE = lambda t: -1.0 if t < 1.0 else 0.0
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan, np.inf])
 def test_amp_damp_rejects_p_outside_unit_interval(p):
     with pytest.raises(UnphysicalError):
-        AmpDampChannel(lambda t: 1.0, p=p)
+        AmpDampChannel(lambda t: 1.0, p=p, dg_dt=0.0)
 
 
 def test_amp_damp_singular():
     with pytest.raises(SingularMapError):
         amp_damp_map(0.0, 0.5)
-    ch = AmpDampChannel(lambda t: abs(1.0 - t), p=0.5)
+    ch = AmpDampChannel(lambda t: abs(1.0 - t), p=0.5, dg_dt=V_SLOPE)
     with pytest.raises(SingularMapError):
         ch.intermediate(1.0, 1.5)
     # G(t) = G(s) = 0 defines the identity intermediate map.
-    flat = AmpDampChannel(lambda t: max(0.0, 1.0 - t), p=0.5)
+    flat = AmpDampChannel(lambda t: max(0.0, 1.0 - t), p=0.5, dg_dt=RAMP_SLOPE)
     assert flat.intermediate(1.0, 1.5).lambdas == pytest.approx((1.0, 1.0, 1.0))
 
 
 def test_amp_damp_intermediate_composition():
-    ch = AmpDampChannel(lambda t: float(np.exp(-t) * (1 + 0.2 * np.sin(4 * t))), p=0.25)
+    ch = TIME_FAMILIES["amp_damp, callable G"]
     rng = np.random.default_rng(15)
     for _ in range(50):
         t = float(rng.uniform(0.0, 2.0))
@@ -381,8 +384,9 @@ def test_amp_damp_intermediate_composition():
 
 
 def test_transfer_identity_and_pauli_channel():
-    basis = qmat.operator_basis((2,))
-    np.testing.assert_allclose(transfer(channels.IDENTITY_MAP, basis), np.eye(4), atol=1e-13)
+    basis = operator_basis((2,))
+    np.testing.assert_allclose(transfer(AffineQubitMap((1.0, 1.0, 1.0)), basis), np.eye(4),
+                               atol=1e-13)
     lam = (0.9, 0.5, 0.2)
     v = transfer(AffineQubitMap(lam), basis)
     np.testing.assert_allclose(v, np.diag((1.0,) + lam), atol=1e-13)
@@ -391,7 +395,7 @@ def test_transfer_identity_and_pauli_channel():
 
 
 def test_transfer_with_ancilla():
-    basis = qmat.operator_basis((2, 2))
+    basis = operator_basis((2, 2))
     lam = (0.7, 0.6, 0.42)
     v = transfer(AffineQubitMap(lam), basis)
     # Block structure: ancilla index is untouched, system Paulis scale by lam.
@@ -403,7 +407,7 @@ def test_transfer_non_unital_trace_preservation():
     # Trace preservation forces the first row to (1, 0, 0, 0); the affine
     # translation shows up in the first column instead.
     gadc = GadcChannel()
-    basis = qmat.operator_basis((2,))
+    basis = operator_basis((2,))
     v = transfer(gadc.as_affine(0.3), basis)
     assert v[0, 0] == pytest.approx(1.0, abs=1e-13)
     np.testing.assert_allclose(v[0, 1:], 0.0, atol=1e-13)
@@ -413,7 +417,7 @@ def test_transfer_non_unital_trace_preservation():
 
 
 def test_choi_identity():
-    c = choi(channels.IDENTITY_MAP, 2)
+    c = choi(AffineQubitMap((1.0, 1.0, 1.0)), 2)
     np.testing.assert_allclose(c, 2.0 * qmat.maximally_entangled(2), atol=1e-13)
 
 
@@ -440,9 +444,7 @@ def test_physicality_grid():
     for alpha, t0 in ((0.4, t_crit), (0.4, 2.0), (0.7, 0.4), (1.0, 0.0), (2.0, 0.0)):
         ch = quasi_eternal(alpha, t0)
         for t in np.geomspace(1e-3, 50.0, 60):
-            axy = ch.a("x", "y", t)
-            axz = ch.a("x", "z", t)
-            ayz = ch.a("y", "z", t)
+            ayz, axz, axy = ch.contractions(t)
             b = (1 + axy - ayz - axz, 1 + ayz - axz - axy, 1 + axz - axy - ayz)
             assert min(b) >= -1e-9
 
@@ -472,7 +474,7 @@ def test_apply_map_kraus_on_subsystem():
     rng = np.random.default_rng(16)
     rho = random_density(rng, 4)
     t = 0.23
-    out_k = apply_map(gadc.kraus(t), rho, (2, 2), subsystem=1)
+    out_k = apply_map(gadc_kraus(t), rho, (2, 2), subsystem=1)
     out_a = apply_map(gadc.as_affine(t), rho, (2, 2), subsystem=1)
     np.testing.assert_allclose(out_k, out_a, atol=1e-12)
     assert np.trace(out_k) == pytest.approx(1.0, abs=1e-10)
@@ -512,7 +514,7 @@ def test_superop_kernel_matches_dense_kraus_sum(dims, subsystem):
         maps.append((KrausChannel(ops), ops))
     if d == 2:
         gadc = GadcChannel()
-        maps += [(gadc.as_affine(t), gadc.kraus(t).kraus) for t in (0.1, 0.37, 1.1)]
+        maps += [(gadc.as_affine(t), gadc_kraus(t).kraus) for t in (0.1, 0.37, 1.1)]
     states = np.stack([random_density(rng, prod(dims)) for _ in range(4)])
     batched = channels._apply_superops(np.stack([m.superop for m, _ in maps]), states,
                                        dims, subsystem)
@@ -533,7 +535,8 @@ TIME_FAMILIES = {
     "depolarizing": depolarizing(0.3),
     "gadc": GadcChannel(),
     "amp_damp, callable G": AmpDampChannel(
-        lambda t: float(np.exp(-t) * (1 + 0.2 * np.sin(4 * t))), p=0.25),
+        lambda t: float(np.exp(-t) * (1 + 0.2 * np.sin(4 * t))), p=0.25,
+        dg_dt=lambda t: float(np.exp(-t) * (0.8 * np.cos(4 * t) - 1 - 0.2 * np.sin(4 * t)))),
     # Knots at 0, 1, 2 and 3, as in a JSON table.
     "amp_damp, tabulated G": AmpDampChannel(
         TabulatedRate(((0.0, 1.0), (1.0, 0.5), (2.0, 0.7), (3.0, 0.3))), p=0.3),
@@ -596,11 +599,11 @@ def test_rate_integrals_over_arrays():
 
 
 def test_amp_damp_intermediate_over_arrays_checks_every_step():
-    ch = AmpDampChannel(lambda t: max(0.0, 1.0 - t), p=0.5)
+    ch = AmpDampChannel(lambda t: max(0.0, 1.0 - t), p=0.5, dg_dt=RAMP_SLOPE)
     v = ch.intermediate(np.array([0.2, 1.0]), np.array([0.5, 1.5]))
     np.testing.assert_allclose(v.lambdas[0], [0.625, 1.0], rtol=1e-15)
     with pytest.raises(SingularMapError):
-        AmpDampChannel(lambda t: abs(1.0 - t), p=0.5).intermediate(np.array([0.2, 1.0]),
-                                                                   np.array([0.5, 1.5]))
+        AmpDampChannel(lambda t: abs(1.0 - t), p=0.5, dg_dt=V_SLOPE).intermediate(
+            np.array([0.2, 1.0]), np.array([0.5, 1.5]))
     with pytest.raises(SingularMapError):
         ch.as_affine(np.array([0.5, 1.0]))

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     apply_kraus,
+    operator_basis,
     probe_pair_at_tau,
     random_density,
     random_kraus,
@@ -26,7 +27,7 @@ from nmflow.correlations import (
 )
 from nmflow.errors import DimMismatchError, NmflowError, NonCommutingError
 from nmflow.numutil import bisect_root
-from nmflow.qmat import SIGMA_X, _as_matrix, maximally_entangled, operator_basis, partial_trace
+from nmflow.qmat import SIGMA_X, _as_matrix, maximally_entangled, partial_trace
 
 
 class NotClassicalQuantumError(NmflowError, ValueError):

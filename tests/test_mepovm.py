@@ -16,6 +16,7 @@ from nmflow import channels, mepovm, qmat
 from nmflow.errors import (
     ConfigParseError,
     DimMismatchError,
+    NonHermitianError,
     NotAStateError,
     NotYetNonMarkovianError,
     UnphysicalProbeError,
@@ -408,7 +409,28 @@ def test_c2_rejects_bad_input_up_front(monkeypatch, measure):
         measure(np.diag([0.7, 0.5, -0.1, -0.1]), (2, 2))
     with pytest.raises(ConfigParseError):
         measure(maximally_entangled(2), (2, 2), restarts=-2)
+    with pytest.raises(DimMismatchError):
+        measure(maximally_entangled(2), (2, 2), x0=np.eye(3))
+    for x0 in (np.full((2, 2), np.nan), np.array([[1.0, 1.0], [0.0, 1.0]])):
+        with pytest.raises(NonHermitianError):
+            measure(maximally_entangled(2), (2, 2), x0=x0)
     assert not calls
+
+
+def test_warm_start_does_not_hinge_on_rounding():
+    # x0 = 1 is infeasible and steers a definite difference rho_B. Unless it
+    # is made traceless, its sign is Y = 1, M = rho_A, every feasible X is
+    # optimal and rounding picks the warm start: at seed 14 a 1e-13 change of
+    # x0 moved the value by 0.018.
+    for k in range(15):
+        rng = np.random.default_rng(k)
+        dims = (2, (2, 3, 6)[k % 3])
+        rho = random_density(rng, dims[0] * dims[1])
+        nudge = 1e-13 * random_hermitian(rng, 2)
+        a, b = (c2_A(rho, dims, restarts=0, x0=np.eye(2) + d) for d in (0.0, nudge))
+        assert b.value == pytest.approx(a.value, abs=1e-12)
+        assert b.iterations == a.iterations
+        np.testing.assert_allclose(b.x, a.x, atol=1e-9)
 
 
 def test_c2_returned_povm_achieves_value():

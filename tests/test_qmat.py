@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import NOT_STATES, probe_pair_at_tau, random_density, random_hermitian, random_unitary
+from helpers import (NOT_STATES, OperatorBasis, operator_basis, probe_pair_at_tau, random_density,
+                     random_hermitian, random_unitary)
 from nmflow import qmat
 from nmflow.errors import DimMismatchError, NonHermitianError, NotAStateError
-from nmflow.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityState, OperatorBasis, _as_matrix
+from nmflow.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityState, _as_matrix
 
 
 def coords(rho, basis: OperatorBasis) -> np.ndarray:
@@ -121,7 +122,7 @@ def test_partial_transpose_involutive_bit_exact():
 
 
 def test_coords_maximally_mixed():
-    basis = qmat.operator_basis((2, 2))
+    basis = operator_basis((2, 2))
     rho = qmat.DensityState(np.eye(4) / 4, (2, 2))
     a = coords(rho, basis)
     np.testing.assert_allclose(a, [0.25] + [0.0] * 15, atol=1e-15)
@@ -129,7 +130,7 @@ def test_coords_maximally_mixed():
 
 def test_coords_max_entangled():
     # Oracle: direct trace inner products, computed here without coords.
-    basis = qmat.operator_basis((2, 2))
+    basis = operator_basis((2, 2))
     phi = qmat.maximally_entangled(2)
     a = coords(phi, basis)
     expected = np.array([np.real(np.trace(phi @ e)) / 4.0 for e in basis.elements])
@@ -154,7 +155,7 @@ def test_probe_state_pauli_coordinates():
 
 def test_from_coords_round_trip():
     rng = np.random.default_rng(4)
-    basis = qmat.operator_basis((2, 2))
+    basis = operator_basis((2, 2))
     for _ in range(50):
         rho = qmat.DensityState(random_density(rng, 4), (2, 2))
         back = from_coords(coords(rho, basis), basis)
@@ -168,7 +169,7 @@ def test_density_state_rejects_non_states(matrix, error):
 
 
 def test_from_coords_rejects_non_state():
-    basis = qmat.operator_basis((2,))
+    basis = operator_basis((2,))
     a = np.array([0.5, 0.9, 0.0, 0.0])  # Bloch length > 1: not PSD
     with pytest.raises(NotAStateError):
         from_coords(a, basis)
@@ -176,7 +177,7 @@ def test_from_coords_rejects_non_state():
 
 def test_operator_basis_orthonormality():
     for dims in ((2,), (2, 2), (3, 2)):
-        basis = qmat.operator_basis(dims)
+        basis = operator_basis(dims)
         d = basis.total_dim
         assert basis.size == d * d
         np.testing.assert_allclose(basis.elements[0], np.eye(d), atol=0)

@@ -12,7 +12,9 @@ from nmflow import channels
 
 PACKAGE = Path(nmflow.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,16 +44,26 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def private_names(source: str) -> set[str]:
-    """Module-level names starting with a single underscore that a module defines."""
+def defined_names(source: str) -> set[str]:
+    """Module-level names a module defines and the methods of its classes,
+    dunder names left out."""
     names = set()
     for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            names |= {item.name for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {target.id for target in targets if isinstance(target, ast.Name)}
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return {name for name in names if not name.startswith("__")}
+
+
+def private_names(source: str) -> set[str]:
+    """Module-level names and methods starting with a single underscore that a
+    module defines."""
+    return {name for name in defined_names(source) if name.startswith("_")}
 
 
 def referenced_names(source: str) -> set[str]:
@@ -72,6 +84,12 @@ def unreferenced_private_names(sources: list[str]) -> list[str]:
     return sorted(defined - set().union(*map(referenced_names, sources)))
 
 
+def unreferenced_names(sources: list[str], users: list[str]) -> list[str]:
+    """Names and methods the sources define that none of the users references."""
+    defined = set().union(*map(defined_names, sources))
+    return sorted(defined - set().union(*map(referenced_names, users)))
+
+
 def test_unreferenced_private_names_detects_leftovers():
     sources = ["_USED = 1\n_UNUSED = 2\ndef _helper():\n    return _USED\n",
                "def _dead():\n    pass\n", "from .a import _helper\n"]
@@ -81,6 +99,24 @@ def test_unreferenced_private_names_detects_leftovers():
 def test_every_private_name_is_referenced():
     # A refactor that leaves a private helper without callers leaves dead code.
     assert unreferenced_private_names([path.read_text(encoding="utf-8") for path in MODULES]) == []
+
+
+def test_unreferenced_names_detects_leftovers():
+    sources = ["LIMIT = 1\nclass Basis:\n    def size(self):\n        return LIMIT\n"
+               "    def dim(self):\n        pass\n"]
+    assert unreferenced_names(sources, sources + ["Basis().size()\n"]) == ["dim"]
+
+
+def test_every_name_is_used_outside_the_unit_tests():
+    # Code that only unit tests reach belongs in the tests: a name counts as
+    # used when the package, the benchmark or the acceptance suite references
+    # it. Names match without their owner, so a method named like another
+    # attribute passes unseen (RateChannel.a once hid behind every `.a`, and
+    # GadcChannel.kraus behind KrausChannel.kraus).
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    users = sources + [path.read_text(encoding="utf-8")
+                       for path in [*sorted(PERFBENCH.glob("*.py")), ACCEPTANCE]]
+    assert unreferenced_names(sources, users) == []
 
 
 def test_cli_references_no_channel_class():

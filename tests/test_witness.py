@@ -57,14 +57,12 @@ def sample_pure(dims: Sequence[int], count: int, seed: int) -> list[DensityState
 
 
 def trace_spectral() -> SpectralFunction:
-    return SpectralFunction(value=lambda lam: float(np.sum(lam)),
-                            grad=lambda lam: np.ones_like(lam),
+    return SpectralFunction(grad=lambda lam: np.ones_like(lam),
                             hess=lambda lam: np.zeros_like(lam))
 
 
 def sum_squares_spectral() -> SpectralFunction:
-    return SpectralFunction(value=lambda lam: float(np.sum(lam ** 2)),
-                            grad=lambda lam: 2.0 * np.asarray(lam),
+    return SpectralFunction(grad=lambda lam: 2.0 * np.asarray(lam),
                             hess=lambda lam: 2.0 * np.ones_like(lam))
 
 
@@ -111,7 +109,7 @@ def test_scan_backflow_eternal_empty():
     traj = Trajectory(maximally_entangled(2), quasi_eternal(1.0, 0.0), (2, 2),
                       np.arange(0.0, 6.0, 5e-3))
     report = scan_backflow(mi_measure, traj, margin=1e-9)
-    assert not report.detected
+    assert not report.intervals
     assert report.onsets == ()
 
 
@@ -119,7 +117,7 @@ def test_scan_backflow_mi_onset_landmark():
     traj = Trajectory(maximally_entangled(2), quasi_eternal(0.4, 1.0), (2, 2),
                       np.arange(0.0, 4.0, 2e-3))
     report = scan_backflow(mi_measure, traj)
-    assert report.detected
+    assert report.intervals
     assert report.onsets[0] == pytest.approx(2.741, abs=5e-3)
     assert report.max_derivative > 0
 
@@ -128,7 +126,7 @@ def test_scan_backflow_negativity_eb_empty():
     traj = Trajectory(maximally_entangled(2), quasi_eternal(0.4, 2.0), (2, 2),
                       np.arange(0.0, 6.0, 5e-3))
     report = scan_backflow(neg_measure, traj)
-    assert not report.detected
+    assert not report.intervals
 
 
 TABULATED_DEPHASING = dephasing(TabulatedRate(((0.0, 1.0), (5.0, -0.3))))
@@ -145,7 +143,7 @@ def test_series_backflow_of_the_closed_form_matches_scan_backflow(channel, grid)
     # tolerance.
     traj = Trajectory(maximally_entangled(2), channel, (2, 2), grid)
     report = scan_backflow(mi_measure, traj)
-    assert report.detected
+    assert report.intervals
     closed = series_backflow(grid, phi_plus_mi(channel, grid), lambda t: phi_plus_mi(channel, t))
     assert closed.intervals == report.intervals
     assert closed.onsets == pytest.approx(report.onsets, abs=witness.ONSET_REFINE_TOL)
@@ -584,8 +582,28 @@ def test_trajectory_grid_validation():
     [0.0], [[0.0, 1.0]],
 ])
 def test_trajectory_rejects_bad_grids(grid):
+    # min_t_nm_scan shares the Trajectory's grid check.
     with pytest.raises(ConfigParseError):
         Trajectory(maximally_entangled(2), quasi_eternal(0.4, 1.0), (2, 2), np.array(grid))
+    with pytest.raises(ConfigParseError):
+        min_t_nm_scan(quasi_eternal(0.4, 1.0), 2, np.array(grid))
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_min_t_nm_scan_rejects_bad_counts(count):
+    with pytest.raises(ConfigParseError):
+        min_t_nm_scan(quasi_eternal(0.4, 1.0), count, np.arange(0.0, 1.0, 0.1))
+
+
+def test_mi_series_rejects_bad_input():
+    ch, grid, vecs = quasi_eternal(0.4, 1.0), np.arange(0.0, 1.0, 0.1), np.eye(4)[:2]
+    for shape in ((3, 3), (4,), (2, 2, 4)):
+        with pytest.raises(DimMismatchError):
+            witness.mi_series(ch, np.ones(shape) / 2.0, grid)
+    with pytest.raises(ConfigParseError):
+        witness.mi_series(ch, vecs, np.array([0.0, np.nan]))
+    with pytest.raises(ConfigParseError):
+        witness.mi_series(ch, np.full((2, 4), np.nan), grid)
 
 
 @pytest.mark.parametrize("matrix, error", NOT_STATES.values(), ids=NOT_STATES)
@@ -771,6 +789,12 @@ def test_gadc_epsilon_scan_product_state():
     assert res[0].mi_max == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", [np.nan, 2.0, -0.1, np.inf])
+def test_gadc_epsilon_scan_rejects_eps_outside_unit_interval(eps):
+    with pytest.raises(ConfigParseError):
+        gadc_epsilon_scan([1e-3, eps])
+
+
 def test_spectral_derivs_trace():
     rng = np.random.default_rng(50)
     a = random_hermitian(rng, 5)
@@ -799,7 +823,7 @@ def test_spectral_derivs_finite_difference():
 
         def f(shift):
             m = base + sum(s * m_i for s, m_i in zip(shift, da))
-            return fn.value(np.linalg.eigvalsh(m))
+            return float(correlations.shannon(np.linalg.eigvalsh(m)))
 
         grad, hess = spectral_derivs(fn, base, da)
         h = 1e-5
@@ -968,8 +992,9 @@ def test_unital_witness_state():
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     v /= np.linalg.norm(v)
     state = unital_witness_state(v, 0.6)
-    np.testing.assert_allclose(state.reduced(0).matrix, np.eye(2) / 2, atol=1e-12)
-    np.testing.assert_allclose(state.reduced(1).matrix, np.eye(2) / 2, atol=1e-12)
+    for keep in (0, 1):
+        np.testing.assert_allclose(qmat.partial_trace(state.matrix, state.dims, keep),
+                                   np.eye(2) / 2, atol=1e-12)
     tiny = unital_witness_state(v, 1e-8)
     assert mutual_information(tiny.matrix, (2, 2)) == pytest.approx(0.0, abs=1e-7)
     # Pulling back through a contraction keeps it a state for small p: the
@@ -993,7 +1018,7 @@ def test_no_false_positives_on_cp_divisible_channels():
         assert np.all(np.diff(series, axis=0) <= 1e-10)
         for vec in vecs[:5]:
             traj = Trajectory(np.outer(vec, vec.conj()), ch, (2, 2), grid)
-            assert not scan_backflow(neg_measure, traj).detected
+            assert not scan_backflow(neg_measure, traj).intervals
 
 
 def test_no_false_positives_c2_reduced():
