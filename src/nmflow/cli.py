@@ -23,14 +23,15 @@ from .numutil import thread_count
 T1_MINUS = (0.13437, 0.31416)
 
 
-def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    """One line per row, floats at 12 significant digits; every row has the
-    column types of the first."""
-    lines = [",".join(header)]
-    if rows:
-        template = ",".join("%.12g" if isinstance(x, float) else "%s" for x in rows[0])
-        lines.extend(template % tuple(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_csv(path: Path, header: list[str], columns: list[list]) -> None:
+    """The columns side by side under the header, one line per row. A column
+    whose first value is a float prints every value at 12 significant digits,
+    any other column with str. Columns of unequal length raise ValueError
+    before anything is written."""
+    row = ",".join("%.12g" if column and isinstance(column[0], float) else "%s"
+                   for column in columns) + "\n"
+    body = "".join([row % values for values in zip(*columns, strict=True)])
+    path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
 
 def write_summary(path: Path, summary: dict) -> None:
@@ -69,12 +70,11 @@ def _eps_list(text: str) -> list[float]:
 def run_physicality(cfg, out):
     value = divisibility.physicality_threshold(cfg.alpha)
     print(f"T(alpha={cfg.alpha}) = {value:.6f}")
-    rows = [(cfg.alpha, value)]
     landmark = None
     if abs(cfg.alpha - 0.4) < 1e-12:
         landmark = {"name": "physicality_threshold", "value": value,
                     "target": 0.7686, "tol": 1e-3, "pass": abs(value - 0.7686) <= 1e-3}
-    write_csv(out / "physicality.csv", ["t", "value"], rows)
+    write_csv(out / "physicality.csv", ["t", "value"], [[cfg.alpha], [value]])
     return {"experiment": "physicality", "alpha": cfg.alpha, "threshold": value,
             "landmark": landmark}
 
@@ -84,21 +84,24 @@ def run_divisibility_scan(cfg, out):
     grid = _grid(0.0, cfg.t_max + cfg.step / 2, cfg.step)
     value, cp, p = channel.divisibility(grid)
     labels = np.where(cp, "CPDivisible", np.where(p, "PNotCP", "NotP"))
-    rows = list(zip(grid.tolist(), value.tolist(), labels.tolist()))
-    write_csv(out / "divisibility-scan.csv", ["t", "value", "flag"], rows)
-    names, counts = np.unique(labels, return_counts=True)
+    write_csv(out / "divisibility-scan.csv", ["t", "value", "flag"],
+              [grid.tolist(), value.tolist(), labels.tolist()])
+    n_cp, n_p = int(np.count_nonzero(cp)), int(np.count_nonzero(p & ~cp))
+    counts = {"CPDivisible": n_cp, "NotP": grid.size - n_cp - n_p, "PNotCP": n_p}
     return {"experiment": "divisibility-scan",
-            "fractions": {str(lab): int(n) / labels.size for lab, n in zip(names, counts)},
+            "fractions": {lab: n / grid.size for lab, n in counts.items() if n},
             "landmark": None}
 
 
 def run_eb_time(cfg, out):
+    if not 0 < cfg.step < np.inf:  # also rejects NaN
+        raise ConfigParseError(f"--step must be finite and > 0, got {cfg.step}")
     channel = quasi_eternal(cfg.alpha, cfg.t0)
     t_eb = witness.find_t_eb(channel, tol=cfg.tol, t_max=cfg.t_max)
     print(f"t_EB(alpha={cfg.alpha}, t0={cfg.t0}) = {t_eb:.4f}")
     grid = _grid(0.0, t_eb + 0.5, max(cfg.step, 1e-3))
-    rows = list(zip(grid.tolist(), witness.phi_plus_negativity(channel, grid).tolist()))
-    write_csv(out / "eb-time.csv", ["t", "value"], rows)
+    write_csv(out / "eb-time.csv", ["t", "value"],
+              [grid.tolist(), witness.phi_plus_negativity(channel, grid).tolist()])
     landmark = None
     if abs(cfg.alpha - 0.4) < 1e-12 and abs(cfg.t0 - 2.0) < 1e-12:
         landmark = {"name": "t_EB", "value": t_eb, "target": [1.46, 1.48],
@@ -117,12 +120,11 @@ def run_mi_scan(cfg, out):
         detected = int(np.sum(~np.isnan(onsets)))
         print(f"min MI onset over {cfg.random} random states: {onset:.4f} "
               f"({detected} detected)")
+        columns = [[], []]
         if state is not None:
             series = witness.mi_series(channel, state[None, :], grid, workers=1)[:, 0]
-            rows = list(zip(grid.tolist(), series.tolist()))
-        else:
-            rows = []
-        write_csv(out / "mi-scan.csv", ["t", "value"], rows)
+            columns = [grid.tolist(), series.tolist()]
+        write_csv(out / "mi-scan.csv", ["t", "value"], columns)
         if abs(cfg.alpha - 0.4) < 1e-12 and abs(cfg.t0 - 1.0) < 1e-12 and cfg.random >= 2000:
             bound = 2.43 if cfg.random >= 20000 else 2.55
             landmark = {"name": "min_t_nm", "value": onset, "target": f"<= {bound}",
@@ -132,8 +134,8 @@ def run_mi_scan(cfg, out):
                 "landmark": landmark}
     series = witness.phi_plus_mi(channel, grid)
     report = witness.series_backflow(grid, series, lambda t: witness.phi_plus_mi(channel, t))
-    rows = list(zip(grid.tolist(), series.tolist(), np.gradient(series, grid).tolist()))
-    write_csv(out / "mi-scan.csv", ["t", "value", "derivative"], rows)
+    write_csv(out / "mi-scan.csv", ["t", "value", "derivative"],
+              [grid.tolist(), series.tolist(), np.gradient(series, grid).tolist()])
     onset = report.onsets[0] if report.onsets else float("nan")
     print(f"MI backflow onset (maximally entangled probe): {onset:.4f}")
     if abs(cfg.alpha - 0.4) < 1e-12 and abs(cfg.t0 - 1.0) < 1e-12:
@@ -147,12 +149,11 @@ def run_gadc_scan(cfg, out):
     eps_list = _eps_list(cfg.eps)
     grid = _grid(0.10, 0.35 + 1e-12, cfg.step)
     results = witness.gadc_epsilon_scan(eps_list, grid=grid)
-    rows = []
     for res in results:
-        lo, hi = res.interval if res.interval else (float("nan"), float("nan"))
-        rows.append((lo, hi, res.mi_max, res.eps))
         print(f"eps={res.eps:g}: increase interval = {res.interval}")
-    write_csv(out / "gadc-scan.csv", ["t_start", "t_end", "mi_max", "eps"], rows)
+    starts, ends = zip(*(res.interval or (float("nan"), float("nan")) for res in results))
+    write_csv(out / "gadc-scan.csv", ["t_start", "t_end", "mi_max", "eps"],
+              [list(starts), list(ends), [r.mi_max for r in results], [r.eps for r in results]])
     landmark = None
     if sorted(eps_list, reverse=True) == [1e-3, 1e-4, 1e-5]:
         ordered = sorted(results, key=lambda r: -r.eps)
@@ -173,20 +174,23 @@ def run_gadc_scan(cfg, out):
 
 
 def run_probe_backflow(cfg, out):
+    if not np.isfinite(cfg.t_max):
+        raise ConfigParseError(f"--t-max must be finite, got {cfg.t_max}")
     probe = mepovm.build_probe(cfg.alpha, cfg.t0, cfg.tau, cfg.p)
     t_max = cfg.t_max if cfg.t_max > cfg.tau else cfg.tau + 1.0
     grid = _grid(0.0, t_max + cfg.step / 2, cfg.step)
     values = probe.closed_c2(grid)
     diffs = np.diff(values, prepend=values[0])
     flags = ((diffs > 1e-10) & (grid > cfg.tau)).astype(int)
-    rows = list(zip(grid.tolist(), values.tolist(), diffs.tolist(), flags.tolist()))
-    write_csv(out / "probe-backflow.csv", ["t", "value", "derivative", "flag"], rows)
+    write_csv(out / "probe-backflow.csv", ["t", "value", "derivative", "flag"],
+              [grid.tolist(), values.tolist(), diffs.tolist(), flags.tolist()])
     opt = mepovm.c2_A(probe.state_at(cfg.tau), cut=1, seed=cfg.seed)
     early = values[grid <= cfg.t0]
     late = values[grid >= cfg.tau]
     monotone_early = bool(np.all(np.diff(early) <= 1e-9))
     increasing_late = bool(np.all(np.diff(late) > 1e-9))
-    print(f"C2 at tau (optimizer) = {opt.value:.8f}; closed form = {probe.closed_c2(cfg.tau):.8f}")
+    closed_at_tau = probe.closed_c2(cfg.tau)
+    print(f"C2 at tau (optimizer) = {opt.value:.8f}; closed form = {closed_at_tau:.8f}")
     landmark = None
     if (abs(cfg.alpha - 0.4) < 1e-12 and abs(cfg.t0 - 2.0) < 1e-12
             and abs(cfg.tau - 3.0) < 1e-12 and abs(cfg.p - 0.2) < 1e-12):
@@ -195,7 +199,7 @@ def run_probe_backflow(cfg, out):
                     "pass": bool(abs(opt.value - 0.1) <= 1e-7
                                  and monotone_early and increasing_late)}
     return {"experiment": "probe-backflow", "optimizer_at_tau": opt.value,
-            "closed_form_at_tau": probe.closed_c2(cfg.tau),
+            "closed_form_at_tau": closed_at_tau,
             "monotone_before_t0": monotone_early, "increasing_after_tau": increasing_late,
             "landmark": landmark}
 
@@ -204,8 +208,7 @@ def run_hessian_check(cfg, out):
     if cfg.draws < 1:
         raise ConfigParseError(f"--draws must be >= 1, got {cfg.draws}")
     rng = np.random.default_rng(cfg.seed)
-    draws = np.array([(*rng.uniform(-0.5, 1.5, size=3), rng.uniform(-0.2, 0.2))
-                      for _ in range(cfg.draws)])
+    draws = rng.uniform((-0.5, -0.5, -0.5, -0.2), (1.5, 1.5, 1.5, 0.2), size=(cfg.draws, 4))
     draws[np.abs(draws[:, 3]) < 1e-6, 3] = 0.05
     numeric = np.linalg.eigvalsh(witness.mi_rate_hessian(*draws.T))
     closed = np.sort([np.concatenate([witness.hessian_eigs_closed(*draw), np.zeros(6)])
@@ -213,8 +216,8 @@ def run_hessian_check(cfg, out):
     scale = np.maximum(1.0, np.max(np.abs(closed), axis=1))
     devs = np.max(np.abs(numeric - closed) / scale[:, None], axis=1)
     worst = float(np.max(devs))
-    rows = list(zip(map(float, range(cfg.draws)), devs.tolist()))
-    write_csv(out / "hessian-check.csv", ["t", "value"], rows)
+    write_csv(out / "hessian-check.csv", ["t", "value"],
+              [np.arange(cfg.draws, dtype=float).tolist(), devs.tolist()])
     print(f"max relative Hessian deviation over {cfg.draws} draws: {worst:.3e}")
     landmark = {"name": "hessian_closed_forms", "value": worst, "target": "<= 1e-3",
                 "pass": bool(worst <= 1e-3)}
@@ -225,7 +228,7 @@ def run_hessian_check(cfg, out):
 def run_povm_bound(cfg, out):
     value = mepovm.povm_count_bound(cfg.da, cfg.db)
     print(f"outcome bound for ({cfg.da}, {cfg.db}): {value:g}")
-    write_csv(out / "povm-bound.csv", ["t", "value"], [(float(cfg.da), value)])
+    write_csv(out / "povm-bound.csv", ["t", "value"], [[float(cfg.da)], [value]])
     table = {(2, 2): 3.0, (2, 6): 6.0, (8, 2): 8.0}
     landmark = None
     if (cfg.da, cfg.db) in table:
@@ -246,8 +249,8 @@ def run_pg_counterexample(cfg, out):
     trans = correlations.guessing_commuting(correlations.Ensemble((p1, p2, p3),
                                                                   (mixed, rho1, rho3)))
     print(f"projective P_g = {proj.value:.6f}; transformed P_g = {trans.value:.6f}")
-    rows = [(0.0, proj.value), (1.0, trans.value)]
-    write_csv(out / "pg-counterexample.csv", ["t", "value"], rows)
+    write_csv(out / "pg-counterexample.csv", ["t", "value"],
+              [[0.0, 1.0], [proj.value, trans.value]])
     landmark = None
     if (p1, p2, p3) == (0.4, 0.15, 0.45):
         landmark = {"name": "pg_counterexample",

@@ -44,11 +44,13 @@ def entropy(rho):
     eigvalsh returns the ~1e-14 eigenvalues of near-pure states only to ~1e-16,
     ~3e-15 of entropy each. Qubits take `qubit_entropy`; larger matrices the
     Rayleigh quotients v^H rho v of eigh's eigenvectors, which carry only the
-    entries' own rounding.
+    entries' own rounding. Exactly real input runs in real arithmetic.
     """
     m = _as_matrix(rho)
     if m.shape[-1] == 2:
         return qubit_entropy(m)
+    if not m.imag.any():
+        m = m.real
     v = np.linalg.eigh(m)[1]
     return shannon(np.sum(v.conj() * (m @ v), axis=-2).real)
 
@@ -93,7 +95,8 @@ class Ensemble:
         states = tuple(_as_matrix(s) for s in states)
         if len(states) < 1 or len(probs) != len(states):
             raise DimMismatchError("ensemble needs matching, nonempty probs and states")
-        if min(probs) < -PROB_TOL or abs(sum(probs) - 1.0) > PROB_TOL:
+        if (not np.all(np.isfinite(probs)) or min(probs) < -PROB_TOL
+                or abs(sum(probs) - 1.0) > PROB_TOL):
             raise DimMismatchError(f"probabilities {probs} invalid")
         d = states[0].shape
         if any(s.shape != d for s in states):

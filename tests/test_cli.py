@@ -236,16 +236,102 @@ def test_experiments_independent_of_thread_count(monkeypatch, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_write_csv_matches_per_value_formatting(tmp_path):
-    rows = [(0.0, np.float64(1.0) / 3.0, 7, "CPDivisible", -0.0),
-            (1e-300, float("nan"), -3, "NotP", float("inf")),
-            (123456789012.345678, np.float64(-2.5e-17), 0, "PNotCP", 1.0)]
-    cli.write_csv(tmp_path / "x.csv", ["a", "b", "c", "d", "e"], rows)
+def _per_value_csv(header, columns):
     fmt = lambda x: f"{x:.12g}" if isinstance(x, float) else str(x)
-    expected = ["a,b,c,d,e"] + [",".join(fmt(x) for x in row) for row in rows]
-    assert (tmp_path / "x.csv").read_text() == "\n".join(expected) + "\n"
-    cli.write_csv(tmp_path / "empty.csv", ["t", "value"], [])
+    return "\n".join([",".join(header)] + [",".join(map(fmt, row))
+                                             for row in zip(*columns)]) + "\n"
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    columns = [[0.0, 1e-300, 123456789012.345678],
+               [np.float64(1.0) / 3.0, float("nan"), np.float64(-2.5e-17)],
+               [7, -3, 0],
+               ["CPDivisible", "NotP", "PNotCP"],
+               [-0.0, float("inf"), 1.0]]
+    cli.write_csv(tmp_path / "x.csv", ["a", "b", "c", "d", "e"], columns)
+    assert (tmp_path / "x.csv").read_text() == _per_value_csv(list("abcde"), columns)
+    cli.write_csv(tmp_path / "empty.csv", ["t", "value"], [[], []])
     assert (tmp_path / "empty.csv").read_text() == "t,value\n"
+
+
+def test_write_csv_formats_a_large_mixed_table_per_value(tmp_path):
+    # One `%` over the whole table gives the bytes of per-value formatting,
+    # also for the special floats and for strings holding `%`.
+    rng = np.random.default_rng(7)
+    n = 5001
+    special = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, -1e-300,
+               5e-324, 1.7976931348623157e308]
+    floats = (rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)).tolist()
+    floats[::500] = special + special[:2]
+    texts = [["%s", "%.12g", "100%", "%%", "a,b", "%(x)s"][i % 6] for i in range(n)]
+    columns = [np.linspace(0.0, 5.0, n).tolist(), floats,
+               rng.integers(-10**12, 10**12, n).tolist(), texts, [-0.0] * n]
+    header = ["t", "value", "count", "flag", "zero"]
+    cli.write_csv(tmp_path / "big.csv", header, columns)
+    assert (tmp_path / "big.csv").read_text() == _per_value_csv(header, columns)
+
+
+@pytest.mark.parametrize("columns", [[[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]], [[], [1.0]],
+                                     [[1.0, 2.0], [3.0, 4.0], [5.0]]])
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path, columns):
+    with pytest.raises(ValueError):
+        cli.write_csv(tmp_path / "x.csv", ["a"] * len(columns), columns)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_repeated_runs_in_one_process_give_the_same_bytes(tmp_path):
+    # The runners keep no state between runs: all nine experiments run twice
+    # at their defaults, with a non-default eb-time in between, give the same
+    # bytes.
+    def run_all(out):
+        for name in EXPERIMENTS:
+            assert main([name, "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    first = run_all(tmp_path / "first")
+    assert main(["eb-time", "--step", "0.02", "--out", str(tmp_path / "step")]) == 0
+    assert run_all(tmp_path / "second") == first
+    assert len(first) == 2 * len(EXPERIMENTS)
+    eb_rows = (tmp_path / "step" / "eb-time.csv").read_text().splitlines()[1:4]
+    assert [float(r.split(",")[0]) for r in eb_rows] == [0.0, 0.02, 0.04]
+
+
+@pytest.mark.parametrize("step", ["-1", "0", "nan", "inf"])
+def test_eb_time_rejects_a_bad_step_before_the_search(monkeypatch, tmp_path, capsys, step):
+    # Checked up front: no t_EB search runs and nothing is printed to stdout.
+    def never(*args, **kwargs):
+        raise AssertionError("find_t_eb called")
+
+    monkeypatch.setattr(witness, "find_t_eb", never)
+    assert main(["eb-time", "--step", step, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --step")
+    assert not (tmp_path / "eb-time.csv").exists()
+
+
+def test_eb_time_keeps_the_step_floor_for_small_steps(tmp_path):
+    assert main(["eb-time", "--step", "1e-5", "--out", str(tmp_path)]) == 0
+    times = [float(r.split(",")[0])
+             for r in (tmp_path / "eb-time.csv").read_text().splitlines()[1:4]]
+    assert times == [0.0, 1e-3, 2e-3]
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf", "-inf"])
+def test_probe_backflow_rejects_a_non_finite_t_max_before_any_work(monkeypatch, tmp_path,
+                                                                    capsys, t_max):
+    def never(*args, **kwargs):
+        raise AssertionError("probe built")
+
+    monkeypatch.setattr(cli.mepovm, "build_probe", never)
+    assert main(["probe-backflow", f"--t-max={t_max}", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: --t-max")
+
+
+@pytest.mark.parametrize("argv", [["--p1", "nan"], ["--p2", "nan"], ["--p3", "inf"]])
+def test_pg_counterexample_rejects_non_finite_probabilities(tmp_path, capsys, argv):
+    assert main(["pg-counterexample", *argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: probabilities")
+    assert not (tmp_path / "pg-counterexample.csv").exists()
 
 
 def test_probe_backflow_cli(tmp_path):

@@ -178,6 +178,89 @@ def test_entropy_of_pure_states_stays_near_zero():
         assert np.max(np.abs(entropy(np.einsum("na,nb->nab", v, v.conj())))) <= 1e-14
 
 
+def _orthogonal(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    return q * np.sign(np.diag(r))
+
+
+def _real_fragile_states(rng, n=6):
+    """Exactly real (dims, stack) pairs from the fragile regimes: pure states
+    with a 1e-9 Schmidt tail, spectra split by ~1e-12 and states whose
+    marginals are rank-deficient."""
+    cases = []
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        da, db = dims
+        k = min(dims)
+        weights = np.concatenate([np.ones((n, 1)), 1e-9 * rng.uniform(0.5, 1.0, (n, k - 1))], 1)
+        weights = np.sqrt(weights / weights.sum(axis=1, keepdims=True))
+        psi = np.stack([(_orthogonal(rng, da)[:, :k] * w) @ _orthogonal(rng, db)[:, :k].T
+                        for w in weights]).reshape(n, -1)
+        cases.append((dims, np.einsum("na,nb->nab", psi, psi)))
+    for dims in ((2, 2), (3, 3)):
+        d = prod(dims)
+        p = 1.0 / d + 1e-12 * rng.normal(size=(n, d))
+        o = np.stack([_orthogonal(rng, d) for _ in range(n)])
+        cases.append((dims, np.einsum("nab,nb,ncb->nac", o, p / p.sum(1, keepdims=True), o)))
+    v = np.zeros((n, 2, 3, 3))  # supported on span{|0>,|1>} (x) span{|0>,|1>}
+    v[:, :, :2, :2] = rng.normal(size=(n, 2, 2, 2))
+    v = v.reshape(n, 2, 9) / np.linalg.norm(v.reshape(n, 2, 9), axis=2, keepdims=True)
+    w = rng.uniform(size=(n, 2))
+    cases.append(((3, 3), np.einsum("nk,nka,nkb->nab", w / w.sum(1, keepdims=True), v, v)))
+    return cases
+
+
+def _mp_entropy(mpmath, m):
+    w = mpmath.eigsy(mpmath.matrix(m.tolist()), eigvals_only=True)
+    return -mpmath.fsum(x * mpmath.log(x) for x in w if x > 0)
+
+
+def _mp_mutual_information(mpmath, m, dims):
+    # Partial traces of the float entries summed exactly at the working precision.
+    r = np.vectorize(mpmath.mpf, otypes=[object])(m).reshape(*dims, *dims)
+    left = np.einsum("ibjb->ij", r)
+    right = np.einsum("aiaj->ij", r)
+    return (_mp_entropy(mpmath, left) + _mp_entropy(mpmath, right)
+            - _mp_entropy(mpmath, r.reshape(m.shape)))
+
+
+def _complex_entropy(m):
+    # The same Rayleigh quotients, in complex arithmetic.
+    v = np.linalg.eigh(m.astype(complex))[1]
+    return correlations.shannon(np.sum(v.conj() * (m @ v), axis=-2).real)
+
+
+def test_entropy_of_real_stacks_in_real_arithmetic(monkeypatch):
+    dtypes = []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, f=np.linalg.eigh: dtypes.append(a.dtype) or f(a))
+    rng = np.random.default_rng(34)
+    real = random_density(rng, 4, 2).real
+    entropy(real)
+    entropy(real.astype(complex))
+    entropy(np.stack([real, real]))
+    entropy(random_density(rng, 4, 2))  # complex entries stay complex
+    assert dtypes == [np.float64] * 3 + [np.complex128]
+
+
+def test_real_entropy_and_mi_against_mpmath():
+    # Exactly real stacks and single matrices in the fragile regimes, to 1e-14
+    # of the 40-digit values, and within 1e-14 of complex arithmetic.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(35)
+    for dims, stack in _real_fragile_states(rng):
+        with mpmath.workdps(40):
+            exact_s = np.array([float(_mp_entropy(mpmath, m)) for m in stack])
+            exact_mi = np.array([float(_mp_mutual_information(mpmath, m, dims)) for m in stack])
+        for rho in (stack, stack.astype(complex)):
+            np.testing.assert_allclose(entropy(rho), exact_s, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(mutual_information(rho, dims), exact_mi,
+                                       rtol=0, atol=1e-14)
+        for m, s, mi in zip(stack, exact_s, exact_mi):
+            assert abs(entropy(m) - s) <= 1e-14
+            assert abs(mutual_information(m, dims) - mi) <= 1e-14
+        np.testing.assert_allclose(entropy(stack), _complex_entropy(stack), rtol=0, atol=1e-14)
+
+
 def test_entropy_bell_diagonal_matches_weights():
     ch = quasi_eternal(0.4, 1.0)
     phi = maximally_entangled(2)
@@ -429,3 +512,11 @@ def test_ensemble_validation():
         Ensemble((1.0,), (np.eye(2) / 2, np.eye(2) / 2))
     with pytest.raises(DimMismatchError):
         Ensemble((0.5, 0.5), (np.eye(2) / 2, np.eye(3) / 3))
+
+
+@pytest.mark.parametrize("probs", [(np.nan, 0.5, 0.5), (0.4, 0.15, np.nan),
+                                   (np.inf, 0.5, -np.inf), (1.0, np.inf, -np.inf)])
+def test_ensemble_rejects_non_finite_probabilities(probs):
+    # NaN compares False with both tolerance tests, so it needs its own check.
+    with pytest.raises(DimMismatchError):
+        Ensemble(probs, [np.eye(2) / 2] * 3)
