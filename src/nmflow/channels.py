@@ -148,19 +148,15 @@ class TabulatedRate(RateSpec):
 
 @dataclass(frozen=True)
 class CallableRate(RateSpec):
-    """Rate given by an arbitrary callable; integral by adaptive Simpson unless
-    a closed-form antiderivative-style integral callable is supplied, element
-    by element over arrays."""
+    """Rate given by an arbitrary callable; integral by adaptive Simpson,
+    element by element over arrays."""
 
     fn: Callable[[float], float]
-    integral_fn: Callable[[float, float], float] | None = None
 
     def rate(self, t: float) -> float:
         return _elementwise(self.fn, t)
 
     def integral(self, t1, t2):
-        if self.integral_fn is not None:
-            return _elementwise(self.integral_fn, t1, t2)
         return _elementwise(lambda a, b: adaptive_simpson(self.rate, a, b, tol=1e-10), t1, t2)
 
 

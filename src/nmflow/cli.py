@@ -21,6 +21,7 @@ from .errors import ConfigParseError, NmflowError, UnknownExperimentError
 from .numutil import thread_count
 
 T1_MINUS = (0.13437, 0.31416)
+MAX_GRID_POINTS = 100_000  # 20x the largest default grid, divisibility-scan's 5001 points
 
 
 def write_csv(path: Path, header: list[str], columns: list[list]) -> None:
@@ -44,11 +45,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigParseError(message)
 
 
+def _check_points(count: float, what: str) -> None:
+    if count > MAX_GRID_POINTS:
+        raise ConfigParseError(f"{what} of {count:.4g} points exceeds {MAX_GRID_POINTS}")
+
+
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
-    """np.arange(start, stop, step), rejecting numbers that give fewer than two points."""
+    """np.arange(start, stop, step), rejecting numbers that give fewer than two
+    points or more than MAX_GRID_POINTS before anything is allocated."""
     if not (0 < step < np.inf and start + step < stop < np.inf):  # also rejects NaN
         raise ConfigParseError(f"need a finite step > 0 and at least two grid points, "
                                f"got start={start}, stop={stop}, step={step}")
+    _check_points((stop - start) / step, "a grid")
     return np.arange(start, stop, step)
 
 
@@ -96,6 +104,7 @@ def run_divisibility_scan(cfg, out):
 def run_eb_time(cfg, out):
     if not 0 < cfg.step < np.inf:  # also rejects NaN
         raise ConfigParseError(f"--step must be finite and > 0, got {cfg.step}")
+    _check_points(cfg.t_max / witness.EB_COARSE, "the t_EB coarse scan")
     channel = quasi_eternal(cfg.alpha, cfg.t0)
     t_eb = witness.find_t_eb(channel, tol=cfg.tol, t_max=cfg.t_max)
     print(f"t_EB(alpha={cfg.alpha}, t0={cfg.t0}) = {t_eb:.4f}")
@@ -240,6 +249,8 @@ def run_povm_bound(cfg, out):
 
 def run_pg_counterexample(cfg, out):
     p1, p2, p3 = cfg.p1, cfg.p2, cfg.p3
+    if p1 <= 0 or p2 < 0 or p2 > p1:  # NaN and inf fail the Ensemble check below
+        raise ConfigParseError(f"need 0 < p1 and 0 <= p2 <= p1, got p1={p1}, p2={p2}")
     rho1 = np.eye(2) / 2
     rho2 = np.diag([1.0, 0.0]).astype(complex)
     rho3 = np.diag([0.0, 1.0]).astype(complex)
@@ -376,6 +387,8 @@ def main(argv=None) -> int:
             raise UnknownExperimentError(args.experiment)
         _apply_config(args)
         _apply_defaults(args)
+        if args.seed < 0:
+            raise ConfigParseError(f"--seed must be >= 0, got {args.seed}")
         thread_count()  # a malformed NMFLOW_THREADS fails here, before any work
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

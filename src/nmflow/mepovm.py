@@ -18,17 +18,18 @@ found exactly: for full-rank rho_A, at a generalized eigenvalue of the pencil
 (M, rho_A) where Tr rho_A sign(M - mu rho_A) jumps across zero, or else by
 safeguarded Newton steps inside the smooth segment between two such
 breakpoints; for singular rho_A, by the same Newton steps inside a bracket
-found by doubling. The eigenbasis start, an optional warm start and the
-seeded random starts run in lockstep as one stack: each round is one batched
-eigendecomposition and one X step for every start still gaining.
+found by doubling.
 
-On a qubit A side (and so for C_B with a qubit B side) the rounds run in
-Pauli coordinates: each start is the real xi with X = xi.sigma, and with
-B_mu = Tr_A[rho (sigma_mu (x) 1)] computed once, a round is the product
-xi @ B, the batched eigendecomposition of that steered difference, one
-product of the sign operators Y with the B_mu that gives the Pauli
-coefficients Tr(B_mu Y) / 2 of M, and the closed-form X step on those
-coefficients. X is built as a matrix once, for the result.
+The rounds run in coordinates, for every dimension of the measured side: each
+start is the real xi with X = xi.E in a Hermitian basis E_mu of side A with
+Tr(E_mu E_nu) = 2 delta (the Pauli matrices for a qubit). With
+B_mu = Tr_A[rho (E_mu (x) 1)] computed once, a round is the product xi @ B,
+the batched eigendecomposition of that steered difference, one product of
+the sign operators Y with the B_mu that gives the coordinates Tr(B_mu Y) / 2
+of M, and the X step on those coordinates. The eigenbasis start, an optional
+warm start and the seeded random starts run in lockstep as one stack, each
+round serving every start still gaining; X is built as a matrix once, for
+the result.
 
 Also here: the outcome-count bound for ME-POVM optimization, and the
 classical-quantum probe state of the quasi-eternal family whose C backflow
@@ -50,7 +51,6 @@ from .errors import (ConfigParseError, DimMismatchError, NotYetNonMarkovianError
                      UnphysicalProbeError)
 from .qmat import (
     DensityState,
-    PAULIS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -74,54 +74,32 @@ MU_MAX_STEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
-class Povm:
-    """Positive effects summing to the identity."""
+class MePovm2:
+    """Two positive effects summing to the identity, with outcome probability
+    1/2 each on a reference state."""
 
-    effects: tuple[np.ndarray, ...]
+    effects: tuple[np.ndarray, np.ndarray]
+    reference: np.ndarray
 
-    def __init__(self, effects: Sequence[np.ndarray]):
+    def __init__(self, effects: Sequence[np.ndarray], reference):
         ops = tuple(np.asarray(e, dtype=complex) for e in effects)
-        if not ops:
-            raise DimMismatchError("empty POVM")
+        if len(ops) != 2:
+            raise DimMismatchError("MePovm2 needs exactly two effects")
         d = ops[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
         for e in ops:
             if e.shape != (d, d):
                 raise DimMismatchError("POVM effects differ in dimension")
             if float(np.linalg.eigvalsh((e + e.conj().T) / 2)[0]) < -EFFECT_PSD_SLACK:
                 raise DimMismatchError("POVM effect is not positive semidefinite")
-            total += e
-        if float(np.max(np.abs(total - np.eye(d)))) > COMPLETENESS_TOL:
+        if float(np.max(np.abs(ops[0] + ops[1] - np.eye(d)))) > COMPLETENESS_TOL:
             raise DimMismatchError("POVM effects do not sum to the identity")
-        object.__setattr__(self, "effects", ops)
-
-    @property
-    def size(self) -> int:
-        return len(self.effects)
-
-
-@dataclass(frozen=True, eq=False)
-class MePovm2:
-    """Two-outcome POVM with uniform outcome statistics on a reference state."""
-
-    povm: Povm
-    reference: np.ndarray
-
-    def __init__(self, effects: Sequence[np.ndarray], reference):
-        povm = Povm(effects)
-        if povm.size != 2:
-            raise DimMismatchError("MePovm2 needs exactly two effects")
         ref = _as_matrix(reference)
-        for e in povm.effects:
+        for e in ops:
             q = float(np.real(np.trace(ref @ e)))
             if abs(q - 0.5) > ME_TOL:
                 raise DimMismatchError(f"outcome probability {q} deviates from 1/2")
-        object.__setattr__(self, "povm", povm)
+        object.__setattr__(self, "effects", ops)
         object.__setattr__(self, "reference", ref)
-
-    @property
-    def effects(self) -> tuple[np.ndarray, ...]:
-        return self.povm.effects
 
 
 def construct_me_povm(rho_a) -> MePovm2:
@@ -159,8 +137,8 @@ def c2_closed_probe(rho1, rho2):
 def povm_count_bound(d_a: int, d_b: int) -> float:
     """Sufficient number of ME-POVM outcomes when maximizing over the outcome
     count: min over z in [1/2, 1] of max(d_a/z, d_b(3z-1)/z)."""
-    if d_a < 2 or d_b < 2:
-        raise DimMismatchError("need d_a, d_b >= 2")
+    if not (2 <= d_a <= 2 ** 53 and 2 <= d_b <= 2 ** 53):  # exact as floats
+        raise DimMismatchError(f"need 2 <= d_a, d_b <= 2^53, got ({d_a}, {d_b})")
     ratio = d_a / d_b
     if ratio <= 0.5:
         return float(d_b)
@@ -180,24 +158,18 @@ class C2Result:
     `iterations` is the round in which the winning start stopped gaining: the
     first round whose value exceeded the start's best so far by at most
     SEESAW_GAIN_TOL (SEESAW_MAX_ITER if none did). Round 1 evaluates the start
-    itself. `pure_marginal` marks the product shortcut (value 0, no rounds).
+    itself. `iterations == 0` marks the product shortcut (value 0, no rounds).
     """
 
     value: float
     povm: MePovm2
     x: np.ndarray = field(repr=False)
     iterations: int
-    pure_marginal: bool = False
 
 
 def _steered_difference(rho4: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Tr_A[rho (X (x) 1)] for rho reshaped to (dA, dB, dA, dB), for one X or a stack.
     return np.einsum("aicj,...ca->...ij", rho4, x)
-
-
-def _back_operator(rho4: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Tr_B[rho (1 (x) Y)], for one Y or a stack.
-    return np.einsum("aibk,...ki->...ab", rho4, y)
 
 
 def _sign_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,8 +267,9 @@ def _inverse_cholesky(rho_a: np.ndarray, eig_a: np.ndarray) -> np.ndarray | None
 
 
 def _pencil_x(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray | None) -> np.ndarray:
-    """`_solve_x` for one Hermitian m in any dimension, where l_inv is the
-    inverse Cholesky factor of rho_a, or None when rho_a is singular.
+    """Maximize Tr(X m) over Hermitian -1 <= X <= 1 with Tr(rho_a X) = 0, for
+    one Hermitian m in any dimension, where l_inv is the inverse Cholesky
+    factor of rho_a, or None when rho_a is singular.
 
     The optimum is X = sign(m - mu rho_a) for the multiplier mu that zeroes
     Tr(rho_a X); where g(mu) = Tr rho_a sign(m - mu rho_a) jumps across zero,
@@ -343,22 +316,42 @@ def _pencil_x(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray | None) -> np.
     return (vecs * x) @ vecs.conj().T
 
 
-_SIGMA = np.array(PAULIS)  # (4, 2, 2): 1, sigma_x, sigma_y, sigma_z
+@functools.cache
+def _hermitian_basis(d: int) -> np.ndarray:
+    """(d^2, d, d) generalized Gell-Mann basis of the d x d Hermitian matrices,
+    Tr(E_mu E_nu) = 2 delta_mu,nu: sqrt(2/d) 1, then for each j < k the
+    symmetric and antisymmetric off-diagonal pair, then the traceless
+    diagonals. For d = 2 it is (1, sigma_x, sigma_y, sigma_z)."""
+    basis = [sqrt(2.0 / d) * np.eye(d, dtype=complex)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym, anti = np.zeros((2, d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0
+            anti[j, k], anti[k, j] = -1.0j, 1.0j
+            basis += [sym, anti]
+    for n in range(1, d):
+        diag = np.zeros(d)
+        diag[:n], diag[n] = 1.0, -float(n)
+        basis.append(np.diag(sqrt(2.0 / (n * (n + 1))) * diag).astype(complex))
+    basis = np.array(basis)
+    basis.flags.writeable = False
+    return basis
 
 
-def _pauli_coords(x: np.ndarray) -> np.ndarray:
-    # The real xi with x = xi.sigma, for one Hermitian 2x2 matrix or a stack.
-    return np.einsum("...jk,ikj->...i", x, _SIGMA).real / 2.0
+def _coords(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    # The real xi with x = xi.E, for one Hermitian matrix or a stack.
+    return np.einsum("...jk,ikj->...i", x, basis).real / 2.0
 
 
-def _pauli_matrix(xi: np.ndarray) -> np.ndarray:
-    # xi.sigma, for one coordinate vector or an (S, 4) stack.
-    return (xi @ _SIGMA.reshape(4, 4)).reshape(xi.shape[:-1] + (2, 2))
+def _matrix(xi: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    # xi.E, for one coordinate vector or an (S, d^2) stack.
+    d = basis.shape[-1]
+    return (xi @ basis.reshape(d * d, d * d)).reshape(xi.shape[:-1] + (d, d))
 
 
 def _qubit_x(coef: np.ndarray, rho_a: np.ndarray, eig_a: np.ndarray,
-             r: np.ndarray) -> np.ndarray:
-    """`_solve_x` for d = 2 in Pauli coordinates: for each row (a, b) of an
+             r: np.ndarray, pencil) -> np.ndarray:
+    """The X step for d = 2 in Pauli coordinates: for each row (a, b) of an
     (S, 4) stack of m = a + b.sigma, the coordinates xi of the optimal
     X = xi.sigma; r is the Bloch vector of rho_a and eig_a its ascending
     eigenvalues.
@@ -371,7 +364,7 @@ def _qubit_x(coef: np.ndarray, rho_a: np.ndarray, eig_a: np.ndarray,
     R^2 = c_u^2 + (1 - e^2) q^2 the support point is c_perp / R plus
     u.x = sign(c_u) (c_u^2 - e^2 q^2) / (R (|c_u| + e R)), with 1 - e^2 from
     eig_a as 4 lambda_0 lambda_1: no cancellation near pure rho_a. Rows with
-    c = 0, where every feasible X is optimal, take `_pencil_x`.
+    c = 0, where every feasible X is optimal, take `pencil`.
     """
     c = coef[:, 1:] - coef[:, :1] * r
     e = sqrt(r @ r)
@@ -388,31 +381,31 @@ def _qubit_x(coef: np.ndarray, rho_a: np.ndarray, eig_a: np.ndarray,
     xi[:, 1:] = s[:, None] * u + c_perp / np.where(solved, norm, 1.0)[:, None]
     xi[:, 0] = -(xi[:, 1:] * r).sum(axis=1)
     if not solved.all():
-        l_inv = _inverse_cholesky(rho_a, eig_a)
-        for k in np.flatnonzero(~solved):
-            xi[k] = _pauli_coords(_pencil_x(_pauli_matrix(coef[k]), rho_a, l_inv))
+        xi[~solved] = pencil(coef[~solved])
     return xi
 
 
-def _solve_x(m: np.ndarray, rho_a: np.ndarray, eig_a: np.ndarray | None = None) -> np.ndarray:
-    """Maximize Tr(X m) over Hermitian -1 <= X <= 1 with Tr(rho_a X) = 0, for
-    one m or for each m of an (S, d, d) stack; eig_a are the ascending
-    eigenvalues of rho_a (computed here by default).
+def _x_step(rho_a: np.ndarray, eig_a: np.ndarray, basis: np.ndarray):
+    """The X step of a see-saw round in the coordinates of `basis`: a function
+    from an (S, d^2) stack of the coordinates of m to those of the X that
+    maximize Tr(X m) over Hermitian -1 <= X <= 1 with Tr(rho_a X) = 0; eig_a
+    are the ascending eigenvalues of rho_a.
 
-    For d = 2 the optimum has a closed form in Pauli coordinates
-    (`_qubit_x`); other dimensions take the multiplier search of `_pencil_x`.
+    For d = 2 the optimum has a closed form (`_qubit_x`); other dimensions,
+    and the qubit rows that the closed form leaves open, take the multiplier
+    search of `_pencil_x` row by row.
     """
-    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
-    eig_a = np.linalg.eigvalsh(rho_a) if eig_a is None else eig_a
-    stack = m.reshape((-1,) + m.shape[-2:])
-    if len(eig_a) == 2:
-        r = 2.0 * _pauli_coords(rho_a)[1:]
-        return _pauli_matrix(_qubit_x(_pauli_coords(stack), rho_a, eig_a, r)).reshape(m.shape)
-    l_inv = _inverse_cholesky(rho_a, eig_a)
-    x = np.empty_like(stack)
-    for k in range(len(stack)):
-        x[k] = _pencil_x(stack[k], rho_a, l_inv)
-    return x.reshape(m.shape)
+    factor = functools.cache(lambda: _inverse_cholesky(rho_a, eig_a))  # once, if ever needed
+
+    def pencil(coef):
+        l_inv = factor()
+        return _coords(np.array([_pencil_x(m, rho_a, l_inv) for m in _matrix(coef, basis)]),
+                       basis)
+
+    if len(rho_a) > 2:
+        return pencil
+    r = 2.0 * _coords(rho_a, basis)[1:]
+    return lambda coef: _qubit_x(coef, rho_a, eig_a, r, pencil)
 
 
 def _bipartite(rho, dims, cut):
@@ -447,7 +440,7 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
         # Pure marginal: rho_AB is a product, every ME-POVM steers identical
         # states and the measure vanishes.
         return C2Result(value=0.0, povm=construct_me_povm(rho_a),
-                        x=np.zeros((d_a, d_a)), iterations=0, pure_marginal=True)
+                        x=np.zeros((d_a, d_a)), iterations=0)
     rho4 = m.reshape(d_a, d_b, d_a, d_b)
 
     # Each start after the eigenbasis ME-POVM projects a B-side Hermitian to a
@@ -459,37 +452,29 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
     if x0 is not None:
         h = np.concatenate([_steered_difference(rho4, x0)[None], h])
     h -= np.trace(h, axis1=1, axis2=2).real[:, None, None] / d_b * np.eye(d_b)
+
+    # Coordinates xi of X = xi.E in the Hermitian basis E of side A. With
+    # B_mu = Tr_A[rho (E_mu (x) 1)] the steered difference is xi @ B, and
+    # M = Tr_B[rho (1 (x) Y)] has the coordinates Tr(M E_mu) / 2 = Tr(B_mu Y) / 2.
+    # Both products go row by row, so that a start's rounds do not depend on
+    # the stack.
+    basis, n = _hermitian_basis(d_a), d_a * d_a
+    b = _steered_difference(rho4, basis).reshape(n, d_b * d_b)
+    b_y = b.reshape(n, d_b, d_b).swapaxes(1, 2).reshape(n, d_b * d_b).T
+    x_step = _x_step(rho_a, eig_a, basis)
+
+    def step(y):
+        return x_step((y.reshape(len(y), 1, d_b * d_b) @ b_y)[:, 0].real / 2.0)
+
     app_f = construct_me_povm(rho_a)
-    x = app_f.effects[0] - app_f.effects[1]
-    if d_a == 2:
-        # Pauli coordinates xi of X = xi.sigma. With B_mu = Tr_A[rho (sigma_mu (x) 1)]
-        # the steered difference is xi @ B, and M = Tr_B[rho (1 (x) Y)] has the
-        # coordinates Tr(M sigma_mu) / 2 = Tr(B_mu Y) / 2. Both products go row
-        # by row, so that a start's rounds do not depend on the stack.
-        b = _steered_difference(rho4, _SIGMA).reshape(4, d_b * d_b)
-        b_y = b.reshape(4, d_b, d_b).swapaxes(1, 2).reshape(4, d_b * d_b).T
-        r = 2.0 * _pauli_coords(rho_a)[1:]
-
-        def steer(xi):
-            return (xi[:, None] @ b).reshape(len(xi), d_b, d_b)
-
-        def step(y):
-            coef = (y.reshape(len(y), 1, d_b * d_b) @ b_y)[:, 0].real / 2.0
-            return _qubit_x(coef, rho_a, eig_a, r)
-
-        x = _pauli_coords(x)
-    else:
-        steer = functools.partial(_steered_difference, rho4)
-
-        def step(y):
-            return _solve_x(_back_operator(rho4, y), rho_a, eig_a)
-    x = np.concatenate([x[None], step(_sign_split(h)[1])])
+    x = np.concatenate([_coords(app_f.effects[0] - app_f.effects[1], basis)[None],
+                        step(_sign_split(h)[1])])
 
     value = np.full(len(x), -np.inf)
     best_x, iterations = x.copy(), np.full(len(x), SEESAW_MAX_ITER)
     active = np.arange(len(x))
     for it in range(1, SEESAW_MAX_ITER + 1):
-        vals, y = _sign_split(steer(x))
+        vals, y = _sign_split((x[:, None] @ b).reshape(len(x), d_b, d_b))
         new_value, old_value = 0.5 * np.abs(vals).sum(axis=-1), value[active]
         up = new_value > old_value
         best_x[active[up]] = x[up]  # the X behind each value
@@ -501,7 +486,7 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
             break
         x = step(y[grows])
     best = int(np.argmax(value))
-    x = _pauli_matrix(best_x[best]) if d_a == 2 else best_x[best]
+    x = _matrix(best_x[best], basis)
     p1 = (np.eye(d_a) + x) / 2.0
     povm = MePovm2((p1, np.eye(d_a) - p1), rho_a)
     return C2Result(value=float(value[best]), povm=povm, x=x,

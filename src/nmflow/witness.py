@@ -37,6 +37,7 @@ ONSET_MARGIN = 1e-10
 ONSET_REFINE_TOL = 1e-4
 EB_FLOOR = 1e-12  # negativity at or below which find_t_eb counts the pair as separable
 EB_CHUNK = 1024  # coarse-scan points per find_t_eb stack
+EB_COARSE = 0.05  # find_t_eb's default coarse-scan step
 CHUNK_TIMES = 128  # times per mi_series chunk
 CHUNK_MATRICES = 2 ** 17  # states per mi_series chunk, summed over its times
 DEG_TOL = 1e-12  # eigenvalue gap within which spectral_derivs groups a degenerate pair
@@ -175,7 +176,7 @@ def _refine_onset(at: Callable[[float], float], grid: np.ndarray, idx: int,
     return 0.5 * (lo + hi)
 
 
-def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0, coarse: float = 0.05) -> float:
+def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0, coarse: float = EB_COARSE) -> float:
     """First time the negativity of the evolved maximally entangled pair hits 0.
 
     Coarse scan over the accumulated points 0, coarse, coarse + coarse, ...

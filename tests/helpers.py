@@ -105,6 +105,27 @@ def trace_distance(rho, sigma) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
+def back_operator(rho4: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Tr_B[rho (1 (x) Y)] for rho reshaped to (dA, dB, dA, dB), for one Y or a stack."""
+    return np.einsum("aibk,...ki->...ab", rho4, y)
+
+
+def solve_x(m: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
+    """The X step of `mepovm.c2_A` on matrices: maximize Tr(X m) over Hermitian
+    -1 <= X <= 1 with Tr(rho_a X) = 0, for one m or for each m of an
+    (S, d, d) stack. For d = 2 it takes the closed form in Pauli coordinates;
+    other dimensions run `mepovm._pencil_x` on each matrix as it is."""
+    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    eig_a = np.linalg.eigvalsh(rho_a)
+    stack = m.reshape((-1,) + m.shape[-2:])
+    if len(eig_a) == 2:
+        basis = mepovm._hermitian_basis(2)
+        xi = mepovm._x_step(rho_a, eig_a, basis)(mepovm._coords(stack, basis))
+        return mepovm._matrix(xi, basis).reshape(m.shape)
+    l_inv = mepovm._inverse_cholesky(rho_a, eig_a)
+    return np.array([mepovm._pencil_x(mk, rho_a, l_inv) for mk in stack]).reshape(m.shape)
+
+
 def seesaw_reference(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: int = 0,
                      x0: np.ndarray | None = None) -> tuple[float, int]:
     """(value, iterations) of C_A by the per-start see-saw that `mepovm.c2_A`
@@ -127,7 +148,7 @@ def seesaw_reference_starts(rho: np.ndarray, d_a: int, d_b: int, restarts: int, 
         return vals, (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
 
     def project(h):  # one dual/primal step from a B-side Hermitian to a feasible X
-        return mepovm._solve_x(mepovm._back_operator(rho4, sign(h)[1]), rho_a)
+        return solve_x(back_operator(rho4, sign(h)[1]), rho_a)
 
     def traceless(h):  # so never definite
         return h - np.trace(h).real / d_b * np.eye(d_b)
@@ -152,7 +173,7 @@ def seesaw_reference_starts(rho: np.ndarray, d_a: int, d_b: int, restarts: int, 
                 value = max(value, new_value)
                 break
             value = new_value
-            x = mepovm._solve_x(mepovm._back_operator(rho4, y), rho_a)
+            x = solve_x(back_operator(rho4, y), rho_a)
         results.append((value, it))
     return results
 

@@ -542,10 +542,7 @@ TIME_FAMILIES = {
         TabulatedRate(((0.0, 1.0), (1.0, 0.5), (2.0, 0.7), (3.0, 0.3))), p=0.3),
     "callable rates": RateChannel(CallableRate(lambda t: 0.3 + 0.1 * np.cos(t)),
                                   ConstantRate(0.1),
-                                  CallableRate(lambda t: -0.2 * np.tanh(t - 1.0) + 0.05,
-                                               integral_fn=lambda a, b: 0.05 * (b - a)
-                                               - 0.2 * (np.log(np.cosh(b - 1.0))
-                                                        - np.log(np.cosh(a - 1.0))))),
+                                  CallableRate(lambda t: -0.2 * np.tanh(t - 1.0) + 0.05)),
     # Knots at 0, 1, 2 and 4: the grid below hits each and runs past the last.
     "tabulated dephasing": dephasing(TabulatedRate(((0.0, 1.0), (1.0, 3.0), (2.0, -1.0),
                                                     (4.0, 0.0)))),

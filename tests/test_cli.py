@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nmflow
 from helpers import divisibility_rates
@@ -332,6 +335,100 @@ def test_pg_counterexample_rejects_non_finite_probabilities(tmp_path, capsys, ar
     assert main(["pg-counterexample", *argv, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: probabilities")
     assert not (tmp_path / "pg-counterexample.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["--p1", "0", "--p2", "0.15", "--p3", "0.85"],
+                                  ["--p1", "0.1", "--p2", "0.5", "--p3", "0.4"]])
+def test_pg_counterexample_rejects_p1_zero_and_p2_above_p1(tmp_path, capsys, argv):
+    # p1 = 0 divides by zero; p2 > p1 mixes rho1 and rho2 into diag(3, -2), no state.
+    assert main(["pg-counterexample", *argv, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: need 0 < p1")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "pg-counterexample.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe-backflow", "--step", "1e-9"],
+    ["divisibility-scan", "--t-max", "1e9"],
+    ["mi-scan", "--step", "1e-300"],
+    ["gadc-scan", "--step", "1e-9"],
+    ["eb-time", "--t-max", "1e300"],
+    ["eb-time", "--alpha", "1e-9", "--t-max", "1e300"],  # the coarse scan of find_t_eb
+])
+def test_cli_bounds_grid_points_before_allocating(monkeypatch, tmp_path, capsys, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(np, "arange", never)
+    if argv[0] == "eb-time" and argv[1] == "--alpha":
+        monkeypatch.setattr(witness, "find_t_eb", never)
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"exceeds {cli.MAX_GRID_POINTS}" in err
+
+
+def test_grid_bound_is_on_the_point_count():
+    n = cli.MAX_GRID_POINTS
+    assert cli._grid(0.0, 1.0, 1.0 / n).size <= n
+    with pytest.raises(cli.ConfigParseError):
+        cli._grid(0.0, 1.0, 0.5 / n)
+
+
+@pytest.mark.parametrize("argv", [["hessian-check", "--seed", "-1"],
+                                  ["mi-scan", "--random", "2", "--seed", "-3"],
+                                  ["povm-bound", "--da", "1" + "0" * 400]])
+def test_cli_rejects_out_of_range_integers(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# Values for the property test below: NaN, +-inf, zero, negatives, huge and
+# tiny numbers, non-numbers and a few valid ones. Counts that size the work
+# take only invalid or small valid values, so that no run allocates much.
+FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-0.0", "-1", "-1e300", "1e300", "1e-300",
+               "5e-324", "0.5", "2", "abc", "", "1,5")
+FUZZ_INTS = ("-1", "0", "1", "2", "6", "1" + "0" * 400, "-" + "9" * 30, "1.5", "abc", "")
+FUZZ_COUNTS = ("-1", "0", "1", "2", "1.5", "abc", "")
+FUZZ_STRINGS = {"--eps": st.lists(st.sampled_from(FUZZ_FLOATS + ("1e-3",)), min_size=1,
+                                  max_size=3).map(",".join),
+                "--channel": st.sampled_from(("", "{}", "[1]", "not json",
+                                              '{"family":"quasi_eternal","alpha":NaN,"t0":1}',
+                                              '{"family":"dephasing","gamma":1e300}'))}
+
+# pg-counterexample probabilities that sum to 1, so that they pass the Ensemble check.
+FUZZ_PROBS = st.tuples(*[st.sampled_from(("-0.5", "0", "0.1", "0.4", "0.5", "1"))] * 2).map(
+    lambda p: [f"--p1={p[0]}", f"--p2={p[1]}", f"--p3={1.0 - float(p[0]) - float(p[1])!r}"])
+
+
+def _fuzz_values(flag, kind):
+    if flag in ("--random", "--draws"):
+        return st.sampled_from(FUZZ_COUNTS)
+    if flag in FUZZ_STRINGS:
+        return FUZZ_STRINGS[flag]
+    return st.sampled_from(FUZZ_INTS if kind is int else FUZZ_FLOATS)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_exits_cleanly_on_any_numbers(tmp_path_factory, data):
+    # Every run exits 0, or exits 1 with one "error:" line: no traceback.
+    name = data.draw(st.sampled_from(EXPERIMENTS))
+    argv = [name, "--out", str(tmp_path_factory.getbasetemp() / "fuzz")]
+    for flag, kind, *_ in cli.OPTIONS[name] + [("--seed", int)]:
+        value = data.draw(st.none() | _fuzz_values(flag, kind))
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    if name == "pg-counterexample" and data.draw(st.booleans()):
+        argv += data.draw(FUZZ_PROBS)  # the last of a repeated flag wins
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code == 0 or (code == 1 and len(lines) == 1 and lines[0].startswith("error: ")), \
+        (argv, err.getvalue())
 
 
 def test_probe_backflow_cli(tmp_path):

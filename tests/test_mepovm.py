@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    back_operator,
     probe_pair_at_tau,
     random_density,
     random_hermitian,
@@ -11,6 +12,7 @@ from helpers import (
     random_unitary,
     seesaw_reference,
     seesaw_reference_starts,
+    solve_x,
 )
 from nmflow import channels, mepovm, qmat
 from nmflow.errors import (
@@ -23,7 +25,6 @@ from nmflow.errors import (
 )
 from nmflow.mepovm import (
     MePovm2,
-    Povm,
     build_probe,
     c2_A,
     c2_B,
@@ -154,7 +155,7 @@ def test_c2_local_optimality_guard():
     for _ in range(64):
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         h = (h + h.conj().T) / 2
-        x = mepovm._solve_x(h, rho_a)  # random feasible vertex of the X polytope
+        x = solve_x(h, rho_a)  # random feasible vertex of the X polytope
         assert res.value >= objective(x) - 1e-9
 
 
@@ -166,7 +167,7 @@ def _bisection_sign_trace(m, rho_a, mu):
 
 
 def _bisection_multiplier(m, rho_a):
-    """Reference multiplier for `mepovm._solve_x`: bisection on
+    """Reference multiplier for the X step `solve_x`: bisection on
     g(mu) = Tr rho_a sign(m - mu rho_a) over [-1, 1] (||m||_2 + 1) / lambda_min
     for full-rank rho_a, or over a bracket found by doubling otherwise.
 
@@ -221,11 +222,11 @@ def _solve_x_cases():
         cases.append((f"m = c rho_a d={d}", float(rng.normal()) * rho, rho))
         y = random_hermitian(rng, 2)
         prod = np.kron(rho, random_density(rng, 2)).reshape(d, 2, d, 2)
-        cases.append((f"product d={d}", mepovm._back_operator(prod, y), rho))
+        cases.append((f"product d={d}", back_operator(prod, y), rho))
         weights = rng.dirichlet(np.ones(d))
         cq = sum(w * np.kron(np.diag(np.eye(d)[i]), random_density(rng, 2))
                  for i, w in enumerate(weights)).reshape(d, 2, d, 2)
-        cases.append((f"classical-quantum d={d}", mepovm._back_operator(cq, y),
+        cases.append((f"classical-quantum d={d}", back_operator(cq, y),
                       np.diag(weights).astype(complex)))
         # Near-degenerate breakpoints: merged into one (1e-13), two kinks or
         # a sliver of smooth segment between them (1e-11), well apart (1e-6).
@@ -273,7 +274,7 @@ def test_solve_x_matches_bisection(label, m, rho_a):
     # By strong duality the optimum of Tr(X m) equals Tr|m - mu rho_a| at the
     # multiplier, so the reference value needs no X rebuilt at mu.
     m = (m + m.conj().T) / 2.0
-    x = mepovm._solve_x(m, rho_a)
+    x = solve_x(m, rho_a)
     mu = _bisection_multiplier(m, rho_a)
     optimum = float(np.sum(np.abs(np.linalg.eigvalsh(m - mu * rho_a))))
     assert float(np.real(np.trace(x @ m))) == pytest.approx(optimum, abs=1e-10)
@@ -291,7 +292,7 @@ def test_solve_x_lands_on_kinks_directly(monkeypatch, label, m, rho_a):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
-    mepovm._solve_x(m, rho_a)
+    solve_x(m, rho_a)
     assert len(calls) <= (0 if len(m) == 2 else 3)
 
 
@@ -340,14 +341,11 @@ def _qubit_side_cases():
     return cases
 
 
-@pytest.mark.parametrize("label,rho,dims,measure,x0", _qubit_side_cases())
-def test_qubit_side_rounds_match_per_start_reference(monkeypatch, label, rho, dims, measure, x0):
+def _match_per_start_reference(rho, dims, measure, x0):
     # Same value to 1e-12 and the same winning round as the per-start matrix
-    # see-saw, whose qubit X step is the same closed form. Where starts reach
-    # one optimum to within rounding (every start does near a pure rho_A),
-    # rounding picks the first best, so any of them may win.
-    pencil, calls = mepovm._pencil_x, []
-    monkeypatch.setattr(mepovm, "_pencil_x", lambda *a: calls.append(a) or pencil(*a))
+    # see-saw of `seesaw_reference_starts`. Where starts reach one optimum to
+    # within rounding (every start does near a pure rho_A), rounding picks the
+    # first best, so any of them may win.
     res = measure(rho, dims, restarts=3, seed=5, x0=x0)
     d_a, d_b = dims
     if measure is c2_B:
@@ -357,8 +355,84 @@ def test_qubit_side_rounds_match_per_start_reference(monkeypatch, label, rho, di
     best = max(value for value, _ in starts)
     assert abs(res.value - best) <= 1e-12
     assert res.iterations in {it for value, it in starts if value >= best - 1e-15}
+
+
+@pytest.mark.parametrize("label,rho,dims,measure,x0", _qubit_side_cases())
+def test_qubit_side_rounds_match_per_start_reference(monkeypatch, label, rho, dims, measure, x0):
+    # The qubit X step is the same closed form in both.
+    pencil, calls = mepovm._pencil_x, []
+    monkeypatch.setattr(mepovm, "_pencil_x", lambda *a: calls.append(a) or pencil(*a))
+    _match_per_start_reference(rho, dims, measure, x0)
     if label == "product":  # the rows with c = 0 took the multiplier search
         assert calls
+
+
+def _with_marginal(rng, rho_a, d_b):
+    """A random state on A (x) B, entangled, whose A marginal is rho_a:
+    (T (x) 1) sigma (T (x) 1)^dag with T = rho_a^(1/2) sigma_A^(-1/2)."""
+    d_a = len(rho_a)
+    sigma = random_density(rng, d_a * d_b)
+    vals, vecs = np.linalg.eigh(qmat.partial_trace(sigma, (d_a, d_b), keep=0))
+    r_vals, r_vecs = np.linalg.eigh(rho_a)
+    t = (r_vecs * np.sqrt(np.maximum(r_vals, 0.0))) @ r_vecs.conj().T \
+        @ (vecs / np.sqrt(vals)) @ vecs.conj().T
+    t = np.kron(t, np.eye(d_b))
+    rho = t @ sigma @ t.conj().T
+    return (rho + rho.conj().T) / 2.0 / np.real(np.trace(rho))
+
+
+def _wide_side_cases():
+    """(label, rho, dims, x0) with a measured side of dimension 3 or 6, in the
+    regimes where the coordinate rounds of `_pencil_x` are most fragile."""
+    rng = np.random.default_rng(51)
+    cases = []
+    for d_a, d_b in ((3, 2), (3, 3), (6, 2)):
+        # Singular rho_A: the multiplier bracket is found by doubling.
+        rank = 2 if d_a == 3 else 4
+        rho = _with_marginal(rng, random_density(rng, d_a, rank=rank), d_b)
+        cases.append((f"rank {rank} of {d_a}", rho, (d_a, d_b), None))
+        # Two eigenvalues of rho_A 1e-12 apart.
+        u = random_unitary(rng, d_a)
+        spectrum = rng.uniform(0.2, 1.0, d_a)
+        spectrum[1] = spectrum[0]
+        spectrum /= spectrum.sum()
+        spectrum[1:] += (1e-12, *[0.0] * (d_a - 3), -1e-12)  # the trace stays 1
+        rho_a = (u * spectrum) @ u.conj().T
+        rho = _with_marginal(rng, rho_a, d_b)
+        cases.append(("eigenvalues 1e-12 apart", rho, (d_a, d_b), None))
+        # Warm start from the optimum of a nearby state.
+        generic = random_density(rng, d_a * d_b)
+        x0 = c2_A(0.99 * generic + 0.01 * random_density(rng, d_a * d_b), (d_a, d_b),
+                  restarts=1).x
+        cases.append(("warm start", generic, (d_a, d_b), x0))
+    return cases
+
+
+@pytest.mark.parametrize("label,rho,dims,x0", _wide_side_cases())
+def test_wide_side_rounds_match_per_start_reference(label, rho, dims, x0):
+    # The coordinate rounds against `_pencil_x` on the matrices themselves.
+    _match_per_start_reference(rho, dims, c2_A, x0)
+
+
+def test_wide_side_marginals_are_as_built():
+    # The fragile regimes of `_wide_side_cases` survive the construction.
+    for label, rho, (d_a, d_b), _ in _wide_side_cases():
+        eig = np.linalg.eigvalsh(qmat.partial_trace(rho, (d_a, d_b), keep=0))
+        if label.startswith("rank"):
+            assert np.sum(eig > 1e-12) == int(label.split()[1]) < d_a
+        elif label.startswith("eigenvalues"):
+            assert np.min(np.abs(np.diff(eig) - 1e-12)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_hermitian_basis(d):
+    basis = mepovm._hermitian_basis(d)
+    assert basis.shape == (d * d, d, d)
+    assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+    gram = np.einsum("ijk,lkj->il", basis, basis)
+    np.testing.assert_allclose(gram, 2.0 * np.eye(d * d), atol=1e-14)
+    if d == 2:
+        assert np.array_equal(basis, qmat.PAULIS)
 
 
 def test_restarts_never_start_from_y_plus_minus_one(monkeypatch):
@@ -402,7 +476,7 @@ def test_more_restarts_never_lose():
 @pytest.mark.parametrize("measure", [c2_A, c2_B])
 def test_c2_rejects_bad_input_up_front(monkeypatch, measure):
     calls = []
-    monkeypatch.setattr(mepovm, "_solve_x", lambda *a: calls.append(a))
+    monkeypatch.setattr(mepovm, "_x_step", lambda *a: calls.append(a))
     with pytest.raises(NotAStateError):  # trace 2
         measure(2 * maximally_entangled(2), (2, 2))
     with pytest.raises(NotAStateError):  # negative eigenvalue
@@ -452,7 +526,7 @@ def test_c2_pure_marginal_diagnostic():
     v = random_pure_vector(rng, 2)
     rho = np.kron(np.outer(v, v.conj()), random_density(rng, 2))
     res = c2_A(rho, (2, 2))
-    assert res.pure_marginal
+    assert res.iterations == 0  # the product shortcut, no rounds
     assert res.value == 0.0
 
 
@@ -467,9 +541,15 @@ def test_povm_count_bound():
 
 def test_povm_validation():
     with pytest.raises(DimMismatchError):
-        Povm((np.eye(2) * 0.5,))
+        MePovm2((np.eye(2) * 0.5,), np.eye(2) / 2)
     with pytest.raises(DimMismatchError):
-        Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
+        MePovm2((np.eye(2) / 3, np.eye(2) / 3, np.eye(2) / 3), np.eye(2) / 2)
+    with pytest.raises(DimMismatchError):
+        MePovm2((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])), np.eye(2) / 2)
+    with pytest.raises(DimMismatchError):
+        MePovm2((np.eye(2) / 2, np.eye(3) / 2), np.eye(2) / 2)
+    with pytest.raises(DimMismatchError):
+        MePovm2((np.diag([1.0, 0.0]), np.diag([0.0, 0.9])), np.eye(2) / 2)
     with pytest.raises(DimMismatchError):
         MePovm2((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.diag([0.9, 0.1]))
 
