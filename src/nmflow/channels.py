@@ -35,7 +35,7 @@ from .errors import (
     UnphysicalError,
 )
 from .numutil import adaptive_simpson
-from .qmat import PAULIS, DensityState
+from .qmat import PAULIS
 
 KRAUS_TOL = 1e-10
 PROB_SLACK = 1e-8
@@ -261,18 +261,12 @@ def _apply_superops(k: np.ndarray, states: np.ndarray, dims: tuple[int, ...],
     return out.transpose(0, 3, 4, 1, 5, 6, 2, 7).reshape(-1, n, big, big)
 
 
-def apply_map(qmap, rho, dims: Sequence[int] | None = None, subsystem: int | None = None):
-    """Apply 1 (x) ... (x) Lambda (x) ... (x) 1 with Lambda on one subsystem.
-
-    Accepts a DensityState (dims taken from it, output re-validated) or a raw
-    ndarray with explicit dims. The map acts on the last subsystem by default.
+def apply_map(qmap, rho, dims: Sequence[int], subsystem: int | None = None) -> np.ndarray:
+    """Apply 1 (x) ... (x) Lambda (x) ... (x) 1 with Lambda on one subsystem of
+    the matrix rho with subsystem dimensions dims; the map acts on the last
+    subsystem by default.
     """
-    if isinstance(rho, DensityState):
-        out = apply_map(qmap, rho.matrix, rho.dims, subsystem)
-        return DensityState(out, rho.dims)
     m = np.asarray(rho, dtype=complex)
-    if dims is None:
-        raise DimMismatchError("dims required when applying a map to a raw matrix")
     dims = tuple(int(d) for d in dims)
     if int(np.prod(dims)) != m.shape[0]:
         raise DimMismatchError(f"prod{dims} != matrix dim {m.shape[0]}")

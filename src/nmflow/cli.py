@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from .numutil import thread_count
 
 T1_MINUS = (0.13437, 0.31416)
 MAX_GRID_POINTS = 100_000  # 20x the largest default grid, divisibility-scan's 5001 points
+MAX_SCAN_VALUES = 20_000 * 1501  # --random states x grid points: criterion 06 at full scale
+MAX_DRAWS = 20_000  # hessian-check draws, ~18 KB of peak memory each
 
 
 def write_csv(path: Path, header: list[str], columns: list[list]) -> None:
@@ -35,9 +38,21 @@ def write_csv(path: Path, header: list[str], columns: list[list]) -> None:
     path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
 
+def _strict(value):
+    # The summary with every non-finite float as None, which JSON writes as null.
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_summary(path: Path, summary: dict) -> None:
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True, default=float) + "\n",
-                    encoding="utf-8")
+    """The summary as strict JSON: a non-finite float is written as null."""
+    text = json.dumps(_strict(summary), indent=2, sort_keys=True, default=float, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,11 +106,13 @@ def run_divisibility_scan(cfg, out):
     channel = channel_from_json(cfg.channel) if cfg.channel else quasi_eternal(cfg.alpha, cfg.t0)
     grid = _grid(0.0, cfg.t_max + cfg.step / 2, cfg.step)
     value, cp, p = channel.divisibility(grid)
-    labels = np.where(cp, "CPDivisible", np.where(p, "PNotCP", "NotP"))
+    label = divisibility.DivisibilityLabel
+    cp_div, p_not_cp, not_p = label.CP_DIVISIBLE.value, label.P_NOT_CP.value, label.NOT_P.value
+    labels = np.where(cp, cp_div, np.where(p, p_not_cp, not_p))
     write_csv(out / "divisibility-scan.csv", ["t", "value", "flag"],
               [grid.tolist(), value.tolist(), labels.tolist()])
     n_cp, n_p = int(np.count_nonzero(cp)), int(np.count_nonzero(p & ~cp))
-    counts = {"CPDivisible": n_cp, "NotP": grid.size - n_cp - n_p, "PNotCP": n_p}
+    counts = {cp_div: n_cp, not_p: grid.size - n_cp - n_p, p_not_cp: n_p}
     return {"experiment": "divisibility-scan",
             "fractions": {lab: n / grid.size for lab, n in counts.items() if n},
             "landmark": None}
@@ -124,6 +141,9 @@ def run_mi_scan(cfg, out):
     landmark = None
     if cfg.random < 0:
         raise ConfigParseError(f"--random must be >= 0, got {cfg.random}")
+    if cfg.random * grid.size > MAX_SCAN_VALUES:
+        raise ConfigParseError(f"--random {cfg.random} states on {grid.size} grid points "
+                               f"exceed {MAX_SCAN_VALUES} values")
     if cfg.random:
         onset, state, onsets = witness.min_t_nm_scan(channel, cfg.random, grid, seed=cfg.seed)
         detected = int(np.sum(~np.isnan(onsets)))
@@ -214,8 +234,8 @@ def run_probe_backflow(cfg, out):
 
 
 def run_hessian_check(cfg, out):
-    if cfg.draws < 1:
-        raise ConfigParseError(f"--draws must be >= 1, got {cfg.draws}")
+    if not 1 <= cfg.draws <= MAX_DRAWS:
+        raise ConfigParseError(f"--draws must lie in [1, {MAX_DRAWS}], got {cfg.draws}")
     rng = np.random.default_rng(cfg.seed)
     draws = rng.uniform((-0.5, -0.5, -0.5, -0.2), (1.5, 1.5, 1.5, 0.2), size=(cfg.draws, 4))
     draws[np.abs(draws[:, 3]) < 1e-6, 3] = 0.05

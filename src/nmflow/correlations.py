@@ -1,9 +1,10 @@
 """Correlation functionals: von Neumann entropy, mutual information,
-negativity, and the closed-form guessing probability of commuting ensembles
-with its dual certificate.
+negativity, and the closed-form guessing probability of commuting ensembles.
 
 All entropies use natural logarithms (nats). Entropy, mutual information and
-negativity map one matrix to a float and a (..., D, D) stack to an array.
+negativity take a matrix or a (..., D, D) stack of them, with its subsystem
+dimensions where they need them, and map one matrix to a float and a stack
+to an array.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, NonCommutingError
-from .qmat import DensityState, _as_matrix, partial_trace, partial_transpose
+from .qmat import partial_trace, partial_transpose
 
 EIG_FLOOR = 1e-14
 PROB_TOL = 1e-10
@@ -46,7 +47,7 @@ def entropy(rho):
     Rayleigh quotients v^H rho v of eigh's eigenvectors, which carry only the
     entries' own rounding. Exactly real input runs in real arithmetic.
     """
-    m = _as_matrix(rho)
+    m = np.asarray(rho, dtype=complex)
     if m.shape[-1] == 2:
         return qubit_entropy(m)
     if not m.imag.any():
@@ -55,29 +56,22 @@ def entropy(rho):
     return shannon(np.sum(v.conj() * (m @ v), axis=-2).real)
 
 
-def _dims_of(rho, dims) -> tuple[np.ndarray, tuple[int, ...]]:
-    if isinstance(rho, DensityState):
-        return rho.matrix, rho.dims
-    if dims is None:
-        raise DimMismatchError("dims required for raw matrices")
-    return np.asarray(rho, dtype=complex), tuple(int(d) for d in dims)
-
-
-def mutual_information(rho, dims: Sequence[int] | None = None, cut: int = 1):
+def mutual_information(rho, dims: Sequence[int]):
     """I = S(rho_A) + S(rho_B) - S(rho_AB) across the bipartition that puts the
-    first `cut` subsystems on side A; per matrix of a (..., D, D) stack."""
-    m, dims = _dims_of(rho, dims)
-    if not 0 < cut < len(dims):
-        raise DimMismatchError(f"cut {cut} does not bipartition {len(dims)} subsystems")
-    left = partial_trace(m, dims, keep=range(cut))
-    right = partial_trace(m, dims, keep=range(cut, len(dims)))
+    first subsystem on side A; per matrix of a (..., D, D) stack. Another split
+    is a grouping of the dims: (2, 3, 2) split after two subsystems is (6, 2)."""
+    m = np.asarray(rho, dtype=complex)
+    if len(dims) < 2:
+        raise DimMismatchError(f"{len(dims)} subsystem(s) cannot be bipartitioned")
+    left = partial_trace(m, dims, keep=0)
+    right = partial_trace(m, dims, keep=range(1, len(dims)))
     return entropy(left) + entropy(right) - entropy(m)
 
 
-def negativity(rho, dims: Sequence[int] | None = None, transpose: int = 0):
+def negativity(rho, dims: Sequence[int], transpose: int = 0):
     """N = (||rho^(Gamma)||_1 - 1)/2 with the partial transpose on the given
     subsystem; clamped at 0 against rounding; per matrix of a (..., D, D) stack."""
-    m, dims = _dims_of(rho, dims)
+    m = np.asarray(rho, dtype=complex)
     pt = partial_transpose(m, dims, transpose)
     norm1 = np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=-1)
     return np.maximum(0.0, 0.5 * (norm1 - 1.0))
@@ -92,7 +86,7 @@ class Ensemble:
 
     def __init__(self, probs: Sequence[float], states: Sequence):
         probs = tuple(float(p) for p in probs)
-        states = tuple(_as_matrix(s) for s in states)
+        states = tuple(np.asarray(s, dtype=complex) for s in states)
         if len(states) < 1 or len(probs) != len(states):
             raise DimMismatchError("ensemble needs matching, nonempty probs and states")
         if (not np.all(np.isfinite(probs)) or min(probs) < -PROB_TOL
@@ -104,24 +98,12 @@ class Ensemble:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
 
-    @property
-    def size(self) -> int:
-        return len(self.probs)
 
-    @property
-    def dim(self) -> int:
-        return self.states[0].shape[0]
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GuessingResult:
-    """Optimal guessing data for a commuting ensemble: the value, the dual
-    certificate K (K >= p_i rho_i with Tr K = value), and the optimal
-    projective POVM grouped by winning state index."""
+    """The optimal guessing probability of a commuting ensemble."""
 
     value: float
-    certificate: np.ndarray
-    povm: tuple[np.ndarray, ...]
 
 
 def _common_eigenbasis(mats: Sequence[np.ndarray], tol: float) -> np.ndarray:
@@ -140,12 +122,9 @@ def _common_eigenbasis(mats: Sequence[np.ndarray], tol: float) -> np.ndarray:
 
 
 def guessing_commuting(ens: Ensemble) -> GuessingResult:
-    """Closed-form guessing probability for pairwise-commuting states.
-
-    In the common eigenbasis, P_g = sum_j max_i p_i lambda_{i,j}; the dual
-    certificate K is diagonal there with entries max_i p_i lambda_{i,j}, and
-    the optimal POVM groups eigenprojectors by the winning index i.
-    """
+    """Closed-form guessing probability for pairwise-commuting states: in the
+    common eigenbasis, P_g = sum_j max_i p_i lambda_{i,j}, attained by the
+    eigenprojectors grouped by their winning index i."""
     states = ens.states
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
@@ -157,14 +136,4 @@ def guessing_commuting(ens: Ensemble) -> GuessingResult:
     u = _common_eigenbasis(states, COMM_TOL)
     lam = np.stack([np.real(np.diag(u.conj().T @ s @ u)) for s in states])
     weighted = np.asarray(ens.probs)[:, None] * lam
-    winners = np.argmax(weighted, axis=0)
-    col_max = weighted[winners, np.arange(ens.dim)]
-    value = float(np.sum(col_max))
-    certificate = (u * col_max) @ u.conj().T
-    povm = []
-    for i in range(ens.size):
-        cols = np.flatnonzero(winners == i)
-        p_i = u[:, cols] @ u[:, cols].conj().T if cols.size else np.zeros((ens.dim, ens.dim),
-                                                                          dtype=complex)
-        povm.append(p_i)
-    return GuessingResult(value=value, certificate=certificate, povm=tuple(povm))
+    return GuessingResult(value=float(np.sum(np.max(weighted, axis=0))))

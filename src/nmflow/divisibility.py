@@ -1,15 +1,18 @@
 """CP/P classification of qubit maps and divisibility criteria.
 
-Complete positivity via the minimum Choi eigenvalue, exact positivity of
-affine qubit maps via the trust-region secular equation, the physicality
-threshold T(alpha) = (1/2) log(2^(1/alpha) - 1) of the quasi-eternal family,
-and a scan classifier that splits single-parameter evolutions into
-CP-divisible and not-P intervals. Pointwise divisibility from a family's rates
-is the family's own `divisibility(t)` in `channels`.
+The minimum Choi eigenvalue of a qubit map or of a map over times (the map
+is CP iff it is >= 0), exact positivity of affine qubit maps via the
+trust-region secular equation, the physicality threshold
+T(alpha) = (1/2) log(2^(1/alpha) - 1) of the quasi-eternal family, and a scan
+classifier that splits single-parameter evolutions into CP-divisible and
+not-P intervals, cross-checked against the intermediate maps of the channel.
+Pointwise divisibility from a family's rates is the family's own
+`divisibility(t)` in `channels`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +23,6 @@ from .channels import AffineQubitMap, choi
 from .errors import BadIntervalError, UnphysicalError
 from .numutil import bisect_root
 
-CP_TOL = 1e-9
 P_TOL = 1e-9
 P_MAX_STEPS = 60
 BOUNDARY_TOL = 1e-6  # bisection width of classify_intervals' interval boundaries
@@ -45,17 +47,12 @@ class IntervalClass:
             raise BadIntervalError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
 
 
-def min_choi_eig(qmap, dim: int) -> float:
-    c = choi(qmap, dim)
-    c = (c + c.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(c)[0])
-
-
-def is_cp(qmap, dim: int, tol: float = CP_TOL) -> tuple[bool, float]:
-    """Whether the map is completely positive, plus the minimum Choi eigenvalue
-    for diagnostics."""
-    m = min_choi_eig(qmap, dim)
-    return m >= -tol, m
+def min_choi_eig(qmap):
+    """Smallest eigenvalue of the Choi matrix of a qubit map: a float for one
+    map, an array over the times for a map over times. The Choi matrices of
+    the package's maps are exactly Hermitian, so eigvalsh reads them as they
+    are."""
+    return np.linalg.eigvalsh(choi(qmap, 2))[..., 0][()]
 
 
 def is_p_qubit(qmap: AffineQubitMap, tol: float = P_TOL) -> bool:
@@ -110,21 +107,22 @@ def physicality_threshold(alpha: float) -> float:
     if not 0 < alpha < np.inf:  # also rejects NaN
         raise UnphysicalError(f"alpha must be positive and finite, got {alpha}")
     # log(2^(1/alpha) - 1) = x + log(1 - e^-x) with x = log(2)/alpha: no overflow
-    # for small alpha, no cancellation for large alpha.
-    x = np.log(2.0) / alpha
+    # for small alpha, no cancellation for large alpha. Float division gives
+    # x = inf, and T = inf, without a warning where log(2)/alpha overflows.
+    x = math.log(2.0) / float(alpha)
     return 0.5 * float(x + np.log(-np.expm1(-x)))
 
 
-def classify_intervals(gamma, t_max: float, step: float = 1e-2,
-                       channel=None) -> list[IntervalClass]:
+def classify_intervals(gamma, t_max: float, step: float, channel) -> list[IntervalClass]:
     """Split [0, t_max] into CP-divisible (gamma >= 0) and not-P (gamma < 0)
     intervals for a single-parameter evolution with rate function gamma(t).
 
     Interval boundaries are located by a coarse scan followed by bisection to
     BOUNDARY_TOL. Rates oscillating faster than the scan step are out of
-    scope. When `channel` (providing intermediate(t, s)) is passed, each
-    interval midpoint is cross-checked: a map that is P but not CP would
-    falsify the two-label classification and triggers a warning.
+    scope. Each interval midpoint is cross-checked on the intermediate map
+    channel.intermediate(t, t + dt): a map that is P but not CP would falsify
+    the two-label classification and triggers a warning, as does a map that
+    contradicts its label.
     """
     if t_max <= 0 or step <= 0:
         raise BadIntervalError("need t_max > 0 and step > 0")
@@ -151,14 +149,13 @@ def classify_intervals(gamma, t_max: float, step: float = 1e-2,
             intervals[-1] = IntervalClass(intervals[-1].t_start, b, label)
         else:
             intervals.append(IntervalClass(a, b, label))
-        if channel is not None:
-            _check_interval_consistency(channel, mid, min(step, b - mid), label)
+        _check_interval_consistency(channel, mid, min(step, b - mid), label)
     return intervals
 
 
 def _check_interval_consistency(channel, t: float, dt: float, label: DivisibilityLabel) -> None:
     v = channel.intermediate(t, t + dt)
-    cp, _ = is_cp(v, 2, tol=1e-7)
+    cp = min_choi_eig(v) >= -1e-7
     p = is_p_qubit(v, tol=1e-7)
     if (not cp) and p:
         warnings.warn(f"intermediate map at t={t:.6f} is P but not CP; "

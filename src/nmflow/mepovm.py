@@ -54,7 +54,6 @@ from .qmat import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _as_matrix,
     herm_eig,
     partial_trace,
     require_hermitian,
@@ -75,13 +74,12 @@ MU_MAX_STEPS = 100
 
 @dataclass(frozen=True, eq=False)
 class MePovm2:
-    """Two positive effects summing to the identity, with outcome probability
-    1/2 each on a reference state."""
+    """Two positive effects summing to the identity, checked to have outcome
+    probability 1/2 each on a reference state."""
 
     effects: tuple[np.ndarray, np.ndarray]
-    reference: np.ndarray
 
-    def __init__(self, effects: Sequence[np.ndarray], reference):
+    def __init__(self, effects: Sequence[np.ndarray], reference: np.ndarray):
         ops = tuple(np.asarray(e, dtype=complex) for e in effects)
         if len(ops) != 2:
             raise DimMismatchError("MePovm2 needs exactly two effects")
@@ -93,13 +91,11 @@ class MePovm2:
                 raise DimMismatchError("POVM effect is not positive semidefinite")
         if float(np.max(np.abs(ops[0] + ops[1] - np.eye(d)))) > COMPLETENESS_TOL:
             raise DimMismatchError("POVM effects do not sum to the identity")
-        ref = _as_matrix(reference)
         for e in ops:
-            q = float(np.real(np.trace(ref @ e)))
+            q = float(np.real(np.trace(reference @ e)))
             if abs(q - 0.5) > ME_TOL:
                 raise DimMismatchError(f"outcome probability {q} deviates from 1/2")
         object.__setattr__(self, "effects", ops)
-        object.__setattr__(self, "reference", ref)
 
 
 def construct_me_povm(rho_a) -> MePovm2:
@@ -109,7 +105,7 @@ def construct_me_povm(rho_a) -> MePovm2:
     cumulative weight reaches 1/2 and split that eigenprojector by
     omega = (1/2 - S(i-1)) / pi_i; the construction always succeeds.
     """
-    ref = _as_matrix(rho_a)
+    ref = np.asarray(rho_a, dtype=complex)
     vals, vecs = herm_eig(ref)
     cum = np.cumsum(vals)
     i_bar = int(np.searchsorted(cum, 0.5, side="left"))
@@ -128,7 +124,7 @@ def construct_me_povm(rho_a) -> MePovm2:
 def c2_closed_probe(rho1, rho2):
     """C of the classical-quantum probe in closed form: ||rho1 - rho2||_1 / 4;
     an array of values for (..., n, n) stacks."""
-    a, b = _as_matrix(rho1), _as_matrix(rho2)
+    a, b = np.asarray(rho1, dtype=complex), np.asarray(rho2, dtype=complex)
     if a.shape != b.shape:
         raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
     return trace_norm(a - b) / 4.0
@@ -153,7 +149,7 @@ def povm_count_bound(d_a: int, d_b: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class C2Result:
-    """The best see-saw value, its ME-POVM {(1 + x)/2, (1 - x)/2} and x itself.
+    """The best see-saw value and the x of its ME-POVM {(1 + x)/2, (1 - x)/2}.
 
     `iterations` is the round in which the winning start stopped gaining: the
     first round whose value exceeded the start's best so far by at most
@@ -162,7 +158,6 @@ class C2Result:
     """
 
     value: float
-    povm: MePovm2
     x: np.ndarray = field(repr=False)
     iterations: int
 
@@ -439,8 +434,7 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
     if int(np.sum(eig_a > 1e-12)) <= 1:
         # Pure marginal: rho_AB is a product, every ME-POVM steers identical
         # states and the measure vanishes.
-        return C2Result(value=0.0, povm=construct_me_povm(rho_a),
-                        x=np.zeros((d_a, d_a)), iterations=0)
+        return C2Result(value=0.0, x=np.zeros((d_a, d_a)), iterations=0)
     rho4 = m.reshape(d_a, d_b, d_a, d_b)
 
     # Each start after the eigenbasis ME-POVM projects a B-side Hermitian to a
@@ -486,10 +480,7 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
             break
         x = step(y[grows])
     best = int(np.argmax(value))
-    x = _matrix(best_x[best], basis)
-    p1 = (np.eye(d_a) + x) / 2.0
-    povm = MePovm2((p1, np.eye(d_a) - p1), rho_a)
-    return C2Result(value=float(value[best]), povm=povm, x=x,
+    return C2Result(value=float(value[best]), x=_matrix(best_x[best], basis),
                     iterations=int(iterations[best]))
 
 
@@ -497,9 +488,10 @@ def _swap_sides(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return m.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2).reshape(m.shape)
 
 
-def c2_B(rho, dims: Sequence[int] | None = None, cut: int = 1, **kwargs) -> C2Result:
-    """Same optimization with the ME-POVM on the B side."""
-    m, d_a, d_b = _bipartite(rho, dims, cut)
+def c2_B(rho, dims: Sequence[int] | None = None, **kwargs) -> C2Result:
+    """Same optimization with the ME-POVM on the B side: every subsystem after
+    the first (group the dims for another split)."""
+    m, d_a, d_b = _bipartite(rho, dims, 1)
     return c2_A(_swap_sides(m, d_a, d_b), (d_b, d_a), cut=1, **kwargs)
 
 

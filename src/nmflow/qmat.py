@@ -25,10 +25,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-def _as_matrix(obj) -> np.ndarray:
-    return obj.matrix if isinstance(obj, DensityState) else np.asarray(obj, dtype=complex)
-
-
 def herm_defect(m: np.ndarray) -> float:
     """Max-abs entrywise deviation from M = M^dagger, over a whole stack."""
     m = np.asarray(m)
@@ -51,7 +47,7 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues sorted descending, eigenvectors as matching columns).
     Raises NonHermitianError if the symmetry defect exceeds HERM_TOL.
     """
-    m = require_hermitian(_as_matrix(m))
+    m = require_hermitian(m)
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
@@ -59,7 +55,7 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 def herm_eigvals(m) -> np.ndarray:
     """Descending eigenvalues of a Hermitian matrix, or of each matrix of a stack."""
-    m = require_hermitian(_as_matrix(m))
+    m = require_hermitian(m)
     return np.linalg.eigvalsh(m)[..., ::-1]
 
 
@@ -88,7 +84,7 @@ def partial_trace(m, dims: Sequence[int], keep: int | Iterable[int]) -> np.ndarr
     Kept subsystems retain their original order. `keep` may be a single index
     or an iterable of indices.
     """
-    m = _as_matrix(m)
+    m = np.asarray(m, dtype=complex)
     dims = _check_dims(m, dims)
     n, lead = len(dims), m.shape[:-2]
     if isinstance(keep, (int, np.integer)):
@@ -107,7 +103,7 @@ def partial_trace(m, dims: Sequence[int], keep: int | Iterable[int]) -> np.ndarr
 def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:
     """Transpose a single subsystem of a multipartite operator, or of each
     operator of a (..., D, D) stack."""
-    m = _as_matrix(m)
+    m = np.asarray(m, dtype=complex)
     dims = _check_dims(m, dims)
     n, lead = len(dims), m.shape[:-2]
     if subsystem < 0 or subsystem >= n:

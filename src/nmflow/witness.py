@@ -1,13 +1,14 @@
 """Time-scan drivers and analysis tools for correlation backflows.
 
-Backflow detection over a time grid with bisection-refined onsets, the
-entanglement-breaking time of an evolved maximally entangled pair and its
-mutual information and negativity in closed form under Pauli channels, Haar
-sampling of pure state vectors with a vectorized mutual-information scan, the
-generalized-amplitude-damping scan over weakly entangled probes, a spectral
-first/second-derivative toolkit for functions of parametrized Hermitian
-families, and the closed-form Hessian spectrum of the mutual-information rate
-at stationary states of random-unitary qubit dynamics.
+Backflow detection over a time grid, with fixed increase margins and onsets
+refined by bisection to ONSET_REFINE_TOL; the mutual information and
+negativity of the maximally entangled pair with one half under a Pauli
+channel in closed form, and its entanglement-breaking time from that
+negativity; Haar sampling of pure state vectors with a vectorized
+mutual-information scan; the generalized-amplitude-damping scan over weakly
+entangled probes; a spectral first/second-derivative toolkit for functions of
+parametrized Hermitian families; and the closed-form Hessian spectrum of the
+mutual-information rate at stationary states of random-unitary qubit dynamics.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import correlations, qmat
-from .channels import GadcChannel, _apply_superops, apply_map, choi
+from . import correlations
+from .channels import GadcChannel, _apply_superops, apply_map
+from .divisibility import min_choi_eig
 from .errors import (
     BoundaryStateError,
     ConfigParseError,
@@ -31,13 +33,14 @@ from .errors import (
     PrecisionLossWarning,
 )
 from .numutil import bisect_root, chunk_indices, parallel_map
-from .qmat import PAULIS, DensityState, maximally_entangled
+from .qmat import PAULIS, DensityState
 
-ONSET_MARGIN = 1e-10
-ONSET_REFINE_TOL = 1e-4
+ONSET_MARGIN = 1e-10  # rise per grid step that counts as an increase
+SCAN_MARGIN = 1e-12  # min_t_nm_scan's increase margin (see there)
+ONSET_REFINE_TOL = 1e-4  # bisection width of a refined onset
 EB_FLOOR = 1e-12  # negativity at or below which find_t_eb counts the pair as separable
 EB_CHUNK = 1024  # coarse-scan points per find_t_eb stack
-EB_COARSE = 0.05  # find_t_eb's default coarse-scan step
+EB_COARSE = 0.05  # find_t_eb's coarse-scan step
 CHUNK_TIMES = 128  # times per mi_series chunk
 CHUNK_MATRICES = 2 ** 17  # states per mi_series chunk, summed over its times
 DEG_TOL = 1e-12  # eigenvalue gap within which spectral_derivs groups a degenerate pair
@@ -66,8 +69,8 @@ def _check_grid(grid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """An initial density matrix, the channel evolving one subsystem, and a
-    finite, strictly increasing time grid (all checked when built).
+    """An initial density matrix, the channel evolving its last subsystem, and
+    a finite, strictly increasing time grid (all checked when built).
 
     A measure maps (states, dims) to values: `measure_series` calls it once on
     the (T, D, D) stack of the grid states, `measure_at` on a single matrix.
@@ -77,31 +80,26 @@ class Trajectory:
     channel: object
     dims: tuple[int, ...]
     grid: np.ndarray
-    subsystem: int = -1
 
     def __post_init__(self):
         grid = _check_grid(self.grid)
-        state = DensityState(qmat._as_matrix(self.initial), self.dims)
-        dims = state.dims
-        if not -len(dims) <= self.subsystem < len(dims):
-            raise DimMismatchError(f"subsystem {self.subsystem} out of range for {dims}")
+        state = DensityState(self.initial, self.dims)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "initial", state.matrix)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "subsystem", self.subsystem % len(dims))
+        object.__setattr__(self, "dims", state.dims)
 
     def state_at(self, t: float) -> np.ndarray:
-        return apply_map(self.channel.as_affine(t), self.initial, self.dims, self.subsystem)
+        return apply_map(self.channel.as_affine(t), self.initial, self.dims)
 
     def measure_at(self, measure: Callable, t: float) -> float:
         return float(measure(self.state_at(t), self.dims))
 
     def measure_series(self, measure: Callable) -> np.ndarray:
         k = self.channel.as_affine(self.grid).superop
-        if k.shape[-1] != self.dims[self.subsystem]:
-            raise DimMismatchError(f"a map on dimension {k.shape[-1]} cannot act on subsystem "
-                                   f"{self.subsystem} of {self.dims}")
-        states = _apply_superops(k, self.initial[None], self.dims, self.subsystem)[:, 0]
+        if k.shape[-1] != self.dims[-1]:
+            raise DimMismatchError(f"a map on dimension {k.shape[-1]} cannot act on the last "
+                                   f"subsystem of {self.dims}")
+        states = _apply_superops(k, self.initial[None], self.dims, len(self.dims) - 1)[:, 0]
         return np.asarray(measure(states, self.dims), dtype=float)
 
 
@@ -111,22 +109,17 @@ class BackflowReport:
 
     onsets: tuple[float, ...]
     intervals: tuple[tuple[float, float], ...]
-    max_derivative: float
 
 
 def _increase_intervals(grid: np.ndarray, series: np.ndarray, margin: float):
     # Maximal runs of steps that rise by more than margin, as (start time, end
-    # time, index of the first step), plus the largest difference quotient.
-    diffs = np.diff(series)
-    edges = np.diff(np.concatenate(([0], (diffs > margin).astype(np.int8), [0])))
+    # time, index of the first step).
+    edges = np.diff(np.concatenate(([0], (np.diff(series) > margin).astype(np.int8), [0])))
     starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    intervals = [(float(grid[i]), float(grid[j]), int(i)) for i, j in zip(starts, stops)]
-    max_deriv = float(np.max(diffs / np.diff(grid))) if diffs.size else 0.0
-    return intervals, max_deriv
+    return [(float(grid[i]), float(grid[j]), int(i)) for i, j in zip(starts, stops)]
 
 
-def scan_backflow(measure: Callable, traj: Trajectory, margin: float = ONSET_MARGIN,
-                  refine_tol: float = ONSET_REFINE_TOL) -> BackflowReport:
+def scan_backflow(measure: Callable, traj: Trajectory) -> BackflowReport:
     """Locate intervals where a correlation measure increases along a trajectory.
 
     The measure is evaluated once on the trajectory's (T, D, D) state stack
@@ -134,27 +127,23 @@ def scan_backflow(measure: Callable, traj: Trajectory, margin: float = ONSET_MAR
     measure (see series_backflow). Empty report on CP-divisible dynamics.
     """
     return series_backflow(traj.grid, traj.measure_series(measure),
-                           lambda t: traj.measure_at(measure, t), margin, refine_tol)
+                           lambda t: traj.measure_at(measure, t))
 
 
-def series_backflow(grid: np.ndarray, series: np.ndarray, at: Callable[[float], float],
-                    margin: float = ONSET_MARGIN,
-                    refine_tol: float = ONSET_REFINE_TOL) -> BackflowReport:
+def series_backflow(grid: np.ndarray, series: np.ndarray,
+                    at: Callable[[float], float]) -> BackflowReport:
     """Increase intervals of a series sampled on a grid: maximal runs of steps
-    that rise by more than margin. Onsets are the first grid times of each
-    interval, refined to refine_tol by bisection on the local
+    that rise by more than ONSET_MARGIN. Onsets are the first grid times of
+    each interval, refined to ONSET_REFINE_TOL by bisection on the local
     (central-difference) time derivative of at(t), the series as a scalar
     function of time.
     """
-    _check_positive(refine_tol=refine_tol)
-    raw, max_deriv = _increase_intervals(grid, series, margin)
-    return BackflowReport(onsets=tuple(_refine_onset(at, grid, i, refine_tol) for _, _, i in raw),
-                          intervals=tuple((start, end) for start, end, _ in raw),
-                          max_derivative=max_deriv)
+    raw = _increase_intervals(grid, series, ONSET_MARGIN)
+    return BackflowReport(onsets=tuple(_refine_onset(at, grid, i) for _, _, i in raw),
+                          intervals=tuple((start, end) for start, end, _ in raw))
 
 
-def _refine_onset(at: Callable[[float], float], grid: np.ndarray, idx: int,
-                  tol: float) -> float:
+def _refine_onset(at: Callable[[float], float], grid: np.ndarray, idx: int) -> float:
     if idx == 0:
         return float(grid[0])
     delta = min(1e-5, float(grid[idx] - grid[idx - 1]) / 4.0)
@@ -165,7 +154,7 @@ def _refine_onset(at: Callable[[float], float], grid: np.ndarray, idx: int,
     lo, hi = float(grid[idx - 1]), float(grid[idx + 1] if idx + 1 < grid.size else grid[idx])
     if deriv(lo) > 0:
         return float(grid[idx])
-    while hi - lo > tol:
+    while hi - lo > ONSET_REFINE_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # the bracket is down to adjacent floats
@@ -176,33 +165,28 @@ def _refine_onset(at: Callable[[float], float], grid: np.ndarray, idx: int,
     return 0.5 * (lo + hi)
 
 
-def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0, coarse: float = EB_COARSE) -> float:
-    """First time the negativity of the evolved maximally entangled pair hits 0.
+def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0) -> float:
+    """First time the negativity of phi+ with one half under a Pauli channel
+    (one with `probs`, such as `quasi_eternal`) hits 0.
 
-    Coarse scan over the accumulated points 0, coarse, coarse + coarse, ...
-    up to t_max, evaluated in stacks of at most EB_CHUNK points, followed by
-    bisection to tol between the last point above EB_FLOOR and the first at or
-    below it; raises NeverBreakingError when the negativity stays positive up
-    to t_max.
+    Coarse scan over the accumulated points 0, EB_COARSE, EB_COARSE +
+    EB_COARSE, ... up to t_max, evaluated with `phi_plus_negativity` in stacks
+    of at most EB_CHUNK points, followed by bisection to tol between the last
+    point above EB_FLOOR and the first at or below it; raises
+    NeverBreakingError when the negativity stays positive up to t_max.
     """
-    _check_positive(tol=tol, coarse=coarse, t_max=t_max)
-    phi = maximally_entangled(2)[None]
-
-    def neg(ts: np.ndarray) -> np.ndarray:
-        states = _apply_superops(channel.as_affine(ts).superop, phi, (2, 2), 1)[:, 0]
-        return correlations.negativity(states, (2, 2), transpose=0)
-
+    _check_positive(tol=tol, t_max=t_max)
     start = 0.0
     while True:
-        ts = np.cumsum(np.concatenate(([start], np.full(EB_CHUNK, coarse))))
+        ts = np.cumsum(np.concatenate(([start], np.full(EB_CHUNK, EB_COARSE))))
         ts = ts[ts <= t_max + 1e-12]
-        values = neg(ts)
+        values = phi_plus_negativity(channel, ts)
         hits = np.flatnonzero(values[1:] <= EB_FLOOR)
         if hits.size:
             k = int(hits[0]) + 1
             if values[k - 1] <= EB_FLOOR:
                 return float(ts[k - 1])  # already separable at the previous point
-            return bisect_root(lambda s: float(neg(np.array([s]))[0]) - EB_FLOOR,
+            return bisect_root(lambda s: float(phi_plus_negativity(channel, s)) - EB_FLOOR,
                                float(ts[k - 1]), float(ts[k]), tol=tol)
         if ts.size <= EB_CHUNK:
             raise NeverBreakingError(f"negativity still {values[-1]:.3e} at t = {t_max}")
@@ -290,33 +274,28 @@ def _non_cp_steps(channel, grid: np.ndarray) -> np.ndarray:
     # Steps [t_i, t_i+1] whose intermediate map is not strictly CP: smallest
     # Choi eigenvalue <= 0 (the CP boundary included) or NaN, or no such map.
     try:
-        chois = choi(channel.intermediate(grid[:-1], grid[1:]), 2)
+        return ~(min_choi_eig(channel.intermediate(grid[:-1], grid[1:])) > 0.0)
     except NmflowError:
         return np.ones(grid.size - 1, dtype=bool)
-    return ~(np.linalg.eigvalsh(chois)[:, 0] > 0.0)
 
 
-SCAN_MARGIN = 1e-12
-
-
-def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0,
-                  margin: float = SCAN_MARGIN, refine_tol: float = ONSET_REFINE_TOL):
+def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     """Minimum mutual-information backflow onset over Haar-random pure states.
 
     Returns (min onset time, argmin state vector, per-state onset times with
     NaN for states showing no backflow). The argmin onset is refined by
-    bisection; the rest are grid-resolution values. A state's onset is its
-    first step that rises by more than margin. I(t) cannot rise across a step
-    whose intermediate map is CP (data processing), so the states are only
-    evaluated at the ends of steps whose smallest Choi eigenvalue is <= 0.
+    bisection to ONSET_REFINE_TOL; the rest are grid-resolution values. A
+    state's onset is its first step that rises by more than SCAN_MARGIN. I(t)
+    cannot rise across a step whose intermediate map is CP (data processing),
+    so the states are only evaluated at the ends of steps whose smallest Choi
+    eigenvalue is <= 0.
 
-    The increase margin defaults to 1e-12 rather than the generic 1e-10 of
-    scan_backflow: the earliest-onset states are nearly product states whose
-    mutual information tops out around 1e-4 .. 1e-6, so an absolute 1e-10
-    threshold would systematically delay their detected onsets, while 1e-12
-    still sits three decades above the arithmetic noise of the scan.
+    SCAN_MARGIN is 1e-12 rather than the generic ONSET_MARGIN of
+    scan_backflow, 1e-10: the earliest-onset states are nearly product states
+    whose mutual information tops out around 1e-4 .. 1e-6, so an absolute
+    1e-10 threshold would systematically delay their detected onsets, while
+    1e-12 still sits three decades above the arithmetic noise of the scan.
     """
-    _check_positive(refine_tol=refine_tol)
     if not count >= 1:
         raise ConfigParseError(f"count must be >= 1, got {count}")
     grid = _check_grid(grid)
@@ -327,7 +306,7 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0,
     points = np.union1d(steps, steps + 1)
     series = mi_series(channel, vectors, grid[points])
     at = np.searchsorted(points, steps)
-    rising = series[at + 1] - series[at] > margin
+    rising = series[at + 1] - series[at] > SCAN_MARGIN
     idx = steps[rising.argmax(axis=0)]
     onsets = np.where(rising.any(axis=0), grid[idx], np.nan)
     if np.all(np.isnan(onsets)):
@@ -335,7 +314,7 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0,
     best = int(np.nanargmin(onsets))
     traj = Trajectory(np.outer(vectors[best], vectors[best].conj()), channel, (2, 2), grid)
     refined = _refine_onset(lambda t: traj.measure_at(correlations.mutual_information, t),
-                            grid, int(idx[best]), refine_tol)
+                            grid, int(idx[best]))
     return float(refined), vectors[best], onsets
 
 
@@ -379,7 +358,7 @@ def gadc_epsilon_scan(eps_list: Sequence[float],
             warnings.warn(f"eps = {eps}: mutual information at machine-noise level",
                           PrecisionLossWarning)
         margin = max(1e-14, 1e-4 * eps * eps * float(np.mean(np.diff(grid))) / 1e-3)
-        raw, _ = _increase_intervals(grid, column, margin)
+        raw = _increase_intervals(grid, column, margin)
         interval = None
         if raw:
             interval = (raw[0][0], raw[-1][1])

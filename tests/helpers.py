@@ -8,10 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
-from nmflow import mepovm, qmat
+from nmflow import correlations, mepovm, qmat
 from nmflow.channels import GadcChannel, KrausChannel
 from nmflow.errors import DimMismatchError, NonHermitianError, NotAStateError
-from nmflow.qmat import PAULIS, _as_matrix
+from nmflow.qmat import PAULIS
 
 
 # 4x4 matrices that are not density matrices, with the error each must raise.
@@ -99,10 +99,20 @@ def divisibility_rates(gx, gy, gz) -> dict:
 
 def trace_distance(rho, sigma) -> float:
     """D(rho, sigma) = ||rho - sigma||_1 / 2."""
-    a, b = _as_matrix(rho), _as_matrix(sigma)
+    a, b = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
     if a.shape != b.shape:
         raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
+def guessing_certificate(ens: correlations.Ensemble) -> np.ndarray:
+    """The dual certificate K of the guessing probability of a commuting
+    ensemble: diagonal in the common eigenbasis, with the entries
+    max_i p_i lambda_ij, so that K >= p_i rho_i for every i and Tr K = P_g."""
+    u = correlations._common_eigenbasis(ens.states, correlations.COMM_TOL)
+    lam = np.stack([np.real(np.diag(u.conj().T @ s @ u)) for s in ens.states])
+    col_max = np.max(np.asarray(ens.probs)[:, None] * lam, axis=0)
+    return (u * col_max) @ u.conj().T
 
 
 def back_operator(rho4: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -369,6 +369,70 @@ def test_cli_bounds_grid_points_before_allocating(monkeypatch, tmp_path, capsys,
     assert f"exceeds {cli.MAX_GRID_POINTS}" in err
 
 
+class Reached(Exception):
+    """Raised by a stub where the CLI has passed its checks and starts the work."""
+
+
+def _reached(*args, **kwargs):
+    raise Reached
+
+
+@pytest.mark.parametrize("argv", [
+    ["hessian-check", "--draws", "1" + "0" * 30],
+    ["hessian-check", "--draws", str(cli.MAX_DRAWS + 1)],
+    ["mi-scan", "--random", "1" + "0" * 30],
+    ["mi-scan", "--random", "20000"],  # on the default 4001-point grid
+])
+def test_cli_bounds_counts_before_allocating(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.setattr(np.random, "default_rng", _reached)
+    monkeypatch.setattr(witness, "min_t_nm_scan", _reached)
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["hessian-check", "--draws", str(cli.MAX_DRAWS)],
+    ["mi-scan", "--random", "20000", "--t-max", "3", "--step", "2e-3"],  # criterion 06
+])
+def test_cli_count_bounds_keep_the_full_scale_runs(monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(witness, "mi_rate_hessian", _reached)
+    monkeypatch.setattr(witness, "min_t_nm_scan", _reached)
+    with pytest.raises(Reached):
+        main(argv + ["--out", str(tmp_path)])
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+@pytest.mark.parametrize("argv, key", [(["physicality", "--alpha", "5e-324"], "threshold"),
+                                       (["mi-scan", "--alpha", "1e300"], "onset")])
+def test_non_finite_summary_values_are_null(tmp_path, argv, key):
+    # T(5e-324) overflows to inf, and the phi+ series of alpha = 1e300 has no
+    # onset (nan). Strict JSON has neither: both are written as null, and the
+    # overflow raises no RuntimeWarning.
+    src = str(Path(nmflow.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "nmflow.cli", *argv, "--out", str(tmp_path)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "RuntimeWarning" not in out.stderr
+    text = (tmp_path / f"{argv[0]}.json").read_text()
+    assert json.loads(text, parse_constant=_reject_constant)[key] is None
+
+
+def test_write_summary_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "summary.json"
+    cli.write_summary(path, {"a": float("inf"), "b": [np.float64("nan"), (1.5, -np.inf)],
+                             "c": {"d": np.float64(0.25), "e": None, "f": True}})
+    assert json.loads(path.read_text(), parse_constant=_reject_constant) == {
+        "a": None, "b": [None, [1.5, None]], "c": {"d": 0.25, "e": None, "f": True}}
+    # A non-finite value that reaches json only through default=float is refused.
+    with pytest.raises(ValueError):
+        cli.write_summary(path, {"a": np.float32("inf")})
+
+
 def test_grid_bound_is_on_the_point_count():
     n = cli.MAX_GRID_POINTS
     assert cli._grid(0.0, 1.0, 1.0 / n).size <= n
@@ -391,7 +455,7 @@ def test_cli_rejects_out_of_range_integers(tmp_path, capsys, argv):
 FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-0.0", "-1", "-1e300", "1e300", "1e-300",
                "5e-324", "0.5", "2", "abc", "", "1,5")
 FUZZ_INTS = ("-1", "0", "1", "2", "6", "1" + "0" * 400, "-" + "9" * 30, "1.5", "abc", "")
-FUZZ_COUNTS = ("-1", "0", "1", "2", "1.5", "abc", "")
+FUZZ_COUNTS = ("-1", "0", "1", "2", "1" + "0" * 30, "1.5", "abc", "")
 FUZZ_STRINGS = {"--eps": st.lists(st.sampled_from(FUZZ_FLOATS + ("1e-3",)), min_size=1,
                                   max_size=3).map(",".join),
                 "--channel": st.sampled_from(("", "{}", "[1]", "not json",

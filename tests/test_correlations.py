@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     apply_kraus,
+    guessing_certificate,
     operator_basis,
     probe_pair_at_tau,
     random_density,
@@ -19,7 +20,6 @@ from nmflow.correlations import (
     EIG_FLOOR,
     Ensemble,
     _common_eigenbasis,
-    _dims_of,
     entropy,
     guessing_commuting,
     mutual_information,
@@ -27,7 +27,7 @@ from nmflow.correlations import (
 )
 from nmflow.errors import DimMismatchError, NmflowError, NonCommutingError
 from nmflow.numutil import bisect_root
-from nmflow.qmat import SIGMA_X, _as_matrix, maximally_entangled, partial_trace
+from nmflow.qmat import SIGMA_X, maximally_entangled, partial_trace
 
 
 class NotClassicalQuantumError(NmflowError, ValueError):
@@ -46,7 +46,7 @@ def guessing_two(rho1, rho2) -> float:
 
 def helstrom_two(p1: float, rho1, p2: float, rho2) -> float:
     """Binary discrimination with priors: P_g = (1 + ||p1 rho1 - p2 rho2||_1)/2."""
-    a, b = _as_matrix(rho1), _as_matrix(rho2)
+    a, b = np.asarray(rho1, dtype=complex), np.asarray(rho2, dtype=complex)
     if a.shape != b.shape:
         raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
     return 0.5 * (1.0 + float(np.sum(np.abs(np.linalg.eigvalsh(p1 * a - p2 * b)))))
@@ -70,7 +70,7 @@ def _cq_blocks(m: np.ndarray, d_cls: int, d_q: int, tol: float) -> list[tuple[fl
     return out
 
 
-def singlet_fraction_cq(rho, dims: Sequence[int] | None = None, tol: float = 1e-9) -> float:
+def singlet_fraction_cq(rho, dims: Sequence[int], tol: float = 1e-9) -> float:
     """One-sided singlet fraction of a classical-quantum state
     sum_i p_i |i><i| (x) rho_i: equals the guessing probability of {p_i, rho_i}.
 
@@ -78,7 +78,7 @@ def singlet_fraction_cq(rho, dims: Sequence[int] | None = None, tol: float = 1e-
     orthonormal basis (searched for if the computational one fails). Branches
     with three or more mutually non-commuting states raise NonCommutingError.
     """
-    m, dims = _dims_of(rho, dims)
+    m, dims = np.asarray(rho, dtype=complex), tuple(dims)
     if len(dims) < 2:
         raise DimMismatchError("need a classical register plus a quantum part")
     d_cls = dims[0]
@@ -359,17 +359,20 @@ def test_guessing_commuting_certificate_and_povm():
               np.diag([0.0, 1.0]).astype(complex))
     ens = Ensemble(p, states)
     res = guessing_commuting(ens)
-    # Dual certificate: Tr K = value and K >= p_i rho_i.
-    assert float(np.real(np.trace(res.certificate))) == pytest.approx(res.value, abs=1e-14)
+    # Dual certificate: Tr K = value and K >= p_i rho_i, so no POVM does better.
+    certificate = guessing_certificate(ens)
+    assert float(np.real(np.trace(certificate))) == pytest.approx(res.value, abs=1e-14)
     for pi, rho in zip(p, states):
-        gap = res.certificate - pi * rho
+        gap = certificate - pi * rho
         assert np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0] >= -1e-12
-    # The returned POVM achieves the value.
-    achieved = sum(pi * np.real(np.trace(rho @ eff))
-                   for pi, rho, eff in zip(p, states, res.povm))
+    # The eigenprojectors grouped by winning index form a POVM that achieves it.
+    u = _common_eigenbasis(states, 1e-9)
+    lam = np.stack([np.real(np.diag(u.conj().T @ rho @ u)) for rho in states])
+    winners = np.argmax(np.asarray(p)[:, None] * lam, axis=0)
+    povm = [u[:, winners == i] @ u[:, winners == i].conj().T for i in range(len(p))]
+    achieved = sum(pi * np.real(np.trace(rho @ eff)) for pi, rho, eff in zip(p, states, povm))
     assert achieved == pytest.approx(res.value, abs=1e-12)
-    total = sum(res.povm)
-    np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(sum(povm), np.eye(2), atol=1e-12)
 
 
 def test_guessing_commuting_single_state():

@@ -9,8 +9,8 @@ from nmflow.correlations import mutual_information
 from nmflow.divisibility import (
     DivisibilityLabel,
     classify_intervals,
-    is_cp,
     is_p_qubit,
+    min_choi_eig,
     physicality_threshold,
 )
 from nmflow.errors import UnphysicalError
@@ -35,26 +35,36 @@ def rhp_g(channel, t: float, dt: float = 1e-6) -> float:
     return (norm1 - 1.0) / dt
 
 
+CP_TOL = 1e-9  # minimum Choi eigenvalue down to which these tests count a map as CP
+
+
 def test_is_cp_identity():
-    ok, min_eig = is_cp(AffineQubitMap((1.0, 1.0, 1.0)), 2)
-    assert ok
+    min_eig = min_choi_eig(AffineQubitMap((1.0, 1.0, 1.0)))
+    assert min_eig >= -CP_TOL
     assert min_eig == pytest.approx(0.0, abs=1e-12)
 
 
 def test_is_cp_quasi_eternal_intermediate_past_t0():
     ch = quasi_eternal(0.4, 2.0)
-    ok, min_eig = is_cp(ch.intermediate(3.0, 3.1), 2)
-    assert not ok
-    assert min_eig < -1e-6
+    assert min_choi_eig(ch.intermediate(3.0, 3.1)) < -1e-6
     # Before t0 all rates are nonnegative and the intermediate map is CP.
-    ok_early, _ = is_cp(ch.intermediate(0.5, 1.0), 2)
-    assert ok_early
+    assert min_choi_eig(ch.intermediate(0.5, 1.0)) >= -CP_TOL
 
 
 def test_is_cp_dephasing_negative_rate():
     ch = dephasing(ConstantRate(-0.5))
-    ok, _ = is_cp(ch.intermediate(0.0, 0.3), 2)
-    assert not ok
+    assert min_choi_eig(ch.intermediate(0.0, 0.3)) < -CP_TOL
+
+
+@pytest.mark.parametrize("channel", [quasi_eternal(0.4, 1.0), GadcChannel()])
+def test_min_choi_eig_over_times_matches_per_map_calls(channel):
+    # One call on a map over times gives each map's value, as a float per map.
+    grid = np.linspace(0.0, 3.0, 61)
+    stacked = min_choi_eig(channel.intermediate(grid[:-1], grid[1:]))
+    singles = [min_choi_eig(channel.intermediate(t, s)) for t, s in zip(grid[:-1], grid[1:])]
+    assert stacked.shape == (grid.size - 1,)
+    assert all(np.ndim(value) == 0 for value in singles)
+    np.testing.assert_allclose(stacked, singles, rtol=0, atol=1e-15)
 
 
 def test_is_p_identity_and_expanding():
@@ -69,8 +79,7 @@ def test_is_p_quasi_eternal_intermediates():
     for (t, s) in ((2.5, 3.0), (3.0, 4.5), (6.0, 6.5)):
         v = ch.intermediate(t, s)
         assert is_p_qubit(v)
-        ok, _ = is_cp(v, 2)
-        assert not ok
+        assert min_choi_eig(v) < -CP_TOL
 
 
 def test_is_p_affine_map():
@@ -182,7 +191,7 @@ def test_cp_implies_p_random_diagonal_maps():
     for _ in range(10_000):
         lam = tuple(rng.uniform(-1.2, 1.2, size=3))
         qmap = AffineQubitMap(lam)
-        cp, _ = is_cp(qmap, 2, tol=1e-12)
+        cp = min_choi_eig(qmap) >= -1e-12
         p = max(abs(l) for l in lam) <= 1.0
         if cp:
             assert p
@@ -197,7 +206,7 @@ def test_is_cp_agrees_with_rate_criterion_on_short_intervals():
         min_rate = min(ch.rates(t))
         if abs(min_rate) < 1e-3:
             continue  # borderline: first-order criterion not conclusive
-        cp, _ = is_cp(ch.intermediate(t, t + dt), 2, tol=1e-12)
+        cp = min_choi_eig(ch.intermediate(t, t + dt)) >= -1e-12
         assert cp == (min_rate > 0)
 
 
@@ -234,7 +243,8 @@ def test_rhp_g_quasi_eternal_positive_past_t0():
 
 
 def test_classify_intervals_cosine_dephasing():
-    intervals = classify_intervals(np.cos, t_max=10.0, step=5e-3)
+    intervals = classify_intervals(np.cos, t_max=10.0, step=5e-3,
+                                   channel=dephasing(lambda t: float(np.cos(t))))
     labels = [iv.label for iv in intervals]
     assert labels == [DivisibilityLabel.CP_DIVISIBLE, DivisibilityLabel.NOT_P,
                       DivisibilityLabel.CP_DIVISIBLE, DivisibilityLabel.NOT_P]
@@ -246,7 +256,8 @@ def test_classify_intervals_cosine_dephasing():
 
 
 def test_classify_intervals_constant_rate():
-    intervals = classify_intervals(lambda t: 0.7, t_max=4.0, step=0.1)
+    intervals = classify_intervals(lambda t: 0.7, t_max=4.0, step=0.1,
+                                   channel=dephasing(ConstantRate(0.7)))
     assert len(intervals) == 1
     assert intervals[0].label is DivisibilityLabel.CP_DIVISIBLE
     assert (intervals[0].t_start, intervals[0].t_end) == (0.0, 4.0)
@@ -266,8 +277,8 @@ def test_classify_intervals_amp_damp_oracle():
     def gamma_oracle(t):
         return 1.0 - 3.2 * np.cos(4 * t) / (1 + 0.4 * np.sin(4 * t))
 
-    intervals = classify_intervals(ch.gamma, t_max=3.0, step=5e-3)
-    oracle = classify_intervals(gamma_oracle, t_max=3.0, step=5e-3)
+    intervals = classify_intervals(ch.gamma, t_max=3.0, step=5e-3, channel=ch)
+    oracle = classify_intervals(gamma_oracle, t_max=3.0, step=5e-3, channel=ch)
     assert [iv.label for iv in intervals] == [iv.label for iv in oracle]
     np.testing.assert_allclose([iv.t_start for iv in intervals],
                                [iv.t_start for iv in oracle], atol=1e-5)

@@ -35,9 +35,16 @@ from nmflow.mepovm import (
 from nmflow.qmat import maximally_entangled
 
 
-def c2(rho, dims: Sequence[int] | None = None, cut: int = 1, **kwargs) -> float:
+def c2(rho, dims: Sequence[int], **kwargs) -> float:
     """Symmetrized measure: max of the A-side and B-side optima."""
-    return max(c2_A(rho, dims, cut, **kwargs).value, c2_B(rho, dims, cut, **kwargs).value)
+    return max(c2_A(rho, dims, **kwargs).value, c2_B(rho, dims, **kwargs).value)
+
+
+def povm_of(res, rho_a: np.ndarray) -> MePovm2:
+    """The ME-POVM {(1 + x)/2, (1 - x)/2} of a see-saw result, checked by MePovm2
+    to be a POVM with outcome probability 1/2 each on rho_a."""
+    p1 = (np.eye(len(res.x)) + res.x) / 2.0
+    return MePovm2((p1, np.eye(len(res.x)) - p1), rho_a)
 
 
 def outcome_probs(povm: MePovm2, rho: np.ndarray) -> tuple[float, float]:
@@ -98,7 +105,7 @@ def test_c2_a_maximally_entangled():
     res = c2_A(maximally_entangled(2), (2, 2), restarts=4)
     assert res.value == pytest.approx(0.5, abs=1e-9)
     # The optimal measurement is projective: effects are rank-one projectors.
-    for e in res.povm.effects:
+    for e in povm_of(res, np.eye(2) / 2).effects:
         vals = np.linalg.eigvalsh(e)
         assert vals[-1] == pytest.approx(1.0, abs=1e-7)
         assert vals[0] == pytest.approx(0.0, abs=1e-7)
@@ -114,7 +121,7 @@ def test_c2_a_probe_matches_closed_form():
     assert res.value == pytest.approx(p / 2.0, abs=1e-7)
     # ME defect of the returned POVM.
     rho_a = qmat.partial_trace(probe, (2, 6), keep=0)
-    q1 = float(np.real(np.trace(rho_a @ res.povm.effects[0])))
+    q1 = float(np.real(np.trace(rho_a @ povm_of(res, rho_a).effects[0])))
     assert abs(q1 - 0.5) <= 1e-8
 
 
@@ -132,9 +139,9 @@ def test_c2_symmetric_state_and_probe_dominance():
     e11 = np.diag([0.0, 1.0]).astype(complex)
     probe = 0.5 * (np.kron(e00, rho1) + np.kron(e11, rho2))
     va = c2_A(probe, (2, 3, 2), cut=1).value
-    vb = c2_B(probe, (2, 3, 2), cut=1).value
+    vb = c2_B(probe, (2, 3, 2)).value
     assert vb <= va + 1e-7
-    assert c2(probe, (2, 3, 2), cut=1) == pytest.approx(p / 2.0, abs=1e-7)
+    assert c2(probe, (2, 3, 2)) == pytest.approx(p / 2.0, abs=1e-7)
 
 
 def test_c2_local_optimality_guard():
@@ -513,7 +520,7 @@ def test_c2_returned_povm_achieves_value():
         d = dims[0] * dims[1]
         rho = random_density(rng, d)
         res = c2_A(rho, dims, restarts=4, seed=2)
-        p1, p2 = res.povm.effects
+        p1, p2 = povm_of(res, qmat.partial_trace(rho, dims, keep=0)).effects
         rho4 = rho.reshape(dims[0], dims[1], dims[0], dims[1])
         steered = [2.0 * np.einsum("aicj,ca->ij", rho4, eff) for eff in (p1, p2)]
         achieved = 0.25 * np.sum(np.abs(np.linalg.eigvalsh(

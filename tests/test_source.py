@@ -119,6 +119,137 @@ def test_every_name_is_used_outside_the_unit_tests():
     assert unreferenced_names(sources, users) == []
 
 
+def defaulted_parameters(source: str) -> set[tuple[str, str, int | None]]:
+    """(function, parameter, position) of every parameter with a default, of
+    module-level functions and methods; the position counts the arguments a
+    call passes before it (self excluded), None for keyword-only parameters."""
+    params = set()
+    for node in ast.walk(ast.parse(source)):
+        body = node.body if isinstance(node, (ast.Module, ast.ClassDef)) else []
+        for fn in body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            if isinstance(node, ast.ClassDef) and not static:
+                positional = positional[1:]
+            first = len(positional) - len(args.defaults)
+            params |= {(fn.name, arg.arg, i) for i, arg in enumerate(positional) if i >= first}
+            params |= {(fn.name, arg.arg, None)
+                       for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default}
+    return params
+
+
+def passed_arguments(source: str) -> tuple[set[str], set[tuple[str, int]]]:
+    """The keywords that calls pass, and (callee name, position) of the
+    arguments they pass by position. An argument that only forwards a
+    parameter of the enclosing function under its own name passes nothing."""
+    keywords, positions = set(), set()
+
+    def visit(node, params):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            params = {arg.arg for arg in node.args.posonlyargs + node.args.args
+                      + node.args.kwonlyargs}
+        if isinstance(node, ast.Call):
+            def forwards(value):
+                return isinstance(value, ast.Name) and value.id in params
+
+            keywords.update(kw.arg for kw in node.keywords if not forwards(kw.value))
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                if not forwards(arg):
+                    positions.add((name, i))
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    visit(ast.parse(source), set())
+    return keywords, positions
+
+
+def unpassed_defaults(sources: list[str], users: list[str]) -> list[str]:
+    """The defaulted parameters of the sources that no call of the users sets,
+    as "function(parameter)"."""
+    keywords, positions = set(), set()
+    for user in users:
+        kw, pos = passed_arguments(user)
+        keywords |= kw
+        positions |= pos
+    params = set().union(*map(defaulted_parameters, sources))
+    return sorted(f"{fn}({name})" for fn, name, i in params
+                  if name not in keywords and (fn, i) not in positions)
+
+
+def test_unpassed_defaults_detects_leftovers():
+    sources = ["def scan(grid, margin=1e-10, *, tol=1e-4, seed=0):\n"
+               "    return refine(grid, margin, tol=tol)\n"
+               "def refine(grid, margin=0.0, tol=1e-4):\n    pass\n"
+               "class Channel:\n    def at(self, t, clamp=False):\n        pass\n"]
+    users = sources + ["scan(g, seed=3)\nChannel().at(1.0, True)\n"]
+    assert unpassed_defaults(sources, users) == ["refine(margin)", "refine(tol)",
+                                                  "scan(margin)", "scan(tol)"]
+
+
+def _decorator_name(node) -> str | None:
+    # dataclass for @dataclass, @dataclass(frozen=True) and @dataclasses.dataclass.
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def dataclass_fields(source: str) -> set[tuple[str, str]]:
+    """(class, field) of every annotated field of a dataclass."""
+    fields = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and "dataclass" in map(_decorator_name,
+                                                                node.decorator_list):
+            fields |= {(node.name, item.target.id) for item in node.body
+                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+    return fields
+
+
+def read_attributes(source: str) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(sources: list[str], users: list[str]) -> list[str]:
+    """Dataclass fields of the sources that none of the users reads as an
+    attribute, as "Class.field"."""
+    read = set().union(*map(read_attributes, users))
+    return sorted(f"{cls}.{name}" for cls, name in set().union(*map(dataclass_fields, sources))
+                  if name not in read)
+
+
+def test_unread_fields_detects_leftovers():
+    sources = ["@dataclass(frozen=True)\nclass Result:\n    value: float\n    povm: object\n"
+               "@dataclasses.dataclass\nclass Report:\n    onsets: tuple\n"
+               "class Plain:\n    size: int\n"]
+    users = sources + ["res.value\nres.povm = None\n"]
+    assert unread_fields(sources, users) == ["Report.onsets", "Result.povm"]
+
+
+def _package_and_users() -> tuple[list[str], list[str]]:
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    return sources, sources + [path.read_text(encoding="utf-8")
+                               for path in [*sorted(PERFBENCH.glob("*.py")), ACCEPTANCE]]
+
+
+def test_every_default_is_set_outside_the_unit_tests():
+    # A default that no caller overrides is a constant in disguise, and a
+    # knob that only unit tests turn is code that only they reach. Parameters
+    # match by name, like the names above, or by callee name and position.
+    assert unpassed_defaults(*_package_and_users()) == []
+
+
+def test_every_field_is_read_outside_the_unit_tests():
+    # A result field that no caller reads is work done for the unit tests.
+    assert unread_fields(*_package_and_users()) == []
+
+
 def test_cli_references_no_channel_class():
     # The CLI asks every family the same questions (as_affine, divisibility),
     # so it needs no family dispatch and no channel class.
