@@ -1,10 +1,11 @@
-"""Small numeric helpers: bisection, adaptive Simpson quadrature, and a
-thread-pool map with deterministic merge order."""
+"""Small numeric helpers: bisection, adaptive Simpson quadrature, and a lazy
+thread-pool map that yields in input order."""
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Sequence
+from collections import deque
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigParseError
 
@@ -80,16 +81,32 @@ def thread_count() -> int:
     return n
 
 
-def parallel_map(fn: Callable, items: Sequence, workers: int | None = None) -> list:
-    """Map fn over items with a thread pool, preserving input order in the result."""
+def parallel_map(fn: Callable, items: Sequence, workers: int | None = None) -> Iterator:
+    """Yield fn(x) for each of items, in input order.
+
+    With more than one worker (thread_count() by default) one thread pool
+    serves the whole call, and at most 2 * workers calls run or wait to be
+    read, so a slow reader bounds the results held at once. An exception
+    raised by a call is raised when its item is read.
+    """
     if workers is None:
         workers = thread_count()
     workers = max(1, min(workers, len(items) or 1))
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+    if workers == 1:
+        return map(fn, items)
+    return _pooled_map(fn, items, workers)
+
+
+def _pooled_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
     from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        pending = deque()
+        for x in items:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, x))
+        while pending:
+            yield pending.popleft().result()
 
 
 def chunk_indices(n: int, chunk: int) -> Iterable[tuple[int, int]]:

@@ -42,7 +42,7 @@ EB_FLOOR = 1e-12  # negativity at or below which find_t_eb counts the pair as se
 EB_CHUNK = 1024  # coarse-scan points per find_t_eb stack
 EB_COARSE = 0.05  # find_t_eb's coarse-scan step
 CHUNK_TIMES = 128  # times per mi_series chunk
-CHUNK_MATRICES = 2 ** 17  # states per mi_series chunk, summed over its times
+CHUNK_MATRICES = 2 ** 15  # states per mi_series chunk, summed over its times
 DEG_TOL = 1e-12  # eigenvalue gap within which spectral_derivs groups a degenerate pair
 CROSS_TOL = 1e-8  # smallest gap spectral_derivs accepts between ungrouped eigenvalues
 EPS_MACHINE = float(np.finfo(float).eps)
@@ -236,17 +236,12 @@ def _real_representatives(vectors: np.ndarray) -> np.ndarray:
     return (e * np.sqrt(np.maximum(mu, 0.0))[:, None, :]).transpose(0, 2, 1).reshape(-1, 4)
 
 
-def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
-              workers: int | None = None) -> np.ndarray:
-    """Mutual information I(t) for a batch of two-qubit pure initial states
-    under 1 (x) Lambda_t; returns an array of shape (len(grid), n_states).
-
-    The maps come from one `as_affine(grid)` call. When every map on the grid
-    commutes with rotations about z (lambda_x == lambda_y, no x or y
-    translation: every family of the package) and has a real superoperator,
-    each psi becomes the real (U_A (x) R_z) psi, which has the same I(t), and
-    the scan runs in float64; otherwise in complex. A chunk holds at most
-    CHUNK_TIMES times and CHUNK_MATRICES states.
+def _mi_chunks(channel, vectors: np.ndarray, grid: np.ndarray, workers: int | None):
+    """The mutual information of mi_series, one chunk of times at a time:
+    checks the input and returns an iterator of (lo, hi, mi) in grid order,
+    with mi the (hi - lo, n_states) values at grid[lo:hi]. The chunks are
+    computed by parallel_map, so at most 2 * workers of them are held ahead
+    of the reader.
     """
     grid, vectors = np.asarray(grid, dtype=float), np.asarray(vectors)
     if vectors.ndim != 2 or vectors.shape[1] != 4:
@@ -259,14 +254,32 @@ def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
     if about_z and not superops.imag.any():
         superops, vectors = superops.real, _real_representatives(vectors)
     states0 = np.einsum("na,nb->nab", vectors, vectors.conj())
-    out = np.empty((grid.size, states0.shape[0]))
     chunk = max(1, min(CHUNK_TIMES, CHUNK_MATRICES // max(1, states0.shape[0])))
 
     def run(piece):
         lo, hi = piece
-        out[lo:hi] = _two_qubit_mi(_apply_superops(superops[lo:hi], states0, (2, 2), 1))
+        return lo, hi, _two_qubit_mi(_apply_superops(superops[lo:hi], states0, (2, 2), 1))
 
-    parallel_map(run, list(chunk_indices(grid.size, chunk)), workers=workers)
+    return parallel_map(run, list(chunk_indices(grid.size, chunk)), workers=workers)
+
+
+def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
+              workers: int | None = None) -> np.ndarray:
+    """Mutual information I(t) for a batch of two-qubit pure initial states
+    under 1 (x) Lambda_t; returns an array of shape (len(grid), n_states).
+
+    The maps come from one `as_affine(grid)` call. When every map on the grid
+    commutes with rotations about z (lambda_x == lambda_y, no x or y
+    translation: every family of the package) and has a real superoperator,
+    each psi becomes the real (U_A (x) R_z) psi, which has the same I(t), and
+    the scan runs in float64; otherwise in complex. A chunk holds at most
+    CHUNK_TIMES times and CHUNK_MATRICES states; this function stores every
+    chunk of the kernel that min_t_nm_scan folds as it goes.
+    """
+    chunks = _mi_chunks(channel, vectors, grid, workers)
+    out = np.empty((np.size(grid), len(vectors)))
+    for lo, hi, mi in chunks:
+        out[lo:hi] = mi
     return out
 
 
@@ -288,7 +301,9 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     state's onset is its first step that rises by more than SCAN_MARGIN. I(t)
     cannot rise across a step whose intermediate map is CP (data processing),
     so the states are only evaluated at the ends of steps whose smallest Choi
-    eigenvalue is <= 0.
+    eigenvalue is <= 0. Each chunk of the mi_series kernel is folded into the
+    per-state first rises as it is computed, so the scan holds O(chunk + N)
+    memory for N states, not the (points, N) series.
 
     SCAN_MARGIN is 1e-12 rather than the generic ONSET_MARGIN of
     scan_backflow, 1e-10: the earliest-onset states are nearly product states
@@ -304,11 +319,24 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     if steps.size == 0:
         return float("nan"), None, np.full(count, np.nan)
     points = np.union1d(steps, steps + 1)
-    series = mi_series(channel, vectors, grid[points])
-    at = np.searchsorted(points, steps)
-    rising = series[at + 1] - series[at] > SCAN_MARGIN
-    idx = steps[rising.argmax(axis=0)]
-    onsets = np.where(rising.any(axis=0), grid[idx], np.nan)
+    # starts[j]: (points[j], points[j + 1]) is a non-CP step. Each chunk is
+    # folded into the first such step that rises, with the previous chunk's
+    # last row in front so that the step across the seam is seen.
+    starts = np.isin(points, steps)
+    first = np.full(count, points.size)
+    carry = None
+    for lo, hi, mi in _mi_chunks(channel, vectors, grid[points], None):
+        if carry is not None:
+            lo, mi = lo - 1, np.concatenate((carry[None], mi))
+        carry = mi[-1].copy()  # a view would keep the whole chunk alive
+        at = np.flatnonzero(starts[lo:hi - 1])
+        if at.size:
+            rising = mi[at + 1] - mi[at] > SCAN_MARGIN
+            hit = rising.any(axis=0)
+            first = np.minimum(first, np.where(hit, lo + at[rising.argmax(axis=0)], points.size))
+    found = first < points.size
+    idx = points[np.where(found, first, 0)]
+    onsets = np.where(found, grid[idx], np.nan)
     if np.all(np.isnan(onsets)):
         return float("nan"), None, onsets
     best = int(np.nanargmin(onsets))

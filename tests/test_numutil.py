@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -45,8 +48,58 @@ def test_thread_count_env_cap(monkeypatch):
 
 def test_parallel_map_preserves_order():
     items = list(range(37))
-    assert parallel_map(lambda x: x * x, items, workers=4) == [x * x for x in items]
-    assert parallel_map(lambda x: -x, [], workers=4) == []
+    for workers in (1, 2, 4):
+        assert list(parallel_map(lambda x: x * x, items, workers)) == [x * x for x in items]
+        assert list(parallel_map(lambda x: -x, [], workers)) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_parallel_map_runs_at_most_two_calls_per_worker_ahead(workers):
+    started = []
+    lock = threading.Lock()
+
+    def fn(x):
+        with lock:
+            started.append(x)
+        return x
+
+    ahead = []
+    for read, value in enumerate(parallel_map(fn, list(range(40)), workers=workers)):
+        assert value == read
+        time.sleep(0.002)  # a slow reader: the pool would run far ahead if it could
+        with lock:
+            ahead.append(len(started) - read)
+    assert sorted(started) == list(range(40))
+    assert max(ahead) <= 2 * workers
+    if workers > 1:
+        assert max(ahead) > 1  # the pool does run ahead of the reader
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parallel_map_raises_at_the_failing_item(workers):
+    def fn(x):
+        if x == 5:
+            raise KeyError(x)
+        return x
+
+    got = []
+    with pytest.raises(KeyError):
+        for value in parallel_map(fn, list(range(20)), workers=workers):
+            got.append(value)
+    assert got == [0, 1, 2, 3, 4]
+
+
+def test_parallel_map_single_worker_starts_no_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    assert list(parallel_map(lambda x: x + 1, [1, 2, 3], workers=1)) == [2, 3, 4]
+    assert list(parallel_map(lambda x: x + 1, [7], workers=4)) == [8]
+    monkeypatch.setenv("NMFLOW_THREADS", "1")
+    assert list(parallel_map(lambda x: x + 1, [1, 2, 3])) == [2, 3, 4]
 
 
 def test_chunk_indices_cover():

@@ -519,24 +519,31 @@ def _first_onset_indices(series: np.ndarray, margin: float) -> np.ndarray:
     # No intermediate map starts before t = 0, so every step is evaluated.
     (quasi_eternal(0.4, 1.0), np.arange(-0.5, 3.0 + 1e-12, 1e-2), 100, 5, 350),
 ])
-def test_min_t_nm_scan_skips_only_cp_steps(channel, grid, count, seed, evaluated):
+def test_min_t_nm_scan_skips_only_cp_steps(monkeypatch, channel, grid, count, seed, evaluated):
     # Skipping the steps with a strictly CP intermediate map gives the onsets
     # of the full-grid scan. GADC on [0, 0.6] alternates CP and non-CP
     # stretches; dephasing sits on the CP boundary, whose smallest Choi
-    # eigenvalue is exactly 0, so none of its steps is skipped.
+    # eigenvalue is exactly 0, so none of its steps is skipped. The scan folds
+    # its chunks one by one, so the chunk sizes put seams inside non-CP steps
+    # and, for GADC, on pairs of points that are not a step.
     non_cp = witness._non_cp_steps(channel, grid)
     assert np.count_nonzero(non_cp) == evaluated
     if isinstance(channel, GadcChannel):
         assert np.count_nonzero(np.diff(non_cp.astype(int))) >= 3
-    onset, state, onsets = min_t_nm_scan(channel, count, grid, seed=seed)
     vectors = sample_pure_vectors((2, 2), count, seed)
     idx = _first_onset_indices(witness.mi_series(channel, vectors, grid), witness.SCAN_MARGIN)
     expected = np.where(np.isnan(idx), np.nan, grid[np.nan_to_num(idx).astype(int)])
-    np.testing.assert_array_equal(onsets, expected)
-    if np.all(np.isnan(expected)):
-        assert np.isnan(onset) and state is None
-    else:
-        assert abs(onset - np.nanmin(onsets)) <= grid[1] - grid[0] + 1e-12
+    # The last pair: fewer matrices per chunk than states, one time per chunk.
+    for chunk_times, chunk_matrices in ((1, 2 ** 15), (2, 2 ** 15), (7, 2 ** 15),
+                                        (128, 2 ** 15), (128, 50)):
+        monkeypatch.setattr(witness, "CHUNK_TIMES", chunk_times)
+        monkeypatch.setattr(witness, "CHUNK_MATRICES", chunk_matrices)
+        onset, state, onsets = min_t_nm_scan(channel, count, grid, seed=seed)
+        np.testing.assert_array_equal(onsets, expected)
+        if np.all(np.isnan(expected)):
+            assert np.isnan(onset) and state is None
+        else:
+            assert abs(onset - np.nanmin(onsets)) <= grid[1] - grid[0] + 1e-12
 
 
 def test_min_t_nm_scan_cp_channels(monkeypatch):
@@ -545,10 +552,34 @@ def test_min_t_nm_scan_cp_channels(monkeypatch):
     onset, state, onsets = min_t_nm_scan(dephasing(0.3), 50, grid, seed=4)
     assert np.isnan(onset) and state is None and np.all(np.isnan(onsets))
     # Depolarizing: every step strictly CP, so no state is evaluated at all.
-    monkeypatch.setattr(witness, "mi_series", lambda *a, **k: pytest.fail("mi_series called"))
+    monkeypatch.setattr(witness, "_mi_chunks", lambda *a, **k: pytest.fail("_mi_chunks called"))
     onset, state, onsets = min_t_nm_scan(depolarizing(0.3), 50, grid, seed=4)
     assert np.isnan(onset) and state is None
     assert onsets.shape == (50,) and np.all(np.isnan(onsets))
+
+
+def test_min_t_nm_scan_memory_does_not_grow_with_points(monkeypatch):
+    # The scan folds each chunk into its onsets as it is computed, so its peak
+    # depends on the chunk size and the state count, not on the number of
+    # grid points. Traced peaks for 1000 states on 301 and 1501 points: 8.8
+    # and 9.0 MB with one thread, 19.0 and 18.0 MB with two; 34.7 and 41.3 MB
+    # (one thread), 55.7 and 74.1 MB (two) when the whole (points, states)
+    # series was held. The first scan of a process also allocates ~2 MB once,
+    # so a small scan runs before the traced ones.
+    import tracemalloc
+    monkeypatch.setenv("NMFLOW_THREADS", "1")
+    channel = quasi_eternal(0.4, 1.0)
+    min_t_nm_scan(channel, 10, np.linspace(0.0, 3.0, 31))
+    peaks = []
+    for points in (301, 1501):
+        tracemalloc.start()
+        try:
+            min_t_nm_scan(channel, 1000, np.linspace(0.0, 3.0, points))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+    assert peaks[1] < 12e6
 
 
 def test_mi_series_independent_of_workers_and_chunks(monkeypatch):
@@ -608,6 +639,11 @@ def test_mi_series_rejects_bad_input():
         witness.mi_series(ch, vecs, np.array([0.0, np.nan]))
     with pytest.raises(ConfigParseError):
         witness.mi_series(ch, np.full((2, 4), np.nan), grid)
+    # The kernel checks when it is called, before any chunk is read.
+    with pytest.raises(DimMismatchError):
+        witness._mi_chunks(ch, np.ones((3, 3)) / 2.0, grid, 1)
+    with pytest.raises(ConfigParseError):
+        witness._mi_chunks(ch, vecs, np.array([0.0, np.inf]), 2)
 
 
 @pytest.mark.parametrize("matrix, error", NOT_STATES.values(), ids=NOT_STATES)
@@ -721,13 +757,13 @@ def test_mi_series_caps_matrices_per_chunk(monkeypatch):
                         or kernel(k, states, *rest))
     grid = np.linspace(0.0, 3.0, 301)
     channel = quasi_eternal(0.4, 1.0)
-    for count, per_chunk in ((3000, witness.CHUNK_MATRICES // 3000), (1000, 128)):
+    for count, per_chunk in ((3000, witness.CHUNK_MATRICES // 3000), (1000, 32), (256, 128)):
         sizes.clear()
         witness.mi_series(channel, sample_pure_vectors((2, 2), count, seed=8), grid, workers=1)
         assert sum(t for t, _ in sizes) == grid.size
         assert all(n == count and t * n <= witness.CHUNK_MATRICES for t, n in sizes)
         assert max(t for t, _ in sizes) == per_chunk
-    assert witness.CHUNK_MATRICES // 3000 == 43
+    assert witness.CHUNK_MATRICES // 3000 == 10
 
 
 def _increase_intervals_loop(grid, series, margin):
