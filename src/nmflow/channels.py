@@ -5,10 +5,9 @@ Random-unitary qubit channels built from three time-dependent rates
 gamma = (alpha/2)(1, 1, -tanh(t - t0)), pure dephasing, generalized amplitude
 damping with either a fixed decay profile G(t) or the two-parameter
 s(t) = cos^2(5t), r(t) = exp(-t) family, plus application to subsystems,
-composition/inversion of affine qubit maps, intermediate maps V_{s,t} and
-Choi matrices. Every family's `as_affine`, `intermediate` and
-`divisibility` (its CP/P criterion) also take 1-D arrays of times, and then
-return arrays over the times.
+intermediate maps V_{s,t} and Choi matrices. Every family's `as_affine`,
+`intermediate` and `divisibility` (its CP/P criterion) also take 1-D arrays
+of times, and then return arrays over the times.
 
 Conventions: subsystem order is (ancillas..., system); channels act on the
 last subsystem unless told otherwise. A qubit map is stored by its diagonal
@@ -203,19 +202,6 @@ class AffineQubitMap:
         for i, entry in enumerate(entries):
             r[..., i] = entry
         return (r @ _PAULI_SUPEROP).reshape(r.shape[:-1] + (2, 2, 2, 2))
-
-    def compose(self, inner: "AffineQubitMap") -> "AffineQubitMap":
-        """self after inner: linear parts multiply, translations compose."""
-        lam = tuple(a * b for a, b in zip(self.lambdas, inner.lambdas))
-        w = tuple(a * wi + wo for a, wi, wo in zip(self.lambdas, inner.translation, self.translation))
-        return AffineQubitMap(lam, w)
-
-    def inverse(self) -> "AffineQubitMap":
-        if any(np.any(l == 0.0) for l in self.lambdas):
-            raise SingularMapError("map is not bijective: a Pauli component vanishes")
-        inv = tuple(1.0 / l for l in self.lambdas)
-        w = tuple(-li * wi for li, wi in zip(inv, self.translation))
-        return AffineQubitMap(inv, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,8 +505,15 @@ class GadcChannel:
                               (0.0, 0.0, (2.0 * s - 1.0) * (1.0 - r)))
 
     def intermediate(self, t, s) -> AffineQubitMap:
+        """V_{s,t} with Lambda_s = V_{s,t} Lambda_t: lambda = lambda_s / lambda_t
+        and z shift w_s - lambda_z w_t; requires 0 <= t <= s and r(t) > 0."""
         _check_interval(t, s)
-        return self.as_affine(s).compose(self.as_affine(t).inverse())
+        before, after = self.as_affine(t), self.as_affine(s)
+        if np.any(before.lambdas[2] == 0.0):  # r(t) = e^-t underflows past t ~ 745
+            raise SingularMapError("r(t) = 0: map is many-to-one")
+        lam = tuple(a / b for a, b in zip(after.lambdas, before.lambdas))
+        shift = after.translation[2] - lam[2] * before.translation[2]
+        return AffineQubitMap(lam, (0.0, 0.0, shift))
 
 
 # ---------------------------------------------------------------------------

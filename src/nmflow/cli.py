@@ -60,18 +60,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigParseError(message)
 
 
-def _check_points(count: float, what: str) -> None:
-    if count > MAX_GRID_POINTS:
-        raise ConfigParseError(f"{what} of {count:.4g} points exceeds {MAX_GRID_POINTS}")
-
-
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
     """np.arange(start, stop, step), rejecting numbers that give fewer than two
     points or more than MAX_GRID_POINTS before anything is allocated."""
     if not (0 < step < np.inf and start + step < stop < np.inf):  # also rejects NaN
         raise ConfigParseError(f"need a finite step > 0 and at least two grid points, "
                                f"got start={start}, stop={stop}, step={step}")
-    _check_points((stop - start) / step, "a grid")
+    count = (stop - start) / step
+    if count > MAX_GRID_POINTS:
+        raise ConfigParseError(f"a grid of {count:.4g} points exceeds {MAX_GRID_POINTS}")
     return np.arange(start, stop, step)
 
 
@@ -121,7 +118,6 @@ def run_divisibility_scan(cfg, out):
 def run_eb_time(cfg, out):
     if not 0 < cfg.step < np.inf:  # also rejects NaN
         raise ConfigParseError(f"--step must be finite and > 0, got {cfg.step}")
-    _check_points(cfg.t_max / witness.EB_COARSE, "the t_EB coarse scan")
     channel = quasi_eternal(cfg.alpha, cfg.t0)
     t_eb = witness.find_t_eb(channel, tol=cfg.tol, t_max=cfg.t_max)
     print(f"t_EB(alpha={cfg.alpha}, t0={cfg.t0}) = {t_eb:.4f}")
@@ -145,6 +141,7 @@ def run_mi_scan(cfg, out):
         raise ConfigParseError(f"--random {cfg.random} states on {grid.size} grid points "
                                f"exceed {MAX_SCAN_VALUES} values")
     if cfg.random:
+        channel.probs(grid)  # UnphysicalError where the channel is not CPTP, as phi+ below
         onset, state, onsets = witness.min_t_nm_scan(channel, cfg.random, grid, seed=cfg.seed)
         detected = int(np.sum(~np.isnan(onsets)))
         print(f"min MI onset over {cfg.random} random states: {onset:.4f} "

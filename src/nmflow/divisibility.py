@@ -1,8 +1,8 @@
 """CP/P classification of qubit maps and divisibility criteria.
 
 The minimum Choi eigenvalue of a qubit map or of a map over times (the map
-is CP iff it is >= 0), exact positivity of affine qubit maps via the
-trust-region secular equation, the physicality threshold
+is CP iff it is >= 0), exact positivity of affine qubit maps with a Bloch
+shift along z in closed form, the physicality threshold
 T(alpha) = (1/2) log(2^(1/alpha) - 1) of the quasi-eternal family, and a scan
 classifier that splits single-parameter evolutions into CP-divisible and
 not-P intervals, cross-checked against the intermediate maps of the channel.
@@ -20,11 +20,10 @@ from enum import Enum
 import numpy as np
 
 from .channels import AffineQubitMap, choi
-from .errors import BadIntervalError, UnphysicalError
+from .errors import BadIntervalError, ConfigParseError, UnphysicalError
 from .numutil import bisect_root
 
 P_TOL = 1e-9
-P_MAX_STEPS = 60
 BOUNDARY_TOL = 1e-6  # bisection width of classify_intervals' interval boundaries
 
 
@@ -56,49 +55,23 @@ def min_choi_eig(qmap):
 
 
 def is_p_qubit(qmap: AffineQubitMap, tol: float = P_TOL) -> bool:
-    """Positivity of an affine qubit map: the minimum output eigenvalue
-    (1 - sqrt(h*))/2 stays above -tol, where h* = max over unit n of
-    ||diag(lambda) n + w||^2 is found exactly as a trust-region step
-    (More & Sorensen 1983). With d = lambda^2, b = |lambda w| and
-    gap = max d - d, h(s) = |w|^2 + max d + s + sum b^2 / (s + gap) >= h* for
-    s >= 0, with equality at s = 0 in the hard case (b = 0 where gap = 0 and
-    sum b^2 / gap^2 <= 1, every unital map included) and otherwise at the root
-    of the secular equation sum b^2 / (s + gap)^2 = 1.
+    """Positivity of an affine qubit map whose Bloch shift w lies along z, as
+    in every family here: the minimum output eigenvalue (1 - sqrt(h*))/2 stays
+    above -tol, where h* = max over unit n of ||diag(lambda) n + w||^2. With
+    c = |n_z|, L = max(lambda_x^2, lambda_y^2), b = |lambda_z w_z| and
+    gap = L - lambda_z^2, h = L + w_z^2 - gap c^2 + 2 b c on [0, 1], whose
+    maximum is (|lambda_z| + |w_z|)^2 at c = 1 if b >= gap, else
+    L + w_z^2 + b^2 / gap at c = b / gap. An x or y shift raises
+    ConfigParseError.
     """
-    lam = np.asarray(qmap.lambdas, dtype=float)
-    w = np.asarray(qmap.translation, dtype=float)
-    d = lam * lam
-    b = np.abs(lam * w)
-    keep = b > 0.0  # axes with b_i = 0 drop out of h(s) and the secular equation
-    b, gap = b[keep], d.max() - d[keep]
-    s = 0.0
-    if np.any(gap == 0.0) or np.sum((b / gap) ** 2) > 1.0:
-        s = _secular_root(b, gap)
-    h = float(w @ w + d.max() + s + np.sum(b * b / (s + gap)))
-    return 0.5 * (1.0 - np.sqrt(h)) >= -tol
-
-
-def _secular_root(b: np.ndarray, gap: np.ndarray) -> float:
-    """Root of phi(s) = sum (b / (s + gap))^2 = 1, where phi falls from >= 1 at
-    max(0, max(b - gap)) to <= 1 at |b|. Newton steps on the concave, increasing
-    1/sqrt(phi) - 1 climb from the lower end without overshooting; a step that
-    rounding pushes out of the shrinking bracket is replaced by bisection.
-    """
-    lo, hi = max(0.0, float(np.max(b - gap))), float(np.sqrt(b @ b))
-    s = lo
-    for _ in range(P_MAX_STEPS):
-        q = b / (s + gap)
-        phi = float(q @ q)
-        psi = 1.0 / np.sqrt(phi) - 1.0
-        if psi == 0.0:
-            break
-        lo, hi = (s, hi) if psi < 0.0 else (lo, s)
-        step = s - psi * phi ** 1.5 / float(np.sum(q * q / (s + gap)))
-        s_next = step if lo < step < hi else 0.5 * (lo + hi)
-        if s_next == s:
-            break
-        s = s_next
-    return s
+    lx, ly, lz = (float(l) for l in qmap.lambdas)
+    wx, wy, wz = (float(w) for w in qmap.translation)
+    if wx != 0.0 or wy != 0.0:
+        raise ConfigParseError(f"is_p_qubit needs a Bloch shift along z, got {qmap.translation}")
+    big, b = max(lx * lx, ly * ly), abs(lz * wz)
+    gap = big - lz * lz
+    h = (abs(lz) + abs(wz)) ** 2 if b >= gap else big + wz * wz + b * b / gap
+    return 0.5 * (1.0 - math.sqrt(h)) >= -tol
 
 
 def physicality_threshold(alpha: float) -> float:

@@ -39,7 +39,7 @@ ONSET_MARGIN = 1e-10  # rise per grid step that counts as an increase
 SCAN_MARGIN = 1e-12  # min_t_nm_scan's increase margin (see there)
 ONSET_REFINE_TOL = 1e-4  # bisection width of a refined onset
 EB_FLOOR = 1e-12  # negativity at or below which find_t_eb counts the pair as separable
-EB_CHUNK = 1024  # coarse-scan points per find_t_eb stack
+EB_MAX_POINTS = 100_000  # most coarse-scan points find_t_eb allows (t_max <= 5000)
 EB_COARSE = 0.05  # find_t_eb's coarse-scan step
 CHUNK_TIMES = 128  # times per mi_series chunk
 CHUNK_MATRICES = 2 ** 15  # states per mi_series chunk, summed over its times
@@ -170,27 +170,28 @@ def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0) -> float:
     (one with `probs`, such as `quasi_eternal`) hits 0.
 
     Coarse scan over the accumulated points 0, EB_COARSE, EB_COARSE +
-    EB_COARSE, ... up to t_max, evaluated with `phi_plus_negativity` in stacks
-    of at most EB_CHUNK points, followed by bisection to tol between the last
+    EB_COARSE, ... up to t_max (at most EB_MAX_POINTS of them, else
+    ConfigParseError before anything is allocated), evaluated with one
+    `phi_plus_negativity` call, followed by bisection to tol between the last
     point above EB_FLOOR and the first at or below it; raises
     NeverBreakingError when the negativity stays positive up to t_max.
     """
     _check_positive(tol=tol, t_max=t_max)
-    start = 0.0
-    while True:
-        ts = np.cumsum(np.concatenate(([start], np.full(EB_CHUNK, EB_COARSE))))
-        ts = ts[ts <= t_max + 1e-12]
-        values = phi_plus_negativity(channel, ts)
-        hits = np.flatnonzero(values[1:] <= EB_FLOOR)
-        if hits.size:
-            k = int(hits[0]) + 1
-            if values[k - 1] <= EB_FLOOR:
-                return float(ts[k - 1])  # already separable at the previous point
-            return bisect_root(lambda s: float(phi_plus_negativity(channel, s)) - EB_FLOOR,
-                               float(ts[k - 1]), float(ts[k]), tol=tol)
-        if ts.size <= EB_CHUNK:
-            raise NeverBreakingError(f"negativity still {values[-1]:.3e} at t = {t_max}")
-        start = float(ts[-1])
+    count = t_max / EB_COARSE
+    if count > EB_MAX_POINTS:
+        raise ConfigParseError(f"the t_EB coarse scan of {count:.4g} points exceeds "
+                               f"{EB_MAX_POINTS}")
+    ts = np.cumsum(np.concatenate(([0.0], np.full(int(count) + 1, EB_COARSE))))
+    ts = ts[ts <= t_max + 1e-12]
+    values = phi_plus_negativity(channel, ts)
+    hits = np.flatnonzero(values[1:] <= EB_FLOOR)
+    if not hits.size:
+        raise NeverBreakingError(f"negativity still {values[-1]:.3e} at t = {t_max}")
+    k = int(hits[0]) + 1
+    if values[k - 1] <= EB_FLOOR:
+        return float(ts[k - 1])  # already separable at the previous point
+    return bisect_root(lambda s: float(phi_plus_negativity(channel, s)) - EB_FLOOR,
+                       float(ts[k - 1]), float(ts[k]), tol=tol)
 
 
 def phi_plus_mi(channel, t):

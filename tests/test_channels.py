@@ -34,6 +34,17 @@ from nmflow.numutil import bisect_root
 from nmflow.qmat import SIGMA_X, SIGMA_Z, maximally_entangled
 
 
+def superop_matrix(qmap) -> np.ndarray:
+    """The superoperator as a (..., 4, 4) matrix acting on vec(rho)."""
+    k = qmap.superop
+    return k.reshape(k.shape[:-4] + (4, 4))
+
+
+def after(outer, inner) -> np.ndarray:
+    """The superoperator matrix of outer after inner."""
+    return superop_matrix(outer) @ superop_matrix(inner)
+
+
 def transfer(qmap, basis: OperatorBasis) -> np.ndarray:
     """Components V_ij = Tr[e_i (1 (x) Lambda)(e_j)] / prod(dims).
 
@@ -168,9 +179,8 @@ def test_semigroup_consistency_random_pairs():
         for _ in range(500):
             t = float(rng.uniform(0.0, 5.0))
             s = t + float(rng.uniform(0.0, 1.0))
-            lam_s = np.array(ch.as_affine(s).lambdas)
-            composed = np.array(ch.intermediate(t, s).compose(ch.as_affine(t)).lambdas)
-            np.testing.assert_allclose(composed, lam_s, atol=1e-10)
+            np.testing.assert_allclose(after(ch.intermediate(t, s), ch.as_affine(t)),
+                                       superop_matrix(ch.as_affine(s)), atol=1e-10)
 
 
 def test_probs_initial_and_closed_form():
@@ -377,10 +387,8 @@ def test_amp_damp_intermediate_composition():
     for _ in range(50):
         t = float(rng.uniform(0.0, 2.0))
         s = t + float(rng.uniform(0.0, 1.0))
-        full = ch.as_affine(s)
-        composed = ch.intermediate(t, s).compose(ch.as_affine(t))
-        np.testing.assert_allclose(composed.lambdas, full.lambdas, atol=1e-12)
-        np.testing.assert_allclose(composed.translation, full.translation, atol=1e-12)
+        np.testing.assert_allclose(after(ch.intermediate(t, s), ch.as_affine(t)),
+                                   superop_matrix(ch.as_affine(s)), atol=1e-12)
 
 
 def test_transfer_identity_and_pauli_channel():
@@ -578,6 +586,35 @@ def test_maps_over_time_arrays_match_per_time_calls(name):
         ch.intermediate(grid[1:], grid[:-1])
     with pytest.raises(BadIntervalError):
         ch.intermediate(np.array([0.0, np.nan]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("name", list(TIME_FAMILIES))
+def test_maps_shift_the_bloch_vector_only_along_z(name):
+    # The invariant that is_p_qubit's closed form rests on: every family's maps
+    # and intermediate maps have exactly zero x and y shift.
+    ch = TIME_FAMILIES[name]
+    grid = np.linspace(0.0, 5.0, 41)
+    for qmap in (ch.as_affine(grid), ch.intermediate(grid[:-1], grid[1:])):
+        assert np.all(np.asarray(qmap.translation[:2]) == 0.0)
+
+
+def test_gadc_intermediate_after_lambda_t_is_lambda_s():
+    # Oracle: V(t, s) after Lambda_t is Lambda_s, as 4x4 superoperator products,
+    # over arrays and at scalar times.
+    gadc = GadcChannel()
+    rng = np.random.default_rng(21)
+    t = rng.uniform(0.0, 4.0, 200)
+    s = t + rng.uniform(0.0, 1.0, 200)
+    np.testing.assert_allclose(after(gadc.intermediate(t, s), gadc.as_affine(t)),
+                               superop_matrix(gadc.as_affine(s)), rtol=0, atol=1e-13)
+    for a, b in zip(t[:20], s[:20]):
+        np.testing.assert_allclose(after(gadc.intermediate(a, b), gadc.as_affine(a)),
+                                   superop_matrix(gadc.as_affine(b)), rtol=0, atol=1e-13)
+    # r(800) = e^-800 underflows to 0: Lambda_800 is many-to-one.
+    with pytest.raises(SingularMapError):
+        gadc.intermediate(800.0, 800.5)
+    with pytest.raises(SingularMapError):
+        gadc.intermediate(np.array([0.5, 800.0]), np.array([1.0, 800.5]))
 
 
 def test_rate_integrals_over_arrays():

@@ -78,6 +78,17 @@ def test_mi_scan_cli_random_deterministic(tmp_path):
     assert (out1 / "mi-scan.csv").read_bytes() == (out2 / "mi-scan.csv").read_bytes()
 
 
+def test_mi_scan_random_rejects_a_channel_that_is_not_cptp(tmp_path, capsys):
+    # T(0.4) = 0.7686 > t0: a mixing weight is negative at t = 4, as in phi+ mode.
+    for mode in ([], ["--random", "50"]):
+        assert main(["mi-scan", "--t0", "0.5", *mode, "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mixing weight -3.560e-02 < 0 at t = 4.0: " \
+                               "channel not CPTP\n"
+    assert not (tmp_path / "mi-scan.csv").exists()
+
+
 def test_divisibility_scan_cli_with_channel_json(tmp_path):
     knots = [[float(t), float(np.cos(t))] for t in np.linspace(0, 4, 41)]
     channel = json.dumps({"family": "dephasing", "gamma": knots})
@@ -362,7 +373,8 @@ def test_cli_bounds_grid_points_before_allocating(monkeypatch, tmp_path, capsys,
 
     monkeypatch.setattr(np, "arange", never)
     if argv[0] == "eb-time" and argv[1] == "--alpha":
-        monkeypatch.setattr(witness, "find_t_eb", never)
+        monkeypatch.setattr(np, "full", never)  # find_t_eb's coarse points
+        monkeypatch.setattr(witness, "phi_plus_negativity", never)
     assert main(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1

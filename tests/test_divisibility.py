@@ -13,7 +13,7 @@ from nmflow.divisibility import (
     min_choi_eig,
     physicality_threshold,
 )
-from nmflow.errors import UnphysicalError
+from nmflow.errors import ConfigParseError, UnphysicalError
 from nmflow.qmat import maximally_entangled
 
 
@@ -89,42 +89,58 @@ def test_is_p_affine_map():
     assert not is_p_qubit(bad)
 
 
-# Hard-case and degenerate maps for the sampling oracle: w orthogonal to the
-# top axis (hard case, positive and not, and one that still needs the
-# secular equation), degenerate lambdas, w = 0, |lambda| > 1 with w != 0, and
-# a near-hard case whose top-axis shift is 1e-9.
-_EXTRA_AFFINE_MAPS = [
-    ((0.9, 0.5, 0.3), (0.0, 0.3, 0.2)),
-    ((0.5, -0.95, 0.3), (0.4, 0.0, 0.3)),
-    ((0.9, 0.85, 0.1), (0.0, 0.3, 0.0)),
-    ((0.8, 0.8, 0.3), (0.1, 0.1, 0.2)),
-    ((0.7, -0.7, 0.7), (0.2, 0.0, 0.3)),
-    ((0.6, 0.6, 0.6), (0.0, 0.0, 0.3)),
-    ((0.6, 0.6, 0.6), (0.0, 0.0, 0.5)),
-    ((0.99, -0.5, 0.2), (0.0, 0.0, 0.0)),
-    ((1.01, 0.3, 0.3), (0.0, 0.0, 0.0)),
-    ((1.2, 0.3, 0.1), (0.0, 0.1, 0.1)),
-    ((-1.1, 0.4, 0.2), (0.05, 0.0, 0.0)),
-    ((0.9, 0.3, 0.2), (1e-9, 0.2, 0.1)),
+# Edge cases of the closed form, as (lambda, z shift): b = |lambda_z w| equal
+# to gap = max(lambda_x^2, lambda_y^2) - lambda_z^2 (exactly, in floats),
+# gap = 0, gap < 0, w = 0, lambda_z = 0, lambda_x != lambda_y and |lambda| > 1,
+# each positive and not.
+_EDGE_AFFINE_MAPS = [
+    ((0.375, 0.1, 0.25), 0.3125),
+    ((0.75, -0.5, 0.5), 0.625),
+    ((0.6, 0.3, -0.6), 0.3),
+    ((0.6, 0.6, 0.6), 0.5),
+    ((0.3, 0.2, 0.7), 0.2),
+    ((0.3, -0.2, 0.7), -0.4),
+    ((0.99, -0.5, 0.2), 0.0),
+    ((1.01, 0.3, 0.3), 0.0),
+    ((0.6, 0.6, 0.0), 0.5),
+    ((0.6, -0.6, 0.0), 0.9),
+    ((0.9, 0.4, 0.3), 0.2),
+    ((-0.4, 0.95, 0.2), -0.35),
+    ((1.2, 0.3, 0.1), 0.1),
+    ((0.2, 0.1, -1.05), 0.0),
 ]
 
 
 def test_is_p_affine_against_dense_sampling():
     # Oracle: for an affine qubit map, positivity is max_n ||diag(l) n + w|| <= 1
     # over unit Bloch vectors; compare the verdict against a dense random
-    # sample of directions.
+    # sample of directions. is_p_qubit holds iff sqrt(h*) <= 1 + 2 tol, so a
+    # tol 1e-3 either side of the sampled maximum also pins h* itself.
     rng = np.random.default_rng(23)
     n_dirs = rng.normal(size=(200_000, 3))
     n_dirs /= np.linalg.norm(n_dirs, axis=1, keepdims=True)
     random_maps = [(rng.uniform(-1.0, 1.0, size=3),
-                    rng.uniform(-0.5, 0.5, size=3) * rng.uniform(0.0, 1.0)) for _ in range(50)]
-    for lam, w in random_maps + _EXTRA_AFFINE_MAPS:
-        lam, w = np.asarray(lam), np.asarray(w)
+                    rng.uniform(-0.5, 0.5) * rng.uniform(0.0, 1.0)) for _ in range(50)]
+    for lam, wz in random_maps + _EDGE_AFFINE_MAPS:
+        lam, w = np.asarray(lam), np.array([0.0, 0.0, wz])
         qmap = AffineQubitMap(tuple(lam), tuple(w))
         worst = float(np.max(np.linalg.norm(n_dirs * lam + w, axis=1)))
+        assert not is_p_qubit(qmap, tol=(worst - 1.0) / 2.0 - 1e-3)
+        assert is_p_qubit(qmap, tol=(worst - 1.0) / 2.0 + 1e-3)
         if abs(worst - 1.0) < 1e-4:
             continue  # too close to the boundary for a sampling oracle
         assert is_p_qubit(qmap) == (worst <= 1.0)
+
+
+def test_is_p_rejects_x_or_y_shift():
+    # The closed form covers shifts along z, the only ones the families build.
+    for lam, w in [((0.9, 0.5, 0.3), (0.0, 0.3, 0.2)), ((0.5, -0.95, 0.3), (0.4, 0.0, 0.3)),
+                   ((0.9, 0.85, 0.1), (0.0, 0.3, 0.0)), ((0.8, 0.8, 0.3), (0.1, 0.1, 0.2)),
+                   ((0.7, -0.7, 0.7), (0.2, 0.0, 0.3)), ((1.2, 0.3, 0.1), (0.0, 0.1, 0.1)),
+                   ((-1.1, 0.4, 0.2), (0.05, 0.0, 0.0)), ((0.9, 0.3, 0.2), (1e-9, 0.2, 0.1))]:
+        with pytest.raises(ConfigParseError, match="along z"):
+            is_p_qubit(AffineQubitMap(lam, w))
+    assert is_p_qubit(AffineQubitMap((0.5, 0.5, 0.5), (-0.0, -0.0, 0.1)))
 
 
 def test_physicality_threshold_values():

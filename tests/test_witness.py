@@ -403,23 +403,43 @@ def test_find_t_eb_matches_per_point_scan(alpha, t0):
 
 
 def test_find_t_eb_matches_per_point_scan_past_the_first_stack():
-    # Visibility e^{-0.06 t} reaches 1/3 at t_EB = ln(3)/0.02 ~ 54.93, past the
-    # EB_CHUNK coarse points of the first stack.
+    # Visibility e^{-0.06 t} reaches 1/3 at t_EB = ln(3)/0.02 ~ 54.93, past
+    # 1024 coarse points: the accumulated points stay those of the oracle.
     ch = depolarizing(ConstantRate(0.005))
     for tol in (1e-3, 1e-9):
         t_eb = find_t_eb(ch, tol=tol, t_max=80.0)
-        assert t_eb > witness.EB_CHUNK * witness.EB_COARSE
+        assert t_eb > 1024 * witness.EB_COARSE
         assert t_eb == find_t_eb_loop(ch, tol=tol, t_max=80.0)
     assert t_eb == pytest.approx(np.log(3.0) / 0.02, abs=1e-6)
+    # t_max / EB_COARSE rounds to 1280.99...: t_EB = t_max - 0.02 lies in the
+    # last coarse cell, which ends at the 1281st accumulated point.
+    t_max = 1281 * 0.05
+    ch = depolarizing(ConstantRate(np.log(3.0) / (4.0 * (t_max - 0.02))))
+    assert find_t_eb(ch, tol=1e-9, t_max=t_max) == find_t_eb_loop(ch, tol=1e-9, t_max=t_max)
+    assert find_t_eb(ch, tol=1e-9, t_max=t_max) == pytest.approx(t_max - 0.02, abs=1e-8)
 
 
 def test_find_t_eb_never_breaking_over_several_stacks():
     identity_channel = RateChannel(ConstantRate(0.0), ConstantRate(0.0), ConstantRate(0.0))
-    t_max = 2.5 * witness.EB_CHUNK * 0.05
+    t_max = 2.5 * 1024 * 0.05
     with pytest.raises(NeverBreakingError, match="negativity still 5.000e-01"):
         find_t_eb(identity_channel, t_max=t_max)
     with pytest.raises(NeverBreakingError):
         find_t_eb_loop(identity_channel, t_max=t_max)
+
+
+def test_find_t_eb_bounds_the_coarse_scan_before_allocating(monkeypatch):
+    # t_max = 5000 is EB_MAX_POINTS coarse points; past it nothing is evaluated.
+    ch = quasi_eternal(0.4, 2.0)
+    assert find_t_eb(ch, t_max=witness.EB_MAX_POINTS * witness.EB_COARSE) == find_t_eb(ch)
+
+    def never(*args, **kwargs):
+        raise AssertionError("coarse scan allocated")
+
+    monkeypatch.setattr(np, "full", never)
+    for t_max in (5000.1, 1e300):
+        with pytest.raises(ConfigParseError, match=f"exceeds {witness.EB_MAX_POINTS}"):
+            find_t_eb(ch, t_max=t_max)
 
 
 def test_find_t_eb_depolarizing_oracle():
@@ -750,11 +770,10 @@ def test_mi_series_makes_one_as_affine_call(monkeypatch, channel):
 
 
 def test_mi_series_caps_matrices_per_chunk(monkeypatch):
+    # The stub records each chunk's (times, states) shape in place of its MI.
     sizes = []
-    kernel = witness._apply_superops
-    monkeypatch.setattr(witness, "_apply_superops",
-                        lambda k, states, *rest: sizes.append((k.shape[0], states.shape[0]))
-                        or kernel(k, states, *rest))
+    monkeypatch.setattr(witness, "_two_qubit_mi",
+                        lambda states: sizes.append(states.shape[:2]) or np.zeros(states.shape[:2]))
     grid = np.linspace(0.0, 3.0, 301)
     channel = quasi_eternal(0.4, 1.0)
     for count, per_chunk in ((3000, witness.CHUNK_MATRICES // 3000), (1000, 32), (256, 128)):
@@ -1038,7 +1057,7 @@ def test_unital_witness_state():
     # Pulling back through a contraction keeps it a state for small p: the
     # witness lies in the image of bijective unital evolutions.
     from nmflow.channels import AffineQubitMap, apply_map
-    inv = AffineQubitMap((0.8, 0.8, 0.8)).inverse()
+    inv = AffineQubitMap((1.0 / 0.8,) * 3)
     pulled = apply_map(inv, unital_witness_state(v, 0.3).matrix, (2, 2))
     assert float(np.linalg.eigvalsh(pulled)[0]) >= -1e-12
     with pytest.raises(ValueError):
