@@ -343,10 +343,11 @@ class RateChannel:
         ayz, azx, axy = self.contractions(t)
         p = (0.25 * (1 + axy + azx + ayz), 0.25 * (1 - axy - azx + ayz),
              0.25 * (1 - axy + azx - ayz), 0.25 * (1 + axy - azx - ayz))
-        low = np.min(p)
-        if low < -PROB_SLACK:
-            at = np.ravel(t)[np.argmin(np.min(p, axis=0))]
-            raise UnphysicalError(f"mixing weight {low:.3e} < 0 at t = {at}: channel not CPTP")
+        if np.min(p) < -PROB_SLACK:  # name the first time a weight goes negative
+            low = np.ravel(np.min(p, axis=0))
+            first = np.argmax(low < -PROB_SLACK)
+            raise UnphysicalError(f"mixing weight {low[first]:.3e} < 0 at "
+                                  f"t = {np.ravel(t)[first]}: channel not CPTP")
         return p
 
     def probs_derivative(self, t: float) -> tuple[float, float, float, float]:

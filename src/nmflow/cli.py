@@ -18,7 +18,7 @@ import numpy as np
 
 from . import correlations, divisibility, mepovm, witness
 from .channels import DEFAULT_SCAN_STEP, channel_from_json, quasi_eternal
-from .errors import ConfigParseError, NmflowError, UnknownExperimentError
+from .errors import ConfigParseError, NmflowError
 from .numutil import thread_count
 
 T1_MINUS = (0.13437, 0.31416)
@@ -328,69 +328,57 @@ OPTIONS = {
 def build_parser(only: str | None = None) -> _Parser:
     """The parser with a subparser per experiment; when `only` names an
     experiment, just that one's subparser, which parses its arguments alike
-    and is cheaper to build. Options left off the command line parse as None,
-    so that `main` can tell them from explicit flags."""
+    and is cheaper to build."""
     parser = _Parser(prog="nmflow", description=__doc__)
     sub = parser.add_subparsers(dest="experiment")
     for name in [only] if only in RUNNERS else RUNNERS:
         p = sub.add_parser(name)
-        for flag, kind, _, *text in OPTIONS[name]:
-            p.add_argument(flag, type=kind, help=text[0] if text else None)
-        p.add_argument("--out", help="output directory for CSV/JSON")
+        for flag, kind, default, *text in OPTIONS[name]:
+            p.add_argument(flag, type=kind, default=default, help=text[0] if text else None)
+        p.add_argument("--out", default=".", help="output directory for CSV/JSON")
         p.add_argument("--config", help="JSON experiment config file")
         p.add_argument("--check", action="store_true",
                        help="exit 2 when a registered landmark check fails")
-        p.add_argument("--seed", type=int,
+        p.add_argument("--seed", type=int, default=24,
                        help="RNG seed; the default reproduces the recorded landmarks, "
                             "including the random-state scan minimum")
     return parser
 
 
-def _apply_config(args) -> None:
-    """Options left off the command line (None) take their --config file
-    value: explicit flags win over the file."""
-    if not args.config:
-        return
+def _config_flags(path: str, experiment: str) -> list[str]:
+    """The --config file as --flag=value items, only those that `experiment`
+    has. `main` parses them ahead of the explicit flags, which therefore win;
+    the = form keeps a value that starts with - from reading as an option."""
     try:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigParseError(f"cannot read config: {exc}") from exc
     grid = cfg.get("grid", {}) if isinstance(cfg, dict) else None
     if not isinstance(grid, dict):
         raise ConfigParseError("config and its 'grid' must be JSON objects")
     name = cfg.get("experiment")
-    if name is not None and name != args.experiment:
-        raise ConfigParseError(
-            f"config is for experiment {name!r}, invoked {args.experiment!r}")
-    if "channel" in cfg and hasattr(args, "channel") and args.channel is None:
-        args.channel = json.dumps(cfg["channel"])
+    if name is not None and name != experiment:
+        raise ConfigParseError(f"config is for experiment {name!r}, invoked {experiment!r}")
+    own = {flag for flag, *_ in OPTIONS[experiment]}
+    flags = []
+    if "channel" in cfg and "--channel" in own:
+        flags.append("--channel=" + json.dumps(cfg["channel"]))
     for key in ("t_max", "step"):
-        if key in grid and hasattr(args, key):
+        flag = "--" + key.replace("_", "-")
+        if key in grid and flag in own:
             try:
-                value = float(grid[key])
-            except (TypeError, ValueError) as exc:
+                flags.append(f"{flag}={float(grid[key])!r}")
+            except (TypeError, ValueError, OverflowError) as exc:  # an int beyond any float
                 raise ConfigParseError(f"config grid {key} must be a number: {exc}") from exc
-            if getattr(args, key) is None:
-                setattr(args, key, value)
     if "seed" in cfg:
         if type(cfg["seed"]) is not int:  # bool and 1.7 are not seeds
             raise ConfigParseError(f"config seed must be an integer, got {cfg['seed']!r}")
-        if args.seed is None:
-            args.seed = cfg["seed"]
+        flags.append(f"--seed={cfg['seed']}")
     if "output" in cfg:
         if not isinstance(cfg["output"], str):
             raise ConfigParseError(f"config output must be a path, got {cfg['output']!r}")
-        if args.out is None:
-            args.out = cfg["output"]
-
-
-def _apply_defaults(args) -> None:
-    """Options still None take their defaults from OPTIONS (--out and --seed: "." and 24)."""
-    defaults = {flag[2:].replace("-", "_"): default
-                for flag, _, default, *_ in OPTIONS[args.experiment]}
-    for key, default in {**defaults, "out": ".", "seed": 24}.items():
-        if getattr(args, key) is None:
-            setattr(args, key, default)
+        flags.append("--out=" + cfg["output"])
+    return flags
 
 
 def main(argv=None) -> int:
@@ -400,10 +388,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.experiment is None:
             raise ConfigParseError("an experiment name is required")
-        if args.experiment not in RUNNERS:
-            raise UnknownExperimentError(args.experiment)
-        _apply_config(args)
-        _apply_defaults(args)
+        if args.config:
+            at = argv.index(args.experiment) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config, args.experiment)
+                                     + argv[at:])
         if args.seed < 0:
             raise ConfigParseError(f"--seed must be >= 0, got {args.seed}")
         thread_count()  # a malformed NMFLOW_THREADS fails here, before any work

@@ -114,8 +114,6 @@ def classify_intervals(gamma, t_max: float, step: float, channel) -> list[Interv
 
     intervals: list[IntervalClass] = []
     for a, b in zip(ts[:-1], ts[1:]):
-        if b - a <= 0:
-            continue
         mid = 0.5 * (a + b)
         label = DivisibilityLabel.CP_DIVISIBLE if gamma(mid) >= 0 else DivisibilityLabel.NOT_P
         if intervals and intervals[-1].label is label:

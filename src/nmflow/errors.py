@@ -57,9 +57,5 @@ class ConfigParseError(NmflowError, ValueError):
     """Experiment configuration is malformed."""
 
 
-class UnknownExperimentError(NmflowError, ValueError):
-    """Experiment name is not in the registered set."""
-
-
 class PrecisionLossWarning(UserWarning):
     """Measured values sit close enough to machine epsilon to be untrustworthy."""

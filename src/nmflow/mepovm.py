@@ -344,8 +344,7 @@ def _matrix(xi: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (xi @ basis.reshape(d * d, d * d)).reshape(xi.shape[:-1] + (d, d))
 
 
-def _qubit_x(coef: np.ndarray, rho_a: np.ndarray, eig_a: np.ndarray,
-             r: np.ndarray, pencil) -> np.ndarray:
+def _qubit_x(coef: np.ndarray, eig_a: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The X step for d = 2 in Pauli coordinates: for each row (a, b) of an
     (S, 4) stack of m = a + b.sigma, the coordinates xi of the optimal
     X = xi.sigma; r is the Bloch vector of rho_a and eig_a its ascending
@@ -359,7 +358,8 @@ def _qubit_x(coef: np.ndarray, rho_a: np.ndarray, eig_a: np.ndarray,
     R^2 = c_u^2 + (1 - e^2) q^2 the support point is c_perp / R plus
     u.x = sign(c_u) (c_u^2 - e^2 q^2) / (R (|c_u| + e R)), with 1 - e^2 from
     eig_a as 4 lambda_0 lambda_1: no cancellation near pure rho_a. Rows with
-    c = 0, where every feasible X is optimal, take `pencil`.
+    c = 0 take X = 0, which is optimal: there m = 2a rho_a, so Tr(X m) = 0
+    for every feasible X.
     """
     c = coef[:, 1:] - coef[:, :1] * r
     e = sqrt(r @ r)
@@ -370,13 +370,10 @@ def _qubit_x(coef: np.ndarray, rho_a: np.ndarray, eig_a: np.ndarray,
     big_r = np.sqrt(c_u ** 2 + 4.0 * float(eig_a[0] * eig_a[1]) * q2)
     num, den = np.maximum(c_u ** 2 - e * e * q2, 0.0), big_r * (np.abs(c_u) + e * big_r)
     s = np.sign(c_u) * np.divide(num, den, out=np.zeros(len(c)), where=den > 0.0)
-    norm = np.maximum(big_r, np.sqrt(q2))  # R when a support point holds, else q
-    solved = norm > 0.0
+    norm = np.maximum(big_r, np.sqrt(q2))  # R when a support point holds, else q; 0 at c = 0
     xi = np.empty((len(c), 4))
-    xi[:, 1:] = s[:, None] * u + c_perp / np.where(solved, norm, 1.0)[:, None]
+    xi[:, 1:] = s[:, None] * u + c_perp / np.where(norm > 0.0, norm, 1.0)[:, None]
     xi[:, 0] = -(xi[:, 1:] * r).sum(axis=1)
-    if not solved.all():
-        xi[~solved] = pencil(coef[~solved])
     return xi
 
 
@@ -386,21 +383,16 @@ def _x_step(rho_a: np.ndarray, eig_a: np.ndarray, basis: np.ndarray):
     maximize Tr(X m) over Hermitian -1 <= X <= 1 with Tr(rho_a X) = 0; eig_a
     are the ascending eigenvalues of rho_a.
 
-    For d = 2 the optimum has a closed form (`_qubit_x`); other dimensions,
-    and the qubit rows that the closed form leaves open, take the multiplier
-    search of `_pencil_x` row by row.
+    For d = 2 the optimum has a closed form (`_qubit_x`), which needs no
+    Cholesky factor; other dimensions take the multiplier search of
+    `_pencil_x` row by row.
     """
-    factor = functools.cache(lambda: _inverse_cholesky(rho_a, eig_a))  # once, if ever needed
-
-    def pencil(coef):
-        l_inv = factor()
-        return _coords(np.array([_pencil_x(m, rho_a, l_inv) for m in _matrix(coef, basis)]),
-                       basis)
-
-    if len(rho_a) > 2:
-        return pencil
-    r = 2.0 * _coords(rho_a, basis)[1:]
-    return lambda coef: _qubit_x(coef, rho_a, eig_a, r, pencil)
+    if len(rho_a) == 2:
+        r = 2.0 * _coords(rho_a, basis)[1:]
+        return lambda coef: _qubit_x(coef, eig_a, r)
+    l_inv = _inverse_cholesky(rho_a, eig_a)
+    return lambda coef: _coords(np.array([_pencil_x(m, rho_a, l_inv)
+                                          for m in _matrix(coef, basis)]), basis)
 
 
 def _bipartite(rho, dims, cut):

@@ -423,13 +423,6 @@ def entropy_spectral() -> SpectralFunction:
     return SpectralFunction(grad=grad, hess=hess)
 
 
-def _weighted_gram(weights: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # Re sum_kl weights[..., k, l] w[..., i, k, l] conj(w[..., j, k, l]) -> (..., i, j)
-    flat = w.reshape(w.shape[:-2] + (-1,))
-    scaled = flat * weights.reshape(weights.shape[:-2] + (1, -1))
-    return np.real(scaled @ np.swapaxes(flat.conj(), -1, -2))
-
-
 def spectral_derivs(fn: SpectralFunction, a: np.ndarray,
                     da: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of f(A(a)) at a point, from the eigensystem of A.
@@ -438,17 +431,17 @@ def spectral_derivs(fn: SpectralFunction, a: np.ndarray,
     matrices dA/da_i as a (p, n, n) array shared by the stack, or (..., p, n, n)
     per matrix. Returns the (..., p) gradients and (..., p, p) Hessians.
 
-    df/da_i = sum_k f'_k u_k^dag (dA/da_i) u_k, and the second derivatives add
-    the eigenvector-rotation terms with energy denominators (restricted to
-    non-degenerate pairs) plus the degenerate-pair correction weighted by
-    f''. Exactly degenerate eigenvalues (within DEG_TOL) are grouped; a pair
+    With w_i = U^dag (dA/da_i) U in the eigenbasis U of A, df/da_i =
+    sum_k f'_k w_i[k, k], and the Hessian is the Daleckii-Krein formula
+    H_ij = Re sum_kl F_kl w_i[k, l] conj(w_j[k, l]), where F_kl is the first
+    divided difference (f'_k - f'_l) / (lam_k - lam_l) of f', and f''_k
+    inside a group of exactly degenerate eigenvalues (within DEG_TOL). A pair
     closer than CROSS_TOL but not grouped, in any matrix of the stack, raises
     CrossingTooCloseError. A(a) is linear in a, so no second derivatives of A
     enter.
     """
     a = np.asarray(a, dtype=complex)
     vals, vecs = np.linalg.eigh(a)
-    n = vals.shape[-1]
     # Group exactly-degenerate eigenvalues (sorted ascending), per matrix.
     gaps = np.diff(vals, axis=-1)
     split = gaps > DEG_TOL
@@ -467,16 +460,12 @@ def spectral_derivs(fn: SpectralFunction, a: np.ndarray,
     f2 = np.asarray(fn.hess(vals), dtype=float)
     gradient = (h1 @ f1[..., None])[..., 0]
 
-    hess = (h1 * f2[..., None, :]) @ np.swapaxes(h1, -1, -2)
-    diff = vals[..., :, None] - vals[..., None, :]
     distinct = group[..., :, None] != group[..., None, :]
-    # Cross term of h_ij^k: sum over l outside k's group of alpha_ij^{kl}
-    # divided by (lam_k - lam_l), weighted by f'_k.
-    b = f1[..., :, None] * np.where(distinct, 1.0 / np.where(distinct, diff, 1.0), 0.0)
-    hess = hess + 2.0 * _weighted_gram(b, w)
-    same_upper = (~distinct) & (np.arange(n)[:, None] < np.arange(n)[None, :])
-    d_weights = np.where(same_upper, f2[..., :, None], 0.0)
-    hess = hess + 2.0 * _weighted_gram(d_weights, w)
+    gap = np.where(distinct, vals[..., :, None] - vals[..., None, :], 1.0)
+    big_f = np.where(distinct, (f1[..., :, None] - f1[..., None, :]) / gap, f2[..., :, None])
+    flat = w.reshape(w.shape[:-2] + (-1,))
+    scaled = flat * big_f.reshape(big_f.shape[:-2] + (1, -1))
+    hess = np.real(scaled @ np.swapaxes(flat.conj(), -1, -2))
     return gradient, (hess + np.swapaxes(hess, -1, -2)) / 2.0
 
 

@@ -240,6 +240,9 @@ def test_probs_over_an_array_raises_on_any_negative_weight():
         ch.probs(np.array([0.0, 1.0, 20.0, 1.9]))
     with pytest.raises(UnphysicalError, match="at t = 20.0"):
         ch.probs(20.0)
+    # The first negative time on the grid, not the most negative weight.
+    with pytest.raises(UnphysicalError, match=r"-2\.663e-05 < 0 at t = 1\.966:"):
+        ch.probs(np.array([0.0, 1.9, 1.966, 20.0]))
 
 
 def test_gadc_kraus_identity_at_zero():

@@ -79,12 +79,13 @@ def test_mi_scan_cli_random_deterministic(tmp_path):
 
 
 def test_mi_scan_random_rejects_a_channel_that_is_not_cptp(tmp_path, capsys):
-    # T(0.4) = 0.7686 > t0: a mixing weight is negative at t = 4, as in phi+ mode.
-    for mode in ([], ["--random", "50"]):
+    # T(0.4) = 0.7686 > t0: a mixing weight first drops below zero at t = 1.966,
+    # as in phi+ mode, and the error names that time whatever the grid's end.
+    for mode in ([], ["--random", "50"], ["--t-max", "20"]):
         assert main(["mi-scan", "--t0", "0.5", *mode, "--out", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: mixing weight -3.560e-02 < 0 at t = 4.0: " \
+        assert captured.err == "error: mixing weight -2.663e-05 < 0 at t = 1.966: " \
                                "channel not CPTP\n"
     assert not (tmp_path / "mi-scan.csv").exists()
 
@@ -596,6 +597,8 @@ def test_cli_rejects_bad_numbers(tmp_path, capsys, argv):
     {"grid": {"step": None}},
     {"grid": 5},
     {"output": 5},
+    {"seed": -1},
+    {"grid": {"t_max": 10 ** 400}},  # an integer too large for a float
 ], ids=json.dumps)
 def test_cli_rejects_malformed_config(tmp_path, capsys, config):
     path = tmp_path / "config.json"
@@ -684,17 +687,52 @@ def test_cli_config_file(tmp_path):
 
 
 def test_cli_flags_win_over_config_file(tmp_path):
-    # --t-max and --out come from the command line, step and seed from the file.
+    # --t-max and --out come from the command line, step and seed from the
+    # file, whether --config comes after the explicit flags or before them.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"grid": {"t_max": 3.0, "step": 0.01}, "seed": 3,
                                   "output": str(tmp_path / "file")}))
-    assert main(["divisibility-scan", "--t-max", "1", "--out", str(tmp_path / "flag"),
-                 "--config", str(config)]) == 0
-    times = [float(line.split(",")[0]) for line in
-             (tmp_path / "flag" / "divisibility-scan.csv").read_text().splitlines()[1:]]
-    assert len(times) == 101 and times[-1] == 1.0
-    assert not (tmp_path / "file").exists()
+    flags = ["--t-max", "1", "--out", str(tmp_path / "flag")]
+    for argv in ([*flags, "--config", str(config)], ["--config", str(config), *flags]):
+        assert main(["divisibility-scan", *argv]) == 0
+        times = [float(line.split(",")[0]) for line in
+                 (tmp_path / "flag" / "divisibility-scan.csv").read_text().splitlines()[1:]]
+        assert len(times) == 101 and times[-1] == 1.0
+        assert not (tmp_path / "file").exists()
     for argv, seed in ((["--seed", "5"], 5), ([], 3)):
         assert main(["mi-scan", "--random", "2", "--t-max", "1.5", *argv,
                      "--out", str(tmp_path / "seed"), "--config", str(config)]) == 0
         assert json.loads((tmp_path / "seed" / "mi-scan.json").read_text())["seed"] == seed
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_parser_holds_every_default(name):
+    # Left off the command line, each option parses as its default, not None.
+    args = cli.build_parser(only=name).parse_args([name])
+    defaults = {flag[2:].replace("-", "_"): default for flag, _, default, *_ in cli.OPTIONS[name]}
+    assert vars(args) == {"experiment": name, **defaults, "out": ".", "seed": 24,
+                          "config": None, "check": False}
+
+
+def test_config_output_may_start_with_a_dash(tmp_path, monkeypatch):
+    # A relative path such as -dash is a value, not an option.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({"output": "-dash"}))
+    assert main(["physicality", "--config", "config.json"]) == 0
+    assert (tmp_path / "-dash" / "physicality.csv").exists()
+
+
+@pytest.mark.parametrize("name,config,flags", [
+    ("divisibility-scan", {"grid": {"step": 0.1}}, ["--step", "0.1"]),
+    # gadc-scan has neither --channel nor --t-max, so the file's are not read.
+    ("gadc-scan", {"channel": "not a channel", "grid": {"t_max": "x", "step": 0.01}},
+     ["--step", "0.01"]),
+])
+def test_config_values_act_as_their_flags(tmp_path, name, config, flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([name, "--config", str(path), "--out", str(tmp_path / "file")]) == 0
+    assert main([name, *flags, "--out", str(tmp_path / "flag")]) == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / "file" / (name + suffix)).read_bytes() \
+            == (tmp_path / "flag" / (name + suffix)).read_bytes()

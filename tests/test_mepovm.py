@@ -366,12 +366,12 @@ def _match_per_start_reference(rho, dims, measure, x0):
 
 @pytest.mark.parametrize("label,rho,dims,measure,x0", _qubit_side_cases())
 def test_qubit_side_rounds_match_per_start_reference(monkeypatch, label, rho, dims, measure, x0):
-    # The qubit X step is the same closed form in both.
+    # The qubit X step is the same closed form in both, and it never takes the
+    # multiplier search, also not on the product's rows with c = 0.
     pencil, calls = mepovm._pencil_x, []
     monkeypatch.setattr(mepovm, "_pencil_x", lambda *a: calls.append(a) or pencil(*a))
     _match_per_start_reference(rho, dims, measure, x0)
-    if label == "product":  # the rows with c = 0 took the multiplier search
-        assert calls
+    assert not calls
 
 
 def _with_marginal(rng, rho_a, d_b):

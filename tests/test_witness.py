@@ -24,6 +24,7 @@ from nmflow.errors import (
     DimMismatchError,
     NeverBreakingError,
     NmflowError,
+    UnphysicalError,
 )
 from nmflow.numutil import bisect_root
 from nmflow.qmat import DensityState, maximally_entangled
@@ -371,6 +372,17 @@ def test_find_t_eb_never_breaking():
     identity_channel = RateChannel(ConstantRate(0.0), ConstantRate(0.0), ConstantRate(0.0))
     with pytest.raises(NeverBreakingError):
         find_t_eb(identity_channel, t_max=5.0)
+
+
+def test_find_t_eb_names_the_first_negative_weight_whatever_the_t_max():
+    # t0 = 0 lies below the physicality threshold ~0.769: the time that the
+    # error names is where a weight first goes negative, not where it is lowest.
+    messages = set()
+    for t_max in (200.0, 1000.0):
+        with pytest.raises(UnphysicalError) as err:
+            find_t_eb(quasi_eternal(0.4, 0.0), t_max=t_max)
+        messages.add(str(err.value))
+    assert messages == {"mixing weight -1.470e-04 < 0 at t = 0.05: channel not CPTP"}
 
 
 def find_t_eb_loop(channel, tol: float = 1e-3, t_max: float = 20.0) -> float:
