@@ -207,7 +207,7 @@ def run_probe_backflow(cfg, out):
     grid = _grid(0.0, t_max + cfg.step / 2, cfg.step)
     values = probe.closed_c2(grid)
     diffs = np.diff(values, prepend=values[0])
-    flags = ((diffs > 1e-10) & (grid > cfg.tau)).astype(int)
+    flags = ((diffs > witness.ONSET_MARGIN) & (grid > cfg.tau)).astype(int)
     write_csv(out / "probe-backflow.csv", ["t", "value", "derivative", "flag"],
               [grid.tolist(), values.tolist(), diffs.tolist(), flags.tolist()])
     opt = mepovm.c2_A(probe.state_at(cfg.tau), cut=1, seed=cfg.seed)

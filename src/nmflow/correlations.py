@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DimMismatchError, NonCommutingError
 from .qmat import partial_trace, partial_transpose
 
-EIG_FLOOR = 1e-14
 PROB_TOL = 1e-10
 COMM_TOL = 1e-9
 

@@ -45,12 +45,8 @@ class NeverBreakingError(NmflowError, ValueError):
     """Negativity of the evolved maximally entangled state never reaches zero."""
 
 
-class CrossingTooCloseError(NmflowError, ValueError):
-    """Eigenvalue pair nearly but not exactly degenerate; spectral derivatives unreliable."""
-
-
 class BoundaryStateError(NmflowError, ValueError):
-    """Stationary-state parameter |a12| >= 1/4 lies on the state-space boundary."""
+    """Stationary-state parameter a12 not inside |a12| < 1/4 (the boundary, beyond or NaN)."""
 
 
 class ConfigParseError(NmflowError, ValueError):

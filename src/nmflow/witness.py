@@ -6,9 +6,9 @@ negativity of the maximally entangled pair with one half under a Pauli
 channel in closed form, and its entanglement-breaking time from that
 negativity; Haar sampling of pure state vectors with a vectorized
 mutual-information scan; the generalized-amplitude-damping scan over weakly
-entangled probes; a spectral first/second-derivative toolkit for functions of
-parametrized Hermitian families; and the closed-form Hessian spectrum of the
-mutual-information rate at stationary states of random-unitary qubit dynamics.
+entangled probes; and the Hessian of the mutual-information rate at
+stationary states of random-unitary qubit dynamics, numerically from the
+Daleckii-Krein sum and as its closed-form spectrum.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .divisibility import min_choi_eig
 from .errors import (
     BoundaryStateError,
     ConfigParseError,
-    CrossingTooCloseError,
     DimMismatchError,
     NeverBreakingError,
     NmflowError,
@@ -43,8 +42,6 @@ EB_MAX_POINTS = 100_000  # most coarse-scan points find_t_eb allows (t_max <= 50
 EB_COARSE = 0.05  # find_t_eb's coarse-scan step
 CHUNK_TIMES = 128  # times per mi_series chunk
 CHUNK_MATRICES = 2 ** 15  # states per mi_series chunk, summed over its times
-DEG_TOL = 1e-12  # eigenvalue gap within which spectral_derivs groups a degenerate pair
-CROSS_TOL = 1e-8  # smallest gap spectral_derivs accepts between ungrouped eigenvalues
 EPS_MACHINE = float(np.finfo(float).eps)
 
 
@@ -364,10 +361,12 @@ def gadc_epsilon_scan(eps_list: Sequence[float],
     """Mutual-information increase intervals of sqrt(1-eps^2)|00> + eps|11>
     under the two-parameter generalized amplitude damping, per eps.
 
-    Valid for eps >= 1e-6 in double precision; results carry a precision-loss
-    flag when the whole signal sits within 1e3 machine epsilons of zero. The
-    increase margin scales with the eps^2 signal size. One `mi_series` call
-    scans the states of every eps as one stack.
+    The increase margin scales with the eps^2 signal size, with a floor of
+    1e-14. On the default grid eps >= 1e-5 resolves the interval; below that
+    the rises can sit under the floor, and the interval may be None with no
+    flag raised. The precision-loss flag only marks a whole signal within
+    1e3 machine epsilons of zero. One `mi_series` call scans the states of
+    every eps as one stack.
     """
     grid = _check_grid(np.arange(0.10, 0.35 + 1e-12, 2.5e-4) if grid is None else grid)
     eps_arr = np.asarray(eps_list, dtype=float)
@@ -397,79 +396,6 @@ def gadc_epsilon_scan(eps_list: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# Spectral derivative toolkit
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectralFunction:
-    """A separable function f(lam) = sum_k g(lam_k) of eigenvalues, given by its
-    gradient g'(lam_k) and its Hessian diagonal g''(lam_k) (the Hessian in the
-    eigenvalues is diagonal). grad and hess act elementwise on (..., n) stacks
-    of spectra."""
-
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
-
-
-def entropy_spectral() -> SpectralFunction:
-    floor = correlations.EIG_FLOOR
-
-    def grad(lam):
-        return -(np.log(np.maximum(lam, floor)) + 1.0)
-
-    def hess(lam):
-        return -1.0 / np.maximum(lam, floor)
-
-    return SpectralFunction(grad=grad, hess=hess)
-
-
-def spectral_derivs(fn: SpectralFunction, a: np.ndarray,
-                    da: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of f(A(a)) at a point, from the eigensystem of A.
-
-    a is one (n, n) matrix or an (..., n, n) stack; da holds the p derivative
-    matrices dA/da_i as a (p, n, n) array shared by the stack, or (..., p, n, n)
-    per matrix. Returns the (..., p) gradients and (..., p, p) Hessians.
-
-    With w_i = U^dag (dA/da_i) U in the eigenbasis U of A, df/da_i =
-    sum_k f'_k w_i[k, k], and the Hessian is the Daleckii-Krein formula
-    H_ij = Re sum_kl F_kl w_i[k, l] conj(w_j[k, l]), where F_kl is the first
-    divided difference (f'_k - f'_l) / (lam_k - lam_l) of f', and f''_k
-    inside a group of exactly degenerate eigenvalues (within DEG_TOL). A pair
-    closer than CROSS_TOL but not grouped, in any matrix of the stack, raises
-    CrossingTooCloseError. A(a) is linear in a, so no second derivatives of A
-    enter.
-    """
-    a = np.asarray(a, dtype=complex)
-    vals, vecs = np.linalg.eigh(a)
-    # Group exactly-degenerate eigenvalues (sorted ascending), per matrix.
-    gaps = np.diff(vals, axis=-1)
-    split = gaps > DEG_TOL
-    close = split & (gaps < CROSS_TOL)
-    if np.any(close):
-        raise CrossingTooCloseError(
-            f"eigenvalue gap {np.min(gaps[close]):.3e} below {CROSS_TOL:.1e} "
-            f"but above {DEG_TOL:.1e}")
-    group = np.concatenate((np.zeros(vals.shape[:-1] + (1,), dtype=int),
-                            np.cumsum(split, axis=-1)), axis=-1)
-
-    vecs = vecs[..., None, :, :]
-    w = np.swapaxes(vecs.conj(), -1, -2) @ np.asarray(da, dtype=complex) @ vecs
-    h1 = np.real(np.diagonal(w, axis1=-2, axis2=-1))
-    f1 = np.asarray(fn.grad(vals), dtype=float)
-    f2 = np.asarray(fn.hess(vals), dtype=float)
-    gradient = (h1 @ f1[..., None])[..., 0]
-
-    distinct = group[..., :, None] != group[..., None, :]
-    gap = np.where(distinct, vals[..., :, None] - vals[..., None, :], 1.0)
-    big_f = np.where(distinct, (f1[..., :, None] - f1[..., None, :]) / gap, f2[..., :, None])
-    flat = w.reshape(w.shape[:-2] + (-1,))
-    scaled = flat * big_f.reshape(big_f.shape[:-2] + (1, -1))
-    hess = np.real(scaled @ np.swapaxes(flat.conj(), -1, -2))
-    return gradient, (hess + np.swapaxes(hess, -1, -2)) / 2.0
-
-
-# ---------------------------------------------------------------------------
 # Mutual-information rate Hessian at stationary states
 # ---------------------------------------------------------------------------
 
@@ -481,36 +407,54 @@ def _contraction_rates(gx, gy, gz) -> np.ndarray:
     return np.tile(per_pauli, 4)[..., 1:]
 
 
+def _entropy_hessian(lam: np.ndarray, da: np.ndarray) -> np.ndarray:
+    # Hessian of the entropy -Tr(A ln A) in the directions da (p, n, n) at the
+    # diagonal A = diag(lam), lam (..., n) > 0: the Daleckii-Krein sum
+    # H_ij = Re sum_kl F_kl da_i[k, l] conj(da_j[k, l]) with F_kl the divided
+    # difference -ln(lam_k / lam_l) / (lam_k - lam_l) of S'(x) = -ln x - 1,
+    # and S''(lam_l) = -1 / lam_l where the gap is exactly 0. Shape (..., p, p).
+    lam_l = lam[..., None, :]
+    gap = lam[..., :, None] - lam_l
+    same = gap == 0.0
+    big_f = np.where(same, -1.0 / lam_l, -np.log1p(gap / lam_l) / np.where(same, 1.0, gap))
+    flat = da.reshape(len(da), -1)
+    scaled = flat * big_f.reshape(big_f.shape[:-2] + (1, -1))
+    return np.real(scaled @ flat.conj().T)
+
+
 def mi_rate_hessian(gx, gy, gz, a12) -> np.ndarray:
     """Numeric Hessian (15 x 15) of d/dt I at the stationary state
-    rho = 1/4 (1 (x) 1) + a12 (sigma_z (x) 1), over the 15 traceless
-    coordinates, via the spectral-derivative toolkit. The arguments broadcast
-    against each other; the result has shape (..., 15, 15).
+    rho = 1/4 (1 (x) 1) + a12 (sigma_z (x) 1), |a12| < 1/4, over the 15
+    traceless coordinates. The arguments broadcast against each other; the
+    result has shape (..., 15, 15). An a12 outside the open interval (NaN
+    included) raises BoundaryStateError.
 
     The derivative convention matches the closed-form spectrum: coordinates
     contract as da_i/ds = -c_i a_i with c_i the pairwise rate sum of the
     system Pauli factor. Since the base point is stationary, the Hessian of
     d/dt I = -sum_i c_i a_i dI/da_i reduces to
     H_jk = -(c_j + c_k) d2I/da_j da_k, needing only second derivatives of I.
+    rho and both marginals are diagonal, so each entropy Hessian is the
+    Daleckii-Krein sum over their known spectra, with no eigendecomposition.
     """
-    a12 = np.asarray(a12, dtype=float)[..., None, None]
+    a12 = np.asarray(a12, dtype=float)
+    if not np.all(np.abs(a12) < 0.25):  # also rejects NaN
+        raise BoundaryStateError(f"a12 must lie in (-1/4, 1/4), got {a12}")
     paulis = np.array(PAULIS)
     # The 16 Pauli products sigma_i (x) sigma_j, the second factor varying fastest.
     e = np.einsum("iab,jcd->ijacbd", paulis, paulis).reshape(16, 4, 4)
-    fn = entropy_spectral()
-    rho0 = 0.25 * np.eye(4, dtype=complex) + a12 * e[12]
-    _, h_joint = spectral_derivs(fn, rho0, e[1:])
+    # rho = diag(1/4 + a12 (1, 1, -1, -1)).
+    h_joint = _entropy_hessian(0.25 + a12[..., None] * np.array([1.0, 1.0, -1.0, -1.0]), e[1:])
 
-    # The system marginal depends on coordinates 1..3, the ancilla marginal on
-    # 4, 8, 12; all other coordinate derivatives vanish.
+    # The system marginal 1/2 depends on coordinates 1..3, the ancilla marginal
+    # 1/2 + 2 a12 sigma_z on 4, 8, 12; all other coordinate derivatives vanish.
     da_s = np.zeros((15, 2, 2), dtype=complex)
     da_s[:3] = 2.0 * paulis[1:]
-    _, h_s = spectral_derivs(fn, 0.5 * np.eye(2, dtype=complex), da_s)
+    h_s = _entropy_hessian(np.full(2, 0.5), da_s)
 
-    rho_a = 0.5 * np.eye(2, dtype=complex) + 2.0 * a12 * PAULIS[3]
     da_a = np.zeros((15, 2, 2), dtype=complex)
     da_a[[3, 7, 11]] = 2.0 * paulis[1:]
-    _, h_a = spectral_derivs(fn, rho_a, da_a)
+    h_a = _entropy_hessian(0.5 + 2.0 * a12[..., None] * np.array([1.0, -1.0]), da_a)
 
     h_mi = h_a + h_s - h_joint
     c = _contraction_rates(gx, gy, gz)
@@ -525,8 +469,8 @@ def hessian_eigs_closed(gx: float, gy: float, gz: float, a12: float) -> np.ndarr
     and six are -8 (gamma_j + gamma_k) atanh(4 a12)/a12 (two per pair), all
     nonpositive exactly when the pairwise rate sums are nonnegative.
     """
-    if abs(a12) >= 0.25:
-        raise BoundaryStateError(f"|a12| = {abs(a12)} >= 1/4 lies on the state-space boundary")
+    if not abs(a12) < 0.25:  # also rejects NaN
+        raise BoundaryStateError(f"a12 must lie in (-1/4, 1/4), got {a12}")
     q = (16.0 * a12 * a12 + 1.0) / (16.0 * a12 * a12 - 1.0)
     x = 4.0 * a12
     if abs(x) < 1e-5:

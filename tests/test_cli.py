@@ -532,6 +532,13 @@ def test_hessian_check_cli(tmp_path):
     assert summary["max_deviation"] <= 1e-3
 
 
+def test_hessian_check_deviation_stays_at_rounding_level(tmp_path):
+    # Divided differences across the 2 a12 gap of the joint spectrum keep
+    # their digits over every draw, small |a12| included.
+    assert main(["hessian-check", "--draws", "5000", "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert read_summary(tmp_path, "hessian-check")["max_deviation"] <= 1e-14
+
+
 def test_cli_error_exit_codes(tmp_path):
     # Unparseable arguments and domain errors exit 1.
     assert main(["probe-backflow", "--p", "0.5", "--out", str(tmp_path)]) == 1

@@ -17,7 +17,6 @@ from helpers import (
 from nmflow import channels, correlations, qmat
 from nmflow.channels import AffineQubitMap, RateChannel, apply_map, quasi_eternal
 from nmflow.correlations import (
-    EIG_FLOOR,
     Ensemble,
     _common_eigenbasis,
     entropy,
@@ -28,6 +27,8 @@ from nmflow.correlations import (
 from nmflow.errors import DimMismatchError, NmflowError, NonCommutingError
 from nmflow.numutil import bisect_root
 from nmflow.qmat import SIGMA_X, maximally_entangled, partial_trace
+
+EIG_FLOOR = 1e-14  # Bell weight at or below which bell_mi_derivative counts it as 0
 
 
 class NotClassicalQuantumError(NmflowError, ValueError):

@@ -3,7 +3,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from helpers import NOT_STATES, random_density, random_hermitian, trace_distance
+from helpers import NOT_STATES, random_density, trace_distance
 from nmflow import correlations, qmat, witness
 from nmflow.channels import (
     AffineQubitMap,
@@ -20,7 +20,6 @@ from nmflow.correlations import mutual_information, negativity
 from nmflow.errors import (
     BoundaryStateError,
     ConfigParseError,
-    CrossingTooCloseError,
     DimMismatchError,
     NeverBreakingError,
     NmflowError,
@@ -29,9 +28,7 @@ from nmflow.errors import (
 from nmflow.numutil import bisect_root
 from nmflow.qmat import DensityState, maximally_entangled
 from nmflow.witness import (
-    SpectralFunction,
     Trajectory,
-    entropy_spectral,
     find_t_eb,
     gadc_epsilon_scan,
     hessian_eigs_closed,
@@ -42,7 +39,6 @@ from nmflow.witness import (
     sample_pure_vectors,
     scan_backflow,
     series_backflow,
-    spectral_derivs,
 )
 
 
@@ -55,16 +51,6 @@ def sample_pure(dims: Sequence[int], count: int, seed: int) -> list[DensityState
     dims = tuple(int(x) for x in dims)
     vecs = sample_pure_vectors(dims, count, seed)
     return [DensityState(np.outer(v, v.conj()), dims) for v in vecs]
-
-
-def trace_spectral() -> SpectralFunction:
-    return SpectralFunction(grad=lambda lam: np.ones_like(lam),
-                            hess=lambda lam: np.zeros_like(lam))
-
-
-def sum_squares_spectral() -> SpectralFunction:
-    return SpectralFunction(grad=lambda lam: 2.0 * np.asarray(lam),
-                            hess=lambda lam: 2.0 * np.ones_like(lam))
 
 
 def zero_space_lambda_deriv(a1: float, a2: float, a3: float,
@@ -864,130 +850,6 @@ def test_gadc_epsilon_scan_rejects_eps_outside_unit_interval(eps):
         gadc_epsilon_scan([1e-3, eps])
 
 
-def test_spectral_derivs_trace():
-    rng = np.random.default_rng(50)
-    a = random_hermitian(rng, 5)
-    da = [random_hermitian(rng, 5) for _ in range(3)]
-    grad, hess = spectral_derivs(trace_spectral(), a, da)
-    np.testing.assert_allclose(grad, [np.real(np.trace(m)) for m in da], atol=1e-12)
-    np.testing.assert_allclose(hess, 0.0, atol=1e-10)
-
-
-def test_spectral_derivs_sum_squares_gram():
-    rng = np.random.default_rng(51)
-    a = random_hermitian(rng, 4)
-    da = [random_hermitian(rng, 4) for _ in range(4)]
-    _, hess = spectral_derivs(sum_squares_spectral(), a, da)
-    gram = np.array([[2.0 * np.real(np.trace(x @ y)) for y in da] for x in da])
-    np.testing.assert_allclose(hess, gram, atol=1e-9)
-
-
-def test_spectral_derivs_finite_difference():
-    rng = np.random.default_rng(52)
-    fn = entropy_spectral()
-    for _ in range(10):
-        d = int(rng.integers(2, 6))
-        base = random_density(rng, d)
-        da = [random_hermitian(rng, d, scale=0.3) for _ in range(3)]
-
-        def f(shift):
-            m = base + sum(s * m_i for s, m_i in zip(shift, da))
-            return float(correlations.shannon(np.linalg.eigvalsh(m)))
-
-        grad, hess = spectral_derivs(fn, base, da)
-        h = 1e-5
-        for i in range(3):
-            e_i = np.zeros(3)
-            e_i[i] = h
-            fd = (f(e_i) - f(-e_i)) / (2 * h)
-            assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
-            for j in range(3):
-                e_j = np.zeros(3)
-                e_j[j] = h
-                fd2 = (f(e_i + e_j) - f(e_i - e_j) - f(e_j - e_i) + f(-e_i - e_j)) / (4 * h * h)
-                assert hess[i, j] == pytest.approx(fd2, rel=1e-4, abs=1e-5)
-
-
-def test_spectral_derivs_degenerate_entropy():
-    # Maximally mixed qubit: exact degeneracy handled through the f'' pair term.
-    fn = entropy_spectral()
-    a = 0.5 * np.eye(2, dtype=complex)
-    da = [2.0 * qmat.SIGMA_X, 2.0 * qmat.SIGMA_Y, 2.0 * qmat.SIGMA_Z]
-    _, hess = spectral_derivs(fn, a, da)
-    np.testing.assert_allclose(hess, -16.0 * np.eye(3), atol=1e-9)
-
-
-def test_spectral_derivs_crossing_guard():
-    fn = entropy_spectral()
-    a = np.diag([0.2, 0.2 + 1e-9, 0.6]).astype(complex)
-    da = [random_hermitian(np.random.default_rng(53), 3)]
-    with pytest.raises(CrossingTooCloseError):
-        spectral_derivs(fn, a, da)
-
-
-def spectral_derivs_loop(fn: SpectralFunction, a: np.ndarray, da) -> tuple:
-    """Per-matrix oracle for spectral_derivs: one eigendecomposition, a Python
-    loop over the eigenvalues for the degenerate groups and einsum contractions."""
-    a = np.asarray(a, dtype=complex)
-    vals, vecs = np.linalg.eigh(a)
-    n = vals.size
-    group = np.zeros(n, dtype=int)
-    for k in range(1, n):
-        group[k] = group[k - 1] + (0 if vals[k] - vals[k - 1] <= witness.DEG_TOL else 1)
-    for k in range(1, n):
-        if group[k] != group[k - 1] and vals[k] - vals[k - 1] < witness.CROSS_TOL:
-            raise CrossingTooCloseError("gap")
-    w = np.stack([vecs.conj().T @ np.asarray(m, dtype=complex) @ vecs for m in da])
-    h1 = np.real(np.einsum("ikk->ik", w))
-    f1 = np.asarray(fn.grad(vals), dtype=float)
-    f2 = np.diag(np.asarray(fn.hess(vals), dtype=float))
-    hess = h1 @ f2 @ h1.T
-    diff = vals[:, None] - vals[None, :]
-    distinct = group[:, None] != group[None, :]
-    b = f1[:, None] * np.where(distinct, 1.0 / np.where(distinct, diff, 1.0), 0.0)
-    hess = hess + 2.0 * np.real(np.einsum("kl,ikl,jkl->ij", b, w, w.conj()))
-    same_upper = (~distinct) & (np.arange(n)[:, None] < np.arange(n)[None, :])
-    d_weights = np.where(same_upper, np.diag(f2)[:, None], 0.0)
-    hess = hess + 2.0 * np.real(np.einsum("kl,ikl,jkl->ij", d_weights, w, w.conj()))
-    return h1 @ f1, (hess + hess.T) / 2.0
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_spectral_derivs_stack_matches_per_matrix(d):
-    rng = np.random.default_rng(60 + d)
-    fn = entropy_spectral()
-    stack = np.array([[random_density(rng, d) for _ in range(3)] for _ in range(2)])
-    # An exactly degenerate member: the maximally mixed state.
-    stack[1, 2] = np.eye(d) / d
-    shared = np.array([random_hermitian(rng, d) for _ in range(5)])
-    per_matrix = np.array([[[random_hermitian(rng, d) for _ in range(5)] for _ in range(3)]
-                           for _ in range(2)])
-    for da in (shared, per_matrix):
-        grad, hess = spectral_derivs(fn, stack, da)
-        assert grad.shape == (2, 3, 5) and hess.shape == (2, 3, 5, 5)
-        for i in range(2):
-            for j in range(3):
-                ref_grad, ref_hess = spectral_derivs_loop(
-                    fn, stack[i, j], da if da.ndim == 3 else da[i, j])
-                scale = max(1.0, float(np.max(np.abs(ref_hess))))
-                np.testing.assert_allclose(grad[i, j], ref_grad, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(hess[i, j], ref_hess, rtol=0, atol=1e-12 * scale)
-
-
-def test_spectral_derivs_crossing_guard_in_a_stack():
-    # One matrix of the stack with a gap inside (DEG_TOL, CROSS_TOL) trips the guard.
-    fn = entropy_spectral()
-    rng = np.random.default_rng(63)
-    stack = np.array([random_density(rng, 3) for _ in range(4)])
-    da = np.array([random_hermitian(rng, 3)])
-    spectral_derivs(fn, stack, da)
-    stack[2] = np.diag([0.2, 0.2 + 1e-9, 0.6 - 1e-9])
-    with pytest.raises(CrossingTooCloseError):
-        spectral_derivs_loop(fn, stack[2], da)
-    with pytest.raises(CrossingTooCloseError):
-        spectral_derivs(fn, stack, da)
-
-
 def test_mi_rate_hessian_broadcasts_bit_identically():
     rng = np.random.default_rng(64)
     gx, gy, gz = rng.uniform(-0.5, 1.5, size=(3, 20))
@@ -1027,6 +889,64 @@ def test_hessian_numeric_matches_closed():
         closed = np.sort(np.concatenate([hessian_eigs_closed(gx, gy, gz, a12), np.zeros(6)]))
         scale = max(1.0, float(np.max(np.abs(closed))))
         np.testing.assert_allclose(numeric, closed, rtol=1e-3, atol=1e-6 * scale)
+
+
+def test_mi_rate_hessian_matches_finite_differences_of_mi():
+    # An oracle outside the Daleckii-Krein sum: central second differences of
+    # the mutual information (eigh and Rayleigh quotients) along the Pauli
+    # products sigma_i (x) sigma_j, coordinate 4 i + j, which contracts at the
+    # rate 0, gy + gz, gx + gz or gx + gy of the system factor j = 0 .. 3.
+    rng = np.random.default_rng(65)
+    products = [np.kron(p, q) for p in qmat.PAULIS for q in qmat.PAULIS]
+    diagonal = [(j, j) for j in range(1, 16)]
+    coupled = [(1, 13), (14, 2), (3, 15)]  # the nonzero off-diagonal entries
+    h = 1e-4
+    for _ in range(6):
+        gx, gy, gz = rng.uniform(0.1, 1.5, size=3)
+        a12 = float(rng.uniform(-0.2, 0.2))
+        rates = (0.0, gy + gz, gx + gz, gx + gy)
+        hess = mi_rate_hessian(gx, gy, gz, a12)
+        scale = float(np.max(np.abs(hess)))
+        rho0 = 0.25 * np.eye(4) + a12 * products[12]
+
+        def mi(shift):
+            return mutual_information(rho0 + shift, (2, 2))
+
+        for j, k in diagonal + coupled + rng.integers(1, 16, size=(6, 2)).tolist():
+            e_j, e_k = h * products[j], h * products[k]
+            d2 = (mi(e_j + e_k) - mi(e_j - e_k) - mi(e_k - e_j) + mi(-e_j - e_k)) / (4 * h * h)
+            expected = -(rates[j % 4] + rates[k % 4]) * d2
+            assert hess[j - 1, k - 1] == pytest.approx(expected, abs=1e-5 * scale), (j, k)
+
+
+@pytest.mark.parametrize("a12", [0.0, 1e-12, -1e-12, 1e-10, 1e-9])
+def test_mi_rate_hessian_near_the_maximally_mixed_state(a12):
+    # Joint eigenvalue gaps of 2 a12, down to 2e-12, need no crossing guard.
+    for gx, gy, gz in [(0.3, 0.5, 0.7), (1.2, -0.4, 0.9)]:
+        numeric = np.sort(np.linalg.eigvalsh(mi_rate_hessian(gx, gy, gz, a12)))
+        closed = np.sort(np.concatenate([hessian_eigs_closed(gx, gy, gz, a12), np.zeros(6)]))
+        scale = max(1.0, float(np.max(np.abs(closed))))
+        np.testing.assert_allclose(numeric, closed, rtol=0, atol=1e-12 * scale)
+
+
+def test_mi_rate_hessian_diagonalizes_nothing(monkeypatch):
+    # rho and its marginals are diagonal: their spectra are known.
+    def diagonalized(*args, **kwargs):
+        raise AssertionError("mi_rate_hessian called an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", diagonalized)
+    monkeypatch.setattr(np.linalg, "eigvalsh", diagonalized)
+    assert mi_rate_hessian(0.3, 0.5, 0.7, np.array([0.0, 0.1, -0.2])).shape == (3, 15, 15)
+
+
+@pytest.mark.parametrize("a12", [0.25, -0.25, 0.3, -0.26, np.nan, [0.1, 0.25], [np.nan, 0.0]],
+                         ids=str)
+def test_mi_rate_hessian_rejects_states_off_the_interior(a12):
+    with pytest.raises(BoundaryStateError):
+        mi_rate_hessian(0.3, 0.5, 0.7, a12)
+    if np.ndim(a12) == 0:
+        with pytest.raises(BoundaryStateError):
+            hessian_eigs_closed(0.3, 0.5, 0.7, a12)
 
 
 def test_zero_space_lambda_deriv():
