@@ -1,5 +1,6 @@
 """Correlation functionals: von Neumann entropy, mutual information,
-negativity, and the closed-form guessing probability of commuting ensembles.
+negativity, and the guessing probability of commuting ensembles as the trace
+of their operator maximum.
 
 All entropies use natural logarithms (nats). Entropy, mutual information and
 negativity take a matrix or a (..., D, D) stack of them, with its subsystem
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, NonCommutingError
-from .qmat import partial_trace, partial_transpose
+from .qmat import partial_trace, partial_transpose, require_hermitian
 
 PROB_TOL = 1e-10
 COMM_TOL = 1e-9
@@ -67,18 +68,19 @@ def mutual_information(rho, dims: Sequence[int]):
     return entropy(left) + entropy(right) - entropy(m)
 
 
-def negativity(rho, dims: Sequence[int], transpose: int = 0):
-    """N = (||rho^(Gamma)||_1 - 1)/2 with the partial transpose on the given
-    subsystem; clamped at 0 against rounding; per matrix of a (..., D, D) stack."""
+def negativity(rho, dims: Sequence[int]):
+    """N = (||rho^(Gamma)||_1 - 1)/2 with the partial transpose on the first
+    subsystem (rho^(T_B) = (rho^(T_A))^T has the same spectrum); clamped at 0
+    against rounding; per matrix of a (..., D, D) stack."""
     m = np.asarray(rho, dtype=complex)
-    pt = partial_transpose(m, dims, transpose)
+    pt = partial_transpose(m, dims, 0)
     norm1 = np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=-1)
     return np.maximum(0.0, 0.5 * (norm1 - 1.0))
 
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Probability vector plus equally-sized states {p_i, rho_i}."""
+    """Probability vector plus equally-sized Hermitian states {p_i, rho_i}."""
 
     probs: tuple[float, ...]
     states: tuple[np.ndarray, ...]
@@ -92,8 +94,10 @@ class Ensemble:
                 or abs(sum(probs) - 1.0) > PROB_TOL):
             raise DimMismatchError(f"probabilities {probs} invalid")
         d = states[0].shape
-        if any(s.shape != d for s in states):
-            raise DimMismatchError("ensemble states differ in dimension")
+        if len(d) != 2 or d[0] != d[1] or any(s.shape != d for s in states):
+            raise DimMismatchError("ensemble states must be square and of one dimension")
+        for s in states:
+            require_hermitian(s)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
 
@@ -105,24 +109,12 @@ class GuessingResult:
     value: float
 
 
-def _common_eigenbasis(mats: Sequence[np.ndarray], tol: float) -> np.ndarray:
-    rng = np.random.default_rng(1905)
-    for _ in range(4):
-        w = rng.normal(size=len(mats))
-        combo = sum(wi * m for wi, m in zip(w, mats))
-        _, u = np.linalg.eigh(combo)
-        defect = 0.0
-        for m in mats:
-            rot = u.conj().T @ m @ u
-            defect = max(defect, float(np.max(np.abs(rot - np.diag(np.diag(rot))))))
-        if defect <= max(tol, 1e-8):
-            return u
-    raise NonCommutingError("no common eigenbasis found within tolerance")
-
-
 def guessing_commuting(ens: Ensemble) -> GuessingResult:
-    """Closed-form guessing probability for pairwise-commuting states: in the
-    common eigenbasis, P_g = sum_j max_i p_i lambda_{i,j}, attained by the
+    """Closed-form guessing probability for pairwise-commuting states:
+    P_g = Tr max_i p_i rho_i, the operator maximum, built pairwise as
+    M <- (M + p_i rho_i + |M - p_i rho_i|)/2. For commuting operators that is
+    the entrywise maximum in their common eigenbasis, which commutes with every
+    remaining state, so P_g = sum_j max_i p_i lambda_{i,j}, attained by the
     eigenprojectors grouped by their winning index i."""
     states = ens.states
     for i in range(len(states)):
@@ -132,7 +124,8 @@ def guessing_commuting(ens: Ensemble) -> GuessingResult:
             if defect > COMM_TOL:
                 raise NonCommutingError(
                     f"states {i} and {j} do not commute (defect {defect:.3e})")
-    u = _common_eigenbasis(states, COMM_TOL)
-    lam = np.stack([np.real(np.diag(u.conj().T @ s @ u)) for s in states])
-    weighted = np.asarray(ens.probs)[:, None] * lam
-    return GuessingResult(value=float(np.sum(np.max(weighted, axis=0))))
+    top = ens.probs[0] * states[0]
+    for p, s in zip(ens.probs[1:], states[1:]):
+        vals, vecs = np.linalg.eigh(top - p * s)
+        top = (top + p * s + (vecs * np.abs(vals)) @ vecs.conj().T) / 2.0
+    return GuessingResult(value=float(np.trace(top).real))

@@ -33,7 +33,8 @@ the result.
 
 Also here: the outcome-count bound for ME-POVM optimization, and the
 classical-quantum probe state of the quasi-eternal family whose C backflow
-is equivalent to non-CP intermediate dynamics.
+is equivalent to non-CP intermediate dynamics, with that C in closed form
+from the spectrum of its two steered states' difference.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .qmat import (
     herm_eig,
     partial_trace,
     require_hermitian,
-    trace_norm,
 )
 
 EFFECT_PSD_SLACK = 1e-10
@@ -121,15 +121,6 @@ def construct_me_povm(rho_a) -> MePovm2:
     return MePovm2((p1, np.eye(d) - p1), ref)
 
 
-def c2_closed_probe(rho1, rho2):
-    """C of the classical-quantum probe in closed form: ||rho1 - rho2||_1 / 4;
-    an array of values for (..., n, n) stacks."""
-    a, b = np.asarray(rho1, dtype=complex), np.asarray(rho2, dtype=complex)
-    if a.shape != b.shape:
-        raise DimMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return trace_norm(a - b) / 4.0
-
-
 def povm_count_bound(d_a: int, d_b: int) -> float:
     """Sufficient number of ME-POVM outcomes when maximizing over the outcome
     count: min over z in [1/2, 1] of max(d_a/z, d_b(3z-1)/z)."""
@@ -154,7 +145,7 @@ class C2Result:
     `iterations` is the round in which the winning start stopped gaining: the
     first round whose value exceeded the start's best so far by at most
     SEESAW_GAIN_TOL (SEESAW_MAX_ITER if none did). Round 1 evaluates the start
-    itself. `iterations == 0` marks the product shortcut (value 0, no rounds).
+    itself.
     """
 
     value: float
@@ -357,7 +348,8 @@ def _qubit_x(coef: np.ndarray, eig_a: np.ndarray, r: np.ndarray) -> np.ndarray:
     With e = |r|, u = r / e, c_u = c.u, q = |c_perp| = |c - c_u u| and
     R^2 = c_u^2 + (1 - e^2) q^2 the support point is c_perp / R plus
     u.x = sign(c_u) (c_u^2 - e^2 q^2) / (R (|c_u| + e R)), with 1 - e^2 from
-    eig_a as 4 lambda_0 lambda_1: no cancellation near pure rho_a. Rows with
+    eig_a as 4 lambda_0 lambda_1, clamped at 0 (eigvalsh may return a pure
+    rho_a's lambda_0 below 0): no cancellation near pure rho_a. Rows with
     c = 0 take X = 0, which is optimal: there m = 2a rho_a, so Tr(X m) = 0
     for every feasible X.
     """
@@ -367,7 +359,7 @@ def _qubit_x(coef: np.ndarray, eig_a: np.ndarray, r: np.ndarray) -> np.ndarray:
     c_u = (c * u).sum(axis=1)  # row by row, so a row's X does not depend on the stack
     c_perp = c - c_u[:, None] * u
     q2 = np.einsum("si,si->s", c_perp, c_perp)
-    big_r = np.sqrt(c_u ** 2 + 4.0 * float(eig_a[0] * eig_a[1]) * q2)
+    big_r = np.sqrt(c_u ** 2 + 4.0 * max(float(eig_a[0] * eig_a[1]), 0.0) * q2)
     num, den = np.maximum(c_u ** 2 - e * e * q2, 0.0), big_r * (np.abs(c_u) + e * big_r)
     s = np.sign(c_u) * np.divide(num, den, out=np.zeros(len(c)), where=den > 0.0)
     norm = np.maximum(big_r, np.sqrt(q2))  # R when a support point holds, else q; 0 at c = 0
@@ -423,10 +415,6 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
     x0 = x0 if x0 is None else require_hermitian(x0)
     rho_a = partial_trace(m, (d_a, d_b), keep=0)
     eig_a = np.linalg.eigvalsh(rho_a)
-    if int(np.sum(eig_a > 1e-12)) <= 1:
-        # Pure marginal: rho_AB is a product, every ME-POVM steers identical
-        # states and the measure vanishes.
-        return C2Result(value=0.0, x=np.zeros((d_a, d_a)), iterations=0)
     rho4 = m.reshape(d_a, d_b, d_a, d_b)
 
     # Each start after the eigenbasis ME-POVM projects a B-side Hermitian to a
@@ -542,31 +530,33 @@ class ProbeState:
     def _lambdas_tau(self) -> tuple[float, float]:
         return self._lambdas(self.tau)
 
-    def pair_at(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """(rho1_B(t), rho2_B(t)) on the qutrit (x) qubit side; (T, 6, 6) stacks
-        for a 1-D array of T times."""
+    def _coefficients(self, t):
+        """(c_xy, c_z) = p (lambda_xy(t) / lambda_xy(tau), lambda_z(t) / lambda_z(tau)),
+        the correlated coefficients of rho1_B(t); arrays for an array of times."""
         lxy_tau, lz_tau = self._lambdas_tau
         lxy_t, lz_t = self._lambdas(t)
-        cxy = np.asarray(self.p * lxy_t / lxy_tau)[..., None, None]
-        cz = np.asarray(self.p * lz_t / lz_tau)[..., None, None]
-        rho1 = np.kron(_Q2, np.eye(2, dtype=complex)) / 4.0 \
-            + cxy * (_XX - _YY) / 4.0 + cz * _ZZ / 4.0
-        rho2 = np.kron((1.0 - self.p) * _Q2 / 2.0 + self.p * _PROJ2,
-                       np.eye(2, dtype=complex) / 2.0)
-        return rho1, np.broadcast_to(rho2, rho1.shape)
+        return self.p * lxy_t / lxy_tau, self.p * lz_t / lz_tau
 
     def state_at(self, t: float) -> DensityState:
-        rho1, rho2 = self.pair_at(t)
-        e00 = np.diag([1.0, 0.0]).astype(complex)
-        e11 = np.diag([0.0, 1.0]).astype(complex)
-        full = 0.5 * (np.kron(e00, rho1) + np.kron(e11, rho2))
+        c_xy, c_z = self._coefficients(t)
+        rho1 = np.kron(_Q2, np.eye(2, dtype=complex)) / 4.0 \
+            + c_xy * (_XX - _YY) / 4.0 + c_z * _ZZ / 4.0
+        rho2 = np.kron((1.0 - self.p) * _Q2 / 2.0 + self.p * _PROJ2,
+                       np.eye(2, dtype=complex) / 2.0)
+        full = np.zeros((12, 12), dtype=complex)
+        full[:6, :6], full[6:, 6:] = rho1 / 2.0, rho2 / 2.0
         return DensityState(full, (2, 3, 2))
 
     def closed_c2(self, t):
-        """C of the probe at time t, or at each time of a 1-D array (one
-        contraction call and one batched eigvalsh for the whole array)."""
-        rho1, rho2 = self.pair_at(t)
-        return c2_closed_probe(rho1, rho2)
+        """C = ||rho1_B(t) - rho2_B(t)||_1 / 4 of the probe at time t, or at
+        each time of an array, from the spectrum of the difference: on the
+        qutrit's first two levels (x) the qubit it is diagonal in the Bell
+        basis, with (p + c_z +- 2 c_xy)/4 and (p - c_z)/4 twice; on its third
+        level it is -p/2 twice. At t = tau, C = p/2."""
+        c_xy, c_z = self._coefficients(t)
+        p = self.p
+        return ((abs(p + c_z + 2.0 * c_xy) + abs(p + c_z - 2.0 * c_xy)
+                 + 2.0 * abs(p - c_z)) / 4.0 + p) / 4.0
 
 
 def build_probe(alpha: float, t0: float, tau: float, p: float) -> ProbeState:

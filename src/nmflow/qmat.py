@@ -1,7 +1,7 @@
 """Dense complex-Hermitian matrix kernel.
 
 Eigendecomposition, partial trace/transpose (also of (..., D, D) stacks),
-trace norm, validated density states and the Pauli matrices.
+validated density states and the Pauli matrices.
 Everything here is pure and operates on small dense arrays (dims <= 64 total).
 """
 
@@ -51,19 +51,6 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
-
-
-def herm_eigvals(m) -> np.ndarray:
-    """Descending eigenvalues of a Hermitian matrix, or of each matrix of a stack."""
-    m = require_hermitian(m)
-    return np.linalg.eigvalsh(m)[..., ::-1]
-
-
-def trace_norm(m):
-    """Trace norm ||M||_1 of a Hermitian matrix: sum of |eigenvalues|; an array
-    of norms for an (..., n, n) stack."""
-    norms = np.sum(np.abs(herm_eigvals(m)), axis=-1)
-    return float(norms) if norms.ndim == 0 else norms
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:

@@ -466,17 +466,14 @@ def hessian_eigs_closed(gx: float, gy: float, gz: float, a12: float) -> np.ndarr
     states (|a12| < 1/4); the remaining six are structural zeros.
 
     Three eigenvalues are 32 (gamma_j + gamma_k) (16 a12^2 + 1)/(16 a12^2 - 1)
-    and six are -8 (gamma_j + gamma_k) atanh(4 a12)/a12 (two per pair), all
-    nonpositive exactly when the pairwise rate sums are nonnegative.
+    and six are -8 (gamma_j + gamma_k) atanh(4 a12)/a12 (two per pair; the
+    ratio's limit at a12 = 0 is 4), all nonpositive exactly when the pairwise
+    rate sums are nonnegative.
     """
     if not abs(a12) < 0.25:  # also rejects NaN
         raise BoundaryStateError(f"a12 must lie in (-1/4, 1/4), got {a12}")
     q = (16.0 * a12 * a12 + 1.0) / (16.0 * a12 * a12 - 1.0)
-    x = 4.0 * a12
-    if abs(x) < 1e-5:
-        t = 4.0 * (1.0 + x * x / 3.0 + x ** 4 / 5.0)
-    else:
-        t = float(np.arctanh(x) / a12)
+    t = float(np.arctanh(4.0 * a12) / a12) if a12 != 0.0 else 4.0
     pairs = (gy + gz, gx + gz, gx + gy)
     vals = [32.0 * p * q for p in pairs]
     for p in pairs:

@@ -10,7 +10,7 @@ import numpy as np
 
 from nmflow import correlations, mepovm, qmat
 from nmflow.channels import GadcChannel, KrausChannel
-from nmflow.errors import DimMismatchError, NonHermitianError, NotAStateError
+from nmflow.errors import DimMismatchError, NonCommutingError, NonHermitianError, NotAStateError
 from nmflow.qmat import PAULIS
 
 
@@ -105,11 +105,29 @@ def trace_distance(rho, sigma) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
+def common_eigenbasis(mats: Sequence[np.ndarray], tol: float) -> np.ndarray:
+    """A unitary whose columns diagonalize every Hermitian matrix of `mats` to
+    within max(tol, 1e-8) off the diagonal: the eigenbasis of a random
+    combination, tried four times from a fixed seed."""
+    rng = np.random.default_rng(1905)
+    for _ in range(4):
+        w = rng.normal(size=len(mats))
+        combo = sum(wi * m for wi, m in zip(w, mats))
+        _, u = np.linalg.eigh(combo)
+        defect = 0.0
+        for m in mats:
+            rot = u.conj().T @ m @ u
+            defect = max(defect, float(np.max(np.abs(rot - np.diag(np.diag(rot))))))
+        if defect <= max(tol, 1e-8):
+            return u
+    raise NonCommutingError("no common eigenbasis found within tolerance")
+
+
 def guessing_certificate(ens: correlations.Ensemble) -> np.ndarray:
     """The dual certificate K of the guessing probability of a commuting
     ensemble: diagonal in the common eigenbasis, with the entries
     max_i p_i lambda_ij, so that K >= p_i rho_i for every i and Tr K = P_g."""
-    u = correlations._common_eigenbasis(ens.states, correlations.COMM_TOL)
+    u = common_eigenbasis(ens.states, correlations.COMM_TOL)
     lam = np.stack([np.real(np.diag(u.conj().T @ s @ u)) for s in ens.states])
     col_max = np.max(np.asarray(ens.probs)[:, None] * lam, axis=0)
     return (u * col_max) @ u.conj().T

@@ -205,8 +205,8 @@ def _check_data_processing(rng):
         assert correlations.mutual_information(post, (2, 2)) \
             <= correlations.mutual_information(rho, (2, 2)) + 1e-9
         post_b = channels.apply_map(kr, rho, (2, 2), subsystem=1)
-        assert correlations.negativity(post_b, (2, 2), transpose=0) \
-            <= correlations.negativity(rho, (2, 2), transpose=0) + 1e-9
+        assert correlations.negativity(post_b, (2, 2)) \
+            <= correlations.negativity(rho, (2, 2)) + 1e-9
 
 
 def _heisenberg(kraus, x):

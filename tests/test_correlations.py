@@ -6,25 +6,26 @@ import pytest
 
 from helpers import (
     apply_kraus,
+    common_eigenbasis,
     guessing_certificate,
     operator_basis,
     probe_pair_at_tau,
     random_density,
     random_kraus,
     random_pure_vector,
+    random_unitary,
     trace_distance,
 )
 from nmflow import channels, correlations, qmat
 from nmflow.channels import AffineQubitMap, RateChannel, apply_map, quasi_eternal
 from nmflow.correlations import (
     Ensemble,
-    _common_eigenbasis,
     entropy,
     guessing_commuting,
     mutual_information,
     negativity,
 )
-from nmflow.errors import DimMismatchError, NmflowError, NonCommutingError
+from nmflow.errors import DimMismatchError, NmflowError, NonCommutingError, NonHermitianError
 from nmflow.numutil import bisect_root
 from nmflow.qmat import SIGMA_X, maximally_entangled, partial_trace
 
@@ -97,7 +98,7 @@ def singlet_fraction_cq(rho, dims: Sequence[int], tol: float = 1e-9) -> float:
             herm.append((tM + tM.conj().T) / 2.0)
             herm.append((tM - tM.conj().T) / 2.0j)
         try:
-            u = _common_eigenbasis(herm, tol)
+            u = common_eigenbasis(herm, tol)
         except NonCommutingError as exc:
             raise NotClassicalQuantumError("register blocks cannot be diagonalized") from exc
         rot = np.kron(u.conj().T, np.eye(d_q)) @ m @ np.kron(u, np.eye(d_q))
@@ -367,7 +368,7 @@ def test_guessing_commuting_certificate_and_povm():
         gap = certificate - pi * rho
         assert np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0] >= -1e-12
     # The eigenprojectors grouped by winning index form a POVM that achieves it.
-    u = _common_eigenbasis(states, 1e-9)
+    u = common_eigenbasis(states, 1e-9)
     lam = np.stack([np.real(np.diag(u.conj().T @ rho @ u)) for rho in states])
     winners = np.argmax(np.asarray(p)[:, None] * lam, axis=0)
     povm = [u[:, winners == i] @ u[:, winners == i].conj().T for i in range(len(p))]
@@ -386,6 +387,38 @@ def test_guessing_commuting_rejects_noncommuting():
     zero = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(NonCommutingError):
         guessing_commuting(Ensemble((0.5, 0.5), (plus, zero)))
+
+
+def test_guessing_commuting_matches_the_common_eigenbasis():
+    # Random commuting ensembles with zero and repeated eigenvalues, and some
+    # zero priors, against the entrywise maximum in a common eigenbasis.
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        d, n = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+        u = random_unitary(rng, d)
+        states = []
+        for _ in range(n):
+            w = rng.choice([0.0, 0.0, 1.0, 1.0, 2.0, 3.0], size=d)
+            w[rng.integers(d)] += 1.0  # not all zero
+            states.append((u * (w / w.sum())) @ u.conj().T)
+        probs = rng.dirichlet(np.ones(n)) * (rng.uniform(size=n) > 0.2)
+        probs = probs / probs.sum() if probs.sum() > 0 else np.full(n, 1.0 / n)
+        ens = Ensemble(probs, states)
+        v = common_eigenbasis(ens.states, correlations.COMM_TOL)
+        lam = np.stack([np.real(np.diag(v.conj().T @ rho @ v)) for rho in ens.states])
+        expected = float(np.sum(np.max(probs[:, None] * lam, axis=0)))
+        assert guessing_commuting(ens).value == pytest.approx(expected, abs=1e-13)
+
+
+def test_guessing_commuting_needs_no_eigenbasis_search():
+    # States that pass the commutator check but whose common eigenbasis no
+    # random combination resolves to 1e-8; for two states the operator maximum
+    # is Helstrom's bound.
+    a = 2e-5
+    rho1 = np.eye(2) / 2 + a * SIGMA_X
+    rho2 = np.diag([0.5 + a, 0.5 - a]).astype(complex)
+    res = guessing_commuting(Ensemble((0.3, 0.7), (rho1, rho2)))
+    assert res.value == pytest.approx(helstrom_two(0.3, rho1, 0.7, rho2), abs=1e-15)
 
 
 def test_singlet_fraction_cq():
@@ -503,9 +536,9 @@ def test_negativity_monotone_under_local_channels():
     rng = np.random.default_rng(37)
     for _ in range(100):
         rho = random_density(rng, 4, rank=2)
-        before = negativity(rho, (2, 2), transpose=0)
+        before = negativity(rho, (2, 2))
         kraus = channels.KrausChannel(random_kraus(rng, 2))
-        after = negativity(apply_map(kraus, rho, (2, 2), subsystem=1), (2, 2), transpose=0)
+        after = negativity(apply_map(kraus, rho, (2, 2), subsystem=1), (2, 2))
         assert after <= before + 1e-9
 
 
@@ -516,6 +549,11 @@ def test_ensemble_validation():
         Ensemble((1.0,), (np.eye(2) / 2, np.eye(2) / 2))
     with pytest.raises(DimMismatchError):
         Ensemble((0.5, 0.5), (np.eye(2) / 2, np.eye(3) / 3))
+    with pytest.raises(DimMismatchError):
+        Ensemble((1.0,), (np.full((2, 3), 1.0 / 6.0),))
+    # A non-Hermitian "state" that commutes with the other one.
+    with pytest.raises(NonHermitianError):
+        Ensemble((0.5, 0.5), (np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(2) / 2))
 
 
 @pytest.mark.parametrize("probs", [(np.nan, 0.5, 0.5), (0.4, 0.15, np.nan),

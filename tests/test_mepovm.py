@@ -28,7 +28,6 @@ from nmflow.mepovm import (
     build_probe,
     c2_A,
     c2_B,
-    c2_closed_probe,
     construct_me_povm,
     povm_count_bound,
 )
@@ -81,17 +80,6 @@ def test_construct_me_povm_random_marginals():
         povm = construct_me_povm(rho)  # validation happens in the constructor
         p1, p2 = outcome_probs(povm, rho)
         assert abs(p1 - 0.5) <= 1e-9 and abs(p2 - 0.5) <= 1e-9
-
-
-def test_c2_closed_probe():
-    rng = np.random.default_rng(42)
-    rho = random_density(rng, 4)
-    assert c2_closed_probe(rho, rho) == pytest.approx(0.0, abs=1e-14)
-    rho1, rho2 = probe_pair_at_tau(0.3)
-    assert c2_closed_probe(rho1, rho2) == pytest.approx(0.15, abs=1e-12)
-    v1 = np.array([1.0, 0.0])
-    v2 = np.array([0.0, 1.0])
-    assert c2_closed_probe(np.outer(v1, v1), np.outer(v2, v2)) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_c2_a_product_state():
@@ -529,12 +517,20 @@ def test_c2_returned_povm_achieves_value():
 
 
 def test_c2_pure_marginal_diagnostic():
+    # sqrt(1 - eps)|00> + sqrt(eps)|11> has C_A = C_B = sqrt(eps (1 - eps)), also
+    # where its marginals' small eigenvalue eps is below eigvalsh's resolution.
+    for dims in ((2, 2), (3, 2), (6, 2), (2, 6)):
+        for eps in 10.0 ** -np.arange(6, 17):
+            psi = np.zeros(dims[0] * dims[1])
+            psi[0], psi[dims[1] + 1] = np.sqrt(1.0 - eps), np.sqrt(eps)
+            rho = np.outer(psi, psi)
+            for res in (c2_A(rho, dims, restarts=3), c2_B(rho, dims, restarts=3)):
+                assert res.value == pytest.approx(np.sqrt(eps * (1.0 - eps)), rel=1e-14)
+    # A product with a pure marginal steers identical states.
     rng = np.random.default_rng(45)
     v = random_pure_vector(rng, 2)
     rho = np.kron(np.outer(v, v.conj()), random_density(rng, 2))
-    res = c2_A(rho, (2, 2))
-    assert res.iterations == 0  # the product shortcut, no rounds
-    assert res.value == 0.0
+    assert c2_A(rho, (2, 2)).value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_povm_count_bound():
@@ -572,18 +568,27 @@ def test_build_probe_validation():
         build_probe(0.4, 0.3, 1.0, 0.1)  # t0 below the physicality threshold
 
 
+def probe_pair(probe, t) -> tuple[np.ndarray, np.ndarray]:
+    """(rho1_B(t), rho2_B(t)): twice the diagonal blocks of the probe state."""
+    m = probe.state_at(t).matrix
+    return 2.0 * m[:6, :6], 2.0 * m[6:, 6:]
+
+
 def test_probe_pair_matches_displayed_forms():
     alpha, t0, tau, p = 0.4, 2.0, 3.0, 0.2
     probe = build_probe(alpha, t0, tau, p)
     # At t = tau the pair reduces to the displayed tau-time states.
-    rho1_tau, rho2_tau = probe.pair_at(tau)
+    rho1_tau, rho2_tau = probe_pair(probe, tau)
     ref1, ref2 = probe_pair_at_tau(p)
     np.testing.assert_allclose(rho1_tau, ref1, atol=1e-12)
     np.testing.assert_allclose(rho2_tau, ref2, atol=1e-12)
+    # The register blocks carry no coherence between them.
+    m = probe.state_at(1.0).matrix
+    assert not m[:6, 6:].any() and not m[6:, :6].any()
     # At t = 0 the correlated coefficients are boosted by 1/lambda.
     lxy = (np.exp(-tau) * np.cosh(tau - t0) / np.cosh(t0)) ** (alpha / 2)
     lz = np.exp(-alpha * tau)
-    rho1_0, _ = probe.pair_at(0.0)
+    rho1_0, _ = probe_pair(probe, 0.0)
     for op, coeff in ((mepovm._XX, p / lxy), (mepovm._YY, -p / lxy), (mepovm._ZZ, p / lz)):
         got = np.real(np.trace(rho1_0 @ op)) / np.real(np.trace(op @ op))
         assert got == pytest.approx(coeff / 4.0, rel=1e-12)
@@ -594,13 +599,51 @@ def test_probe_pair_matches_displayed_forms():
 
 def test_probe_stationary_branch():
     probe = build_probe(0.4, 2.0, 3.0, 0.2)
-    _, rho2 = probe.pair_at(0.0)
+    _, rho2 = probe_pair(probe, 0.0)
     ch = probe.channel
     for t in (0.7, 2.5, 4.0):
         evolved = channels.apply_map(ch.as_affine(t), rho2, (3, 2), subsystem=1)
         np.testing.assert_allclose(evolved, rho2, atol=1e-14)
-        _, rho2_t = probe.pair_at(t)
+        _, rho2_t = probe_pair(probe, t)
         np.testing.assert_allclose(rho2_t, rho2, atol=1e-14)
+
+
+def test_probe_closed_c2_matches_the_dense_trace_norm():
+    # An independent check of the Bell-block spectrum behind closed_c2.
+    probe = build_probe(0.4, 2.0, 3.0, 0.2)
+    for t in np.append(np.arange(0.0, 4.0 + 5e-3, 1e-2), [6.0, 10.0]):
+        rho1, rho2 = probe_pair(probe, float(t))
+        dense = np.sum(np.abs(np.linalg.eigvalsh(rho1 - rho2))) / 4.0
+        assert probe.closed_c2(float(t)) == pytest.approx(dense, abs=1e-15)
+
+
+def test_probe_closed_c2_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    alpha, t0, tau, p = 0.4, 2.0, 3.0, 0.2
+    probe = build_probe(alpha, t0, tau, p)
+    grid = np.arange(0.0, 4.0 + 5e-3, 1e-2)  # probe-backflow's default grid
+    values = probe.closed_c2(grid)
+    ops = [np.real(op[:4, :4]).tolist() for op in (mepovm._XX - mepovm._YY, mepovm._ZZ)]
+    with mpmath.workdps(40):
+        a, t0_, p_ = mpmath.mpf(alpha), mpmath.mpf(t0), mpmath.mpf(p)
+
+        def lambdas(t):
+            return (mpmath.exp(-a * t / 2) * (mpmath.cosh(t - t0_) / mpmath.cosh(t0_)) ** (a / 2),
+                    mpmath.exp(-a * t))
+
+        lxy_tau, lz_tau = lambdas(mpmath.mpf(tau))
+        for t, value in zip(grid, values):
+            lxy, lz = lambdas(mpmath.mpf(float(t)))
+            c_xy, c_z = p_ * lxy / lxy_tau, p_ * lz / lz_tau
+            # rho1_B - rho2_B on the qutrit's first two levels (x) the qubit; -p/2
+            # twice on its third level.
+            diff = mpmath.matrix(4, 4)
+            for i in range(4):
+                diff[i, i] = p_ / 4
+                for j in range(4):
+                    diff[i, j] += (c_xy * ops[0][i][j] + c_z * ops[1][i][j]) / 4
+            norm = mpmath.fsum(abs(w) for w in mpmath.eigsy(diff, eigvals_only=True)) + p_
+            assert abs(value - float(norm / 4)) <= 1e-15
 
 
 def test_probe_backflow_pattern_closed_form():
@@ -653,10 +696,6 @@ def test_probe_closed_c2_over_a_grid_matches_pointwise_calls():
     values = probe.closed_c2(grid)
     assert values.shape == grid.shape
     assert np.array_equal(values, [probe.closed_c2(float(t)) for t in grid])
-    rho1, rho2 = probe.pair_at(grid)
-    assert rho1.shape == rho2.shape == (grid.size, 6, 6)
-    ref1, ref2 = probe.pair_at(float(grid[7]))
-    assert np.array_equal(rho1[7], ref1) and np.array_equal(rho2[7], ref2)
 
 
 def test_probe_closed_c2_over_a_grid_integrates_once(monkeypatch):

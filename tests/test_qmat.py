@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (NOT_STATES, OperatorBasis, operator_basis, probe_pair_at_tau, random_density,
-                     random_hermitian, random_unitary)
+                     random_hermitian)
 from nmflow import qmat
 from nmflow.errors import DimMismatchError, NonHermitianError, NotAStateError
 from nmflow.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityState
@@ -58,26 +58,6 @@ def test_herm_eig_max_entangled_projector():
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         qmat.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_trace_norm_sigma_z():
-    assert qmat.trace_norm(SIGMA_Z) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_trace_norm_zero():
-    rho = random_density(np.random.default_rng(0), 4)
-    assert qmat.trace_norm(rho - rho) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_trace_norm_probe_pair_difference():
-    # Analytic oracle: the difference splits into p * phi+ on the two-qubit
-    # block plus -(p/2) * identity on the |2> branch, so ||diff||_1 = 2p.
-    p = 0.3
-    rho1, rho2 = probe_pair_at_tau(p)
-    assert qmat.trace_norm(rho1 - rho2) == pytest.approx(0.6, abs=1e-12)
-    # Independent check: raw eigvalsh of the explicitly assembled difference.
-    direct = np.sum(np.abs(np.linalg.eigvalsh(rho1 - rho2)))
-    assert direct == pytest.approx(2 * p, abs=1e-12)
 
 
 def test_partial_trace_product():
@@ -194,17 +174,6 @@ def test_herm_eig_reconstruction_random():
         bound = 1e-9 * (1.0 + np.max(np.abs(m)))
         assert np.max(np.abs(recon - m)) <= bound
         assert np.all(np.diff(vals) <= 1e-12)
-
-
-def test_trace_norm_triangle_and_unitary_invariance():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        d = int(rng.integers(2, 9))
-        a = random_hermitian(rng, d)
-        b = random_hermitian(rng, d)
-        u = random_unitary(rng, d)
-        assert qmat.trace_norm(a + b) <= qmat.trace_norm(a) + qmat.trace_norm(b) + 1e-10
-        assert qmat.trace_norm(u @ a @ u.conj().T) == pytest.approx(qmat.trace_norm(a), rel=1e-10)
 
 
 def test_partial_trace_kron_identity():

@@ -89,7 +89,7 @@ def mi_measure(m, dims):
 
 
 def neg_measure(m, dims):
-    return negativity(m, dims, transpose=0)
+    return negativity(m, dims)
 
 
 def test_scan_backflow_eternal_empty():
