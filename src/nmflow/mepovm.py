@@ -18,7 +18,7 @@ found exactly: for full-rank rho_A, at a generalized eigenvalue of the pencil
 (M, rho_A) where Tr rho_A sign(M - mu rho_A) jumps across zero, or else by
 safeguarded Newton steps inside the smooth segment between two such
 breakpoints; for singular rho_A, by the same Newton steps inside a bracket
-found by doubling.
+from duality.
 
 The rounds run in coordinates, for every dimension of the measured side: each
 start is the real xi with X = xi.E in a Hermitian basis E_mu of side A with
@@ -124,8 +124,9 @@ def construct_me_povm(rho_a) -> MePovm2:
 def povm_count_bound(d_a: int, d_b: int) -> float:
     """Sufficient number of ME-POVM outcomes when maximizing over the outcome
     count: min over z in [1/2, 1] of max(d_a/z, d_b(3z-1)/z)."""
-    if not (2 <= d_a <= 2 ** 53 and 2 <= d_b <= 2 ** 53):  # exact as floats
-        raise DimMismatchError(f"need 2 <= d_a, d_b <= 2^53, got ({d_a}, {d_b})")
+    if not all(isinstance(d, (int, np.integer)) and 2 <= d <= 2 ** 53  # exact as floats
+               for d in (d_a, d_b)):
+        raise DimMismatchError(f"need integers 2 <= d_a, d_b <= 2^53, got ({d_a}, {d_b})")
     ratio = d_a / d_b
     if ratio <= 0.5:
         return float(d_b)
@@ -166,19 +167,12 @@ def _sign_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, (vecs * signs) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _sign_trace(m: np.ndarray, rho_a: np.ndarray, mu: float) -> float:
-    vals, vecs = np.linalg.eigh(m - mu * rho_a)
-    s = np.where(vals >= 0.0, 1.0, -1.0)
-    r = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), rho_a, vecs))
-    return float(np.sum(s * r))
-
-
 def _newton_multiplier(m: np.ndarray, rho_a: np.ndarray, lo: float, hi: float,
                        g_lo: float, g_hi: float,
                        scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of m - mu rho_a at the root mu of
-    g(mu) = Tr rho_a sign(m - mu rho_a) in (lo, hi), given g(lo+) = g_lo > 0
-    and g(hi-) = g_hi < 0.
+    g(mu) = Tr rho_a sign(m - mu rho_a) in (lo, hi), where g(lo+) > 0 > g(hi-);
+    the first step is the secant root of (lo, g_lo) and (hi, g_hi).
 
     Newton steps use the exact slope
     g'(mu) = -4 sum_{i in +, j in -} |(V^dag rho_a V)_ij|^2 / (lambda_i - lambda_j)
@@ -261,27 +255,20 @@ def _pencil_x(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray | None) -> np.
     Tr(rho_a X); where g(mu) = Tr rho_a sign(m - mu rho_a) jumps across zero,
     the weight on the kernel eigenvectors is chosen fractionally to meet the
     constraint exactly.
+
+    For singular rho_a the root is bracketed by duality: g(mu) is minus the
+    slope of the convex f(mu) = ||m - mu rho_a||_1, and f(mu) >= |mu| - ||m||_1
+    exceeds f(0) = ||m||_1 once |mu| > 2 ||m||_1, so g > 0 below -B and g < 0
+    above B = 2 ||m||_1 + 1. The Newton steps start from mu = 0, the secant
+    root of g's limits +1 and -1.
     """
-    scale = float(np.max(np.abs(np.linalg.eigvalsh(m)))) + 1.0  # ||m||_2 + 1
+    eig_m = np.linalg.eigvalsh(m)
+    scale = float(np.max(np.abs(eig_m))) + 1.0  # ||m||_2 + 1
     if l_inv is not None:
         vals, vecs = _pencil_multiplier(m, rho_a, l_inv, scale)
     else:
-        lo, hi = -scale, scale
-        g_lo, g_hi = _sign_trace(m, rho_a, lo), _sign_trace(m, rho_a, hi)
-        for _ in range(80):
-            if g_lo > 0:
-                break
-            lo *= 2.0
-            g_lo = _sign_trace(m, rho_a, lo)
-        for _ in range(80):
-            if g_hi < 0:
-                break
-            hi *= 2.0
-            g_hi = _sign_trace(m, rho_a, hi)
-        if g_lo > 0 > g_hi:
-            vals, vecs = _newton_multiplier(m, rho_a, lo, hi, g_lo, g_hi, scale)
-        else:  # no sign change found; the finish below still meets the constraint
-            vals, vecs = np.linalg.eigh(m)
+        bound = 2.0 * float(np.abs(eig_m).sum()) + 1.0
+        vals, vecs = _newton_multiplier(m, rho_a, -bound, bound, 1.0, -1.0, scale)
 
     # In the eigenbasis of m - mu rho_a, sign(vals) maximizes Tr(X m); the
     # constraint's residual is then removed at least cost: weights move away
@@ -506,11 +493,11 @@ class ProbeState:
     p: float
 
     def __post_init__(self):
-        if self.t0 < physicality_threshold(self.alpha):
+        if not self.t0 >= physicality_threshold(self.alpha):  # also rejects NaN
             raise UnphysicalProbeError(
                 f"t0 = {self.t0} below the physicality threshold "
                 f"{physicality_threshold(self.alpha):.6f}")
-        if self.tau <= self.t0:
+        if not self.tau > self.t0:  # also rejects NaN
             raise NotYetNonMarkovianError(
                 f"tau = {self.tau} must exceed t0 = {self.t0} for non-CP intermediates")
         lam_z = float(np.exp(-self.alpha * self.tau))

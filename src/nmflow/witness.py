@@ -1,10 +1,10 @@
 """Time-scan drivers and analysis tools for correlation backflows.
 
 Backflow detection over a time grid, with fixed increase margins and onsets
-refined by bisection to ONSET_REFINE_TOL; the mutual information and
-negativity of the maximally entangled pair with one half under a Pauli
-channel in closed form, and its entanglement-breaking time from that
-negativity; Haar sampling of pure state vectors with a vectorized
+refined to ONSET_REFINE_TOL by `bisect_root` on two-time stacks; the mutual
+information and negativity of the maximally entangled pair with one half
+under a Pauli channel in closed form, and its entanglement-breaking time from
+that negativity; Haar sampling of pure state vectors with a vectorized
 mutual-information scan; the generalized-amplitude-damping scan over weakly
 entangled probes; and the Hessian of the mutual-information rate at
 stationary states of random-unitary qubit dynamics, numerically from the
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import correlations
-from .channels import GadcChannel, _apply_superops, apply_map
+from .channels import GadcChannel, _apply_superops
 from .divisibility import min_choi_eig
 from .errors import (
     BoundaryStateError,
@@ -52,11 +52,13 @@ def _check_positive(**values: float) -> None:
 
 
 def _check_grid(grid) -> np.ndarray:
-    """The grid as a float array, checked to be 1-D, finite and strictly increasing."""
+    """The grid as a float array, checked to be 1-D, finite, strictly increasing
+    and to start at t >= 0."""
     grid = np.asarray(grid, dtype=float)
     if (grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid))
-            or np.any(np.diff(grid) <= 0)):
-        raise ConfigParseError("grid must be finite and strictly increasing with >= 2 points")
+            or np.any(np.diff(grid) <= 0) or grid[0] < 0):
+        raise ConfigParseError("grid must be finite and strictly increasing from t >= 0 "
+                               "with >= 2 points")
     return grid
 
 
@@ -67,10 +69,10 @@ def _check_grid(grid) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """An initial density matrix, the channel evolving its last subsystem, and
-    a finite, strictly increasing time grid (all checked when built).
+    a finite, strictly increasing time grid from t >= 0 (all checked when built).
 
     A measure maps (states, dims) to values: `measure_series` calls it once on
-    the (T, D, D) stack of the grid states, `measure_at` on a single matrix.
+    the (T, D, D) stack of the states at T times.
     """
 
     initial: np.ndarray
@@ -85,14 +87,8 @@ class Trajectory:
         object.__setattr__(self, "initial", state.matrix)
         object.__setattr__(self, "dims", state.dims)
 
-    def state_at(self, t: float) -> np.ndarray:
-        return apply_map(self.channel.as_affine(t), self.initial, self.dims)
-
-    def measure_at(self, measure: Callable, t: float) -> float:
-        return float(measure(self.state_at(t), self.dims))
-
-    def measure_series(self, measure: Callable) -> np.ndarray:
-        k = self.channel.as_affine(self.grid).superop
+    def measure_series(self, measure: Callable, times: np.ndarray) -> np.ndarray:
+        k = self.channel.as_affine(times).superop
         if k.shape[-1] != self.dims[-1]:
             raise DimMismatchError(f"a map on dimension {k.shape[-1]} cannot act on the last "
                                    f"subsystem of {self.dims}")
@@ -120,46 +116,44 @@ def scan_backflow(measure: Callable, traj: Trajectory) -> BackflowReport:
     """Locate intervals where a correlation measure increases along a trajectory.
 
     The measure is evaluated once on the trajectory's (T, D, D) state stack
-    (see Trajectory); onsets are refined with single-matrix calls of the
-    measure (see series_backflow). Empty report on CP-divisible dynamics.
+    (see Trajectory); onsets are refined with calls on two-time stacks (see
+    series_backflow). Empty report on CP-divisible dynamics.
     """
-    return series_backflow(traj.grid, traj.measure_series(measure),
-                           lambda t: traj.measure_at(measure, t))
+    return series_backflow(traj.grid, traj.measure_series(measure, traj.grid),
+                           lambda ts: traj.measure_series(measure, ts))
 
 
 def series_backflow(grid: np.ndarray, series: np.ndarray,
-                    at: Callable[[float], float]) -> BackflowReport:
+                    at: Callable[[np.ndarray], np.ndarray]) -> BackflowReport:
     """Increase intervals of a series sampled on a grid: maximal runs of steps
     that rise by more than ONSET_MARGIN. Onsets are the first grid times of
     each interval, refined to ONSET_REFINE_TOL by bisection on the local
-    (central-difference) time derivative of at(t), the series as a scalar
-    function of time.
+    (central-difference) time derivative of at(ts), the series as a function
+    of a 1-D array of times; each difference quotient is one call on two times.
     """
     raw = _increase_intervals(grid, series, ONSET_MARGIN)
     return BackflowReport(onsets=tuple(_refine_onset(at, grid, i) for _, _, i in raw),
                           intervals=tuple((start, end) for start, end, _ in raw))
 
 
-def _refine_onset(at: Callable[[float], float], grid: np.ndarray, idx: int) -> float:
+def _refine_onset(at: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, idx: int) -> float:
+    # Bisection on [grid[idx-1], grid[idx+1]] for where the difference quotient
+    # starts to rise: grid[idx] if it already rises at the lower end, the upper
+    # end if it does not rise there.
     if idx == 0:
         return float(grid[0])
     delta = min(1e-5, float(grid[idx] - grid[idx - 1]) / 4.0)
 
-    def deriv(t: float) -> float:
-        return at(t + delta) - at(max(t - delta, float(grid[0])))
+    def rising(t: float) -> float:
+        after, before = at(np.array([t + delta, max(t - delta, float(grid[0]))]))
+        return 1.0 if after - before > 0 else -1.0
 
-    lo, hi = float(grid[idx - 1]), float(grid[idx + 1] if idx + 1 < grid.size else grid[idx])
-    if deriv(lo) > 0:
+    lo, hi = float(grid[idx - 1]), float(grid[idx + 1])
+    if rising(lo) > 0:
         return float(grid[idx])
-    while hi - lo > ONSET_REFINE_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # the bracket is down to adjacent floats
-        if deriv(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    if rising(hi) < 0:
+        return hi
+    return bisect_root(rising, lo, hi, tol=ONSET_REFINE_TOL)
 
 
 def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0) -> float:
@@ -246,6 +240,8 @@ def _mi_chunks(channel, vectors: np.ndarray, grid: np.ndarray, workers: int | No
         raise DimMismatchError(f"need (N, 4) state vectors, got shape {vectors.shape}")
     if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(vectors))):
         raise ConfigParseError("grid and state vectors must be finite")
+    if grid.ndim != 1 or np.any(grid < 0):
+        raise ConfigParseError("grid must be a 1-D array of times >= 0")
     maps = channel.as_affine(grid)
     superops = maps.superop
     about_z = np.all(maps.lambdas[0] == maps.lambdas[1]) and not np.any(maps.translation[:2])
@@ -309,8 +305,8 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     1e-10 threshold would systematically delay their detected onsets, while
     1e-12 still sits three decades above the arithmetic noise of the scan.
     """
-    if not count >= 1:
-        raise ConfigParseError(f"count must be >= 1, got {count}")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ConfigParseError(f"count must be an integer >= 1, got {count!r}")
     grid = _check_grid(grid)
     vectors = sample_pure_vectors((2, 2), count, seed)
     steps = np.flatnonzero(_non_cp_steps(channel, grid))
@@ -339,7 +335,7 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
         return float("nan"), None, onsets
     best = int(np.nanargmin(onsets))
     traj = Trajectory(np.outer(vectors[best], vectors[best].conj()), channel, (2, 2), grid)
-    refined = _refine_onset(lambda t: traj.measure_at(correlations.mutual_information, t),
+    refined = _refine_onset(lambda ts: traj.measure_series(correlations.mutual_information, ts),
                             grid, int(idx[best]))
     return float(refined), vectors[best], onsets
 

@@ -249,6 +249,12 @@ def _solve_x_cases():
         for label, c in (("c parallel to r", rng.normal() * r),
                          ("seam", perp / np.linalg.norm(perp) + 0.1 * e * r)):
             cases.append((f"{label} e={e:g} d=2", _qubit_m(rng, c, r), rho))
+    # Singular marginals of the widest and the narrowest rank.
+    for d in (4, 6):
+        for rank in (1, d - 1):
+            for _ in range(4):
+                cases.append((f"singular d={d} rank {rank}", random_hermitian(rng, d),
+                              random_density(rng, d, rank=rank)))
     return cases
 
 
@@ -276,6 +282,27 @@ def test_solve_x_matches_bisection(label, m, rho_a):
     assert abs(float(np.real(np.trace(rho_a @ x)))) <= 1e-10
     eig = np.linalg.eigvalsh((x + x.conj().T) / 2.0)
     assert -1.0 - 1e-12 <= eig[0] and eig[-1] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_singular_marginal_bracket_holds(monkeypatch, d):
+    # By duality g(mu) = Tr rho_a sign(m - mu rho_a) is positive below the
+    # bracket that `_pencil_x` hands the Newton steps and negative above it,
+    # for every rank of a singular rho_a and m from 1e-6 to 1e3 in scale.
+    brackets = []
+    newton = mepovm._newton_multiplier
+    monkeypatch.setattr(mepovm, "_newton_multiplier",
+                        lambda m, rho_a, lo, hi, *a: brackets.append((m, rho_a, lo, hi))
+                        or newton(m, rho_a, lo, hi, *a))
+    rng = np.random.default_rng(64)
+    for rank in range(1, d):
+        for scale in (1e-6, 1.0, 1e3):
+            for _ in range(20):
+                rho_a = random_density(rng, d, rank=rank)
+                mepovm._pencil_x(random_hermitian(rng, d, scale), rho_a, None)
+    assert len(brackets) == 60 * (d - 1)
+    for m, rho_a, lo, hi in brackets:
+        assert _bisection_sign_trace(m, rho_a, lo) > 0 > _bisection_sign_trace(m, rho_a, hi)
 
 
 @pytest.mark.parametrize("label,m,rho_a", [
@@ -542,6 +569,12 @@ def test_povm_count_bound():
         povm_count_bound(1, 4)
 
 
+def test_povm_count_bound_rejects_non_integer_dims():
+    for dims in ((2.5, 3), (3, 2.5)):
+        with pytest.raises(DimMismatchError):
+            povm_count_bound(*dims)
+
+
 def test_povm_validation():
     with pytest.raises(DimMismatchError):
         MePovm2((np.eye(2) * 0.5,), np.eye(2) / 2)
@@ -566,6 +599,16 @@ def test_build_probe_validation():
         build_probe(0.4, 2.0, 1.5, 0.1)
     with pytest.raises(UnphysicalProbeError):
         build_probe(0.4, 0.3, 1.0, 0.1)  # t0 below the physicality threshold
+
+
+def test_build_probe_rejects_a_nan_t0():
+    with pytest.raises(UnphysicalProbeError):
+        build_probe(0.4, float("nan"), 3.0, 0.2)
+
+
+def test_build_probe_rejects_a_nan_tau():
+    with pytest.raises(NotYetNonMarkovianError):
+        build_probe(0.4, 2.0, float("nan"), 0.2)
 
 
 def probe_pair(probe, t) -> tuple[np.ndarray, np.ndarray]:

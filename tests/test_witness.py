@@ -168,8 +168,8 @@ def test_phi_plus_closed_forms_match_dense(monkeypatch, name, complex_path):
     series = witness.mi_series(channel, phi_vec, grid, workers=1)[:, 0]
     assert bool(real_calls) == (not complex_path and name != "anisotropic")
     traj = Trajectory(maximally_entangled(2), channel, (2, 2), grid)
-    for closed, dense in ((mi, series), (mi, traj.measure_series(mutual_information)),
-                          (neg, traj.measure_series(negativity))):
+    for closed, dense in ((mi, series), (mi, traj.measure_series(mutual_information, grid)),
+                          (neg, traj.measure_series(negativity, grid))):
         np.testing.assert_allclose(closed, dense, rtol=0, atol=1e-13)
     for k in (0, 137, grid.size - 1):
         assert phi_plus_mi(channel, float(grid[k])) == pytest.approx(mi[k], abs=1e-15)
@@ -291,7 +291,7 @@ def test_schmidt_tail_mi_against_mpmath():
             exact = [float(mp_pauli_mi(mpmath, vec, w)) for w in weights]
             series = witness.mi_series(channel, vec[None], grid, workers=1)[:, 0]
             dense = Trajectory(np.outer(vec, vec.conj()), channel, (2, 2),
-                               grid).measure_series(mutual_information)
+                               grid).measure_series(mutual_information, grid)
             np.testing.assert_allclose(series, exact, rtol=0, atol=1e-14)
             np.testing.assert_allclose(dense, exact, rtol=0, atol=1e-14)
 
@@ -534,8 +534,9 @@ def _first_onset_indices(series: np.ndarray, margin: float) -> np.ndarray:
     (quasi_eternal(0.4, 1.0), np.arange(0.0, 3.0 + 1e-12, 2e-3), 300, 24, 1000),
     (GadcChannel(), np.arange(0.0, 0.6 + 1e-12, 2e-3), 200, 7, 202),
     (dephasing(0.3), np.arange(0.0, 3.0 + 1e-12, 1e-2), 100, 3, 300),
-    # No intermediate map starts before t = 0, so every step is evaluated.
-    (quasi_eternal(0.4, 1.0), np.arange(-0.5, 3.0 + 1e-12, 1e-2), 100, 5, 350),
+    # r(t) = e^-t underflows to 0 past t ~ 745, where GADC has no intermediate
+    # map, so every step is evaluated.
+    (GadcChannel(), np.arange(744.0, 747.5 + 1e-12, 1e-2), 100, 5, 350),
 ])
 def test_min_t_nm_scan_skips_only_cp_steps(monkeypatch, channel, grid, count, seed, evaluated):
     # Skipping the steps with a strictly CP intermediate map gives the onsets
@@ -546,7 +547,7 @@ def test_min_t_nm_scan_skips_only_cp_steps(monkeypatch, channel, grid, count, se
     # and, for GADC, on pairs of points that are not a step.
     non_cp = witness._non_cp_steps(channel, grid)
     assert np.count_nonzero(non_cp) == evaluated
-    if isinstance(channel, GadcChannel):
+    if isinstance(channel, GadcChannel) and grid[0] < 1.0:
         assert np.count_nonzero(np.diff(non_cp.astype(int))) >= 3
     vectors = sample_pure_vectors((2, 2), count, seed)
     idx = _first_onset_indices(witness.mi_series(channel, vectors, grid), witness.SCAN_MARGIN)
@@ -632,17 +633,21 @@ def test_trajectory_grid_validation():
 
 @pytest.mark.parametrize("grid", [
     [0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0],
-    [0.0], [[0.0, 1.0]],
+    [0.0], [[0.0, 1.0]], [-0.5, 0.0, 1.0], [-1e-300, 1.0],
 ])
 def test_trajectory_rejects_bad_grids(grid):
-    # min_t_nm_scan shares the Trajectory's grid check.
+    # min_t_nm_scan and gadc_epsilon_scan share the Trajectory's grid check.
+    # Before t = 0 no map of the family exists, and `_non_cp_steps` would take
+    # every step there as non-CP.
     with pytest.raises(ConfigParseError):
         Trajectory(maximally_entangled(2), quasi_eternal(0.4, 1.0), (2, 2), np.array(grid))
     with pytest.raises(ConfigParseError):
         min_t_nm_scan(quasi_eternal(0.4, 1.0), 2, np.array(grid))
+    with pytest.raises(ConfigParseError):
+        gadc_epsilon_scan([1e-3], grid=np.array(grid))
 
 
-@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("count", [0, -1, 2.5, True])
 def test_min_t_nm_scan_rejects_bad_counts(count):
     with pytest.raises(ConfigParseError):
         min_t_nm_scan(quasi_eternal(0.4, 1.0), count, np.arange(0.0, 1.0, 0.1))
@@ -657,6 +662,10 @@ def test_mi_series_rejects_bad_input():
         witness.mi_series(ch, vecs, np.array([0.0, np.nan]))
     with pytest.raises(ConfigParseError):
         witness.mi_series(ch, np.full((2, 4), np.nan), grid)
+    # No map exists before t = 0, and a grid of another shape has no time order.
+    for bad in (np.array([-0.1, 0.5]), grid.reshape(5, 2), np.array(0.5)):
+        with pytest.raises(ConfigParseError):
+            witness.mi_series(ch, vecs, bad)
     # The kernel checks when it is called, before any chunk is read.
     with pytest.raises(DimMismatchError):
         witness._mi_chunks(ch, np.ones((3, 3)) / 2.0, grid, 1)
@@ -680,9 +689,7 @@ def test_trajectory_rejects_bad_dims():
     # A qubit channel on the qutrit of (2, 3) fails at the first measure.
     traj = Trajectory(np.eye(6) / 6, ch, (2, 3), grid)
     with pytest.raises(DimMismatchError):
-        traj.measure_series(mi_measure)
-    with pytest.raises(DimMismatchError):
-        traj.measure_at(mi_measure, 0.5)
+        traj.measure_series(mi_measure, grid)
 
 
 def _pure(v: np.ndarray) -> np.ndarray:
@@ -692,8 +699,8 @@ def _pure(v: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
 def test_measure_series_matches_measure_at(dims):
-    # Oracle: one measure_at per grid point (apply_map of as_affine(t), then
-    # the single-matrix functional). States: phi+ (on the first two levels),
+    # Oracle: the single-matrix functional on one apply_map of as_affine(t)
+    # per grid point. States: phi+ (on the first two levels),
     # a product state, a Schmidt tail of 1e-9, a singular marginal (pure
     # ancilla, mixed system, and the reverse) and a random mixed state.
     from helpers import random_pure_vector, random_unitary
@@ -717,9 +724,10 @@ def test_measure_series_matches_measure_at(dims):
         for rho in states:
             traj = Trajectory(rho, channel, dims, grid)
             for measure in (mi_measure, neg_measure):
-                series = traj.measure_series(measure)
+                series = traj.measure_series(measure, grid)
                 assert series.shape == grid.shape
-                direct = [traj.measure_at(measure, float(t)) for t in grid]
+                direct = [measure(apply_map(channel.as_affine(float(t)), traj.initial, dims),
+                                  dims) for t in grid]
                 np.testing.assert_allclose(series, direct, rtol=0, atol=1e-14)
 
 
@@ -737,8 +745,8 @@ def test_functionals_keep_floats_for_single_matrices():
 
 def test_scan_backflow_measures_the_grid_once():
     # Criterion 04's trajectory: one call with the whole (2000, 4, 4) stack,
-    # then only the single-matrix calls of the onset refinement, two per
-    # bisection step plus two for the bracket's lower end.
+    # then only the two-time stacks of the onset refinement, one per
+    # bisection step plus four for the bracket's ends.
     traj = Trajectory(maximally_entangled(2), quasi_eternal(0.4, 1.0), (2, 2),
                       np.arange(0.0, 4.0, 2e-3))
     shapes = []
@@ -750,9 +758,9 @@ def test_scan_backflow_measures_the_grid_once():
     report = scan_backflow(measure, traj)
     assert report.onsets[0] == pytest.approx(2.741, abs=5e-3)
     assert shapes[0] == (2000, 4, 4)
-    assert all(shape == (4, 4) for shape in shapes[1:])
+    assert all(shape == (2, 4, 4) for shape in shapes[1:])
     steps = int(np.ceil(np.log2(2 * 2e-3 / witness.ONSET_REFINE_TOL)))
-    assert len(shapes) - 1 <= 2 * (steps + 1) * len(report.onsets)
+    assert len(shapes) - 1 <= (steps + 4) * len(report.onsets)
 
 
 @pytest.mark.parametrize("channel", [quasi_eternal(0.4, 1.0), GadcChannel()])
@@ -1021,9 +1029,8 @@ def test_no_false_positives_c2_reduced():
         ch = RateChannel(*[ConstantRate(float(g)) for g in rates])
         for vec in sample_pure_vectors((2, 2), 3, seed=int(rng.integers(1 << 30))):
             rho0 = np.outer(vec, vec.conj())
-            traj = Trajectory(rho0, ch, (2, 2), grid)
-            vals = [c2_A(traj.state_at(float(t)), (2, 2), restarts=3, seed=1).value
-                    for t in grid]
+            vals = [c2_A(apply_map(ch.as_affine(float(t)), rho0, (2, 2)), (2, 2), restarts=3,
+                         seed=1).value for t in grid]
             assert np.all(np.diff(vals) <= 1e-7)
 
 
