@@ -23,13 +23,19 @@ from duality.
 The rounds run in coordinates, for every dimension of the measured side: each
 start is the real xi with X = xi.E in a Hermitian basis E_mu of side A with
 Tr(E_mu E_nu) = 2 delta (the Pauli matrices for a qubit). With
-B_mu = Tr_A[rho (E_mu (x) 1)] computed once, a round is the product xi @ B,
-the batched eigendecomposition of that steered difference, one product of
-the sign operators Y with the B_mu that gives the coordinates Tr(B_mu Y) / 2
-of M, and the X step on those coordinates. The eigenbasis start, an optional
-warm start and the seeded random starts run in lockstep as one stack, each
-round serving every start still gaining; X is built as a matrix once, for
-the result.
+B_mu = Tr_A[rho (E_mu (x) 1)] computed once, a round evaluates each start's
+candidates, the product xi @ B and the batched eigendecomposition of that
+steered difference, and keeps the larger value of each start; from the kept
+X, one product of the sign operators Y with the B_mu gives the coordinates
+Tr(B_mu Y) / 2 of M, and the X step on those coordinates is the next
+see-saw candidate. On a qubit side, where the see-saw alone converges only
+linearly, a round also proposes a Newton candidate on the face of the
+feasible set that the X step lands on (`_qubit_newton`), evaluated in the
+same stack in the next round; since a start keeps the larger, it gains at
+least what the see-saw round gains. The eigenbasis start, an optional warm
+start and the seeded random starts run in lockstep as one stack, each round
+serving every start still gaining; X is built as a matrix once, for the
+result.
 
 Also here: the outcome-count bound for ME-POVM optimization, and the
 classical-quantum probe state of the quasi-eternal family whose C backflow
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import prod, sqrt
+from math import copysign, cos, hypot, prod, sin, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -65,11 +71,13 @@ COMPLETENESS_TOL = 1e-10
 ME_TOL = 1e-9
 SEESAW_GAIN_TOL = 1e-10
 SEESAW_MAX_ITER = 400
+SEESAW_TIE_RTOL = 1e-14  # relative gap below which two start values tie
 DEFAULT_RESTARTS = 16
 BREAKPOINT_TOL = 1e-12   # relative gap below which pencil eigenvalues form one breakpoint
 MU_G_TOL = 1e-14         # |Tr(rho_A X)| that ends the multiplier search
 MU_WIDTH_TOL = 1e-13     # bracket width, relative to ||m||_2 + 1, that ends it too
 MU_MAX_STEPS = 100
+NEWTON_MAX_STEP = 0.5    # radians: the longest Newton step a see-saw round proposes
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +106,23 @@ class MePovm2:
         object.__setattr__(self, "effects", ops)
 
 
+def _split_projector(rho_a: np.ndarray) -> np.ndarray:
+    """The first effect of `construct_me_povm(rho_a)`, unvalidated."""
+    vals, vecs = herm_eig(rho_a)
+    cum = np.cumsum(vals)
+    i_bar = int(np.searchsorted(cum, 0.5, side="left"))
+    i_bar = min(i_bar, len(vals) - 1)
+    s_prev = float(cum[i_bar - 1]) if i_bar > 0 else 0.0
+    missing = 0.5 - s_prev
+    omega = 0.0 if missing <= 0.0 else float(min(max(missing / vals[i_bar], 0.0), 1.0))
+    d = rho_a.shape[0]
+    p1 = np.zeros((d, d), dtype=complex)
+    for k in range(i_bar):
+        p1 += np.outer(vecs[:, k], vecs[:, k].conj())
+    p1 += omega * np.outer(vecs[:, i_bar], vecs[:, i_bar].conj())
+    return p1
+
+
 def construct_me_povm(rho_a) -> MePovm2:
     """Two-outcome ME-POVM for any state, diagonal in its eigenbasis.
 
@@ -106,19 +131,8 @@ def construct_me_povm(rho_a) -> MePovm2:
     omega = (1/2 - S(i-1)) / pi_i; the construction always succeeds.
     """
     ref = np.asarray(rho_a, dtype=complex)
-    vals, vecs = herm_eig(ref)
-    cum = np.cumsum(vals)
-    i_bar = int(np.searchsorted(cum, 0.5, side="left"))
-    i_bar = min(i_bar, len(vals) - 1)
-    s_prev = float(cum[i_bar - 1]) if i_bar > 0 else 0.0
-    missing = 0.5 - s_prev
-    omega = 0.0 if missing <= 0.0 else float(np.clip(missing / vals[i_bar], 0.0, 1.0))
-    d = ref.shape[0]
-    p1 = np.zeros((d, d), dtype=complex)
-    for k in range(i_bar):
-        p1 += np.outer(vecs[:, k], vecs[:, k].conj())
-    p1 += omega * np.outer(vecs[:, i_bar], vecs[:, i_bar].conj())
-    return MePovm2((p1, np.eye(d) - p1), ref)
+    p1 = _split_projector(ref)
+    return MePovm2((p1, np.eye(ref.shape[0]) - p1), ref)
 
 
 def povm_count_bound(d_a: int, d_b: int) -> float:
@@ -143,10 +157,13 @@ def povm_count_bound(d_a: int, d_b: int) -> float:
 class C2Result:
     """The best see-saw value and the x of its ME-POVM {(1 + x)/2, (1 - x)/2}.
 
+    A round evaluates a start's candidates, its see-saw X and, on a qubit
+    side, the Newton candidate of the round before, and keeps the larger.
     `iterations` is the round in which the winning start stopped gaining: the
     first round whose value exceeded the start's best so far by at most
     SEESAW_GAIN_TOL (SEESAW_MAX_ITER if none did). Round 1 evaluates the start
-    itself.
+    itself. The winning start is the first whose value ties with the best to
+    SEESAW_TIE_RTOL.
     """
 
     value: float
@@ -159,12 +176,12 @@ def _steered_difference(rho4: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("aicj,...ca->...ij", rho4, x)
 
 
-def _sign_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the Hermitian part of each matrix of a stack, and the sign
-    operator of that part (+1 on its kernel)."""
+def _sign_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the Hermitian part of each matrix of a
+    stack, and the sign operator of that part (+1 on its kernel)."""
     vals, vecs = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2.0)
     signs = np.where(vals >= 0.0, 1.0, -1.0)[..., None, :]
-    return vals, (vecs * signs) @ vecs.conj().swapaxes(-1, -2)
+    return vals, vecs, (vecs * signs) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _newton_multiplier(m: np.ndarray, rho_a: np.ndarray, lo: float, hi: float,
@@ -339,21 +356,29 @@ def _qubit_x(coef: np.ndarray, eig_a: np.ndarray, r: np.ndarray) -> np.ndarray:
     rho_a's lambda_0 below 0): no cancellation near pure rho_a. Rows with
     c = 0 take X = 0, which is optimal: there m = 2a rho_a, so Tr(X m) = 0
     for every feasible X.
+
+    The rows go one at a time in Python floats, so a row's X does not depend
+    on the stack; on the few rows of a see-saw round that is also faster than
+    numpy's per-call overhead.
     """
-    c = coef[:, 1:] - coef[:, :1] * r
     e = sqrt(r @ r)
-    u = r / e if e > 0.0 else r
-    c_u = (c * u).sum(axis=1)  # row by row, so a row's X does not depend on the stack
-    c_perp = c - c_u[:, None] * u
-    q2 = np.einsum("si,si->s", c_perp, c_perp)
-    big_r = np.sqrt(c_u ** 2 + 4.0 * max(float(eig_a[0] * eig_a[1]), 0.0) * q2)
-    num, den = np.maximum(c_u ** 2 - e * e * q2, 0.0), big_r * (np.abs(c_u) + e * big_r)
-    s = np.sign(c_u) * np.divide(num, den, out=np.zeros(len(c)), where=den > 0.0)
-    norm = np.maximum(big_r, np.sqrt(q2))  # R when a support point holds, else q; 0 at c = 0
-    xi = np.empty((len(c), 4))
-    xi[:, 1:] = s[:, None] * u + c_perp / np.where(norm > 0.0, norm, 1.0)[:, None]
-    xi[:, 0] = -(xi[:, 1:] * r).sum(axis=1)
-    return xi
+    ux, uy, uz = (r / e if e > 0.0 else r).tolist()
+    rx, ry, rz = r.tolist()
+    one_minus_e2 = 4.0 * max(float(eig_a[0] * eig_a[1]), 0.0)
+    xi = []
+    for a, bx, by, bz in coef.tolist():
+        cx, cy, cz = bx - a * rx, by - a * ry, bz - a * rz
+        c_u = cx * ux + cy * uy + cz * uz
+        px, py, pz = cx - c_u * ux, cy - c_u * uy, cz - c_u * uz  # c_perp
+        q2 = px * px + py * py + pz * pz
+        big_r = sqrt(c_u * c_u + one_minus_e2 * q2)
+        den = big_r * (abs(c_u) + e * big_r)
+        s = copysign(max(c_u * c_u - e * e * q2, 0.0) / den, c_u) if den > 0.0 else 0.0
+        norm = max(big_r, sqrt(q2))  # R when a support point holds, else q; 0 at c = 0
+        norm = norm if norm > 0.0 else 1.0
+        x, y, z = s * ux + px / norm, s * uy + py / norm, s * uz + pz / norm
+        xi.append((-(x * rx + y * ry + z * rz), x, y, z))
+    return np.array(xi).reshape(-1, 4)
 
 
 def _x_step(rho_a: np.ndarray, eig_a: np.ndarray, basis: np.ndarray):
@@ -374,6 +399,131 @@ def _x_step(rho_a: np.ndarray, eig_a: np.ndarray, basis: np.ndarray):
                                           for m in _matrix(coef, basis)]), basis)
 
 
+def _frame(u: np.ndarray) -> np.ndarray:
+    # A rotation whose last row is the unit vector u (Duff et al., JCGT 6, 2017).
+    s = 1.0 if u[2] >= 0.0 else -1.0
+    a = -1.0 / (s + u[2])
+    b = u[0] * u[1] * a
+    return np.array([[1.0 + s * u[0] * u[0] * a, s * b, -s * u[0]],
+                     [b, s + u[1] * u[1] * a, -u[1]], u])
+
+
+def _dot3(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _newton_point(c: list, p: list, h: list, e: float) -> list | None:
+    """One row's Newton candidate for `_qubit_newton`, in its frame: the
+    feasible boundary point reached from the point p, where N has gradient c
+    and Hessian h, by the Newton step on the face that the X step picks; None
+    where a safeguard rejects the step."""
+    seam = e > 0.0 and c[2] * c[2] <= e * e * (c[0] * c[0] + c[1] * c[1])
+    sigma = 0.0 if seam else copysign(1.0, c[2])  # the cap's hemisphere
+    rho = hypot(p[0], p[1])
+    if rho == 0.0:
+        return None  # p = 0, or a pole: the tangent frame is undefined
+    size = hypot(rho, p[2])
+    cos_az, sin_az = p[0] / rho, p[1] / rho
+    if seam:
+        nz, rho = 0.0, 1.0
+    else:
+        nz, rho = p[2] / size, rho / size
+    n = (rho * cos_az, rho * sin_az, nz)
+    t_phi, t_theta = (-sin_az, cos_az, 0.0), (nz * cos_az, nz * sin_az, -rho)
+
+    # phi(n) = N(n) / g with g = 1 + sigma e n_z: its gradient and Riemannian
+    # Hessian in the frame (t_phi, t_theta), in which w = sigma r has the
+    # components (0, om); N's Hessian at n is size times that at p.
+    val, g = _dot3(c, n), 1.0 + sigma * e * nz
+    om, g2 = -sigma * e * rho, g * g
+    c_phi, c_theta = _dot3(c, t_phi), _dot3(c, t_theta)
+    h_phi = [size * _dot3(row, t_phi) for row in h]
+    a, g_phi = _dot3(t_phi, h_phi) / g - val / g2, c_phi / g
+    if seam:  # one great circle: no theta step
+        b, d, g_theta = 0.0, -1.0, 0.0
+    else:
+        h_theta = [size * _dot3(row, t_theta) for row in h]
+        b = _dot3(t_theta, h_phi) / g - c_phi * om / g2
+        d = _dot3(t_theta, h_theta) / g - 2.0 * c_theta * om / g2 \
+            + 2.0 * val * om * om / (g2 * g) - val / g2
+        g_theta = c_theta / g - val * om / g2
+    det = a * d - b * b
+    if not (a < 0.0 and det > 0.0):
+        return None  # the reduced Hessian is not negative definite
+    v_phi, v_theta = (b * g_theta - d * g_phi) / det, (b * g_phi - a * g_theta) / det
+    step = hypot(v_phi, v_theta)
+    if not step <= NEWTON_MAX_STEP:
+        return None
+    k, cos_step = (sin(step) / step if step > 0.0 else 1.0), cos(step)
+    n = [cos_step * n[i] + k * (v_phi * t_phi[i] + v_theta * t_theta[i]) for i in range(3)]
+    if sigma * n[2] < 0.0:
+        return None  # the step left the cap's hemisphere
+    scale = 1.0 + e * abs(n[2])
+    return [v / scale for v in n]
+
+
+def _qubit_newton(rho_a: np.ndarray, b: np.ndarray):
+    """Newton candidates for a see-saw round on a qubit side: a function of
+    the rows' Pauli coordinates x, the coordinates coef of their M, and the
+    eigenvalues and eigenvectors of their steered differences, that returns
+    the rows that propose a candidate and the candidates' coordinates; b holds
+    the flattened B_mu.
+
+    With X = -(r.x) + x.sigma the value is N(x) = ||sum_i x_i B~_i||_1 / 2,
+    B~_i = B_i - r_i B_0: convex and homogeneous of degree 1, with gradient
+    c = b - a r (as in `_qubit_x`) and the Daleckii-Krein Hessian
+    H_ij = 2 sum_{lambda_a >= 0 > lambda_b} Re(E_i,ab conj E_j,ab) / (lambda_a - lambda_b),
+    E_i = V^dag B~_i V. The feasible boundary is x = n / (1 + |r.n|) over unit
+    n, smooth on each hemisphere (a cap) and kinked on the seam r.n = 0.
+    Where the X step lands on the seam, the candidate is a Newton step on the
+    great circle of the seam through the row's point, theta = -(c.t) /
+    (t^T H t - c.n) with t = u x n. Where it lands on a cap, it is a
+    Riemannian Newton step for phi(n) = N(n) / (1 + |r.n|) in the tangent
+    plane at n = x / |x|, kept on that hemisphere. A row proposes one only
+    where the reduced Hessian is negative definite, the step is at most
+    NEWTON_MAX_STEP radians and its steered difference has eigenvalues of
+    both signs.
+
+    The geometry runs in a frame whose third axis is u = r / |r|, so that the
+    seam is the equator, t is the azimuthal tangent, and the tangent frame of
+    the spherical angles serves the caps too. Row by row, like the rounds.
+    """
+    r = 2.0 * _coords(rho_a, _hermitian_basis(2))[1:]
+    e = sqrt(r @ r)
+    rot = _frame(r / e) if e > 0.0 else np.eye(3)
+    d = round(sqrt(b.shape[1]))
+    b_tilde = (rot @ (b[1:] - r[:, None] * b[0])).reshape(3 * d, d)  # the B~_i in the frame
+    grad = np.vstack([-(rot @ r), rot.T])  # coef @ grad = rot (b - a r) = c in the frame
+
+    def candidates(x, coef, vals, vecs):
+        # The gradient c = b - a r and the point p of each row, in the frame; as
+        # in the rounds, products go row by row. Rows with p on the axis u
+        # (p = 0 included) or without a negative eigenvalue of D (then D = 0,
+        # as D is traceless) propose nothing and need no Hessian.
+        c = (coef[:, None] @ grad)[:, 0].tolist()
+        p = (x[:, None, 1:] @ rot.T)[:, 0].tolist()
+        rows = [j for j, mixed in enumerate((vals[:, 0] < 0.0).tolist())
+                if mixed and (p[j][0] or p[j][1])]
+        # H = sum_ab Re(f_i,ab conj f_j,ab) with f_i,ab = E_i,ab sqrt(2 / (lambda_a - lambda_b))
+        # on the pairs lambda_a >= 0 > lambda_b, and 0 elsewhere.
+        vals, vecs = vals[rows], vecs[rows]
+        e_i = vecs.conj().swapaxes(-1, -2)[:, None] @ (b_tilde @ vecs).reshape(len(rows), 3, d, d)
+        pos = vals >= 0.0
+        pairs = pos[:, :, None] > pos[:, None, :]
+        gap = np.where(pairs, vals[:, :, None] - vals[:, None, :], 1.0)
+        f = (e_i * np.sqrt(2.0 * pairs / gap)[:, None]).reshape(len(rows), 3, d * d)
+        kept, points = [], []
+        for j, h in zip(rows, (f @ f.conj().swapaxes(1, 2)).real.tolist()):
+            point = _newton_point(c[j], p[j], h, e)
+            if point is not None:
+                kept.append(j)
+                points.append(point)
+        points = np.array(points).reshape(-1, 1, 3)
+        return kept, np.concatenate([-e * points[:, 0, 2:], (points @ rot)[:, 0]], axis=1)
+
+    return candidates
+
+
 def _bipartite(rho, dims, cut):
     if not isinstance(rho, DensityState):
         if not dims:
@@ -392,7 +542,7 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
     deterministic start (the eigenbasis ME-POVM) plus `restarts` seeded random
     starts; `x0` adds a caller-supplied warm start, a Hermitian (d_A, d_A)
     matrix. The starts run in lockstep, each until its gain is at most
-    SEESAW_GAIN_TOL; the first best one wins.
+    SEESAW_GAIN_TOL; the first one that ties with the best wins.
     """
     if restarts < 0:
         raise ConfigParseError(f"restarts must be >= 0, got {restarts}")
@@ -423,32 +573,51 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
     b = _steered_difference(rho4, basis).reshape(n, d_b * d_b)
     b_y = b.reshape(n, d_b, d_b).swapaxes(1, 2).reshape(n, d_b * d_b).T
     x_step = _x_step(rho_a, eig_a, basis)
+    newton = _qubit_newton(rho_a, b) if d_a == 2 else None
 
-    def step(y):
-        return x_step((y.reshape(len(y), 1, d_b * d_b) @ b_y)[:, 0].real / 2.0)
+    def m_coords(y):
+        return (y.reshape(len(y), 1, d_b * d_b) @ b_y)[:, 0].real / 2.0
 
-    app_f = construct_me_povm(rho_a)
-    x = np.concatenate([_coords(app_f.effects[0] - app_f.effects[1], basis)[None],
-                        step(_sign_split(h)[1])])
+    p1 = _split_projector(rho_a)
+    x = np.concatenate([_coords(p1 - (np.eye(d_a) - p1), basis)[None],
+                        x_step(m_coords(_sign_split(h)[2]))])
 
-    value = np.full(len(x), -np.inf)
-    best_x, iterations = x.copy(), np.full(len(x), SEESAW_MAX_ITER)
-    active = np.arange(len(x))
+    # Row j < len(active) of x is the see-saw candidate of start active[j]; the
+    # rows after them are Newton candidates of the starts at positions `owner`.
+    value, iterations = [-np.inf] * len(x), [SEESAW_MAX_ITER] * len(x)
+    best_x, active, owner = list(x), list(range(len(x))), []
     for it in range(1, SEESAW_MAX_ITER + 1):
-        vals, y = _sign_split((x[:, None] @ b).reshape(len(x), d_b, d_b))
-        new_value, old_value = 0.5 * np.abs(vals).sum(axis=-1), value[active]
-        up = new_value > old_value
-        best_x[active[up]] = x[up]  # the X behind each value
-        value[active] = np.maximum(old_value, new_value)
-        grows = new_value > old_value + SEESAW_GAIN_TOL
-        iterations[active[~grows]] = it
-        active = active[grows]
-        if not active.size:
+        vals, vecs, y = _sign_split((x[:, None] @ b).reshape(len(x), d_b, d_b))
+        row_value = (0.5 * np.abs(vals).sum(axis=-1)).tolist()
+        pick = list(range(len(active)))  # each start keeps its larger candidate
+        for k, j in enumerate(owner, len(active)):
+            if row_value[k] > row_value[j]:
+                pick[j] = k
+        rows, still = [], []
+        for i, k in zip(active, pick):
+            if row_value[k] > value[i]:
+                best_x[i] = x[k]  # the X behind each value
+            if row_value[k] > value[i] + SEESAW_GAIN_TOL:
+                rows.append(k)
+                still.append(i)
+            else:
+                iterations[i] = it
+            value[i] = max(value[i], row_value[k])
+        active = still
+        if not active:
             break
-        x = step(y[grows])
-    best = int(np.argmax(value))
+        coef = m_coords(y[rows])
+        x_next = x_step(coef)
+        if newton is not None:
+            owner, x_newton = newton(x[rows], coef, vals[rows], vecs[rows])
+            x_next = np.concatenate([x_next, x_newton])
+        x = x_next
+    # Starts that reach one optimum tie to rounding; the first of them wins, so
+    # that rounding does not pick the result.
+    value = np.array(value)
+    best = int(np.argmax(value >= (1.0 - SEESAW_TIE_RTOL) * value.max()))
     return C2Result(value=float(value[best]), x=_matrix(best_x[best], basis),
-                    iterations=int(iterations[best]))
+                    iterations=iterations[best])
 
 
 def _swap_sides(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

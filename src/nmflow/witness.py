@@ -40,6 +40,7 @@ ONSET_REFINE_TOL = 1e-4  # bisection width of a refined onset
 EB_FLOOR = 1e-12  # negativity at or below which find_t_eb counts the pair as separable
 EB_MAX_POINTS = 100_000  # most coarse-scan points find_t_eb allows (t_max <= 5000)
 EB_COARSE = 0.05  # find_t_eb's coarse-scan step
+EB_CHUNK = 64  # points in find_t_eb's first coarse-scan chunk
 CHUNK_TIMES = 128  # times per mi_series chunk
 CHUNK_MATRICES = 2 ** 15  # states per mi_series chunk, summed over its times
 EPS_MACHINE = float(np.finfo(float).eps)
@@ -88,6 +89,10 @@ class Trajectory:
         object.__setattr__(self, "dims", state.dims)
 
     def measure_series(self, measure: Callable, times: np.ndarray) -> np.ndarray:
+        """The measure at each of a 1-D array of finite times t >= 0, in any order."""
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or not (np.all(np.isfinite(times)) and np.all(times >= 0.0)):
+            raise ConfigParseError("times must be a 1-D array of finite times t >= 0")
         k = self.channel.as_affine(times).superop
         if k.shape[-1] != self.dims[-1]:
             raise DimMismatchError(f"a map on dimension {k.shape[-1]} cannot act on the last "
@@ -162,10 +167,11 @@ def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0) -> float:
 
     Coarse scan over the accumulated points 0, EB_COARSE, EB_COARSE +
     EB_COARSE, ... up to t_max (at most EB_MAX_POINTS of them, else
-    ConfigParseError before anything is allocated), evaluated with one
-    `phi_plus_negativity` call, followed by bisection to tol between the last
-    point above EB_FLOOR and the first at or below it; raises
-    NeverBreakingError when the negativity stays positive up to t_max.
+    ConfigParseError before anything is allocated), evaluated by
+    `phi_plus_negativity` in chunks that double from EB_CHUNK points and stop
+    at the first chunk that reaches EB_FLOOR, followed by bisection to tol
+    between the last point above EB_FLOOR and the first at or below it;
+    raises NeverBreakingError when the negativity stays positive up to t_max.
     """
     _check_positive(tol=tol, t_max=t_max)
     count = t_max / EB_COARSE
@@ -174,10 +180,13 @@ def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0) -> float:
                                f"{EB_MAX_POINTS}")
     ts = np.cumsum(np.concatenate(([0.0], np.full(int(count) + 1, EB_COARSE))))
     ts = ts[ts <= t_max + 1e-12]
-    values = phi_plus_negativity(channel, ts)
-    hits = np.flatnonzero(values[1:] <= EB_FLOOR)
-    if not hits.size:
-        raise NeverBreakingError(f"negativity still {values[-1]:.3e} at t = {t_max}")
+    values, hits = np.empty(0), np.empty(0)
+    while not hits.size:
+        chunk = ts[len(values):len(values) + max(EB_CHUNK, len(values))]
+        if not chunk.size:
+            raise NeverBreakingError(f"negativity still {values[-1]:.3e} at t = {t_max}")
+        values = np.concatenate([values, phi_plus_negativity(channel, chunk)])
+        hits = np.flatnonzero(values[1:] <= EB_FLOOR)
     k = int(hits[0]) + 1
     if values[k - 1] <= EB_FLOOR:
         return float(ts[k - 1])  # already separable at the previous point

@@ -156,52 +156,93 @@ def solve_x(m: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
 
 def seesaw_reference(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: int = 0,
                      x0: np.ndarray | None = None) -> tuple[float, int]:
-    """(value, iterations) of C_A by the per-start see-saw that `mepovm.c2_A`
-    runs for all starts at once: the first start with the largest value of
-    `seesaw_reference_starts` wins."""
+    """(value, iterations) of C_A by the per-start rounds that `mepovm.c2_A`
+    runs for all starts at once: the first start of `seesaw_reference_starts`
+    that ties with the largest value wins."""
     starts = seesaw_reference_starts(rho, d_a, d_b, restarts, seed, x0)
-    return max(starts, key=lambda start: start[0])
+    best = max(value for value, _ in starts)
+    return next(s for s in starts if s[0] >= (1.0 - mepovm.SEESAW_TIE_RTOL) * best)
 
 
-def seesaw_reference_starts(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: int = 0,
-                            x0: np.ndarray | None = None) -> list[tuple[float, int]]:
-    """(value, iterations) of each start of `mepovm.c2_A`, each run on its own:
-    the eigenbasis ME-POVM, the warm start `x0` and `restarts` seeded random
-    starts."""
-    rho4 = np.asarray(rho, dtype=complex).reshape(d_a, d_b, d_a, d_b)
-    rho_a = np.einsum("aibi->ab", rho4)
+def _seesaw_starts(rho4: np.ndarray, rho_a: np.ndarray, restarts: int, seed: int,
+                   x0: np.ndarray | None) -> list[np.ndarray]:
+    """The starts of `mepovm.c2_A` as matrices: the eigenbasis ME-POVM, the warm
+    start `x0` and `restarts` seeded random starts, each projected to a feasible X."""
+    d_b = rho4.shape[1]
 
-    def sign(h):
-        vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
-        return vals, (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
-
-    def project(h):  # one dual/primal step from a B-side Hermitian to a feasible X
-        return solve_x(back_operator(rho4, sign(h)[1]), rho_a)
-
-    def traceless(h):  # so never definite
-        return h - np.trace(h).real / d_b * np.eye(d_b)
+    def project(h):  # one dual/primal step from a traceless B-side Hermitian
+        h = h - np.trace(h).real / d_b * np.eye(d_b)  # so never definite
+        return solve_x(back_operator(rho4, _sign(h)[2]), rho_a)
 
     app_f = mepovm.construct_me_povm(rho_a)
     starts = [app_f.effects[0] - app_f.effects[1]]
     if x0 is not None:
-        h = mepovm._steered_difference(rho4, np.asarray(x0, dtype=complex))
-        starts.append(project(traceless(h)))
+        starts.append(project(mepovm._steered_difference(rho4, np.asarray(x0, dtype=complex))))
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
-        h = rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))
-        starts.append(project(traceless(h)))
+        starts.append(project(rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))))
+    return starts
 
+
+def _sign(h: np.ndarray):
+    # Eigenvalues, eigenvectors and sign operator of the Hermitian part of h.
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return vals, vecs, (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
+
+
+def plain_seesaw_starts(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: int = 0,
+                        x0: np.ndarray | None = None) -> list[tuple[float, int]]:
+    """(value, iterations) of each start of the plain see-saw, each run on its
+    own on matrices: every round evaluates one X, then takes the sign Y of its
+    steered difference and the X step on M = Tr_B[rho (1 (x) Y)]."""
+    rho4 = np.asarray(rho, dtype=complex).reshape(d_a, d_b, d_a, d_b)
+    rho_a = np.einsum("aibi->ab", rho4)
     results = []
-    for x in starts:
+    for x in _seesaw_starts(rho4, rho_a, restarts, seed, x0):
         value = -np.inf
         for it in range(1, mepovm.SEESAW_MAX_ITER + 1):
-            vals, y = sign(mepovm._steered_difference(rho4, x))
+            vals, _, y = _sign(mepovm._steered_difference(rho4, x))
             new_value = 0.5 * float(np.sum(np.abs(vals)))
             if new_value <= value + mepovm.SEESAW_GAIN_TOL:
                 value = max(value, new_value)
                 break
             value = new_value
             x = solve_x(back_operator(rho4, y), rho_a)
+        results.append((value, it))
+    return results
+
+
+def seesaw_reference_starts(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: int = 0,
+                            x0: np.ndarray | None = None) -> list[tuple[float, int]]:
+    """(value, iterations) of each start of `mepovm.c2_A`, each run on its own
+    on matrices. Every round evaluates the start's candidates one matrix at a
+    time and keeps the first largest; the next candidates are the X step on
+    M = Tr_B[rho (1 (x) Y)] and, on a qubit side, the Newton candidate that
+    `mepovm._qubit_newton` proposes for that row alone."""
+    rho4 = np.asarray(rho, dtype=complex).reshape(d_a, d_b, d_a, d_b)
+    rho_a = np.einsum("aibi->ab", rho4)
+    basis = mepovm._hermitian_basis(d_a)
+    newton = None
+    if d_a == 2:
+        b = mepovm._steered_difference(rho4, basis).reshape(4, d_b * d_b)
+        newton = mepovm._qubit_newton(rho_a, b)
+    results = []
+    for x in _seesaw_starts(rho4, rho_a, restarts, seed, x0):
+        value, candidates = -np.inf, [x]
+        for it in range(1, mepovm.SEESAW_MAX_ITER + 1):
+            scored = [(_sign(mepovm._steered_difference(rho4, c)), c) for c in candidates]
+            (vals, vecs, y), x = max(scored, key=lambda s: float(np.sum(np.abs(s[0][0]))))
+            new_value = 0.5 * float(np.sum(np.abs(vals)))
+            if new_value <= value + mepovm.SEESAW_GAIN_TOL:
+                value = max(value, new_value)
+                break
+            value = new_value
+            m = back_operator(rho4, y)
+            candidates = [solve_x(m, rho_a)]
+            if newton is not None:
+                _, xi = newton(mepovm._coords(x, basis)[None], mepovm._coords(m, basis)[None],
+                               vals[None], vecs[None])
+                candidates += list(mepovm._matrix(xi, basis))
         results.append((value, it))
     return results
 

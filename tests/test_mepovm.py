@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     back_operator,
+    plain_seesaw_starts,
     probe_pair_at_tau,
     random_density,
     random_hermitian,
@@ -360,14 +361,62 @@ def _qubit_side_cases():
         cases.append(("warm start", generic, (2, d_b), c2_A, x0))
     for d_a in (3, 6):
         cases.append(("B side", random_density(rng, 2 * d_a), (d_a, 2), c2_B, None))
+    # Optima on each face of the feasible set: the seam r.x = 0, where the
+    # Newton step runs on a great circle, and a cap, where it runs on the sphere.
+    faces = {}
+    while len(faces) < 2:
+        rho = random_density(rng, 6)
+        faces.setdefault(_face(rho, (2, 3)), rho)
+    cases += [(f"{face} optimum", rho, (2, 3), c2_A, None) for face, rho in sorted(faces.items())]
+    # A steered difference with an eigenvalue within ~1e-10 of 0, so the
+    # Hessian's divided differences reach ~1e10: a qubit pair on the first two
+    # levels of B, mixed with 1e-10 of a state on all three.
+    pair = np.zeros((2, 3, 2, 3), dtype=complex)
+    pair[:, :2, :, :2] = random_density(rng, 4).reshape(2, 2, 2, 2)
+    near_zero = (1.0 - 1e-10) * pair.reshape(6, 6) + 1e-10 * random_density(rng, 6)
+    cases.append(("D eigenvalue near 0", near_zero, (2, 3), c2_A, None))
     return cases
+
+
+def _bloch(rho, dims, x):
+    # (r, xi) of rho_A = (1 + r.sigma)/2 and X = xi.(1, sigma).
+    basis = mepovm._hermitian_basis(2)
+    return 2.0 * mepovm._coords(qmat.partial_trace(rho, dims, keep=0), basis)[1:], \
+        mepovm._coords(x, basis)
+
+
+def _face(rho, dims):
+    # The face of the feasible set that holds the X of c2_A: "seam" or "cap".
+    r, xi = _bloch(rho, dims, c2_A(rho, dims, restarts=3, seed=5).x)
+    return "seam" if abs(r @ xi[1:]) <= 1e-12 * np.linalg.norm(r) else "cap"
+
+
+def _assert_feasible(r, xi):
+    # X = xi.(1, sigma) has -1 <= X <= 1 and Tr(rho_A X) = 0.
+    x = xi[..., 1:]
+    assert np.all(np.linalg.norm(x, axis=-1) + np.abs(x @ r) <= 1.0 + 1e-12)
+    np.testing.assert_allclose(xi[..., 0] + x @ r, 0.0, atol=1e-12)
+
+
+def test_qubit_side_cases_are_as_labelled():
+    # The fragile regimes that `_qubit_side_cases` adds survive the construction.
+    for label, rho, dims, _, _ in _qubit_side_cases():
+        if label.endswith("optimum"):
+            assert _face(rho, dims) == label.split()[0]
+            if label.startswith("cap"):
+                r, xi = _bloch(rho, dims, c2_A(rho, dims, restarts=3, seed=5).x)
+                assert abs(r @ xi[1:]) > 1e-3
+        elif label == "D eigenvalue near 0":
+            res = c2_A(rho, dims, restarts=3, seed=5)
+            vals = np.linalg.eigvalsh(mepovm._steered_difference(rho.reshape(2, 3, 2, 3), res.x))
+            assert np.min(np.abs(vals)) < 1e-9
 
 
 def _match_per_start_reference(rho, dims, measure, x0):
     # Same value to 1e-12 and the same winning round as the per-start matrix
-    # see-saw of `seesaw_reference_starts`. Where starts reach one optimum to
-    # within rounding (every start does near a pure rho_A), rounding picks the
-    # first best, so any of them may win.
+    # rounds of `seesaw_reference_starts`. Where starts reach one optimum to
+    # within rounding (every start does near a pure rho_A), rounding may move
+    # a value across the tie that picks the first of them, so any may win.
     res = measure(rho, dims, restarts=3, seed=5, x0=x0)
     d_a, d_b = dims
     if measure is c2_B:
@@ -382,11 +431,78 @@ def _match_per_start_reference(rho, dims, measure, x0):
 @pytest.mark.parametrize("label,rho,dims,measure,x0", _qubit_side_cases())
 def test_qubit_side_rounds_match_per_start_reference(monkeypatch, label, rho, dims, measure, x0):
     # The qubit X step is the same closed form in both, and it never takes the
-    # multiplier search, also not on the product's rows with c = 0.
+    # multiplier search, also not on the product's rows with c = 0. Every Newton
+    # candidate, and the result, is a feasible X.
     pencil, calls = mepovm._pencil_x, []
     monkeypatch.setattr(mepovm, "_pencil_x", lambda *a: calls.append(a) or pencil(*a))
+    newton, candidates = mepovm._qubit_newton, []
+
+    def recorded(rho_a, b):
+        propose = newton(rho_a, b)
+
+        def wrapped(*args):
+            rows, xi = propose(*args)
+            candidates.append((2.0 * mepovm._coords(rho_a, mepovm._hermitian_basis(2))[1:], xi))
+            return rows, xi
+
+        return wrapped
+
+    monkeypatch.setattr(mepovm, "_qubit_newton", recorded)
     _match_per_start_reference(rho, dims, measure, x0)
     assert not calls
+    for r, xi in candidates:
+        _assert_feasible(r, xi)
+    if measure is c2_A:
+        _assert_feasible(*_bloch(rho, dims, c2_A(rho, dims, restarts=3, seed=5, x0=x0).x))
+
+
+def test_qubit_side_never_below_the_plain_seesaw():
+    # The Newton candidate only adds to a round: no start ends below the plain
+    # see-saw's best, here on random states and their B sides.
+    rng = np.random.default_rng(53)
+    for k in range(24):
+        d_b = (2, 3, 6)[k % 3]
+        rho = random_density(rng, 2 * d_b)
+        plain = max(value for value, _ in plain_seesaw_starts(rho, 2, d_b, 3, k))
+        assert c2_A(rho, (2, d_b), restarts=3, seed=k).value >= plain - 1e-12
+        if d_b == 2:
+            swapped = rho.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+            plain = max(value for value, _ in plain_seesaw_starts(swapped, 2, 2, 3, k))
+            assert c2_B(rho, (2, 2), restarts=3, seed=k).value >= plain - 1e-12
+
+
+def test_a_losing_newton_candidate_costs_nothing(monkeypatch):
+    # Each start keeps the larger of its two candidates: with Newton
+    # candidates X = 0, whose value is 0, the rounds are the plain see-saw's.
+    def zero_candidates(rho_a, b):
+        return lambda x, coef, vals, vecs: (list(range(len(x))), np.zeros((len(x), 4)))
+
+    monkeypatch.setattr(mepovm, "_qubit_newton", zero_candidates)
+    rng = np.random.default_rng(54)
+    for k in range(6):
+        d_b = (2, 3, 6)[k % 3]
+        rho = random_density(rng, 2 * d_b)
+        res = c2_A(rho, (2, d_b), restarts=3, seed=k)
+        starts = plain_seesaw_starts(rho, 2, d_b, 3, k)
+        best = max(value for value, _ in starts)
+        assert abs(res.value - best) <= 1e-12
+        assert res.iterations in {it for value, it in starts if value >= best - 1e-15}
+
+
+def test_newton_candidates_halve_the_optimize_rounds(monkeypatch):
+    # Round-count guard on the optimize benchmark's four generic states: the
+    # plain see-saw takes 13, 7, 49 and 27 rounds after the start projection,
+    # 96 in all; the two-candidate rounds must take at most 60% of that.
+    rng = np.random.default_rng(24)
+    states = [(random_density(rng, 2 * d_b), (2, d_b)) for d_b in (2, 2, 6, 6)]
+    sign_split, calls = mepovm._sign_split, []
+    monkeypatch.setattr(mepovm, "_sign_split", lambda h: calls.append(len(h)) or sign_split(h))
+    rounds = []
+    for rho, dims in states:
+        calls.clear()
+        c2_A(rho, dims, restarts=3, seed=0)
+        rounds.append(len(calls) - 1)  # the first split projects the restarts
+    assert sum(rounds) <= 58, rounds
 
 
 def _with_marginal(rng, rho_a, d_b):
@@ -471,9 +587,9 @@ def test_restarts_never_start_from_y_plus_minus_one(monkeypatch):
     sign_split, ys = mepovm._sign_split, []
 
     def recorded(h):
-        vals, y = sign_split(h)
+        vals, vecs, y = sign_split(h)
         ys.append(y)
-        return vals, y
+        return vals, vecs, y
 
     monkeypatch.setattr(mepovm, "_sign_split", recorded)
     for seed in [60, *range(40)]:

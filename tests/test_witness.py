@@ -440,6 +440,40 @@ def test_find_t_eb_bounds_the_coarse_scan_before_allocating(monkeypatch):
             find_t_eb(ch, t_max=t_max)
 
 
+def test_find_t_eb_stops_at_the_crossing(monkeypatch):
+    # The coarse scan evaluates chunks of the accumulated points until one
+    # holds the crossing: a t_max-5000 call evaluates the first 64 of its
+    # 100000 points and returns what one scan over all of them returns.
+    ch = quasi_eternal(0.4, 2.0)
+    negativity, sizes = witness.phi_plus_negativity, []
+
+    def counted(channel, t):
+        sizes.append(np.size(t))
+        return negativity(channel, t)
+
+    monkeypatch.setattr(witness, "phi_plus_negativity", counted)
+    t_eb = find_t_eb(ch, t_max=5000.0)
+    assert sizes[0] == witness.EB_CHUNK and sum(sizes) < 100
+    monkeypatch.setattr(witness, "EB_CHUNK", witness.EB_MAX_POINTS + 1)
+    sizes.clear()
+    assert find_t_eb(ch, t_max=5000.0) == t_eb
+    assert sizes[0] == witness.EB_MAX_POINTS
+    # A crossing past the first chunks, and one past t_max, as one full scan finds them.
+    late = depolarizing(ConstantRate(0.005))
+    for t_max in (80.0, 50.0):
+        monkeypatch.setattr(witness, "EB_CHUNK", 64)
+        try:
+            chunked = find_t_eb(late, t_max=t_max)
+        except NeverBreakingError as err:
+            chunked = str(err)
+        monkeypatch.setattr(witness, "EB_CHUNK", witness.EB_MAX_POINTS + 1)
+        try:
+            full = find_t_eb(late, t_max=t_max)
+        except NeverBreakingError as err:
+            full = str(err)
+        assert chunked == full
+
+
 def test_find_t_eb_depolarizing_oracle():
     # Isotropic visibility e^{-2t} hits the separability threshold 1/3 at ln(3)/2.
     from nmflow.channels import depolarizing
@@ -645,6 +679,20 @@ def test_trajectory_rejects_bad_grids(grid):
         min_t_nm_scan(quasi_eternal(0.4, 1.0), 2, np.array(grid))
     with pytest.raises(ConfigParseError):
         gadc_epsilon_scan([1e-3], grid=np.array(grid))
+
+
+def test_measure_series_rejects_bad_times():
+    # Before t = 0 the family is not CPTP: at -1.0 and -0.5 the "states" gave
+    # MI 2.56 and 1.79, above the 2 ln 2 of any two-qubit state. A (1, 2)
+    # array came back as a flat series.
+    traj = Trajectory(maximally_entangled(2), quasi_eternal(0.4, 1.0), (2, 2),
+                      np.arange(0.0, 1.0, 0.1))
+    for times in ([-1.0, -0.5, 0.5], [[0.2, 0.4]], [0.1, np.nan], [np.inf], 0.5):
+        with pytest.raises(ConfigParseError):
+            traj.measure_series(mi_measure, np.array(times))
+    # The times need not increase: onset refinement passes [t + d, t - d].
+    up, down = (traj.measure_series(mi_measure, np.array(ts)) for ts in ([0.3, 0.5], [0.5, 0.3]))
+    np.testing.assert_array_equal(up, down[::-1])
 
 
 @pytest.mark.parametrize("count", [0, -1, 2.5, True])
