@@ -10,15 +10,18 @@ Writing the POVM as {(1+X)/2, (1-X)/2} with -1 <= X <= 1 and Tr(rho_A X) = 0,
 optimized here by a monotone see-saw with exact subproblem solutions:
 given X, the trace norm's sign operator Y is read off an eigendecomposition;
 given Y, Tr(X M) with M = Tr_B[rho_AB (1 (x) Y)] is maximized over the X
-polytope. For a qubit A side that step has a closed form: in Bloch
-coordinates the feasible X form the meet of two spheroids, and the optimum is
-a support point of one or lies on their seam. Otherwise it is
-sign(M - mu rho_A), with the multiplier mu of the maximal-entropy constraint
-found exactly: for full-rank rho_A, at a generalized eigenvalue of the pencil
-(M, rho_A) where Tr rho_A sign(M - mu rho_A) jumps across zero, or else by
-safeguarded Newton steps inside the smooth segment between two such
-breakpoints; for singular rho_A, by the same Newton steps inside a bracket
-from duality.
+polytope. The constraint depends on rho_A alone, so the rounds run in its
+eigenbasis, taken once per call, where rho_A = diag(lam) and every use of it
+is a closed form in lam: the eigenbasis start is diagonal, and for a qubit A
+side, rho_A = (1 + e sigma_z)/2, the X step has a closed form: in Bloch
+coordinates the feasible X form the meet of two spheroids about the z axis,
+and the optimum is a support point of one or lies on their seam, the equator.
+Otherwise it is sign(M - mu rho_A), with the multiplier mu of the
+maximal-entropy constraint found exactly: for full-rank rho_A, at a
+generalized eigenvalue of the pencil (M, rho_A), whitened by lam^(-1/2),
+where Tr rho_A sign(M - mu rho_A) jumps across zero, or else by safeguarded
+Newton steps inside the smooth segment between two such breakpoints; for
+singular rho_A, by the same Newton steps inside a bracket from duality.
 
 The rounds run in coordinates, for every dimension of the measured side: each
 start is the real xi with X = xi.E in a Hermitian basis E_mu of side A with
@@ -35,7 +38,7 @@ same stack in the next round; since a start keeps the larger, it gains at
 least what the see-saw round gains. The eigenbasis start, an optional warm
 start and the seeded random starts run in lockstep as one stack, each round
 serving every start still gaining; X is built as a matrix once, for the
-result.
+result, and rotated back out of the eigenbasis.
 
 Also here: the outcome-count bound for ME-POVM optimization, and the
 classical-quantum probe state of the quasi-eternal family whose C backflow
@@ -61,7 +64,6 @@ from .qmat import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    herm_eig,
     partial_trace,
     require_hermitian,
 )
@@ -106,33 +108,33 @@ class MePovm2:
         object.__setattr__(self, "effects", ops)
 
 
-def _split_projector(rho_a: np.ndarray) -> np.ndarray:
-    """The first effect of `construct_me_povm(rho_a)`, unvalidated."""
-    vals, vecs = herm_eig(rho_a)
-    cum = np.cumsum(vals)
-    i_bar = int(np.searchsorted(cum, 0.5, side="left"))
-    i_bar = min(i_bar, len(vals) - 1)
-    s_prev = float(cum[i_bar - 1]) if i_bar > 0 else 0.0
-    missing = 0.5 - s_prev
-    omega = 0.0 if missing <= 0.0 else float(min(max(missing / vals[i_bar], 0.0), 1.0))
-    d = rho_a.shape[0]
-    p1 = np.zeros((d, d), dtype=complex)
-    for k in range(i_bar):
-        p1 += np.outer(vecs[:, k], vecs[:, k].conj())
-    p1 += omega * np.outer(vecs[:, i_bar], vecs[:, i_bar].conj())
-    return p1
+def _eigen_split(rho_a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalues lam of rho_a in descending order, its eigenvectors as the
+    matching columns of v, and the weights w of the eigenbasis ME-POVM, whose
+    first effect is v diag(w) v^dag: w_k = (1/2 - S_(k-1)) / lam_k clipped to
+    [0, 1], with S the cumulative sums of lam, so 1 up to the level where S
+    reaches 1/2, the fraction omega on it, and 0 past it (also where lam_k <= 0).
+    """
+    lam, v = np.linalg.eigh(rho_a)
+    lam, v = lam[::-1], v[:, ::-1]
+    w = np.clip(np.divide(0.5 - np.cumsum(lam) + lam, lam, out=np.zeros_like(lam),
+                          where=lam > 0.0), 0.0, 1.0)
+    return lam, v, w
 
 
 def construct_me_povm(rho_a) -> MePovm2:
-    """Two-outcome ME-POVM for any state, diagonal in its eigenbasis.
+    """Two-outcome ME-POVM for any density matrix, diagonal in its eigenbasis.
 
     With eigenvalues pi_1 >= pi_2 >= ... pick the first index where the
     cumulative weight reaches 1/2 and split that eigenprojector by
-    omega = (1/2 - S(i-1)) / pi_i; the construction always succeeds.
+    omega = (1/2 - S(i-1)) / pi_i; the construction always succeeds. A
+    rho_a that is not a (d, d) density matrix raises DimMismatchError,
+    NonHermitianError or NotAStateError.
     """
-    ref = np.asarray(rho_a, dtype=complex)
-    p1 = _split_projector(ref)
-    return MePovm2((p1, np.eye(ref.shape[0]) - p1), ref)
+    ref = DensityState(rho_a, np.shape(rho_a)[-1:]).matrix
+    _, v, w = _eigen_split(ref)
+    p1 = (v * w) @ v.conj().T
+    return MePovm2((p1, np.eye(len(w)) - p1), ref)
 
 
 def povm_count_bound(d_a: int, d_b: int) -> float:
@@ -222,10 +224,10 @@ def _newton_multiplier(m: np.ndarray, rho_a: np.ndarray, lo: float, hi: float,
     return best
 
 
-def _pencil_multiplier(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray,
+def _pencil_multiplier(m: np.ndarray, rho_a: np.ndarray, w: np.ndarray,
                        scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of m - mu rho_a at the exact multiplier, for
-    positive-definite rho_a with inverse Cholesky factor l_inv.
+    """Eigendecomposition of m - mu rho_a at the exact multiplier, for a
+    positive-definite diagonal rho_a = diag(w^-2).
 
     g(mu) = Tr rho_a sign(m - mu rho_a) falls from +1 to -1 and jumps only
     at the generalized eigenvalues nu of the pencil (m, rho_a). By Sylvester's
@@ -235,7 +237,7 @@ def _pencil_multiplier(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray,
     breakpoint whose jump straddles zero, where mu = nu exactly, or the
     smooth segment between two breakpoints that holds the root.
     """
-    nus = np.linalg.eigvalsh(l_inv @ m @ l_inv.conj().T).tolist()
+    nus = np.linalg.eigvalsh(w[:, None] * m * w).tolist()
     tol = BREAKPOINT_TOL * (scale + max(-nus[0], nus[-1]))
     starts = [0] + [i for i in range(1, len(nus)) if nus[i] - nus[i - 1] > tol]
     ends = starts[1:] + [len(nus)]
@@ -258,15 +260,10 @@ def _pencil_multiplier(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray,
     return _newton_multiplier(m, rho_a, nu_lo, nu_hi, g_lo, g_hi, scale)
 
 
-def _inverse_cholesky(rho_a: np.ndarray, eig_a: np.ndarray) -> np.ndarray | None:
-    # The l_inv argument of `_pencil_x`: None when rho_a is singular.
-    return np.linalg.inv(np.linalg.cholesky(rho_a)) if eig_a[0] > 1e-12 else None
-
-
-def _pencil_x(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray | None) -> np.ndarray:
+def _pencil_x(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Maximize Tr(X m) over Hermitian -1 <= X <= 1 with Tr(rho_a X) = 0, for
-    one Hermitian m in any dimension, where l_inv is the inverse Cholesky
-    factor of rho_a, or None when rho_a is singular.
+    one Hermitian m in any dimension and the diagonal rho_a = diag(lam): the
+    see-saw rounds run in the eigenbasis of rho_a.
 
     The optimum is X = sign(m - mu rho_a) for the multiplier mu that zeroes
     Tr(rho_a X); where g(mu) = Tr rho_a sign(m - mu rho_a) jumps across zero,
@@ -279,10 +276,11 @@ def _pencil_x(m: np.ndarray, rho_a: np.ndarray, l_inv: np.ndarray | None) -> np.
     above B = 2 ||m||_1 + 1. The Newton steps start from mu = 0, the secant
     root of g's limits +1 and -1.
     """
+    rho_a = np.diag(lam)
     eig_m = np.linalg.eigvalsh(m)
     scale = float(np.max(np.abs(eig_m))) + 1.0  # ||m||_2 + 1
-    if l_inv is not None:
-        vals, vecs = _pencil_multiplier(m, rho_a, l_inv, scale)
+    if lam.min() > 1e-12:
+        vals, vecs = _pencil_multiplier(m, rho_a, lam ** -0.5, scale)
     else:
         bound = 2.0 * float(np.abs(eig_m).sum()) + 1.0
         vals, vecs = _newton_multiplier(m, rho_a, -bound, bound, 1.0, -1.0, scale)
@@ -339,73 +337,54 @@ def _matrix(xi: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (xi @ basis.reshape(d * d, d * d)).reshape(xi.shape[:-1] + (d, d))
 
 
-def _qubit_x(coef: np.ndarray, eig_a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The X step for d = 2 in Pauli coordinates: for each row (a, b) of an
-    (S, 4) stack of m = a + b.sigma, the coordinates xi of the optimal
-    X = xi.sigma; r is the Bloch vector of rho_a and eig_a its ascending
-    eigenvalues.
+def _qubit_x(coef: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The X step for d = 2 in the Pauli coordinates of the eigenbasis of
+    rho_a = diag(lam), lam descending: for each row (a, b) of an (S, 4) stack
+    of m = a + b.sigma, the coordinates xi of the optimal X = xi.sigma.
 
-    With rho_a = (1 + r.sigma)/2 and X = -(r.x) + x.sigma, the task is
-    max c.x, c = b - a r, over the meet of E+- = {|x| +- r.x <= 1}. The
-    support point of E+ (E-) is optimal if r.x >= 0 (<= 0) there, which
-    needs c.u > 0 (< 0); else x = c_perp / q on the seam u.x = 0, |x| = 1.
-    With e = |r|, u = r / e, c_u = c.u, q = |c_perp| = |c - c_u u| and
-    R^2 = c_u^2 + (1 - e^2) q^2 the support point is c_perp / R plus
-    u.x = sign(c_u) (c_u^2 - e^2 q^2) / (R (|c_u| + e R)), with 1 - e^2 from
-    eig_a as 4 lambda_0 lambda_1, clamped at 0 (eigvalsh may return a pure
-    rho_a's lambda_0 below 0): no cancellation near pure rho_a. Rows with
-    c = 0 take X = 0, which is optimal: there m = 2a rho_a, so Tr(X m) = 0
-    for every feasible X.
+    There rho_a = (1 + e sigma_z)/2 with e = lam_0 - lam_1 >= 0, and with
+    X = -e x_z + x.sigma the task is max c.x, c = b - a e z, over the meet of
+    E+- = {|x| +- e x_z <= 1}. The support point of E+ (E-) is optimal if
+    x_z >= 0 (<= 0) there, which needs c_z > 0 (< 0); else x = c_perp / q on
+    the seam x_z = 0, |x| = 1, with c_perp = (c_x, c_y, 0) and q = |c_perp|.
+    With R^2 = c_z^2 + (1 - e^2) q^2 the support point is c_perp / R plus
+    x_z = sign(c_z) (c_z^2 - e^2 q^2) / (R (|c_z| + e R)), with 1 - e^2 as
+    4 lam_0 lam_1, clamped at 0 (eigh may return a pure rho_a's lam_1 below
+    0): no cancellation near pure rho_a. Rows with c = 0 take X = 0, which is
+    optimal: there m = 2a rho_a, so Tr(X m) = 0 for every feasible X.
 
     The rows go one at a time in Python floats, so a row's X does not depend
     on the stack; on the few rows of a see-saw round that is also faster than
     numpy's per-call overhead.
     """
-    e = sqrt(r @ r)
-    ux, uy, uz = (r / e if e > 0.0 else r).tolist()
-    rx, ry, rz = r.tolist()
-    one_minus_e2 = 4.0 * max(float(eig_a[0] * eig_a[1]), 0.0)
+    e = float(lam[0] - lam[1])
+    one_minus_e2 = 4.0 * max(float(lam[0] * lam[1]), 0.0)
     xi = []
-    for a, bx, by, bz in coef.tolist():
-        cx, cy, cz = bx - a * rx, by - a * ry, bz - a * rz
-        c_u = cx * ux + cy * uy + cz * uz
-        px, py, pz = cx - c_u * ux, cy - c_u * uy, cz - c_u * uz  # c_perp
-        q2 = px * px + py * py + pz * pz
-        big_r = sqrt(c_u * c_u + one_minus_e2 * q2)
-        den = big_r * (abs(c_u) + e * big_r)
-        s = copysign(max(c_u * c_u - e * e * q2, 0.0) / den, c_u) if den > 0.0 else 0.0
+    for a, cx, cy, bz in coef.tolist():
+        cz = bz - a * e
+        q2 = cx * cx + cy * cy
+        big_r = sqrt(cz * cz + one_minus_e2 * q2)
+        den = big_r * (abs(cz) + e * big_r)
+        z = copysign(max(cz * cz - e * e * q2, 0.0) / den, cz) if den > 0.0 else 0.0
         norm = max(big_r, sqrt(q2))  # R when a support point holds, else q; 0 at c = 0
         norm = norm if norm > 0.0 else 1.0
-        x, y, z = s * ux + px / norm, s * uy + py / norm, s * uz + pz / norm
-        xi.append((-(x * rx + y * ry + z * rz), x, y, z))
+        xi.append((-e * z, cx / norm, cy / norm, z))
     return np.array(xi).reshape(-1, 4)
 
 
-def _x_step(rho_a: np.ndarray, eig_a: np.ndarray, basis: np.ndarray):
-    """The X step of a see-saw round in the coordinates of `basis`: a function
-    from an (S, d^2) stack of the coordinates of m to those of the X that
-    maximize Tr(X m) over Hermitian -1 <= X <= 1 with Tr(rho_a X) = 0; eig_a
-    are the ascending eigenvalues of rho_a.
+def _x_step(lam: np.ndarray, basis: np.ndarray):
+    """The X step of a see-saw round in the coordinates of `basis`, in the
+    eigenbasis of rho_a = diag(lam): a function from an (S, d^2) stack of the
+    coordinates of m to those of the X that maximize Tr(X m) over Hermitian
+    -1 <= X <= 1 with Tr(rho_a X) = 0.
 
-    For d = 2 the optimum has a closed form (`_qubit_x`), which needs no
-    Cholesky factor; other dimensions take the multiplier search of
-    `_pencil_x` row by row.
+    For d = 2 the optimum has a closed form (`_qubit_x`); other dimensions
+    take the multiplier search of `_pencil_x` row by row.
     """
-    if len(rho_a) == 2:
-        r = 2.0 * _coords(rho_a, basis)[1:]
-        return lambda coef: _qubit_x(coef, eig_a, r)
-    l_inv = _inverse_cholesky(rho_a, eig_a)
-    return lambda coef: _coords(np.array([_pencil_x(m, rho_a, l_inv)
-                                          for m in _matrix(coef, basis)]), basis)
-
-
-def _frame(u: np.ndarray) -> np.ndarray:
-    # A rotation whose last row is the unit vector u (Duff et al., JCGT 6, 2017).
-    s = 1.0 if u[2] >= 0.0 else -1.0
-    a = -1.0 / (s + u[2])
-    b = u[0] * u[1] * a
-    return np.array([[1.0 + s * u[0] * u[0] * a, s * b, -s * u[0]],
-                     [b, s + u[1] * u[1] * a, -u[1]], u])
+    if len(lam) == 2:
+        return lambda coef: _qubit_x(coef, lam)
+    return lambda coef: _coords(np.array([_pencil_x(m, lam) for m in _matrix(coef, basis)]),
+                                basis)
 
 
 def _dot3(a, b) -> float:
@@ -413,7 +392,7 @@ def _dot3(a, b) -> float:
 
 
 def _newton_point(c: list, p: list, h: list, e: float) -> list | None:
-    """One row's Newton candidate for `_qubit_newton`, in its frame: the
+    """One row's Newton candidate for `_qubit_newton`, in its coordinates: the
     feasible boundary point reached from the point p, where N has gradient c
     and Hessian h, by the Newton step on the face that the X step picks; None
     where a safeguard rejects the step."""
@@ -462,46 +441,39 @@ def _newton_point(c: list, p: list, h: list, e: float) -> list | None:
     return [v / scale for v in n]
 
 
-def _qubit_newton(rho_a: np.ndarray, b: np.ndarray):
-    """Newton candidates for a see-saw round on a qubit side: a function of
-    the rows' Pauli coordinates x, the coordinates coef of their M, and the
-    eigenvalues and eigenvectors of their steered differences, that returns
-    the rows that propose a candidate and the candidates' coordinates; b holds
-    the flattened B_mu.
+def _qubit_newton(e: float, b: np.ndarray):
+    """Newton candidates for a see-saw round on a qubit side, in the eigenbasis
+    of rho_a = (1 + e sigma_z)/2: a function of the rows' Pauli coordinates x,
+    the coordinates coef of their M, and the eigenvalues and eigenvectors of
+    their steered differences, that returns the rows that propose a candidate
+    and the candidates' coordinates; b holds the flattened B_mu.
 
-    With X = -(r.x) + x.sigma the value is N(x) = ||sum_i x_i B~_i||_1 / 2,
-    B~_i = B_i - r_i B_0: convex and homogeneous of degree 1, with gradient
-    c = b - a r (as in `_qubit_x`) and the Daleckii-Krein Hessian
+    With X = -e x_z + x.sigma the value is N(x) = ||sum_i x_i B~_i||_1 / 2,
+    B~_i = B_i - r_i B_0 with r = e z: convex and homogeneous of degree 1,
+    with gradient c = b - a r (as in `_qubit_x`) and the Daleckii-Krein Hessian
     H_ij = 2 sum_{lambda_a >= 0 > lambda_b} Re(E_i,ab conj E_j,ab) / (lambda_a - lambda_b),
-    E_i = V^dag B~_i V. The feasible boundary is x = n / (1 + |r.n|) over unit
-    n, smooth on each hemisphere (a cap) and kinked on the seam r.n = 0.
-    Where the X step lands on the seam, the candidate is a Newton step on the
-    great circle of the seam through the row's point, theta = -(c.t) /
-    (t^T H t - c.n) with t = u x n. Where it lands on a cap, it is a
-    Riemannian Newton step for phi(n) = N(n) / (1 + |r.n|) in the tangent
-    plane at n = x / |x|, kept on that hemisphere. A row proposes one only
-    where the reduced Hessian is negative definite, the step is at most
-    NEWTON_MAX_STEP radians and its steered difference has eigenvalues of
-    both signs.
-
-    The geometry runs in a frame whose third axis is u = r / |r|, so that the
-    seam is the equator, t is the azimuthal tangent, and the tangent frame of
-    the spherical angles serves the caps too. Row by row, like the rounds.
+    E_i = V^dag B~_i V. The feasible boundary is x = n / (1 + e |n_z|) over
+    unit n, smooth on each hemisphere (a cap) and kinked on the seam, the
+    equator n_z = 0. Where the X step lands on the seam, the candidate is a
+    Newton step along the equator through the row's point, theta = -(c.t) /
+    (t^T H t - c.n) with t the azimuthal tangent. Where it lands on a cap, it
+    is a Riemannian Newton step for phi(n) = N(n) / (1 + e |n_z|) in the
+    tangent plane at n = x / |x|, in the tangent frame of the spherical
+    angles, kept on that hemisphere. A row proposes one only where the reduced
+    Hessian is negative definite, the step is at most NEWTON_MAX_STEP radians
+    and its steered difference has eigenvalues of both signs. Row by row, like
+    the rounds.
     """
-    r = 2.0 * _coords(rho_a, _hermitian_basis(2))[1:]
-    e = sqrt(r @ r)
-    rot = _frame(r / e) if e > 0.0 else np.eye(3)
+    r = np.array([0.0, 0.0, e])
     d = round(sqrt(b.shape[1]))
-    b_tilde = (rot @ (b[1:] - r[:, None] * b[0])).reshape(3 * d, d)  # the B~_i in the frame
-    grad = np.vstack([-(rot @ r), rot.T])  # coef @ grad = rot (b - a r) = c in the frame
+    b_tilde = (b[1:] - r[:, None] * b[0]).reshape(3 * d, d)
 
     def candidates(x, coef, vals, vecs):
-        # The gradient c = b - a r and the point p of each row, in the frame; as
-        # in the rounds, products go row by row. Rows with p on the axis u
-        # (p = 0 included) or without a negative eigenvalue of D (then D = 0,
-        # as D is traceless) propose nothing and need no Hessian.
-        c = (coef[:, None] @ grad)[:, 0].tolist()
-        p = (x[:, None, 1:] @ rot.T)[:, 0].tolist()
+        # Rows with their point p on the z axis (p = 0 included) or without a
+        # negative eigenvalue of D (then D = 0, as D is traceless) propose
+        # nothing and need no Hessian.
+        c = (coef[:, 1:] - coef[:, :1] * r).tolist()
+        p = x[:, 1:].tolist()
         rows = [j for j, mixed in enumerate((vals[:, 0] < 0.0).tolist())
                 if mixed and (p[j][0] or p[j][1])]
         # H = sum_ab Re(f_i,ab conj f_j,ab) with f_i,ab = E_i,ab sqrt(2 / (lambda_a - lambda_b))
@@ -518,8 +490,8 @@ def _qubit_newton(rho_a: np.ndarray, b: np.ndarray):
             if point is not None:
                 kept.append(j)
                 points.append(point)
-        points = np.array(points).reshape(-1, 1, 3)
-        return kept, np.concatenate([-e * points[:, 0, 2:], (points @ rot)[:, 0]], axis=1)
+        points = np.array(points).reshape(-1, 3)
+        return kept, np.column_stack([-e * points[:, 2], points])
 
     return candidates
 
@@ -544,14 +516,13 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
     matrix. The starts run in lockstep, each until its gain is at most
     SEESAW_GAIN_TOL; the first one that ties with the best wins.
     """
-    if restarts < 0:
-        raise ConfigParseError(f"restarts must be >= 0, got {restarts}")
+    for name, value in (("restarts", restarts), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ConfigParseError(f"{name} must be an integer >= 0, got {value!r}")
     m, d_a, d_b = _bipartite(rho, dims, cut)
     if x0 is not None and np.shape(x0) != (d_a, d_a):
         raise DimMismatchError(f"x0 must have shape {(d_a, d_a)}, got {np.shape(x0)}")
     x0 = x0 if x0 is None else require_hermitian(x0)
-    rho_a = partial_trace(m, (d_a, d_b), keep=0)
-    eig_a = np.linalg.eigvalsh(rho_a)
     rho4 = m.reshape(d_a, d_b, d_a, d_b)
 
     # Each start after the eigenbasis ME-POVM projects a B-side Hermitian to a
@@ -564,22 +535,24 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
         h = np.concatenate([_steered_difference(rho4, x0)[None], h])
     h -= np.trace(h, axis1=1, axis2=2).real[:, None, None] / d_b * np.eye(d_b)
 
-    # Coordinates xi of X = xi.E in the Hermitian basis E of side A. With
-    # B_mu = Tr_A[rho (E_mu (x) 1)] the steered difference is xi @ B, and
-    # M = Tr_B[rho (1 (x) Y)] has the coordinates Tr(M E_mu) / 2 = Tr(B_mu Y) / 2.
-    # Both products go row by row, so that a start's rounds do not depend on
-    # the stack.
+    # The rounds run on rho' = (V^dag (x) 1) rho (V (x) 1), whose A marginal is
+    # diag(lam), and X = V X' V^dag, with coordinates xi of X' = xi.E in the
+    # Hermitian basis E of side A. With B_mu = Tr_A[rho' (E_mu (x) 1)] the
+    # steered difference is xi @ B, and M = Tr_B[rho' (1 (x) Y)] has the
+    # coordinates Tr(M E_mu) / 2 = Tr(B_mu Y) / 2. Both products go row by
+    # row, so that a start's rounds do not depend on the stack.
+    lam, v, w = _eigen_split(partial_trace(m, (d_a, d_b), keep=0))
+    rho4 = np.einsum("ca,cidj,db->aibj", v.conj(), rho4, v)
     basis, n = _hermitian_basis(d_a), d_a * d_a
     b = _steered_difference(rho4, basis).reshape(n, d_b * d_b)
     b_y = b.reshape(n, d_b, d_b).swapaxes(1, 2).reshape(n, d_b * d_b).T
-    x_step = _x_step(rho_a, eig_a, basis)
-    newton = _qubit_newton(rho_a, b) if d_a == 2 else None
+    x_step = _x_step(lam, basis)
+    newton = _qubit_newton(float(lam[0] - lam[1]), b) if d_a == 2 else None
 
     def m_coords(y):
         return (y.reshape(len(y), 1, d_b * d_b) @ b_y)[:, 0].real / 2.0
 
-    p1 = _split_projector(rho_a)
-    x = np.concatenate([_coords(p1 - (np.eye(d_a) - p1), basis)[None],
+    x = np.concatenate([_coords(np.diag(2.0 * w - 1.0), basis)[None],
                         x_step(m_coords(_sign_split(h)[2]))])
 
     # Row j < len(active) of x is the see-saw candidate of start active[j]; the
@@ -616,7 +589,7 @@ def c2_A(rho, dims: Sequence[int] | None = None, cut: int = 1,
     # that rounding does not pick the result.
     value = np.array(value)
     best = int(np.argmax(value >= (1.0 - SEESAW_TIE_RTOL) * value.max()))
-    return C2Result(value=float(value[best]), x=_matrix(best_x[best], basis),
+    return C2Result(value=float(value[best]), x=v @ _matrix(best_x[best], basis) @ v.conj().T,
                     iterations=iterations[best])
 
 

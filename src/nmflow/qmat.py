@@ -1,6 +1,6 @@
 """Dense complex-Hermitian matrix kernel.
 
-Eigendecomposition, partial trace/transpose (also of (..., D, D) stacks),
+Hermiticity checks, partial trace/transpose (also of (..., D, D) stacks),
 validated density states and the Pauli matrices.
 Everything here is pure and operates on small dense arrays (dims <= 64 total).
 """
@@ -39,18 +39,6 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
     if defect > HERM_TOL:
         raise NonHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance {HERM_TOL:.1e}")
     return m
-
-
-def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues sorted descending, eigenvectors as matching columns).
-    Raises NonHermitianError if the symmetry defect exceeds HERM_TOL.
-    """
-    m = require_hermitian(m)
-    vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:

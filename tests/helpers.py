@@ -141,17 +141,22 @@ def back_operator(rho4: np.ndarray, y: np.ndarray) -> np.ndarray:
 def solve_x(m: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
     """The X step of `mepovm.c2_A` on matrices: maximize Tr(X m) over Hermitian
     -1 <= X <= 1 with Tr(rho_a X) = 0, for one m or for each m of an
-    (S, d, d) stack. For d = 2 it takes the closed form in Pauli coordinates;
+    (S, d, d) stack, by `solve_x_diagonal` in the eigenbasis of rho_a."""
+    lam, v, _ = mepovm._eigen_split(rho_a)
+    return v @ solve_x_diagonal(v.conj().T @ m @ v, lam) @ v.conj().T
+
+
+def solve_x_diagonal(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """`solve_x` for rho_a = diag(lam), lam descending, as in the rounds of
+    `mepovm.c2_A`: for d = 2 it takes the closed form in Pauli coordinates;
     other dimensions run `mepovm._pencil_x` on each matrix as it is."""
     m = (m + m.conj().swapaxes(-1, -2)) / 2.0
-    eig_a = np.linalg.eigvalsh(rho_a)
     stack = m.reshape((-1,) + m.shape[-2:])
-    if len(eig_a) == 2:
+    if len(lam) == 2:
         basis = mepovm._hermitian_basis(2)
-        xi = mepovm._x_step(rho_a, eig_a, basis)(mepovm._coords(stack, basis))
+        xi = mepovm._x_step(lam, basis)(mepovm._coords(stack, basis))
         return mepovm._matrix(xi, basis).reshape(m.shape)
-    l_inv = mepovm._inverse_cholesky(rho_a, eig_a)
-    return np.array([mepovm._pencil_x(mk, rho_a, l_inv) for mk in stack]).reshape(m.shape)
+    return np.array([mepovm._pencil_x(mk, lam) for mk in stack]).reshape(m.shape)
 
 
 def seesaw_reference(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: int = 0,
@@ -164,24 +169,16 @@ def seesaw_reference(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: i
     return next(s for s in starts if s[0] >= (1.0 - mepovm.SEESAW_TIE_RTOL) * best)
 
 
-def _seesaw_starts(rho4: np.ndarray, rho_a: np.ndarray, restarts: int, seed: int,
-                   x0: np.ndarray | None) -> list[np.ndarray]:
-    """The starts of `mepovm.c2_A` as matrices: the eigenbasis ME-POVM, the warm
-    start `x0` and `restarts` seeded random starts, each projected to a feasible X."""
+def _start_hermitians(rho4: np.ndarray, restarts: int, seed: int,
+                      x0: np.ndarray | None) -> list[np.ndarray]:
+    """The traceless B-side Hermitians that `mepovm.c2_A` projects to its
+    starts after the eigenbasis ME-POVM: the steered difference of the warm
+    start `x0`, then `restarts` seeded random ones."""
     d_b = rho4.shape[1]
-
-    def project(h):  # one dual/primal step from a traceless B-side Hermitian
-        h = h - np.trace(h).real / d_b * np.eye(d_b)  # so never definite
-        return solve_x(back_operator(rho4, _sign(h)[2]), rho_a)
-
-    app_f = mepovm.construct_me_povm(rho_a)
-    starts = [app_f.effects[0] - app_f.effects[1]]
-    if x0 is not None:
-        starts.append(project(mepovm._steered_difference(rho4, np.asarray(x0, dtype=complex))))
+    hs = [] if x0 is None else [mepovm._steered_difference(rho4, np.asarray(x0, dtype=complex))]
     rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        starts.append(project(rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))))
-    return starts
+    hs += [rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b)) for _ in range(restarts)]
+    return [h - np.trace(h).real / d_b * np.eye(d_b) for h in hs]  # so never definite
 
 
 def _sign(h: np.ndarray):
@@ -197,8 +194,12 @@ def plain_seesaw_starts(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed
     steered difference and the X step on M = Tr_B[rho (1 (x) Y)]."""
     rho4 = np.asarray(rho, dtype=complex).reshape(d_a, d_b, d_a, d_b)
     rho_a = np.einsum("aibi->ab", rho4)
+    app_f = mepovm.construct_me_povm(rho_a)
+    starts = [app_f.effects[0] - app_f.effects[1]]
+    starts += [solve_x(back_operator(rho4, _sign(h)[2]), rho_a)
+               for h in _start_hermitians(rho4, restarts, seed, x0)]
     results = []
-    for x in _seesaw_starts(rho4, rho_a, restarts, seed, x0):
+    for x in starts:
         value = -np.inf
         for it in range(1, mepovm.SEESAW_MAX_ITER + 1):
             vals, _, y = _sign(mepovm._steered_difference(rho4, x))
@@ -215,19 +216,24 @@ def plain_seesaw_starts(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed
 def seesaw_reference_starts(rho: np.ndarray, d_a: int, d_b: int, restarts: int, seed: int = 0,
                             x0: np.ndarray | None = None) -> list[tuple[float, int]]:
     """(value, iterations) of each start of `mepovm.c2_A`, each run on its own
-    on matrices. Every round evaluates the start's candidates one matrix at a
-    time and keeps the first largest; the next candidates are the X step on
-    M = Tr_B[rho (1 (x) Y)] and, on a qubit side, the Newton candidate that
-    `mepovm._qubit_newton` proposes for that row alone."""
+    on matrices in the eigenbasis of rho_A. Every round evaluates the start's
+    candidates one matrix at a time and keeps the first largest; the next
+    candidates are the X step on M = Tr_B[rho (1 (x) Y)] and, on a qubit side,
+    the Newton candidate that `mepovm._qubit_newton` proposes for that row
+    alone."""
     rho4 = np.asarray(rho, dtype=complex).reshape(d_a, d_b, d_a, d_b)
-    rho_a = np.einsum("aibi->ab", rho4)
+    lam, v, w = mepovm._eigen_split(np.einsum("aibi->ab", rho4))
+    hs = _start_hermitians(rho4, restarts, seed, x0)
+    rho4 = np.einsum("ca,cidj,db->aibj", v.conj(), rho4, v)
+    starts = [np.diag(2.0 * w - 1.0).astype(complex)]
+    starts += [solve_x_diagonal(back_operator(rho4, _sign(h)[2]), lam) for h in hs]
     basis = mepovm._hermitian_basis(d_a)
     newton = None
     if d_a == 2:
         b = mepovm._steered_difference(rho4, basis).reshape(4, d_b * d_b)
-        newton = mepovm._qubit_newton(rho_a, b)
+        newton = mepovm._qubit_newton(float(lam[0] - lam[1]), b)
     results = []
-    for x in _seesaw_starts(rho4, rho_a, restarts, seed, x0):
+    for x in starts:
         value, candidates = -np.inf, [x]
         for it in range(1, mepovm.SEESAW_MAX_ITER + 1):
             scored = [(_sign(mepovm._steered_difference(rho4, c)), c) for c in candidates]
@@ -238,7 +244,7 @@ def seesaw_reference_starts(rho: np.ndarray, d_a: int, d_b: int, restarts: int, 
                 break
             value = new_value
             m = back_operator(rho4, y)
-            candidates = [solve_x(m, rho_a)]
+            candidates = [solve_x_diagonal(m, lam)]
             if newton is not None:
                 _, xi = newton(mepovm._coords(x, basis)[None], mepovm._coords(m, basis)[None],
                                vals[None], vecs[None])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    NOT_STATES,
     back_operator,
     plain_seesaw_starts,
     probe_pair_at_tau,
@@ -14,6 +15,7 @@ from helpers import (
     seesaw_reference,
     seesaw_reference_starts,
     solve_x,
+    solve_x_diagonal,
 )
 from nmflow import channels, mepovm, qmat
 from nmflow.errors import (
@@ -81,6 +83,14 @@ def test_construct_me_povm_random_marginals():
         povm = construct_me_povm(rho)  # validation happens in the constructor
         p1, p2 = outcome_probs(povm, rho)
         assert abs(p1 - 0.5) <= 1e-9 and abs(p2 - 0.5) <= 1e-9
+
+
+@pytest.mark.parametrize("rho_a, error", [
+    *NOT_STATES.values(), (np.ones((2, 3)), DimMismatchError), (np.ones(3), DimMismatchError),
+    (np.diag([-0.5, 1.5]), NotAStateError)], ids=[*NOT_STATES, "2x3", "vector", "trace 1, not PSD"])
+def test_construct_me_povm_rejects_non_states(rho_a, error):
+    with pytest.raises(error):
+        construct_me_povm(rho_a)
 
 
 def test_c2_a_product_state():
@@ -299,8 +309,8 @@ def test_singular_marginal_bracket_holds(monkeypatch, d):
     for rank in range(1, d):
         for scale in (1e-6, 1.0, 1e3):
             for _ in range(20):
-                rho_a = random_density(rng, d, rank=rank)
-                mepovm._pencil_x(random_hermitian(rng, d, scale), rho_a, None)
+                lam, v, _ = mepovm._eigen_split(random_density(rng, d, rank=rank))
+                mepovm._pencil_x(v.conj().T @ random_hermitian(rng, d, scale) @ v, lam)
     assert len(brackets) == 60 * (d - 1)
     for m, rho_a, lo, hi in brackets:
         assert _bisection_sign_trace(m, rho_a, lo) > 0 > _bisection_sign_trace(m, rho_a, hi)
@@ -311,11 +321,14 @@ def test_singular_marginal_bracket_holds(monkeypatch, d):
 def test_solve_x_lands_on_kinks_directly(monkeypatch, label, m, rho_a):
     # Product and classical-quantum marginals put the multiplier exactly on a
     # breakpoint; the bisection over at most 7 breakpoints probes 3 of them.
-    # A qubit side takes the closed form and no eigendecomposition at all.
+    # A qubit side takes the closed form and no eigendecomposition at all. The
+    # rounds run in the eigenbasis of rho_a, taken once per call to c2_A.
+    lam, v, _ = mepovm._eigen_split(rho_a)
+    m = v.conj().T @ m @ v
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
-    solve_x(m, rho_a)
+    solve_x_diagonal(m, lam)
     assert len(calls) <= (0 if len(m) == 2 else 3)
 
 
@@ -437,12 +450,12 @@ def test_qubit_side_rounds_match_per_start_reference(monkeypatch, label, rho, di
     monkeypatch.setattr(mepovm, "_pencil_x", lambda *a: calls.append(a) or pencil(*a))
     newton, candidates = mepovm._qubit_newton, []
 
-    def recorded(rho_a, b):
-        propose = newton(rho_a, b)
+    def recorded(e, b):
+        propose = newton(e, b)
 
         def wrapped(*args):
             rows, xi = propose(*args)
-            candidates.append((2.0 * mepovm._coords(rho_a, mepovm._hermitian_basis(2))[1:], xi))
+            candidates.append((np.array([0.0, 0.0, e]), xi))  # rho_A's Bloch vector
             return rows, xi
 
         return wrapped
@@ -474,7 +487,7 @@ def test_qubit_side_never_below_the_plain_seesaw():
 def test_a_losing_newton_candidate_costs_nothing(monkeypatch):
     # Each start keeps the larger of its two candidates: with Newton
     # candidates X = 0, whose value is 0, the rounds are the plain see-saw's.
-    def zero_candidates(rho_a, b):
+    def zero_candidates(e, b):
         return lambda x, coef, vals, vecs: (list(range(len(x))), np.zeros((len(x), 4)))
 
     monkeypatch.setattr(mepovm, "_qubit_newton", zero_candidates)
@@ -627,6 +640,68 @@ def test_c2_rejects_bad_input_up_front(monkeypatch, measure):
         with pytest.raises(NonHermitianError):
             measure(maximally_entangled(2), (2, 2), x0=x0)
     assert not calls
+
+
+@pytest.mark.parametrize("measure", [c2_A, c2_B])
+@pytest.mark.parametrize("bad", [{"restarts": 2.5}, {"restarts": True}, {"seed": -1},
+                                 {"seed": 1.5}], ids=str)
+def test_c2_rejects_non_integer_restarts_and_seeds(monkeypatch, measure, bad):
+    # Rejected before a restart is drawn; numpy integers are integers.
+    calls, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or default_rng(*a))
+    with pytest.raises(ConfigParseError):
+        measure(maximally_entangled(2), (2, 2), **bad)
+    assert not calls
+    monkeypatch.undo()
+    res = measure(maximally_entangled(2), (2, 2), restarts=np.int64(1), seed=np.uint8(3))
+    assert res.value == pytest.approx(0.5, abs=1e-12)
+
+
+def _with_spectral_gaps(rng, d_a, d_b, gap):
+    """A random state on A (x) B whose two marginals have eigenvalues at least
+    `gap` apart, so that their eigenbases are well defined."""
+    while True:
+        rho = random_density(rng, d_a * d_b)
+        if all(np.min(np.diff(np.linalg.eigvalsh(qmat.partial_trace(rho, (d_a, d_b), keep=k))))
+               >= gap for k in (0, 1)):
+            return rho
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 6), (3, 2), (6, 2)])
+def test_c2_is_invariant_under_a_unitary_on_the_measured_side(dims):
+    # The rounds run in the eigenbasis of the measured marginal, which a local
+    # unitary U rotates along: C and its X rotate with U, the value stays.
+    d_a, d_b = dims
+    rng = np.random.default_rng(55)
+    for _ in range(4):
+        rho = _with_spectral_gaps(rng, d_a, d_b, 1e-3)
+        for measure, u in ((c2_A, np.kron(random_unitary(rng, d_a), np.eye(d_b))),
+                           (c2_B, np.kron(np.eye(d_a), random_unitary(rng, d_b)))):
+            rotated = u @ rho @ u.conj().T
+            res = measure(rotated, dims, restarts=3, seed=2)
+            assert res.value == pytest.approx(measure(rho, dims, restarts=3, seed=2).value,
+                                              abs=1e-12)
+            # The returned X reaches the value on the rotated state.
+            rho4 = rotated.reshape(d_a, d_b, d_a, d_b)
+            if measure is c2_B:
+                rho4 = rho4.transpose(1, 0, 3, 2)  # the measured side first
+            vals = np.linalg.eigvalsh(mepovm._steered_difference(rho4, res.x))
+            assert 0.5 * np.sum(np.abs(vals)) == pytest.approx(res.value, abs=1e-12)
+            assert abs(np.trace(np.einsum("aibi->ab", rho4) @ res.x)) <= 1e-12
+
+
+@pytest.mark.parametrize("d_b", [2, 3, 6])
+def test_c2_a_decomposes_a_qubit_marginal_once(monkeypatch, d_b):
+    # One eigendecomposition of rho_A serves the eigenbasis start, the X step
+    # and the Newton candidates.
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, f=f: calls.append(np.shape(a) == (2, 2)) or f(a))
+    rho = random_density(np.random.default_rng(56), 2 * d_b)
+    c2_A(rho, (2, d_b), restarts=3, seed=0)
+    assert sum(calls) == 1
 
 
 def test_warm_start_does_not_hinge_on_rounding():

@@ -34,32 +34,6 @@ def from_coords(a, basis: OperatorBasis) -> DensityState:
     return DensityState(m, basis.dims)
 
 
-def test_herm_eig_diagonal():
-    vals, vecs = qmat.herm_eig(np.diag([3.0, 1.0]).astype(complex))
-    np.testing.assert_allclose(vals, [3.0, 1.0])
-    np.testing.assert_allclose(np.abs(vecs), np.eye(2), atol=1e-12)
-
-
-def test_herm_eig_sigma_x():
-    vals, vecs = qmat.herm_eig(SIGMA_X)
-    np.testing.assert_allclose(vals, [1.0, -1.0], atol=1e-12)
-    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    # Columns match the Hadamard columns up to a per-column phase.
-    for k in range(2):
-        overlap = abs(np.vdot(hadamard[:, k], vecs[:, k]))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
-def test_herm_eig_max_entangled_projector():
-    vals, _ = qmat.herm_eig(qmat.maximally_entangled(2))
-    np.testing.assert_allclose(vals, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(NonHermitianError):
-        qmat.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_partial_trace_product():
     rng = np.random.default_rng(1)
     a = random_density(rng, 3)
@@ -162,18 +136,6 @@ def test_operator_basis_orthonormality():
         np.testing.assert_allclose(gram, d * np.eye(d * d), atol=1e-12)
         for e in basis.elements:
             assert qmat.herm_defect(e) == 0.0
-
-
-def test_herm_eig_reconstruction_random():
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        d = int(rng.integers(2, 17))
-        m = random_hermitian(rng, d, scale=float(rng.uniform(0.1, 5.0)))
-        vals, vecs = qmat.herm_eig(m)
-        recon = (vecs * vals) @ vecs.conj().T
-        bound = 1e-9 * (1.0 + np.max(np.abs(m)))
-        assert np.max(np.abs(recon - m)) <= bound
-        assert np.all(np.diff(vals) <= 1e-12)
 
 
 def test_partial_trace_kron_identity():
