@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sized
 
 from .errors import ConfigParseError
 
@@ -81,23 +81,26 @@ def thread_count() -> int:
     return n
 
 
-def parallel_map(fn: Callable, items: Sequence, workers: int | None = None) -> Iterator:
+def parallel_map(fn: Callable, items: Iterable, workers: int | None = None) -> Iterator:
     """Yield fn(x) for each of items, in input order.
 
-    With more than one worker (thread_count() by default) one thread pool
-    serves the whole call, and at most 2 * workers calls run or wait to be
-    read, so a slow reader bounds the results held at once. An exception
-    raised by a call is raised when its item is read.
+    Items are taken from `items` in the calling thread as their calls are
+    handed out, so they may be produced lazily. With more than one worker
+    (thread_count() by default, at most len(items) where items has a length)
+    one thread pool serves the whole call, and at most 2 * workers calls run
+    or wait to be read, so a slow reader bounds the results held at once. An
+    exception raised by a call is raised when its item is read.
     """
     if workers is None:
         workers = thread_count()
-    workers = max(1, min(workers, len(items) or 1))
-    if workers == 1:
+    if isinstance(items, Sized):
+        workers = min(workers, len(items))
+    if workers <= 1:
         return map(fn, items)
     return _pooled_map(fn, items, workers)
 
 
-def _pooled_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
+def _pooled_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
     from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()

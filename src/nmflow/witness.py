@@ -31,7 +31,7 @@ from .errors import (
     NmflowError,
     PrecisionLossWarning,
 )
-from .numutil import bisect_root, chunk_indices, parallel_map
+from .numutil import bisect_root, chunk_indices, parallel_map, thread_count
 from .qmat import PAULIS, DensityState
 
 ONSET_MARGIN = 1e-10  # rise per grid step that counts as an increase
@@ -237,12 +237,16 @@ def _real_representatives(vectors: np.ndarray) -> np.ndarray:
     return (e * np.sqrt(np.maximum(mu, 0.0))[:, None, :]).transpose(0, 2, 1).reshape(-1, 4)
 
 
-def _mi_chunks(channel, vectors: np.ndarray, grid: np.ndarray, workers: int | None):
+def _mi_chunks(channel, vectors: np.ndarray, grid: np.ndarray, workers: int | None,
+               live: Callable[[], np.ndarray] | None = None):
     """The mutual information of mi_series, one chunk of times at a time:
-    checks the input and returns an iterator of (lo, hi, mi) in grid order,
-    with mi the (hi - lo, n_states) values at grid[lo:hi]. The chunks are
-    computed by parallel_map, so at most 2 * workers of them are held ahead
-    of the reader.
+    checks the input and returns an iterator of (lo, hi, cols, mi) in grid
+    order, with mi the (hi - lo, n) values at grid[lo:hi] of the states
+    vectors[cols]. cols is every state, or live() when that is given: it is
+    called in the calling thread as each chunk is handed to parallel_map, and
+    the iteration ends at the first chunk it leaves empty. parallel_map holds
+    at most 2 * workers chunks ahead of the reader, so a live() that reads
+    the reader's state lags it by at most that many chunks.
     """
     grid, vectors = np.asarray(grid, dtype=float), np.asarray(vectors)
     if vectors.ndim != 2 or vectors.shape[1] != 4:
@@ -258,12 +262,23 @@ def _mi_chunks(channel, vectors: np.ndarray, grid: np.ndarray, workers: int | No
         superops, vectors = superops.real, _real_representatives(vectors)
     states0 = np.einsum("na,nb->nab", vectors, vectors.conj())
     chunk = max(1, min(CHUNK_TIMES, CHUNK_MATRICES // max(1, states0.shape[0])))
+    bounds = list(chunk_indices(grid.size, chunk))
+
+    def handed():
+        for lo, hi in bounds:
+            cols = slice(None) if live is None else live()
+            if live is not None and not cols.size:
+                return
+            yield lo, hi, cols
 
     def run(piece):
-        lo, hi = piece
-        return lo, hi, _two_qubit_mi(_apply_superops(superops[lo:hi], states0, (2, 2), 1))
+        lo, hi, cols = piece
+        return lo, hi, cols, _two_qubit_mi(_apply_superops(superops[lo:hi], states0[cols],
+                                                           (2, 2), 1))
 
-    return parallel_map(run, list(chunk_indices(grid.size, chunk)), workers=workers)
+    # handed() has no len() for parallel_map to cap the workers by.
+    workers = thread_count() if workers is None else workers
+    return parallel_map(run, handed(), workers=min(workers, len(bounds)))
 
 
 def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
@@ -276,12 +291,13 @@ def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
     translation: every family of the package) and has a real superoperator,
     each psi becomes the real (U_A (x) R_z) psi, which has the same I(t), and
     the scan runs in float64; otherwise in complex. A chunk holds at most
-    CHUNK_TIMES times and CHUNK_MATRICES states; this function stores every
-    chunk of the kernel that min_t_nm_scan folds as it goes.
+    CHUNK_TIMES times and CHUNK_MATRICES states. This function stores every
+    chunk of the kernel; min_t_nm_scan folds each one as it comes, and drops
+    the states it has found from the stack of the chunks after it.
     """
     chunks = _mi_chunks(channel, vectors, grid, workers)
     out = np.empty((np.size(grid), len(vectors)))
-    for lo, hi, mi in chunks:
+    for lo, hi, _, mi in chunks:
         out[lo:hi] = mi
     return out
 
@@ -306,7 +322,13 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     so the states are only evaluated at the ends of steps whose smallest Choi
     eigenvalue is <= 0. Each chunk of the mi_series kernel is folded into the
     per-state first rises as it is computed, so the scan holds O(chunk + N)
-    memory for N states, not the (points, N) series.
+    memory for N states, not the (points, N) series. A chunk runs only on the
+    states without a rise so far, so a state whose first rise lands in a
+    chunk leaves the stack for every later chunk, and the scan ends once every
+    state has one; a state's values do not depend on the others in its stack.
+    With w > 1 workers the live states are taken as each chunk is handed to
+    the pool, up to 2 * w chunks ahead of the fold, so a found state may be
+    evaluated in up to 2 * w more chunks, whose later rises the minimum ignores.
 
     SCAN_MARGIN is 1e-12 rather than the generic ONSET_MARGIN of
     scan_backflow, 1e-10: the earliest-onset states are nearly product states
@@ -322,21 +344,25 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     if steps.size == 0:
         return float("nan"), None, np.full(count, np.nan)
     points = np.union1d(steps, steps + 1)
-    # starts[j]: (points[j], points[j + 1]) is a non-CP step. Each chunk is
-    # folded into the first such step that rises, with the previous chunk's
-    # last row in front so that the step across the seam is seen.
+    # starts[j]: (points[j], points[j + 1]) is a non-CP step. Each chunk runs
+    # on the states without a rise so far and is folded into their first
+    # rising step, with each state's value at the previous chunk's last point
+    # in front so that the step across the seam is seen.
     starts = np.isin(points, steps)
     first = np.full(count, points.size)
-    carry = None
-    for lo, hi, mi in _mi_chunks(channel, vectors, grid[points], None):
-        if carry is not None:
-            lo, mi = lo - 1, np.concatenate((carry[None], mi))
-        carry = mi[-1].copy()  # a view would keep the whole chunk alive
+    carry = np.empty(count)
+    chunks = _mi_chunks(channel, vectors, grid[points], None,
+                        live=lambda: np.flatnonzero(first == points.size))
+    for lo, hi, cols, mi in chunks:
+        if lo:
+            lo, mi = lo - 1, np.concatenate((carry[cols][None], mi))
+        carry[cols] = mi[-1]
         at = np.flatnonzero(starts[lo:hi - 1])
         if at.size:
             rising = mi[at + 1] - mi[at] > SCAN_MARGIN
             hit = rising.any(axis=0)
-            first = np.minimum(first, np.where(hit, lo + at[rising.argmax(axis=0)], points.size))
+            first[cols] = np.minimum(first[cols],
+                                     np.where(hit, lo + at[rising.argmax(axis=0)], points.size))
     found = first < points.size
     idx = points[np.where(found, first, 0)]
     onsets = np.where(found, grid[idx], np.nan)

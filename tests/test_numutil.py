@@ -50,7 +50,27 @@ def test_parallel_map_preserves_order():
     items = list(range(37))
     for workers in (1, 2, 4):
         assert list(parallel_map(lambda x: x * x, items, workers)) == [x * x for x in items]
+        assert list(parallel_map(lambda x: x * x, iter(items), workers)) == [x * x for x in items]
         assert list(parallel_map(lambda x: -x, [], workers)) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_parallel_map_takes_lazy_items_in_the_calling_thread(workers):
+    # Each item is produced in the reader's thread as its call is handed out:
+    # with one worker after every earlier result was read, with more at most
+    # 2 * workers items ahead of the reader.
+    caller, read, lead = threading.get_ident(), [], []
+
+    def items():
+        for x in range(30):
+            assert threading.get_ident() == caller
+            lead.append(x - len(read))
+            yield x
+
+    for value in parallel_map(lambda x: x, items(), workers=workers):
+        read.append(value)
+    assert read == list(range(30))
+    assert max(lead) == (0 if workers == 1 else 2 * workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

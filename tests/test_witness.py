@@ -659,6 +659,75 @@ def test_min_t_nm_scan_independent_of_thread_count(monkeypatch):
     np.testing.assert_array_equal(vec1, vec2)
 
 
+@pytest.mark.parametrize("complex_path", [False, True])
+@pytest.mark.parametrize("channel, grid", [
+    (quasi_eternal(0.4, 1.0), np.arange(0.0, 3.0, 0.01)),
+    (GadcChannel(), np.arange(0.0, 0.6, 2e-3)),
+])
+def test_mi_kernel_gives_a_state_the_same_bits_in_any_stack(monkeypatch, channel, grid,
+                                                             complex_path):
+    # min_t_nm_scan drops found states from the stack, so its onsets hold only
+    # if a state's values do not depend on the states that share its stack:
+    # every subset gives exactly the full stack's columns, chunk by chunk.
+    if complex_path:
+        superop = AffineQubitMap.superop.fget
+        monkeypatch.setattr(AffineQubitMap, "superop", property(lambda m: superop(m) + 1e-300j))
+    real_calls = []
+    real = witness._real_representatives
+    monkeypatch.setattr(witness, "_real_representatives",
+                        lambda v: real_calls.append(len(v)) or real(v))
+    vectors = sample_pure_vectors((2, 2), 200, seed=12)
+    full = witness.mi_series(channel, vectors, grid, workers=1)
+    assert bool(real_calls) != complex_path
+    rng = np.random.default_rng(13)
+    for size in (1, 2, 5, 190):
+        cols = np.sort(rng.choice(200, size, replace=False))
+        chunks = list(witness._mi_chunks(channel, vectors, grid, 1, live=lambda: cols))
+        assert [(lo, hi) for lo, hi, _, _ in chunks] == [(0, 128), (128, 256), (256, grid.size)]
+        for lo, hi, got, mi in chunks:
+            np.testing.assert_array_equal(got, cols)
+            assert np.array_equal(mi, full[lo:hi, cols])
+
+
+@pytest.mark.parametrize("threads, chunk_times", [("1", 1), ("1", 7), ("1", 128), ("2", 7)])
+def test_min_t_nm_scan_drops_found_states_from_the_stack(monkeypatch, threads, chunk_times):
+    # A chunk runs on the states without a rise in the chunks folded before it
+    # is handed out: with one thread that is every chunk before it, so a state
+    # leaves the stack after the chunk that holds its onset step and the stack
+    # never grows; with w threads the chunk is handed out up to 2w chunks
+    # ahead of the fold. Once every state has an onset no chunk runs.
+    monkeypatch.setenv("NMFLOW_THREADS", threads)
+    monkeypatch.setattr(witness, "CHUNK_TIMES", chunk_times)
+    sizes, seen = [], []
+    mi = witness._two_qubit_mi
+    monkeypatch.setattr(witness, "_two_qubit_mi",
+                        lambda states: sizes.append(states.shape[1]) or mi(states))
+    chunks = witness._mi_chunks
+
+    def recorded(channel, vectors, points, workers, live):
+        for lo, hi, cols, values in chunks(channel, vectors, points, workers, live):
+            seen.append((points, lo, hi, cols))
+            yield lo, hi, cols, values
+
+    monkeypatch.setattr(witness, "_mi_chunks", recorded)
+    grid = np.arange(0.0, 3.0 + 1e-12, 2e-3)
+    onsets = min_t_nm_scan(quasi_eternal(0.4, 1.0), 300, grid, seed=24)[2]
+    assert not np.any(np.isnan(onsets))
+    points = seen[0][0]
+    lens = [len(cols) for *_, cols in seen]  # in chunk order
+    # Worker threads may finish their kernel calls out of chunk order.
+    assert (sizes if threads == "1" else sorted(sizes)) == (lens if threads == "1" else sorted(lens))
+    assert lens == sorted(lens, reverse=True) and lens[0] == 300
+    assert seen[-1][2] < points.size  # the last chunks do not run
+    # The chunk that holds each state's onset step (points[f], points[f + 1]).
+    los = [lo for _, lo, _, _ in seen]
+    onset_chunk = np.searchsorted(los, np.searchsorted(points, onsets) + 1, side="right") - 1
+    lag = 0 if threads == "1" else 2 * int(threads)
+    for c, (_, lo, hi, cols) in enumerate(seen):
+        assert np.all(onset_chunk[cols] >= c - lag)
+        assert set(np.flatnonzero(onset_chunk >= c)) <= set(cols.tolist())
+
+
 def test_trajectory_grid_validation():
     with pytest.raises(ValueError):
         witness.Trajectory(maximally_entangled(2), quasi_eternal(0.4, 1.0), (2, 2),
