@@ -2,12 +2,14 @@
 
 Random-unitary qubit channels built from three time-dependent rates
 (gamma_x, gamma_y, gamma_z), the quasi-eternal family
-gamma = (alpha/2)(1, 1, -tanh(t - t0)), pure dephasing, generalized amplitude
-damping with either a fixed decay profile G(t) or the two-parameter
-s(t) = cos^2(5t), r(t) = exp(-t) family, plus application to subsystems,
-intermediate maps V_{s,t} and Choi matrices. Every family's `as_affine`,
-`intermediate` and `divisibility` (its CP/P criterion) also take 1-D arrays
-of times, and then return arrays over the times.
+gamma = (alpha/2)(1, 1, -tanh(t - t0)), pure dephasing, and generalized
+amplitude damping (GAD), whose map, intermediate maps and jump rates one base
+class derives from a decay profile G(t) and an excitation weight p(t): a
+fixed p (`AmpDampChannel`) or G = exp(-t/2), p = cos^2(5t) (`GadcChannel`).
+Plus application to subsystems, intermediate maps V_{s,t} and Choi matrices.
+Every family's `as_affine`, `intermediate` and `divisibility` (its CP/P
+criterion) also take 1-D arrays of times, and then return arrays over the
+times.
 
 Conventions: subsystem order is (ancillas..., system); channels act on the
 last subsystem unless told otherwise. A qubit map is stored by its diagonal
@@ -282,6 +284,13 @@ def choi(qmap, dim: int) -> np.ndarray:
 # Random-unitary qubit channels from rate triples
 # ---------------------------------------------------------------------------
 
+def _bell_weights(one, ayz, azx, axy) -> tuple:
+    """(p_0, p_x, p_y, p_z) from the Pauli contraction factors, with `one` for
+    the identity's; from their derivatives with `one` = -0.0."""
+    return (0.25 * (one + axy + azx + ayz), 0.25 * (one - axy - azx + ayz),
+            0.25 * (one - axy + azx - ayz), 0.25 * (one + axy - azx - ayz))
+
+
 @dataclass(frozen=True)
 class RateChannel:
     """Qubit random-unitary (unital) channel defined by three rate functions.
@@ -340,9 +349,7 @@ class RateChannel:
     def probs(self, t: float) -> tuple[float, float, float, float]:
         """Mixing weights (p_0, p_x, p_y, p_z) of the random-unitary form; arrays
         over the times for an array t."""
-        ayz, azx, axy = self.contractions(t)
-        p = (0.25 * (1 + axy + azx + ayz), 0.25 * (1 - axy - azx + ayz),
-             0.25 * (1 - axy + azx - ayz), 0.25 * (1 + axy - azx - ayz))
+        p = _bell_weights(1.0, *self.contractions(t))
         if np.min(p) < -PROB_SLACK:  # name the first time a weight goes negative
             low = np.ravel(np.min(p, axis=0))
             first = np.argmax(low < -PROB_SLACK)
@@ -354,11 +361,9 @@ class RateChannel:
         """d/dt of (p_0, p_x, p_y, p_z) via dA_ij/dt = -2(gamma_i+gamma_j) A_ij."""
         ayz, azx, axy = self.contractions(t)
         gx, gy, gz = self.rates(t)
-        daxy = -2.0 * (gx + gy) * axy
-        dazx = -2.0 * (gx + gz) * azx
-        dayz = -2.0 * (gy + gz) * ayz
-        return (0.25 * (daxy + dazx + dayz), 0.25 * (-daxy - dazx + dayz),
-                0.25 * (-daxy + dazx - dayz), 0.25 * (daxy - dazx - dayz))
+        # -0.0 is the exact additive identity: -0.0 + x is x, sign of zero included.
+        return _bell_weights(-0.0, -2.0 * (gy + gz) * ayz, -2.0 * (gx + gz) * azx,
+                             -2.0 * (gx + gy) * axy)
 
 
 def quasi_eternal(alpha: float, t0: float) -> RateChannel:
@@ -400,38 +405,55 @@ def depolarizing(gamma) -> RateChannel:
 # Generalized amplitude damping
 # ---------------------------------------------------------------------------
 
-def amp_damp_map(g, p: float) -> AffineQubitMap:
-    """Generalized amplitude damping map at decay value G (or an array of them):
-    sigma_x, sigma_y -> G sigma_xy, sigma_z -> G^2 sigma_z,
-    1 -> 1 + (2p-1)(1-G^2) sigma_z."""
-    if not np.all((0.0 < g) & (g <= 1.0)):
-        if np.any(g == 0.0):
-            raise SingularMapError("G = 0: map is many-to-one")
-        raise UnphysicalError(f"G must lie in (0, 1], got {g}")
-    if not (0.0 <= p <= 1.0):
-        raise UnphysicalError(f"p must lie in [0, 1], got {p}")
-    return _gad_affine(g, p)
+class _GadFamily:
+    """GAD: decay toward |0> at rate gamma_minus and toward |1> at gamma_plus.
+    A family supplies its profile `_profile(t) -> (G, G^2, p)` and its drift
+    `_drift(t) -> (Gamma, p')` with Gamma = -2 G'/G.
 
+    The map scales the Bloch vector by lambda = (G, G, G^2) and shifts its z
+    component by w = (2p - 1)(1 - G^2). The rates
+    gamma_minus = p Gamma + p' (1 - G^2) and gamma_plus = (1 - p) Gamma - p' (1 - G^2)
+    are (Gamma +- (w' + Gamma w))/2 without its cancellations.
+    """
 
-def _gad_affine(g, p: float) -> AffineQubitMap:
-    return AffineQubitMap((g, g, g * g), (0.0, 0.0, (2.0 * p - 1.0) * (1.0 - g * g)))
+    @staticmethod
+    def _affine(g, g2, p) -> AffineQubitMap:
+        return AffineQubitMap((g, g, g2), (0.0, 0.0, (2.0 * p - 1.0) * (1.0 - g2)))
 
+    def rates(self, t) -> tuple[float, float]:
+        """(gamma_minus, gamma_plus) at a time, or arrays over the times."""
+        _, g2, p = self._profile(t)
+        big_gamma, dp = self._drift(t)
+        kick = dp * (1.0 - g2)
+        return p * big_gamma + kick, (1.0 - p) * big_gamma - kick
 
-def amp_damp_gamma(g: float, dg_dt: float) -> float:
-    """Single rate gamma(t) = -(2/G) dG/dt of the amplitude-damping generator
-    (elementwise over arrays); +0.0, not -0.0, where G is flat."""
-    # A float compares directly: np.any costs microseconds on a scalar, and
-    # classify_intervals calls this once per scan point and bisection step.
-    if g == 0.0 if isinstance(g, float) else np.any(g == 0.0):
-        raise SingularMapError("gamma undefined at G = 0")
-    return -2.0 * dg_dt / g + 0.0
+    def divisibility(self, t):
+        """(min(gamma_minus, gamma_plus), CP, P): CP and P iff both rates are >= 0."""
+        gm, gp = self.rates(t)
+        ok = (gm >= 0.0) & (gp >= 0.0)
+        return np.minimum(gm, gp), ok, ok
+
+    def intermediate(self, t, s) -> AffineQubitMap:
+        """V_{s,t} with Lambda_s = V_{s,t} Lambda_t: lambda = lambda_s / lambda_t
+        and z shift w_s - lambda_z w_t; requires 0 <= t <= s. Where G(t)^2 = 0,
+        V is the identity if Lambda_t = Lambda_s (G(t) = G(s) = 0 with equal
+        shifts), and SingularMapError is raised otherwise."""
+        _check_interval(t, s)
+        before, after = self._affine(*self._profile(t)), self._affine(*self._profile(s))
+        (g, _, g2), w, w_s = before.lambdas, before.translation[2], after.translation[2]
+        dead = g2 == 0.0
+        if np.any(dead & ((g != 0.0) | (after.lambdas[0] != 0.0) | (w != w_s))):
+            raise SingularMapError("G(t)^2 = 0 and Lambda_s != Lambda_t: no intermediate map")
+        # Where dead, lambda_s = lambda_t = 0, and (0 + 1) / (0 + 1) gives V = 1.
+        lam = tuple((a + dead) / (b + dead) for a, b in zip(after.lambdas, before.lambdas))
+        return AffineQubitMap(lam, (0.0, 0.0, w_s - lam[2] * w))
 
 
 @dataclass(frozen=True, eq=False)
-class AmpDampChannel:
-    """Amplitude damping with decay profile G(t) and fixed excitation weight p;
-    G and dG/dt are rates, as in `as_rate_spec`. dG/dt may be left out only
-    when G is a TabulatedRate, whose exact slope then serves."""
+class AmpDampChannel(_GadFamily):
+    """GAD with decay profile G(t) and fixed excitation weight p; G and dG/dt
+    are rates, as in `as_rate_spec`. dG/dt may be left out only when G is a
+    TabulatedRate, whose exact slope then serves."""
 
     g_of_t: RateSpec
     p: float
@@ -445,76 +467,54 @@ class AmpDampChannel:
             raise ConfigParseError("amp_damp needs dG/dt unless G is a TabulatedRate")
         object.__setattr__(self, "dg_dt", None if self.dg_dt is None else as_rate_spec(self.dg_dt))
 
+    def _profile(self, t):
+        g = self.g_of_t.rate(t)
+        return g, g * g, self.p
+
+    def _drift(self, t):
+        return self.gamma(t), 0.0
+
     def gamma(self, t: float) -> float:
-        """The rate at a time, or at each time of an array."""
+        """Gamma = -(2/G) dG/dt at a time, or at each time of an array; +0.0,
+        not -0.0, where G is flat. G = 0 raises SingularMapError."""
         dg = self.g_of_t.slope(t) if self.dg_dt is None else self.dg_dt.rate(t)
-        return amp_damp_gamma(self.g_of_t.rate(t), dg)
+        g = self.g_of_t.rate(t)
+        # A float compares directly: np.any costs microseconds on a scalar, and
+        # classify_intervals calls this once per scan point and bisection step.
+        if g == 0.0 if isinstance(g, float) else np.any(g == 0.0):
+            raise SingularMapError("gamma undefined at G = 0")
+        return -2.0 * dg / g + 0.0
 
     def divisibility(self, t):
-        """(gamma, CP, P): CP and P iff gamma >= 0."""
+        """(Gamma, CP, P): CP and P iff Gamma >= 0, where both rates, p Gamma
+        and (1 - p) Gamma, are."""
         gamma = self.gamma(t)
         return gamma, gamma >= 0.0, gamma >= 0.0
 
     def as_affine(self, t) -> AffineQubitMap:
-        return amp_damp_map(self.g_of_t.rate(t), self.p)
-
-    def intermediate(self, t, s) -> AffineQubitMap:
-        """V_{s,t}; the identity where G(t) = G(s) = 0."""
-        _check_interval(t, s)
-        gt, gs = self.g_of_t.rate(t), self.g_of_t.rate(s)
-        if np.any((gt == 0.0) & (gs != 0.0)):
-            raise SingularMapError("G(t) = 0 with G(s) != 0: intermediate map does not exist")
-        ratio = np.divide(gs, gt, out=np.ones(np.shape(gt)), where=gt != 0.0)
-        return _gad_affine(ratio[()], self.p)
+        """Lambda_t; G(t) must lie in (0, 1]: G = 0 raises SingularMapError."""
+        g, g2, p = self._profile(t)
+        if not np.all((0.0 < g) & (g <= 1.0)):
+            if np.any(g == 0.0):
+                raise SingularMapError("G = 0: map is many-to-one")
+            raise UnphysicalError(f"G must lie in (0, 1], got {g}")
+        return self._affine(g, g2, p)
 
 
-@dataclass(frozen=True)
-class GadcChannel:
-    """Two-parameter generalized amplitude damping with s(t) = cos^2(5t) and
-    r(t) = exp(-t).
+class GadcChannel(_GadFamily):
+    """GAD with G(t) = exp(-t/2) and p(t) = cos^2(5t), so Gamma = 1 and
+    gamma_minus(t) = cos^2(5t) - 5 (1 - e^-t) sin(10t) = 1 - gamma_plus(t)."""
 
-    The map scales the Bloch vector by (sqrt(r), sqrt(r), r) and shifts its z
-    component by (2s - 1)(1 - r). Its generator has jump operators |0><1| and
-    |1><0| with rates
-    gamma_minus(t) = cos^2(5t) - 5 (1 - e^-t) sin(10t) and
-    gamma_plus(t)  = sin^2(5t) + 5 (1 - e^-t) sin(10t),
-    which sum to 1 for all t.
-    """
+    def _profile(self, t):
+        # G^2 as exp(-t), not G * G, which moves gadc-scan's eps = 1e-5 mi_max by
+        # 1.1e-16 (its 8th digit); np.square, not ** 2, which differs on numpy scalars.
+        return np.exp(-0.5 * t), np.exp(-t), np.square(np.cos(5.0 * t))
 
-    @staticmethod
-    def s(t):
-        return np.square(np.cos(5.0 * t))  # not ** 2: that differs for numpy scalars
-
-    @staticmethod
-    def r(t):
-        return np.exp(-t)
-
-    def rates(self, t: float) -> tuple[float, float]:
-        drive = 5.0 * (1.0 - np.exp(-t)) * np.sin(10.0 * t)
-        gm = self.s(t) - drive
-        return gm, 1.0 - gm
-
-    def divisibility(self, t):
-        """(min(gamma_minus, gamma_plus), CP, P): CP and P iff both rates are >= 0."""
-        gm, gp = self.rates(t)
-        ok = (gm >= 0.0) & (gp >= 0.0)
-        return np.minimum(gm, gp), ok, ok
+    def _drift(self, t):
+        return 1.0, -5.0 * np.sin(10.0 * t)
 
     def as_affine(self, t) -> AffineQubitMap:
-        s, r = self.s(t), self.r(t)
-        return AffineQubitMap((np.sqrt(r), np.sqrt(r), r),
-                              (0.0, 0.0, (2.0 * s - 1.0) * (1.0 - r)))
-
-    def intermediate(self, t, s) -> AffineQubitMap:
-        """V_{s,t} with Lambda_s = V_{s,t} Lambda_t: lambda = lambda_s / lambda_t
-        and z shift w_s - lambda_z w_t; requires 0 <= t <= s and r(t) > 0."""
-        _check_interval(t, s)
-        before, after = self.as_affine(t), self.as_affine(s)
-        if np.any(before.lambdas[2] == 0.0):  # r(t) = e^-t underflows past t ~ 745
-            raise SingularMapError("r(t) = 0: map is many-to-one")
-        lam = tuple(a / b for a, b in zip(after.lambdas, before.lambdas))
-        shift = after.translation[2] - lam[2] * before.translation[2]
-        return AffineQubitMap(lam, (0.0, 0.0, shift))
+        return self._affine(*self._profile(t))
 
 
 # ---------------------------------------------------------------------------

@@ -383,8 +383,8 @@ def _x_step(lam: np.ndarray, basis: np.ndarray):
     """
     if len(lam) == 2:
         return lambda coef: _qubit_x(coef, lam)
-    return lambda coef: _coords(np.array([_pencil_x(m, lam) for m in _matrix(coef, basis)]),
-                                basis)
+    return lambda coef: _coords(np.array([_pencil_x(m, lam) for m in _matrix(coef, basis)])
+                                .reshape(-1, *basis.shape[1:]), basis)  # (0, d, d) if empty
 
 
 def _dot3(a, b) -> float:

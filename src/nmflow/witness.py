@@ -393,11 +393,11 @@ def gadc_epsilon_scan(eps_list: Sequence[float],
     under the two-parameter generalized amplitude damping, per eps.
 
     The increase margin scales with the eps^2 signal size, with a floor of
-    1e-14. On the default grid eps >= 1e-5 resolves the interval; below that
-    the rises can sit under the floor, and the interval may be None with no
-    flag raised. The precision-loss flag only marks a whole signal within
-    1e3 machine epsilons of zero. One `mi_series` call scans the states of
-    every eps as one stack.
+    1e-14. On the default grid eps >= 3e-6 resolves the interval; below that
+    the rises can sit under the floor. The precision-loss flag, with a
+    PrecisionLossWarning, marks a whole signal within 1e3 machine epsilons of
+    zero, and a scan that finds no interval while the margin sits at its
+    floor. One `mi_series` call scans the states of every eps as one stack.
     """
     grid = _check_grid(np.arange(0.10, 0.35 + 1e-12, 2.5e-4) if grid is None else grid)
     eps_arr = np.asarray(eps_list, dtype=float)
@@ -412,15 +412,13 @@ def gadc_epsilon_scan(eps_list: Sequence[float],
     results = []
     for eps, column in zip(eps_arr.tolist(), series.T):
         mi_max = float(np.max(column))
-        loss = mi_max < 1e3 * EPS_MACHINE
-        if loss:
-            warnings.warn(f"eps = {eps}: mutual information at machine-noise level",
-                          PrecisionLossWarning)
         margin = max(1e-14, 1e-4 * eps * eps * float(np.mean(np.diff(grid))) / 1e-3)
         raw = _increase_intervals(grid, column, margin)
-        interval = None
-        if raw:
-            interval = (raw[0][0], raw[-1][1])
+        interval = (raw[0][0], raw[-1][1]) if raw else None
+        loss = mi_max < 1e3 * EPS_MACHINE or (interval is None and margin == 1e-14)
+        if loss:
+            warnings.warn(f"eps = {eps}: mutual-information rises lost in rounding "
+                          f"(max {mi_max:.3g})", PrecisionLossWarning)
         results.append(EpsilonScanResult(eps=eps, interval=interval, mi_max=mi_max,
                                          precision_loss=loss))
     return results

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from nmflow import correlations, mepovm, qmat
-from nmflow.channels import GadcChannel, KrausChannel
+from nmflow.channels import KrausChannel
 from nmflow.errors import DimMismatchError, NonCommutingError, NonHermitianError, NotAStateError
 from nmflow.qmat import PAULIS
 
@@ -317,8 +317,9 @@ def operator_basis(dims: Sequence[int]) -> OperatorBasis:
 
 
 def gadc_kraus(t: float) -> KrausChannel:
-    """Kraus operators of `GadcChannel` at time t, the reference for its affine form."""
-    s, r = GadcChannel.s(t), GadcChannel.r(t)
+    """Kraus operators of `GadcChannel` at time t, the reference for its affine
+    form: excitation weight s = cos^2(5t) and G^2 = r = e^-t."""
+    s, r = np.square(np.cos(5.0 * t)), np.exp(-t)
     sq_s, sq_1s = np.sqrt(s), np.sqrt(1.0 - s)
     sq_r, sq_1r = np.sqrt(r), np.sqrt(1.0 - r)
     k1 = sq_s * np.array([[1.0, 0.0], [0.0, sq_r]], dtype=complex)

@@ -15,8 +15,6 @@ from nmflow.channels import (
     KrausChannel,
     RateChannel,
     TabulatedRate,
-    amp_damp_gamma,
-    amp_damp_map,
     apply_map,
     channel_from_json,
     choi,
@@ -278,6 +276,23 @@ def test_gadc_gamma_minus_first_roots():
     assert r2 == pytest.approx(0.31416, abs=5e-4)
 
 
+def test_gad_rates_against_mpmath():
+    # The GAD rate law gamma_minus = p Gamma + p' (1 - G^2) on the GADC profile,
+    # against 40-digit gamma_minus = cos^2(5t) - 5 (1 - e^-t) sin(10t) and
+    # gamma_plus = 1 - gamma_minus. The budget is the rounding of 10 t (up to
+    # 1.8e-15 at t = 3), on which 5 sin(10 t) turns at rate 50.
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.linspace(0.0, 3.0, 3001)
+    gm, gp = GadcChannel().rates(grid)
+    with mpmath.workdps(40):
+        exact = [mpmath.cos(5 * t) ** 2 - 5 * (1 - mpmath.exp(-t)) * mpmath.sin(10 * t)
+                 for t in map(mpmath.mpf, grid.tolist())]
+        exact_plus = [float(1 - e) for e in exact]
+        exact = [float(e) for e in exact]
+    np.testing.assert_allclose(gm, exact, rtol=0, atol=2e-14)
+    np.testing.assert_allclose(gp, exact_plus, rtol=0, atol=2e-14)
+
+
 def test_gadc_kraus_matches_affine():
     gadc = GadcChannel()
     rng = np.random.default_rng(13)
@@ -321,24 +336,26 @@ def test_gadc_generator_rk4_agrees_with_kraus():
             assert dist < 1e-5
 
 
+def constant_g(g, p=0.3) -> AmpDampChannel:
+    """Amplitude damping with the flat profile G(t) = g."""
+    return AmpDampChannel(lambda t: g, p=p, dg_dt=0.0)
+
+
 def test_amp_damp_map_values():
-    m = amp_damp_map(1.0, 0.3)
+    m = constant_g(1.0).as_affine(0.7)
     assert m.lambdas == pytest.approx((1.0, 1.0, 1.0))
     assert m.translation == pytest.approx((0.0, 0.0, 0.0))
     g, p = 0.6, 0.8
-    m = amp_damp_map(g, p)
+    m = constant_g(g, p).as_affine(0.7)
     assert m.lambdas == pytest.approx((g, g, g * g))
     assert m.translation[2] == pytest.approx((2 * p - 1) * (1 - g * g))
 
 
 def test_amp_damp_gamma_constant_for_exponential():
     # G(t) = exp(-t/2) gives gamma = -2 G'/G = 1 identically.
-    for t in (0.0, 0.5, 2.0):
-        g = np.exp(-t / 2)
-        assert amp_damp_gamma(g, -0.5 * g) == pytest.approx(1.0, rel=1e-12)
     ch = AmpDampChannel(lambda t: float(np.exp(-t / 2)), p=0.3,
                         dg_dt=lambda t: float(-0.5 * np.exp(-t / 2)))
-    for t in (0.1, 1.0, 2.5):
+    for t in (0.0, 0.1, 0.5, 1.0, 2.0, 2.5):
         assert ch.gamma(t) == pytest.approx(1.0, rel=1e-12)
     # Only a tabulated G has an exact slope of its own; no slope is guessed.
     with pytest.raises(ConfigParseError):
@@ -347,19 +364,32 @@ def test_amp_damp_gamma_constant_for_exponential():
 
 def test_amp_damp_gamma_over_arrays():
     # Elementwise over arrays, with the G = 0 check on scalars and on any entry.
-    g = np.array([1.0, 0.5, 0.25])
-    dg = np.array([-0.5, 0.0, 0.1])
-    np.testing.assert_array_equal(amp_damp_gamma(g, dg),
-                                  [amp_damp_gamma(float(a), float(b)) for a, b in zip(g, dg)])
-    assert str(amp_damp_gamma(0.5, 0.0)) == "0.0"  # flat G: +0.0, not -0.0
+    # The table's G is 1, 0.5 and 0.25 at t = 0, 1 and 2, with slopes -0.5,
+    # -0.25 and then 0 (flat past the last knot).
+    table = AmpDampChannel(TabulatedRate(((0.0, 1.0), (1.0, 0.5), (2.0, 0.25))), p=0.3)
+    ts = np.array([0.0, 1.0, 2.0, 2.5])
+    np.testing.assert_array_equal(table.gamma(ts), [table.gamma(float(t)) for t in ts])
+    np.testing.assert_array_equal(table.gamma(ts), [1.0, 1.0, 0.0, 0.0])
+    assert str(table.gamma(2.5)) == "0.0"  # flat G: +0.0, not -0.0
+    assert str(constant_g(0.5).gamma(1.0)) == "0.0"
     with pytest.raises(SingularMapError):
-        amp_damp_gamma(0.0, 1.0)
+        constant_g(0.0).gamma(1.0)
+    ramp = AmpDampChannel(lambda t: max(0.0, 1.0 - t), p=0.5, dg_dt=RAMP_SLOPE)
     with pytest.raises(SingularMapError):
-        amp_damp_gamma(np.array([0.5, 0.0]), np.array([1.0, 1.0]))
+        ramp.gamma(np.array([0.5, 1.0]))
     ch = AmpDampChannel(lambda t: float(np.exp(-t / 2)), p=0.3,
                         dg_dt=lambda t: float(-0.5 * np.exp(-t / 2)))
     ts = np.array([0.1, 1.0, 2.5])
     np.testing.assert_array_equal(ch.gamma(ts), [ch.gamma(float(t)) for t in ts])
+
+
+@pytest.mark.parametrize("g", [1.5, -0.2, np.nan])
+def test_amp_damp_rejects_g_outside_unit_interval(g):
+    with pytest.raises(UnphysicalError):
+        constant_g(g).as_affine(0.5)
+    with pytest.raises(UnphysicalError):
+        AmpDampChannel(lambda t: g if t > 1.0 else 0.5, p=0.3, dg_dt=0.0).as_affine(
+            np.array([0.5, 1.5]))
 
 
 # Slopes of G(t) = |1 - t| and of G(t) = max(0, 1 - t).
@@ -374,14 +404,47 @@ def test_amp_damp_rejects_p_outside_unit_interval(p):
 
 
 def test_amp_damp_singular():
+    # Lambda_t at G(t) = 0 is many-to-one; its intermediate maps follow
+    # test_gad_intermediate_singular_rule.
     with pytest.raises(SingularMapError):
-        amp_damp_map(0.0, 0.5)
-    ch = AmpDampChannel(lambda t: abs(1.0 - t), p=0.5, dg_dt=V_SLOPE)
+        constant_g(0.0, 0.5).as_affine(1.0)
     with pytest.raises(SingularMapError):
-        ch.intermediate(1.0, 1.5)
-    # G(t) = G(s) = 0 defines the identity intermediate map.
-    flat = AmpDampChannel(lambda t: max(0.0, 1.0 - t), p=0.5, dg_dt=RAMP_SLOPE)
-    assert flat.intermediate(1.0, 1.5).lambdas == pytest.approx((1.0, 1.0, 1.0))
+        AmpDampChannel(lambda t: abs(1.0 - t), p=0.5, dg_dt=V_SLOPE).as_affine(np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_amp_damp_rates_follow_the_gad_law(p):
+    # For a fixed p the GAD rates are p Gamma and (1 - p) Gamma, so both are
+    # >= 0 exactly where Gamma is: the CP flag of divisibility, here on the
+    # grid of divisibility-scan.
+    ch = AmpDampChannel(TabulatedRate(((0.0, 1.0), (1.0, 0.5), (2.0, 0.7), (3.0, 0.3))), p=p)
+    grid = np.arange(0.0, 5.0 + 5e-4, 1e-3)
+    gm, gp = ch.rates(grid)
+    gamma, cp, _ = ch.divisibility(grid)
+    np.testing.assert_array_equal(gm, p * gamma)
+    np.testing.assert_array_equal(gp, (1.0 - p) * gamma)
+    np.testing.assert_array_equal((gm >= 0.0) & (gp >= 0.0), cp)
+    assert cp.any() and not cp.all()
+
+
+def test_gad_intermediate_singular_rule():
+    # One rule for both GAD families: where G(t)^2 = 0, V_{s,t} is the
+    # identity if Lambda_t = Lambda_s (G(t) = G(s) = 0 with equal shifts) and
+    # does not exist otherwise.
+    flat = AmpDampChannel(lambda t: max(0.0, 1.0 - t), p=0.3, dg_dt=RAMP_SLOPE)
+    v = flat.intermediate(np.array([1.0, 1.2]), np.array([1.5, 2.0]))
+    np.testing.assert_array_equal(v.lambdas, np.ones((3, 2)))
+    np.testing.assert_array_equal(v.translation[2], [0.0, 0.0])
+    cases = [
+        (AmpDampChannel(lambda t: abs(1.0 - t), p=0.3, dg_dt=V_SLOPE), 1.0, 1.5),  # G(t) = 0 < G(s)
+        (constant_g(1e-200), 0.0, 1.0),  # G(t) > 0 but G(t)^2 underflows
+        (GadcChannel(), 800.0, 800.5),  # G(t) = e^-400, G(t)^2 = 0
+        (GadcChannel(), 1500.0, 1500.5),  # G(t) = G(s) = 0, but p(t) != p(s)
+        (GadcChannel(), np.array([0.5, 800.0]), np.array([1.0, 800.5])),  # one entry fails all
+    ]
+    for ch, t, s in cases:
+        with pytest.raises(SingularMapError):
+            ch.intermediate(t, s)
 
 
 def test_amp_damp_intermediate_composition():
@@ -422,7 +485,7 @@ def test_transfer_non_unital_trace_preservation():
     v = transfer(gadc.as_affine(0.3), basis)
     assert v[0, 0] == pytest.approx(1.0, abs=1e-13)
     np.testing.assert_allclose(v[0, 1:], 0.0, atol=1e-13)
-    s, r = gadc.s(0.3), gadc.r(0.3)
+    s, r = np.cos(1.5) ** 2, np.exp(-0.3)
     assert v[3, 0] == pytest.approx((2 * s - 1) * (1 - r), rel=1e-12)
     np.testing.assert_allclose(np.diag(v)[1:], (np.sqrt(r), np.sqrt(r), r), rtol=1e-12)
 
@@ -613,11 +676,6 @@ def test_gadc_intermediate_after_lambda_t_is_lambda_s():
     for a, b in zip(t[:20], s[:20]):
         np.testing.assert_allclose(after(gadc.intermediate(a, b), gadc.as_affine(a)),
                                    superop_matrix(gadc.as_affine(b)), rtol=0, atol=1e-13)
-    # r(800) = e^-800 underflows to 0: Lambda_800 is many-to-one.
-    with pytest.raises(SingularMapError):
-        gadc.intermediate(800.0, 800.5)
-    with pytest.raises(SingularMapError):
-        gadc.intermediate(np.array([0.5, 800.0]), np.array([1.0, 800.5]))
 
 
 def test_rate_integrals_over_arrays():

@@ -153,15 +153,15 @@ def divisibility_rows_loop(channel, grid) -> list[str]:
     lines = []
     for t in grid:
         t = float(t)
-        if isinstance(channel, GadcChannel):
-            gm, gp = channel.rates(t)
-            rates, value = (gm, gp, 0.0), min(gm, gp)
-        elif hasattr(channel, "rates"):
-            rates = channel.rates(t)
-            value = min(rates)
-        else:
+        if hasattr(channel, "gamma"):  # amp_damp, whose rates are p gamma and (1 - p) gamma
             g = channel.gamma(t)
             rates, value = (g, g, g), g
+        elif isinstance(channel, GadcChannel):
+            gm, gp = channel.rates(t)
+            rates, value = (gm, gp, 0.0), min(gm, gp)
+        else:
+            rates = channel.rates(t)
+            value = min(rates)
         flags = divisibility_rates(*rates)
         label = "CPDivisible" if flags["cp"] else ("PNotCP" if flags["p"] else "NotP")
         lines.append(f"{t:.12g},{value:.12g},{label}")

@@ -84,7 +84,7 @@ def test_is_p_quasi_eternal_intermediates():
 
 def test_is_p_affine_map():
     # Amplitude damping maps are positive; pushing the translation out is not.
-    assert is_p_qubit(channels.amp_damp_map(0.6, 0.9))
+    assert is_p_qubit(AmpDampChannel(lambda t: 0.6, p=0.9, dg_dt=0.0).as_affine(1.0))
     bad = AffineQubitMap((0.6, 0.6, 0.36), (0.0, 0.0, 0.8))
     assert not is_p_qubit(bad)
 

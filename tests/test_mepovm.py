@@ -1,3 +1,4 @@
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -439,6 +440,19 @@ def _match_per_start_reference(rho, dims, measure, x0):
     best = max(value for value, _ in starts)
     assert abs(res.value - best) <= 1e-12
     assert res.iterations in {it for value, it in starts if value >= best - 1e-15}
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (6, 2), (3, 3)])
+def test_eigenbasis_start_alone_on_a_wide_side(dims):
+    # restarts=0 leaves the eigenbasis start alone: the X step then meets an
+    # empty stack of random starts, which must keep its (0, d, d) shape.
+    rng = np.random.default_rng([40, *dims])
+    for _ in range(3):
+        rho = random_density(rng, prod(dims))
+        res = c2_A(rho, dims, restarts=0)
+        [(value, iterations)] = seesaw_reference_starts(rho, *dims, 0)
+        assert res.value == pytest.approx(value, rel=0, abs=1e-15)
+        assert res.iterations == iterations
 
 
 @pytest.mark.parametrize("label,rho,dims,measure,x0", _qubit_side_cases())

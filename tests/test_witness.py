@@ -1,3 +1,4 @@
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -967,6 +968,18 @@ def test_gadc_epsilon_scan_product_state():
         res = gadc_epsilon_scan([0.0], grid=np.arange(0.1, 0.35, 1e-3))
     assert res[0].interval is None
     assert res[0].mi_max == pytest.approx(0.0, abs=1e-12)
+
+
+def test_gadc_epsilon_scan_flags_an_interval_lost_under_the_margin_floor():
+    # At eps = 1e-6 the largest rise (~4e-15) sits under the 1e-14 floor of the
+    # margin, so no interval is found: a lost interval, not an absent one.
+    with pytest.warns(witness.PrecisionLossWarning, match="eps = 1e-06"):
+        [lost] = gadc_epsilon_scan([1e-6])
+    assert lost.interval is None and lost.precision_loss
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", witness.PrecisionLossWarning)
+        found = gadc_epsilon_scan([1e-3, 1e-4, 1e-5, 3e-6])
+    assert all(r.interval is not None and not r.precision_loss for r in found)
 
 
 @pytest.mark.parametrize("eps", [np.nan, 2.0, -0.1, np.inf])
