@@ -331,8 +331,20 @@ class RateChannel:
         arrays over the times for an array t."""
         return tuple(np.sqrt(c) for c in self.contractions(t))
 
+    def _checked(self, t) -> tuple[tuple, tuple]:
+        # (contractions, probs) at t; UnphysicalError at the first weight < -PROB_SLACK.
+        a = self.contractions(t)
+        p = _bell_weights(1.0, *a)
+        if np.min(p) < -PROB_SLACK:
+            low = np.ravel(np.min(p, axis=0))
+            first = np.argmax(low < -PROB_SLACK)
+            raise UnphysicalError(f"mixing weight {low[first]:.3e} < 0 at "
+                                  f"t = {np.ravel(t)[first]}: channel not CPTP")
+        return a, p
+
     def as_affine(self, t) -> AffineQubitMap:
-        return AffineQubitMap(self.contractions(t))
+        """Lambda_t; UnphysicalError where it is not CPTP (see probs)."""
+        return AffineQubitMap(self._checked(t)[0])
 
     def divisibility(self, t):
         """(smallest rate, CP, P): CP iff every rate is >= 0, P iff every pair sum is."""
@@ -348,14 +360,8 @@ class RateChannel:
 
     def probs(self, t: float) -> tuple[float, float, float, float]:
         """Mixing weights (p_0, p_x, p_y, p_z) of the random-unitary form; arrays
-        over the times for an array t."""
-        p = _bell_weights(1.0, *self.contractions(t))
-        if np.min(p) < -PROB_SLACK:  # name the first time a weight goes negative
-            low = np.ravel(np.min(p, axis=0))
-            first = np.argmax(low < -PROB_SLACK)
-            raise UnphysicalError(f"mixing weight {low[first]:.3e} < 0 at "
-                                  f"t = {np.ravel(t)[first]}: channel not CPTP")
-        return p
+        over the times for an array t. UnphysicalError where Lambda_t is not CPTP."""
+        return self._checked(t)[1]
 
     def probs_derivative(self, t: float) -> tuple[float, float, float, float]:
         """d/dt of (p_0, p_x, p_y, p_z) via dA_ij/dt = -2(gamma_i+gamma_j) A_ij."""
@@ -492,12 +498,10 @@ class AmpDampChannel(_GadFamily):
         return gamma, gamma >= 0.0, gamma >= 0.0
 
     def as_affine(self, t) -> AffineQubitMap:
-        """Lambda_t; G(t) must lie in (0, 1]: G = 0 raises SingularMapError."""
+        """Lambda_t, CPTP iff 0 <= G(t) <= 1 (else UnphysicalError); constant at G = 0."""
         g, g2, p = self._profile(t)
-        if not np.all((0.0 < g) & (g <= 1.0)):
-            if np.any(g == 0.0):
-                raise SingularMapError("G = 0: map is many-to-one")
-            raise UnphysicalError(f"G must lie in (0, 1], got {g}")
+        if not np.all((0.0 <= g) & (g <= 1.0)):  # also rejects NaN
+            raise UnphysicalError(f"G must lie in [0, 1], got {g}")
         return self._affine(g, g2, p)
 
 

@@ -141,7 +141,6 @@ def run_mi_scan(cfg, out):
         raise ConfigParseError(f"--random {cfg.random} states on {grid.size} grid points "
                                f"exceed {MAX_SCAN_VALUES} values")
     if cfg.random:
-        channel.probs(grid)  # UnphysicalError where the channel is not CPTP, as phi+ below
         onset, state, onsets = witness.min_t_nm_scan(channel, cfg.random, grid, seed=cfg.seed)
         detected = int(np.sum(~np.isnan(onsets)))
         print(f"min MI onset over {cfg.random} random states: {onset:.4f} "

@@ -332,9 +332,9 @@ def _coords(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _matrix(xi: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # xi.E, for one coordinate vector or an (S, d^2) stack.
-    d = basis.shape[-1]
-    return (xi @ basis.reshape(d * d, d * d)).reshape(xi.shape[:-1] + (d, d))
+    # xi.E, for one coordinate vector or an (S, d^2) stack, row by row (see c2_A).
+    n = basis.shape[-1] ** 2
+    return (xi.reshape(-1, 1, n) @ basis.reshape(n, n)).reshape(xi.shape[:-1] + basis.shape[1:])
 
 
 def _qubit_x(coef: np.ndarray, lam: np.ndarray) -> np.ndarray:

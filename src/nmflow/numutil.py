@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Callable, Iterable, Iterator, Sized
+from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigParseError
 
@@ -81,20 +81,15 @@ def thread_count() -> int:
     return n
 
 
-def parallel_map(fn: Callable, items: Iterable, workers: int | None = None) -> Iterator:
+def parallel_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
     """Yield fn(x) for each of items, in input order.
 
     Items are taken from `items` in the calling thread as their calls are
-    handed out, so they may be produced lazily. With more than one worker
-    (thread_count() by default, at most len(items) where items has a length)
-    one thread pool serves the whole call, and at most 2 * workers calls run
-    or wait to be read, so a slow reader bounds the results held at once. An
+    handed out, so they may be produced lazily. With more than one worker one
+    thread pool serves the whole call, and at most 2 * workers calls run or
+    wait to be read, so a slow reader bounds the results held at once. An
     exception raised by a call is raised when its item is read.
     """
-    if workers is None:
-        workers = thread_count()
-    if isinstance(items, Sized):
-        workers = min(workers, len(items))
     if workers <= 1:
         return map(fn, items)
     return _pooled_map(fn, items, workers)

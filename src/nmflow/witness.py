@@ -52,14 +52,19 @@ def _check_positive(**values: float) -> None:
             raise ConfigParseError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_times(times, name: str = "times") -> np.ndarray:
+    """The times as a float array, checked to be 1-D, finite and >= 0, in any order."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not (np.all(np.isfinite(times)) and np.all(times >= 0.0)):
+        raise ConfigParseError(f"{name} must be a 1-D array of finite times t >= 0")
+    return times
+
+
 def _check_grid(grid) -> np.ndarray:
-    """The grid as a float array, checked to be 1-D, finite, strictly increasing
-    and to start at t >= 0."""
-    grid = np.asarray(grid, dtype=float)
-    if (grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid))
-            or np.any(np.diff(grid) <= 0) or grid[0] < 0):
-        raise ConfigParseError("grid must be finite and strictly increasing from t >= 0 "
-                               "with >= 2 points")
+    """The grid as checked by _check_times, and strictly increasing with >= 2 points."""
+    grid = _check_times(grid, "grid")
+    if grid.size < 2 or np.any(np.diff(grid) <= 0):
+        raise ConfigParseError("grid must be strictly increasing with >= 2 points")
     return grid
 
 
@@ -90,9 +95,7 @@ class Trajectory:
 
     def measure_series(self, measure: Callable, times: np.ndarray) -> np.ndarray:
         """The measure at each of a 1-D array of finite times t >= 0, in any order."""
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or not (np.all(np.isfinite(times)) and np.all(times >= 0.0)):
-            raise ConfigParseError("times must be a 1-D array of finite times t >= 0")
+        times = _check_times(times)
         k = self.channel.as_affine(times).superop
         if k.shape[-1] != self.dims[-1]:
             raise DimMismatchError(f"a map on dimension {k.shape[-1]} cannot act on the last "
@@ -248,13 +251,12 @@ def _mi_chunks(channel, vectors: np.ndarray, grid: np.ndarray, workers: int | No
     at most 2 * workers chunks ahead of the reader, so a live() that reads
     the reader's state lags it by at most that many chunks.
     """
-    grid, vectors = np.asarray(grid, dtype=float), np.asarray(vectors)
+    vectors = np.asarray(vectors)
     if vectors.ndim != 2 or vectors.shape[1] != 4:
         raise DimMismatchError(f"need (N, 4) state vectors, got shape {vectors.shape}")
-    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(vectors))):
-        raise ConfigParseError("grid and state vectors must be finite")
-    if grid.ndim != 1 or np.any(grid < 0):
-        raise ConfigParseError("grid must be a 1-D array of times >= 0")
+    if not np.all(np.isfinite(vectors)):
+        raise ConfigParseError("state vectors must be finite")
+    grid = _check_times(grid, "grid")
     maps = channel.as_affine(grid)
     superops = maps.superop
     about_z = np.all(maps.lambdas[0] == maps.lambdas[1]) and not np.any(maps.translation[:2])
@@ -276,7 +278,6 @@ def _mi_chunks(channel, vectors: np.ndarray, grid: np.ndarray, workers: int | No
         return lo, hi, cols, _two_qubit_mi(_apply_superops(superops[lo:hi], states0[cols],
                                                            (2, 2), 1))
 
-    # handed() has no len() for parallel_map to cap the workers by.
     workers = thread_count() if workers is None else workers
     return parallel_map(run, handed(), workers=min(workers, len(bounds)))
 

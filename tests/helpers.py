@@ -335,3 +335,14 @@ def gadc_generator_ops() -> tuple[np.ndarray, np.ndarray]:
     toward0 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     toward1 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     return toward0, toward1
+
+
+def near_product_rate(qmap) -> np.ndarray:
+    """g = Tr[B^dag D^-1 B] with D = Lambda(|0><0|) and B = Lambda(|0><1|), read
+    from the superoperator of a qubit map (an array for a map over times).
+    The mutual information of sqrt(1 - mu)|00> + sqrt(mu)|11> under
+    1 (x) Lambda is mu ln(1/mu) g + O(mu), so as mu -> 0 it rises where g does."""
+    k = qmap.superop
+    d, b = k[..., 0, 0], k[..., 0, 1]
+    return np.real(np.trace(b.conj().swapaxes(-1, -2) @ np.linalg.solve(d, b),
+                            axis1=-2, axis2=-1))

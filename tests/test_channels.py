@@ -168,17 +168,39 @@ def test_quasi_eternal_shift_property():
         assert v.lambdas == pytest.approx(lam, rel=1e-11)
 
 
+def _raises_unphysical(fn, t) -> bool:
+    try:
+        fn(t)
+    except UnphysicalError:
+        return True
+    return False
+
+
 def test_semigroup_consistency_random_pairs():
+    # Lambda_s = V_{s,t} Lambda_t holds for the raw contraction factors also
+    # where Lambda_t is not CPTP, as for dephasing at rate cos(1.7 t) on about
+    # (1.85, 3.70); as_affine raises exactly where probs does.
     rng = np.random.default_rng(12)
     knots = np.linspace(0.0, 6.0, 25)
     tab = TabulatedRate(tuple((float(t), float(np.cos(1.7 * t))) for t in knots))
     cases = [quasi_eternal(0.4, 1.0), quasi_eternal(1.0, 0.0), dephasing(tab)]
+    unphysical = []
     for ch in cases:
+        def raw(t):
+            return AffineQubitMap(ch.contractions(t))
+
         for _ in range(500):
             t = float(rng.uniform(0.0, 5.0))
             s = t + float(rng.uniform(0.0, 1.0))
-            np.testing.assert_allclose(after(ch.intermediate(t, s), ch.as_affine(t)),
-                                       superop_matrix(ch.as_affine(s)), atol=1e-10)
+            np.testing.assert_allclose(after(ch.intermediate(t, s), raw(t)),
+                                       superop_matrix(raw(s)), atol=1e-10)
+            for u in (t, s):
+                bad = _raises_unphysical(ch.probs, u)
+                assert _raises_unphysical(ch.as_affine, u) == bad
+                if not bad:
+                    assert ch.as_affine(u) == raw(u)
+                unphysical.append(bad)
+    assert 0 < sum(unphysical) < len(unphysical)
 
 
 def test_probs_initial_and_closed_form():
@@ -231,16 +253,18 @@ def test_probs_over_an_array_matches_per_time(ch):
 
 def test_probs_over_an_array_raises_on_any_negative_weight():
     # t0 = 0.5 lies below the physicality threshold ~0.769: p_z turns
-    # negative near t = 1.97 and keeps falling.
+    # negative near t = 1.97 and keeps falling. probs and as_affine share
+    # the check.
     ch = quasi_eternal(0.4, 0.5)
-    ch.probs(np.array([0.0, 1.0, 1.9]))
-    with pytest.raises(UnphysicalError, match="at t = 20.0"):
-        ch.probs(np.array([0.0, 1.0, 20.0, 1.9]))
-    with pytest.raises(UnphysicalError, match="at t = 20.0"):
-        ch.probs(20.0)
-    # The first negative time on the grid, not the most negative weight.
-    with pytest.raises(UnphysicalError, match=r"-2\.663e-05 < 0 at t = 1\.966:"):
-        ch.probs(np.array([0.0, 1.9, 1.966, 20.0]))
+    for at in (ch.probs, ch.as_affine):
+        at(np.array([0.0, 1.0, 1.9]))
+        with pytest.raises(UnphysicalError, match="at t = 20.0"):
+            at(np.array([0.0, 1.0, 20.0, 1.9]))
+        with pytest.raises(UnphysicalError, match="at t = 20.0"):
+            at(20.0)
+        # The first negative time on the grid, not the most negative weight.
+        with pytest.raises(UnphysicalError, match=r"-2\.663e-05 < 0 at t = 1\.966:"):
+            at(np.array([0.0, 1.9, 1.966, 20.0]))
 
 
 def test_gadc_kraus_identity_at_zero():
@@ -404,12 +428,15 @@ def test_amp_damp_rejects_p_outside_unit_interval(p):
 
 
 def test_amp_damp_singular():
-    # Lambda_t at G(t) = 0 is many-to-one; its intermediate maps follow
-    # test_gad_intermediate_singular_rule.
-    with pytest.raises(SingularMapError):
-        constant_g(0.0, 0.5).as_affine(1.0)
-    with pytest.raises(SingularMapError):
-        AmpDampChannel(lambda t: abs(1.0 - t), p=0.5, dg_dt=V_SLOPE).as_affine(np.array([0.5, 1.0]))
+    # Lambda_t at G(t) = 0 is many-to-one: the constant map to Bloch z = 2p - 1,
+    # as in GADC. Its intermediate maps follow test_gad_intermediate_singular_rule.
+    ch = channel_from_json({"family": "amp_damp", "p": 0.3, "G": [[0, 1], [2, 0]]})
+    m = ch.as_affine(2.5)
+    assert m.lambdas == (0.0, 0.0, 0.0)
+    assert m.translation == pytest.approx((0.0, 0.0, -0.4), rel=0, abs=1e-15)
+    m = AmpDampChannel(lambda t: abs(1.0 - t), p=0.5, dg_dt=V_SLOPE).as_affine(np.array([0.5, 1.0]))
+    np.testing.assert_array_equal(m.lambdas, [[0.5, 0.0], [0.5, 0.0], [0.25, 0.0]])
+    np.testing.assert_array_equal(m.translation[2], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
@@ -700,5 +727,4 @@ def test_amp_damp_intermediate_over_arrays_checks_every_step():
     with pytest.raises(SingularMapError):
         AmpDampChannel(lambda t: abs(1.0 - t), p=0.5, dg_dt=V_SLOPE).intermediate(
             np.array([0.2, 1.0]), np.array([0.5, 1.5]))
-    with pytest.raises(SingularMapError):
-        ch.as_affine(np.array([0.5, 1.0]))
+    np.testing.assert_array_equal(ch.as_affine(np.array([0.5, 1.0])).lambdas[2], [0.25, 0.0])

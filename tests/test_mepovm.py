@@ -455,6 +455,33 @@ def test_eigenbasis_start_alone_on_a_wide_side(dims):
         assert res.iterations == iterations
 
 
+@pytest.mark.parametrize("d", [3, 6])
+def test_matrix_of_a_stack_is_that_of_each_row(d):
+    # Row by row, so that a start's rounds on a wide side do not depend on the
+    # other starts in the stack: a stacked product rounds differently.
+    rng = np.random.default_rng(d)
+    basis = mepovm._hermitian_basis(d)
+    for size in range(2, 18):
+        xi = rng.normal(size=(size, d * d))
+        for row, m in zip(xi, mepovm._matrix(xi, basis)):
+            assert np.array_equal(mepovm._matrix(row, basis), m)
+
+
+def test_eigenbasis_start_ends_alike_alone_and_stacked():
+    # Where the eigenbasis start wins the restarts=3 stack, the result is that
+    # start's, bit for bit as it ends when run alone.
+    wins = 0
+    for dims in [(3, 2), (6, 2), (3, 3)]:
+        rng = np.random.default_rng([11, *dims])
+        for _ in range(10):
+            rho = random_density(rng, prod(dims))
+            alone, stacked = c2_A(rho, dims, restarts=0), c2_A(rho, dims, restarts=3)
+            if alone.value >= (1.0 - mepovm.SEESAW_TIE_RTOL) * stacked.value:
+                wins += 1
+                assert (stacked.value, stacked.iterations) == (alone.value, alone.iterations)
+    assert wins >= 4
+
+
 @pytest.mark.parametrize("label,rho,dims,measure,x0", _qubit_side_cases())
 def test_qubit_side_rounds_match_per_start_reference(monkeypatch, label, rho, dims, measure, x0):
     # The qubit X step is the same closed form in both, and it never takes the

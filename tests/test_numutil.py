@@ -117,9 +117,6 @@ def test_parallel_map_single_worker_starts_no_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     assert list(parallel_map(lambda x: x + 1, [1, 2, 3], workers=1)) == [2, 3, 4]
-    assert list(parallel_map(lambda x: x + 1, [7], workers=4)) == [8]
-    monkeypatch.setenv("NMFLOW_THREADS", "1")
-    assert list(parallel_map(lambda x: x + 1, [1, 2, 3])) == [2, 3, 4]
 
 
 def test_chunk_indices_cover():

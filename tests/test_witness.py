@@ -4,7 +4,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from helpers import NOT_STATES, random_density, trace_distance
+from helpers import NOT_STATES, near_product_rate, random_density, trace_distance
 from nmflow import correlations, qmat, witness
 from nmflow.channels import (
     AffineQubitMap,
@@ -13,6 +13,7 @@ from nmflow.channels import (
     RateChannel,
     TabulatedRate,
     apply_map,
+    channel_from_json,
     dephasing,
     depolarizing,
     quasi_eternal,
@@ -1197,6 +1198,84 @@ def test_gadc_series_coefficient_signs():
         t = t_fin + sgn * 1e-3
         beta = (didt(t, e1) / e1 ** 2 - didt(t, e2) / e2 ** 2) / np.log(e1 / e2)
         assert np.sign(beta) == sgn
+
+
+def test_gadc_near_product_rate_and_its_sign_law():
+    # Under GADC g = 1/(1 + cos^2(5t)(e^t - 1)) and dg/dt = -g^2 e^t gamma_minus:
+    # as mu -> 0 the mutual information rises exactly where the map is not
+    # CP-divisible.
+    gadc = GadcChannel()
+    ts = np.linspace(0.001, 0.6, 600)
+    g = near_product_rate(gadc.as_affine(ts))
+    np.testing.assert_allclose(g, 1.0 / (1.0 + np.cos(5.0 * ts) ** 2 * (np.exp(ts) - 1.0)),
+                               rtol=0, atol=1e-15)
+    h = 1e-5
+    dg = (near_product_rate(gadc.as_affine(ts + h))
+          - near_product_rate(gadc.as_affine(ts - h))) / (2.0 * h)
+    gamma_minus = gadc.rates(ts)[0]
+    clear = np.abs(gamma_minus) > 1e-3
+    assert np.count_nonzero(clear) > 550 and (gamma_minus[clear] < 0).any()
+    np.testing.assert_array_equal(np.sign(dg[clear]), -np.sign(gamma_minus[clear]))
+
+
+def test_gadc_mi_slope_tends_to_the_near_product_rate():
+    # The slope of I/mu against ln(1/mu) between mu and mu/100 tends to g.
+    gadc = GadcChannel()
+    ts = np.array([0.05, 0.1, 0.2, 0.3, 0.4])
+    mus = np.array([1e-6, 1e-8, 1e-10])
+    vecs = np.zeros((mus.size, 4), dtype=complex)
+    vecs[:, 0], vecs[:, 3] = np.sqrt(1.0 - mus), np.sqrt(mus)
+    scaled = witness.mi_series(gadc, vecs, ts, workers=1) / mus
+    slopes = np.diff(scaled, axis=1) / np.log(mus[:-1] / mus[1:])
+    g = near_product_rate(gadc.as_affine(ts))
+    np.testing.assert_allclose(slopes[:, 0], g, rtol=0, atol=1e-4)
+    np.testing.assert_allclose(slopes[:, 1], g, rtol=0, atol=1e-6)
+
+
+def test_gadc_epsilon_scan_lies_inside_the_near_product_window():
+    # The eps -> 0 increase window is where g rises: between the roots of
+    # gamma_minus, 0.1343746281 and pi/10.
+    gadc = GadcChannel()
+    lo = bisect_root(lambda t: gadc.rates(t)[0], 0.05, 0.2, tol=1e-13)
+    hi = bisect_root(lambda t: gadc.rates(t)[0], 0.25, 0.35, tol=1e-13)
+    assert lo == pytest.approx(0.1343746281, rel=0, abs=1e-10)
+    assert hi == pytest.approx(np.pi / 10.0, rel=0, abs=1e-12)
+    for r in gadc_epsilon_scan([1e-3, 1e-4, 1e-5]):
+        assert lo < r.interval[0] < r.interval[1] < hi
+
+
+def test_scans_reject_a_channel_that_is_not_cptp():
+    # quasi_eternal(0.4, 0.5) is not CPTP from t = 1.966 on: every driver that
+    # evolves states fails at its entry, naming the time that probs names.
+    ch = quasi_eternal(0.4, 0.5)
+    grid = np.arange(0.0, 3.0001, 2e-3)
+    with pytest.raises(UnphysicalError) as expected:
+        ch.probs(grid)
+    vectors = sample_pure_vectors((2, 2), 50, seed=1)
+    traj = Trajectory(np.outer(vectors[0], vectors[0].conj()), ch, (2, 2), grid)
+    for run in (lambda: witness.mi_series(ch, vectors, grid),
+                lambda: min_t_nm_scan(ch, 50, grid, seed=1),
+                lambda: scan_backflow(mutual_information, traj)):
+        with pytest.raises(UnphysicalError) as err:
+            run()
+        assert str(err.value) == str(expected.value)
+
+
+def test_amp_damp_scans_run_through_g_zero():
+    # G falls to 0 at t = 1 and revives: Lambda_1 is the constant map, so the
+    # mutual information drops to 0 there and rises after it.
+    ch = channel_from_json({"family": "amp_damp", "p": 0.3,
+                            "G": [[0, 1], [1, 0], [2, 0.5], [3, 0]]})
+    grid = np.linspace(0.0, 3.0, 61)
+    vectors = sample_pure_vectors((2, 2), 4, seed=3)
+    series = witness.mi_series(ch, vectors, grid, workers=1)
+    for column, v in zip(series.T, vectors):
+        rho = np.outer(v, v.conj())
+        ref = [mutual_information(apply_map(ch.as_affine(t), rho, (2, 2)), (2, 2)) for t in grid]
+        np.testing.assert_allclose(column, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(series[20], 0.0, rtol=0, atol=1e-12)
+    onset, _, onsets = min_t_nm_scan(ch, 20, grid, seed=2)
+    assert np.all(onsets == 1.0) and onset == pytest.approx(1.0, abs=witness.ONSET_REFINE_TOL)
 
 
 def test_image_contraction_bound():
