@@ -49,6 +49,10 @@ class BoundaryStateError(NmflowError, ValueError):
     """Stationary-state parameter a12 not inside |a12| < 1/4 (the boundary, beyond or NaN)."""
 
 
+class ConvergenceError(NmflowError, ArithmeticError):
+    """An iterative kernel did not converge within its bound of steps."""
+
+
 class ConfigParseError(NmflowError, ValueError):
     """Experiment configuration is malformed."""
 

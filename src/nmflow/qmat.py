@@ -1,7 +1,8 @@
 """Dense complex-Hermitian matrix kernel.
 
 Hermiticity checks, partial trace/transpose (also of (..., D, D) stacks),
-validated density states and the Pauli matrices.
+validated density states, the Pauli matrices, and the eigenvalues of a stack
+of 4x4 Hermitian matrices by cyclic Jacobi.
 Everything here is pure and operates on small dense arrays (dims <= 64 total).
 """
 
@@ -13,11 +14,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimMismatchError, NonHermitianError, NotAStateError
+from .errors import ConvergenceError, DimMismatchError, NonHermitianError, NotAStateError
 
 HERM_TOL = 1e-10
 PSD_SLACK = 1e-10
 TRACE_TOL = 1e-10
+JACOBI_MAX_SWEEPS = 16  # sweeps after which jacobi_eigvalsh4 gives up on a matrix
+EPS_MACHINE = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -116,3 +120,114 @@ def maximally_entangled(d: int) -> np.ndarray:
     """Projector onto (1/sqrt(d)) sum_i |ii> on a d x d bipartite space."""
     v = np.eye(d, dtype=complex).ravel() / np.sqrt(d)
     return np.outer(v, v.conj())
+
+
+def _jacobi_plan():
+    # Per rotation (p, q), in sweep order: its slot among the six upper
+    # entries and, per other index r, the slots of the entries in columns p
+    # and q of row r and where r lies: 0 for r < p (both stored as A[r, p] and
+    # A[r, q]), 1 for r > q (both stored conjugated, as A[p, r] and A[q, r]),
+    # 2 between (A[p, r] and A[r, q]).
+    upper = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    slot = {pq: k for k, pq in enumerate(upper)}
+    plan = []
+    for p, q in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)):
+        moves = []
+        for r in sorted({0, 1, 2, 3} - {p, q}):
+            where = 0 if r < p else 1 if r > q else 2
+            moves.append((slot[min(r, p), max(r, p)], slot[min(r, q), max(r, q)], where))
+        plan.append((p, q, slot[p, q], tuple(moves)))
+    return upper, tuple(plan)
+
+
+_JACOBI_UPPER, _JACOBI_PLAN = _jacobi_plan()
+
+
+def jacobi_eigvalsh4(m) -> np.ndarray:
+    """Eigenvalues of each matrix of an (M, 4, 4) Hermitian stack, real or
+    complex, by cyclic Jacobi: an (M, 4) array, in no fixed order. Reads the
+    upper triangle and the real part of the diagonal.
+
+    A sweep is three rounds of two disjoint pairs, (0,1)(2,3), (0,2)(1,3),
+    (0,3)(1,2), on the diagonal and the six upper entries, each held as one
+    array over the stack. Each rotation carries the phase w = a_pq / |a_pq|
+    (the sign of a real entry), so both dtypes run the same code, and sets
+    its entry to exactly 0: exact zeros stay zero, and an X state is diagonal
+    after one sweep. Before each sweep a matrix leaves the stack once
+    max |a_pq| <= eps max |a_ii|, so its eigenvalues depend on that matrix
+    alone, not on the stack around it.
+
+    The rotation's tangent, sign(h) |a_pq| / (|h| + sqrt(h^2 + |a_pq|^2)) with
+    h = (a_qq - a_pp) / 2, has no quotient that overflows at a tiny a_pq;
+    entries beyond ~1e150 in magnitude may overflow its squares. A matrix
+    still above the bound after JACOBI_MAX_SWEEPS sweeps, as one with a NaN
+    entry is, raises ConvergenceError.
+    """
+    m = np.asarray(m)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise DimMismatchError(f"need an (M, 4, 4) stack, got shape {m.shape}")
+    diag = [m[:, i, i].real.copy() for i in range(4)]
+    upper = [m[:, p, q].copy() for p, q in _JACOBI_UPPER]
+    out = np.empty((m.shape[0], 4))
+    todo = np.arange(m.shape[0])
+    sweeps = 0
+    while True:
+        off, bound = np.abs(upper[0]), np.abs(diag[0])
+        for entry in upper[1:]:
+            np.maximum(off, np.abs(entry), out=off)
+        for entry in diag[1:]:
+            np.maximum(bound, np.abs(entry), out=bound)
+        bound *= EPS_MACHINE
+        live = ~(off <= bound)  # NaN stays live
+        if not live.all():
+            done = ~live
+            out[todo[done]] = np.stack([entry[done] for entry in diag], axis=-1)
+            todo, off = todo[live], off[live]
+            diag = [entry[live] for entry in diag]
+            upper = [entry[live] for entry in upper]
+        if not todo.size:
+            return out
+        if sweeps == JACOBI_MAX_SWEEPS:
+            raise ConvergenceError(f"{todo.size} matrices still off-diagonal after {sweeps} "
+                                   f"Jacobi sweeps (largest residual {np.max(off):.3e})")
+        sweeps += 1
+        zero = np.zeros_like(upper[0])
+        for p, q, k, moves in _JACOBI_PLAN:
+            a = upper[k]
+            mag = np.abs(a)
+            h = diag[q] - diag[p]
+            h *= 0.5
+            den = h * h
+            den += mag * mag
+            np.sqrt(den, out=den)
+            den += np.abs(h)
+            np.maximum(den, TINY, out=den)  # 0 only where a_pq = 0, which gives t = 0
+            t = mag / den
+            np.copysign(t, h, out=t)
+            c = t * t
+            c += 1.0
+            np.sqrt(c, out=c)
+            np.divide(1.0, c, out=c)
+            mag *= t
+            diag[p] -= mag
+            diag[q] += mag
+            t *= c  # the sine
+            sw = np.sign(a)
+            sw *= t
+            scw = sw.conj()
+            upper[k] = zero
+            # Column p and q of each other row r: x' = c x - s conj(w) y and
+            # y' = s w x + c y, conjugated where the entry is stored as A[p, r].
+            for i, j, where in moves:
+                x, y = upper[i], upper[j]
+                if where == 0:
+                    al, be, xc, yc = scw, sw, x, y
+                elif where == 1:
+                    al, be, xc, yc = sw, scw, x, y
+                else:
+                    al, be, xc, yc = sw, sw, x.conj(), y.conj()
+                new_x = c * x
+                new_x -= al * yc
+                new_y = c * y
+                new_y += be * xc
+                upper[i], upper[j] = new_x, new_y

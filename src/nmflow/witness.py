@@ -32,7 +32,7 @@ from .errors import (
     PrecisionLossWarning,
 )
 from .numutil import bisect_root, chunk_indices, parallel_map, thread_count
-from .qmat import PAULIS, DensityState
+from .qmat import EPS_MACHINE, PAULIS, DensityState, jacobi_eigvalsh4
 
 ONSET_MARGIN = 1e-10  # rise per grid step that counts as an increase
 SCAN_MARGIN = 1e-12  # min_t_nm_scan's increase margin (see there)
@@ -41,9 +41,8 @@ EB_FLOOR = 1e-12  # negativity at or below which find_t_eb counts the pair as se
 EB_MAX_POINTS = 100_000  # most coarse-scan points find_t_eb allows (t_max <= 5000)
 EB_COARSE = 0.05  # find_t_eb's coarse-scan step
 EB_CHUNK = 64  # points in find_t_eb's first coarse-scan chunk
-CHUNK_TIMES = 128  # times per mi_series chunk
-CHUNK_MATRICES = 2 ** 15  # states per mi_series chunk, summed over its times
-EPS_MACHINE = float(np.finfo(float).eps)
+CHUNK_TIMES = 128  # times per chunk of min_t_nm_scan's fold
+CHUNK_MATRICES = 2 ** 14  # matrices per mi_series chunk: states times times
 
 
 def _check_positive(**values: float) -> None:
@@ -223,12 +222,12 @@ def sample_pure_vectors(dims: Sequence[int], count: int, seed: int) -> np.ndarra
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _two_qubit_mi(states: np.ndarray) -> np.ndarray:
-    # states (..., 4, 4) -> mutual information (...,)
+def _two_qubit_mi(states: np.ndarray, s_a: np.ndarray) -> np.ndarray:
+    # states (T, n, 4, 4) and their S(rho_A) (n,) -> mutual information (T, n)
     r4 = states.reshape(*states.shape[:-2], 2, 2, 2, 2)
-    s_a = correlations.qubit_entropy(r4[..., :, 0, :, 0] + r4[..., :, 1, :, 1])
     s_s = correlations.qubit_entropy(r4[..., 0, :, 0, :] + r4[..., 1, :, 1, :])
-    return s_a + s_s - correlations.shannon(np.linalg.eigvalsh(states))
+    joint = jacobi_eigvalsh4(states.reshape(-1, 4, 4)).reshape(states.shape[:-1])
+    return s_a + s_s - correlations.shannon(joint)
 
 
 def _real_representatives(vectors: np.ndarray) -> np.ndarray:
@@ -250,6 +249,11 @@ def _mi_chunks(channel, vectors: np.ndarray, grid: np.ndarray, workers: int | No
     the iteration ends at the first chunk it leaves empty. parallel_map holds
     at most 2 * workers chunks ahead of the reader, so a live() that reads
     the reader's state lags it by at most that many chunks.
+
+    A chunk holds CHUNK_MATRICES // N times of the N states (at least one);
+    with live() also at most CHUNK_TIMES, so that states can leave the stack.
+    Lambda_t is trace preserving, so rho_A and S(rho_A) do not move: S(rho_A)
+    is taken once per state, and steps carry no rounding of it.
     """
     vectors = np.asarray(vectors)
     if vectors.ndim != 2 or vectors.shape[1] != 4:
@@ -263,7 +267,11 @@ def _mi_chunks(channel, vectors: np.ndarray, grid: np.ndarray, workers: int | No
     if about_z and not superops.imag.any():
         superops, vectors = superops.real, _real_representatives(vectors)
     states0 = np.einsum("na,nb->nab", vectors, vectors.conj())
-    chunk = max(1, min(CHUNK_TIMES, CHUNK_MATRICES // max(1, states0.shape[0])))
+    r4 = states0.reshape(-1, 2, 2, 2, 2)
+    s_a = correlations.qubit_entropy(r4[:, :, 0, :, 0] + r4[:, :, 1, :, 1])
+    chunk = max(1, CHUNK_MATRICES // max(1, len(vectors)))
+    if live is not None:
+        chunk = min(CHUNK_TIMES, chunk)
     bounds = list(chunk_indices(grid.size, chunk))
 
     def handed():
@@ -276,7 +284,7 @@ def _mi_chunks(channel, vectors: np.ndarray, grid: np.ndarray, workers: int | No
     def run(piece):
         lo, hi, cols = piece
         return lo, hi, cols, _two_qubit_mi(_apply_superops(superops[lo:hi], states0[cols],
-                                                           (2, 2), 1))
+                                                           (2, 2), 1), s_a[cols])
 
     workers = thread_count() if workers is None else workers
     return parallel_map(run, handed(), workers=min(workers, len(bounds)))
@@ -291,10 +299,12 @@ def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
     commutes with rotations about z (lambda_x == lambda_y, no x or y
     translation: every family of the package) and has a real superoperator,
     each psi becomes the real (U_A (x) R_z) psi, which has the same I(t), and
-    the scan runs in float64; otherwise in complex. A chunk holds at most
-    CHUNK_TIMES times and CHUNK_MATRICES states. This function stores every
-    chunk of the kernel; min_t_nm_scan folds each one as it comes, and drops
-    the states it has found from the stack of the chunks after it.
+    the scan runs in float64; otherwise in complex. The joint spectra come
+    from `qmat.jacobi_eigvalsh4`, both marginal entropies in closed form, the
+    ancilla's once per state. A chunk holds at most CHUNK_MATRICES matrices
+    (times x states). This function stores every chunk of the kernel;
+    min_t_nm_scan folds each one as it comes, and drops the states it has
+    found from the stack of the chunks after it.
     """
     chunks = _mi_chunks(channel, vectors, grid, workers)
     out = np.empty((np.size(grid), len(vectors)))
@@ -306,10 +316,15 @@ def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
 def _non_cp_steps(channel, grid: np.ndarray) -> np.ndarray:
     # Steps [t_i, t_i+1] whose intermediate map is not strictly CP: smallest
     # Choi eigenvalue <= 0 (the CP boundary included) or NaN, or no such map.
+    # A stack with a step that has none is split in halves down to that step.
     try:
         return ~(min_choi_eig(channel.intermediate(grid[:-1], grid[1:])) > 0.0)
     except NmflowError:
-        return np.ones(grid.size - 1, dtype=bool)
+        if grid.size == 2:
+            return np.ones(1, dtype=bool)
+        half = grid.size // 2
+        return np.concatenate((_non_cp_steps(channel, grid[:half + 1]),
+                               _non_cp_steps(channel, grid[half:])))
 
 
 def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
@@ -321,9 +336,10 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     state's onset is its first step that rises by more than SCAN_MARGIN. I(t)
     cannot rise across a step whose intermediate map is CP (data processing),
     so the states are only evaluated at the ends of steps whose smallest Choi
-    eigenvalue is <= 0. Each chunk of the mi_series kernel is folded into the
-    per-state first rises as it is computed, so the scan holds O(chunk + N)
-    memory for N states, not the (points, N) series. A chunk runs only on the
+    eigenvalue is <= 0 or that have no intermediate map. Each chunk of the
+    mi_series kernel, at most CHUNK_TIMES times, is folded into the per-state
+    first rises as it is computed, so the scan holds O(chunk + N) memory for
+    N states, not the (points, N) series. A chunk runs only on the
     states without a rise so far, so a state whose first rise lands in a
     chunk leaves the stack for every later chunk, and the scan ends once every
     state has one; a state's values do not depend on the others in its stack.

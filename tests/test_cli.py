@@ -239,6 +239,26 @@ def test_phi_plus_series_need_no_density_matrices(monkeypatch, tmp_path):
     assert _count_kernel_calls(monkeypatch, ["eb-time"], tmp_path)["eigvalsh"] == len(calls)
 
 
+def test_mi_scans_diagonalize_with_the_jacobi_kernel(monkeypatch, tmp_path):
+    # mi_series takes its joint spectra from qmat.jacobi_eigvalsh4, never from
+    # LAPACK, and the default gadc-scan stack (its eps values at every grid
+    # time) fits one kernel call, so its fixed per-call cost is paid once.
+    shapes = []
+    kernel = witness.jacobi_eigvalsh4
+    monkeypatch.setattr(witness, "jacobi_eigvalsh4",
+                        lambda m: shapes.append(m.shape) or kernel(m))
+    counts = _count_kernel_calls(monkeypatch, ["gadc-scan"], tmp_path)
+    assert counts["eigvalsh"] == 0 and len(shapes) == 1
+    assert shapes[0][0] <= witness.CHUNK_MATRICES
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigvalsh called"))
+        vectors = witness.sample_pure_vectors((2, 2), 50, seed=3)
+        for channel in (quasi_eternal(0.4, 1.0), channels.RateChannel(
+                channels.ConstantRate(0.1), channels.ConstantRate(0.4), channels.ConstantRate(0.3))):
+            witness.mi_series(channel, vectors, np.linspace(0.0, 2.0, 401), workers=1)
+    assert len(shapes) == 1 + 2 * 2  # 401 times of 50 states: two chunks per channel
+
+
 def test_experiments_independent_of_thread_count(monkeypatch, tmp_path):
     outputs = []
     for threads in ("1", "2"):

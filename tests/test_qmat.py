@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import (NOT_STATES, OperatorBasis, operator_basis, probe_pair_at_tau, random_density,
-                     random_hermitian)
+                     random_hermitian, random_unitary)
 from nmflow import qmat
-from nmflow.errors import DimMismatchError, NonHermitianError, NotAStateError
+from nmflow.errors import ConvergenceError, DimMismatchError, NonHermitianError, NotAStateError
 from nmflow.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityState
 
 
@@ -209,3 +209,126 @@ def test_partial_trace_and_transpose_of_stacks(dims):
         qmat.partial_trace(stack[..., :-1], dims, 0)
     with pytest.raises(DimMismatchError):
         qmat.DensityState(np.stack([np.eye(d) / d] * 2), dims)
+
+
+# ---------------------------------------------------------------------------
+# jacobi_eigvalsh4
+# ---------------------------------------------------------------------------
+
+def _orthogonal(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    return q * np.sign(np.diag(r))
+
+
+def _jacobi_cases(rng, n=16):
+    """Named (n', 4, 4) stacks from the regimes of the mutual-information scan."""
+    from nmflow.channels import ConstantRate, GadcChannel, RateChannel, _apply_superops
+    from nmflow.witness import sample_pure_vectors
+
+    def spectra(weights, bases):
+        return np.einsum("nab,nb,ncb->nac", bases, weights, bases.conj())
+
+    real = lambda: np.stack([_orthogonal(rng, 4) for _ in range(n)])
+    unitary = lambda: np.stack([random_unitary(rng, 4) for _ in range(n)])
+    near = 0.25 + 1e-12 * rng.normal(size=(n, 4))
+    near /= near.sum(axis=1, keepdims=True)
+    pair = np.tile([0.5, 0.5 - 1e-9, 7e-10, 3e-10], (n, 1))
+    cases = {"near-degenerate real": spectra(near, real()),
+             "near-degenerate complex": spectra(near, unitary()),
+             "degenerate pair and small pair": spectra(pair / pair.sum(1, keepdims=True), real())}
+    for tail in (1e-6, 1e-9):  # pure joint states, as at t = 0
+        schmidt = np.array([np.sqrt(1.0 - tail * tail), 0.0, 0.0, tail])
+        for name, local in (("real", lambda: np.kron(_orthogonal(rng, 2), _orthogonal(rng, 2))),
+                            ("complex", lambda: np.kron(random_unitary(rng, 2),
+                                                        random_unitary(rng, 2)))):
+            v = np.stack([local() @ schmidt for _ in range(n)])
+            cases[f"rank 1, Schmidt tail {tail:g}, {name}"] = np.einsum("na,nb->nab", v, v.conj())
+    cases["rank 2"] = np.stack([random_density(rng, 4, 2) for _ in range(n)])
+    cases["rank 2 real"] = np.stack([random_density(rng, 4, 2).real for _ in range(n)])
+    probe = np.array([[np.sqrt(1.0 - 1e-6), 0.0, 0.0, 1e-3]])
+    gadc = GadcChannel().as_affine(np.linspace(0.1, 0.35, n)).superop.real
+    cases["GADC probe X states"] = _apply_superops(gadc, np.einsum("na,nb->nab", probe, probe),
+                                                   (2, 2), 1)[:, 0]
+    anisotropic = RateChannel(ConstantRate(0.1), ConstantRate(0.4), ConstantRate(0.25))
+    v = sample_pure_vectors((2, 2), n // 2, seed=3)
+    cases["anisotropic RateChannel, complex"] = _apply_superops(
+        anisotropic.as_affine(np.array([0.0, 0.7])).superop, np.einsum("na,nb->nab", v, v.conj()),
+        (2, 2), 1).reshape(-1, 4, 4)
+    return cases
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_jacobi_eigvalsh4_against_mpmath():
+    # The 40-digit spectra of the float matrices: every eigenvalue within
+    # 2 eps (LAPACK's eigvalsh missed by up to 1.1e-15 on these classes). The
+    # X states keep their exact zeros, so their eigenvalues carry only the
+    # rounding of their own 2x2 block: 1e-21 where eigvalsh missed by 1e-16.
+    mpmath = pytest.importorskip("mpmath")
+    for name, stack in _jacobi_cases(np.random.default_rng(71)).items():
+        with mpmath.workdps(40):
+            exact = np.array([[float(x) for x in sorted(mpmath.eighe(
+                mpmath.matrix(m.tolist()), eigvals_only=True))] for m in stack])
+        got = np.sort(qmat.jacobi_eigvalsh4(stack), axis=-1)
+        assert np.max(np.abs(got - exact)) <= 2 * qmat.EPS_MACHINE, name
+        if name.startswith("GADC"):
+            assert np.all(stack[:, [0, 0, 1, 1], [1, 2, 0, 3]] == 0.0)
+            np.testing.assert_allclose(got, exact, rtol=2 * qmat.EPS_MACHINE, atol=1e-21,
+                                       err_msg=name)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_jacobi_eigvalsh4_gives_a_matrix_the_same_bits_in_any_stack():
+    # A matrix leaves the stack on its own residual, so its eigenvalues, in
+    # their order, do not depend on the other matrices, their order or their
+    # number; and a real stack runs the same rotations as its complex copy.
+    rng = np.random.default_rng(72)
+    cases = list(_jacobi_cases(rng, n=8).values())
+    for stack in (np.concatenate([c.real for c in cases if not np.any(c.imag)]),
+                  np.concatenate([c.astype(complex) for c in cases])):
+        full = qmat.jacobi_eigvalsh4(stack)
+        order = rng.permutation(len(stack))
+        assert np.array_equal(qmat.jacobi_eigvalsh4(stack[order]), full[order])
+        for size in (1, 2, 7):
+            pick = rng.choice(len(stack), size, replace=False)
+            assert np.array_equal(qmat.jacobi_eigvalsh4(stack[pick]), full[pick])
+    real = np.concatenate([c.real for c in cases if not np.any(c.imag)])
+    assert np.array_equal(qmat.jacobi_eigvalsh4(real.astype(complex)),
+                          qmat.jacobi_eigvalsh4(real))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_jacobi_eigvalsh4_tiny_entries_and_edge_stacks():
+    # A tiny a_pq next to a gap, or on equal diagonals, rotates without an
+    # overflowing quotient; a diagonal or zero matrix needs no sweep.
+    stack = np.zeros((6, 4, 4))
+    stack[:, range(4), range(4)] = [0.5, 0.3, 0.2, 0.0]
+    for k, tiny in enumerate((1e-300, 5e-324, 1e-160)):
+        stack[k, 0, 1] = stack[k, 1, 0] = tiny
+    stack[3, range(4), range(4)] = 0.25
+    stack[3, 2, 3] = stack[3, 3, 2] = 1e-300
+    stack[4] = 0.0
+    got = np.sort(qmat.jacobi_eigvalsh4(stack), axis=-1)
+    np.testing.assert_array_equal(got[[0, 1, 2, 5]], np.tile([0.0, 0.2, 0.3, 0.5], (4, 1)))
+    np.testing.assert_array_equal(got[3], [0.25 - 1e-300, 0.25, 0.25, 0.25 + 1e-300])
+    np.testing.assert_array_equal(got[4], np.zeros(4))
+    assert qmat.jacobi_eigvalsh4(np.zeros((0, 4, 4))).shape == (0, 4)
+    for bad in (np.zeros((4, 4)), np.zeros((2, 3, 3)), np.zeros((2, 4, 4, 1))):
+        with pytest.raises(DimMismatchError):
+            qmat.jacobi_eigvalsh4(bad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_jacobi_eigvalsh4_ends_within_its_sweep_bound(monkeypatch):
+    # A NaN entry never meets the stopping rule: the call raises after
+    # JACOBI_MAX_SWEEPS sweeps and names the residual. Generic matrices need
+    # more than one sweep, the X states of the GADC probes exactly one.
+    rng = np.random.default_rng(73)
+    stack = np.stack([random_density(rng, 4) for _ in range(5)])
+    stack[2, 0, 3] = np.nan
+    with pytest.raises(ConvergenceError, match=r"^1 matrices .* after 16 .*residual nan"):
+        qmat.jacobi_eigvalsh4(stack)
+    monkeypatch.setattr(qmat, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="after 1 Jacobi sweeps"):
+        qmat.jacobi_eigvalsh4(np.delete(stack, 2, axis=0))
+    x_states = _jacobi_cases(rng, n=8)["GADC probe X states"]
+    assert qmat.jacobi_eigvalsh4(x_states).shape == (8, 4)

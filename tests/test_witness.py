@@ -19,6 +19,7 @@ from nmflow.channels import (
     quasi_eternal,
 )
 from nmflow.correlations import mutual_information, negativity
+from nmflow.divisibility import min_choi_eig
 from nmflow.errors import (
     BoundaryStateError,
     ConfigParseError,
@@ -558,6 +559,9 @@ def test_mi_series_matches_generic_application(monkeypatch):
         assert len(real_calls) == (0 if channel is anisotropic else len(vectors))
 
 
+SINGULAR_AMP_DAMP = {"family": "amp_damp", "p": 0.3, "G": [[0, 1], [1, 0], [2, 0.5], [3, 0]]}
+
+
 def _first_onset_indices(series: np.ndarray, margin: float) -> np.ndarray:
     # series (T, N): first index i per column with series[i+1]-series[i] > margin.
     rising = np.diff(series, axis=0) > margin
@@ -573,6 +577,9 @@ def _first_onset_indices(series: np.ndarray, margin: float) -> np.ndarray:
     # r(t) = e^-t underflows to 0 past t ~ 745, where GADC has no intermediate
     # map, so every step is evaluated.
     (GadcChannel(), np.arange(744.0, 747.5 + 1e-12, 1e-2), 100, 5, 350),
+    # G reaches 0 at t = 1: the step leaving it has no intermediate map, and
+    # the other 59 steps are judged by their own maps (19 non-CP, G rising).
+    (channel_from_json(SINGULAR_AMP_DAMP), np.linspace(0.0, 3.0, 61), 100, 11, 20),
 ])
 def test_min_t_nm_scan_skips_only_cp_steps(monkeypatch, channel, grid, count, seed, evaluated):
     # Skipping the steps with a strictly CP intermediate map gives the onsets
@@ -601,6 +608,18 @@ def test_min_t_nm_scan_skips_only_cp_steps(monkeypatch, channel, grid, count, se
             assert abs(onset - np.nanmin(onsets)) <= grid[1] - grid[0] + 1e-12
 
 
+def test_non_cp_steps_isolate_a_step_without_intermediate_map():
+    # One singular step used to mark every step of the grid non-CP.
+    channel, grid = channel_from_json(SINGULAR_AMP_DAMP), np.linspace(0.0, 3.0, 61)
+    with pytest.raises(NmflowError):
+        channel.intermediate(grid[20], grid[21])
+    non_cp = witness._non_cp_steps(channel, grid)
+    np.testing.assert_array_equal(np.flatnonzero(non_cp), np.arange(20, 40))
+    regular = np.delete(np.arange(60), 20)
+    cp = min_choi_eig(channel.intermediate(grid[regular], grid[regular + 1])) > 0.0
+    np.testing.assert_array_equal(non_cp[regular], ~cp)
+
+
 def test_min_t_nm_scan_cp_channels(monkeypatch):
     grid = np.arange(0.0, 3.0 + 1e-12, 1e-2)
     # Dephasing: every step on the CP boundary, evaluated, no onset.
@@ -616,8 +635,8 @@ def test_min_t_nm_scan_cp_channels(monkeypatch):
 def test_min_t_nm_scan_memory_does_not_grow_with_points(monkeypatch):
     # The scan folds each chunk into its onsets as it is computed, so its peak
     # depends on the chunk size and the state count, not on the number of
-    # grid points. Traced peaks for 1000 states on 301 and 1501 points: 8.8
-    # and 9.0 MB with one thread, 19.0 and 18.0 MB with two; 34.7 and 41.3 MB
+    # grid points. Traced peaks for 1000 states on 301 and 1501 points: 6.8
+    # and 7.0 MB with one thread, 13.1 and 13.1 MB with two; 34.7 and 41.3 MB
     # (one thread), 55.7 and 74.1 MB (two) when the whole (points, states)
     # series was held. The first scan of a process also allocates ~2 MB once,
     # so a small scan runs before the traced ones.
@@ -643,10 +662,35 @@ def test_mi_series_independent_of_workers_and_chunks(monkeypatch):
     for channel in (quasi_eternal(0.4, 1.0), GadcChannel()):
         ref = witness.mi_series(channel, vectors, grid, workers=1)
         for workers in (1, 2):
-            for chunk in (1, 7, 128):
-                monkeypatch.setattr(witness, "CHUNK_TIMES", chunk)
+            for chunk in (1, 7, 128):  # times per chunk
+                monkeypatch.setattr(witness, "CHUNK_MATRICES", chunk * len(vectors))
                 got = witness.mi_series(channel, vectors, grid, workers=workers)
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+
+
+def test_mi_series_takes_the_ancilla_entropy_once_per_state(monkeypatch):
+    # 1 (x) Lambda_t leaves rho_A as it is: every chunk gets the S(rho_A) of
+    # its states from the initial vectors, the same bits in every chunk.
+    seen = []
+    mi = witness._two_qubit_mi
+    monkeypatch.setattr(witness, "_two_qubit_mi",
+                        lambda states, s_a: seen.append(s_a) or mi(states, s_a))
+    monkeypatch.setattr(witness, "CHUNK_MATRICES", 7 * 30)
+    vectors = sample_pure_vectors((2, 2), 30, seed=16)
+    grid = np.linspace(0.0, 3.0, 40)
+    rho = np.einsum("na,nb->nab", vectors, vectors.conj())
+    expected = correlations.entropy(qmat.partial_trace(rho, (2, 2), keep=0))
+    for channel in (quasi_eternal(0.4, 1.0), GadcChannel(),
+                    RateChannel(ConstantRate(0.1), ConstantRate(0.4), ConstantRate(0.25))):
+        seen.clear()
+        series = witness.mi_series(channel, vectors, grid, workers=1)
+        assert len(seen) == 6
+        for s_a in seen:
+            assert np.array_equal(s_a, seen[0])
+        np.testing.assert_allclose(seen[0], expected, rtol=0, atol=1e-14)
+        dense = mutual_information(np.stack([apply_map(channel.as_affine(float(t)), rho[3],
+                                                       (2, 2)) for t in grid]), (2, 2))
+        np.testing.assert_allclose(series[:, 3], dense, rtol=0, atol=1e-14)
 
 
 def test_min_t_nm_scan_independent_of_thread_count(monkeypatch):
@@ -682,10 +726,15 @@ def test_mi_kernel_gives_a_state_the_same_bits_in_any_stack(monkeypatch, channel
     full = witness.mi_series(channel, vectors, grid, workers=1)
     assert bool(real_calls) != complex_path
     rng = np.random.default_rng(13)
+    # With live(), a chunk holds CHUNK_TIMES times, or fewer when the 200
+    # states would exceed CHUNK_MATRICES.
+    per_chunk = min(witness.CHUNK_TIMES, witness.CHUNK_MATRICES // 200)
+    bounds = [(lo, min(lo + per_chunk, grid.size)) for lo in range(0, grid.size, per_chunk)]
+    assert len(bounds) >= 3
     for size in (1, 2, 5, 190):
         cols = np.sort(rng.choice(200, size, replace=False))
         chunks = list(witness._mi_chunks(channel, vectors, grid, 1, live=lambda: cols))
-        assert [(lo, hi) for lo, hi, _, _ in chunks] == [(0, 128), (128, 256), (256, grid.size)]
+        assert [(lo, hi) for lo, hi, _, _ in chunks] == bounds
         for lo, hi, got, mi in chunks:
             np.testing.assert_array_equal(got, cols)
             assert np.array_equal(mi, full[lo:hi, cols])
@@ -703,7 +752,7 @@ def test_min_t_nm_scan_drops_found_states_from_the_stack(monkeypatch, threads, c
     sizes, seen = [], []
     mi = witness._two_qubit_mi
     monkeypatch.setattr(witness, "_two_qubit_mi",
-                        lambda states: sizes.append(states.shape[1]) or mi(states))
+                        lambda states, s_a: sizes.append(states.shape[1]) or mi(states, s_a))
     chunks = witness._mi_chunks
 
     def recorded(channel, vectors, points, workers, live):
@@ -889,25 +938,27 @@ def test_mi_series_makes_one_as_affine_call(monkeypatch, channel):
     monkeypatch.setattr(type(channel), "as_affine",
                         lambda self, t: calls.append(np.shape(t)) or original(self, t))
     grid = np.arange(0.0, 2.0, 0.01)
-    monkeypatch.setattr(witness, "CHUNK_TIMES", 7)
+    monkeypatch.setattr(witness, "CHUNK_MATRICES", 7 * 20)
     witness.mi_series(channel, sample_pure_vectors((2, 2), 20, seed=9), grid, workers=2)
     assert calls == [grid.shape]
 
 
 def test_mi_series_caps_matrices_per_chunk(monkeypatch):
     # The stub records each chunk's (times, states) shape in place of its MI.
+    # CHUNK_TIMES caps only min_t_nm_scan's chunks: 100 states take 163 times.
     sizes = []
-    monkeypatch.setattr(witness, "_two_qubit_mi",
-                        lambda states: sizes.append(states.shape[:2]) or np.zeros(states.shape[:2]))
+    monkeypatch.setattr(witness, "_two_qubit_mi", lambda states, s_a: sizes.append(
+        states.shape[:2]) or np.zeros(states.shape[:2]))
     grid = np.linspace(0.0, 3.0, 301)
     channel = quasi_eternal(0.4, 1.0)
-    for count, per_chunk in ((3000, witness.CHUNK_MATRICES // 3000), (1000, 32), (256, 128)):
+    for count, per_chunk in ((3000, witness.CHUNK_MATRICES // 3000), (1000, 16), (256, 64),
+                             (100, 163)):
         sizes.clear()
         witness.mi_series(channel, sample_pure_vectors((2, 2), count, seed=8), grid, workers=1)
         assert sum(t for t, _ in sizes) == grid.size
         assert all(n == count and t * n <= witness.CHUNK_MATRICES for t, n in sizes)
         assert max(t for t, _ in sizes) == per_chunk
-    assert witness.CHUNK_MATRICES // 3000 == 10
+    assert witness.CHUNK_MATRICES // 3000 == 5
 
 
 def _increase_intervals_loop(grid, series, margin):
