@@ -335,7 +335,7 @@ class RateChannel:
         # (contractions, probs) at t; UnphysicalError at the first weight < -PROB_SLACK.
         a = self.contractions(t)
         p = _bell_weights(1.0, *a)
-        if np.min(p) < -PROB_SLACK:
+        if np.min(p, initial=np.inf) < -PROB_SLACK:  # initial: no times is no failure
             low = np.ravel(np.min(p, axis=0))
             first = np.argmax(low < -PROB_SLACK)
             raise UnphysicalError(f"mixing weight {low[first]:.3e} < 0 at "
@@ -481,15 +481,16 @@ class AmpDampChannel(_GadFamily):
         return self.gamma(t), 0.0
 
     def gamma(self, t: float) -> float:
-        """Gamma = -(2/G) dG/dt at a time, or at each time of an array; +0.0,
-        not -0.0, where G is flat. G = 0 raises SingularMapError."""
+        """Gamma = -(2/G) dG/dt at a time or each time of an array; +0.0, not -0.0,
+        where G is flat, G = 0 included; SingularMapError where G = 0 and dG/dt != 0."""
         dg = self.g_of_t.slope(t) if self.dg_dt is None else self.dg_dt.rate(t)
         g = self.g_of_t.rate(t)
+        dead = g == 0.0
         # A float compares directly: np.any costs microseconds on a scalar, and
         # classify_intervals calls this once per scan point and bisection step.
-        if g == 0.0 if isinstance(g, float) else np.any(g == 0.0):
-            raise SingularMapError("gamma undefined at G = 0")
-        return -2.0 * dg / g + 0.0
+        if (dead and dg != 0.0) if isinstance(g, float) else np.any(dead & (dg != 0.0)):
+            raise SingularMapError("gamma undefined at G = 0 with dG/dt != 0")
+        return -2.0 * dg / (g + dead) + 0.0
 
     def divisibility(self, t):
         """(Gamma, CP, P): CP and P iff Gamma >= 0, where both rates, p Gamma

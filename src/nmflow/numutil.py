@@ -1,11 +1,10 @@
-"""Small numeric helpers: bisection, adaptive Simpson quadrature, and a lazy
-thread-pool map that yields in input order."""
+"""Small numeric helpers: bisection, adaptive Simpson quadrature, and a
+thread-pool map that returns in input order."""
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import ConfigParseError
 
@@ -81,30 +80,15 @@ def thread_count() -> int:
     return n
 
 
-def parallel_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
-    """Yield fn(x) for each of items, in input order.
-
-    Items are taken from `items` in the calling thread as their calls are
-    handed out, so they may be produced lazily. With more than one worker one
-    thread pool serves the whole call, and at most 2 * workers calls run or
-    wait to be read, so a slow reader bounds the results held at once. An
-    exception raised by a call is raised when its item is read.
-    """
+def parallel_map(fn: Callable, items: Iterable, workers: int) -> list:
+    """[fn(x) for x in items], in input order; with more than one worker the
+    calls run on a pool of that many threads. An exception raised by a call
+    is raised here, that of the first failing item in input order."""
     if workers <= 1:
-        return map(fn, items)
-    return _pooled_map(fn, items, workers)
-
-
-def _pooled_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
+        return [fn(x) for x in items]
     from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for x in items:
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, x))
-        while pending:
-            yield pending.popleft().result()
+        return list(pool.map(fn, items))
 
 
 def chunk_indices(n: int, chunk: int) -> Iterable[tuple[int, int]]:

@@ -42,7 +42,7 @@ EB_MAX_POINTS = 100_000  # most coarse-scan points find_t_eb allows (t_max <= 50
 EB_COARSE = 0.05  # find_t_eb's coarse-scan step
 EB_CHUNK = 64  # points in find_t_eb's first coarse-scan chunk
 CHUNK_TIMES = 128  # times per chunk of min_t_nm_scan's fold
-CHUNK_MATRICES = 2 ** 14  # matrices per mi_series chunk: states times times
+CHUNK_MATRICES = 2 ** 14  # matrices per chunk of a group's MI scan: states times times
 
 
 def _check_positive(**values: float) -> None:
@@ -239,22 +239,11 @@ def _real_representatives(vectors: np.ndarray) -> np.ndarray:
     return (e * np.sqrt(np.maximum(mu, 0.0))[:, None, :]).transpose(0, 2, 1).reshape(-1, 4)
 
 
-def _mi_chunks(channel, vectors: np.ndarray, grid: np.ndarray, workers: int | None,
-               live: Callable[[], np.ndarray] | None = None):
-    """The mutual information of mi_series, one chunk of times at a time:
-    checks the input and returns an iterator of (lo, hi, cols, mi) in grid
-    order, with mi the (hi - lo, n) values at grid[lo:hi] of the states
-    vectors[cols]. cols is every state, or live() when that is given: it is
-    called in the calling thread as each chunk is handed to parallel_map, and
-    the iteration ends at the first chunk it leaves empty. parallel_map holds
-    at most 2 * workers chunks ahead of the reader, so a live() that reads
-    the reader's state lags it by at most that many chunks.
-
-    A chunk holds CHUNK_MATRICES // N times of the N states (at least one);
-    with live() also at most CHUNK_TIMES, so that states can leave the stack.
-    Lambda_t is trace preserving, so rho_A and S(rho_A) do not move: S(rho_A)
-    is taken once per state, and steps carry no rounding of it.
-    """
+def _mi_setup(channel, vectors: np.ndarray, grid: np.ndarray):
+    """The checked input of the MI scans: the superoperators of one
+    `as_affine(grid)` call, the initial states and their S(rho_A). Lambda_t
+    is trace preserving, so S(rho_A) is taken once per state and carries no
+    rounding of the steps."""
     vectors = np.asarray(vectors)
     if vectors.ndim != 2 or vectors.shape[1] != 4:
         raise DimMismatchError(f"need (N, 4) state vectors, got shape {vectors.shape}")
@@ -269,25 +258,15 @@ def _mi_chunks(channel, vectors: np.ndarray, grid: np.ndarray, workers: int | No
     states0 = np.einsum("na,nb->nab", vectors, vectors.conj())
     r4 = states0.reshape(-1, 2, 2, 2, 2)
     s_a = correlations.qubit_entropy(r4[:, :, 0, :, 0] + r4[:, :, 1, :, 1])
-    chunk = max(1, CHUNK_MATRICES // max(1, len(vectors)))
-    if live is not None:
-        chunk = min(CHUNK_TIMES, chunk)
-    bounds = list(chunk_indices(grid.size, chunk))
+    return superops, states0, s_a
 
-    def handed():
-        for lo, hi in bounds:
-            cols = slice(None) if live is None else live()
-            if live is not None and not cols.size:
-                return
-            yield lo, hi, cols
 
-    def run(piece):
-        lo, hi, cols = piece
-        return lo, hi, cols, _two_qubit_mi(_apply_superops(superops[lo:hi], states0[cols],
-                                                           (2, 2), 1), s_a[cols])
-
-    workers = thread_count() if workers is None else workers
-    return parallel_map(run, handed(), workers=min(workers, len(bounds)))
+def _in_groups(run: Callable[[int, int], None], n: int, workers: int | None) -> None:
+    # run(lo, hi) on at most `workers` (default thread_count()) contiguous
+    # groups [lo, hi) covering range(n), each group on a thread of its own.
+    workers = thread_count() if workers is None else max(1, workers)
+    groups = list(chunk_indices(n, max(1, -(-n // workers))))
+    parallel_map(lambda group: run(*group), groups, len(groups))
 
 
 def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
@@ -301,15 +280,22 @@ def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
     each psi becomes the real (U_A (x) R_z) psi, which has the same I(t), and
     the scan runs in float64; otherwise in complex. The joint spectra come
     from `qmat.jacobi_eigvalsh4`, both marginal entropies in closed form, the
-    ancilla's once per state. A chunk holds at most CHUNK_MATRICES matrices
-    (times x states). This function stores every chunk of the kernel;
-    min_t_nm_scan folds each one as it comes, and drops the states it has
-    found from the stack of the chunks after it.
+    ancilla's once per state. The states are cut into at most `workers`
+    (default `thread_count()`) contiguous groups, and one thread scans each
+    group in chunks of at most CHUNK_MATRICES matrices (times x states). A
+    state's values do not depend on the others in its stack, so they do not
+    depend on the groups or the chunks.
     """
-    chunks = _mi_chunks(channel, vectors, grid, workers)
-    out = np.empty((np.size(grid), len(vectors)))
-    for lo, hi, _, mi in chunks:
-        out[lo:hi] = mi
+    superops, states0, s_a = _mi_setup(channel, vectors, grid)
+    out = np.empty((len(superops), len(states0)))
+
+    def run(lo, hi):
+        chunk = max(1, CHUNK_MATRICES // (hi - lo))
+        for a, b in chunk_indices(len(superops), chunk):
+            out[a:b, lo:hi] = _two_qubit_mi(_apply_superops(superops[a:b], states0[lo:hi],
+                                                             (2, 2), 1), s_a[lo:hi])
+
+    _in_groups(run, len(states0), workers)
     return out
 
 
@@ -336,16 +322,13 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     state's onset is its first step that rises by more than SCAN_MARGIN. I(t)
     cannot rise across a step whose intermediate map is CP (data processing),
     so the states are only evaluated at the ends of steps whose smallest Choi
-    eigenvalue is <= 0 or that have no intermediate map. Each chunk of the
-    mi_series kernel, at most CHUNK_TIMES times, is folded into the per-state
-    first rises as it is computed, so the scan holds O(chunk + N) memory for
-    N states, not the (points, N) series. A chunk runs only on the
-    states without a rise so far, so a state whose first rise lands in a
-    chunk leaves the stack for every later chunk, and the scan ends once every
-    state has one; a state's values do not depend on the others in its stack.
-    With w > 1 workers the live states are taken as each chunk is handed to
-    the pool, up to 2 * w chunks ahead of the fold, so a found state may be
-    evaluated in up to 2 * w more chunks, whose later rises the minimum ignores.
+    eigenvalue is <= 0 or that have no intermediate map. The states are
+    grouped as in mi_series, and each thread scans its group in chunks of at
+    most CHUNK_TIMES times, folded into the per-state first rises as they are
+    computed: the scan holds O(chunk + N) memory for N states, not the
+    (points, N) series. A chunk runs only on the states of its group without
+    a rise so far, so a state leaves the stack after the chunk that holds its
+    first rise, and a group ends once every state in it has one.
 
     SCAN_MARGIN is 1e-12 rather than the generic ONSET_MARGIN of
     scan_backflow, 1e-10: the earliest-onset states are nearly product states
@@ -361,31 +344,38 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     if steps.size == 0:
         return float("nan"), None, np.full(count, np.nan)
     points = np.union1d(steps, steps + 1)
-    # starts[j]: (points[j], points[j + 1]) is a non-CP step. Each chunk runs
-    # on the states without a rise so far and is folded into their first
-    # rising step, with each state's value at the previous chunk's last point
-    # in front so that the step across the seam is seen.
+    # starts[j]: (points[j], points[j + 1]) is a non-CP step.
     starts = np.isin(points, steps)
-    first = np.full(count, points.size)
-    carry = np.empty(count)
-    chunks = _mi_chunks(channel, vectors, grid[points], None,
-                        live=lambda: np.flatnonzero(first == points.size))
-    for lo, hi, cols, mi in chunks:
-        if lo:
-            lo, mi = lo - 1, np.concatenate((carry[cols][None], mi))
-        carry[cols] = mi[-1]
-        at = np.flatnonzero(starts[lo:hi - 1])
-        if at.size:
-            rising = mi[at + 1] - mi[at] > SCAN_MARGIN
-            hit = rising.any(axis=0)
-            first[cols] = np.minimum(first[cols],
-                                     np.where(hit, lo + at[rising.argmax(axis=0)], points.size))
+    superops, states0, s_a = _mi_setup(channel, vectors, grid[points])
+    first = np.full(count, points.size)  # each state's first rising step
+
+    def fold(lo, hi):
+        # Each chunk runs on the group's states without a rise so far, after their
+        # values at the previous chunk's last point, so the seam's step is seen.
+        chunk = min(CHUNK_TIMES, max(1, CHUNK_MATRICES // (hi - lo)))
+        live = np.arange(lo, hi)
+        for a, b in chunk_indices(points.size, chunk):
+            mi = _two_qubit_mi(_apply_superops(superops[a:b], states0[live], (2, 2), 1), s_a[live])
+            if a:
+                a, mi = a - 1, np.concatenate((carry[None], mi))
+            at = np.flatnonzero(starts[a:b - 1])
+            if at.size:
+                rising = mi[at + 1] - mi[at] > SCAN_MARGIN
+                hit = rising.any(axis=0)
+                first[live[hit]] = a + at[rising[:, hit].argmax(axis=0)]
+                live, mi = live[~hit], mi[:, ~hit]
+                if not live.size:
+                    break
+            carry = mi[-1].copy()  # a view would keep the whole chunk alive
+
+    _in_groups(fold, count, None)
     found = first < points.size
     idx = points[np.where(found, first, 0)]
     onsets = np.where(found, grid[idx], np.nan)
     if np.all(np.isnan(onsets)):
         return float("nan"), None, onsets
     best = int(np.nanargmin(onsets))
+    # The dense Trajectory MI, not mi_series: a two-time call costs about a quarter as much.
     traj = Trajectory(np.outer(vectors[best], vectors[best].conj()), channel, (2, 2), grid)
     refined = _refine_onset(lambda ts: traj.measure_series(correlations.mutual_information, ts),
                             grid, int(idx[best]))

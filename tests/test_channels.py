@@ -396,11 +396,20 @@ def test_amp_damp_gamma_over_arrays():
     np.testing.assert_array_equal(table.gamma(ts), [1.0, 1.0, 0.0, 0.0])
     assert str(table.gamma(2.5)) == "0.0"  # flat G: +0.0, not -0.0
     assert str(constant_g(0.5).gamma(1.0)) == "0.0"
-    with pytest.raises(SingularMapError):
-        constant_g(0.0).gamma(1.0)
+    # Where G = 0 and is flat, Lambda is the constant map and Gamma is +0.0;
+    # where G = 0 and moves, Gamma has no value.
+    assert str(constant_g(0.0).gamma(1.0)) == "0.0"
     ramp = AmpDampChannel(lambda t: max(0.0, 1.0 - t), p=0.5, dg_dt=RAMP_SLOPE)
+    np.testing.assert_array_equal(ramp.gamma(np.array([0.5, 1.0, 2.0])), [4.0, 0.0, 0.0])
+    assert str(ramp.gamma(np.array([1.0]))[0]) == "0.0"
+    revival = channel_from_json({"family": "amp_damp", "p": 0.3,
+                                 "G": [[0, 1], [1, 0], [2, 0.5], [3, 0]]})
+    np.testing.assert_array_equal(revival.gamma(np.array([3.0, 4.0])), [0.0, 0.0])
+    for t in (1.0, np.array([0.5, 1.0])):  # G = 0 at t = 1, rising at slope 0.5
+        with pytest.raises(SingularMapError):
+            revival.gamma(t)
     with pytest.raises(SingularMapError):
-        ramp.gamma(np.array([0.5, 1.0]))
+        AmpDampChannel(lambda t: max(0.0, 1.0 - t), p=0.5, dg_dt=-1.0).gamma(1.0)
     ch = AmpDampChannel(lambda t: float(np.exp(-t / 2)), p=0.3,
                         dg_dt=lambda t: float(-0.5 * np.exp(-t / 2)))
     ts = np.array([0.1, 1.0, 2.5])
@@ -679,6 +688,18 @@ def test_maps_over_time_arrays_match_per_time_calls(name):
         ch.intermediate(grid[1:], grid[:-1])
     with pytest.raises(BadIntervalError):
         ch.intermediate(np.array([0.0, np.nan]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("name", list(TIME_FAMILIES))
+def test_maps_take_zero_times(name):
+    # An empty array of times gives empty maps over no times, not an error
+    # from a reduction over nothing.
+    ch, none = TIME_FAMILIES[name], np.array([])
+    assert ch.as_affine(none).superop.shape == (0, 2, 2, 2, 2)
+    assert ch.intermediate(none, none).superop.shape == (0, 2, 2, 2, 2)
+    assert all(np.shape(x) == (0,) for x in ch.divisibility(none))
+    if hasattr(ch, "probs"):
+        assert all(np.shape(p) == (0,) for p in ch.probs(none))
 
 
 @pytest.mark.parametrize("name", list(TIME_FAMILIES))

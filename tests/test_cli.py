@@ -136,6 +136,21 @@ def test_divisibility_scan_cli_amp_damp(tmp_path):
     assert {flag for *_, flag in rows} == {"CPDivisible", "NotP"}
 
 
+def test_divisibility_scan_amp_damp_runs_through_a_flat_g_zero(tmp_path):
+    # G falls to 0 at t = 2 and stays there: Lambda_t is the constant map from
+    # then on, so Gamma is +0.0 and those rows are CP-divisible. G = 0 where G
+    # still moves (t = 1 below, rising after) has no Gamma and stays an error.
+    rows = _divisibility_scan_rows(tmp_path, {"family": "amp_damp", "p": 0.3,
+                                              "G": [[0, 1], [2, 0]]})
+    late = {(value, flag) for t, value, flag in rows if t >= 2.0}
+    assert late == {("0", "CPDivisible")}
+    assert sum(t >= 2.0 for t, _, _ in rows) == 3001
+    assert {flag for *_, flag in rows} == {"CPDivisible"}
+    revival = {"family": "amp_damp", "p": 0.3, "G": [[0, 1], [1, 0], [2, 0.5], [3, 0]]}
+    assert main(["divisibility-scan", "--channel", json.dumps(revival),
+                 "--out", str(tmp_path / "revival")]) == 1
+
+
 def test_divisibility_scan_amp_damp_table_evaluates_the_grid_at_once(monkeypatch, tmp_path):
     # A tabulated G and its slope take the whole grid in one call each, never
     # one scalar evaluation per time.

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -626,7 +627,8 @@ def test_min_t_nm_scan_cp_channels(monkeypatch):
     onset, state, onsets = min_t_nm_scan(dephasing(0.3), 50, grid, seed=4)
     assert np.isnan(onset) and state is None and np.all(np.isnan(onsets))
     # Depolarizing: every step strictly CP, so no state is evaluated at all.
-    monkeypatch.setattr(witness, "_mi_chunks", lambda *a, **k: pytest.fail("_mi_chunks called"))
+    monkeypatch.setattr(witness, "_apply_superops", lambda *a: pytest.fail("a state evolved"))
+    monkeypatch.setattr(witness, "_two_qubit_mi", lambda *a: pytest.fail("a state evaluated"))
     onset, state, onsets = min_t_nm_scan(depolarizing(0.3), 50, grid, seed=4)
     assert np.isnan(onset) and state is None
     assert onsets.shape == (50,) and np.all(np.isnan(onsets))
@@ -635,11 +637,12 @@ def test_min_t_nm_scan_cp_channels(monkeypatch):
 def test_min_t_nm_scan_memory_does_not_grow_with_points(monkeypatch):
     # The scan folds each chunk into its onsets as it is computed, so its peak
     # depends on the chunk size and the state count, not on the number of
-    # grid points. Traced peaks for 1000 states on 301 and 1501 points: 6.8
-    # and 7.0 MB with one thread, 13.1 and 13.1 MB with two; 34.7 and 41.3 MB
-    # (one thread), 55.7 and 74.1 MB (two) when the whole (points, states)
-    # series was held. The first scan of a process also allocates ~2 MB once,
-    # so a small scan runs before the traced ones.
+    # grid points. Traced peaks for 1000 states on 301 and 1501 points: 6.7
+    # and 7.0 MB with one thread, 12.6 and 13.2 MB with two (a chunk of 2^14
+    # matrices per thread); 34.7 and 41.3 MB (one thread), 55.7 and 74.1 MB
+    # (two) when the whole (points, states) series was held. The first scan of
+    # a process also allocates ~2 MB once, so a small scan runs before the
+    # traced ones.
     import tracemalloc
     monkeypatch.setenv("NMFLOW_THREADS", "1")
     channel = quasi_eternal(0.4, 1.0)
@@ -705,6 +708,51 @@ def test_min_t_nm_scan_independent_of_thread_count(monkeypatch):
     np.testing.assert_array_equal(vec1, vec2)
 
 
+@pytest.mark.parametrize("count", [1, 5, 10, 61])
+def test_mi_scans_give_the_same_bits_for_any_worker_count(monkeypatch, count):
+    # Each thread takes a contiguous group of states: 10 and 61 states split
+    # unevenly over 3 and 7 workers, and 1 and 5 states are fewer than 7, so
+    # some workers get no group. The small chunk caps put several chunks in
+    # every group.
+    monkeypatch.setattr(witness, "CHUNK_MATRICES", 7 * count)
+    monkeypatch.setattr(witness, "CHUNK_TIMES", 16)
+    vectors = sample_pure_vectors((2, 2), count, seed=31)
+    anisotropic = RateChannel(ConstantRate(0.1), ConstantRate(0.4), ConstantRate(0.25))
+    scans = [(quasi_eternal(0.4, 1.0), np.arange(0.0, 3.0 + 1e-12, 0.01)),
+             (GadcChannel(), np.arange(0.0, 0.6 + 1e-12, 2e-3))]
+    runs = {}
+    for workers in (1, 2, 3, 7):
+        monkeypatch.setattr(witness, "thread_count", lambda: workers)
+        for k, (channel, grid) in enumerate(scans):
+            onset, state, onsets = min_t_nm_scan(channel, count, grid, seed=32)
+            state = np.zeros(0) if state is None else state
+            runs[workers, "scan", k] = np.concatenate(([onset], onsets, state))
+        for k, channel in enumerate([anisotropic] + [channel for channel, _ in scans]):
+            runs[workers, "series", k] = witness.mi_series(channel, vectors, scans[0][1],
+                                                           workers=workers)
+    for (workers, kind, k), got in runs.items():
+        assert got.tobytes() == runs[1, kind, k].tobytes(), (workers, kind, k)
+
+
+@pytest.mark.parametrize("channel", [
+    quasi_eternal(0.4, 1.0), GadcChannel(), dephasing(TabulatedRate(((0.0, 1.0), (2.0, -0.3)))),
+    channel_from_json(SINGULAR_AMP_DAMP), depolarizing(lambda t: 0.3),
+], ids=["quasi_eternal", "gadc", "tabulated dephasing", "amp_damp", "callable rate"])
+def test_scans_return_empty_series_for_no_times_or_no_states(channel):
+    # Each driver that evolves states returns an empty series of the right
+    # shape for zero times or zero states, never an error from inside.
+    none, grid = np.array([]), np.linspace(0.0, 3.0, 7)
+    vectors = sample_pure_vectors((2, 2), 3, seed=1)
+    assert witness.mi_series(channel, vectors, none).shape == (0, 3)
+    assert witness.mi_series(channel, np.empty((0, 4)), grid).shape == (7, 0)
+    assert witness.mi_series(channel, np.empty((0, 4)), none, workers=2).shape == (0, 0)
+    traj = Trajectory(maximally_entangled(2), channel, (2, 2), grid)
+    assert traj.measure_series(mutual_information, none).shape == (0,)
+    if hasattr(channel, "probs"):
+        assert phi_plus_mi(channel, none).shape == (0,)
+        assert phi_plus_negativity(channel, none).shape == (0,)
+
+
 @pytest.mark.parametrize("complex_path", [False, True])
 @pytest.mark.parametrize("channel, grid", [
     (quasi_eternal(0.4, 1.0), np.arange(0.0, 3.0, 0.01)),
@@ -725,58 +773,98 @@ def test_mi_kernel_gives_a_state_the_same_bits_in_any_stack(monkeypatch, channel
     vectors = sample_pure_vectors((2, 2), 200, seed=12)
     full = witness.mi_series(channel, vectors, grid, workers=1)
     assert bool(real_calls) != complex_path
+    superops, states0, s_a = witness._mi_setup(channel, vectors, grid)
     rng = np.random.default_rng(13)
-    # With live(), a chunk holds CHUNK_TIMES times, or fewer when the 200
-    # states would exceed CHUNK_MATRICES.
+    # min_t_nm_scan's chunks: CHUNK_TIMES times, or fewer when the 200 states
+    # would exceed CHUNK_MATRICES.
     per_chunk = min(witness.CHUNK_TIMES, witness.CHUNK_MATRICES // 200)
     bounds = [(lo, min(lo + per_chunk, grid.size)) for lo in range(0, grid.size, per_chunk)]
     assert len(bounds) >= 3
     for size in (1, 2, 5, 190):
         cols = np.sort(rng.choice(200, size, replace=False))
-        chunks = list(witness._mi_chunks(channel, vectors, grid, 1, live=lambda: cols))
-        assert [(lo, hi) for lo, hi, _, _ in chunks] == bounds
-        for lo, hi, got, mi in chunks:
-            np.testing.assert_array_equal(got, cols)
-            assert np.array_equal(mi, full[lo:hi, cols])
+        for lo, hi in bounds:
+            stack = witness._apply_superops(superops[lo:hi], states0[cols], (2, 2), 1)
+            assert np.array_equal(witness._two_qubit_mi(stack, s_a[cols]), full[lo:hi, cols])
+
+
+def _scan_groups(monkeypatch, channel, count, grid, seed):
+    # Runs min_t_nm_scan and returns each state's onset step f, the step
+    # (points[f], points[f + 1]), and the kernel calls of each group of
+    # states: (first point, number of points, states) per chunk, in chunk
+    # order. A state is named by its S(rho_A) in the kernel's arguments,
+    # distinct for Haar states.
+    setup, mi, seen, calls = witness._mi_setup, witness._two_qubit_mi, [], []
+    monkeypatch.setattr(witness, "_mi_setup",
+                        lambda *args: seen.append((args[2], setup(*args))) or seen[-1][1])
+    monkeypatch.setattr(witness, "_two_qubit_mi",
+                        lambda stack, s_a: calls.append((stack.shape[0], s_a)) or mi(stack, s_a))
+    onsets = min_t_nm_scan(channel, count, grid, seed=seed)[2]
+    assert not np.any(np.isnan(onsets))
+    [(times, (_, _, s_a))] = seen
+    name = {value: i for i, value in enumerate(s_a.tolist())}
+    assert len(name) == count
+    groups, group_of = [], {}
+    for size, values in calls:  # one thread makes a group's calls, in chunk order
+        states = [name[v] for v in values.tolist()]
+        if states[0] not in group_of:  # a group's first chunk holds all its states
+            assert not any(i in group_of for i in states)
+            assert states == list(range(states[0], states[0] + len(states)))
+            group_of.update((i, len(groups)) for i in states)
+            groups.append([])
+        group = groups[group_of[states[0]]]
+        assert {group_of[i] for i in states} == {group_of[states[0]]}
+        lo = group[-1][0] + group[-1][1] if group else 0
+        group.append((lo, size, states))
+    assert sorted(group_of) == list(range(count))
+    return np.searchsorted(times, onsets), groups, times.size
 
 
 @pytest.mark.parametrize("threads, chunk_times", [("1", 1), ("1", 7), ("1", 128), ("2", 7)])
 def test_min_t_nm_scan_drops_found_states_from_the_stack(monkeypatch, threads, chunk_times):
-    # A chunk runs on the states without a rise in the chunks folded before it
-    # is handed out: with one thread that is every chunk before it, so a state
-    # leaves the stack after the chunk that holds its onset step and the stack
-    # never grows; with w threads the chunk is handed out up to 2w chunks
-    # ahead of the fold. Once every state has an onset no chunk runs.
+    # Each thread scans a group of states, and each chunk runs on the states
+    # of the group without a rise in the chunks before it: a state leaves the
+    # stack right after the chunk that holds its onset step, so the stack
+    # never grows. Once every state of a group has an onset no chunk of it runs.
     monkeypatch.setenv("NMFLOW_THREADS", threads)
     monkeypatch.setattr(witness, "CHUNK_TIMES", chunk_times)
-    sizes, seen = [], []
-    mi = witness._two_qubit_mi
-    monkeypatch.setattr(witness, "_two_qubit_mi",
-                        lambda states, s_a: sizes.append(states.shape[1]) or mi(states, s_a))
-    chunks = witness._mi_chunks
-
-    def recorded(channel, vectors, points, workers, live):
-        for lo, hi, cols, values in chunks(channel, vectors, points, workers, live):
-            seen.append((points, lo, hi, cols))
-            yield lo, hi, cols, values
-
-    monkeypatch.setattr(witness, "_mi_chunks", recorded)
     grid = np.arange(0.0, 3.0 + 1e-12, 2e-3)
-    onsets = min_t_nm_scan(quasi_eternal(0.4, 1.0), 300, grid, seed=24)[2]
-    assert not np.any(np.isnan(onsets))
-    points = seen[0][0]
-    lens = [len(cols) for *_, cols in seen]  # in chunk order
-    # Worker threads may finish their kernel calls out of chunk order.
-    assert (sizes if threads == "1" else sorted(sizes)) == (lens if threads == "1" else sorted(lens))
-    assert lens == sorted(lens, reverse=True) and lens[0] == 300
-    assert seen[-1][2] < points.size  # the last chunks do not run
-    # The chunk that holds each state's onset step (points[f], points[f + 1]).
-    los = [lo for _, lo, _, _ in seen]
-    onset_chunk = np.searchsorted(los, np.searchsorted(points, onsets) + 1, side="right") - 1
-    lag = 0 if threads == "1" else 2 * int(threads)
-    for c, (_, lo, hi, cols) in enumerate(seen):
-        assert np.all(onset_chunk[cols] >= c - lag)
-        assert set(np.flatnonzero(onset_chunk >= c)) <= set(cols.tolist())
+    first, groups, points = _scan_groups(monkeypatch, quasi_eternal(0.4, 1.0), 300, grid, 24)
+    assert len(groups) == witness.thread_count()
+    for group in groups:
+        assert group[-1][0] + group[-1][1] < points  # the last chunks do not run
+        lens = [len(states) for _, _, states in group]
+        assert lens == sorted(lens, reverse=True)
+        members = np.array(group[0][2])
+        los = [lo for lo, _, _ in group]
+        # The chunk holding the onset step sees its end point, with the start
+        # carried in front of it when the step crosses a seam.
+        onset_chunk = np.searchsorted(los, first[members] + 1, side="right") - 1
+        assert len(group) == onset_chunk.max() + 1
+        for c, (_, _, states) in enumerate(group):
+            assert states == members[onset_chunk >= c].tolist()
+        chunk = min(chunk_times, witness.CHUNK_MATRICES // len(members))
+        assert [size for _, size, _ in group[:-1]] == [chunk] * (len(group) - 1)
+        assert group[-1][1] <= chunk
+
+
+def test_min_t_nm_scan_evaluates_no_state_past_its_onset_chunk_with_two_threads(monkeypatch):
+    # With several threads a found state leaves its group's stack as with one:
+    # a state is evaluated in its onset step's chunk and the chunks before it,
+    # in no other.
+    monkeypatch.setattr(witness, "thread_count", lambda: 2)
+    monkeypatch.setattr(witness, "CHUNK_TIMES", 7)
+    grid = np.arange(0.0, 3.0 + 1e-12, 2e-3)
+    channel = quasi_eternal(0.4, 1.0)
+    idx = _first_onset_indices(witness.mi_series(channel, sample_pure_vectors((2, 2), 301, 25),
+                                                 grid), witness.SCAN_MARGIN)
+    first, groups, points = _scan_groups(monkeypatch, channel, 301, grid, 25)
+    assert np.array_equal(first + grid.size - points, idx)  # every step past t0 = 1 is non-CP
+    assert [len(group[0][2]) for group in groups] in ([151, 150], [150, 151])
+    for group in groups:
+        los = np.array([lo for lo, _, _ in group])
+        runs = Counter(i for _, _, states in group for i in states)
+        for i, n in runs.items():
+            assert n == np.searchsorted(los, first[i] + 1, side="right")
 
 
 def test_trajectory_grid_validation():
@@ -821,7 +909,7 @@ def test_min_t_nm_scan_rejects_bad_counts(count):
         min_t_nm_scan(quasi_eternal(0.4, 1.0), count, np.arange(0.0, 1.0, 0.1))
 
 
-def test_mi_series_rejects_bad_input():
+def test_mi_series_rejects_bad_input(monkeypatch):
     ch, grid, vecs = quasi_eternal(0.4, 1.0), np.arange(0.0, 1.0, 0.1), np.eye(4)[:2]
     for shape in ((3, 3), (4,), (2, 2, 4)):
         with pytest.raises(DimMismatchError):
@@ -834,11 +922,12 @@ def test_mi_series_rejects_bad_input():
     for bad in (np.array([-0.1, 0.5]), grid.reshape(5, 2), np.array(0.5)):
         with pytest.raises(ConfigParseError):
             witness.mi_series(ch, vecs, bad)
-    # The kernel checks when it is called, before any chunk is read.
+    # The input is checked before any group of states goes to a thread.
+    monkeypatch.setattr(witness, "parallel_map", lambda *a: pytest.fail("a group ran"))
     with pytest.raises(DimMismatchError):
-        witness._mi_chunks(ch, np.ones((3, 3)) / 2.0, grid, 1)
+        witness.mi_series(ch, np.ones((3, 3)) / 2.0, grid, workers=1)
     with pytest.raises(ConfigParseError):
-        witness._mi_chunks(ch, vecs, np.array([0.0, np.inf]), 2)
+        witness.mi_series(ch, vecs, np.array([0.0, np.inf]), workers=2)
 
 
 @pytest.mark.parametrize("matrix, error", NOT_STATES.values(), ids=NOT_STATES)
