@@ -285,8 +285,8 @@ def choi(qmap, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _bell_weights(one, ayz, azx, axy) -> tuple:
-    """(p_0, p_x, p_y, p_z) from the Pauli contraction factors, with `one` for
-    the identity's; from their derivatives with `one` = -0.0."""
+    """Mixing weights (p_0, p_x, p_y, p_z) of a Pauli channel from its lambdas, with
+    `one` for the identity's; their derivatives from the lambdas' with `one` = -0.0."""
     return (0.25 * (one + axy + azx + ayz), 0.25 * (one - axy - azx + ayz),
             0.25 * (one - axy + azx - ayz), 0.25 * (one + axy - azx - ayz))
 
@@ -298,53 +298,32 @@ class RateChannel:
     The generator L_t(rho) = sum_k gamma_k(t) (sigma_k rho sigma_k - rho)
     contracts the Pauli components as
     Lambda_t(sigma_i) = A_jk(t) sigma_i, A_jk(t) = exp(-2 int_0^t (gamma_j + gamma_k)),
-    with (i, j, k) cyclic. `contractions` returns those map factors (used by
-    as_affine/apply/intermediate and by the mixing weights p_k), while
-    `lambdas` returns their square roots, the representation in which the
-    quasi-eternal family reads lambda_z(t) = exp(-alpha t); the
-    distinguishability-probe construction is stated in terms of the latter.
+    with (i, j, k) cyclic: the lambdas of `as_affine(t)`.
     """
 
     gamma_x: RateSpec
     gamma_y: RateSpec
     gamma_z: RateSpec
 
-    @property
-    def specs(self) -> tuple[RateSpec, RateSpec, RateSpec]:
-        return (self.gamma_x, self.gamma_y, self.gamma_z)
-
     def rates(self, t: float) -> tuple[float, float, float]:
-        return tuple(s.rate(t) for s in self.specs)
+        return self.gamma_x.rate(t), self.gamma_y.rate(t), self.gamma_z.rate(t)
 
     def _factors(self, t1, t2) -> tuple:
         """(A_yz, A_zx, A_xy) over [t1, t2], A_jk = exp(-2 int (gamma_j + gamma_k)),
         from the three per-axis integrals, each computed once."""
-        ix, iy, iz = (spec.integral(t1, t2) for spec in self.specs)
+        ix, iy, iz = (s.integral(t1, t2) for s in (self.gamma_x, self.gamma_y, self.gamma_z))
         return np.exp(-2.0 * (iy + iz)), np.exp(-2.0 * (iz + ix)), np.exp(-2.0 * (ix + iy))
 
-    def contractions(self, t: float) -> tuple[float, float, float]:
-        """Pauli contraction factors of the dynamical map: (A_yz, A_zx, A_xy)."""
-        return self._factors(0.0, t)
-
-    def lambdas(self, t: float) -> tuple[float, float, float]:
-        """(lambda_x, lambda_y, lambda_z) with lambda_i = sqrt(A_jk), cyclic;
-        arrays over the times for an array t."""
-        return tuple(np.sqrt(c) for c in self.contractions(t))
-
-    def _checked(self, t) -> tuple[tuple, tuple]:
-        # (contractions, probs) at t; UnphysicalError at the first weight < -PROB_SLACK.
-        a = self.contractions(t)
+    def as_affine(self, t) -> AffineQubitMap:
+        """Lambda_t; UnphysicalError at the first time a mixing weight is < -PROB_SLACK."""
+        a = self._factors(0.0, t)
         p = _bell_weights(1.0, *a)
         if np.min(p, initial=np.inf) < -PROB_SLACK:  # initial: no times is no failure
             low = np.ravel(np.min(p, axis=0))
             first = np.argmax(low < -PROB_SLACK)
             raise UnphysicalError(f"mixing weight {low[first]:.3e} < 0 at "
                                   f"t = {np.ravel(t)[first]}: channel not CPTP")
-        return a, p
-
-    def as_affine(self, t) -> AffineQubitMap:
-        """Lambda_t; UnphysicalError where it is not CPTP (see probs)."""
-        return AffineQubitMap(self._checked(t)[0])
+        return AffineQubitMap(a)
 
     def divisibility(self, t):
         """(smallest rate, CP, P): CP iff every rate is >= 0, P iff every pair sum is."""
@@ -358,14 +337,9 @@ class RateChannel:
         _check_interval(t, s)
         return AffineQubitMap(self._factors(t, s))
 
-    def probs(self, t: float) -> tuple[float, float, float, float]:
-        """Mixing weights (p_0, p_x, p_y, p_z) of the random-unitary form; arrays
-        over the times for an array t. UnphysicalError where Lambda_t is not CPTP."""
-        return self._checked(t)[1]
-
     def probs_derivative(self, t: float) -> tuple[float, float, float, float]:
         """d/dt of (p_0, p_x, p_y, p_z) via dA_ij/dt = -2(gamma_i+gamma_j) A_ij."""
-        ayz, azx, axy = self.contractions(t)
+        ayz, azx, axy = self._factors(0.0, t)
         gx, gy, gz = self.rates(t)
         # -0.0 is the exact additive identity: -0.0 + x is x, sign of zero included.
         return _bell_weights(-0.0, -2.0 * (gy + gz) * ayz, -2.0 * (gx + gz) * azx,

@@ -1,8 +1,8 @@
 """CP/P classification of qubit maps and divisibility criteria.
 
-The minimum Choi eigenvalue of a qubit map or of a map over times (the map
-is CP iff it is >= 0), exact positivity of affine qubit maps with a Bloch
-shift along z in closed form, the physicality threshold
+The minimum Choi eigenvalue (the map is CP iff it is >= 0), also over times,
+and exact positivity of affine qubit maps with a Bloch shift along z, both in
+closed form; the physicality threshold
 T(alpha) = (1/2) log(2^(1/alpha) - 1) of the quasi-eternal family, and a scan
 classifier that splits single-parameter evolutions into CP-divisible and
 not-P intervals, cross-checked against the intermediate maps of the channel.
@@ -19,12 +19,12 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import AffineQubitMap, choi
 from .errors import BadIntervalError, ConfigParseError, UnphysicalError
 from .numutil import bisect_root
 
 P_TOL = 1e-9
 BOUNDARY_TOL = 1e-6  # bisection width of classify_intervals' interval boundaries
+_MAX_SCAN_POINTS = 100_000  # most coarse-scan steps classify_intervals allows
 
 
 class DivisibilityLabel(str, Enum):
@@ -47,14 +47,18 @@ class IntervalClass:
 
 
 def min_choi_eig(qmap):
-    """Smallest eigenvalue of the Choi matrix of a qubit map: a float for one
-    map, an array over the times for a map over times. The Choi matrices of
-    the package's maps are exactly Hermitian, so eigvalsh reads them as they
-    are."""
-    return np.linalg.eigvalsh(choi(qmap, 2))[..., 0][()]
+    """Smallest Choi eigenvalue of a qubit map with its Bloch shift w along z
+    (else ConfigParseError), per map of a map over times: the smaller of the
+    lower eigenvalues (1 +- lambda_z - |(w_z, lambda_x +- lambda_y)|)/2 of the
+    Choi blocks on |00>, |11> (+) and on |01>, |10> (-)."""
+    lx, ly, lz = qmap.lambdas
+    wx, wy, wz = qmap.translation
+    if np.count_nonzero(wx) or np.count_nonzero(wy):
+        raise ConfigParseError(f"min_choi_eig needs a Bloch shift along z, got {qmap.translation}")
+    return 0.5 * np.minimum(1.0 + lz - np.hypot(wz, lx + ly), 1.0 - lz - np.hypot(wz, lx - ly))
 
 
-def is_p_qubit(qmap: AffineQubitMap, tol: float = P_TOL) -> bool:
+def is_p_qubit(qmap, tol: float = P_TOL) -> bool:
     """Positivity of an affine qubit map whose Bloch shift w lies along z, as
     in every family here: the minimum output eigenvalue (1 - sqrt(h*))/2 stays
     above -tol, where h* = max over unit n of ||diag(lambda) n + w||^2. With
@@ -90,15 +94,16 @@ def classify_intervals(gamma, t_max: float, step: float, channel) -> list[Interv
     """Split [0, t_max] into CP-divisible (gamma >= 0) and not-P (gamma < 0)
     intervals for a single-parameter evolution with rate function gamma(t).
 
-    Interval boundaries are located by a coarse scan followed by bisection to
-    BOUNDARY_TOL. Rates oscillating faster than the scan step are out of
-    scope. Each interval midpoint is cross-checked on the intermediate map
-    channel.intermediate(t, t + dt): a map that is P but not CP would falsify
-    the two-label classification and triggers a warning, as does a map that
-    contradicts its label.
+    A coarse scan of at most _MAX_SCAN_POINTS steps (finite t_max, step > 0,
+    else BadIntervalError) and bisection to BOUNDARY_TOL locate the interval
+    boundaries; rates oscillating faster than the step are out of scope. Each
+    midpoint is cross-checked on channel.intermediate(t, t + dt): a map that
+    is P but not CP would falsify the two-label classification and triggers a
+    warning, as does a map that contradicts its label.
     """
-    if t_max <= 0 or step <= 0:
-        raise BadIntervalError("need t_max > 0 and step > 0")
+    if not (0 < t_max < np.inf and 0 < step < np.inf and t_max / step <= _MAX_SCAN_POINTS):
+        raise BadIntervalError(f"need finite t_max > 0 and step > 0 with t_max / step <= "
+                               f"{_MAX_SCAN_POINTS}, got t_max={t_max}, step={step}")
     ts = [0.0, t_max]
     t = 0.0
     g_prev = gamma(0.0)

@@ -652,16 +652,16 @@ class ProbeState:
         return quasi_eternal(self.alpha, self.t0)
 
     def _lambdas(self, t):
-        lx, _, lz = self.channel.lambdas(t)
-        return lx, lz
+        lx, _, lz = self.channel.as_affine(t).lambdas
+        return np.sqrt(lx), np.sqrt(lz)
 
     @functools.cached_property
     def _lambdas_tau(self) -> tuple[float, float]:
         return self._lambdas(self.tau)
 
     def _coefficients(self, t):
-        """(c_xy, c_z) = p (lambda_xy(t) / lambda_xy(tau), lambda_z(t) / lambda_z(tau)),
-        the correlated coefficients of rho1_B(t); arrays for an array of times."""
+        """(c_xy, c_z) = p (l_xy(t) / l_xy(tau), l_z(t) / l_z(tau)), l the square roots of
+        the map's lambdas: the coefficients of rho1_B(t); arrays for an array of times."""
         lxy_tau, lz_tau = self._lambdas_tau
         lxy_t, lz_t = self._lambdas(t)
         return self.p * lxy_t / lxy_tau, self.p * lz_t / lz_tau

@@ -3,7 +3,7 @@
 Backflow detection over a time grid, with fixed increase margins and onsets
 refined to ONSET_REFINE_TOL by `bisect_root` on two-time stacks; the mutual
 information and negativity of the maximally entangled pair with one half
-under a Pauli channel in closed form, and its entanglement-breaking time from
+under a unital channel in closed form, and its entanglement-breaking time from
 that negativity; Haar sampling of pure state vectors with a vectorized
 mutual-information scan; the generalized-amplitude-damping scan over weakly
 entangled probes; and the Hessian of the mutual-information rate at
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import correlations
-from .channels import GadcChannel, _apply_superops
+from .channels import GadcChannel, _apply_superops, _bell_weights
 from .divisibility import min_choi_eig
 from .errors import (
     BoundaryStateError,
@@ -29,10 +29,11 @@ from .errors import (
     DimMismatchError,
     NeverBreakingError,
     NmflowError,
+    NotAStateError,
     PrecisionLossWarning,
 )
 from .numutil import bisect_root, chunk_indices, parallel_map, thread_count
-from .qmat import EPS_MACHINE, PAULIS, DensityState, jacobi_eigvalsh4
+from .qmat import EPS_MACHINE, PAULIS, TRACE_TOL, DensityState, jacobi_eigvalsh4
 
 ONSET_MARGIN = 1e-10  # rise per grid step that counts as an increase
 SCAN_MARGIN = 1e-12  # min_t_nm_scan's increase margin (see there)
@@ -164,8 +165,7 @@ def _refine_onset(at: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, idx:
 
 
 def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0) -> float:
-    """First time the negativity of phi+ with one half under a Pauli channel
-    (one with `probs`, such as `quasi_eternal`) hits 0.
+    """First time the negativity of phi+ with one half under a unital channel hits 0.
 
     Coarse scan over the accumulated points 0, EB_COARSE, EB_COARSE +
     EB_COARSE, ... up to t_max (at most EB_MAX_POINTS of them, else
@@ -196,17 +196,25 @@ def find_t_eb(channel, tol: float = 1e-3, t_max: float = 20.0) -> float:
                        float(ts[k - 1]), float(ts[k]), tol=tol)
 
 
+def _phi_plus_weights(channel, t) -> tuple:
+    # Bell weights (p_0, p_x, p_y, p_z) of phi+ with one half under Lambda_t.
+    qmap = channel.as_affine(t)
+    if any(np.count_nonzero(w) for w in qmap.translation):
+        raise ConfigParseError("phi+ stays Bell-diagonal only under a unital map")
+    return _bell_weights(1.0, *qmap.lambdas)
+
+
 def phi_plus_mi(channel, t):
-    """Mutual information of phi+ with one half under a Pauli channel, at a time
-    or an array of times: the state is Bell-diagonal with the weights
-    p = channel.probs(t), so I = 2 ln 2 - H(p)."""
-    return 2.0 * np.log(2.0) - correlations.shannon(np.stack(channel.probs(t), axis=-1))
+    """Mutual information of phi+ with one half under a unital channel, at a time or
+    an array of times: the state is Bell-diagonal with the mixing weights p of the
+    map, so I = 2 ln 2 - H(p). ConfigParseError where a map shifts the Bloch vector."""
+    return 2.0 * np.log(2.0) - correlations.shannon(np.stack(_phi_plus_weights(channel, t), -1))
 
 
 def phi_plus_negativity(channel, t):
     """Negativity of the same state, max(0, max_k p_k - 1/2): a Bell-diagonal
     state is entangled iff a weight exceeds 1/2 (Horodecki, PRA 54, 1838)."""
-    return np.maximum(0.0, np.max(channel.probs(t), axis=0) - 0.5)
+    return np.maximum(0.0, np.max(_phi_plus_weights(channel, t), axis=0) - 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +257,9 @@ def _mi_setup(channel, vectors: np.ndarray, grid: np.ndarray):
         raise DimMismatchError(f"need (N, 4) state vectors, got shape {vectors.shape}")
     if not np.all(np.isfinite(vectors)):
         raise ConfigParseError("state vectors must be finite")
+    defect = np.abs(np.sum(np.abs(vectors) ** 2, axis=1) - 1.0)
+    if np.any(defect > TRACE_TOL):
+        raise NotAStateError(f"state vectors need unit norm: |norm^2 - 1| = {defect.max():.2e}")
     grid = _check_times(grid, "grid")
     maps = channel.as_affine(grid)
     superops = maps.superop

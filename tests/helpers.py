@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from nmflow import correlations, mepovm, qmat
-from nmflow.channels import KrausChannel
+from nmflow.channels import KrausChannel, _bell_weights, choi
 from nmflow.errors import DimMismatchError, NonCommutingError, NonHermitianError, NotAStateError
 from nmflow.qmat import PAULIS
 
@@ -95,6 +95,18 @@ def divisibility_rates(gx, gy, gz) -> dict:
     cp = (gx >= 0.0) & (gy >= 0.0) & (gz >= 0.0)
     p = (gx + gy >= 0.0) & (gy + gz >= 0.0) & (gz + gx >= 0.0)
     return {"cp": cp, "p": p}
+
+
+def bell_weights(channel, t) -> tuple:
+    """Mixing weights (p_0, p_x, p_y, p_z) of a unital Pauli family's map at t,
+    from the lambdas of as_affine(t), which raises where a weight is negative."""
+    return _bell_weights(1.0, *channel.as_affine(t).lambdas)
+
+
+def dense_min_choi_eig(qmap):
+    """Smallest Choi eigenvalue of a qubit map from a dense eigvalsh of choi(qmap, 2):
+    the reference for divisibility.min_choi_eig's closed form."""
+    return np.linalg.eigvalsh(choi(qmap, 2))[..., 0][()]
 
 
 def trace_distance(rho, sigma) -> float:

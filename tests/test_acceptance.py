@@ -295,7 +295,7 @@ def _check_choi_eigenvalue_sign_law():
     delta = 1e-6
     for gamma_val, t in ((0.9, 0.4), (-0.5, 1.2), (1.2, 0.1), (-0.1, 2.0)):
         ch = dephasing(ConstantRate(gamma_val))
-        c = divisibility.choi(ch.intermediate(t, t + delta), 2)
+        c = channels.choi(ch.intermediate(t, t + delta), 2)
         eigs = np.sort(np.linalg.eigvalsh((c + c.conj().T) / 2))
         derivs = eigs[:3] / delta
         moving = derivs[np.argmax(np.abs(derivs))]

@@ -3,8 +3,8 @@ from math import prod
 import numpy as np
 import pytest
 
-from helpers import (OperatorBasis, apply_kraus, gadc_generator_ops, gadc_kraus, operator_basis,
-                     random_density, random_kraus)
+from helpers import (OperatorBasis, apply_kraus, bell_weights, gadc_generator_ops, gadc_kraus,
+                     operator_basis, random_density, random_kraus)
 from nmflow import channels, qmat
 from nmflow.channels import (
     AffineQubitMap,
@@ -59,18 +59,18 @@ def transfer(qmap, basis: OperatorBasis) -> np.ndarray:
     return v
 
 
-# contractions(t) = (A_yz, A_zx, A_xy), A_ij = exp(-2 int_0^t (gamma_i + gamma_j)).
+# as_affine(t).lambdas = (A_yz, A_zx, A_xy), A_ij = exp(-2 int_0^t (gamma_i + gamma_j)).
 
 def test_a_ij_initial_value():
     ch = quasi_eternal(0.4, 2.0)
-    assert ch.contractions(0.0) == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
+    assert ch.as_affine(0.0).lambdas == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
 
 
 def test_a_xy_closed_form():
     ch = quasi_eternal(0.4, 2.0)
-    assert ch.contractions(1.0)[2] == pytest.approx(np.exp(-0.8), rel=1e-12)
+    assert ch.as_affine(1.0).lambdas[2] == pytest.approx(np.exp(-0.8), rel=1e-12)
     for t in (0.3, 1.7, 5.0):
-        assert ch.contractions(t)[2] == pytest.approx(np.exp(-2 * 0.4 * t), rel=1e-12)
+        assert ch.as_affine(t).lambdas[2] == pytest.approx(np.exp(-2 * 0.4 * t), rel=1e-12)
 
 
 def test_a_yz_closed_form():
@@ -78,41 +78,43 @@ def test_a_yz_closed_form():
     ch = quasi_eternal(alpha, t0)
     for t in (0.5, 2.0, 4.0, 9.0):
         expected = (np.exp(-t) * np.cosh(t - t0) / np.cosh(t0)) ** alpha
-        ayz, azx, _ = ch.contractions(t)
+        ayz, azx, _ = ch.as_affine(t).lambdas
         assert ayz == pytest.approx(expected, rel=1e-11)
         assert azx == pytest.approx(expected, rel=1e-11)
 
 
 def test_lambdas():
+    # The square roots of the map's lambdas, in which the quasi-eternal family
+    # reads lambda_z(t) = exp(-alpha t), as the probe construction does.
     alpha, t0 = 0.4, 2.0
     ch = quasi_eternal(alpha, t0)
-    assert ch.lambdas(0.0) == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
+    assert np.sqrt(ch.as_affine(0.0).lambdas) == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
     for t in (0.7, 3.0):
-        lx, ly, lz = ch.lambdas(t)
+        lx, ly, lz = np.sqrt(ch.as_affine(t).lambdas)
         assert lz == pytest.approx(np.exp(-alpha * t), rel=1e-12)
         assert lx == pytest.approx(ly, rel=1e-14)
         assert lx == pytest.approx((np.exp(-t) * np.cosh(t - t0) / np.cosh(t0)) ** (alpha / 2),
                                    rel=1e-11)
     # Past t0 the transverse components dominate the longitudinal one.
     for tau in (2.5, 3.0, 4.0):
-        lx, _, lz = ch.lambdas(tau)
+        lx, _, lz = ch.as_affine(tau).lambdas
         assert lx > lz
 
 
 def test_contractions_are_squared_lambdas():
+    # The map's lambdas are the contraction factors A_jk, whose square roots
+    # read lambda_z = exp(-alpha t); they reproduce the mixing weights of the
+    # random-unitary form, half the Choi eigenvalues.
     alpha, t0 = 0.4, 2.0
     ch = quasi_eternal(alpha, t0)
-    for t in (0.0, 0.7, 3.0):
-        lam = np.array(ch.lambdas(t))
-        np.testing.assert_allclose(np.array(ch.contractions(t)), lam ** 2, rtol=1e-12)
-        np.testing.assert_allclose(ch.as_affine(t).lambdas, ch.contractions(t), rtol=1e-14)
-    assert ch.contractions(1.0)[2] == pytest.approx(np.exp(-2 * alpha), rel=1e-12)
-    # The map factors reproduce the mixing weights of the random-unitary form.
+    assert ch.as_affine(1.0).lambdas[2] == pytest.approx(np.exp(-2 * alpha), rel=1e-12)
     for t in (0.5, 2.0):
-        cx, cy, cz = ch.contractions(t)
-        p = ch.probs(t)
+        cx, cy, cz = ch.as_affine(t).lambdas
+        p = bell_weights(ch, t)
         assert p[0] == pytest.approx(0.25 * (1 + cx + cy + cz), abs=1e-12)
         assert p[3] == pytest.approx(0.25 * (1 - cx - cy + cz), abs=1e-12)
+        spectrum = np.linalg.eigvalsh(choi(ch.as_affine(t), 2)) / 2.0
+        np.testing.assert_allclose(spectrum, np.sort(p), atol=1e-14)
 
 
 def test_apply_identity_map():
@@ -177,9 +179,10 @@ def _raises_unphysical(fn, t) -> bool:
 
 
 def test_semigroup_consistency_random_pairs():
-    # Lambda_s = V_{s,t} Lambda_t holds for the raw contraction factors also
-    # where Lambda_t is not CPTP, as for dephasing at rate cos(1.7 t) on about
-    # (1.85, 3.70); as_affine raises exactly where probs does.
+    # Lambda_s = V_{s,t} Lambda_t holds for the raw contraction factors, those
+    # of V_{t,0}, also where Lambda_t is not CPTP, as for dephasing at rate
+    # cos(1.7 t) on about (1.85, 3.70); as_affine raises exactly where a mixing
+    # weight of the raw factors is below -PROB_SLACK.
     rng = np.random.default_rng(12)
     knots = np.linspace(0.0, 6.0, 25)
     tab = TabulatedRate(tuple((float(t), float(np.cos(1.7 * t))) for t in knots))
@@ -187,7 +190,7 @@ def test_semigroup_consistency_random_pairs():
     unphysical = []
     for ch in cases:
         def raw(t):
-            return AffineQubitMap(ch.contractions(t))
+            return ch.intermediate(0.0, t)
 
         for _ in range(500):
             t = float(rng.uniform(0.0, 5.0))
@@ -195,7 +198,7 @@ def test_semigroup_consistency_random_pairs():
             np.testing.assert_allclose(after(ch.intermediate(t, s), raw(t)),
                                        superop_matrix(raw(s)), atol=1e-10)
             for u in (t, s):
-                bad = _raises_unphysical(ch.probs, u)
+                bad = min(channels._bell_weights(1.0, *raw(u).lambdas)) < -channels.PROB_SLACK
                 assert _raises_unphysical(ch.as_affine, u) == bad
                 if not bad:
                     assert ch.as_affine(u) == raw(u)
@@ -205,9 +208,9 @@ def test_semigroup_consistency_random_pairs():
 
 def test_probs_initial_and_closed_form():
     ch = quasi_eternal(0.4, 1.0)
-    assert ch.probs(0.0) == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-14)
+    assert bell_weights(ch, 0.0) == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-14)
     for t in (0.5, 1.5, 3.0):
-        p = ch.probs(t)
+        p = bell_weights(ch, t)
         assert p[1] == pytest.approx(0.25 * (1 - np.exp(-0.8 * t)), rel=1e-11)
         assert p[2] == pytest.approx(p[1], rel=1e-12)
         assert sum(p) == pytest.approx(1.0, abs=1e-12)
@@ -218,7 +221,7 @@ def test_probs_derivative_matches_finite_difference():
     h = 1e-6
     for t in (0.3, 1.2, 2.8):
         dp = np.array(ch.probs_derivative(t))
-        fd = (np.array(ch.probs(t + h)) - np.array(ch.probs(t - h))) / (2 * h)
+        fd = (np.array(bell_weights(ch, t + h)) - np.array(bell_weights(ch, t - h))) / (2 * h)
         np.testing.assert_allclose(dp, fd, atol=1e-8)
 
 
@@ -234,7 +237,7 @@ def test_probs_unphysical_raises():
     # alpha = 2/5, t0 = 0 sits below the physicality threshold ~0.769.
     ch = quasi_eternal(0.4, 0.0)
     with pytest.raises(UnphysicalError):
-        ch.probs(20.0)
+        ch.as_affine(20.0)
 
 
 @pytest.mark.parametrize("ch", [
@@ -244,19 +247,19 @@ def test_probs_unphysical_raises():
 ])
 def test_probs_over_an_array_matches_per_time(ch):
     grid = np.linspace(0.0, 5.0, 101)
-    stacked = ch.probs(grid)
+    stacked = bell_weights(ch, grid)
     assert len(stacked) == 4 and all(np.shape(p) == grid.shape for p in stacked)
-    per_time = np.array([ch.probs(float(t)) for t in grid]).T
+    per_time = np.array([bell_weights(ch, float(t)) for t in grid]).T
     np.testing.assert_allclose(np.array(stacked), per_time, rtol=0, atol=1e-15)
-    assert all(isinstance(p, float) for p in ch.probs(1.0))
+    assert all(isinstance(p, float) for p in bell_weights(ch, 1.0))
 
 
 def test_probs_over_an_array_raises_on_any_negative_weight():
     # t0 = 0.5 lies below the physicality threshold ~0.769: p_z turns
-    # negative near t = 1.97 and keeps falling. probs and as_affine share
-    # the check.
+    # negative near t = 1.97 and keeps falling. The weights come from
+    # as_affine, which holds the check.
     ch = quasi_eternal(0.4, 0.5)
-    for at in (ch.probs, ch.as_affine):
+    for at in (ch.as_affine, lambda t: bell_weights(ch, t)):
         at(np.array([0.0, 1.0, 1.9]))
         with pytest.raises(UnphysicalError, match="at t = 20.0"):
             at(np.array([0.0, 1.0, 20.0, 1.9]))
@@ -554,7 +557,7 @@ def test_physicality_grid():
     for alpha, t0 in ((0.4, t_crit), (0.4, 2.0), (0.7, 0.4), (1.0, 0.0), (2.0, 0.0)):
         ch = quasi_eternal(alpha, t0)
         for t in np.geomspace(1e-3, 50.0, 60):
-            ayz, axz, axy = ch.contractions(t)
+            ayz, axz, axy = ch.as_affine(t).lambdas
             b = (1 + axy - ayz - axz, 1 + ayz - axz - axy, 1 + axz - axy - ayz)
             assert min(b) >= -1e-9
 
@@ -566,7 +569,7 @@ def test_kraus_completeness_validation():
 
 def test_channel_from_json():
     ch = channel_from_json({"family": "quasi_eternal", "alpha": 0.4, "t0": 2.0})
-    assert ch.lambdas(1.0)[2] == pytest.approx(np.exp(-0.4), rel=1e-12)
+    assert ch.as_affine(1.0).lambdas[2] == pytest.approx(np.exp(-0.8), rel=1e-12)
     assert isinstance(channel_from_json('{"family": "gadc"}'), GadcChannel)
     deph = channel_from_json({"family": "dephasing", "gamma": [[0.0, 1.0], [5.0, 1.0]]})
     assert deph.as_affine(2.0).lambdas[0] == pytest.approx(np.exp(-2.0), rel=1e-9)
@@ -698,8 +701,6 @@ def test_maps_take_zero_times(name):
     assert ch.as_affine(none).superop.shape == (0, 2, 2, 2, 2)
     assert ch.intermediate(none, none).superop.shape == (0, 2, 2, 2, 2)
     assert all(np.shape(x) == (0,) for x in ch.divisibility(none))
-    if hasattr(ch, "probs"):
-        assert all(np.shape(p) == (0,) for p in ch.probs(none))
 
 
 @pytest.mark.parametrize("name", list(TIME_FAMILIES))

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     apply_kraus,
+    bell_weights,
     common_eigenbasis,
     guessing_certificate,
     operator_basis,
@@ -120,7 +121,7 @@ def bell_mi_derivative(ch: RateChannel, t: float) -> float:
 
     Returns -inf when some p_k vanishes while dp_k/dt > 0 (the entropy grows
     with unbounded slope, e.g. at t = 0)."""
-    p = ch.probs(t)
+    p = bell_weights(ch, t)
     dp = ch.probs_derivative(t)
     if p[0] <= EIG_FLOOR:
         raise DegenerateLogError(f"p_0(t={t}) = {p[0]}: derivative formula undefined")
@@ -267,7 +268,7 @@ def test_entropy_bell_diagonal_matches_weights():
     ch = quasi_eternal(0.4, 1.0)
     phi = maximally_entangled(2)
     for t in (0.4, 1.1, 2.9):
-        p = ch.probs(t)
+        p = bell_weights(ch, t)
         evolved = apply_map(ch.as_affine(t), phi, (2, 2))
         expected = -sum(pk * np.log(pk) for pk in p if pk > 1e-14)
         assert entropy(evolved) == pytest.approx(expected, abs=1e-10)
@@ -516,7 +517,7 @@ def test_mi_bell_identity():
     phi = maximally_entangled(2)
     for t in (0.3, 1.7, 4.0):
         evolved = apply_map(ch.as_affine(t), phi, (2, 2))
-        p = ch.probs(t)
+        p = bell_weights(ch, t)
         s = -sum(pk * np.log(pk) for pk in p if pk > 1e-14)
         assert mutual_information(evolved, (2, 2)) == pytest.approx(2 * np.log(2) - s, abs=1e-10)
 

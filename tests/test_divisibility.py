@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import divisibility_rates, random_density
+from helpers import dense_min_choi_eig, divisibility_rates, random_density
 from nmflow import channels, divisibility
 from nmflow.channels import AffineQubitMap, AmpDampChannel, ConstantRate, GadcChannel, RateChannel, \
-    apply_map, dephasing, depolarizing, quasi_eternal
+    TabulatedRate, apply_map, dephasing, depolarizing, quasi_eternal
 from nmflow.correlations import mutual_information
 from nmflow.divisibility import (
     DivisibilityLabel,
@@ -13,14 +13,14 @@ from nmflow.divisibility import (
     min_choi_eig,
     physicality_threshold,
 )
-from nmflow.errors import ConfigParseError, UnphysicalError
+from nmflow.errors import BadIntervalError, ConfigParseError, UnphysicalError
 from nmflow.qmat import maximally_entangled
 
 
 def cptp_conditions(ch: RateChannel, t: float) -> tuple[float, float, float]:
     """(B_xyz, B_yzx, B_zxy) with B_ijk = 1 + A_ij - A_jk - A_ki; the channel
     is CPTP at t iff all three are nonnegative."""
-    ayz, azx, axy = ch.contractions(t)
+    ayz, azx, axy = ch.intermediate(0.0, t).lambdas  # V_{t,0} = Lambda_t, unchecked
     return (1.0 + axy - ayz - azx, 1.0 + ayz - azx - axy, 1.0 + azx - axy - ayz)
 
 
@@ -65,6 +65,36 @@ def test_min_choi_eig_over_times_matches_per_map_calls(channel):
     assert stacked.shape == (grid.size - 1,)
     assert all(np.ndim(value) == 0 for value in singles)
     np.testing.assert_allclose(stacked, singles, rtol=0, atol=1e-15)
+
+
+def test_min_choi_eig_matches_the_dense_spectrum():
+    # The closed form of the two 2x2 Choi blocks against eigvalsh of the 4x4
+    # Choi matrix, on random maps with a z shift, over times and one by one.
+    rng = np.random.default_rng(41)
+    lam, wz = rng.uniform(-1.5, 1.5, (3, 2000)), rng.uniform(-1.0, 1.0, 2000)
+    maps = AffineQubitMap(tuple(lam), (0.0, 0.0, wz))
+    np.testing.assert_allclose(min_choi_eig(maps), dense_min_choi_eig(maps), rtol=0, atol=1e-15)
+    for k in range(0, 2000, 97):
+        single = AffineQubitMap(tuple(lam[:, k]), (0.0, 0.0, wz[k]))
+        assert abs(min_choi_eig(single) - dense_min_choi_eig(single)) <= 1e-15
+
+
+def test_min_choi_eig_is_exactly_zero_on_the_cp_boundary():
+    # The identity map and every CP dephasing step keep a zero Choi eigenvalue
+    # exactly, as the dense spectrum does: the scans evaluate these steps.
+    assert min_choi_eig(AffineQubitMap((1.0, 1.0, 1.0))) == 0.0
+    grid = np.linspace(0.0, 3.0, 1501)
+    for ch in (dephasing(0.3), dephasing(TabulatedRate(((0.0, 1.0), (5.0, -0.3))))):
+        steps = ch.intermediate(grid[:-1], grid[1:])
+        assert np.all(min_choi_eig(steps) == 0.0)
+        assert np.all(dense_min_choi_eig(steps) == 0.0)
+
+
+@pytest.mark.parametrize("shift", [(0.1, 0.0, 0.0), (0.0, -0.2, 0.3),
+                                   (np.array([0.0, 1e-3]), 0.0, 0.0)])
+def test_min_choi_eig_rejects_an_x_or_y_shift(shift):
+    with pytest.raises(ConfigParseError):
+        min_choi_eig(AffineQubitMap((0.5, 0.5, 0.5), shift))
 
 
 def test_is_p_identity_and_expanding():
@@ -311,13 +341,38 @@ def test_classify_intervals_with_channel_check():
                                               DivisibilityLabel.NOT_P]
 
 
+@pytest.mark.parametrize("t_max, step", [(np.inf, 0.5), (np.nan, 0.5), (0.0, 0.5), (-1.0, 0.5),
+                                         (4.0, np.inf), (4.0, np.nan), (4.0, 0.0), (4.0, -0.1)])
+def test_classify_intervals_rejects_bad_bounds(t_max, step):
+    # An infinite t_max used to scan forever, and a NaN step to fail in the
+    # intermediate map.
+    with pytest.raises(BadIntervalError, match="need finite t_max > 0 and step > 0"):
+        classify_intervals(lambda t: 0.5, t_max=t_max, step=step,
+                           channel=dephasing(ConstantRate(0.5)))
+
+
+def test_classify_intervals_caps_the_scan():
+    # The step count is checked before the rate is evaluated at all.
+    cap = divisibility._MAX_SCAN_POINTS
+
+    def gamma(t):
+        pytest.fail("the rate was evaluated")
+
+    with pytest.raises(BadIntervalError, match=f"t_max / step <= {cap}"):
+        classify_intervals(gamma, t_max=1.0, step=1.0 / (cap + 1),
+                           channel=dephasing(ConstantRate(0.5)))
+    intervals = classify_intervals(lambda t: 0.5, t_max=1.0, step=1.0 / cap,
+                                   channel=dephasing(ConstantRate(0.5)))
+    assert [iv.label for iv in intervals] == [DivisibilityLabel.CP_DIVISIBLE]
+
+
 def test_choi_zero_eigenvalue_derivative_sign_law():
     # For dephasing with gamma(t) != 0, the initially-zero Choi eigenvalue of
     # V_{t+delta,t} moves with sign equal to sign(gamma(t)).
     delta = 1e-6
     for gamma_val, t in ((0.8, 0.3), (-0.6, 1.1), (1.5, 2.0), (-0.2, 0.05)):
         ch = dephasing(ConstantRate(gamma_val))
-        c = divisibility.choi(ch.intermediate(t, t + delta), 2)
+        c = channels.choi(ch.intermediate(t, t + delta), 2)
         eigs = np.sort(np.linalg.eigvalsh((c + c.conj().T) / 2))
         # Spectrum at delta = 0 is (0, 0, 0, 2); three eigenvalues start at zero.
         derivs = eigs[:3] / delta

@@ -973,6 +973,21 @@ def test_probe_closed_c2_over_a_grid_matches_pointwise_calls():
     assert np.array_equal(values, [probe.closed_c2(float(t)) for t in grid])
 
 
+def test_probe_closed_c2_takes_the_square_roots_of_the_map_lambdas():
+    # lambda_xy and lambda_z of the probe are the square roots of the map's
+    # lambdas, bit for bit: the raw factors of V_{t,0} = Lambda_t through the
+    # Bell-block spectrum give the same values.
+    alpha, t0, tau, p = 0.4, 2.0, 3.0, 0.2
+    grid = np.arange(0.0, 4.0 + 5e-3, 1e-2)  # probe-backflow's default grid
+    ch = channels.quasi_eternal(alpha, t0)
+    lxy, _, lz = np.sqrt(ch.intermediate(0.0, grid).lambdas)
+    lxy_tau, _, lz_tau = np.sqrt(ch.intermediate(0.0, tau).lambdas)
+    c_xy, c_z = p * lxy / lxy_tau, p * lz / lz_tau
+    expected = ((abs(p + c_z + 2.0 * c_xy) + abs(p + c_z - 2.0 * c_xy)
+                 + 2.0 * abs(p - c_z)) / 4.0 + p) / 4.0
+    np.testing.assert_array_equal(build_probe(alpha, t0, tau, p).closed_c2(grid), expected)
+
+
 def test_probe_closed_c2_over_a_grid_integrates_once(monkeypatch):
     calls = []
     for cls in (channels.ConstantRate, channels.QuasiEternalZRate):

@@ -260,6 +260,26 @@ def test_cli_references_no_channel_class():
     assert referenced_names(cli_source) & classes == set()
 
 
+def channel_methods() -> set[str]:
+    """The methods of the channel families, dunder methods left out."""
+    families = (channels.RateChannel, channels.AmpDampChannel, channels.GadcChannel)
+    return {name for cls in families for name in dir(cls)
+            if not name.startswith("__") and callable(getattr(cls, name))}
+
+
+@pytest.mark.parametrize("module", ["witness", "mepovm", "divisibility", "cli"])
+def test_modules_ask_a_channel_only_the_interface_questions(module):
+    # Inside the package a family is asked for its map, its intermediate maps
+    # and its pointwise divisibility; every other reading of a map comes from
+    # the map's Bloch data. The other methods (rates, gamma, probs_derivative)
+    # serve the acceptance suite and the benchmark. Attributes only, so that a
+    # parameter named like a method, as classify_intervals' gamma, does not count.
+    methods = channel_methods()
+    assert {"as_affine", "intermediate", "divisibility", "rates", "gamma"} <= methods
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert read_attributes(source) & methods <= {"as_affine", "intermediate", "divisibility"}
+
+
 def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)

@@ -5,7 +5,8 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from helpers import NOT_STATES, near_product_rate, random_density, trace_distance
+from helpers import (NOT_STATES, bell_weights, dense_min_choi_eig, near_product_rate,
+                     random_density, trace_distance)
 from nmflow import correlations, qmat, witness
 from nmflow.channels import (
     AffineQubitMap,
@@ -27,6 +28,7 @@ from nmflow.errors import (
     DimMismatchError,
     NeverBreakingError,
     NmflowError,
+    NotAStateError,
     UnphysicalError,
 )
 from nmflow.numutil import bisect_root
@@ -145,12 +147,17 @@ def test_series_backflow_onset_at_the_grid_start():
     assert report.onsets == (0.0,) and report.intervals == ((0.0, 1.0),)
 
 
+# An amplitude damping whose G falls and revives; with p = 1/2 it shifts no
+# Bloch vector, a Pauli channel with lambdas (G, G, G^2).
+REVIVAL_G = [[0, 1], [1, 0.4], [2, 0.7], [3, 0.1]]
+
 PHI_PLUS_CHANNELS = {
     "quasi_eternal": quasi_eternal(0.4, 1.0),
     "dephasing": dephasing(0.7),
     "depolarizing": depolarizing(0.3),
     "tabulated dephasing": TABULATED_DEPHASING,
     "anisotropic": RateChannel(ConstantRate(0.1), ConstantRate(0.3), ConstantRate(0.2)),
+    "unital amp_damp": channel_from_json({"family": "amp_damp", "p": 0.5, "G": REVIVAL_G}),
 }
 
 
@@ -178,6 +185,25 @@ def test_phi_plus_closed_forms_match_dense(monkeypatch, name, complex_path):
     for k in (0, 137, grid.size - 1):
         assert phi_plus_mi(channel, float(grid[k])) == pytest.approx(mi[k], abs=1e-15)
         assert phi_plus_negativity(channel, float(grid[k])) == pytest.approx(neg[k], abs=1e-15)
+
+
+def test_find_t_eb_under_a_unital_amp_damp_map():
+    # phi+ stays entangled while (1 + G)^2 / 4 > 1/2, and G = 1 - 0.6 t
+    # reaches sqrt(2) - 1 at t = (2 - sqrt(2)) / 0.6.
+    channel = PHI_PLUS_CHANNELS["unital amp_damp"]
+    assert find_t_eb(channel, tol=1e-7) == pytest.approx((2.0 - np.sqrt(2.0)) / 0.6, abs=1e-6)
+
+
+@pytest.mark.parametrize("channel", [
+    GadcChannel(), channel_from_json({"family": "amp_damp", "p": 0.3, "G": [[0, 1], [2, 0.4]]}),
+], ids=["gadc", "amp_damp"])
+def test_phi_plus_closed_forms_reject_a_bloch_shift(channel):
+    # A shifted phi+ is not Bell-diagonal: a typed error, not a missing attribute.
+    grid = np.arange(0.0, 3.0, 0.01)
+    for run in (lambda: phi_plus_mi(channel, grid), lambda: phi_plus_negativity(channel, grid),
+                lambda: find_t_eb(channel)):
+        with pytest.raises(ConfigParseError, match="unital"):
+            run()
 
 
 def mp_pauli_weights(mp, ix, iy, iz) -> list:
@@ -311,7 +337,7 @@ def test_find_t_eb_agrees_with_weight_route():
     from nmflow.numutil import bisect_root
     ch = quasi_eternal(0.4, 2.0)
     t_matrix = find_t_eb(ch, tol=1e-6)
-    t_weights = bisect_root(lambda t: ch.probs(t)[0] - 0.5, 1.0, 2.0, tol=1e-8)
+    t_weights = bisect_root(lambda t: bell_weights(ch, t)[0] - 0.5, 1.0, 2.0, tol=1e-8)
     assert t_matrix == pytest.approx(t_weights, abs=1e-5)
 
 
@@ -621,6 +647,24 @@ def test_non_cp_steps_isolate_a_step_without_intermediate_map():
     np.testing.assert_array_equal(non_cp[regular], ~cp)
 
 
+NON_CP_FAMILIES = {
+    "quasi_eternal": quasi_eternal(0.4, 1.0),
+    "tabulated dephasing": TABULATED_DEPHASING,
+    "dephasing": dephasing(0.3),
+    "gadc": GadcChannel(),
+    "amp_damp": channel_from_json({"family": "amp_damp", "p": 0.3, "G": REVIVAL_G}),
+}
+
+
+@pytest.mark.parametrize("name", NON_CP_FAMILIES)
+def test_non_cp_steps_match_the_dense_choi_spectrum(name):
+    # The closed-form smallest Choi eigenvalue marks the same steps as the
+    # dense spectrum, the exact zeros of the CP boundary included.
+    channel, grid = NON_CP_FAMILIES[name], np.linspace(0.0, 3.0, 1501)
+    dense = ~(dense_min_choi_eig(channel.intermediate(grid[:-1], grid[1:])) > 0.0)
+    np.testing.assert_array_equal(witness._non_cp_steps(channel, grid), dense)
+
+
 def test_min_t_nm_scan_cp_channels(monkeypatch):
     grid = np.arange(0.0, 3.0 + 1e-12, 1e-2)
     # Dephasing: every step on the CP boundary, evaluated, no onset.
@@ -928,6 +972,24 @@ def test_mi_series_rejects_bad_input(monkeypatch):
         witness.mi_series(ch, np.ones((3, 3)) / 2.0, grid, workers=1)
     with pytest.raises(ConfigParseError):
         witness.mi_series(ch, vecs, np.array([0.0, np.inf]), workers=2)
+
+
+@pytest.mark.parametrize("scale", [3.0, 0.0, 1.0 + 1e-9])
+def test_mi_series_rejects_vectors_off_the_unit_sphere(scale):
+    # A scaled vector gave a negative mutual information, a zero row NaN.
+    vectors = sample_pure_vectors((2, 2), 3, seed=5)
+    vectors[1] *= scale
+    with pytest.raises(NotAStateError, match="unit norm"):
+        witness.mi_series(quasi_eternal(0.4, 1.0), vectors, [0.0, 1.0, 2.0])
+    vectors[1] = sample_pure_vectors((2, 2), 3, seed=5)[1] * (1.0 + 1e-12)
+    assert np.all(witness.mi_series(quasi_eternal(0.4, 1.0), vectors, [0.0, 1.0, 2.0]) >= 0.0)
+
+
+def test_min_t_nm_scan_rejects_vectors_off_the_unit_sphere(monkeypatch):
+    sample = witness.sample_pure_vectors
+    monkeypatch.setattr(witness, "sample_pure_vectors", lambda *args: 3.0 * sample(*args))
+    with pytest.raises(NotAStateError, match="unit norm"):
+        min_t_nm_scan(quasi_eternal(0.4, 1.0), 5, np.arange(0.0, 3.0, 0.1), seed=1)
 
 
 @pytest.mark.parametrize("matrix, error", NOT_STATES.values(), ids=NOT_STATES)
@@ -1386,11 +1448,11 @@ def test_gadc_epsilon_scan_lies_inside_the_near_product_window():
 
 def test_scans_reject_a_channel_that_is_not_cptp():
     # quasi_eternal(0.4, 0.5) is not CPTP from t = 1.966 on: every driver that
-    # evolves states fails at its entry, naming the time that probs names.
+    # evolves states fails at its entry, naming the time that as_affine names.
     ch = quasi_eternal(0.4, 0.5)
     grid = np.arange(0.0, 3.0001, 2e-3)
     with pytest.raises(UnphysicalError) as expected:
-        ch.probs(grid)
+        ch.as_affine(grid)
     vectors = sample_pure_vectors((2, 2), 50, seed=1)
     traj = Trajectory(np.outer(vectors[0], vectors[0].conj()), ch, (2, 2), grid)
     for run in (lambda: witness.mi_series(ch, vectors, grid),
@@ -1425,7 +1487,8 @@ def test_image_contraction_bound():
     t0pp = float(np.log(np.sqrt(2.0 / eps ** 5))) + 0.1
     t1pp = 1.2 + (t0pp - 1.0)
     ch = quasi_eternal(0.4, t0pp)
-    lam = np.array(ch.lambdas(t1pp))
+    # The square roots of the map's lambdas bound its Bloch contraction from above.
+    lam = np.sqrt(ch.as_affine(t1pp).lambdas)
     assert np.max(lam) < eps
     rng = np.random.default_rng(59)
     for _ in range(50):
