@@ -195,14 +195,21 @@ class AffineQubitMap:
     translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     @property
-    def superop(self) -> np.ndarray:
-        """K[a, b, c, e] = Lambda(|c><e|)[a, b], from the Pauli transfer matrix R
-        with R_00 = 1, R_i0 = translation_i and R_ii = lambdas_i; a (T, 2, 2, 2, 2)
-        stack when the components are arrays over T times."""
+    def transfer(self) -> np.ndarray:
+        """The Pauli transfer matrix entries R_00 = 1, R_i0 = translation_i and
+        R_ii = lambdas_i, in the order of `_PAULI_SUPEROP`'s rows: a (..., 7) array."""
         entries = (1.0, *self.translation, *self.lambdas)
         r = np.empty(np.broadcast(*entries).shape + (7,))
         for i, entry in enumerate(entries):
             r[..., i] = entry
+        return r
+
+    @property
+    def superop(self) -> np.ndarray:
+        """K[a, b, c, e] = Lambda(|c><e|)[a, b] = sum of the transfer entries times
+        `_PAULI_SUPEROP`'s rows; a (T, 2, 2, 2, 2) stack when the components are
+        arrays over T times."""
+        r = self.transfer
         return (r @ _PAULI_SUPEROP).reshape(r.shape[:-1] + (2, 2, 2, 2))
 
 
@@ -318,7 +325,9 @@ class RateChannel:
         """Lambda_t; UnphysicalError at the first time a mixing weight is < -PROB_SLACK."""
         a = self._factors(0.0, t)
         p = _bell_weights(1.0, *a)
-        if np.min(p, initial=np.inf) < -PROB_SLACK:  # initial: no times is no failure
+        # At one time the builtin min: np.min's conversion of the 4-tuple to an
+        # array took a third of the call. initial: no times is no failure.
+        if (np.min(p, initial=np.inf) if isinstance(p[0], np.ndarray) else min(p)) < -PROB_SLACK:
             low = np.ravel(np.min(p, axis=0))
             first = np.argmax(low < -PROB_SLACK)
             raise UnphysicalError(f"mixing weight {low[first]:.3e} < 0 at "

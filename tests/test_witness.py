@@ -1,3 +1,4 @@
+import threading
 import warnings
 from collections import Counter
 from typing import Sequence
@@ -31,7 +32,7 @@ from nmflow.errors import (
     NotAStateError,
     UnphysicalError,
 )
-from nmflow.numutil import bisect_root
+from nmflow.numutil import bisect_root, chunk_indices
 from nmflow.qmat import DensityState, maximally_entangled
 from nmflow.witness import (
     Trajectory,
@@ -635,6 +636,67 @@ def test_min_t_nm_scan_skips_only_cp_steps(monkeypatch, channel, grid, count, se
             assert abs(onset - np.nanmin(onsets)) <= grid[1] - grid[0] + 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1, 24, 301])
+def test_min_t_nm_scan_diagonalizes_within_two_sweeps(monkeypatch, seed):
+    # Each block's per-state eigenbasis leaves the Jacobi kernel matrices
+    # near diagonal at every point of the block: two sweeps suffice on the
+    # criterion-06 setting, where the computational basis needed 3 or 4.
+    monkeypatch.setattr(qmat, "JACOBI_MAX_SWEEPS", 2)
+    grid = np.arange(0.0, 3.0 + 1e-12, 2e-3)
+    onset, state, onsets = min_t_nm_scan(quasi_eternal(0.4, 1.0), 100, grid, seed=seed)
+    assert 2.0 < onset < 3.0 and state is not None
+
+
+def _near_product_vectors(mus, thetas):
+    # sqrt(1 - mu)|0>|n> + sqrt(mu) e^{i phi}|1>|n_perp>, with the system's n
+    # at polar angle theta: z-aligned (theta = 0) and tilted near-product
+    # states, whose MI stays within a few decades of SCAN_MARGIN.
+    rows = []
+    for mu in mus:
+        for k, theta in enumerate(thetas):
+            n = np.array([np.cos(theta / 2.0), np.sin(theta / 2.0)])
+            n_perp = np.array([-n[1], n[0]])
+            rows.append(np.concatenate((np.sqrt(1.0 - mu) * n,
+                                        np.sqrt(mu) * np.exp(0.7j * k) * n_perp)))
+    return np.array(rows)
+
+
+FRAGILE_SCANS = {
+    "near-product": (quasi_eternal(0.4, 1.0), np.arange(0.0, 3.0 + 1e-12, 1e-2),
+                     _near_product_vectors((1e-6, 1e-9), (0.0, 0.05, 0.4, 1.2))),
+    "gadc haar": (GadcChannel(), np.arange(0.0, 0.6 + 1e-12, 2e-3),
+                  sample_pure_vectors((2, 2), 12, seed=40)),
+    "complex path": (quasi_eternal(0.4, 1.0), np.arange(0.0, 3.0 + 1e-12, 1e-2),
+                     np.concatenate((_near_product_vectors((1e-6,), (0.0, 0.4)),
+                                     sample_pure_vectors((2, 2), 6, seed=41)))),
+}
+
+
+@pytest.mark.parametrize("name", FRAGILE_SCANS)
+def test_min_t_nm_scan_matches_the_unrotated_series_on_fragile_states(monkeypatch, name):
+    # The block-rotated scan finds every onset that the unrotated mi_series
+    # gives under SCAN_MARGIN, on near-product states, on GADC's
+    # alternating CP and non-CP stretches and on the complex path, for every
+    # chunk setting and thread count.
+    channel, grid, vectors = FRAGILE_SCANS[name]
+    if name == "complex path":
+        superop = AffineQubitMap.superop.fget
+        monkeypatch.setattr(AffineQubitMap, "superop", property(lambda m: superop(m) + 1e-300j))
+    monkeypatch.setattr(witness, "sample_pure_vectors", lambda dims, count, seed: vectors)
+    idx = _first_onset_indices(witness.mi_series(channel, vectors, grid), witness.SCAN_MARGIN)
+    expected = np.where(np.isnan(idx), np.nan, grid[np.nan_to_num(idx).astype(int)])
+    assert not np.all(np.isnan(expected))
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(witness, "thread_count", lambda: threads)
+        for chunk_times, chunk_matrices in ((1, 2 ** 15), (2, 2 ** 15), (7, 2 ** 15),
+                                            (128, 2 ** 15), (128, 50)):
+            monkeypatch.setattr(witness, "CHUNK_TIMES", chunk_times)
+            monkeypatch.setattr(witness, "CHUNK_MATRICES", chunk_matrices)
+            onsets = min_t_nm_scan(channel, len(vectors), grid)[2]
+            np.testing.assert_array_equal(onsets, expected,
+                                          err_msg=f"{threads}, {chunk_times}, {chunk_matrices}")
+
+
 def test_non_cp_steps_isolate_a_step_without_intermediate_map():
     # One singular step used to mark every step of the grid non-CP.
     channel, grid = channel_from_json(SINGULAR_AMP_DAMP), np.linspace(0.0, 3.0, 61)
@@ -667,12 +729,21 @@ def test_non_cp_steps_match_the_dense_choi_spectrum(name):
 
 def test_min_t_nm_scan_cp_channels(monkeypatch):
     grid = np.arange(0.0, 3.0 + 1e-12, 1e-2)
-    # Dephasing: every step on the CP boundary, evaluated, no onset.
+    # Dephasing: every step on the CP boundary, evaluated, no onset. The
+    # counts show that the functions stubbed below are the scan's own.
+    monkeypatch.setenv("NMFLOW_THREADS", "1")
+    calls = Counter()
+    for name in ("_apply_superops", "_block_basis", "_chunk_mi"):
+        monkeypatch.setattr(witness, name, lambda *a, f=getattr(witness, name), name=name:
+                            calls.update([name]) or f(*a))
     onset, state, onsets = min_t_nm_scan(dephasing(0.3), 50, grid, seed=4)
     assert np.isnan(onset) and state is None and np.all(np.isnan(onsets))
+    assert calls == {"_apply_superops": 3, "_block_basis": 3, "_chunk_mi": 3}
     # Depolarizing: every step strictly CP, so no state is evaluated at all.
     monkeypatch.setattr(witness, "_apply_superops", lambda *a: pytest.fail("a state evolved"))
     monkeypatch.setattr(witness, "_two_qubit_mi", lambda *a: pytest.fail("a state evaluated"))
+    monkeypatch.setattr(witness, "_block_basis", lambda *a: pytest.fail("a basis built"))
+    monkeypatch.setattr(witness, "_chunk_mi", lambda *a: pytest.fail("a state evaluated"))
     onset, state, onsets = min_t_nm_scan(depolarizing(0.3), 50, grid, seed=4)
     assert np.isnan(onset) and state is None
     assert onsets.shape == (50,) and np.all(np.isnan(onsets))
@@ -681,8 +752,8 @@ def test_min_t_nm_scan_cp_channels(monkeypatch):
 def test_min_t_nm_scan_memory_does_not_grow_with_points(monkeypatch):
     # The scan folds each chunk into its onsets as it is computed, so its peak
     # depends on the chunk size and the state count, not on the number of
-    # grid points. Traced peaks for 1000 states on 301 and 1501 points: 6.7
-    # and 7.0 MB with one thread, 12.6 and 13.2 MB with two (a chunk of 2^14
+    # grid points. Traced peaks for 1000 states on 301 and 1501 points: 7.4
+    # and 7.4 MB with one thread, 13.2 and 13.6 MB with two (a chunk of 2^14
     # matrices per thread); 34.7 and 41.3 MB (one thread), 55.7 and 74.1 MB
     # (two) when the whole (points, states) series was held. The first scan of
     # a process also allocates ~2 MB once, so a small scan runs before the
@@ -804,9 +875,10 @@ def test_scans_return_empty_series_for_no_times_or_no_states(channel):
 ])
 def test_mi_kernel_gives_a_state_the_same_bits_in_any_stack(monkeypatch, channel, grid,
                                                              complex_path):
-    # min_t_nm_scan drops found states from the stack, so its onsets hold only
-    # if a state's values do not depend on the states that share its stack:
-    # every subset gives exactly the full stack's columns, chunk by chunk.
+    # mi_series cuts its states into a group per thread and its times into
+    # chunks, so its series holds only if a state's values do not depend on
+    # the states that share its stack: every subset gives exactly the full
+    # stack's columns, chunk by chunk.
     if complex_path:
         superop = AffineQubitMap.superop.fget
         monkeypatch.setattr(AffineQubitMap, "superop", property(lambda m: superop(m) + 1e-300j))
@@ -817,10 +889,10 @@ def test_mi_kernel_gives_a_state_the_same_bits_in_any_stack(monkeypatch, channel
     vectors = sample_pure_vectors((2, 2), 200, seed=12)
     full = witness.mi_series(channel, vectors, grid, workers=1)
     assert bool(real_calls) != complex_path
-    superops, states0, s_a = witness._mi_setup(channel, vectors, grid)
+    _, superops, states0, s_a = witness._mi_setup(channel, vectors, grid)
     rng = np.random.default_rng(13)
-    # min_t_nm_scan's chunks: CHUNK_TIMES times, or fewer when the 200 states
-    # would exceed CHUNK_MATRICES.
+    # Chunks of CHUNK_TIMES times, or fewer when the 200 states would exceed
+    # CHUNK_MATRICES.
     per_chunk = min(witness.CHUNK_TIMES, witness.CHUNK_MATRICES // 200)
     bounds = [(lo, min(lo + per_chunk, grid.size)) for lo in range(0, grid.size, per_chunk)]
     assert len(bounds) >= 3
@@ -831,35 +903,94 @@ def test_mi_kernel_gives_a_state_the_same_bits_in_any_stack(monkeypatch, channel
             assert np.array_equal(witness._two_qubit_mi(stack, s_a[cols]), full[lo:hi, cols])
 
 
+@pytest.mark.parametrize("complex_path", [False, True])
+@pytest.mark.parametrize("channel, grid", [
+    (quasi_eternal(0.4, 1.0), np.arange(0.0, 3.0, 0.01)),
+    (GadcChannel(), np.arange(0.0, 0.6, 2e-3)),
+])
+def test_scan_blocks_give_a_state_the_same_bits_in_any_stack_and_chunk(monkeypatch, channel,
+                                                                       grid, complex_path):
+    # min_t_nm_scan's value of a state at a point depends on that state and
+    # the point's block alone: a subset of the states gets exactly the full
+    # stack's rotated terms, and every chunk of a block gives exactly the rows
+    # and columns of the whole block, one-point chunks included (those borrow
+    # a neighbouring row, the last point's from the left).
+    if complex_path:
+        superop = AffineQubitMap.superop.fget
+        monkeypatch.setattr(AffineQubitMap, "superop", property(lambda m: superop(m) + 1e-300j))
+    vectors = sample_pure_vectors((2, 2), 200, seed=12)
+    coords, basis, states0, s_a = witness._scan_setup(channel, vectors, grid)
+    assert np.iscomplexobj(basis) == complex_path
+    # 1, the three lambdas and, for GADC, the z translation.
+    assert coords.shape == (grid.size, 5 if isinstance(channel, GadcChannel) else 4)
+    rng = np.random.default_rng(13)
+    blocks = list(chunk_indices(grid.size, witness.BASIS_TIMES))
+    assert len(blocks) >= 3 and blocks[-1][1] == grid.size
+    for lo, hi in blocks:
+        mid = (lo + hi) // 2
+        joint, side = witness._block_basis(coords, mid, basis, states0)
+        full = witness._chunk_mi(coords, lo, hi, joint, side, s_a)
+        for size in (1, 2, 5, 190):
+            cols = np.sort(rng.choice(200, size, replace=False))
+            sub, sub_side = witness._block_basis(coords, mid, basis, states0[cols])
+            assert np.array_equal(sub, joint[:, cols]) and np.array_equal(sub_side, side[:, cols])
+            for a, b in ((lo, lo + 1), (lo + 1, lo + 3), (mid, mid + 1), (lo + 3, hi - 1),
+                         (hi - 1, hi)):
+                got = witness._chunk_mi(coords, a, b, sub, sub_side, s_a[cols])
+                assert np.array_equal(got, full[a - lo:b - lo, cols]), (a, b, size)
+
+
 def _scan_groups(monkeypatch, channel, count, grid, seed):
     # Runs min_t_nm_scan and returns each state's onset step f, the step
-    # (points[f], points[f + 1]), and the kernel calls of each group of
-    # states: (first point, number of points, states) per chunk, in chunk
-    # order. A state is named by its S(rho_A) in the kernel's arguments,
-    # distinct for Haar states.
-    setup, mi, seen, calls = witness._mi_setup, witness._two_qubit_mi, [], []
+    # (points[f], points[f + 1]); the chunks of each group of states as
+    # (first point, number of points, states), in chunk order; and the number
+    # of points. A state is named by its S(rho_A) in the chunk's arguments,
+    # distinct for Haar states. On the way it checks the blocks: a chunk lies
+    # inside one block of BASIS_TIMES points from the first, and a group builds
+    # each block's basis once, at the block's middle point, right before the
+    # block's first chunk and on the states of that chunk.
+    setup, basis, chunk_mi = witness._mi_setup, witness._block_basis, witness._chunk_mi
+    seen, calls = [], {}
+
+    def log(*entry):
+        calls.setdefault(threading.get_ident(), []).append(entry)
+
     monkeypatch.setattr(witness, "_mi_setup",
                         lambda *args: seen.append((args[2], setup(*args))) or seen[-1][1])
-    monkeypatch.setattr(witness, "_two_qubit_mi",
-                        lambda stack, s_a: calls.append((stack.shape[0], s_a)) or mi(stack, s_a))
+    monkeypatch.setattr(witness, "_block_basis", lambda coords, mid, rows, states: log(
+        "basis", mid, len(states), None) or basis(coords, mid, rows, states))
+    monkeypatch.setattr(witness, "_chunk_mi", lambda coords, a, b, joint, side, s_a: log(
+        "chunk", a, b, s_a) or chunk_mi(coords, a, b, joint, side, s_a))
     onsets = min_t_nm_scan(channel, count, grid, seed=seed)[2]
     assert not np.any(np.isnan(onsets))
-    [(times, (_, _, s_a))] = seen
+    [(times, (_, _, _, s_a))] = seen
     name = {value: i for i, value in enumerate(s_a.tolist())}
     assert len(name) == count
-    groups, group_of = [], {}
-    for size, values in calls:  # one thread makes a group's calls, in chunk order
-        states = [name[v] for v in values.tolist()]
-        if states[0] not in group_of:  # a group's first chunk holds all its states
-            assert not any(i in group_of for i in states)
-            assert states == list(range(states[0], states[0] + len(states)))
-            group_of.update((i, len(groups)) for i in states)
-            groups.append([])
-        group = groups[group_of[states[0]]]
-        assert {group_of[i] for i in states} == {group_of[states[0]]}
-        lo = group[-1][0] + group[-1][1] if group else 0
-        group.append((lo, size, states))
+    groups, group_of, size = [], {}, witness.BASIS_TIMES
+    for entries in calls.values():  # one thread makes a group's calls, in chunk order
+        for kind, a, b, values in entries:
+            if kind == "basis":
+                block = (a, b)  # its middle point and its number of states
+                continue
+            states = [name[v] for v in values.tolist()]
+            if states[0] not in group_of:  # a group's first chunk holds all its states
+                assert not any(i in group_of for i in states)
+                assert states == list(range(states[0], states[0] + len(states)))
+                group_of.update((i, len(groups)) for i in states)
+                groups.append([])
+            group = groups[group_of[states[0]]]
+            assert {group_of[i] for i in states} == {group_of[states[0]]}
+            assert a == (group[-1][0] + group[-1][1] if group else 0)
+            lo = a - a % size
+            hi = min(lo + size, times.size)
+            assert b <= hi and block[0] == (lo + hi) // 2
+            if a == lo:
+                assert block[1] == len(states)
+                block = (block[0], None)  # one basis per block
+            group.append((a, b - a, states))
     assert sorted(group_of) == list(range(count))
+    bases = sum(entry[0] == "basis" for entries in calls.values() for entry in entries)
+    assert bases == sum(a % size == 0 for group in groups for a, _, _ in group)
     return np.searchsorted(times, onsets), groups, times.size
 
 
@@ -887,8 +1018,11 @@ def test_min_t_nm_scan_drops_found_states_from_the_stack(monkeypatch, threads, c
         for c, (_, _, states) in enumerate(group):
             assert states == members[onset_chunk >= c].tolist()
         chunk = min(chunk_times, witness.CHUNK_MATRICES // len(members))
-        assert [size for _, size, _ in group[:-1]] == [chunk] * (len(group) - 1)
-        assert group[-1][1] <= chunk
+        # Chunks of `chunk` points, cut short only at the end of a block.
+        bounds = [(lo + a, lo + b) for lo, hi in chunk_indices(points, witness.BASIS_TIMES)
+                  for a, b in chunk_indices(hi - lo, chunk)]
+        assert [(lo, lo + size) for lo, size, _ in group] == bounds[:len(group)]
+        assert max(size for _, size, _ in group) <= chunk
 
 
 def test_min_t_nm_scan_evaluates_no_state_past_its_onset_chunk_with_two_threads(monkeypatch):
