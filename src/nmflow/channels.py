@@ -249,11 +249,11 @@ def _apply_superops(k: np.ndarray, states: np.ndarray, dims: tuple[int, ...],
     """
     d = dims[subsystem]
     pre, post = prod(dims[:subsystem]), prod(dims[subsystem + 1:])
-    n, big = states.shape[0], states.shape[-1]
+    t, n, big = len(k), states.shape[0], states.shape[-1]
     cols = states.reshape(n, pre, d, post, pre, d, post).transpose(2, 5, 0, 1, 3, 4, 6)
-    out = k.reshape(-1, d * d, d * d) @ cols.reshape(d * d, -1)
-    out = out.reshape(-1, d, d, n, pre, post, pre, post)
-    return out.transpose(0, 3, 4, 1, 5, 6, 2, 7).reshape(-1, n, big, big)
+    out = k.reshape(t, d * d, d * d) @ cols.reshape(d * d, n * (pre * post) ** 2)
+    out = out.reshape(t, d, d, n, pre, post, pre, post)
+    return out.transpose(0, 3, 4, 1, 5, 6, 2, 7).reshape(t, n, big, big)
 
 
 def apply_map(qmap, rho, dims: Sequence[int], subsystem: int | None = None) -> np.ndarray:
@@ -326,10 +326,12 @@ class RateChannel:
         a = self._factors(0.0, t)
         p = _bell_weights(1.0, *a)
         # At one time the builtin min: np.min's conversion of the 4-tuple to an
-        # array took a third of the call. initial: no times is no failure.
-        if (np.min(p, initial=np.inf) if isinstance(p[0], np.ndarray) else min(p)) < -PROB_SLACK:
+        # array took a third of the call. initial: no times is no failure. A NaN
+        # time makes every weight NaN, which fails the >= test.
+        worst = np.min(p, initial=np.inf) if isinstance(p[0], np.ndarray) else min(p)
+        if not worst >= -PROB_SLACK:
             low = np.ravel(np.min(p, axis=0))
-            first = np.argmax(low < -PROB_SLACK)
+            first = np.argmax(~(low >= -PROB_SLACK))
             raise UnphysicalError(f"mixing weight {low[first]:.3e} < 0 at "
                                   f"t = {np.ravel(t)[first]}: channel not CPTP")
         return AffineQubitMap(a)
@@ -416,6 +418,14 @@ class _GadFamily:
         kick = dp * (1.0 - g2)
         return p * big_gamma + kick, (1.0 - p) * big_gamma - kick
 
+    def as_affine(self, t) -> AffineQubitMap:
+        """Lambda_t, CPTP iff 0 <= G(t) <= 1 (else UnphysicalError, also at a NaN
+        or, for GADC, a negative time); constant at G = 0."""
+        g, g2, p = self._profile(t)
+        if not np.all((0.0 <= g) & (g <= 1.0)):  # also rejects NaN
+            raise UnphysicalError(f"G must lie in [0, 1], got {g}")
+        return self._affine(g, g2, p)
+
     def divisibility(self, t):
         """(min(gamma_minus, gamma_plus), CP, P): CP and P iff both rates are >= 0."""
         gm, gp = self.rates(t)
@@ -481,13 +491,6 @@ class AmpDampChannel(_GadFamily):
         gamma = self.gamma(t)
         return gamma, gamma >= 0.0, gamma >= 0.0
 
-    def as_affine(self, t) -> AffineQubitMap:
-        """Lambda_t, CPTP iff 0 <= G(t) <= 1 (else UnphysicalError); constant at G = 0."""
-        g, g2, p = self._profile(t)
-        if not np.all((0.0 <= g) & (g <= 1.0)):  # also rejects NaN
-            raise UnphysicalError(f"G must lie in [0, 1], got {g}")
-        return self._affine(g, g2, p)
-
 
 class GadcChannel(_GadFamily):
     """GAD with G(t) = exp(-t/2) and p(t) = cos^2(5t), so Gamma = 1 and
@@ -500,9 +503,6 @@ class GadcChannel(_GadFamily):
 
     def _drift(self, t):
         return 1.0, -5.0 * np.sin(10.0 * t)
-
-    def as_affine(self, t) -> AffineQubitMap:
-        return self._affine(*self._profile(t))
 
 
 # ---------------------------------------------------------------------------

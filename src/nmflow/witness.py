@@ -79,7 +79,8 @@ class Trajectory:
     a finite, strictly increasing time grid from t >= 0 (all checked when built).
 
     A measure maps (states, dims) to values: `measure_series` calls it once on
-    the (T, D, D) stack of the states at T times.
+    the (T, D, D) stack of the states at T times, built as in the MI scans
+    (see `_mi_setup`).
     """
 
     initial: np.ndarray
@@ -97,12 +98,12 @@ class Trajectory:
     def measure_series(self, measure: Callable, times: np.ndarray) -> np.ndarray:
         """The measure at each of a 1-D array of finite times t >= 0, in any order."""
         times = _check_times(times)
-        k = self.channel.as_affine(times).superop
-        if k.shape[-1] != self.dims[-1]:
-            raise DimMismatchError(f"a map on dimension {k.shape[-1]} cannot act on the last "
-                                   f"subsystem of {self.dims}")
-        states = _apply_superops(k, self.initial[None], self.dims, len(self.dims) - 1)[:, 0]
-        return np.asarray(measure(states, self.dims), dtype=float)
+        if self.dims[-1] != 2:
+            raise DimMismatchError(f"a qubit map cannot act on the last subsystem of {self.dims}")
+        coords, rows = _transfer_rows(self.channel.as_affine(times))
+        terms = _apply_superops(rows, self.initial[None], self.dims, len(self.dims) - 1)[:, 0]
+        return np.asarray(measure(_combine(coords, 0, len(coords), terms), self.dims),
+                          dtype=float)
 
 
 @dataclass(frozen=True)
@@ -231,14 +232,6 @@ def sample_pure_vectors(dims: Sequence[int], count: int, seed: int) -> np.ndarra
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _two_qubit_mi(states: np.ndarray, s_a: np.ndarray) -> np.ndarray:
-    # states (T, n, 4, 4) and their S(rho_A) (n,) -> mutual information (T, n)
-    r4 = states.reshape(*states.shape[:-2], 2, 2, 2, 2)
-    s_s = correlations.qubit_entropy(r4[..., 0, :, 0, :] + r4[..., 1, :, 1, :])
-    joint = jacobi_eigvalsh4(states.reshape(-1, 4, 4)).reshape(states.shape[:-1])
-    return s_a + s_s - correlations.shannon(joint)
-
-
 def _real_representatives(vectors: np.ndarray) -> np.ndarray:
     # (U_A (x) R_z) psi as a real vector: R_z turns rho_S's Bloch vector to
     # (|w_perp|, 0, w_z), i.e. rho_S -> |rho_S| entrywise, and
@@ -248,9 +241,38 @@ def _real_representatives(vectors: np.ndarray) -> np.ndarray:
     return (e * np.sqrt(np.maximum(mu, 0.0))[:, None, :]).transpose(0, 2, 1).reshape(-1, 4)
 
 
+def _transfer_rows(maps):
+    # The (P, R) transfer entries c(t) of maps over P times that are nonzero at
+    # any of them (1 and the three lambdas for a Pauli channel), and the
+    # (R, 2, 2, 2, 2) rows K_r of `_PAULI_SUPEROP` they weigh: each map is
+    # sum_r c_r(t) K_r.
+    coords = maps.transfer
+    rows = np.flatnonzero(np.any(coords != 0.0, axis=0))
+    return coords[:, rows], _PAULI_SUPEROP[rows].reshape(-1, 2, 2, 2, 2)
+
+
+def _combine(coords: np.ndarray, a: int, b: int, terms: np.ndarray) -> np.ndarray:
+    # sum_r coords[t, r] terms[r] for the rows t in [a, b) of the (P, R)
+    # coords, as one (b - a, R) x (R, ...) BLAS product in the layout of terms.
+    # A one-row product would run as gemv, whose bits differ from gemm's, so
+    # it borrows a neighbouring row, or a copy of itself when P = 1: every
+    # value then comes from gemm, the same bits in any chunk and any stack.
+    lo = min(a, max(len(coords) - 2, 0))
+    rows = coords[lo:max(b, lo + 2)] if len(coords) != 1 else coords[[0, 0]]
+    out = rows @ terms.reshape(len(terms), prod(terms.shape[1:]))
+    return out[a - lo:b - lo].reshape((b - a,) + terms.shape[1:])
+
+
 def _mi_setup(channel, vectors: np.ndarray, grid: np.ndarray):
-    """The checked input of the MI scans: the maps of one `as_affine(grid)`
-    call and their superoperators, the initial states and their S(rho_A).
+    """The checked input of the MI scans, from one `as_affine(grid)` call: the
+    transfer entries c(t) and rows K_r of `_transfer_rows`, the (R, N, 4, 4)
+    images G_r = (1 (x) K_r)(rho) of the initial states and their
+    (R, N, 2, 2) partial traces over the ancilla, and the states' S(rho_A).
+    Each evolved state is sum_r c_r(t) G_r, and its rho_S the same sum of the
+    partial traces. When every map on the grid commutes with rotations about
+    z (lambda_x == lambda_y, no x or y translation: every family of the
+    package) and the rows are real, each psi becomes the real
+    (U_A (x) R_z) psi, which has the same I(t), and the G_r are real.
     Lambda_t is trace preserving, so S(rho_A) is taken once per state and
     carries no rounding of the steps."""
     vectors = np.asarray(vectors)
@@ -263,14 +285,16 @@ def _mi_setup(channel, vectors: np.ndarray, grid: np.ndarray):
         raise NotAStateError(f"state vectors need unit norm: |norm^2 - 1| = {defect.max():.2e}")
     grid = _check_times(grid, "grid")
     maps = channel.as_affine(grid)
-    superops = maps.superop
+    coords, rows = _transfer_rows(maps)
     about_z = np.all(maps.lambdas[0] == maps.lambdas[1]) and not np.any(maps.translation[:2])
-    if about_z and not superops.imag.any():
-        superops, vectors = superops.real, _real_representatives(vectors)
+    if about_z and not rows.imag.any():
+        rows, vectors = rows.real, _real_representatives(vectors)
     states0 = np.einsum("na,nb->nab", vectors, vectors.conj())
+    joint = _apply_superops(rows, states0, (2, 2), 1)
+    g4 = joint.reshape(*joint.shape[:2], 2, 2, 2, 2)
     r4 = states0.reshape(-1, 2, 2, 2, 2)
-    s_a = correlations.qubit_entropy(r4[:, :, 0, :, 0] + r4[:, :, 1, :, 1])
-    return maps, superops, states0, s_a
+    return (coords, joint, g4[..., 0, :, 0, :] + g4[..., 1, :, 1, :],
+            correlations.qubit_entropy(r4[:, :, 0, :, 0] + r4[:, :, 1, :, 1]))
 
 
 def _in_groups(run: Callable[[int, int], None], n: int, workers: int | None) -> None:
@@ -286,28 +310,26 @@ def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
     """Mutual information I(t) for a batch of two-qubit pure initial states
     under 1 (x) Lambda_t; returns an array of shape (len(grid), n_states).
 
-    The maps come from one `as_affine(grid)` call. When every map on the grid
-    commutes with rotations about z (lambda_x == lambda_y, no x or y
-    translation: every family of the package) and has a real superoperator,
-    each psi becomes the real (U_A (x) R_z) psi, which has the same I(t), and
-    the scan runs in float64; otherwise in complex. The joint spectra come
-    from `qmat.jacobi_eigvalsh4`, both marginal entropies in closed form, the
-    ancilla's once per state. The states are cut into at most `workers`
-    (default `thread_count()`) contiguous groups, and one thread scans each
-    group in chunks of at most CHUNK_MATRICES matrices (times x states). A
+    The evolved states are sum_r c_r(t) G_r from one `as_affine(grid)` call
+    (see `_mi_setup`): real when every map commutes with rotations about z,
+    complex otherwise. The joint spectra come from `qmat.jacobi_eigvalsh4`,
+    both marginal entropies in closed form, the ancilla's once per state.
+    The states are cut into at most `workers` (default `thread_count()`)
+    contiguous groups, and one thread scans each group in chunks of at most
+    CHUNK_MATRICES matrices (times x states), and at least two times. A
     state's values do not depend on the others in its stack, so they do not
     depend on the groups or the chunks.
     """
-    _, superops, states0, s_a = _mi_setup(channel, vectors, grid)
-    out = np.empty((len(superops), len(states0)))
+    coords, joint, side, s_a = _mi_setup(channel, vectors, grid)
+    out = np.empty((len(coords), len(s_a)))
 
     def run(lo, hi):
-        chunk = max(1, CHUNK_MATRICES // (hi - lo))
-        for a, b in chunk_indices(len(superops), chunk):
-            out[a:b, lo:hi] = _two_qubit_mi(_apply_superops(superops[a:b], states0[lo:hi],
-                                                             (2, 2), 1), s_a[lo:hi])
+        chunk = max(2, CHUNK_MATRICES // (hi - lo))
+        for a, b in chunk_indices(len(coords), chunk):
+            out[a:b, lo:hi] = _chunk_mi(coords, a, b, joint[:, lo:hi], side[:, lo:hi],
+                                        s_a[lo:hi])
 
-    _in_groups(run, len(states0), workers)
+    _in_groups(run, len(s_a), workers)
     return out
 
 
@@ -325,45 +347,21 @@ def _non_cp_steps(channel, grid: np.ndarray) -> np.ndarray:
                                _non_cp_steps(channel, grid[half:])))
 
 
-def _scan_setup(channel, vectors: np.ndarray, times: np.ndarray):
-    """min_t_nm_scan's input from `_mi_setup`: the (P, R) transfer entries
-    c(t) of the maps that are nonzero at any of the times, the (R, 2, 2, 2, 2)
-    rows of `_PAULI_SUPEROP` they weigh, so that each map is sum_r c_r(t) K_r,
-    the initial states and their S(rho_A)."""
-    maps, _, states0, s_a = _mi_setup(channel, vectors, times)
-    coords = maps.transfer
-    rows = np.flatnonzero(np.any(coords != 0.0, axis=0))
-    basis = _PAULI_SUPEROP[rows].reshape(-1, 2, 2, 2, 2)
-    return coords[:, rows], basis if np.iscomplexobj(states0) else basis.real, states0, s_a
-
-
-def _combine(coords: np.ndarray, a: int, b: int, terms: np.ndarray) -> np.ndarray:
-    # sum_r coords[t, r] terms[r] for the rows t in [a, b) of the (P >= 2, R)
-    # coords, as one (b - a, R) x (R, ...) BLAS product in the layout of terms.
-    # A one-row product would run as gemv, whose bits differ from gemm's, so
-    # it borrows a neighbouring row: every value then comes from gemm, the
-    # same bits in any chunk and any stack of states.
-    lo = min(a, len(coords) - 2)
-    out = coords[lo:max(b, lo + 2)] @ terms.reshape(len(terms), -1)
-    return out[a - lo:b - lo].reshape((b - a,) + terms.shape[1:])
-
-
-def _block_basis(coords: np.ndarray, mid: int, basis: np.ndarray, states: np.ndarray):
-    # The states (n, 4, 4) under each row K_r of the basis, G_r = (1 (x) K_r)(rho),
-    # rotated to W^H G_r W with W the eigenvectors of the state's joint matrix
-    # at point mid: an (R, n, 4, 4) array. And the (R, n, 2, 2) partial traces
-    # of the G_r over the ancilla, which the rotation does not reach.
-    terms = _apply_superops(basis, states, (2, 2), 1)
-    r4 = terms.reshape(*terms.shape[:2], 2, 2, 2, 2)
-    side = r4[..., 0, :, 0, :] + r4[..., 1, :, 1, :]
+def _block_basis(coords: np.ndarray, mid: int, terms: np.ndarray) -> np.ndarray:
+    # The (R, n, 4, 4) terms G_r, a copy of the caller's, rotated in place to
+    # W^H G_r W with W the eigenvectors of each state's joint matrix at point
+    # mid, one term at a time so that the temporary is one (n, 4, 4) array.
+    # Spectra and the partial traces over the ancilla stay as they are.
     w = np.linalg.eigh(_combine(coords, mid, mid + 1, terms)[0])[1]
-    return np.matmul(w.conj().swapaxes(-1, -2) @ terms, w, out=terms), side
+    for term in terms:
+        np.matmul(w.conj().swapaxes(-1, -2) @ term, w, out=term)
+    return terms
 
 
 def _chunk_mi(coords: np.ndarray, a: int, b: int, joint: np.ndarray, side: np.ndarray,
               s_a: np.ndarray) -> np.ndarray:
-    # MI (b - a, n) at points [a, b) from the (R, n, 4, 4) rotated joint terms,
-    # the (R, n, 2, 2) terms of rho_S and the states' S(rho_A) (n,).
+    # MI (b - a, n) at points [a, b) from the (R, n, 4, 4) joint terms, rotated
+    # or not, the (R, n, 2, 2) terms of rho_S and the states' S(rho_A) (n,).
     spectra = jacobi_eigvalsh4(_combine(coords, a, b, joint).reshape(-1, 4, 4))
     s_s = correlations.qubit_entropy(_combine(coords, a, b, side))
     return s_a + s_s - correlations.shannon(spectra.reshape(b - a, -1, 4))
@@ -380,27 +378,23 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     so the states are only evaluated at the ends of steps whose smallest Choi
     eigenvalue is <= 0 or that have no intermediate map. The states are
     grouped as in mi_series, and each thread scans its group in chunks of at
-    most CHUNK_TIMES times, folded into the per-state first rises as they are
-    computed: the scan holds O(chunk + N) memory for N states, not the
-    (points, N) series. A chunk runs only on the states of its group without
-    a rise so far, so a state leaves the stack after the chunk that holds its
-    first rise, and a group ends once every state in it has one.
+    most CHUNK_TIMES times (and at least two, as in mi_series), folded into
+    the per-state first rises as they are computed: the scan holds
+    O(chunk + N) memory for N states, not the (points, N) series. A chunk
+    runs only on the states of its group without a rise so far, so a state
+    leaves the stack after the chunk that holds its first rise, and a group
+    ends once every state in it has one.
 
-    Each evolved state is sum_r c_r(t) G_r: c(t) are the transfer entries of
-    `as_affine(t)` that are nonzero somewhere on the scanned points (1 and the
-    three lambdas for a Pauli channel), G_r the state under the matching row
-    of the superoperator basis. The scanned points are cut into blocks of
-    BASIS_TIMES from the first, whatever the chunks and the threads, and no
-    chunk crosses the end of a block. Per block
-    each state's G_r are rotated once into the eigenbasis of its joint matrix
-    at the block's middle point, so `jacobi_eigvalsh4` starts from matrices
-    near diagonal: on criterion 06's Haar states it takes at most 2 sweeps,
-    where the computational basis took 3 or 4. A chunk's joint matrices are
-    then one product of its c(t) rows with the rotated G_r, and its rho_S one
-    product with the partial traces of the G_r. `mi_series` keeps the
-    unrotated states: the rotation keeps the eigenvalues' absolute accuracy
-    but not the relative accuracy of the small ones of near-pure X states,
-    which `gadc_epsilon_scan` needs.
+    Each evolved state is sum_r c_r(t) G_r, as in mi_series (see
+    `_mi_setup`). The scanned points are cut into blocks of BASIS_TIMES from
+    the first, whatever the chunks and the threads, and no chunk crosses the
+    end of a block. Per block each state's G_r are rotated once into the
+    eigenbasis of its joint matrix at the block's middle point, so
+    `jacobi_eigvalsh4` starts from matrices near diagonal: on criterion 06's
+    Haar states it takes at most 2 sweeps, where the computational basis took
+    3 or 4. `mi_series` keeps the unrotated G_r: the rotation keeps the
+    eigenvalues' absolute accuracy but not the relative accuracy of the small
+    ones of near-pure X states, which `gadc_epsilon_scan` needs.
 
     SCAN_MARGIN is 1e-12 rather than the generic ONSET_MARGIN of
     scan_backflow, 1e-10: the earliest-onset states are nearly product states
@@ -408,7 +402,7 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     1e-10 threshold would systematically delay their detected onsets, while
     1e-12 still sits two decades above the arithmetic noise of the scan: the
     rotated MI was within 1.2e-15 of `mi_series` at the scanned points of 200
-    Haar states, and within 5.8e-15 over all of [0, 3] (the worst at the pure
+    Haar states, and within 7.8e-15 over all of [0, 3] (the worst at the pure
     t = 0).
     """
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
@@ -421,16 +415,19 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     points = np.union1d(steps, steps + 1)
     # starts[j]: (points[j], points[j + 1]) is a non-CP step.
     starts = np.isin(points, steps)
-    coords, basis, states0, s_a = _scan_setup(channel, vectors, grid[points])
+    coords, terms, traces, s_a = _mi_setup(channel, vectors, grid[points])
     first = np.full(count, points.size)  # each state's first rising step
 
     def fold(lo, hi):
         # Each chunk runs on the group's states without a rise so far, after their
         # values at the previous chunk's last point, so the seam's step is seen.
-        chunk = min(CHUNK_TIMES, max(1, CHUNK_MATRICES // (hi - lo)))
+        chunk = max(2, min(CHUNK_TIMES, CHUNK_MATRICES // (hi - lo)))
         live = np.arange(lo, hi)
+        # take and compress copy in C order, so that _combine reshapes views;
+        # an index on axis 1 would put the states axis first in memory.
         for block_lo, block_hi in chunk_indices(points.size, BASIS_TIMES):
-            joint, side = _block_basis(coords, (block_lo + block_hi) // 2, basis, states0[live])
+            joint = _block_basis(coords, (block_lo + block_hi) // 2, terms.take(live, axis=1))
+            side = traces.take(live, axis=1)
             for a, b in chunk_indices(block_hi - block_lo, chunk):
                 a, b = a + block_lo, b + block_lo
                 mi = _chunk_mi(coords, a, b, joint, side, s_a[live])
@@ -445,7 +442,7 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
                         live, mi = live[~hit], mi[:, ~hit]
                         if not live.size:
                             return
-                        joint, side = joint[:, ~hit], side[:, ~hit]
+                        joint, side = joint.compress(~hit, axis=1), side.compress(~hit, axis=1)
                 carry = mi[-1].copy()  # a view would keep the whole chunk alive
             del joint, side  # before the next block's are built
 

@@ -270,6 +270,41 @@ def test_probs_over_an_array_raises_on_any_negative_weight():
             at(np.array([0.0, 1.9, 1.966, 20.0]))
 
 
+@pytest.mark.parametrize("channel", [
+    quasi_eternal(0.4, 1.0), dephasing(TabulatedRate(((0.0, 1.0), (5.0, -0.3)))), GadcChannel(),
+    channel_from_json({"family": "amp_damp", "p": 0.3, "G": [[0, 1], [2, 0.4]]}),
+], ids=["quasi_eternal", "tabulated dephasing", "gadc", "amp_damp"])
+def test_as_affine_rejects_nan_times(channel):
+    # A NaN time gave a NaN map: NaN < -PROB_SLACK and a NaN G passed.
+    for t in (np.nan, np.array([np.nan]), np.array([0.5, np.nan, 1.0])):
+        with pytest.raises(UnphysicalError):
+            channel.as_affine(t)
+    channel.as_affine(np.array([0.0, 0.5, 1.0]))
+
+
+def test_rate_channel_names_the_first_nan_or_negative_weight():
+    # t0 = 0.5 lies below the physicality threshold: p_z < 0 at t = 20. The
+    # message names the first failing time, a NaN one included.
+    ch = quasi_eternal(0.4, 0.5)
+    with pytest.raises(UnphysicalError, match=r"mixing weight nan < 0 at t = nan:"):
+        ch.as_affine(np.nan)
+    with pytest.raises(UnphysicalError, match=r"nan < 0 at t = nan:"):
+        ch.as_affine(np.array([0.0, np.nan, 20.0]))
+    with pytest.raises(UnphysicalError, match=r"< 0 at t = 20\.0:"):
+        ch.as_affine(np.array([0.0, 20.0, np.nan]))
+
+
+def test_gadc_rejects_negative_times():
+    # Before t = 0, G = exp(-t/2) exceeds 1: at t = -1 the lambdas were
+    # (1.65, 1.65, 2.72), not a CPTP map.
+    gadc = GadcChannel()
+    for t in (-1.0, -1e-3, np.array([-1.0]), np.array([0.0, 0.2, -1e-3])):
+        with pytest.raises(UnphysicalError, match="G must lie in"):
+            gadc.as_affine(t)
+    assert gadc.as_affine(-0.0).lambdas == (1.0, 1.0, 1.0)
+    assert gadc.as_affine(np.array([])).transfer.shape == (0, 7)
+
+
 def test_gadc_kraus_identity_at_zero():
     k = gadc_kraus(0.0)
     np.testing.assert_allclose(k.kraus[0], np.eye(2), atol=1e-14)

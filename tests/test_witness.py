@@ -10,7 +10,6 @@ from helpers import (NOT_STATES, bell_weights, dense_min_choi_eig, near_product_
                      random_density, trace_distance)
 from nmflow import correlations, qmat, witness
 from nmflow.channels import (
-    AffineQubitMap,
     ConstantRate,
     GadcChannel,
     RateChannel,
@@ -91,6 +90,12 @@ def unital_witness_state(phi_vec, p: float) -> DensityState:
     return DensityState(full, (2, 2))
 
 
+def force_complex_path(monkeypatch):
+    # A 1e-300j part in the superoperator rows moves no value but makes the
+    # MI scans and Trajectory take their complex path.
+    monkeypatch.setattr(witness, "_PAULI_SUPEROP", witness._PAULI_SUPEROP + 1e-300j)
+
+
 def mi_measure(m, dims):
     return mutual_information(m, dims)
 
@@ -167,9 +172,7 @@ PHI_PLUS_CHANNELS = {
 def test_phi_plus_closed_forms_match_dense(monkeypatch, name, complex_path):
     channel = PHI_PLUS_CHANNELS[name]
     if complex_path:
-        # A 1e-300j part moves no value but makes mi_series take its complex path.
-        superop = AffineQubitMap.superop.fget
-        monkeypatch.setattr(AffineQubitMap, "superop", property(lambda m: superop(m) + 1e-300j))
+        force_complex_path(monkeypatch)
     real_calls = []
     real = witness._real_representatives
     monkeypatch.setattr(witness, "_real_representatives",
@@ -680,8 +683,7 @@ def test_min_t_nm_scan_matches_the_unrotated_series_on_fragile_states(monkeypatc
     # chunk setting and thread count.
     channel, grid, vectors = FRAGILE_SCANS[name]
     if name == "complex path":
-        superop = AffineQubitMap.superop.fget
-        monkeypatch.setattr(AffineQubitMap, "superop", property(lambda m: superop(m) + 1e-300j))
+        force_complex_path(monkeypatch)
     monkeypatch.setattr(witness, "sample_pure_vectors", lambda dims, count, seed: vectors)
     idx = _first_onset_indices(witness.mi_series(channel, vectors, grid), witness.SCAN_MARGIN)
     expected = np.where(np.isnan(idx), np.nan, grid[np.nan_to_num(idx).astype(int)])
@@ -738,10 +740,9 @@ def test_min_t_nm_scan_cp_channels(monkeypatch):
                             calls.update([name]) or f(*a))
     onset, state, onsets = min_t_nm_scan(dephasing(0.3), 50, grid, seed=4)
     assert np.isnan(onset) and state is None and np.all(np.isnan(onsets))
-    assert calls == {"_apply_superops": 3, "_block_basis": 3, "_chunk_mi": 3}
+    assert calls == {"_apply_superops": 1, "_block_basis": 3, "_chunk_mi": 3}
     # Depolarizing: every step strictly CP, so no state is evaluated at all.
     monkeypatch.setattr(witness, "_apply_superops", lambda *a: pytest.fail("a state evolved"))
-    monkeypatch.setattr(witness, "_two_qubit_mi", lambda *a: pytest.fail("a state evaluated"))
     monkeypatch.setattr(witness, "_block_basis", lambda *a: pytest.fail("a basis built"))
     monkeypatch.setattr(witness, "_chunk_mi", lambda *a: pytest.fail("a state evaluated"))
     onset, state, onsets = min_t_nm_scan(depolarizing(0.3), 50, grid, seed=4)
@@ -790,9 +791,9 @@ def test_mi_series_takes_the_ancilla_entropy_once_per_state(monkeypatch):
     # 1 (x) Lambda_t leaves rho_A as it is: every chunk gets the S(rho_A) of
     # its states from the initial vectors, the same bits in every chunk.
     seen = []
-    mi = witness._two_qubit_mi
-    monkeypatch.setattr(witness, "_two_qubit_mi",
-                        lambda states, s_a: seen.append(s_a) or mi(states, s_a))
+    mi = witness._chunk_mi
+    monkeypatch.setattr(witness, "_chunk_mi", lambda coords, a, b, joint, side, s_a:
+                        seen.append(s_a) or mi(coords, a, b, joint, side, s_a))
     monkeypatch.setattr(witness, "CHUNK_MATRICES", 7 * 30)
     vectors = sample_pure_vectors((2, 2), 30, seed=16)
     grid = np.linspace(0.0, 3.0, 40)
@@ -869,6 +870,42 @@ def test_scans_return_empty_series_for_no_times_or_no_states(channel):
 
 
 @pytest.mark.parametrize("complex_path", [False, True])
+@pytest.mark.parametrize("times", [[], [0.5], [1.3, 0.5]], ids=["0", "1", "2"])
+@pytest.mark.parametrize("channel", [
+    quasi_eternal(0.4, 1.0), GadcChannel(),
+    RateChannel(ConstantRate(0.1), ConstantRate(0.4), ConstantRate(0.25)),
+], ids=["quasi_eternal", "gadc", "anisotropic"])
+def test_short_grids_match_the_dense_reference(monkeypatch, channel, times, complex_path):
+    # A one-time product borrows a neighbouring row, which a one-point grid
+    # does not have, and a zero-point grid has no row at all. The states and
+    # the MI match one apply_map per time, and a time's values are the bits
+    # it gets inside a longer grid.
+    if complex_path:
+        force_complex_path(monkeypatch)
+    times = np.array(times)
+    vectors = sample_pure_vectors((2, 2), 4, seed=70)
+    series = witness.mi_series(channel, vectors, times, workers=1)
+    assert series.shape == (times.size, 4)
+    longer = np.array([0.2, 0.5, 0.9, 1.3])
+    np.testing.assert_array_equal(series, witness.mi_series(channel, vectors, longer, workers=1)[
+        np.searchsorted(longer, times)])
+    for v, column in zip(vectors, series.T):
+        rho = np.outer(v, v.conj())
+        dense = np.array([apply_map(channel.as_affine(float(t)), rho, (2, 2)) for t in times])
+        expected = [mutual_information(m, (2, 2)) for m in dense]
+        np.testing.assert_allclose(column, expected, rtol=0, atol=1e-14)
+        traj = Trajectory(rho, channel, (2, 2), longer)
+        stacks = []
+        mi = traj.measure_series(lambda m, dims: stacks.append(m) or mutual_information(m, dims),
+                                 times)
+        assert stacks[0].shape == (times.size, 4, 4)
+        np.testing.assert_allclose(stacks[0], dense.reshape(-1, 4, 4), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(mi, expected, rtol=0, atol=1e-14)
+        traj.measure_series(lambda m, dims: stacks.append(m) or np.zeros(len(m)), longer)
+        np.testing.assert_array_equal(stacks[0], stacks[1][np.searchsorted(longer, times)])
+
+
+@pytest.mark.parametrize("complex_path", [False, True])
 @pytest.mark.parametrize("channel, grid", [
     (quasi_eternal(0.4, 1.0), np.arange(0.0, 3.0, 0.01)),
     (GadcChannel(), np.arange(0.0, 0.6, 2e-3)),
@@ -877,11 +914,10 @@ def test_mi_kernel_gives_a_state_the_same_bits_in_any_stack(monkeypatch, channel
                                                              complex_path):
     # mi_series cuts its states into a group per thread and its times into
     # chunks, so its series holds only if a state's values do not depend on
-    # the states that share its stack: every subset gives exactly the full
-    # stack's columns, chunk by chunk.
+    # the states that share its stack: every subset gets exactly the full
+    # stack's terms, and gives exactly its columns, chunk by chunk.
     if complex_path:
-        superop = AffineQubitMap.superop.fget
-        monkeypatch.setattr(AffineQubitMap, "superop", property(lambda m: superop(m) + 1e-300j))
+        force_complex_path(monkeypatch)
     real_calls = []
     real = witness._real_representatives
     monkeypatch.setattr(witness, "_real_representatives",
@@ -889,7 +925,7 @@ def test_mi_kernel_gives_a_state_the_same_bits_in_any_stack(monkeypatch, channel
     vectors = sample_pure_vectors((2, 2), 200, seed=12)
     full = witness.mi_series(channel, vectors, grid, workers=1)
     assert bool(real_calls) != complex_path
-    _, superops, states0, s_a = witness._mi_setup(channel, vectors, grid)
+    coords, joint, side, s_a = witness._mi_setup(channel, vectors, grid)
     rng = np.random.default_rng(13)
     # Chunks of CHUNK_TIMES times, or fewer when the 200 states would exceed
     # CHUNK_MATRICES.
@@ -898,9 +934,12 @@ def test_mi_kernel_gives_a_state_the_same_bits_in_any_stack(monkeypatch, channel
     assert len(bounds) >= 3
     for size in (1, 2, 5, 190):
         cols = np.sort(rng.choice(200, size, replace=False))
+        sub = witness._mi_setup(channel, vectors[cols], grid)
+        for got, whole in zip(sub, (coords, joint[:, cols], side[:, cols], s_a[cols])):
+            assert np.array_equal(got, whole)
         for lo, hi in bounds:
-            stack = witness._apply_superops(superops[lo:hi], states0[cols], (2, 2), 1)
-            assert np.array_equal(witness._two_qubit_mi(stack, s_a[cols]), full[lo:hi, cols])
+            got = witness._chunk_mi(coords, lo, hi, sub[1], sub[2], sub[3])
+            assert np.array_equal(got, full[lo:hi, cols])
 
 
 @pytest.mark.parametrize("complex_path", [False, True])
@@ -916,11 +955,10 @@ def test_scan_blocks_give_a_state_the_same_bits_in_any_stack_and_chunk(monkeypat
     # and columns of the whole block, one-point chunks included (those borrow
     # a neighbouring row, the last point's from the left).
     if complex_path:
-        superop = AffineQubitMap.superop.fget
-        monkeypatch.setattr(AffineQubitMap, "superop", property(lambda m: superop(m) + 1e-300j))
+        force_complex_path(monkeypatch)
     vectors = sample_pure_vectors((2, 2), 200, seed=12)
-    coords, basis, states0, s_a = witness._scan_setup(channel, vectors, grid)
-    assert np.iscomplexobj(basis) == complex_path
+    coords, terms, traces, s_a = witness._mi_setup(channel, vectors, grid)
+    assert np.iscomplexobj(terms) == complex_path
     # 1, the three lambdas and, for GADC, the z translation.
     assert coords.shape == (grid.size, 5 if isinstance(channel, GadcChannel) else 4)
     rng = np.random.default_rng(13)
@@ -928,12 +966,15 @@ def test_scan_blocks_give_a_state_the_same_bits_in_any_stack_and_chunk(monkeypat
     assert len(blocks) >= 3 and blocks[-1][1] == grid.size
     for lo, hi in blocks:
         mid = (lo + hi) // 2
-        joint, side = witness._block_basis(coords, mid, basis, states0)
-        full = witness._chunk_mi(coords, lo, hi, joint, side, s_a)
+        joint = witness._block_basis(coords, mid, terms.copy())
+        full = witness._chunk_mi(coords, lo, hi, joint, traces, s_a)
         for size in (1, 2, 5, 190):
             cols = np.sort(rng.choice(200, size, replace=False))
-            sub, sub_side = witness._block_basis(coords, mid, basis, states0[cols])
-            assert np.array_equal(sub, joint[:, cols]) and np.array_equal(sub_side, side[:, cols])
+            _, sub_terms, sub_side, _ = witness._mi_setup(channel, vectors[cols], grid)
+            assert np.array_equal(sub_terms, terms[:, cols])
+            assert np.array_equal(sub_side, traces[:, cols])
+            sub = witness._block_basis(coords, mid, sub_terms)
+            assert np.array_equal(sub, joint[:, cols])
             for a, b in ((lo, lo + 1), (lo + 1, lo + 3), (mid, mid + 1), (lo + 3, hi - 1),
                          (hi - 1, hi)):
                 got = witness._chunk_mi(coords, a, b, sub, sub_side, s_a[cols])
@@ -957,8 +998,8 @@ def _scan_groups(monkeypatch, channel, count, grid, seed):
 
     monkeypatch.setattr(witness, "_mi_setup",
                         lambda *args: seen.append((args[2], setup(*args))) or seen[-1][1])
-    monkeypatch.setattr(witness, "_block_basis", lambda coords, mid, rows, states: log(
-        "basis", mid, len(states), None) or basis(coords, mid, rows, states))
+    monkeypatch.setattr(witness, "_block_basis", lambda coords, mid, terms: log(
+        "basis", mid, terms.shape[1], None) or basis(coords, mid, terms))
     monkeypatch.setattr(witness, "_chunk_mi", lambda coords, a, b, joint, side, s_a: log(
         "chunk", a, b, s_a) or chunk_mi(coords, a, b, joint, side, s_a))
     onsets = min_t_nm_scan(channel, count, grid, seed=seed)[2]
@@ -1017,8 +1058,8 @@ def test_min_t_nm_scan_drops_found_states_from_the_stack(monkeypatch, threads, c
         assert len(group) == onset_chunk.max() + 1
         for c, (_, _, states) in enumerate(group):
             assert states == members[onset_chunk >= c].tolist()
-        chunk = min(chunk_times, witness.CHUNK_MATRICES // len(members))
-        # Chunks of `chunk` points, cut short only at the end of a block.
+        chunk = max(2, min(chunk_times, witness.CHUNK_MATRICES // len(members)))
+        # Chunks of `chunk` points (at least two), cut short only at the end of a block.
         bounds = [(lo + a, lo + b) for lo, hi in chunk_indices(points, witness.BASIS_TIMES)
                   for a, b in chunk_indices(hi - lo, chunk)]
         assert [(lo, lo + size) for lo, size, _ in group] == bounds[:len(group)]
@@ -1232,8 +1273,8 @@ def test_mi_series_caps_matrices_per_chunk(monkeypatch):
     # The stub records each chunk's (times, states) shape in place of its MI.
     # CHUNK_TIMES caps only min_t_nm_scan's chunks: 100 states take 163 times.
     sizes = []
-    monkeypatch.setattr(witness, "_two_qubit_mi", lambda states, s_a: sizes.append(
-        states.shape[:2]) or np.zeros(states.shape[:2]))
+    monkeypatch.setattr(witness, "_chunk_mi", lambda coords, a, b, joint, side, s_a: sizes.append(
+        (b - a, len(s_a))) or np.zeros((b - a, len(s_a))))
     grid = np.linspace(0.0, 3.0, 301)
     channel = quasi_eternal(0.4, 1.0)
     for count, per_chunk in ((3000, witness.CHUNK_MATRICES // 3000), (1000, 16), (256, 64),
@@ -1244,6 +1285,12 @@ def test_mi_series_caps_matrices_per_chunk(monkeypatch):
         assert all(n == count and t * n <= witness.CHUNK_MATRICES for t, n in sizes)
         assert max(t for t, _ in sizes) == per_chunk
     assert witness.CHUNK_MATRICES // 3000 == 5
+    # More states than CHUNK_MATRICES / 2: chunks of two times, the last one
+    # of one, where a one-time chunk would compute a second row and drop it.
+    monkeypatch.setattr(witness, "CHUNK_MATRICES", 2 * 256 - 1)
+    sizes.clear()
+    witness.mi_series(channel, sample_pure_vectors((2, 2), 256, seed=8), grid, workers=1)
+    assert sizes == [(2, 256)] * 150 + [(1, 256)]
 
 
 def _increase_intervals_loop(grid, series, margin):
