@@ -32,7 +32,13 @@ def qubit_entropy(m: np.ndarray):
     """Entropy of a 2x2 density matrix or a (..., 2, 2) stack in closed form: the
     larger eigenvalue (tr + r)/2 from the Bloch length r, the smaller det/larger,
     which keeps its relative accuracy where tr - r cancels (near-pure states)."""
-    a, d, b2 = m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 0, 1]) ** 2
+    return _qubit_entropy_rows(m[..., 0, 0], m[..., 1, 1], m[..., 0, 1])
+
+
+def _qubit_entropy_rows(a, d, b):
+    # qubit_entropy of the matrices [[a, b], [conj(b), d]], from arrays of
+    # their entries; reads the real parts of a and d.
+    a, d, b2 = a.real, d.real, np.abs(b) ** 2
     big = (a + d + np.sqrt((a - d) ** 2 + 4.0 * b2)) / 2.0
     # Two one-weight terms: stacking the pair costs a copy.
     return shannon(big[..., None]) + shannon(((a * d - b2) / big)[..., None])

@@ -141,21 +141,30 @@ def _jacobi_plan():
 
 
 _JACOBI_UPPER, _JACOBI_PLAN = _jacobi_plan()
+# The (row, column) of the ten entries the kernel reads: diagonal, then upper.
+_JACOBI_ENTRIES = tuple((i, i) for i in range(4)) + tuple(_JACOBI_UPPER)
 
 
 def jacobi_eigvalsh4(m) -> np.ndarray:
-    """Eigenvalues of each matrix of an (M, 4, 4) Hermitian stack, real or
-    complex, by cyclic Jacobi: an (M, 4) array, in no fixed order. Reads the
-    upper triangle and the real part of the diagonal.
+    """Eigenvalues of each matrix of a Hermitian stack, real or complex, by
+    cyclic Jacobi: an (M, 4) array, in no fixed order, the transposed view of
+    a C-ordered (4, M) one, so that a sum over the four eigenvalues of every
+    matrix runs over rows. The stack is an (M, 4, 4) array, or the (10, M)
+    array of its entry rows: a_00, a_11, a_22, a_33, then a_01, a_02, a_03,
+    a_12, a_13, a_23, the layout in which the MI scans' products come. Reads
+    the upper triangle and the real part of the diagonal, and writes nothing
+    of its input.
 
     A sweep is three rounds of two disjoint pairs, (0,1)(2,3), (0,2)(1,3),
     (0,3)(1,2), on the diagonal and the six upper entries, each held as one
     array over the stack. Each rotation carries the phase w = a_pq / |a_pq|
     (the sign of a real entry), so both dtypes run the same code, and sets
     its entry to exactly 0: exact zeros stay zero, and an X state is diagonal
-    after one sweep. Before each sweep a matrix leaves the stack once
-    max |a_pq| <= eps max |a_ii|, so its eigenvalues depend on that matrix
-    alone, not on the stack around it.
+    after one sweep. A matrix's eigenvalues are its diagonal before the first
+    sweep at which max |a_pq| <= eps max |a_ii|, so they depend on that
+    matrix alone, not on the stack around it: further rotations of a matrix
+    that has left touch no other one, and the stack drops them once half of
+    it has left.
 
     The rotation's tangent, sign(h) |a_pq| / (|h| + sqrt(h^2 + |a_pq|^2)) with
     h = (a_qq - a_pp) / 2, has no quotient that overflows at a tiny a_pq;
@@ -164,47 +173,73 @@ def jacobi_eigvalsh4(m) -> np.ndarray:
     entry is, raises ConvergenceError.
     """
     m = np.asarray(m)
-    if m.ndim != 3 or m.shape[1:] != (4, 4):
-        raise DimMismatchError(f"need an (M, 4, 4) stack, got shape {m.shape}")
-    diag = [m[:, i, i].real.copy() for i in range(4)]
-    upper = [m[:, p, q].copy() for p, q in _JACOBI_UPPER]
-    out = np.empty((m.shape[0], 4))
-    todo = np.arange(m.shape[0])
+    if m.ndim == 3 and m.shape[1:] == (4, 4):
+        rows = [m[:, i, j] for i, j in _JACOBI_ENTRIES]
+    elif m.ndim == 2 and len(m) == 10:
+        rows = list(m)
+    else:
+        raise DimMismatchError(f"need an (M, 4, 4) stack or its (10, M) rows, got shape {m.shape}")
+    # The sweeps update their own copies in place, each row an array of its
+    # own: on rows of one (10, M) array they ran 3% slower.
+    diag = [row.real.copy() for row in rows[:4]]
+    upper = [row.copy() for row in rows[4:]]
+    out = np.empty((4, len(diag[0])))
+    todo = np.arange(out.shape[1])  # the matrices in the stack
+    pending = np.ones(todo.size, dtype=bool)  # those still in the stack whose eigenvalues are due
+    conj = np.iscomplexobj(upper[0])
+    real = [np.empty(todo.size) for _ in range(6)]
+    work = [np.empty(todo.size, upper[0].dtype) for _ in range(6 if conj else 3)]
     sweeps = 0
     while True:
-        off, bound = np.abs(upper[0]), np.abs(diag[0])
+        mag, h, den, t, c, tmp = (row[:todo.size] for row in real)
+        off, bound = np.abs(upper[0], out=den), np.abs(diag[0], out=h)
         for entry in upper[1:]:
-            np.maximum(off, np.abs(entry), out=off)
+            np.maximum(off, np.abs(entry, out=tmp), out=off)
         for entry in diag[1:]:
-            np.maximum(bound, np.abs(entry), out=bound)
+            np.maximum(bound, np.abs(entry, out=tmp), out=bound)
         bound *= EPS_MACHINE
-        live = ~(off <= bound)  # NaN stays live
-        if not live.all():
-            done = ~live
-            out[todo[done]] = np.stack([entry[done] for entry in diag], axis=-1)
-            todo, off = todo[live], off[live]
-            diag = [entry[live] for entry in diag]
-            upper = [entry[live] for entry in upper]
-        if not todo.size:
-            return out
+        stay = ~(off <= bound)  # NaN stays
+        left = pending & ~stay
+        if left.all():  # the whole stack leaves, with no matrix left before
+            # With no matrix gone from the stack, a slice: it copies ~7x faster.
+            at = todo if todo.size < out.shape[1] else slice(None)
+            for row, entry in zip(out, diag):
+                row[at] = entry
+            return out.T
+        if left.any():
+            at = todo[left]
+            for row, entry in zip(out, diag):
+                row[at] = entry[left]
+            pending &= stay
+            if not pending.any():
+                return out.T
+            # The stack keeps a matrix that has left, whose further rotations
+            # touch no other, until half of the stack has left.
+            if 2 * np.count_nonzero(pending) <= pending.size:
+                todo, off = todo[pending], off[pending]
+                diag = [entry[pending] for entry in diag]
+                upper = [entry[pending] for entry in upper]
+                pending = pending[pending]
+                mag, h, den, t, c, tmp = (row[:todo.size] for row in real)
         if sweeps == JACOBI_MAX_SWEEPS:
-            raise ConvergenceError(f"{todo.size} matrices still off-diagonal after {sweeps} "
-                                   f"Jacobi sweeps (largest residual {np.max(off):.3e})")
+            raise ConvergenceError(f"{np.count_nonzero(pending)} matrices still off-diagonal "
+                                   f"after {sweeps} Jacobi sweeps (largest residual "
+                                   f"{np.max(off[pending]):.3e})")
         sweeps += 1
-        zero = np.zeros_like(upper[0])
+        sw, ay, bx, *conjugates = (row[:todo.size] for row in work)
         for p, q, k, moves in _JACOBI_PLAN:
             a = upper[k]
-            mag = np.abs(a)
-            h = diag[q] - diag[p]
+            np.abs(a, out=mag)
+            np.subtract(diag[q], diag[p], out=h)
             h *= 0.5
-            den = h * h
-            den += mag * mag
+            np.multiply(h, h, out=den)
+            den += np.multiply(mag, mag, out=tmp)
             np.sqrt(den, out=den)
-            den += np.abs(h)
+            den += np.abs(h, out=tmp)
             np.maximum(den, TINY, out=den)  # 0 only where a_pq = 0, which gives t = 0
-            t = mag / den
+            np.divide(mag, den, out=t)
             np.copysign(t, h, out=t)
-            c = t * t
+            np.multiply(t, t, out=c)
             c += 1.0
             np.sqrt(c, out=c)
             np.divide(1.0, c, out=c)
@@ -212,10 +247,10 @@ def jacobi_eigvalsh4(m) -> np.ndarray:
             diag[p] -= mag
             diag[q] += mag
             t *= c  # the sine
-            sw = np.sign(a)
+            np.sign(a, out=sw)
             sw *= t
-            scw = sw.conj()
-            upper[k] = zero
+            scw = np.conjugate(sw, out=conjugates[0]) if conj else sw
+            a.fill(0.0)
             # Column p and q of each other row r: x' = c x - s conj(w) y and
             # y' = s w x + c y, conjugated where the entry is stored as A[p, r].
             for i, j, where in moves:
@@ -225,9 +260,13 @@ def jacobi_eigvalsh4(m) -> np.ndarray:
                 elif where == 1:
                     al, be, xc, yc = sw, scw, x, y
                 else:
-                    al, be, xc, yc = sw, sw, x.conj(), y.conj()
-                new_x = c * x
-                new_x -= al * yc
-                new_y = c * y
-                new_y += be * xc
-                upper[i], upper[j] = new_x, new_y
+                    al, be, xc, yc = sw, sw, x, y
+                    if conj:
+                        xc, yc = (np.conjugate(x, out=conjugates[1]),
+                                  np.conjugate(y, out=conjugates[2]))
+                np.multiply(al, yc, out=ay)
+                np.multiply(be, xc, out=bx)
+                np.multiply(c, x, out=x)
+                x -= ay
+                np.multiply(c, y, out=y)
+                y += bx

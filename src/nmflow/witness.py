@@ -33,7 +33,8 @@ from .errors import (
     PrecisionLossWarning,
 )
 from .numutil import bisect_root, chunk_indices, parallel_map, thread_count
-from .qmat import EPS_MACHINE, PAULIS, TRACE_TOL, DensityState, jacobi_eigvalsh4
+from .qmat import (_JACOBI_ENTRIES, EPS_MACHINE, PAULIS, TRACE_TOL, DensityState,
+                   jacobi_eigvalsh4)
 
 ONSET_MARGIN = 1e-10  # rise per grid step that counts as an increase
 SCAN_MARGIN = 1e-12  # min_t_nm_scan's increase margin (see there)
@@ -45,6 +46,10 @@ EB_CHUNK = 64  # points in find_t_eb's first coarse-scan chunk
 CHUNK_TIMES = 128  # times per chunk of min_t_nm_scan's fold
 CHUNK_MATRICES = 2 ** 14  # matrices per chunk of a group's MI scan: states times times
 BASIS_TIMES = 128  # points per block of min_t_nm_scan's per-state eigenbasis
+# OpenBLAS runs a gemm of m n k at most this on the calling thread (its
+# SMP_THRESHOLD_MIN times GEMM_MULTITHREAD_THRESHOLD, 65536 x 4).
+_BLAS_ONE_THREAD = 2 ** 18
+_ENTRY_ROWS, _ENTRY_COLS = (np.array(index) for index in zip(*_JACOBI_ENTRIES))
 
 
 def _check_positive(**values: float) -> None:
@@ -102,7 +107,8 @@ class Trajectory:
             raise DimMismatchError(f"a qubit map cannot act on the last subsystem of {self.dims}")
         coords, rows = _transfer_rows(self.channel.as_affine(times))
         terms = _apply_superops(rows, self.initial[None], self.dims, len(self.dims) - 1)[:, 0]
-        return np.asarray(measure(_combine(coords, 0, len(coords), terms), self.dims),
+        states = _gemm(coords, terms.reshape(len(terms), prod(terms.shape[1:])))
+        return np.asarray(measure(states.reshape((len(coords),) + terms.shape[1:]), self.dims),
                           dtype=float)
 
 
@@ -251,25 +257,55 @@ def _transfer_rows(maps):
     return coords[:, rows], _PAULI_SUPEROP[rows].reshape(-1, 2, 2, 2, 2)
 
 
+def _gemm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x @ y for a 2-D x and a 2-D y of at least two columns, as gemm on row
+    # pieces of x of at least two rows and, where they can, of at most
+    # _BLAS_ONE_THREAD m n k, so that OpenBLAS wakes no thread of its own
+    # against the scans' threads. A one-row product would run as gemv, whose
+    # bits differ from gemm's, so a last piece of one row takes its left
+    # neighbour again and a one-row x is doubled: every value comes from
+    # gemm, the same bits in any piece.
+    if len(x) == 1:
+        return _gemm(x[[0, 0]], y)[:1]
+    out = np.empty((len(x), y.shape[1]), np.result_type(x, y))
+    for i, j in chunk_indices(len(x), max(2, _BLAS_ONE_THREAD // max(y.size, 1))):
+        i = min(i, max(j - 2, 0))
+        np.matmul(x[i:j], y, out=out[i:j])
+    return out
+
+
 def _combine(coords: np.ndarray, a: int, b: int, terms: np.ndarray) -> np.ndarray:
-    # sum_r coords[t, r] terms[r] for the rows t in [a, b) of the (P, R)
-    # coords, as one (b - a, R) x (R, ...) BLAS product in the layout of terms.
-    # A one-row product would run as gemv, whose bits differ from gemm's, so
-    # it borrows a neighbouring row, or a copy of itself when P = 1: every
-    # value then comes from gemm, the same bits in any chunk and any stack.
+    # sum_r terms[..., r] coords[t, r] for the rows t in [a, b) of the (P, R)
+    # coords: the (..., b - a) array of every entry of the (..., R) terms at
+    # those times, one (entries, R) x (R, times) product. A one-column product
+    # would run as gemv, so it borrows a neighbouring row of coords, or a copy
+    # of itself when P = 1: the same bits in any chunk and any stack.
     lo = min(a, max(len(coords) - 2, 0))
-    rows = coords[lo:max(b, lo + 2)] if len(coords) != 1 else coords[[0, 0]]
-    out = rows @ terms.reshape(len(terms), prod(terms.shape[1:]))
-    return out[a - lo:b - lo].reshape((b - a,) + terms.shape[1:])
+    cols = (coords[lo:max(b, lo + 2)] if len(coords) != 1 else coords[[0, 0]]).T
+    out = _gemm(terms.reshape(prod(terms.shape[:-1]), terms.shape[-1]), cols)
+    return out.reshape(terms.shape[:-1] + (-1,))[..., a - lo:b - lo]
+
+
+def _hermitian(entries: np.ndarray) -> np.ndarray:
+    # The (..., 4, 4) Hermitian matrices whose entries _JACOBI_ENTRIES are the
+    # ten rows of entries (10, ...).
+    m = np.empty(entries.shape[1:] + (4, 4), entries.dtype)
+    m[..., _ENTRY_ROWS, _ENTRY_COLS] = np.moveaxis(entries, 0, -1)
+    m[..., _ENTRY_COLS[4:], _ENTRY_ROWS[4:]] = np.moveaxis(entries[4:], 0, -1).conj()
+    return m
 
 
 def _mi_setup(channel, vectors: np.ndarray, grid: np.ndarray):
     """The checked input of the MI scans, from one `as_affine(grid)` call: the
-    transfer entries c(t) and rows K_r of `_transfer_rows`, the (R, N, 4, 4)
-    images G_r = (1 (x) K_r)(rho) of the initial states and their
-    (R, N, 2, 2) partial traces over the ancilla, and the states' S(rho_A).
-    Each evolved state is sum_r c_r(t) G_r, and its rho_S the same sum of the
-    partial traces. When every map on the grid commutes with rotations about
+    transfer entries c(t) and rows K_r of `_transfer_rows`, the images
+    G_r = (1 (x) K_r)(rho) of the initial states and their partial traces over
+    the ancilla, and the states' S(rho_A). Each evolved state is
+    sum_r c_r(t) G_r, and its rho_S the same sum of the partial traces. The
+    G_r are exactly Hermitian, and are laid out entry-major as the kernel
+    reads them: (10, N, R), the entries `qmat._JACOBI_ENTRIES` of every state
+    and term, so one product with the c(t) gives `qmat.jacobi_eigvalsh4` its
+    rows. The partial traces are (3, N, R): their (0, 0), (1, 1) and (0, 1)
+    entries. When every map on the grid commutes with rotations about
     z (lambda_x == lambda_y, no x or y translation: every family of the
     package) and the rows are real, each psi becomes the real
     (U_A (x) R_z) psi, which has the same I(t), and the G_r are real.
@@ -290,19 +326,19 @@ def _mi_setup(channel, vectors: np.ndarray, grid: np.ndarray):
     if about_z and not rows.imag.any():
         rows, vectors = rows.real, _real_representatives(vectors)
     states0 = np.einsum("na,nb->nab", vectors, vectors.conj())
-    joint = _apply_superops(rows, states0, (2, 2), 1)
-    g4 = joint.reshape(*joint.shape[:2], 2, 2, 2, 2)
+    joint = _apply_superops(rows, states0, (2, 2), 1)[..., _ENTRY_ROWS, _ENTRY_COLS]
+    joint = np.ascontiguousarray(joint.transpose(2, 1, 0))
+    at = dict(zip(_JACOBI_ENTRIES, joint))
+    side = np.stack((at[0, 0] + at[2, 2], at[1, 1] + at[3, 3], at[0, 1] + at[2, 3]))
     r4 = states0.reshape(-1, 2, 2, 2, 2)
-    return (coords, joint, g4[..., 0, :, 0, :] + g4[..., 1, :, 1, :],
-            correlations.qubit_entropy(r4[:, :, 0, :, 0] + r4[:, :, 1, :, 1]))
+    return coords, joint, side, correlations.qubit_entropy(r4[:, :, 0, :, 0] + r4[:, :, 1, :, 1])
 
 
-def _in_groups(run: Callable[[int, int], None], n: int, workers: int | None) -> None:
-    # run(lo, hi) on at most `workers` (default thread_count()) contiguous
-    # groups [lo, hi) covering range(n), each group on a thread of its own.
+def _groups(n: int, workers: int | None) -> list[tuple[int, int]]:
+    # At most `workers` (default thread_count()) contiguous groups [lo, hi)
+    # covering range(n), for a thread each.
     workers = thread_count() if workers is None else max(1, workers)
-    groups = list(chunk_indices(n, max(1, -(-n // workers))))
-    parallel_map(lambda group: run(*group), groups, len(groups))
+    return list(chunk_indices(n, max(1, -(-n // workers))))
 
 
 def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
@@ -323,13 +359,16 @@ def mi_series(channel, vectors: np.ndarray, grid: np.ndarray,
     coords, joint, side, s_a = _mi_setup(channel, vectors, grid)
     out = np.empty((len(coords), len(s_a)))
 
-    def run(lo, hi):
+    def run(group):
+        lo, hi = group
+        # One copy per group of several, so that every product reads its rows in place.
+        terms, traces = (np.ascontiguousarray(x[:, lo:hi]) for x in (joint, side))
         chunk = max(2, CHUNK_MATRICES // (hi - lo))
         for a, b in chunk_indices(len(coords), chunk):
-            out[a:b, lo:hi] = _chunk_mi(coords, a, b, joint[:, lo:hi], side[:, lo:hi],
-                                        s_a[lo:hi])
+            out[a:b, lo:hi] = _chunk_mi(coords, a, b, terms, traces, s_a[lo:hi])
 
-    _in_groups(run, len(s_a), workers)
+    groups = _groups(len(s_a), workers)
+    parallel_map(run, groups, len(groups))
     return out
 
 
@@ -348,23 +387,27 @@ def _non_cp_steps(channel, grid: np.ndarray) -> np.ndarray:
 
 
 def _block_basis(coords: np.ndarray, mid: int, terms: np.ndarray) -> np.ndarray:
-    # The (R, n, 4, 4) terms G_r, a copy of the caller's, rotated in place to
-    # W^H G_r W with W the eigenvectors of each state's joint matrix at point
-    # mid, one term at a time so that the temporary is one (n, 4, 4) array.
+    # A new (10, n, R) array of the entry rows of W^H G_r W, from those of the
+    # terms G_r, with W the eigenvectors of each state's joint matrix at point
+    # mid; one term at a time, so that the temporaries are (n, 4, 4) arrays.
     # Spectra and the partial traces over the ancilla stay as they are.
-    w = np.linalg.eigh(_combine(coords, mid, mid + 1, terms)[0])[1]
-    for term in terms:
-        np.matmul(w.conj().swapaxes(-1, -2) @ term, w, out=term)
-    return terms
+    w = np.linalg.eigh(_hermitian(_combine(coords, mid, mid + 1, terms)[..., 0]))[1]
+    out = np.empty(terms.shape, terms.dtype)
+    for r in range(terms.shape[-1]):
+        turned = w.conj().swapaxes(-1, -2) @ _hermitian(terms[..., r]) @ w
+        out[..., r] = np.moveaxis(turned[..., _ENTRY_ROWS, _ENTRY_COLS], -1, 0)
+    return out
 
 
 def _chunk_mi(coords: np.ndarray, a: int, b: int, joint: np.ndarray, side: np.ndarray,
               s_a: np.ndarray) -> np.ndarray:
-    # MI (b - a, n) at points [a, b) from the (R, n, 4, 4) joint terms, rotated
-    # or not, the (R, n, 2, 2) terms of rho_S and the states' S(rho_A) (n,).
-    spectra = jacobi_eigvalsh4(_combine(coords, a, b, joint).reshape(-1, 4, 4))
-    s_s = correlations.qubit_entropy(_combine(coords, a, b, side))
-    return s_a + s_s - correlations.shannon(spectra.reshape(b - a, -1, 4))
+    # MI (b - a, n) at points [a, b) from the (10, n, R) joint terms, rotated
+    # or not, the (3, n, R) terms of rho_S (see _mi_setup) and the states'
+    # S(rho_A) (n,). The kernel's rows and its (4, M) spectra run over the
+    # matrices in (state, time) order, so every sum over 4 is one over rows.
+    spectra = jacobi_eigvalsh4(_combine(coords, a, b, joint).reshape(len(joint), -1))
+    s_s = correlations._qubit_entropy_rows(*_combine(coords, a, b, side))
+    return (s_a[:, None] + s_s - correlations.shannon(spectra.reshape(len(s_a), b - a, 4))).T
 
 
 def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
@@ -382,8 +425,8 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     the per-state first rises as they are computed: the scan holds
     O(chunk + N) memory for N states, not the (points, N) series. A chunk
     runs only on the states of its group without a rise so far, so a state
-    leaves the stack after the chunk that holds its first rise, and a group
-    ends once every state in it has one.
+    leaves the stack after the chunk that holds its first rise, its G_r are
+    freed at the next block, and a group ends once every state in it has one.
 
     Each evolved state is sum_r c_r(t) G_r, as in mi_series (see
     `_mi_setup`). The scanned points are cut into blocks of BASIS_TIMES from
@@ -417,17 +460,23 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
     starts = np.isin(points, steps)
     coords, terms, traces, s_a = _mi_setup(channel, vectors, grid[points])
     first = np.full(count, points.size)  # each state's first rising step
+    # Each group takes out views of its states' terms and traces, and swaps
+    # them for copies of its live states' ones as states are found, so the
+    # terms of found states are freed: the setup's once every group has.
+    parts = [(lo, hi, terms[:, lo:hi], traces[:, lo:hi]) for lo, hi in _groups(count, None)]
+    del terms, traces
 
-    def fold(lo, hi):
+    def fold(k):
         # Each chunk runs on the group's states without a rise so far, after their
         # values at the previous chunk's last point, so the seam's step is seen.
+        lo, hi, terms, side = parts[k]
+        parts[k], side = None, np.ascontiguousarray(side)
         chunk = max(2, min(CHUNK_TIMES, CHUNK_MATRICES // (hi - lo)))
-        live = np.arange(lo, hi)
-        # take and compress copy in C order, so that _combine reshapes views;
-        # an index on axis 1 would put the states axis first in memory.
+        live = held = np.arange(lo, hi)  # held: the states of terms
         for block_lo, block_hi in chunk_indices(points.size, BASIS_TIMES):
-            joint = _block_basis(coords, (block_lo + block_hi) // 2, terms.take(live, axis=1))
-            side = traces.take(live, axis=1)
+            if held.size > live.size:
+                terms, held = terms.take(np.searchsorted(held, live), axis=1), live
+            joint = _block_basis(coords, (block_lo + block_hi) // 2, terms)
             for a, b in chunk_indices(block_hi - block_lo, chunk):
                 a, b = a + block_lo, b + block_lo
                 mi = _chunk_mi(coords, a, b, joint, side, s_a[live])
@@ -442,11 +491,12 @@ def min_t_nm_scan(channel, count: int, grid: np.ndarray, seed: int = 0):
                         live, mi = live[~hit], mi[:, ~hit]
                         if not live.size:
                             return
+                        # compress copies in C order, so that _combine reshapes views.
                         joint, side = joint.compress(~hit, axis=1), side.compress(~hit, axis=1)
                 carry = mi[-1].copy()  # a view would keep the whole chunk alive
-            del joint, side  # before the next block's are built
+            del joint  # before the next block's is built
 
-    _in_groups(fold, count, None)
+    parallel_map(fold, range(len(parts)), len(parts))
     found = first < points.size
     idx = points[np.where(found, first, 0)]
     onsets = np.where(found, grid[idx], np.nan)

@@ -258,13 +258,14 @@ def test_mi_scans_diagonalize_with_the_jacobi_kernel(monkeypatch, tmp_path):
     # mi_series takes its joint spectra from qmat.jacobi_eigvalsh4, never from
     # LAPACK, and the default gadc-scan stack (its eps values at every grid
     # time) fits one kernel call, so its fixed per-call cost is paid once.
+    # The kernel gets the stack as its (10, M) entry rows.
     shapes = []
     kernel = witness.jacobi_eigvalsh4
     monkeypatch.setattr(witness, "jacobi_eigvalsh4",
                         lambda m: shapes.append(m.shape) or kernel(m))
     counts = _count_kernel_calls(monkeypatch, ["gadc-scan"], tmp_path)
     assert counts["eigvalsh"] == 0 and len(shapes) == 1
-    assert shapes[0][0] <= witness.CHUNK_MATRICES
+    assert shapes[0][0] == 10 and shapes[0][1] <= witness.CHUNK_MATRICES
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigvalsh called"))
         vectors = witness.sample_pure_vectors((2, 2), 50, seed=3)

@@ -332,3 +332,47 @@ def test_jacobi_eigvalsh4_ends_within_its_sweep_bound(monkeypatch):
         qmat.jacobi_eigvalsh4(np.delete(stack, 2, axis=0))
     x_states = _jacobi_cases(rng, n=8)["GADC probe X states"]
     assert qmat.jacobi_eigvalsh4(x_states).shape == (8, 4)
+
+
+def _entry_rows(stack):
+    return np.array([stack[:, i, j] for i, j in qmat._JACOBI_ENTRIES])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_jacobi_eigvalsh4_takes_entry_rows_with_the_same_bits():
+    # The MI scans hand the kernel a stack as its (10, M) entry rows. Those
+    # give the (M, 4, 4) stack's bits, the input stays as it was, and the
+    # result is the transposed view of a C-ordered (4, M) array.
+    from nmflow import witness
+    from nmflow.channels import quasi_eternal
+    cases = list(_jacobi_cases(np.random.default_rng(74), n=4).values())
+    for stack in (np.concatenate([c.astype(complex) for c in cases]),
+                  np.concatenate([c.real for c in cases if not np.any(c.imag)])):
+        for size in (0, 1, 2, len(stack)):
+            rows = _entry_rows(stack[:size])
+            kept = rows.copy()
+            got = qmat.jacobi_eigvalsh4(rows)
+            assert np.array_equal(got, qmat.jacobi_eigvalsh4(stack[:size]))
+            assert np.array_equal(rows, kept)
+            assert got.shape == (size, 4) and got.T.flags.c_contiguous
+    # A scan chunk of 12,800 matrices: 100 Haar states at 128 times, in the
+    # rotated basis of min_t_nm_scan's first block.
+    vectors = witness.sample_pure_vectors((2, 2), 100, seed=74)
+    coords, terms, _, _ = witness._mi_setup(quasi_eternal(0.4, 1.0), vectors,
+                                            np.linspace(1.0, 2.5, 128))
+    rows = witness._combine(coords, 0, 128, witness._block_basis(coords, 64, terms))
+    rows = rows.reshape(10, -1)
+    assert rows.shape == (10, 12_800)
+    assert np.array_equal(qmat.jacobi_eigvalsh4(rows),
+                          qmat.jacobi_eigvalsh4(witness._hermitian(rows)))
+    for bad in (np.zeros((9, 5)), np.zeros((10,)), np.zeros((10, 3, 1))):
+        with pytest.raises(DimMismatchError):
+            qmat.jacobi_eigvalsh4(bad)
+
+
+def test_jacobi_eigvalsh4_rows_with_a_nan_entry_raise():
+    stack = np.stack([random_density(np.random.default_rng(75), 4) for _ in range(3)])
+    rows = _entry_rows(stack)
+    rows[7, 1] = np.nan  # a_12 of the second matrix
+    with pytest.raises(ConvergenceError, match=r"^1 matrices .* after 16 .*residual nan"):
+        qmat.jacobi_eigvalsh4(rows)

@@ -981,6 +981,60 @@ def test_scan_blocks_give_a_state_the_same_bits_in_any_stack_and_chunk(monkeypat
                 assert np.array_equal(got, full[a - lo:b - lo, cols]), (a, b, size)
 
 
+@pytest.mark.parametrize("complex_path", [False, True])
+def test_combine_gives_the_same_bits_in_any_row_pieces(monkeypatch, complex_path):
+    # _combine runs its products on row pieces small enough for OpenBLAS to
+    # keep on the calling thread. Pieces of two rows, pieces whose last one
+    # has one row (it takes its left neighbour again) and one piece give the
+    # same bits, one-column products (a borrowed row of coords) included, and
+    # so does the whole series of mi_series.
+    if complex_path:
+        force_complex_path(monkeypatch)
+    vectors = sample_pure_vectors((2, 2), 37, seed=19)
+    grid = np.linspace(0.0, 3.0, 50)
+    coords, joint, side, _ = witness._mi_setup(quasi_eternal(0.4, 1.0), vectors, grid)
+    assert len(joint.reshape(-1, coords.shape[1])) % 2 == 0
+    assert len(side.reshape(-1, coords.shape[1])) % 2 == 1
+    chunks = ((0, 50), (3, 4), (49, 50), (10, 17))
+    monkeypatch.setattr(witness, "_BLAS_ONE_THREAD", 10 ** 9)
+    whole = [witness._combine(coords, a, b, terms) for a, b in chunks for terms in (joint, side)]
+    ref = witness.mi_series(quasi_eternal(0.4, 1.0), vectors, grid, workers=1)
+    for limit in (1, 5 * 50 * coords.shape[1]):
+        monkeypatch.setattr(witness, "_BLAS_ONE_THREAD", limit)
+        pieces = [witness._combine(coords, a, b, terms) for a, b in chunks
+                  for terms in (joint, side)]
+        for got, want in zip(pieces, whole):
+            assert np.array_equal(got, want)
+        got = witness.mi_series(quasi_eternal(0.4, 1.0), vectors, grid, workers=1)
+        assert np.array_equal(got, ref)
+
+
+def test_min_t_nm_scan_frees_the_terms_of_found_states(monkeypatch):
+    # A group keeps the terms G_r of its live states only: once a state is
+    # found, the next block's basis starts from a copy of the live states'
+    # terms, and the setup's array of every state's terms is freed.
+    import weakref
+    monkeypatch.setenv("NMFLOW_THREADS", "1")
+    setup, basis = witness._mi_setup, witness._block_basis
+    setup_terms, blocks = [], []
+
+    def capture(*args):
+        out = setup(*args)
+        setup_terms.append(weakref.ref(out[1]))
+        return out
+
+    monkeypatch.setattr(witness, "_mi_setup", capture)
+    monkeypatch.setattr(witness, "_block_basis", lambda coords, mid, terms: blocks.append(
+        (terms.shape[1], setup_terms[0]() is not None)) or basis(coords, mid, terms))
+    count = 300
+    min_t_nm_scan(quasi_eternal(0.4, 1.0), count, np.arange(0.0, 3.0 + 1e-12, 2e-3), seed=5)
+    shrunk = [i for i, (states, _) in enumerate(blocks) if states < count]
+    assert blocks[0] == (count, True) and shrunk and len(blocks) >= 3
+    assert all(held for _, held in blocks[:shrunk[0]])
+    assert not any(held for _, held in blocks[shrunk[0]:])
+    assert setup_terms[0]() is None
+
+
 def _scan_groups(monkeypatch, channel, count, grid, seed):
     # Runs min_t_nm_scan and returns each state's onset step f, the step
     # (points[f], points[f + 1]); the chunks of each group of states as
